@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Any, Callable, FrozenSet, Optional, Tuple
+from typing import Any, Callable, FrozenSet, Optional
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from repro.aware.search import annealed_weight_search, exhaustive_weight_search
 from repro.aware.weights import WeightConfiguration, WheatParameters
 from repro.core.pipeline import OptiLogPipeline, PipelineSettings
 from repro.core.records import Configuration
-from repro.core.suspicion import ExpectedMessage
+from repro.core.roundplan import RoundPlan
 from repro.core.timeouts import PbftTimeouts
 from repro.crypto.signatures import KeyRegistry
 
@@ -110,14 +110,17 @@ class OptiAware:
             quorum_weight=configuration.quorum_weight,
         )
 
-    def expected_messages(
+    def round_plan(
         self, configuration: WeightConfiguration
-    ) -> Tuple[list[ExpectedMessage], float]:
-        """(expected messages for this replica, d_rnd) for one round."""
-        timeouts = self.timeouts_for(configuration)
-        return (
-            timeouts.expected_messages(self.pipeline.replica_id),
-            timeouts.round_duration(),
+    ) -> Optional[RoundPlan]:
+        """This replica's compiled round expectations under
+        ``configuration`` (memoised per latency epoch on the pipeline;
+        ``None`` while the latency matrix is incomplete)."""
+        return self.pipeline.round_plan(configuration, self._compile_round_plan)
+
+    def _compile_round_plan(self, configuration: WeightConfiguration) -> RoundPlan:
+        return self.timeouts_for(configuration).round_plan(
+            self.pipeline.replica_id, self.pipeline.settings.delta
         )
 
     # ------------------------------------------------------------------

@@ -5,7 +5,7 @@ duration from the latency matrix: Propose fan-out, Write exchange, Accept
 exchange, with the *fastest weighted quorum* at every collection point.
 Appendix C notes this is exactly the ``d_rnd`` derived from timeout
 requirements TR1-TR3, so the implementation delegates to
-:class:`repro.core.timeouts.PbftTimeouts`.
+:func:`repro.core.timeouts.weighted_round_duration`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import FrozenSet, Optional
 import numpy as np
 
 from repro.aware.weights import WeightConfiguration
-from repro.core.timeouts import PbftTimeouts, weighted_round_duration
+from repro.core.timeouts import weighted_round_duration
 
 
 def weight_config_round_duration(
@@ -34,19 +34,6 @@ def weight_config_round_duration(
         configuration.weight_vector(),
         configuration.quorum_weight,
     )
-
-
-def weight_config_round_duration_scalar(
-    latency: np.ndarray, configuration: WeightConfiguration
-) -> float:
-    """Reference implementation: the per-dict :class:`PbftTimeouts` scan."""
-    timeouts = PbftTimeouts(
-        latency,
-        leader=configuration.leader,
-        weights=configuration.weights(),
-        quorum_weight=configuration.quorum_weight,
-    )
-    return timeouts.round_duration_scalar()
 
 
 def aware_score(

@@ -91,9 +91,9 @@ class WeightConfiguration(Configuration):
 
     @property
     def parameters(self) -> WheatParameters:
-        # Cached on the (frozen, immutable) instance: weight_of runs once
-        # per Prepare/Commit on the PBFT hot path, and building a fresh
-        # validated WheatParameters there is pure overhead.
+        # Cached on the (frozen, immutable) instance: the score and search
+        # layers read it per evaluation, and building a fresh validated
+        # WheatParameters there is pure overhead.
         cached = self.__dict__.get("_parameters")
         if cached is None:
             cached = WheatParameters(self.n, self.f)
@@ -121,14 +121,6 @@ class WeightConfiguration(Configuration):
             vector[sorted(self.vmax_replicas)] = params.vmax
             object.__setattr__(self, "_weight_vector", vector)
         return vector
-
-    def weight_of(self, replica: int) -> float:
-        pair = self.__dict__.get("_vmax_vmin")
-        if pair is None:
-            params = self.parameters
-            pair = (params.vmax, params.vmin)
-            object.__setattr__(self, "_vmax_vmin", pair)
-        return pair[0] if replica in self.vmax_replicas else pair[1]
 
     @property
     def quorum_weight(self) -> float:

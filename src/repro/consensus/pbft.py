@@ -48,6 +48,7 @@ from repro.consensus.messages import (
 )
 from repro.core.pipeline import PipelineSettings
 from repro.core.records import LatencyVectorRecord
+from repro.core.suspicion import SuspicionSensor
 from repro.crypto.signatures import KeyRegistry
 from repro.net.deployments import Deployment
 from repro.sim.engine import Simulator
@@ -115,8 +116,13 @@ class PbftReplica(ReplicaBase):
         self.executed: Set[int] = set()
         self.in_flight: Optional[int] = None
         self.running = False
+        #: BFT-SMaRt without Wheat: uniform votes, majority quorum.
+        self.uniform_voting = mode == "static"
+        self._uniform_quorum = float(-(-(n + f + 1) // 2))  # ceil majority
         # Aware / OptiAware stack.
         self.optilog: Optional[OptiAware] = None
+        #: The SuspicionSensor, in the one mode that feeds it.
+        self._sensor: Optional[SuspicionSensor] = None
         if mode in ("aware", "optiaware"):
             self.optilog = OptiAware(
                 replica_id,
@@ -138,9 +144,6 @@ class PbftReplica(ReplicaBase):
             self.config = WeightConfiguration(
                 n=n, f=f, leader=0, vmax_replicas=frozenset(range(2 * f))
             )
-        #: BFT-SMaRt without Wheat: uniform votes, majority quorum.
-        self.uniform_voting = mode == "static"
-        self._uniform_quorum = float(-(-(n + f + 1) // 2))  # ceil majority
         self.pending_config: Optional[WeightConfiguration] = None
         self.reconfigure_times: List[float] = []
         #: PrePrepares from replicas that are not (yet) our leader; they
@@ -155,6 +158,7 @@ class PbftReplica(ReplicaBase):
             # exactly the object plane's semantics.
             self.handle_PrepareBatch = None
             self.handle_CommitBatch = None
+            self._sensor = self.optilog.pipeline.suspicion_sensor
         self._committed_requests: Set = set()
         #: Previous generation of committed request keys (see compact()).
         self._committed_requests_old: Set = set()
@@ -166,23 +170,27 @@ class PbftReplica(ReplicaBase):
     # Roles and weights
     # ------------------------------------------------------------------
     @property
-    def leader(self) -> int:
-        return self.config.leader
+    def config(self) -> WeightConfiguration:
+        return self._config
+
+    @config.setter
+    def config(self, config: WeightConfiguration) -> None:
+        """Adopt ``config`` and compile what every vote reads from it:
+        the leader, the per-sender vote weights (``None`` = every vote
+        weighs 1.0; uniform voting must not cost O(n) per replica) and
+        the quorum weight."""
+        self._config = config
+        self.leader = config.leader
+        if self.uniform_voting:
+            self._weights: Optional[List[float]] = None
+            self._quorum_weight = self._uniform_quorum
+        else:
+            self._weights = config.weight_vector().tolist()
+            self._quorum_weight = config.quorum_weight
 
     @property
     def is_leader(self) -> bool:
         return self.leader == self.id
-
-    def _weight(self, sender: int) -> float:
-        if self.uniform_voting:
-            return 1.0
-        return self.config.weight_of(sender)
-
-    @property
-    def _quorum_weight(self) -> float:
-        if self.uniform_voting:
-            return self._uniform_quorum
-        return self.config.quorum_weight
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -251,9 +259,10 @@ class PbftReplica(ReplicaBase):
         if message.seq in self.preprepares or message.seq <= self._compact_floor:
             return
         self.preprepares[message.seq] = message
-        if self.optilog is not None:
-            self._arm_suspicion_round(message)
-            self._note_arrival(message.seq, src, "propose")
+        sensor = self._sensor
+        if sensor is not None:
+            self._arm_suspicion_round(sensor, message)
+            sensor.on_message(message.seq, src, "propose", self.sim.now)
         self.broadcast(
             Prepare(
                 view=message.view,
@@ -272,9 +281,13 @@ class PbftReplica(ReplicaBase):
         if senders & bit:
             return
         self.prepare_senders[seq] = senders | bit
-        if self.optilog is not None:
-            self._note_arrival(seq, src, "write")
-        self.prepare_weight[seq] = self.prepare_weight.get(seq, 0.0) + self._weight(src)
+        sensor = self._sensor
+        if sensor is not None:
+            sensor.on_message(seq, src, "write", self.sim.now)
+        weights = self._weights
+        self.prepare_weight[seq] = self.prepare_weight.get(seq, 0.0) + (
+            1.0 if weights is None else weights[src]
+        )
         self._maybe_send_commit(seq)
 
     def _maybe_send_commit(self, seq: int) -> None:
@@ -302,9 +315,13 @@ class PbftReplica(ReplicaBase):
         if senders & bit:
             return
         self.commit_senders[seq] = senders | bit
-        if self.optilog is not None:
-            self._note_arrival(seq, src, "accept")
-        self.commit_weight[seq] = self.commit_weight.get(seq, 0.0) + self._weight(src)
+        sensor = self._sensor
+        if sensor is not None:
+            sensor.on_message(seq, src, "accept", self.sim.now)
+        weights = self._weights
+        self.commit_weight[seq] = self.commit_weight.get(seq, 0.0) + (
+            1.0 if weights is None else weights[src]
+        )
         self._maybe_execute(seq)
 
     # ------------------------------------------------------------------
@@ -312,7 +329,8 @@ class PbftReplica(ReplicaBase):
     # for the contract: process rows in order, set sim.now before side
     # effects, stop right after any row that sends or schedules).
     # Disabled per instance in optiaware mode (see __init__): there a
-    # late arrival can gossip a suspicion from inside _note_arrival.
+    # late arrival can gossip a suspicion from inside the sensor feed, so
+    # no batch handler ever has a sensor to feed.
     # ------------------------------------------------------------------
     def _tally_batch(
         self, srcs, messages, times, senders_map, weight_map, armed, fire
@@ -368,7 +386,7 @@ class PbftReplica(ReplicaBase):
             sim.now = times[k]
             fire(seq)
             return k + 1
-        weight_of = self._weight
+        weight_of = self._weights.__getitem__
         weights = np.empty(count + 1)
         weights[1:] = np.fromiter(
             (weight_of(src) for src in srcs), dtype=float, count=count
@@ -407,15 +425,14 @@ class PbftReplica(ReplicaBase):
         prepare_senders = self.prepare_senders
         prepare_weight = self.prepare_weight
         sent_commit = self.sent_commit
-        note = self.optilog is not None
-        weight_of = self._weight
+        weights = self._weights
         count = len(messages)
         tally_min = (
             _BATCH_TALLY_MIN_UNIFORM
             if self.uniform_voting
             else _BATCH_TALLY_MIN
         )
-        if count >= tally_min and not note:
+        if count >= tally_min and self.optilog is None:
             consumed = self._tally_batch(
                 srcs,
                 messages,
@@ -440,9 +457,9 @@ class PbftReplica(ReplicaBase):
                 continue
             sim.now = times[k]
             prepare_senders[seq] = senders | bit
-            if note:
-                self._note_arrival(seq, src, "write")
-            prepare_weight[seq] = prepare_weight.get(seq, 0.0) + weight_of(src)
+            prepare_weight[seq] = prepare_weight.get(seq, 0.0) + (
+                1.0 if weights is None else weights[src]
+            )
             if seq not in sent_commit:
                 self._maybe_send_commit(seq)
                 if seq in sent_commit:
@@ -459,15 +476,14 @@ class PbftReplica(ReplicaBase):
         commit_senders = self.commit_senders
         commit_weight = self.commit_weight
         executed = self.executed
-        note = self.optilog is not None
-        weight_of = self._weight
+        weights = self._weights
         count = len(messages)
         tally_min = (
             _BATCH_TALLY_MIN_UNIFORM
             if self.uniform_voting
             else _BATCH_TALLY_MIN
         )
-        if count >= tally_min and not note:
+        if count >= tally_min and self.optilog is None:
             seq0 = messages[0].seq
             consumed = self._tally_batch(
                 srcs,
@@ -494,9 +510,9 @@ class PbftReplica(ReplicaBase):
                 continue
             sim.now = times[k]
             commit_senders[seq] = senders | bit
-            if note:
-                self._note_arrival(seq, src, "accept")
-            commit_weight[seq] = commit_weight.get(seq, 0.0) + weight_of(src)
+            commit_weight[seq] = commit_weight.get(seq, 0.0) + (
+                1.0 if weights is None else weights[src]
+            )
             if seq not in executed:
                 self._maybe_execute(seq)
                 if seq in executed:
@@ -598,6 +614,11 @@ class PbftReplica(ReplicaBase):
                 self.sent_commit.discard(seq)
                 self.executed.discard(seq)
             self._compact_floor = floor
+            if self._sensor is not None:
+                # The per-round suspicion maps are keyed by seq as well;
+                # rounds still waiting on a message keep everything.
+                live = self._sensor.forget_through(floor)
+                self.optilog.pipeline.suspicion_monitor.forget_rounds_through(floor, live)
         self._committed_requests_old = self._committed_requests
         self._committed_requests = set()
 
@@ -627,48 +648,31 @@ class PbftReplica(ReplicaBase):
         self.pending_records.append(message.record)
         self._maybe_propose()
 
-    def _arm_suspicion_round(self, message: PrePrepare) -> None:
+    def _arm_suspicion_round(self, sensor: SuspicionSensor, message: PrePrepare) -> None:
         """Feed the SuspicionSensor for this round (OptiAware only)."""
-        if self.optilog is None or self.mode != "optiaware":
-            return
-        monitor = self.optilog.pipeline.latency_monitor
-        if not monitor.is_complete():
-            return
-        sensor = self.optilog.pipeline.suspicion_sensor
-        timeouts = self.optilog.timeouts_for(self.config)
-        expected = timeouts.expected_messages(self.id)
+        plan = self.optilog.round_plan(self._config)
+        if plan is None:
+            return  # latency matrix still incomplete
+        seq = message.seq
         sensor.begin_round(
-            round_id=message.seq,
+            round_id=seq,
             leader=self.leader,
             proposal_timestamp=message.timestamp,
             d_rnd=math.inf,  # condition (a) unarmed: client-paced rounds
-            expected=expected,
+            plan=plan,
             view=self.log_view,
         )
-        self.optilog.pipeline.suspicion_monitor.note_round_leader(
-            message.seq, self.leader
-        )
-        horizon = sensor.round_horizon(message.seq)
+        self.optilog.pipeline.suspicion_monitor.note_round_leader(seq, self.leader)
+        horizon = sensor.round_horizon(seq)
         if horizon is not None and horizon > self.sim.now:
             slack = 0.005
-            self.sim.schedule(
-                horizon - self.sim.now + slack, self._check_round, message.seq
-            )
+            self.sim.schedule(horizon - self.sim.now + slack, self._check_round, seq)
 
     def _check_round(self, seq: int) -> None:
-        if self.optilog is None or not self.running:
+        if self._sensor is None or not self.running:
             return
-        self.optilog.pipeline.suspicion_sensor.check_round(
-            seq, self.sim.now, view=self.log_view
-        )
-        self.optilog.pipeline.suspicion_sensor.forget_round(seq)
-
-    def _note_arrival(self, seq: int, sender: int, msg_type: str) -> None:
-        if self.optilog is None:
-            return
-        self.optilog.pipeline.suspicion_sensor.on_message(
-            seq, sender, msg_type, self.sim.now
-        )
+        self._sensor.check_round(seq, self.sim.now, view=self.log_view)
+        self._sensor.forget_round(seq)
 
     # ------------------------------------------------------------------
     # Probes (Aware's latency infrastructure)

@@ -91,8 +91,18 @@ class LatencyMonitor(Monitor):
         self.matrix = np.full((n, n), math.inf)
         np.fill_diagonal(self.matrix, 0.0)
         np.fill_diagonal(self._recorded, 0.0)
+        #: Accepted vectors so far.  Doubles as the matrix *epoch*: the
+        #: matrix can only change when this does, so anything derived
+        #: from the matrix (round plans) is valid until it moves.
         self.vectors_seen = 0
+        #: Unordered pairs whose merged entry is still ``inf``.
+        self._unmeasured = n * (n - 1) // 2
         super().__init__(replica_id, log)
+
+    @property
+    def epoch(self) -> int:
+        """Version of :attr:`matrix`; bumped by every accepted vector."""
+        return self.vectors_seen
 
     def on_entry(self, entry: LogEntry) -> None:
         record: LatencyVectorRecord = entry.record
@@ -120,6 +130,9 @@ class LatencyMonitor(Monitor):
             merged = ab
         else:
             merged = max(ab, ba)
+        was_unmeasured = math.isinf(self.matrix[a, b])
+        if math.isinf(merged) != was_unmeasured:
+            self._unmeasured += -1 if was_unmeasured else 1
         self.matrix[a, b] = merged
         self.matrix[b, a] = merged
 
@@ -130,14 +143,10 @@ class LatencyMonitor(Monitor):
         """Symmetric link latency between ``a`` and ``b`` in seconds."""
         return float(self.matrix[a, b])
 
-    def is_complete(self, among: Optional[List[int]] = None) -> bool:
-        """True when every pair (of ``among``, default all) is measured."""
-        ids = among if among is not None else list(range(self.n))
-        for i, a in enumerate(ids):
-            for b in ids[i + 1 :]:
-                if math.isinf(self.matrix[a, b]):
-                    return False
-        return True
+    def is_complete(self) -> bool:
+        """True when every pair is measured (O(1): it runs once per
+        proposal on every replica)."""
+        return self._unmeasured == 0
 
     def reachable_peers(self, a: int) -> List[int]:
         return [

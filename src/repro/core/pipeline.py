@@ -27,6 +27,7 @@ from repro.core.latency import LatencyMonitor, LatencySensor
 from repro.core.log import AppendOnlyLog
 from repro.core.misbehavior import MisbehaviorMonitor, MisbehaviorSensor
 from repro.core.records import SuspicionRecord
+from repro.core.roundplan import RoundPlan
 from repro.core.sensor import SensorApp
 from repro.core.suspicion import SuspicionMonitor, SuspicionSensor
 from repro.crypto.signatures import KeyRegistry
@@ -104,6 +105,13 @@ class OptiLogPipeline:
         self.config_sensor: Optional[ConfigSensor] = None
         self.config_monitor: Optional[ConfigMonitor] = None
 
+        #: (latency epoch, configuration, plan) -- see :meth:`round_plan`.
+        #: A pure cache: never pickled, re-derived after a resume.
+        self._plan_memo: Optional[tuple] = None
+
+    def __getstate__(self):
+        return {**self.__dict__, "_plan_memo": None}
+
     # ------------------------------------------------------------------
     # Wiring helpers
     # ------------------------------------------------------------------
@@ -140,6 +148,29 @@ class OptiLogPipeline:
         )
         # Candidate-set updates re-check the current configuration.
         self.suspicion_monitor.add_listener(self.config_monitor.recheck)
+
+    # ------------------------------------------------------------------
+    # Round plans
+    # ------------------------------------------------------------------
+    def round_plan(
+        self, configuration: Any, compile_plan: Callable[[Any], RoundPlan]
+    ) -> Optional[RoundPlan]:
+        """This replica's :class:`RoundPlan` under ``configuration``
+        (``None`` while the latency matrix is incomplete), compiled by
+        ``compile_plan(configuration)`` once per (latency epoch,
+        configuration): timeouts are a function of logged state."""
+        monitor = self.latency_monitor
+        if not monitor.is_complete():
+            return None
+        memo = self._plan_memo
+        if (
+            memo is None
+            or memo[0] != monitor.epoch
+            or (memo[1] is not configuration and memo[1] != configuration)
+        ):
+            memo = (monitor.epoch, configuration, compile_plan(configuration))
+            self._plan_memo = memo
+        return memo[2]
 
     # ------------------------------------------------------------------
     # Convenience passthroughs

@@ -33,13 +33,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.log import AppendOnlyLog, LogEntry
 from repro.core.misbehavior import MisbehaviorMonitor
 from repro.core.monitor import Monitor
 from repro.core.records import SuspicionKind, SuspicionRecord
+from repro.core.roundplan import RoundPlan
 from repro.core.sensor import Sensor, SensorApp
 from repro.optimize.graphs import Edge, Graph, ordered_edge
 from repro.optimize.maxindset import (
@@ -51,33 +52,20 @@ from repro.optimize.maxindset import (
 # ----------------------------------------------------------------------
 # Sensor
 # ----------------------------------------------------------------------
-@dataclass
-class ExpectedMessage:
-    """One message the protocol expects during a round.
+class _Round:
+    """One tracked round: its plan, timestamp and received-slot bitmask."""
 
-    ``d_m`` is the expected delay from the round's proposal timestamp to
-    the message's arrival (TR1/TR2); ``phase`` orders messages causally
-    within the round (0 = proposal) and feeds the monitor's filtering.
-    """
+    __slots__ = ("plan", "timestamp", "received", "checked", "suspected_phase")
 
-    sender: int
-    msg_type: str
-    phase: int
-    d_m: float
-
-
-@dataclass
-class _RoundState:
-    round_id: int
-    leader: int
-    proposal_timestamp: float
-    expected: Dict[Tuple[int, str], ExpectedMessage] = field(default_factory=dict)
-    received: Set[Tuple[int, str]] = field(default_factory=set)
-    checked: bool = False
-    #: Lowest phase already suspected this round; one late message delays
-    #: every later phase, so later-phase suspicions are causally implied
-    #: and not raised (the monitor filters them anyway, §4.2.3).
-    suspected_phase: float = math.inf
+    def __init__(self, plan: RoundPlan, timestamp: float):
+        self.plan = plan
+        self.timestamp = timestamp
+        self.received = 0
+        self.checked = False
+        #: Lowest phase already suspected this round; one late message
+        #: delays every later phase, so later-phase suspicions are causally
+        #: implied and not raised (the monitor filters them anyway, §4.2.3).
+        self.suspected_phase: float = math.inf
 
 
 class SuspicionSensor(Sensor):
@@ -86,7 +74,8 @@ class SuspicionSensor(Sensor):
     The protocol adapter drives the sensor:
 
     * :meth:`begin_round` when a proposal (with the leader's timestamp)
-      arrives, together with the round's expected messages and ``d_rnd``;
+      arrives, together with the round's compiled :class:`RoundPlan` and
+      ``d_rnd``;
     * :meth:`on_message` when an expected message arrives;
     * :meth:`check_round` once the local clock passes the round's horizon
       (simulation engines schedule this; analytical tests call it with an
@@ -111,7 +100,7 @@ class SuspicionSensor(Sensor):
         super().__init__(replica_id, app)
         self.delta = delta
         self.clock_skew = clock_skew
-        self._rounds: Dict[int, _RoundState] = {}
+        self._rounds: Dict[int, _Round] = {}
         self._last_proposal: Optional[Tuple[int, float, int]] = None  # (round, ts, leader)
         self._last_d_rnd: float = math.inf
         self._reciprocated: Set[Tuple[int, int]] = set()
@@ -128,10 +117,13 @@ class SuspicionSensor(Sensor):
         leader: int,
         proposal_timestamp: float,
         d_rnd: float,
-        expected: List[ExpectedMessage],
+        plan: RoundPlan,
         view: int = 0,
     ) -> None:
-        """Start tracking a round; checks condition (a) against the last one."""
+        """Start tracking a round; checks condition (a) against the last one.
+
+        ``plan`` must be compiled for this sensor's ``delta``.
+        """
         timestamp = proposal_timestamp + self.clock_skew
         if self._last_proposal is not None:
             last_round, last_ts, last_leader = self._last_proposal
@@ -147,12 +139,7 @@ class SuspicionSensor(Sensor):
                 )
         self._last_proposal = (round_id, timestamp, leader)
         self._last_d_rnd = d_rnd
-        self._rounds[round_id] = _RoundState(
-            round_id=round_id,
-            leader=leader,
-            proposal_timestamp=timestamp,
-            expected={(m.sender, m.msg_type): m for m in expected},
-        )
+        self._rounds[round_id] = _Round(plan, timestamp)
 
     def on_message(self, round_id: int, sender: int, msg_type: str, now: float) -> None:
         """Record arrival of an expected message (condition (b) bookkeeping).
@@ -164,27 +151,32 @@ class SuspicionSensor(Sensor):
         state = self._rounds.get(round_id)
         if state is None:
             return
-        expected = state.expected.get((sender, msg_type))
-        if expected is not None and expected.phase <= state.suspected_phase:
-            deadline = state.proposal_timestamp + self.delta * expected.d_m
-            if now > deadline:
-                if self._raise_slow(
-                    suspect=sender,
-                    round_id=round_id,
-                    msg_type=msg_type,
-                    phase=expected.phase,
-                    view=0,
-                ) is not None:
-                    state.suspected_phase = min(state.suspected_phase, expected.phase)
-        state.received.add((sender, msg_type))
+        plan = state.plan
+        base = plan.kind_base.get(msg_type)
+        if base is None or not 0 <= sender < plan.width:
+            return
+        slot = base + sender
+        offset = plan.offsets[slot]
+        if offset is None:
+            return
+        if now > state.timestamp + offset:
+            phase = plan.phases[slot]
+            if phase <= state.suspected_phase and self._raise_slow(
+                suspect=sender,
+                round_id=round_id,
+                msg_type=msg_type,
+                phase=phase,
+                view=0,
+            ) is not None:
+                state.suspected_phase = min(state.suspected_phase, phase)
+        state.received |= 1 << slot
 
     def round_horizon(self, round_id: int) -> Optional[float]:
         """Absolute time by which every expected message should have arrived."""
         state = self._rounds.get(round_id)
-        if state is None or not state.expected:
+        if state is None or state.plan.horizon_offset is None:
             return None
-        latest = max(m.d_m for m in state.expected.values())
-        return state.proposal_timestamp + self.delta * latest
+        return state.timestamp + state.plan.horizon_offset
 
     def check_round(self, round_id: int, now: float, view: int = 0) -> List[SuspicionRecord]:
         """Raise ⟨Slow⟩ for every expected message still missing at ``now``.
@@ -195,19 +187,20 @@ class SuspicionSensor(Sensor):
         state = self._rounds.get(round_id)
         if state is None or state.checked:
             return []
-        raised = []
-        missing = sorted(
-            (
-                (expected.phase, sender, msg_type, expected)
-                for (sender, msg_type), expected in state.expected.items()
-                if (sender, msg_type) not in state.received
-            ),
-        )
-        for phase, sender, msg_type, expected in missing:
+        state.checked = True
+        plan = state.plan
+        missing = plan.expected_mask & ~state.received
+        raised: List[SuspicionRecord] = []
+        if not missing:
+            return raised
+        for slot in plan.check_order:
+            if not (missing >> slot) & 1:
+                continue
+            phase = plan.phases[slot]
             if phase > state.suspected_phase:
                 break  # causally implied by the earlier-phase suspicion
-            deadline = state.proposal_timestamp + self.delta * expected.d_m
-            if now >= deadline:
+            if now >= state.timestamp + plan.offsets[slot]:
+                sender, msg_type = plan.describe(slot)
                 record = self._raise_slow(
                     suspect=sender,
                     round_id=round_id,
@@ -218,12 +211,35 @@ class SuspicionSensor(Sensor):
                 if record is not None:
                     raised.append(record)
                     state.suspected_phase = min(state.suspected_phase, phase)
-        state.checked = True
         return raised
 
     def forget_round(self, round_id: int) -> None:
         """Drop bookkeeping for an old round."""
         self._rounds.pop(round_id, None)
+
+    def forget_through(self, round_id: int) -> List[int]:
+        """Engine compaction: drop every *spent* round at or below
+        ``round_id`` and the one-⟨Slow⟩-per-suspect keys of rounds no
+        longer tracked; returns the rounds that old which had to stay.
+
+        A round is spent once every expected message has arrived: its
+        check would find nothing missing and no later arrival can be
+        late, so dropping it cannot change a suspicion.  A round still
+        missing a message stays until :meth:`forget_round` retires it.
+        The caller must not begin a round that old again.
+        """
+        rounds = self._rounds
+        live = [
+            tracked for tracked, state in rounds.items()
+            if tracked <= round_id and state.plan.expected_mask & ~state.received
+        ]
+        for spent in [r for r in rounds if r <= round_id and r not in live]:
+            del rounds[spent]
+        self._slow_reported = {
+            key for key in self._slow_reported
+            if key[1] > round_id or key[1] in rounds
+        }
+        return live
 
     # -- condition (c) ----------------------------------------------------
     def on_suspicion_logged(self, record: SuspicionRecord, view: int = 0) -> None:
@@ -388,11 +404,12 @@ class SuspicionMonitor(Monitor):
         self._round_phase_counts: Dict[int, Dict[int, int]] = {}
         self._round_min_phase: Dict[int, int] = {}
         self._round_items: Dict[int, List[_SuspicionItem]] = {}
-        # Items grouped by unordered (reporter, suspect) pair, so a
-        # reciprocation touches only its own pair's items instead of
-        # scanning the whole deque (adversarial smear/churn storms send
-        # reciprocation counts far past the live-item count).
-        self._pair_items: Dict[Edge, List[_SuspicionItem]] = {}
+        # Items still awaiting reciprocation, grouped by unordered
+        # (reporter, suspect) pair and drained by the pair's next ⟨False⟩
+        # record -- amortised O(1) per record, where rescanning the
+        # pair's whole history is quadratic under smear/churn storms and
+        # under any run whose δ sits inside the jitter band.
+        self._pair_pending: Dict[Edge, List[_SuspicionItem]] = {}
         self._edge_counts: Dict[Edge, int] = {}
         self._oneway_counts: Dict[int, int] = {}
         self._dirty = False
@@ -414,6 +431,22 @@ class SuspicionMonitor(Monitor):
     def note_round_leader(self, round_id: int, leader: int) -> None:
         """Tell the monitor who led a round (for leader-suspicion filtering)."""
         self._round_leaders[round_id] = leader
+
+    def forget_rounds_through(self, round_id: int, keep: List[int]) -> None:
+        """Engine compaction: drop the leader bookkeeping of rounds at or
+        below ``round_id``, except those in ``keep`` (rounds the local
+        sensor still tracks).  A suspicion that old is then judged like
+        one for a round whose leader was never noted, which differs only
+        for a proposal-phase suspicion against a non-leader -- something
+        no sensor raises."""
+        self._round_leaders = {
+            r: leader
+            for r, leader in self._round_leaders.items()
+            if r > round_id or r in keep
+        }
+        self._leader_suspected_round = {
+            r for r in self._leader_suspected_round if r > round_id or r in keep
+        }
 
     def on_entry(self, entry: LogEntry) -> None:
         record: SuspicionRecord = entry.record
@@ -444,7 +477,7 @@ class SuspicionMonitor(Monitor):
             deadline_view=max(record.view, self.current_view) + self.f + 1,
         )
         self._items.append(item)
-        self._pair_items.setdefault(
+        self._pair_pending.setdefault(
             ordered_edge(item.reporter, item.suspect), []
         ).append(item)
         self._register_item(item)
@@ -491,8 +524,10 @@ class SuspicionMonitor(Monitor):
     def _apply_reciprocation(self, record: SuspicionRecord) -> None:
         # record is ⟨False, A d B⟩: A (reporter) answers B's (suspect's)
         # earlier suspicion; it confirms the (A, B) edge as two-way.
+        # Items already aged one-way stay unreciprocated for good, so the
+        # whole pending list can go.
         pair = ordered_edge(record.reporter, record.suspect)
-        for item in self._pair_items.get(pair, ()):
+        for item in self._pair_pending.pop(pair, ()):
             if not item.one_way:
                 item.reciprocated = True
 
@@ -605,13 +640,11 @@ class SuspicionMonitor(Monitor):
         else:
             bucket.remove(item)
         pair = ordered_edge(item.reporter, item.suspect)
-        pair_bucket = self._pair_items[pair]
-        if pair_bucket[0] is item:  # same oldest-first eviction order
-            pair_bucket.pop(0)
-        else:
-            pair_bucket.remove(item)
-        if not pair_bucket:
-            del self._pair_items[pair]
+        pending = self._pair_pending.get(pair)
+        if pending and pending[0] is item:  # same oldest-first eviction order
+            pending.pop(0)
+            if not pending:
+                del self._pair_pending[pair]
         counts = self._round_phase_counts[round_id]
         remaining = counts[phase] - 1
         was_effective = phase == self._round_min_phase[round_id]
@@ -722,6 +755,7 @@ class SuspicionMonitor(Monitor):
         self._round_phase_counts = {}
         self._round_min_phase = {}
         self._round_items = {}
+        self._pair_pending = {}
         self._edge_counts = {}
         self._oneway_counts = {}
         min_phase = self._round_min_phase
@@ -730,6 +764,10 @@ class SuspicionMonitor(Monitor):
             counts = self._round_phase_counts.setdefault(round_id, {})
             counts[phase] = counts.get(phase, 0) + 1
             self._round_items.setdefault(round_id, []).append(item)
+            if not item.reciprocated:
+                self._pair_pending.setdefault(
+                    ordered_edge(item.reporter, item.suspect), []
+                ).append(item)
             current = min_phase.get(round_id)
             if current is None or phase < current:
                 min_phase[round_id] = phase
@@ -786,6 +824,16 @@ class SuspicionMonitor(Monitor):
                 "incremental min-phase diverged: "
                 f"{self._round_min_phase} != {min_phase}"
             )
+        for item in self._items:
+            pending = self._pair_pending.get(
+                ordered_edge(item.reporter, item.suspect), ()
+            )
+            awaiting = any(other is item for other in pending)
+            if item.reciprocated == awaiting and not item.one_way:
+                raise AssertionError(
+                    f"reciprocation index diverged for item seq={item.seq}: "
+                    f"reciprocated={item.reciprocated}, pending={awaiting}"
+                )
         crashed, graph, candidates, u = self._reference_state()
         if (
             crashed != self.crashed

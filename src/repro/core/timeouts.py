@@ -23,12 +23,11 @@ Phases (used by suspicion filtering): 0 proposal timestamp, 1 propose,
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
-from repro.core.suspicion import ExpectedMessage
+from repro.core.roundplan import ExpectedMessage, RoundPlan
 
 PHASE_PROPOSAL = 0
 PHASE_PROPOSE = 1
@@ -36,39 +35,21 @@ PHASE_WRITE = 2
 PHASE_ACCEPT = 3
 
 
-def quorum_formation_time(
-    arrivals: Mapping[int, float],
-    weights: Mapping[int, float],
-    threshold: float,
-) -> float:
-    """Earliest time at which arrived messages reach ``threshold`` weight.
-
-    This is the "min over quorums of max arrival" of Example C.1: sorting
-    arrivals ascending and accumulating weight gives the fastest quorum.
-    Returns ``inf`` when even all messages are too light.
-    """
-    total = 0.0
-    for sender in sorted(arrivals, key=lambda s: (arrivals[s], s)):
-        time = arrivals[sender]
-        if math.isinf(time):
-            break
-        total += weights.get(sender, 0.0)
-        if total >= threshold:
-            return time
-    return math.inf
-
-
 def quorum_formation_times(
     arrivals: np.ndarray, weights: np.ndarray, threshold: float
 ) -> np.ndarray:
-    """Vectorized :func:`quorum_formation_time`, one result per column.
+    """Earliest time at which arrived messages reach ``threshold`` weight,
+    one result per column.
 
+    This is the "min over quorums of max arrival" of Example C.1: sorting
+    arrivals ascending and accumulating weight gives the fastest quorum.
     ``arrivals`` is a (senders × receivers) matrix; ``weights`` a vector
     over senders.  Per column: stable-sort by arrival (ties fall back to
-    sender id, exactly the scalar key), accumulate weights in that order
-    -- ``cumsum`` adds sequentially, so every partial sum is bit-identical
-    to the scalar loop -- and take the first finite arrival at which the
-    accumulated weight reaches ``threshold``.
+    sender id), accumulate weights in that order -- ``cumsum`` adds
+    sequentially, so every partial sum is bit-identical to a scalar loop
+    (``tests/oracles.py`` keeps one) -- and take the first finite arrival
+    at which the accumulated weight reaches ``threshold``; ``inf`` when
+    even all messages are too light.
     """
     order = np.argsort(arrivals, axis=0, kind="stable")
     times = np.take_along_axis(arrivals, order, axis=0)
@@ -191,61 +172,36 @@ class PbftTimeouts:
             )[0]
         )
 
-    def round_duration_scalar(self) -> float:
-        """Reference ``d_rnd``: the pre-vectorization per-dict scan.
-
-        Kept as the checked reference for the equivalence tests; the
-        vectorized path must match it to the bit.
-        """
-        accept_send = {}
-        for replica in range(self.n):
-            write_arrivals = {
-                writer: self.write_arrival(writer, replica)
-                for writer in range(self.n)
-            }
-            accept_send[replica] = quorum_formation_time(
-                write_arrivals, self.weights, self.quorum_weight
-            )
-        arrivals = {
-            sender: accept_send[sender] + float(self.latency[sender, self.leader])
-            for sender in range(self.n)
-        }
-        return quorum_formation_time(arrivals, self.weights, self.quorum_weight)
-
     # -- SuspicionSensor feed ----------------------------------------------
-    def expected_messages(self, receiver: int) -> list[ExpectedMessage]:
+    def round_plan(self, receiver: int, delta: float = 1.0) -> RoundPlan:
+        """Compile every ``d_m`` ``receiver`` expects in a round.
+
+        Slots are ``(propose | write | accept, sender)``.  The element-wise
+        float64 adds are the same IEEE operations as the scalar accessors
+        above, so each ``d_m`` is bit-identical to ``propose_arrival`` /
+        ``write_arrival`` / ``accept_arrival``.
+        """
+        n, leader = self.n, self.leader
+        self.accept_send_time(leader)  # materialise the Accept sends
+        to_receiver = self.latency[:, receiver]
+        write = (self.latency[leader] + to_receiver).tolist()
+        accept = (self._accept_send + to_receiver).tolist()
+        propose: List[Optional[float]] = [None] * n
+        if receiver != leader:
+            propose[leader] = self.propose_arrival(receiver)
+        # The leader's Propose doubles as its Write; own messages are
+        # never expected.
+        write[leader] = None
+        write[receiver] = None
+        accept[receiver] = None
+        phases = [PHASE_PROPOSE] * n + [PHASE_WRITE] * n + [PHASE_ACCEPT] * n
+        return RoundPlan(
+            ("propose", "write", "accept"), n, propose + write + accept, phases, delta
+        )
+
+    def expected_messages(self, receiver: int) -> List[ExpectedMessage]:
         """All messages ``receiver`` expects in a round, with their d_m."""
-        expected = []
-        if receiver != self.leader:
-            expected.append(
-                ExpectedMessage(
-                    sender=self.leader,
-                    msg_type="propose",
-                    phase=PHASE_PROPOSE,
-                    d_m=self.propose_arrival(receiver),
-                )
-            )
-        for sender in range(self.n):
-            if sender == receiver:
-                continue
-            if sender != self.leader:
-                expected.append(
-                    ExpectedMessage(
-                        sender=sender,
-                        msg_type="write",
-                        phase=PHASE_WRITE,
-                        d_m=self.write_arrival(sender, receiver),
-                    )
-                )
-            expected.append(
-                ExpectedMessage(
-                    sender=sender,
-                    msg_type="accept",
-                    phase=PHASE_ACCEPT,
-                    d_m=self.accept_arrival(sender, receiver),
-                )
-            )
-        return expected
+        return self.round_plan(receiver).expected_messages()
 
 
 def pbft_round_duration(

@@ -7,14 +7,17 @@ through *interceptors*: callables that may drop, delay or rewrite a message
 before it is scheduled for delivery.  This is how the Byzantine behaviours
 in :mod:`repro.faults` manipulate traffic without touching protocol code.
 
-Fast path: a network with no interceptors, no down nodes and no active
-partition is *pristine*; sends and deliveries then skip every fault check.
-The ``_pristine`` flag is recomputed on each topology/interceptor
-mutation, so installing a fault mid-run transparently re-enables the
-checks -- including for messages already in flight, whose delivery
-re-validates against the fabric state at delivery time, as before.  The
-fast path performs exactly the same jitter draws in the same order as
-the checked path, so seeded runs are bit-identical either way.
+Fast paths: two predicates, recomputed on each topology/interceptor
+mutation.  ``_links_clear`` (no down node, no partition): nothing can be
+unreachable, so sends and deliveries skip the down/partition checks --
+an *interceptor-only* network (a delay, loss or stealth attack with
+every node up) never calls ``_partitioned``; its multicasts loop over
+``send``.  ``_pristine`` (``_links_clear`` and no interceptor): nothing can
+drop, delay or rewrite a message, so the columnar planes may batch it.
+Installing a fault mid-run re-enables the checks, including for messages
+already in flight, which re-validate at delivery time.  Every path draws
+in the same order (delay, jitter, interceptors, stats, seq), so seeded
+runs are bit-identical whichever one a message takes.
 
 Message planes
 --------------
@@ -79,7 +82,7 @@ from typing import Any, Callable, Dict, Iterable, Optional
 
 import numpy as np
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 
 #: Valid values for the ``plane`` knob as seen by scenario plumbing.  The
 #: network itself only builds "object", "columnar" or "columnar-fast";
@@ -400,18 +403,8 @@ class NetworkStats:
             f"multicast={self.messages_multicast}, bytes={self.bytes_sent})"
         )
 
-    def record_send(self, message: Any, size: int) -> None:
-        per_class = self._per_class
-        cls = message.__class__
-        entry = per_class.get(cls)
-        if entry is None:
-            per_class[cls] = [1, size]
-        else:
-            entry[0] += 1
-            entry[1] += size
-
     def record_multicast(self, message: Any, size: int, fanout: int) -> None:
-        """Batched equivalent of ``fanout`` :meth:`record_send` calls."""
+        """Count ``fanout`` copies of ``message`` put on the wire."""
         per_class = self._per_class
         cls = message.__class__
         entry = per_class.get(cls)
@@ -507,8 +500,11 @@ class Network:
         #: Incremented by every partition(); lets a scheduled heal detect
         #: that a newer partition superseded the one it belongs to.
         self._partition_epoch = 0
-        #: True while no interceptor, down node or partition exists; the
-        #: send/deliver fast path keys off this single flag.
+        #: True while no node is down and no partition exists: sends and
+        #: deliveries skip the reachability checks.
+        self._links_clear = True
+        #: ``_links_clear`` and no interceptor: nothing can drop, delay or
+        #: rewrite a message, so the columnar planes may batch it.
         self._pristine = True
         self._jitter_rng = sim.derive_rng("network-jitter")
         self._jitter_random = self._jitter_rng.random
@@ -516,7 +512,6 @@ class Network:
         # descriptor lookups cost real time at one send + one delivery per
         # simulated message.  The delivery callback is closure-compiled so
         # the stable references (routes, handlers, stats) are locals.
-        self._post = sim.post
         self._deliver_bound = self._make_deliver()
         self._stats_per_class = self.stats._per_class
 
@@ -531,10 +526,10 @@ class Network:
 
         Everything else round-trips as-is -- audited per field:
 
-        * ``_pristine`` pickles verbatim and stays consistent because the
-          inputs it is derived from (``_interceptors``, ``_down``,
-          ``_partition_group``) pickle in the same snapshot; a resume
-          therefore re-checks in-flight deliveries exactly as the
+        * ``_links_clear`` / ``_pristine`` are re-derived on load from
+          their inputs (``_interceptors``, ``_down``,
+          ``_partition_group``), which pickle in the same snapshot; a
+          resume therefore re-checks in-flight deliveries exactly as the
           uninterrupted run would.
         * ``_stats_per_class`` is re-pointed at the restored ``_stats``
           accumulator in ``__setstate__`` -- it must never be pickled, or
@@ -553,7 +548,6 @@ class Network:
         state = self.__dict__.copy()
         for key in (
             "_deliver_bound",
-            "_post",
             "_stats_per_class",
             "_delay_rows",
             "_delay_row_fn",
@@ -579,7 +573,6 @@ class Network:
                 if self._relaxed
                 else 0.0
             )
-        self._post = self.sim.post
         self._jitter_random = self._jitter_rng.random
         self._fast_dispatch = {}
         self._delay_row_arrays = {}
@@ -587,6 +580,7 @@ class Network:
         self._delay_row_fn = getattr(self._one_way_delay, "row", None)
         self._deliver_bound = self._make_deliver()
         self._stats_per_class = self._stats._per_class
+        self._refresh_fast_path()
 
     # ------------------------------------------------------------------
     # Stats, delay provider and jitter
@@ -638,9 +632,8 @@ class Network:
     # Topology management
     # ------------------------------------------------------------------
     def _refresh_fast_path(self) -> None:
-        self._pristine = not (
-            self._interceptors or self._down or self._partition_group
-        )
+        self._links_clear = not (self._down or self._partition_group)
+        self._pristine = self._links_clear and not self._interceptors
 
     def register(self, node_id: int, handler: Callable[[int, Any], None]) -> None:
         """Register ``handler(src, message)`` as the inbox of ``node_id``."""
@@ -787,150 +780,105 @@ class Network:
         send-time drops (down endpoint, partition, interceptor) count as
         dropped instead.
         """
-        if self._pristine:
-            if self._columnar:
-                # Columnar pristine unicast: insert one row into the
-                # global spine instead of pushing a heap entry.  Delay,
-                # jitter draw, stats bump and seq allocation are
-                # identical (same values, same order) to the object
-                # branch below, so the row carries exactly the
-                # ``(time, seq)`` key the object plane would have used.
-                # Inlined rather than a helper: one call frame per
-                # message is measurable on the steady-state path.
-                if src == dst:
-                    delay = 0.0
-                else:
-                    rows = self._delay_rows
-                    delay = (
-                        rows[src][dst] if rows is not None
-                        else self._one_way_delay(src, dst)
-                    )
-                if self._jitter > 0.0:
-                    delay *= 1.0 + self._jitter_span * self._jitter_random()
-                per_class = self._stats_per_class
-                cls = message.__class__
-                entry = per_class.get(cls)
-                if entry is None:
-                    per_class[cls] = [1, size]
-                else:
-                    entry[0] += 1
-                    entry[1] += size
-                sim = self.sim
-                seq = sim._seq
-                sim._seq = seq + 1
-                time = sim.now + delay
-                if self._relaxed:
-                    if src == dst:
-                        # Zero-delay self rows are delivered inline at
-                        # send time: parked in the column they would be
-                        # the one row class that can arrive *inside* the
-                        # current drain window (everything cross-node is
-                        # at least ``_delay_floor`` away), breaking the
-                        # per-destination time order the window cap
-                        # guarantees.  The seq above is still allocated,
-                        # keeping seq alignment with the exact planes.
-                        self._deliver_bound(src, dst, message)
-                        return
-                    # Relaxed plane: O(1) append to the structured
-                    # column (the exact spine pays an O(rows) insort
-                    # memmove per unicast).  Same delay, jitter draw,
-                    # stats bump and seq as the exact branches.
-                    fast = self._fast
-                    if seq - fast.seq_base >= _FAST_SEQ_LIMIT:
-                        fast.rebase(seq)
-                    count = fast.count
-                    if count == len(fast.times):
-                        fast.grow(count + 1)
-                    pool = fast.pool
-                    codes = self._cls_codes
-                    code = codes.get(cls)
-                    if code is None:
-                        code = codes[cls] = len(codes)
-                    fast.times[count] = time
-                    fast.seqs[count] = seq - fast.seq_base
-                    fast.srcs[count] = src
-                    fast.dsts[count] = dst
-                    fast.msgs[count] = len(pool)
-                    fast.clss[count] = code
-                    pool.append(message)
-                    fast.count = count + 1
-                    armed = fast.armed
-                    if armed is None or time < armed[0] or (
-                        time == armed[0] and seq < armed[1]
-                    ):
-                        key = (time, seq)
-                        fast.armed = key
-                        fast.live.add(key)
-                        queue = sim._queue
-                        _heappush(
-                            queue, (time, seq, None, self._drain_fast, (time, seq))
-                        )
-                        if len(queue) > sim.max_queue_depth:
-                            sim.max_queue_depth = len(queue)
-                    return
-                spine = self._spine
-                _insort(spine.entries, (time, seq, src, dst, message))
-                armed = spine.armed
-                if armed is None or time < armed[0] or (
-                    time == armed[0] and seq < armed[1]
-                ):
-                    key = (time, seq)
-                    spine.armed = key
-                    spine.live.add(key)
-                    queue = sim._queue
-                    _heappush(
-                        queue, (time, seq, None, self._drain_spine, (time, seq))
-                    )
-                    if len(queue) > sim.max_queue_depth:
-                        sim.max_queue_depth = len(queue)
-                return
-            if src == dst:
-                delay = 0.0
-            else:
-                rows = self._delay_rows
-                delay = (
-                    rows[src][dst] if rows is not None
-                    else self._one_way_delay(src, dst)
-                )
-            if self._jitter > 0.0:
-                delay *= 1.0 + self._jitter_span * self._jitter_random()
-            # record_send(), inlined: one send per protocol message makes
-            # even the method call measurable.
-            per_class = self._stats_per_class
-            cls = message.__class__
-            entry = per_class.get(cls)
-            if entry is None:
-                per_class[cls] = [1, size]
-            else:
-                entry[0] += 1
-                entry[1] += size
-            # Simulator.post(), inlined (same entry shape and ordering):
-            # one frame per simulated message is measurable too.
-            sim = self.sim
-            seq = sim._seq
-            sim._seq = seq + 1
-            queue = sim._queue
-            _heappush(
-                queue,
-                (sim.now + delay, seq, None, self._deliver_bound, (src, dst, message)),
+        pristine = self._pristine
+        if not pristine and not self._links_clear and (
+            src in self._down or dst in self._down or self._partitioned(src, dst)
+        ):
+            self._stats.messages_dropped += 1
+            return
+        # One path for every plane and fault state, inlined (a call frame
+        # per message is measurable).  Draw order is fixed -- delay,
+        # jitter, interceptors, stats, seq -- so a message gets the same
+        # ``(time, seq)`` key whichever plane carries it and whether or
+        # not idle interceptors are installed.
+        if src == dst:
+            delay = 0.0
+        else:
+            rows = self._delay_rows
+            delay = (
+                rows[src][dst] if rows is not None
+                else self._one_way_delay(src, dst)
             )
-            if len(queue) > sim.max_queue_depth:
-                sim.max_queue_depth = len(queue)
-            return
-        if src in self._down or dst in self._down or self._partitioned(src, dst):
-            self.stats.messages_dropped += 1
-            return
-        delay = 0.0 if src == dst else self.one_way_delay(src, dst)
         if self._jitter > 0.0:
             delay *= 1.0 + self._jitter_span * self._jitter_random()
-        for interceptor in self._interceptors:
-            result = interceptor(src, dst, message, delay)
-            if result is None:
-                self.stats.messages_dropped += 1
-                return
-            message, delay = result
-        self.stats.record_send(message, size)
-        self._post(delay, self._deliver_bound, (src, dst, message))
+        if not pristine:
+            for interceptor in self._interceptors:
+                result = interceptor(src, dst, message, delay)
+                if result is None:
+                    self._stats.messages_dropped += 1
+                    return
+                message, delay = result
+            if delay < 0:
+                raise SimulationError(f"cannot post {delay:.6f}s in the past")
+        per_class = self._stats_per_class
+        cls = message.__class__
+        entry = per_class.get(cls)
+        if entry is None:
+            per_class[cls] = [1, size]
+        else:
+            entry[0] += 1
+            entry[1] += size
+        sim = self.sim
+        seq = sim._seq
+        sim._seq = seq + 1
+        time = sim.now + delay
+        queue = sim._queue
+        if pristine and self._columnar:
+            # Columnar pristine unicast: the row goes into the spine
+            # instead of the heap.
+            if self._relaxed:
+                if src == dst:
+                    # Zero-delay self rows are delivered inline at
+                    # send time: parked in the column they would be
+                    # the one row class that can arrive *inside* the
+                    # current drain window (everything cross-node is
+                    # at least ``_delay_floor`` away), breaking the
+                    # per-destination time order the window cap
+                    # guarantees.  The seq above is still allocated,
+                    # keeping seq alignment with the exact planes.
+                    self._deliver_bound(src, dst, message)
+                    return
+                # Relaxed plane: O(1) append to the structured column
+                # (the exact spine pays an O(rows) insort memmove per
+                # unicast).
+                fast = self._fast
+                if seq - fast.seq_base >= _FAST_SEQ_LIMIT:
+                    fast.rebase(seq)
+                count = fast.count
+                if count == len(fast.times):
+                    fast.grow(count + 1)
+                pool = fast.pool
+                codes = self._cls_codes
+                code = codes.get(cls)
+                if code is None:
+                    code = codes[cls] = len(codes)
+                fast.times[count] = time
+                fast.seqs[count] = seq - fast.seq_base
+                fast.srcs[count] = src
+                fast.dsts[count] = dst
+                fast.msgs[count] = len(pool)
+                fast.clss[count] = code
+                pool.append(message)
+                fast.count = count + 1
+                spine, drain = fast, self._drain_fast
+            else:
+                spine, drain = self._spine, self._drain_spine
+                _insort(spine.entries, (time, seq, src, dst, message))
+            armed = spine.armed
+            if armed is not None and not (
+                time < armed[0] or (time == armed[0] and seq < armed[1])
+            ):
+                return  # the armed cursor already precedes this row
+            key = (time, seq)
+            spine.armed = key
+            spine.live.add(key)
+            _heappush(queue, (time, seq, None, drain, key))
+        else:
+            _heappush(
+                queue, (time, seq, None, self._deliver_bound, (src, dst, message))
+            )
+        if len(queue) > sim.max_queue_depth:
+            sim.max_queue_depth = len(queue)
 
     def multicast(self, src: int, dsts: Iterable[int], message: Any, size: int = 0) -> None:
         """Send the same message to every destination, as one batch.
@@ -969,13 +917,13 @@ class Network:
             row_fn = self._delay_row_fn
             if row_fn is not None:
                 row = row_fn(src)
-        # Simulator.post(), inlined and hoisted: ``now`` is constant for
-        # the whole batch and the entries keep consecutive seq numbers
-        # (nothing else can push while this loop runs), so ordering is
-        # identical to a loop of send() calls.
+        # Simulator.post(), inlined: ``now`` is constant for the batch.
         sim = self.sim
         now = sim.now
         queue = sim._queue
+        # Entries keep consecutive seq numbers (nothing else can push
+        # while these loops run), so ordering is identical to a loop of
+        # send() calls.
         seq = sim._seq
         fanout = 0
         if row is not None:
@@ -1981,7 +1929,7 @@ class Network:
         """Build the delivery callback with hot references as closure
         locals.  ``_routes``/``_handlers``/``stats`` are mutated in place
         and never rebound, so capturing them is safe; the mutable fault
-        state (``_pristine``, down set, partition) is read through
+        state (``_links_clear``, down set, partition) is read through
         ``self`` so mid-run changes keep applying to in-flight messages.
         """
         routes_get = self._routes.get
@@ -1991,7 +1939,7 @@ class Network:
         def _deliver(
             src: int, dst: int, message: Any, _self=self, _unresolved=_UNRESOLVED
         ) -> None:
-            if not _self._pristine and (
+            if not _self._links_clear and (
                 dst in _self._down
                 or src in _self._down
                 or _self._partitioned(src, dst)

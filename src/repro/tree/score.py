@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.suspicion import ExpectedMessage
+from repro.core.roundplan import ExpectedMessage
 from repro.tree.topology import TreeConfiguration
 
 PHASE_PROPOSE = 1

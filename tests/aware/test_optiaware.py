@@ -63,11 +63,12 @@ def test_plain_aware_ignores_suspicions(europe21_links):
     assert replacement.configuration.leader == leader
 
 
-def test_expected_messages_and_round_duration(europe21_links):
+def test_round_plan_and_round_duration(europe21_links):
     stack = OptiAware(1, 21, 6)
     feed_latency(stack, europe21_links)
     config = stack.default_configuration()
-    expected, d_rnd = stack.expected_messages(config)
+    expected = stack.round_plan(config).expected_messages()
+    d_rnd = stack.timeouts_for(config).round_duration()
     assert 0 < d_rnd < math.inf
     # The quorum-based d_rnd ignores the slowest stragglers, so it sits
     # between the propose delay and the slowest accept delay.

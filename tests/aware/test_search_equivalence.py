@@ -6,7 +6,8 @@ Three layers, each pinned bit-exactly against its scalar reference:
   per-dict :func:`quorum_formation_time` loop, including ties and
   unreachable quorums;
 * ``PbftTimeouts.round_duration`` / ``weight_config_round_duration`` vs
-  their ``*_scalar`` twins (fig7's simulations consume these values);
+  their ``*_scalar`` oracles in ``tests/oracles.py`` (fig7's simulations
+  consume these values);
 * the annealed/exhaustive searches vs the full-scoring reference path.
 """
 
@@ -16,10 +17,12 @@ import random
 import numpy as np
 import pytest
 
-from repro.aware.score import (
-    weight_config_round_duration,
+from oracles import (
+    quorum_formation_time,
+    round_duration_scalar,
     weight_config_round_duration_scalar,
 )
+from repro.aware.score import weight_config_round_duration
 from repro.aware.search import (
     _centrality_order,
     annealed_weight_search,
@@ -28,7 +31,6 @@ from repro.aware.search import (
 from repro.aware.weights import WeightConfiguration, WheatParameters
 from repro.core.timeouts import (
     PbftTimeouts,
-    quorum_formation_time,
     quorum_formation_times,
     uniform_weights,
     weighted_round_duration,
@@ -86,7 +88,7 @@ def test_round_duration_bit_equals_scalar(n):
             weights=configuration.weights(),
             quorum_weight=configuration.quorum_weight,
         )
-        scalar = timeouts.round_duration_scalar()
+        scalar = round_duration_scalar(timeouts)
         assert timeouts.round_duration() == scalar
         assert weight_config_round_duration(latency, configuration) == scalar
         assert weight_config_round_duration_scalar(latency, configuration) == scalar
@@ -101,7 +103,7 @@ def test_round_duration_uniform_weights_bit_equals_scalar():
     timeouts = PbftTimeouts(
         latency, leader=3, weights=uniform_weights(n), quorum_weight=13
     )
-    assert timeouts.round_duration() == timeouts.round_duration_scalar()
+    assert timeouts.round_duration() == round_duration_scalar(timeouts)
 
 
 def test_accept_send_times_match_scalar_quorum_scan():

@@ -36,12 +36,12 @@ def test_configuration_validates_vmax_count():
     config = WeightConfiguration(
         n=8, f=2, leader=0, vmax_replicas=frozenset({1, 2, 3, 4})
     )
-    assert config.weight_of(1) > config.weight_of(5)
+    assert config.weights()[1] > config.weights()[5]
     # At n=3f+1 (Δ=0), weights degenerate to uniform, as in Wheat.
     flat = WeightConfiguration(
         n=7, f=2, leader=0, vmax_replicas=frozenset({1, 2, 3, 4})
     )
-    assert flat.weight_of(1) == flat.weight_of(5)
+    assert flat.weights()[1] == flat.weights()[5]
 
 
 def test_special_replicas_leader_plus_vmax():

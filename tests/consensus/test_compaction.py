@@ -109,3 +109,59 @@ def test_generational_gc_requires_interval_above_inflight_horizon():
     scenario = _scenario("pbft", duration=8.0)
     plain = run_scenario(scenario).to_json()
     assert _run_with_compaction(scenario, every=1.0, keep=1).to_json() == plain
+
+
+def _optiaware_attack_scenario():
+    from repro.experiments.runner import FaultSpec, MeasurementPolicy
+
+    return Scenario(
+        protocol="pbft-optiaware",
+        deployment="wonderproxy-7",
+        workload="open-loop",
+        workload_params=dict(rate=300.0, clients=2),
+        duration=10.0,
+        seed=3,
+        delta=1.25,
+        measurements=MeasurementPolicy(
+            probe_at=0.2, publish_at=0.6, first_search_at=4.0, search_period=3.0
+        ),
+        faults=[
+            FaultSpec(kind="delay", start=1.0, attacker="leader",
+                      extra_delay=0.3, message_types=("PrePrepare",)),
+        ],
+    )
+
+
+def test_compaction_prunes_suspicion_round_maps():
+    # OptiAware keeps per-round maps keyed by seq (round leaders, leader
+    # suspicions, one-slow-per-suspect keys, and rounds whose PrePrepare
+    # arrived past its own horizon and so never got a check scheduled);
+    # compaction must bound them without changing a byte of the result.
+    scenario = _optiaware_attack_scenario()
+    plain = run_scenario(scenario)
+    compacted = _run_with_compaction(scenario, every=1.0, keep=8)
+    assert compacted.to_json() == plain.to_json()
+
+    def footprint(cluster):
+        total = 0
+        for replica in cluster.replicas:
+            pipeline = replica.optilog.pipeline
+            total += len(pipeline.suspicion_monitor._round_leaders)
+            total += len(pipeline.suspicion_monitor._leader_suspected_round)
+            total += len(pipeline.suspicion_sensor._slow_reported)
+            total += len(pipeline.suspicion_sensor._rounds)
+        return total
+
+    assert plain.cluster.replicas[0].optilog.pipeline.suspicion_sensor._slow_reported
+    assert footprint(compacted.cluster) < footprint(plain.cluster) / 3
+
+
+@pytest.mark.parametrize("keep", [0, 1])
+def test_compaction_never_drops_a_pending_suspicion(keep):
+    # keep=0/1 with a 50 ms cadence compacts rounds whose horizon check
+    # has not fired yet and whose stragglers are still in flight; their
+    # ⟨Slow⟩ suspicions must still be raised.
+    scenario = _optiaware_attack_scenario()
+    plain = run_scenario(scenario).to_json()
+    compacted = _run_with_compaction(scenario, every=0.05, keep=keep)
+    assert compacted.to_json() == plain

@@ -193,6 +193,7 @@ def test_rebuild_recovery_hatch_reconstructs_registries(monitor_cls, stream):
     monitor._round_phase_counts = {"garbage": True}
     monitor._round_min_phase = {}
     monitor._round_items = {}
+    monitor._pair_pending = {(0, 1): []}
     monitor._edge_counts = {(0, 1): 99}
     monitor._oneway_counts = {0: 99}
     monitor._rebuild()
@@ -238,3 +239,40 @@ def test_aging_eviction_matches_reference_state():
         monitor.advance_view(view)
     assert monitor.active_suspicions() == []
     assert monitor.u == 0
+
+
+def test_reciprocation_drains_only_its_pairs_pending_items():
+    """A ⟨False⟩ record touches the pair's not-yet-reciprocated items and
+    nothing else (amortised O(1)); items already aged one-way stay
+    unreciprocated and leave the index for good."""
+    log = AppendOnlyLog()
+    monitor = SuspicionMonitor(0, log, n=7, f=2, check_rebuild=True)
+
+    def slow(reporter, suspect, round_id):
+        log.append(SuspicionRecord(reporter=reporter, suspect=suspect,
+                                   kind=SuspicionKind.SLOW, round_id=round_id))
+
+    def false(reporter, suspect, round_id):
+        log.append(SuspicionRecord(reporter=reporter, suspect=suspect,
+                                   kind=SuspicionKind.FALSE, round_id=round_id))
+
+    for round_id in range(5):
+        slow(1, 2, round_id)
+    slow(3, 4, 0)
+    assert len(monitor._pair_pending[(1, 2)]) == 5
+    false(2, 1, 0)
+    assert (1, 2) not in monitor._pair_pending
+    by_pair = {}
+    for item in monitor._items:
+        by_pair.setdefault((item.reporter, item.suspect), []).append(item)
+    assert all(item.reciprocated for item in by_pair[(1, 2)])
+    assert not by_pair[(3, 4)][0].reciprocated
+    slow(1, 2, 9)
+    assert [item.round_id for item in monitor._pair_pending[(1, 2)]] == [9]
+    # (3, 4) is never answered within f + 1 views: it ages one-way, and a
+    # late reciprocation neither revives it nor keeps it indexed.
+    monitor.advance_view(3)
+    assert by_pair[(3, 4)][0].one_way
+    false(4, 3, 0)
+    assert not by_pair[(3, 4)][0].reciprocated
+    assert (3, 4) not in monitor._pair_pending

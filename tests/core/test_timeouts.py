@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import quorum_formation_time as quorum_formation_time_scalar
 from repro.core.timeouts import (
     PbftTimeouts,
     pbft_round_duration,
-    quorum_formation_time,
+    quorum_formation_times,
     uniform_weights,
 )
 
@@ -22,6 +23,17 @@ def square_latency(n: float = 4, value: float = 0.01) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Quorum formation
 # ----------------------------------------------------------------------
+def quorum_formation_time(arrivals, weights, threshold):
+    """One column through the shipped vectorized scan, cross-checked
+    against the scalar oracle."""
+    senders = sorted(arrivals)
+    column = np.array([[arrivals[s]] for s in senders])
+    vector = np.array([weights.get(s, 0.0) for s in senders])
+    formed = float(quorum_formation_times(column, vector, threshold)[0])
+    assert formed == quorum_formation_time_scalar(arrivals, weights, threshold)
+    return formed
+
+
 def test_quorum_formation_takes_fastest_senders():
     arrivals = {0: 0.1, 1: 0.2, 2: 0.5, 3: 0.9}
     weights = {i: 1.0 for i in range(4)}

@@ -17,7 +17,7 @@ from repro.experiments.campaign import (
     run_campaign_shard,
 )
 from repro.experiments.parallel import derive_sweep_seed
-from repro.experiments.runner import MeasurementPolicy, Scenario
+from repro.experiments.runner import FaultSpec, MeasurementPolicy, Scenario
 
 #: Fields of a shard summary that legitimately depend on *how* the shard
 #: was driven (resume point, slice count, which process measured RSS) --
@@ -203,6 +203,39 @@ def test_synthesized_faults_resume_bit_identically(tmp_path):
 
     resumed = run_campaign_shard(_point(spec))
     assert resumed["resumed_from"] == spec.checkpoint_every
+    assert _strip(resumed) == _strip(baseline)
+
+
+def test_optiaware_shard_resumes_bit_identically(tmp_path):
+    # The OptiLog pipeline in the loop: round plans are a memo that never
+    # rides in a checkpoint, and compaction prunes the suspicion layer's
+    # per-round maps at every slice -- neither may show in the report.
+    scenario = _scenario(
+        protocol="pbft-optiaware",
+        deployment="wonderproxy-7",
+        workload_params=dict(rate=300.0, clients=2),
+        delta=1.25,
+        measurements=MeasurementPolicy(
+            probe_at=0.2, publish_at=0.6, first_search_at=1.5,
+            search_period=2.0, horizon=8.0, metrics="sketch",
+        ),
+        faults=[
+            FaultSpec(kind="delay", start=1.0, attacker="leader",
+                      extra_delay=0.3, message_types=("PrePrepare",)),
+        ],
+    )
+    spec = _spec(
+        scenario=scenario, requests=1500, checkpoint_every=1.0, shards=1,
+        compact_keep=4, checkpoint_dir=str(tmp_path),
+    )
+
+    baseline = run_campaign_shard(_point(spec, checkpoint_path=None))
+
+    partial = run_campaign_shard(_point(spec, max_slices=3))
+    assert partial["underrun"] is True
+
+    resumed = run_campaign_shard(_point(spec))
+    assert resumed["resumed_from"] == 3 * spec.checkpoint_every
     assert _strip(resumed) == _strip(baseline)
 
 

@@ -28,6 +28,7 @@ from repro.experiments.runner import (
     prepare_scenario,
     run_scenario,
 )
+from repro.experiments.trace import state_trace_hash
 
 _DURATION = 6.0
 _CUT = 3.0
@@ -92,6 +93,45 @@ def test_resume_is_bit_identical_with_streaming_metrics(tmp_path):
     baseline = run_scenario(scenario).to_json()
     restored = _run_sliced_with_checkpoint(scenario, str(tmp_path / "s.ckpt"))
     assert restored.to_json() == baseline
+
+
+def test_optiaware_resume_rederives_round_plans(tmp_path):
+    # Round plans are a memo over logged state: armed before the cut,
+    # absent from the checkpoint, re-derived by the first round after the
+    # resume -- with the delay attack's late rounds still in flight.
+    scenario = _scenario(
+        "pbft-optiaware",
+        deployment="wonderproxy-7",
+        delta=1.25,
+        measurements=MeasurementPolicy(
+            probe_at=0.2, publish_at=0.6, first_search_at=1.5, search_period=2.0
+        ),
+        faults=[
+            FaultSpec(kind="delay", start=1.0, attacker="leader",
+                      extra_delay=0.3, message_types=("PrePrepare",)),
+        ],
+    )
+    baseline = run_scenario(scenario)
+
+    path = str(tmp_path / "optiaware.ckpt")
+    result = prepare_scenario(scenario)
+    result.cluster.begin()
+    result.cluster.sim.run(until=_CUT)
+    pipelines = [replica.optilog.pipeline for replica in result.cluster.replicas]
+    assert all(pipeline._plan_memo is not None for pipeline in pipelines)
+    assert any(pipeline.suspicion_sensor._rounds for pipeline in pipelines)
+    save_checkpoint(path, result)
+
+    restored = load_checkpoint(path, expected_scenario=scenario)
+    assert all(
+        replica.optilog.pipeline._plan_memo is None
+        for replica in restored.cluster.replicas
+    )
+    restored.cluster.sim.run(until=scenario.duration)
+    restored.run_metrics = restored.cluster.finish()
+    assert restored.to_json() == baseline.to_json()
+    assert state_trace_hash(restored.cluster) == state_trace_hash(baseline.cluster)
+    assert baseline.cluster.replicas[0].reconfigure_times  # it did reconfigure
 
 
 def test_checkpoint_at_multiple_cuts_reaches_the_same_end(tmp_path):

@@ -508,3 +508,27 @@ def test_revival_at_partition_heal_or_after_allowed():
             FaultSpec(kind="crash", start=5.0, end=8.0, attacker=2),
         ]
     )
+
+
+# ----------------------------------------------------------------------
+# delta inside the jitter band
+# ----------------------------------------------------------------------
+def test_optiaware_delta_inside_jitter_band_warns():
+    import warnings
+
+    from repro.experiments.runner import prepare_scenario
+
+    stormy = Scenario(protocol="pbft-optiaware", deployment="wonderproxy-7")
+    assert stormy.delta < 1.0 + stormy.jitter  # the defaults are the hazard
+    with pytest.warns(RuntimeWarning, match=r"delta=1\.0 is below 1 \+ jitter"):
+        prepare_scenario(stormy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # At the band's edge, with jitter off, or with no suspicion
+        # sensor in the loop there is nothing to warn about.
+        prepare_scenario(Scenario(protocol="pbft-optiaware",
+                                  deployment="wonderproxy-7", delta=1.02))
+        prepare_scenario(Scenario(protocol="pbft-optiaware",
+                                  deployment="wonderproxy-7", jitter=0.0))
+        prepare_scenario(Scenario(protocol="pbft-aware",
+                                  deployment="wonderproxy-7"))

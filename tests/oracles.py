@@ -1,0 +1,207 @@
+"""Reference implementations the package no longer ships.
+
+Each is the straightforward pre-optimisation form of something under
+``src/repro`` and exists only so a test can demand equal results:
+
+* :func:`quorum_formation_time`, :func:`round_duration_scalar` and
+  :func:`weight_config_round_duration_scalar` -- the per-dict quorum scan
+  and ``d_rnd`` behind the vectorized ``quorum_formation_times`` /
+  ``PbftTimeouts.round_duration``;
+* :func:`expected_messages_per_round` -- the per-round ``ExpectedMessage``
+  list a PBFT replica used to build on every PrePrepare;
+* :class:`PerRoundSuspicionSensor` -- the dict/set round bookkeeping the
+  sensor used before rounds became :class:`~repro.core.roundplan.RoundPlan`
+  slots and bitmasks;
+* :func:`plan_from_expected` -- a ``RoundPlan`` from a hand-written
+  ``ExpectedMessage`` list, so tests can state rounds message by message.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+
+from repro.core.records import SuspicionRecord
+from repro.core.roundplan import ExpectedMessage, RoundPlan
+from repro.core.suspicion import SuspicionSensor
+from repro.core.timeouts import (
+    PHASE_ACCEPT,
+    PHASE_PROPOSE,
+    PHASE_WRITE,
+    PbftTimeouts,
+)
+
+
+def quorum_formation_time(
+    arrivals: Mapping[int, float],
+    weights: Mapping[int, float],
+    threshold: float,
+) -> float:
+    """Earliest time at which arrived messages reach ``threshold`` weight.
+
+    This is the "min over quorums of max arrival" of Example C.1: sorting
+    arrivals ascending and accumulating weight gives the fastest quorum.
+    Returns ``inf`` when even all messages are too light.
+    """
+    total = 0.0
+    for sender in sorted(arrivals, key=lambda s: (arrivals[s], s)):
+        time = arrivals[sender]
+        if math.isinf(time):
+            break
+        total += weights.get(sender, 0.0)
+        if total >= threshold:
+            return time
+    return math.inf
+
+
+def round_duration_scalar(timeouts: PbftTimeouts) -> float:
+    """``d_rnd`` by per-replica dict scans (no numpy)."""
+    accept_send = {}
+    for replica in range(timeouts.n):
+        write_arrivals = {
+            writer: timeouts.write_arrival(writer, replica)
+            for writer in range(timeouts.n)
+        }
+        accept_send[replica] = quorum_formation_time(
+            write_arrivals, timeouts.weights, timeouts.quorum_weight
+        )
+    arrivals = {
+        sender: accept_send[sender]
+        + float(timeouts.latency[sender, timeouts.leader])
+        for sender in range(timeouts.n)
+    }
+    return quorum_formation_time(arrivals, timeouts.weights, timeouts.quorum_weight)
+
+
+def weight_config_round_duration_scalar(latency, configuration) -> float:
+    return round_duration_scalar(
+        PbftTimeouts(
+            latency,
+            leader=configuration.leader,
+            weights=configuration.weights(),
+            quorum_weight=configuration.quorum_weight,
+        )
+    )
+
+
+def expected_messages_per_round(
+    timeouts: PbftTimeouts, receiver: int
+) -> List[ExpectedMessage]:
+    """All messages ``receiver`` expects in a round, one scalar accessor
+    call per ``d_m``."""
+    expected = []
+    if receiver != timeouts.leader:
+        expected.append(
+            ExpectedMessage(
+                sender=timeouts.leader,
+                msg_type="propose",
+                phase=PHASE_PROPOSE,
+                d_m=timeouts.propose_arrival(receiver),
+            )
+        )
+    for sender in range(timeouts.n):
+        if sender == receiver:
+            continue
+        if sender != timeouts.leader:
+            expected.append(
+                ExpectedMessage(
+                    sender=sender,
+                    msg_type="write",
+                    phase=PHASE_WRITE,
+                    d_m=timeouts.write_arrival(sender, receiver),
+                )
+            )
+        expected.append(
+            ExpectedMessage(
+                sender=sender,
+                msg_type="accept",
+                phase=PHASE_ACCEPT,
+                d_m=timeouts.accept_arrival(sender, receiver),
+            )
+        )
+    return expected
+
+
+class _RoundState:
+    def __init__(self, timestamp: float, expected: List[ExpectedMessage]):
+        self.proposal_timestamp = timestamp
+        self.expected: Dict[Tuple[int, str], ExpectedMessage] = {
+            (m.sender, m.msg_type): m for m in expected
+        }
+        self.received: Set[Tuple[int, str]] = set()
+        self.checked = False
+        self.suspected_phase: float = math.inf
+
+
+def plan_from_expected(expected: Sequence[ExpectedMessage], delta: float) -> RoundPlan:
+    """Compile a list of :class:`ExpectedMessage` into a :class:`RoundPlan`."""
+    kinds = list(dict.fromkeys(m.msg_type for m in expected))
+    width = max((m.sender for m in expected), default=-1) + 1
+    d_m: List[Optional[float]] = [None] * (len(kinds) * width)
+    phases = [0] * len(d_m)
+    for message in expected:
+        slot = kinds.index(message.msg_type) * width + message.sender
+        d_m[slot] = message.d_m
+        phases[slot] = message.phase
+    return RoundPlan(kinds, width, d_m, phases, delta)
+
+
+class PerRoundSuspicionSensor(SuspicionSensor):
+    """Condition (b) over per-round ``ExpectedMessage`` dicts: every
+    deadline is ``timestamp + delta * d_m``, computed on arrival."""
+
+    def begin_round(self, round_id, leader, proposal_timestamp, d_rnd, expected, view=0):
+        super().begin_round(
+            round_id, leader, proposal_timestamp, d_rnd,
+            plan_from_expected([], self.delta), view,
+        )
+        self._rounds[round_id] = _RoundState(
+            proposal_timestamp + self.clock_skew, expected
+        )
+
+    def on_message(self, round_id, sender, msg_type, now) -> None:
+        state = self._rounds.get(round_id)
+        if state is None:
+            return
+        expected = state.expected.get((sender, msg_type))
+        if expected is not None and expected.phase <= state.suspected_phase:
+            deadline = state.proposal_timestamp + self.delta * expected.d_m
+            if now > deadline:
+                if self._raise_slow(
+                    suspect=sender, round_id=round_id, msg_type=msg_type,
+                    phase=expected.phase, view=0,
+                ) is not None:
+                    state.suspected_phase = min(state.suspected_phase, expected.phase)
+        state.received.add((sender, msg_type))
+
+    def round_horizon(self, round_id) -> Optional[float]:
+        state = self._rounds.get(round_id)
+        if state is None or not state.expected:
+            return None
+        latest = max(m.d_m for m in state.expected.values())
+        return state.proposal_timestamp + self.delta * latest
+
+    def check_round(self, round_id, now, view=0) -> List[SuspicionRecord]:
+        state = self._rounds.get(round_id)
+        if state is None or state.checked:
+            return []
+        raised = []
+        missing = sorted(
+            (expected.phase, sender, msg_type, expected)
+            for (sender, msg_type), expected in state.expected.items()
+            if (sender, msg_type) not in state.received
+        )
+        for phase, sender, msg_type, expected in missing:
+            if phase > state.suspected_phase:
+                break
+            deadline = state.proposal_timestamp + self.delta * expected.d_m
+            if now >= deadline:
+                record = self._raise_slow(
+                    suspect=sender, round_id=round_id, msg_type=msg_type,
+                    phase=phase, view=view,
+                )
+                if record is not None:
+                    raised.append(record)
+                    state.suspected_phase = min(state.suspected_phase, phase)
+        state.checked = True
+        return raised

@@ -1,0 +1,185 @@
+"""Interceptor-only sends == the generic checked loop, entry for entry.
+
+A network with interceptors but every link up keeps the inlined
+heap-push / stats path in ``send`` (``multicast`` loops over it).
+The oracle below is the generic loop those replaced -- reachability
+checks, provider call, jitter, interceptors, one stats bump,
+``sim.post``, one destination at a time -- and both must leave the same
+``(time, seq)`` heap entries, jitter stream and ``NetworkStats``.
+"""
+
+import random
+
+import pytest
+
+from repro.sim.engine import SimulationError, Simulator
+from repro.sim.network import Network
+
+N = 9
+
+
+class Ping:
+    def __init__(self, tag):
+        self.tag = tag
+
+
+class Pong(Ping):
+    pass
+
+
+def delay_of(a, b):
+    return 0.001 * (1 + (a * 7 + b * 3) % 11)
+
+
+delay_of.rows = [[delay_of(a, b) for b in range(N)] for a in range(N)]
+
+
+def generic_send(network, src, dst, message, size=0):
+    if src in network._down or dst in network._down or network._partitioned(src, dst):
+        network.stats.messages_dropped += 1
+        return
+    delay = 0.0 if src == dst else network.one_way_delay(src, dst)
+    if network.jitter > 0.0:
+        delay *= 1.0 + network._jitter_span * network._jitter_random()
+    for interceptor in network._interceptors:
+        result = interceptor(src, dst, message, delay)
+        if result is None:
+            network.stats.messages_dropped += 1
+            return
+        message, delay = result
+    network.stats.record_multicast(message, size, 1)
+    network.sim.post(delay, network._deliver_bound, (src, dst, message))
+
+
+def generic_multicast(network, src, dsts, message, size=0):
+    network.stats.messages_multicast += 1
+    for dst in dsts:
+        generic_send(network, src, dst, message, size)
+
+
+class Stretch:
+    """Delays one sender's messages; counts calls like the real attacks."""
+
+    def __init__(self, attacker):
+        self.attacker = attacker
+        self.calls = 0
+
+    def __call__(self, src, dst, message, delay):
+        self.calls += 1
+        if src != self.attacker:
+            return message, delay
+        return message, delay + 0.05
+
+
+def drop_to_three(src, dst, message, delay):
+    return None if dst == 3 else (message, delay)
+
+
+def rewrite_even(src, dst, message, delay):
+    # A rewritten class lands in the per-class stats in first-send order.
+    return (Pong(message.tag), delay) if dst % 2 == 0 else (message, delay)
+
+
+def _traffic(rng):
+    script = []
+    for step in range(60):
+        src = rng.randrange(N)
+        if rng.random() < 0.5:
+            script.append(("send", src, rng.randrange(N), Ping(step), rng.randrange(200)))
+        else:
+            dsts = rng.sample(range(N), rng.randrange(1, N))
+            script.append(("multicast", src, dsts, Ping(step), rng.randrange(200)))
+    return script
+
+
+def _snapshot(network, interceptors):
+    sim = network.sim
+    stats = network.stats
+    return {
+        "heap": sorted(
+            (time, seq, args[0], args[1], type(args[2]).__name__, args[2].tag)
+            for time, seq, _handle, _callback, args in sim._queue
+        ),
+        "seq": sim._seq,
+        "max_queue_depth": sim.max_queue_depth,
+        "jitter_rng": network._jitter_rng.getstate(),
+        "sent": stats.messages_sent,
+        "dropped": stats.messages_dropped,
+        "multicast": stats.messages_multicast,
+        "bytes": stats.bytes_sent,
+        "per_type": list(stats.per_type_bytes.items()),
+        "calls": [getattr(i, "calls", None) for i in interceptors],
+    }
+
+
+def _run(fast, provider, jitter, install_at):
+    """Play the script; ``install_at`` maps step -> interceptor to add."""
+    sim = Simulator(seed=4)
+    network = Network(sim, provider, jitter=jitter)
+    send = network.send if fast else lambda *a: generic_send(network, *a)
+    multicast = network.multicast if fast else lambda *a: generic_multicast(network, *a)
+    interceptors = []
+    for step, action in enumerate(_traffic(random.Random(11))):
+        if step in install_at:
+            interceptors.append(install_at[step]())
+            network.add_interceptor(interceptors[-1])
+        sim.now = 0.01 * step
+        (send if action[0] == "send" else multicast)(*action[1:])
+    return _snapshot(network, interceptors)
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.02])
+@pytest.mark.parametrize(
+    "provider", [delay_of, lambda a, b: delay_of(a, b)], ids=["rows", "scalar"]
+)
+@pytest.mark.parametrize(
+    "install_at",
+    [
+        {0: lambda: Stretch(2)},
+        {0: lambda: Stretch(2), 1: lambda: drop_to_three},
+        {0: lambda: rewrite_even, 2: lambda: Stretch(5)},
+        # Installed mid-run: the sends before it take the pristine path.
+        {25: lambda: Stretch(2), 40: lambda: drop_to_three},
+    ],
+    ids=["delay", "delay+drop", "rewrite+delay", "mid-run"],
+)
+def test_interceptor_only_paths_match_generic_loop(provider, jitter, install_at):
+    assert _run(True, provider, jitter, install_at) == _run(
+        False, provider, jitter, install_at
+    )
+
+
+def test_interceptor_only_network_skips_reachability_checks():
+    sim = Simulator(seed=1)
+    network = Network(sim, delay_of)
+    network.add_interceptor(Stretch(0))
+    assert network._links_clear and not network._pristine
+    network.set_down(4)
+    assert not network._links_clear
+    network.set_down(4, False)
+    network.partition([[0, 1], [2, 3]])
+    assert not network._links_clear
+    network.heal()
+    assert network._links_clear and not network._pristine
+
+
+def test_down_node_with_interceptor_still_drops():
+    sim = Simulator(seed=1)
+    network = Network(sim, delay_of)
+    stretch = Stretch(0)
+    network.add_interceptor(stretch)
+    network.set_down(4)
+    network.multicast(0, range(N), Ping(0))
+    assert network.stats.messages_dropped == 1
+    assert network.stats.messages_sent == N - 1
+    assert stretch.calls == N - 1  # a dropped send never reaches interceptors
+
+
+def test_interceptor_cannot_post_into_the_past():
+    sim = Simulator(seed=1)
+    network = Network(sim, delay_of)
+    network.add_interceptor(lambda src, dst, message, delay: (message, -1.0))
+    with pytest.raises(SimulationError):
+        network.send(0, 1, Ping(0))
+    with pytest.raises(SimulationError):
+        network.multicast(0, [1, 2], Ping(0))
