@@ -94,6 +94,18 @@ class _CheckpointPickler(pickle.Pickler):
 
 
 class _CheckpointUnpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str) -> Any:
+        if (module, name) == ("repro.sim.network", "_SpineBlock"):
+            # Written while wide multicasts were parked as spine blocks,
+            # a row format this build no longer reads.  Resuming without
+            # them would silently lose in-flight messages.
+            raise CheckpointError(
+                "checkpoint holds wide multicasts in flight as spine "
+                "blocks, which this build cannot restore; re-run the "
+                "scenario from its start"
+            )
+        return super().find_class(module, name)
+
     def persistent_load(self, pid: str) -> Any:
         if pid == _DELIVER_PID:
             return _DeliverToken()

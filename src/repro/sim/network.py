@@ -21,63 +21,72 @@ runs are bit-identical whichever one a message takes.
 
 Message planes
 --------------
-The network supports two delivery planes (``plane=`` constructor arg):
+The network supports three delivery planes (``plane=`` constructor arg):
 
 ``object``
     The historical path: one heap entry per message, one delivery
     callback per message.
 
 ``columnar``
-    The batched path: every pristine delivery -- unicast rows and the
-    fanned-out rows of a multicast alike -- lands in ONE globally
-    sorted *spine* of ``(arrival_time, seq, src, dst, message)``
-    records with a single armed heap *cursor* at its head.  The event
-    heap then carries only timers and the cursor, so when the cursor
-    fires, a drain loop delivers long runs of consecutive rows while
-    their ``(time, seq)`` keys precede every other pending event (and
-    the run horizon), handing maximal same-destination same-class runs
-    to per-node batch handlers (``handle_<Class>Batch``).  Every row
-    keeps exactly the ``(time, seq)`` key the object plane would have
-    assigned -- the same jitter draws in the same order, the same
-    consecutive seq numbers -- so delivering rows in spine order *is*
+    The batched, *exact* path.  Pristine deliveries never touch the
+    event heap: unicasts, narrow multicasts and zero-delay self copies
+    become ``(arrival_time, seq, src, dst, message)`` tuples in one
+    globally sorted *spine*; the cross-node rows of wide multicasts
+    (fanout >= ``Network.block_fanout``) are parked in the *wide-row
+    store* (:class:`_FastSpine`: ~20-byte array rows, a sorted prefix
+    plus an O(1) append tail).  One armed heap *cursor* stands for the
+    earliest of both, so the heap carries only timers and the cursor;
+    when it fires, a drain loop delivers long runs of consecutive rows
+    while their ``(time, seq)`` keys precede every other pending event
+    (and the run horizon), handing maximal same-destination same-class
+    tuple runs to per-node batch handlers (``handle_<Class>Batch``).
+    Every row keeps exactly the ``(time, seq)`` key the object plane
+    would have assigned -- the same jitter draws in the same order, the
+    same consecutive seq numbers -- so delivering rows in key order *is*
     the object plane's heap pop order and seeded runs are bit-identical
-    across planes.  The moment a fault makes the network non-pristine,
-    new sends take the object path and in-flight rows drain one message
-    at a time through the same delivery-time checks as the object
-    plane.
+    across planes.
+
+    The store is drained in *windows*.  A cut takes every stored row
+    below ``min(barrier, earliest pending time + delay_floor)``, sorts
+    that window once, unboxes it to flat lists once and merges it per
+    row against the tuples.  The window invariant makes re-merging
+    unnecessary: whatever is sent while a window is delivered is sent at
+    or after the window's start and travels at least the provider's
+    ``delay_floor()`` (jitter only stretches a delay; float addition is
+    monotone), so it lands at or past the window end, with a fresh
+    larger seq.  Two things can still land inside a window.  Zero-delay
+    self copies: they stay tuples, which the merge watches.  Timers: one
+    that becomes the heap head moves the barrier, and window rows now
+    behind it are *put back* on the store's append tail for a later cut.
+    Providers without a floor (bare callables) keep wide multicasts on
+    the tuple path.
+
+    The moment a fault makes the network non-pristine, new sends take
+    the object path and in-flight rows drain one message at a time
+    through the same delivery-time checks as the object plane.
 
 ``columnar-fast``
-    The relaxed campaign path: pending rows live in a *narrow numpy
-    structured array* (f8 time, u4 seq/src/dst, u4 message-pool index;
-    ~24 bytes/row vs ~170 for the tuple rows) that is appended to in
-    O(1) and never kept sorted.  When the cursor fires, the drain
-    selects EVERY pending row whose key precedes the next timer
-    barrier, groups the selection by destination and hands each
-    destination's maximal same-class run to its batch handler in ONE
-    call -- even when, on the exact planes, interleaved traffic to
-    other destinations would have split the run.  Semantics are
-    *documented-equivalent*, not bit-identical: per-row ``(time, seq)``
-    keys, jitter draws and seq allocation are exactly the object
-    plane's, and no row is ever reordered across a timer barrier, but
-    within a barrier window rows are delivered destination-major, so
-    ``sim.now`` can step backwards between destination groups and
-    per-replica arrival interleavings differ.  Final metrics (commit
-    counts, request totals, latency quantiles) agree with ``columnar``
-    within the measurement-sketch error bound; ``plane="check-fast"``
-    (resolved by the runner, like ``"check"``) asserts exactly that.
-    Faults fall back identically to ``columnar``: new sends take the
-    object path and in-flight fast rows drain per message through the
-    delivery-time checks.
+    The relaxed campaign path: *every* pending row lives in the store,
+    and each pass of the drain cuts the same kind of window but delivers
+    it destination-major, handing each destination's maximal same-class
+    run to its batch handler in ONE call -- even when, on the exact
+    plane, interleaved traffic to other destinations would have split
+    the run.  Semantics are *documented-equivalent*, not bit-identical:
+    per-row ``(time, seq)`` keys, jitter draws and seq allocation are
+    exactly the object plane's, and no row is ever reordered across a
+    timer barrier, but within a window ``sim.now`` can step backwards
+    between destination groups and per-replica arrival interleavings
+    differ.  Final metrics (commit counts, request totals, latency
+    quantiles) agree with ``columnar`` within the measurement-sketch
+    error bound; ``plane="check-fast"`` (resolved by the runner, like
+    ``"check"``) asserts exactly that.  Faults fall back identically to
+    ``columnar``.
 """
 
 from __future__ import annotations
 
-from bisect import insort as _insort
-from heapq import (
-    heappop as _heappop,
-    heappush as _heappush,
-    heapreplace as _heapreplace,
-)
+from bisect import bisect_right as _bisect_right, insort as _insort
+from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Dict, Iterable, Optional
 
 import numpy as np
@@ -116,8 +125,9 @@ def _provider_delay_floor(provider: Any) -> float:
 
     Resolved by duck-typing a ``delay_floor()`` method (the latency
     providers in :mod:`repro.net` and the client-site router implement
-    it); bare callables answer 0.0, which disables the relaxed drain's
-    window cap -- see :meth:`Network._drain_fast` for what that costs in
+    it); bare callables answer 0.0.  The exact plane then keeps wide
+    multicasts on the tuple path, and the relaxed drain loses its window
+    cap -- see :meth:`Network._drain_fast` for what that costs in
     equivalence guarantees.
     """
     fn = getattr(provider, "delay_floor", None)
@@ -127,170 +137,180 @@ def _provider_delay_floor(provider: Any) -> float:
     return float(floor) if floor > 0.0 else 0.0
 
 
-class _SpineBlock:
-    """One wide multicast's fanned-out rows in columnar array form.
+def _key_order(times: Any, seqs: Any) -> Any:
+    """Permutation putting rows into ``(time, seq)`` order.
 
-    The per-row tuples of the scalar spine cost ~170 bytes each; at
-    n=4096 a single PBFT broadcast fans out 4095 rows, and the in-flight
-    population reaches tens of millions of rows -- multiple GB as
-    tuples.  A block keeps the whole fanout as three parallel arrays
-    (~24 bytes/row): arrival times (float64), seq numbers (int64) and
-    destinations (int64), sorted by ``(time, seq)``; ``src`` and the
-    shared ``message`` are stored once.  ``pos`` is the drain cursor
-    into the sorted arrays.
-
-    Every value is byte-identical to the tuples it replaces: times are
-    ``now + delay`` float64 adds (numpy elementwise == scalar IEEE),
-    seqs are the same consecutive allocations, and the stable argsort
-    over times reproduces ``(time, seq)`` order because seqs ascend in
-    input order.
+    numpy's default (unstable) sort on the times alone is several times
+    faster than ``lexsort`` and gives the same, unique answer whenever
+    no two times are equal -- the rule under jitter; ties (jitter-free
+    runs) fall back to the two-key sort.
     """
-
-    __slots__ = ("times", "seqs", "dsts", "src", "message", "pos")
-
-    def __init__(self, times, seqs, dsts, src, message):
-        self.times = times
-        self.seqs = seqs
-        self.dsts = dsts
-        self.src = src
-        self.message = message
-        self.pos = 0
+    order = np.argsort(times)
+    sorted_times = times[order]
+    if (sorted_times[1:] == sorted_times[:-1]).any():
+        order = np.lexsort((seqs, times))
+    return order
 
 
 class _Spine:
-    """The single global column of pending pristine deliveries.
+    """The exact plane's tuple rows and its one heap cursor.
 
     ``entries`` is a list of ``(arrival_time, seq, src, dst, message)``
     rows kept sorted by ``(time, seq)`` (seqs are unique, so sort
-    comparisons never reach ``src``).  Keeping *all* destinations merged
-    in one column -- rather than one column per destination -- is what
-    makes the drain loop long: the event heap holds only timers plus one
-    cursor for the spine head, so interleaved traffic to different
-    destinations no longer breaks a drain into per-row cursor hops.
-
-    ``blocks`` is a heap of ``(head_time, head_seq, _SpineBlock)``
-    keyed by each block's first undelivered row; wide multicasts park
-    their fanout here instead of merging thousands of tuples into
-    ``entries`` (the per-multicast whole-spine re-sort was the n=4096
-    wall-clock ceiling).  ``(time, seq)`` keys are globally unique, so
-    heap comparisons never reach the block object.
+    comparisons never reach ``src``).  All destinations share the one
+    column -- rather than one column per destination -- which is what
+    makes the drain loop long: interleaved traffic to different
+    destinations does not break a drain into per-row cursor hops.
 
     ``armed`` is the key of the row the live heap cursor is responsible
-    for (``None`` when empty); ``live`` holds the keys of every cursor
-    currently in the heap, so a drain that re-arms at a key whose cursor
-    is still queued does not push a duplicate (two heap tuples with
-    equal ``(time, seq)`` would make the heap compare callbacks).  A
-    cursor that fires when ``armed`` moved on is stale and returns
-    immediately.
+    for -- the earliest of ``entries`` and the store -- or ``None`` when
+    both are empty; ``live`` holds the keys of every cursor currently in
+    the heap, so a drain that re-arms at a key whose cursor is still
+    queued does not push a duplicate (two heap tuples with equal
+    ``(time, seq)`` would make the heap compare callbacks).  A cursor
+    that fires when ``armed`` moved on is stale and returns immediately.
     """
 
-    __slots__ = ("entries", "armed", "live", "blocks")
+    __slots__ = ("entries", "armed", "live")
 
     def __init__(self):
         self.entries: list = []
         self.armed: Optional[tuple] = None
         self.live: set = set()
-        self.blocks: list = []
 
     def __getstate__(self):
-        return (self.entries, self.armed, self.live, self.blocks)
+        return (self.entries, self.armed, self.live)
 
     def __setstate__(self, state):
-        if len(state) == 3:
-            # Pre-block checkpoint: no block heap yet.
-            self.entries, self.armed, self.live = state
-            self.blocks = []
-        else:
-            self.entries, self.armed, self.live, self.blocks = state
+        # 4-tuples come from checkpoints that still had a block heap.  A
+        # parked block never gets this far (its class is gone, so the
+        # load fails naming ``_SpineBlock``); an empty heap is dropped.
+        self.entries, self.armed, self.live = state[:3]
+        if len(state) > 3 and state[3]:
+            raise SimulationError(
+                "checkpoint parks spine blocks, which this build cannot "
+                "restore; re-run the scenario from its start"
+            )
 
 
-#: Checkpoint row layout of the relaxed spine (in memory the columns
+#: Checkpoint row layout of the wide-row store (in memory the columns
 #: live as parallel contiguous arrays).  u4 seqs are stored relative to
 #: ``_FastSpine.seq_base`` so the column survives multi-billion-event
-#: runs; u4 src/dst cover any deployment we can fit in memory, and the
-#: u4 pool index points into the shared message list (a multicast's
-#: whole fanout shares one slot).  ``cls`` is the small-int message
-#: class code (``Network._cls_codes``) so the drain finds maximal
-#: same-destination same-class runs with one vectorized boundary scan
-#: instead of touching every row from Python.
+#: runs; a u4 dst covers any deployment we can fit in memory, and the
+#: u4 ``msg`` is the row's slot in the shared message pool (a
+#: multicast's whole fanout shares one).
 _FAST_DTYPE = np.dtype(
-    [
-        ("time", "f8"),
-        ("seq", "u4"),
-        ("src", "u4"),
-        ("dst", "u4"),
-        ("msg", "u4"),
-        ("cls", "u4"),
-    ]
+    [("time", "f8"), ("seq", "u4"), ("dst", "u4"), ("msg", "u4")]
 )
+_FAST_COLUMNS = ("times", "seqs", "dsts", "msgs")
 
-#: Relative-seq ceiling that triggers a rebase of the fast spine's seq
+#: A store holding at most this many rows is *sparse*: a lone fanout in
+#: flight (a HotStuff proposal, PBFT's PrePrepare) puts a handful of
+#: rows in each delay-floor window, and a cut costs ~30 us of numpy
+#: calls however few it yields.  See ``Network._drain_spine``.
+_SPARSE_ROWS = 4096
+
+#: Relative-seq ceiling that triggers a rebase of the store's seq
 #: column (leaves ~1M headroom below the u4 limit for in-flight appends).
 _FAST_SEQ_LIMIT = 0xFFF00000
 
 
 class _FastSpine:
-    """Pending pristine deliveries of the relaxed ``columnar-fast`` plane.
+    """The columnar planes' wide-row store: pending pristine deliveries
+    as ~20-byte array rows (every row of the relaxed plane, the wide
+    multicasts of the exact one).
 
-    In memory the column is six parallel capacity-doubling arrays
-    (``times`` f8, ``seqs``/``srcs``/``dsts``/``msgs``/``clss`` u4) --
-    parallel rather than one structured array so every hot drain op
-    (searchsorted, min, masks, lexsort) runs on contiguous memory
-    instead of re-copying a strided field view; checkpoints still
-    serialize the packed :data:`_FAST_DTYPE` rows.
+    In memory the rows are four parallel arrays (``times`` f8, ``seqs``
+    / ``dsts`` / ``msgs`` u4) -- parallel rather than one structured
+    array so every hot drain op (searchsorted, min, masks, sorts) runs
+    on contiguous memory instead of re-copying a strided field view;
+    checkpoints still serialize the packed :data:`_FAST_DTYPE` rows.
+    What a whole fanout shares is stored once per *pool slot*: ``pool``
+    holds the message objects the ``msgs`` column indexes, ``slot_srcs``
+    / ``slot_clss`` their sender and small-int class code
+    (``Network._cls_codes``; the relaxed drain finds same-class runs
+    with one vectorized scan of the gathered codes).
 
     Each column is split in three: ``[:lo]`` is the dead front (already
-    delivered, reclaimed by the drain's shift-to-front),
-    ``[lo:sorted_end]`` is the *prefix* -- lexsorted by ``(time, seq)``
-    -- and ``[sorted_end:count]`` is the unsorted *append tail* the
-    send paths push onto in O(1).  The drain consumes the prefix by
+    delivered; reclaimed by :meth:`grow` and :meth:`settle`),
+    ``[lo:sorted_end]`` is the *prefix* -- sorted by ``(time, seq)`` --
+    and ``[sorted_end:count]`` is the unsorted *append tail* the send
+    paths push onto in O(1).  :meth:`cut` consumes the prefix by
     advancing ``lo`` (a searchsorted cut, never a scan of the backlog)
-    and the tail by a mask over its few thousand rows, folding the tail
-    into the prefix only when it has grown to a fraction of the live
-    region -- amortized ``O(log)`` sorts per row instead of the
-    O(backlog) selection scan and keep-compaction a flat append-order
-    column pays on every pass.
+    and the tail by a mask over its rows, folding the tail into the
+    prefix only when it has grown to a fraction of the live region:
+    amortized ``O(log)`` sorts per row.
 
-    ``pool`` is the message object list the u4 ``msgs`` column indexes
-    into; ``seq_base`` is the absolute seq the relative u4 ``seqs``
-    column is anchored at.  ``armed``/``live`` mirror the exact spine's
-    cursor bookkeeping (absolute ``(time, seq)`` keys, matching the
-    heap entries).
+    ``seq_base`` is the absolute seq the relative u4 ``seqs`` column is
+    anchored at.  ``armed``/``live`` are the relaxed plane's cursor
+    bookkeeping (as on :class:`_Spine`, where the exact plane's lives).
     """
 
     __slots__ = (
-        "times", "seqs", "srcs", "dsts", "msgs", "clss", "count", "pool",
-        "armed", "live", "seq_base", "lo", "sorted_end",
+        "times", "seqs", "dsts", "msgs", "count", "pool", "slot_srcs",
+        "slot_clss", "armed", "live", "seq_base", "lo", "sorted_end",
     )
 
-    def __init__(self, cap: int = 1024):
-        self.times = np.empty(cap, dtype=np.float64)
-        self.seqs = np.empty(cap, dtype=np.uint32)
-        self.srcs = np.empty(cap, dtype=np.uint32)
-        self.dsts = np.empty(cap, dtype=np.uint32)
-        self.msgs = np.empty(cap, dtype=np.uint32)
-        self.clss = np.empty(cap, dtype=np.uint32)
+    def __init__(self):
+        self.times = np.empty(1024, dtype=np.float64)
+        self.seqs = np.empty(1024, dtype=np.uint32)
+        self.dsts = np.empty(1024, dtype=np.uint32)
+        self.msgs = np.empty(1024, dtype=np.uint32)
         self.count = 0
         self.pool: list = []
+        self.slot_srcs = np.empty(64, dtype=np.uint32)
+        self.slot_clss = np.empty(64, dtype=np.uint32)
         self.armed: Optional[tuple] = None
         self.live: set = set()
         self.seq_base = 0
         self.lo = 0
         self.sorted_end = 0
 
-    def grow(self, need: int) -> None:
-        cap = len(self.times)
-        while cap < need:
-            cap *= 2
-        count = self.count
-        for name in ("times", "seqs", "srcs", "dsts", "msgs", "clss"):
-            old = getattr(self, name)
-            col = np.empty(cap, dtype=old.dtype)
-            col[:count] = old[:count]
-            setattr(self, name, col)
+    def grow(self, extra: int) -> int:
+        """Make room for ``extra`` more rows; returns the new ``count``.
 
-    def rebase(self, next_seq: int) -> int:
-        """Re-anchor the relative seq column; returns the new base."""
+        The dead front is reclaimed first (the live region moves to
+        index 0) and the columns are reallocated only when that leaves
+        under an eighth of headroom -- then at 1.25x the need, one
+        column at a time, so capacity tracks the live backlog instead
+        of doubling over rows that are already delivered.
+        """
+        lo = self.lo
+        count = self.count
+        live = count - lo
+        need = live + extra
+        cap = len(self.times)
+        realloc = need + (need >> 3) > cap
+        if realloc:
+            cap = need + (need >> 2)
+        for name in _FAST_COLUMNS:
+            old = getattr(self, name)
+            if realloc:
+                col = np.empty(cap, dtype=old.dtype)
+                col[:live] = old[lo:count]
+                setattr(self, name, col)
+            elif lo:
+                old[:live] = old[lo:count]
+        self.lo = 0
+        self.sorted_end -= lo
+        self.count = live
+        return live
+
+    def add_slot(self, message: Any, src: int, code: int) -> int:
+        """Intern ``message`` (one slot serves a whole fanout)."""
+        pool = self.pool
+        slot = len(pool)
+        if slot == len(self.slot_srcs):
+            pad = np.empty(slot, dtype=np.uint32)
+            self.slot_srcs = np.concatenate((self.slot_srcs, pad))
+            self.slot_clss = np.concatenate((self.slot_clss, pad))
+        self.slot_srcs[slot] = src
+        self.slot_clss[slot] = code
+        pool.append(message)
+        return slot
+
+    def rebase(self, next_seq: int) -> None:
+        """Re-anchor the relative seq column at its lowest live seq."""
         if self.count > self.lo:
             seqs = self.seqs[self.lo : self.count]
             low = int(seqs.min())
@@ -298,47 +318,223 @@ class _FastSpine:
             self.seq_base += low
         else:
             self.seq_base = next_seq
-        return self.seq_base
+
+    def cut(self, bt: float, bs: float, floor: float, counters: dict,
+            start: float = _INF) -> tuple:
+        """Remove every row whose key precedes the barrier ``(bt, bs)``,
+        the barrier first capped at the *window end*: the earliest
+        pending time -- of the store or ``start``, the caller's other
+        pending work -- plus ``floor`` (the module docstring has the
+        invariant this buys).  ``floor=inf`` leaves only the barrier.
+
+        Returns ``(bt, bs, tail_hits, times, seqs, dsts, msgs)``: the
+        effective barrier, and the cut rows' columns -- the prefix rows
+        in ``(time, seq)`` order, then ``tail_hits`` tail rows in no
+        order -- or ``None`` columns when nothing precedes it.  The
+        columns may be views: consume them before the next append.
+        """
+        lo = self.lo
+        se = self.sorted_end
+        count = self.count
+        times = self.times
+        seqs = self.seqs
+        if count - se > ((count - lo) >> 1) + 4096:
+            # Fold the append tail into the sorted prefix once it passes
+            # a fraction of the live region: amortized O(log) sorts per
+            # row, so the work below never scans the backlog -- only the
+            # tail and the delivered cut.
+            order = _key_order(times[lo:count], seqs[lo:count])
+            for name in _FAST_COLUMNS:
+                col = getattr(self, name)
+                col[lo:count] = col[lo:count][order]
+            se = self.sorted_end = count
+            counters["tail_folds"] += 1
+        pn = se - lo
+        tn = count - se
+        ptimes = times[lo:se]
+        ttimes = times[se:count]
+        if floor < _INF:
+            # The earliest pending time is the prefix head (sorted) vs a
+            # scan of the small tail.  Edge ties are safe: in-window
+            # arrivals at the window end carry strictly larger seqs.
+            if pn and ptimes[0] < start:
+                start = ptimes[0]
+            if tn:
+                tmin = ttimes.min()
+                if tmin < start:
+                    start = tmin
+            window = float(start) + floor
+            if window < bt:
+                bt = window
+                bs = _INF
+        # Prefix cut: one searchsorted against the (time, seq)-sorted
+        # prefix, extended across time == bt ties by relative seq when
+        # the barrier seq is finite.
+        kcut = 0
+        if pn:
+            if bs == _INF:
+                kcut = int(np.searchsorted(ptimes, bt, side="right"))
+            else:
+                kcut = int(np.searchsorted(ptimes, bt, side="left"))
+                if kcut < pn and ptimes[kcut] == bt:
+                    bs_rel = bs - self.seq_base
+                    pseqs = seqs[lo:se]
+                    while (
+                        kcut < pn
+                        and ptimes[kcut] == bt
+                        and int(pseqs[kcut]) < bs_rel
+                    ):
+                        kcut += 1
+        # Tail cut: boolean mask over the unsorted tail only.
+        nt = 0
+        if tn:
+            tsel = ttimes < bt
+            ties = ttimes == bt
+            if ties.any():
+                tsel |= ties & (seqs[se:count] < (bs - self.seq_base))
+            nt = int(np.count_nonzero(tsel))
+        if not kcut and not nt:
+            return (bt, bs, 0, None, None, None, None)
+        self.lo = hi = lo + kcut
+        columns = [times, seqs, self.dsts, self.msgs]
+        if not nt:
+            return (bt, bs, 0, *(col[lo:hi] for col in columns))
+        tidx = np.flatnonzero(tsel) + se
+        out = [
+            np.concatenate((col[lo:hi], col[tidx])) if kcut else col[tidx]
+            for col in columns
+        ]
+        # Swap-fill the selected tail holes from the tail's end --
+        # O(selected) instead of O(tail), legal because the tail is
+        # unsorted so row order within it is free.  Only after the cut
+        # columns above are gathered, since the movers overwrite
+        # selected positions.
+        new_count = count - nt
+        holes = tidx[tidx < new_count]
+        if len(holes):
+            movers = np.flatnonzero(~tsel[new_count - se :]) + new_count
+            for col in columns:
+                col[holes] = col[movers]
+        self.count = new_count
+        return (bt, bs, nt, *out)
+
+    def put_back(self, window: tuple, lo: int, hi: int, t: float, s: float,
+                 counters: dict) -> int:
+        """Re-append to the unsorted tail the rows of ``window[lo:hi]``
+        -- ``(times, absolute seqs, dsts, msgs)`` lists in key order --
+        whose key exceeds ``(t, s)``; returns the index of the first."""
+        times, seqs, dsts, msgs = window
+        k = _bisect_right(times, t, lo, hi)
+        while k > lo and times[k - 1] == t and seqs[k - 1] > s:
+            k -= 1
+        if k == hi:
+            return k
+        counters["put_backs"] += 1
+        counters["window_rows"] -= hi - k
+        low = min(seqs[k:hi])
+        if low < self.seq_base:
+            # A rebase while the rows were out moved the base past them.
+            self.seqs[self.lo : self.count] += np.uint32(self.seq_base - low)
+            self.seq_base = low
+        count = self.count
+        if count + hi - k > len(self.times):
+            count = self.grow(hi - k)
+        need = count + hi - k
+        self.times[count:need] = times[k:hi]
+        self.seqs[count:need] = np.asarray(seqs[k:hi], dtype=np.int64) - self.seq_base
+        self.dsts[count:need] = dsts[k:hi]
+        self.msgs[count:need] = msgs[k:hi]
+        self.count = need
+        return k
+
+    def settle(self, next_seq: int) -> Optional[tuple]:
+        """End-of-drain housekeeping.  Returns the earliest pending
+        ``(time, seq)`` key, or ``None`` after resetting an empty store."""
+        lo = self.lo
+        count = self.count
+        live_n = count - lo
+        if not live_n:
+            self.pool.clear()
+            self.seq_base = next_seq
+            self.lo = self.sorted_end = self.count = 0
+            return None
+        pool = self.pool
+        if len(pool) > 2 * live_n + 64:
+            # Compact the message pool: delivered slots are dead but
+            # keep their objects alive until remapped away.
+            msgs = self.msgs[lo:count]
+            uniq, inverse = np.unique(msgs, return_inverse=True)
+            self.pool = [pool[m] for m in uniq.tolist()]
+            self.slot_srcs = self.slot_srcs[uniq]
+            self.slot_clss = self.slot_clss[uniq]
+            msgs[:] = inverse.astype(np.uint32)
+        if lo > live_n and lo > 4096:
+            # Shift-to-front once the dead front dominates.
+            count = self.grow(0)
+            lo = 0
+        se = self.sorted_end
+        # Earliest pending (time, seq): the prefix head (sorted) vs a
+        # min over the small tail.
+        if lo < se:
+            best_t = float(self.times[lo])
+            best_s = int(self.seqs[lo])
+        else:
+            best_t = _INF
+            best_s = -1
+        if se < count:
+            ttimes = self.times[se:count]
+            tmin = float(ttimes.min())
+            if tmin <= best_t:
+                smin = int(self.seqs[se:count][ttimes == tmin].min())
+                if tmin < best_t or smin < best_s:
+                    best_t = tmin
+                    best_s = smin
+        return (best_t, best_s + self.seq_base)
 
     def __getstate__(self):
         # Checkpoints pack the live rows into the _FAST_DTYPE layout and
         # normalize away the cursor split: restored as an all-tail
-        # column the next drain pass re-sorts.  Delivery order is
-        # unaffected -- each pass's batch is a selection (window/barrier
-        # cut) put into a total (dst, time, seq) order, independent of
-        # the prefix/tail representation.
+        # column the next cut re-sorts.  Delivery order is unaffected --
+        # every cut is a selection put into a total order by its drain,
+        # independent of the prefix/tail representation.
         lo = self.lo
         count = self.count
         rows = np.empty(count - lo, dtype=_FAST_DTYPE)
-        rows["time"] = self.times[lo:count]
-        rows["seq"] = self.seqs[lo:count]
-        rows["src"] = self.srcs[lo:count]
-        rows["dst"] = self.dsts[lo:count]
-        rows["msg"] = self.msgs[lo:count]
-        rows["cls"] = self.clss[lo:count]
-        return (rows, self.pool, self.armed, self.live, self.seq_base)
+        for name, field in zip(_FAST_COLUMNS, _FAST_DTYPE.names):
+            rows[field] = getattr(self, name)[lo:count]
+        slots = len(self.pool)
+        return (
+            rows, self.pool, self.armed, self.live, self.seq_base,
+            self.slot_srcs[:slots].copy(), self.slot_clss[:slots].copy(),
+        )
 
     def __setstate__(self, state):
-        rows, self.pool, self.armed, self.live, self.seq_base = state
+        rows, self.pool, self.armed, self.live, self.seq_base = state[:5]
+        slots = max(64, len(self.pool))
+        self.slot_srcs = np.zeros(slots, dtype=np.uint32)
+        self.slot_clss = np.zeros(slots, dtype=np.uint32)
+        if len(state) > 5:
+            self.slot_srcs[: len(state[5])] = state[5]
+            self.slot_clss[: len(state[6])] = state[6]
+        else:
+            # Rows that still carried their own src/cls columns: a slot
+            # is shared only by one multicast's fanout, so any row of it
+            # answers for the slot.
+            self.slot_srcs[rows["msg"]] = rows["src"]
+            self.slot_clss[rows["msg"]] = rows["cls"]
         n = len(rows)
-        cap = 1024
-        while cap < n:
-            cap *= 2
-        self.times = np.empty(cap, dtype=np.float64)
-        self.seqs = np.empty(cap, dtype=np.uint32)
-        self.srcs = np.empty(cap, dtype=np.uint32)
-        self.dsts = np.empty(cap, dtype=np.uint32)
-        self.msgs = np.empty(cap, dtype=np.uint32)
-        self.clss = np.empty(cap, dtype=np.uint32)
         self.count = n
-        self.times[:n] = rows["time"]
-        self.seqs[:n] = rows["seq"]
-        self.srcs[:n] = rows["src"]
-        self.dsts[:n] = rows["dst"]
-        self.msgs[:n] = rows["msg"]
-        self.clss[:n] = rows["cls"]
-        self.lo = 0
-        self.sorted_end = 0
+        self.lo = self.sorted_end = 0
+        for name, field in zip(_FAST_COLUMNS, _FAST_DTYPE.names):
+            col = np.empty(max(1024, n + (n >> 2)), dtype=_FAST_DTYPE[field])
+            col[:n] = rows[field]
+            setattr(self, name, col)
+
+
+_PLANE_COUNTERS = (
+    "windows", "window_rows", "tuple_rows", "tail_folds", "put_backs",
+    "fault_fallbacks",
+)
 
 
 class NetworkStats:
@@ -365,6 +561,7 @@ class NetworkStats:
         "messages_dropped",
         "messages_multicast",
         "_per_class",
+        "plane",
     )
 
     def __init__(self) -> None:
@@ -373,6 +570,18 @@ class NetworkStats:
         self.messages_multicast = 0
         #: message class -> [messages, bytes], in first-send order.
         self._per_class: Dict[type, list] = {}
+        #: What the columnar drains did (all zero on the object plane):
+        #: store windows cut and rows delivered from them, rows from
+        #: tuples, tail folds, truncated windows and rows that took the
+        #: delivery-time checks because a fault landed mid-flight.
+        #: Deterministic, but a property of the plane: no cross-plane
+        #: oracle reads it.
+        self.plane: Dict[str, int] = dict.fromkeys(_PLANE_COUNTERS, 0)
+
+    def __setstate__(self, state) -> None:
+        self.plane = dict.fromkeys(_PLANE_COUNTERS, 0)  # older checkpoints
+        for name, value in state[1].items():
+            setattr(self, name, value)
 
     @property
     def messages_sent(self) -> int:
@@ -437,10 +646,13 @@ class Network:
         final metrics).
     """
 
-    #: Pristine columnar multicasts with at least this fanout go into a
-    #: :class:`_SpineBlock` instead of merging tuple rows into the spine.
-    #: Class-level so tests can lower it (per instance or globally) to
-    #: exercise the block path at small n.
+    #: Pristine exact-plane multicasts with at least this fanout park
+    #: their rows in the wide-row store (:class:`_FastSpine`) instead of
+    #: merging tuple rows into the spine -- provided the delay provider
+    #: advertises a positive ``delay_floor``, which the windowed drain
+    #: rests on.  Below it the per-window numpy overhead loses to
+    #: tuples.  Class-level so tests can lower it (per instance or
+    #: globally) to exercise the store at small n.
     block_fanout: int = 256
 
     def __init__(
@@ -462,19 +674,21 @@ class Network:
         self._relaxed = plane == "columnar-fast"
         self._delay_rows: Optional[list] = None
         self._delay_row_fn: Optional[Callable[[int], Optional[list]]] = None
-        #: src -> float64 row array for the relaxed multicast path; a
-        #: byte-capped snapshot cache over the provider's per-src rows
-        #: (cleared by the ``one_way_delay`` setter, never pickled).
+        #: src -> float64 row array for the relaxed plane's store
+        #: multicasts; a byte-capped snapshot cache over the provider's
+        #: per-src rows (cleared by the ``one_way_delay`` setter, never
+        #: pickled).
         self._delay_row_arrays: Dict[int, Any] = {}
         self.one_way_delay = one_way_delay
         self.jitter = jitter
         self._stats = NetworkStats()
-        #: Global sorted column of pending columnar deliveries.
+        #: The exact plane's sorted tuple rows and its heap cursor.
         self._spine = _Spine()
-        #: Unsorted structured-array column of the relaxed plane.
+        #: The wide-row store: every row of the relaxed plane, the wide
+        #: multicasts of the exact one.
         self._fast = _FastSpine()
-        #: message class -> small-int code for the relaxed column's
-        #: ``cls`` field.  Pickled with the network: buffered rows carry
+        #: message class -> small-int code for the store's per-slot
+        #: class column.  Pickled with the network: parked slots carry
         #: codes, so the mapping must stay consistent across a resume.
         self._cls_codes: Dict[type, int] = {}
         #: node id -> object probed for ``handle_<Class>Batch`` methods.
@@ -534,16 +748,20 @@ class Network:
         * ``_stats_per_class`` is re-pointed at the restored ``_stats``
           accumulator in ``__setstate__`` -- it must never be pickled, or
           the copy would split the send accounting from ``stats``.
-        * ``_delay_rows`` / ``_delay_row_fn`` are re-derived from the
-          restored provider so a provider without a ``rows`` matrix (or
-          ``row()`` view) never resurrects a stale one.
-        * The columnar state (``_spine``, ``_batch_endpoints``,
-          ``_batch_routes``) pickles verbatim: spine rows hold only
-          plain values and messages, and the cached batch handlers are
-          bound methods of replicas already in the checkpoint graph, so
-          they rebind to the restored replicas on load.  The drain
-          callback queued in the heap is a plain bound method
-          (``_drain_spine``) and needs no persistent-id treatment.
+        * ``_delay_rows`` / ``_delay_row_fn`` / ``_delay_floor`` are
+          re-derived from the restored provider so a provider without a
+          ``rows`` matrix (or ``row()`` view) never resurrects a stale
+          one.
+        * The columnar state (``_spine``, ``_fast``,
+          ``_batch_endpoints``, ``_batch_routes``) pickles verbatim:
+          rows hold only plain values and messages, and the cached
+          batch handlers are bound methods of replicas already in the
+          checkpoint graph, so they rebind to the restored replicas on
+          load.  A drain's window never outlives the drain call (what
+          it cannot deliver it puts back), so the store and the tuple
+          rows are all there is to save.  The drain callback queued in
+          the heap is a plain bound method and needs no persistent-id
+          treatment.
         """
         state = self.__dict__.copy()
         for key in (
@@ -554,6 +772,7 @@ class Network:
             "_jitter_random",
             "_fast_dispatch",
             "_delay_row_arrays",
+            "_delay_floor",
         ):
             state.pop(key, None)
         return state
@@ -567,12 +786,11 @@ class Network:
             self._fast = _FastSpine()
         if "_cls_codes" not in state:
             self._cls_codes = {}
-        if "_delay_floor" not in state:
-            self._delay_floor = (
-                _provider_delay_floor(self._one_way_delay)
-                if self._relaxed
-                else 0.0
-            )
+        self._delay_floor = (
+            _provider_delay_floor(self._one_way_delay)
+            if self._columnar
+            else 0.0
+        )
         self._jitter_random = self._jitter_rng.random
         self._fast_dispatch = {}
         self._delay_row_arrays = {}
@@ -610,10 +828,10 @@ class Network:
         # client-site router forwards replica rows while answering None
         # for client sources (which need its scalar mapping).
         self._delay_row_fn = getattr(value, "row", None)
-        # The relaxed drain's window cap needs a lower bound on every
-        # cross-node delay; the exact planes never read it.
+        # The columnar drains' window cap needs a lower bound on every
+        # cross-node delay; the object plane never reads it.
         self._delay_floor = (
-            _provider_delay_floor(value) if self._relaxed else 0.0
+            _provider_delay_floor(value) if self._columnar else 0.0
         )
 
     @property
@@ -828,37 +1046,28 @@ class Network:
             # instead of the heap.
             if self._relaxed:
                 if src == dst:
-                    # Zero-delay self rows are delivered inline at
-                    # send time: parked in the column they would be
-                    # the one row class that can arrive *inside* the
-                    # current drain window (everything cross-node is
-                    # at least ``_delay_floor`` away), breaking the
-                    # per-destination time order the window cap
-                    # guarantees.  The seq above is still allocated,
-                    # keeping seq alignment with the exact planes.
+                    # Zero-delay self rows are delivered inline at send
+                    # time (see ``_multicast_store``).  The seq above is
+                    # still allocated, keeping seq alignment with the
+                    # exact planes.
                     self._deliver_bound(src, dst, message)
                     return
-                # Relaxed plane: O(1) append to the structured column
-                # (the exact spine pays an O(rows) insort memmove per
-                # unicast).
+                # Relaxed plane: O(1) append to the store (the exact
+                # spine pays an O(rows) insort memmove per unicast).
                 fast = self._fast
                 if seq - fast.seq_base >= _FAST_SEQ_LIMIT:
                     fast.rebase(seq)
                 count = fast.count
                 if count == len(fast.times):
-                    fast.grow(count + 1)
-                pool = fast.pool
+                    count = fast.grow(1)
                 codes = self._cls_codes
                 code = codes.get(cls)
                 if code is None:
                     code = codes[cls] = len(codes)
                 fast.times[count] = time
                 fast.seqs[count] = seq - fast.seq_base
-                fast.srcs[count] = src
                 fast.dsts[count] = dst
-                fast.msgs[count] = len(pool)
-                fast.clss[count] = code
-                pool.append(message)
+                fast.msgs[count] = fast.add_slot(message, src, code)
                 fast.count = count + 1
                 spine, drain = fast, self._drain_fast
             else:
@@ -897,7 +1106,7 @@ class Network:
             return
         if self._columnar:
             if self._relaxed:
-                self._multicast_fast(src, dsts, message, size)
+                self._multicast_store(src, dsts, message, size)
             else:
                 self._multicast_columnar(src, dsts, message, size)
             return
@@ -954,8 +1163,11 @@ class Network:
     def _multicast_columnar(
         self, src: int, dsts: Iterable[int], message: Any, size: int
     ) -> None:
-        """Pristine multicast on the columnar plane: merge the fanned-out
-        rows into the spine instead of pushing ``fanout`` heap entries.
+        """Pristine multicast on the exact columnar plane: merge the
+        fanned-out rows into the spine instead of pushing ``fanout`` heap
+        entries.  Wide fanouts over a provider with a delay floor go to
+        the store instead (:meth:`_multicast_store`): the choice changes
+        where rows wait, never their keys.
 
         The per-destination loop draws jitter in destination order and
         reserves the same consecutive seq numbers the object plane's
@@ -969,6 +1181,13 @@ class Network:
         smaller keys, so a whole-list sort leaves that prefix -- and the
         drain's index into it -- untouched.
         """
+        try:
+            sized_fanout = len(dsts)  # type: ignore[arg-type]
+        except TypeError:
+            sized_fanout = -1  # generator: always the tuple-row path
+        if sized_fanout >= self.block_fanout and self._delay_floor > 0.0:
+            self._multicast_store(src, dsts, message, size)
+            return
         one_way = self._one_way_delay
         jittered = self._jitter > 0.0
         span = self._jitter_span
@@ -982,15 +1201,6 @@ class Network:
         sim = self.sim
         now = sim.now
         first = sim._seq
-        try:
-            sized_fanout = len(dsts)  # type: ignore[arg-type]
-        except TypeError:
-            sized_fanout = -1  # generator: always the tuple-row path
-        if sized_fanout >= self.block_fanout:
-            self._multicast_block(
-                src, dsts, message, size, row, now, first, jittered, span, rand
-            )
-            return
         seq = first
         new_rows = []
         append = new_rows.append
@@ -1027,116 +1237,45 @@ class Network:
             # Two sorted runs; timsort merges them in one galloping pass.
             entries.extend(new_rows)
             entries.sort()
-        t0 = new_rows[0][0]
-        s0 = new_rows[0][1]
-        armed = spine.armed
-        if armed is None or t0 < armed[0] or (t0 == armed[0] and s0 < armed[1]):
-            key = (t0, s0)
-            spine.armed = key
-            spine.live.add(key)
-            queue = sim._queue
-            _heappush(queue, (t0, s0, None, self._drain_spine, (t0, s0)))
-            if len(queue) > sim.max_queue_depth:
-                sim.max_queue_depth = len(queue)
-
-    def _multicast_block(
-        self, src, dsts, message, size, row, now, first, jittered, span, rand
-    ) -> None:
-        """Wide pristine multicast: park the fanout as one
-        :class:`_SpineBlock` instead of merging tuple rows.
-
-        Replaces the per-multicast whole-spine re-sort -- O(spine) per
-        wide multicast, the n>=1024 wall-clock ceiling -- with an O(f
-        log f) sort of this fanout alone, and the ~170-byte tuples with
-        ~24-byte array rows.  Delays and jitter draws happen in
-        destination order with the same ops as the tuple path, and seqs
-        are the same consecutive allocations, so every ``(time, seq,
-        src, dst)`` the drain reads back is byte-identical to the rows
-        it replaces.
-        """
-        one_way = self._one_way_delay
-        delays = []
-        append = delays.append
-        if row is not None:
-            if jittered:
-                for dst in dsts:
-                    delay = 0.0 if src == dst else row[dst]
-                    append(delay * (1.0 + span * rand()))
-            else:
-                for dst in dsts:
-                    append(0.0 if src == dst else row[dst])
-        elif jittered:
-            for dst in dsts:
-                delay = 0.0 if src == dst else one_way(src, dst)
-                append(delay * (1.0 + span * rand()))
-        else:
-            for dst in dsts:
-                append(0.0 if src == dst else one_way(src, dst))
-        fanout = len(delays)
-        if not fanout:
-            return
-        sim = self.sim
-        sim._seq = first + fanout
-        self.stats.record_multicast(message, size, fanout)
-        # float64 elementwise add == the scalar ``now + delay`` bitwise;
-        # seqs ascend in destination order, so a stable sort on times
-        # alone yields exact ``(time, seq)`` order.
-        times = now + np.array(delays, dtype=float)
-        order = np.argsort(times, kind="stable")
-        times = times[order]
-        seqs = first + order.astype(np.int64)
-        dsts_arr = np.fromiter(dsts, dtype=np.int64, count=fanout)[order]
-        block = _SpineBlock(times, seqs, dsts_arr, src, message)
-        t0 = times.item(0)
-        s0 = seqs.item(0)
-        spine = self._spine
-        _heappush(spine.blocks, (t0, s0, block))
-        armed = spine.armed
-        if armed is None or t0 < armed[0] or (t0 == armed[0] and s0 < armed[1]):
-            key = (t0, s0)
-            spine.armed = key
-            spine.live.add(key)
-            queue = sim._queue
-            _heappush(queue, (t0, s0, None, self._drain_spine, (t0, s0)))
-            if len(queue) > sim.max_queue_depth:
-                sim.max_queue_depth = len(queue)
+        key = new_rows[0][:2]
+        if spine.armed is None or key < spine.armed:
+            self._arm(spine, self._drain_spine, key)
 
     def _drain_spine(self, time: float, seq: int) -> None:
-        """Cursor callback for the spine: deliver consecutive rows while
-        their keys precede every other pending event, handing maximal
-        same-destination same-class runs to batch handlers.
+        """Cursor callback for the exact plane: deliver consecutive rows
+        while their keys precede every other pending event, handing
+        maximal same-destination same-class runs to batch handlers.
 
         A row is delivered only when no event with a smaller
-        ``(time, seq)`` key exists anywhere (heap, horizon, or a parked
-        block) -- at that point the object plane would have popped
-        exactly this row next, so delivering it here preserves global
-        event order, clock values and seq allocation bit-for-bit.
-        ``sim.now`` is advanced to each row's arrival time before its
-        handler runs.  When a foreign event intervenes, the cursor
-        re-arms at the next undelivered key.
+        ``(time, seq)`` key exists anywhere (heap, horizon, tuple rows
+        or the store) -- at that point the object plane would have
+        popped exactly this row next, so delivering it here preserves
+        global event order, clock values and seq allocation
+        bit-for-bit.  ``sim.now`` is advanced to each row's arrival time
+        before its handler runs.  When a foreign event intervenes, the
+        cursor re-arms at the next undelivered key.
 
         The barrier (heap head key, capped by the horizon) is
         snapshotted once and revalidated only when delivering a row
         changed the heap head -- handlers push timers but never pop, so
-        the head object's identity is a sufficient staleness check.  On
-        the columnar plane handler *sends* go back into the spine, not
-        the heap, so the snapshot usually survives the whole drain and
-        rows inserted mid-drain are picked up in key order by the index
-        walk: their fresh seqs place them after the row being delivered
-        and before any undelivered row they precede.
+        the head object's identity is a sufficient staleness check.
+        Handler *sends* go back into the tuple rows or the store, not
+        the heap, so the snapshot usually survives the whole drain.
 
-        Under one barrier snapshot the drain *alternates* between the
-        scalar spine and the block heap: scalar rows run up to the
-        leading block's head key, then the leading block runs up to the
-        next scalar key, and so on -- a strict two-way merge in
-        ``(time, seq)`` order, so interleaving blocks changes nothing
-        observable.  A scalar run trusts head identity on the block
-        heap (its keys are exact between runs: any block that tightens
-        the cap surfaces at ``blocks[0]``); a block run instead watches
-        ``len(blocks)``/``len(entries)``, because its own heap key goes
-        stale while rows are consumed, so a handler-pushed block or
-        scalar insert can precede the remaining rows without ever
-        reaching the heap top.
+        Store rows are drained in windows (module docstring): each cut
+        is put into ``(time, seq)`` order and unboxed to flat lists
+        once, and a strict two-way merge delivers it against the tuple
+        rows, which the merge re-reads whenever ``len(entries)`` moved.
+        Tuple rows stop at the window end too: past it, store rows not
+        yet cut may precede them.  Window rows a moved barrier leaves
+        behind go back to the store (*put-back*).
+
+        A *sparse* store (:data:`_SPARSE_ROWS`) is cut up to the barrier
+        instead -- a lone fanout would otherwise pay a cut per handful
+        of rows.  The same invariant then bounds the window after the
+        fact: the first handler to park rows under it did so at ``now``,
+        they land at ``now + floor`` or later, and put-back returns what
+        lies beyond.
         """
         spine = self._spine
         key = (time, seq)
@@ -1145,16 +1284,32 @@ class Network:
         if spine.armed != key:
             return  # Stale cursor: an earlier drain already passed this key.
         entries = spine.entries
-        blocks = spine.blocks
+        store = self._fast
         sim = self.sim
         queue = sim._queue
         horizon = sim.horizon
+        floor = self._delay_floor
         routes_get = self._routes.get
         handlers_get = self._handlers.get
         batch_routes_get = self._batch_routes.get
         stats = self._stats
+        counters = stats.plane
         unresolved = _UNRESOLVED
         i = 0
+        tuples = 0
+        fallbacks = 0
+        # The live window (parallel lists, cursor ``wi``, end ``wn``) and
+        # the cap ``(ct, cs)`` on everything deliverable before the next
+        # cut: the window end, or the barrier when that comes first.
+        wt = ws = wd = wsrc = wslot = wm = ()
+        wi = wn = 0
+        ct = cs = _INF
+        sparse = False
+        # Handlers park wide multicasts one pool slot at a time, so the
+        # pool's length is the monotone "the store grew" signal (its row
+        # count is not: appends reclaim the dead front).
+        pool = store.pool
+        parked = len(pool)
         done = False
         while not done:
             # Barrier snapshot: clear cancelled timers at the head (the
@@ -1177,21 +1332,65 @@ class Network:
                 head = None
                 bt = horizon
                 bs = _INF
+            if wi < wn and (bt < ct or (bt == ct and bs < cs)):
+                # A timer scheduled from inside the window now leads the
+                # heap: rows behind it return to the store's tail.
+                ct = bt
+                cs = bs
+                wn = store.put_back((wt, ws, wd, wslot), wi, wn, bt, bs, counters)
             while True:
-                # ---- scalar run: up to the leading block's head ----
-                btop = blocks[0] if blocks else None
-                sbt = bt
-                sbs = bs
-                capped = False
-                if btop is not None:
-                    t0 = btop[0]
-                    if t0 < sbt or (t0 == sbt and btop[1] < sbs):
-                        sbt = t0
-                        sbs = btop[1]
-                        capped = True
+                if sparse and len(pool) != parked:
+                    # A handler parked rows under a barrier-wide window:
+                    # they land a floor past its ``now`` at the earliest,
+                    # so the window ends there and the rest goes back.
+                    sparse = False
+                    if sim.now + floor < ct:
+                        ct = sim.now + floor
+                        cs = _INF
+                        wn = store.put_back(
+                            (wt, ws, wd, wslot), wi, wn, ct, cs, counters
+                        )
+                if wi == wn:
+                    # Cut the next window.  With nothing stored the
+                    # barrier alone caps the tuple run, which then ends
+                    # the moment a handler parks a wide multicast.
+                    ct = bt
+                    cs = bs
+                    sparse = False
+                    if store.count > store.lo:
+                        sparse = store.count - store.lo <= _SPARSE_ROWS
+                        ct, cs, hits, c_times, c_seqs, c_dsts, c_msgs = store.cut(
+                            bt, bs, _INF if sparse else floor, counters,
+                            entries[i][0] if i < len(entries) else _INF,
+                        )
+                        if c_times is not None:
+                            if hits:
+                                order = _key_order(c_times, c_seqs)
+                                c_times = c_times[order]
+                                c_seqs = c_seqs[order]
+                                c_dsts = c_dsts[order]
+                                c_msgs = c_msgs[order]
+                            wt = c_times.tolist()
+                            ws = (c_seqs.astype(np.int64) + store.seq_base).tolist()
+                            wd = c_dsts.tolist()
+                            wsrc = store.slot_srcs[c_msgs].tolist()
+                            wslot = c_msgs.tolist()
+                            wm = [pool[slot] for slot in wslot]
+                            wi = 0
+                            wn = len(wt)
+                            counters["windows"] += 1
+                            counters["window_rows"] += wn
+                parked = len(pool)
+                # ---- tuple run: up to the window head, else the cap ----
+                if wi < wn:
+                    sbt = wt[wi]
+                    sbs = ws[wi]
+                else:
+                    sbt = ct
+                    sbs = cs
                 # 0 = entries exhausted, 1 = hit the cap, 2 = heap head
-                # moved (re-snapshot the barrier), 3 = block head moved
-                # (re-derive the cap).
+                # moved (re-snapshot the barrier), 3 = a handler parked
+                # rows in the store (they may precede the next tuple).
                 stop = 0
                 while i < len(entries):
                     if i >= 256:
@@ -1202,12 +1401,13 @@ class Network:
                         # gone.  Only the in-flight suffix moves, so this
                         # is O(1) amortized per delivered row.
                         del entries[:i]
+                        tuples += i
                         i = 0
                     row = entries[i]
                     t = row[0]
                     if t > sbt or (t == sbt and row[1] > sbs):
-                        # The cap (block head, foreign event or horizon)
-                        # comes first.
+                        # The cap (window head, window end, foreign event
+                        # or horizon) comes first.
                         stop = 1
                         break
                     dst = row[3]
@@ -1217,11 +1417,12 @@ class Network:
                         # count exactly as on the object plane).
                         sim.now = t
                         self._deliver_bound(row[2], dst, row[4])
+                        fallbacks += 1
                         i += 1
                         if queue and queue[0] is not head:
                             stop = 2
                             break
-                        if blocks and blocks[0] is not btop:
+                        if len(pool) != parked:
                             stop = 3
                             break
                         continue
@@ -1275,7 +1476,7 @@ class Network:
                                 if queue and queue[0] is not head:
                                     stop = 2
                                     break
-                                if blocks and blocks[0] is not btop:
+                                if len(pool) != parked:
                                     stop = 3
                                     break
                                 continue
@@ -1296,7 +1497,7 @@ class Network:
                             if queue and queue[0] is not head:
                                 stop = 2
                                 break
-                            if blocks and blocks[0] is not btop:
+                            if len(pool) != parked:
                                 stop = 3
                                 break
                             continue
@@ -1310,194 +1511,158 @@ class Network:
                     if queue and queue[0] is not head:
                         stop = 2
                         break
-                    if blocks and blocks[0] is not btop:
+                    if len(pool) != parked:
                         stop = 3
                         break
                 if stop == 2:
                     break  # Re-snapshot the barrier.
                 if stop == 3:
-                    continue  # Re-derive the block cap.
-                if stop == 1 and not capped:
-                    done = True  # True barrier (foreign event/horizon).
-                    break
-                # Scalar rows are exhausted (stop 0) or the leading block
-                # precedes the next row (stop 1, capped): run the block
-                # if it still precedes the barrier.
-                if btop is None:
-                    done = True
-                    break
-                bt0 = btop[0]
-                if bt0 > bt or (bt0 == bt and btop[1] > bs):
-                    done = True
-                    break
-                # ---- block run: up to the next scalar key ----
-                block = btop[2]
-                btimes = block.times
-                bseqs = block.seqs
-                bdsts = block.dsts
-                bsrc = block.src
-                message = block.message
-                cls = message.__class__
-                pos = block.pos
-                end = len(btimes)
-                cbt = bt
-                cbs = bs
+                    continue  # Re-derive the window and the cap.
+                if wi == wn:
+                    # Everything under the cap is delivered: stop at the
+                    # true barrier (foreign event/horizon), else move on
+                    # to the next window.
+                    if ct == bt and cs == bs:
+                        done = True
+                        break
+                    continue
+                # ---- window run: up to the next tuple key ----
+                k = wn
                 if i < len(entries):
-                    r0 = entries[i]
-                    rt = r0[0]
-                    if rt < cbt or (rt == cbt and r0[1] < cbs):
-                        cbt = rt
-                        cbs = r0[1]
-                # The block's heap key goes stale as rows are consumed,
-                # so head identity cannot spot handler-pushed blocks or
-                # scalar inserts; watch the container lengths instead
-                # (handlers only ever add).
-                nblocks = len(blocks)
+                    row = entries[i]
+                    k = _bisect_right(wt, row[0], wi, wn)
+                    while k > wi and wt[k - 1] == row[0] and ws[k - 1] > row[1]:
+                        k -= 1
                 elen = len(entries)
-                if nblocks > 1:
-                    # Concurrent wide multicasts (PBFT all-to-all)
-                    # interleave row-by-row: also stop at the runner-up
-                    # block's head -- the smaller of the heap root's two
-                    # children.
-                    b1 = blocks[1]
-                    if nblocks > 2:
-                        b2 = blocks[2]
-                        if b2[0] < b1[0] or (b2[0] == b1[0] and b2[1] < b1[1]):
-                            b1 = b2
-                    if b1[0] < cbt or (b1[0] == cbt and b1[1] < cbs):
-                        cbt = b1[0]
-                        cbs = b1[1]
-                requeue = False
-                while pos < end:
-                    t = btimes.item(pos)
-                    s = bseqs.item(pos)
-                    if t > cbt or (t == cbt and s > cbs):
-                        break
-                    dst = bdsts.item(pos)
-                    pos += 1
+                delivered = 0
+                for t, dst, src, message in zip(
+                    wt[wi:k], wd[wi:k], wsrc[wi:k], wm[wi:k]
+                ):
                     sim.now = t
+                    wi += 1
                     if not self._pristine:
-                        self._deliver_bound(bsrc, dst, message)
+                        self._deliver_bound(src, dst, message)
+                        fallbacks += 1
                     else:
-                        # Per-row delivery: destinations within one
-                        # multicast are distinct, so the batch scan
-                        # would only ever find width-1 runs here.
-                        delivered = False
+                        # Per-row delivery: a window holds one row per
+                        # destination of each multicast, so the batch
+                        # scan would all but always find width-1 runs.
                         route = routes_get(dst)
-                        if route is not None:
-                            handler = route.get(cls, unresolved)
-                            if handler is not unresolved:
-                                stats.messages_delivered += 1
-                                if handler is not None:
-                                    handler(bsrc, message)
-                                delivered = True
-                        if not delivered:
-                            fallback = handlers_get(dst)
-                            if fallback is None:
+                        handler = (
+                            route.get(message.__class__, unresolved)
+                            if route is not None
+                            else unresolved
+                        )
+                        if handler is unresolved:
+                            handler = handlers_get(dst)
+                            if handler is None:
                                 stats.messages_dropped += 1
-                            else:
-                                stats.messages_delivered += 1
-                                fallback(bsrc, message)
-                    if (
-                        (queue and queue[0] is not head)
-                        or len(blocks) != nblocks
-                        or len(entries) != elen
-                    ):
-                        requeue = queue and queue[0] is not head
+                                continue  # nothing ran: nothing moved
+                        delivered += 1
+                        if handler is not None:
+                            handler(src, message)
+                    if queue and queue[0] is not head:
+                        stop = 2
                         break
-                if pos >= end:
-                    _heappop(blocks)
-                else:
-                    # Re-key the heap entry at the first undelivered row.
-                    block.pos = pos
-                    _heapreplace(
-                        blocks, (btimes.item(pos), bseqs.item(pos), block)
-                    )
-                if requeue:
+                    if len(entries) != elen or (sparse and len(pool) != parked):
+                        break
+                stats.messages_delivered += delivered
+                if stop == 2:
                     break  # Re-snapshot the barrier.
-                # Otherwise keep alternating under this snapshot.
         if i:
             del entries[:i]
+        counters["tuple_rows"] += tuples + i
+        counters["fault_fallbacks"] += fallbacks
         nkey = None
         if entries:
             r0 = entries[0]
             nkey = (r0[0], r0[1])
-        if blocks:
-            b0 = blocks[0]
-            bkey = (b0[0], b0[1])
-            if nkey is None or bkey < nkey:
-                nkey = bkey
-        if nkey is not None:
-            spine.armed = nkey
-            if nkey not in live:
-                live.add(nkey)
-                _heappush(
-                    queue, (nkey[0], nkey[1], None, self._drain_spine, nkey)
-                )
-                if len(queue) > sim.max_queue_depth:
-                    sim.max_queue_depth = len(queue)
-        else:
-            spine.armed = None
+        if store.pool:
+            skey = store.settle(sim._seq)
+            if skey is not None and (nkey is None or skey < nkey):
+                nkey = skey
+        spine.armed = nkey
+        if nkey is not None and nkey not in live:
+            self._arm(spine, self._drain_spine, nkey)
+
+    def _arm(self, spine: Any, drain: Callable, key: tuple) -> None:
+        """Push a heap cursor at ``key``, ``spine``'s earliest row."""
+        spine.armed = key
+        spine.live.add(key)
+        sim = self.sim
+        queue = sim._queue
+        _heappush(queue, (key[0], key[1], None, drain, key))
+        if len(queue) > sim.max_queue_depth:
+            sim.max_queue_depth = len(queue)
 
     # ------------------------------------------------------------------
-    # Relaxed plane: structured-array sends and coalescing drain
+    # Wide-row store: the shared multicast, the relaxed plane's drain
     # ------------------------------------------------------------------
-    def _multicast_fast(
+    def _multicast_store(
         self, src: int, dsts: Iterable[int], message: Any, size: int
     ) -> None:
-        """Pristine multicast on the relaxed plane: append the whole
-        fanout as one vectorized segment of the structured column.
+        """Pristine multicast into the wide-row store: append the whole
+        fanout as one vectorized segment.
 
         Delays and jitter draws happen in destination order with the
-        same ops as the exact planes, and seqs are the same consecutive
-        allocations, so every row carries the object plane's exact
-        ``(time, seq)`` key; only the delivery-side interleaving is
-        relaxed.  The fanout shares one message-pool slot.  Zero-delay
-        self copies (``broadcast(include_self=True)``) are delivered
-        inline at send time rather than parked in the column -- they are
-        the one row class that can arrive inside the current drain
-        window, which would break the per-destination time order the
-        window cap guarantees (see ``send``).
+        same ops as the per-destination loops, and seqs are the same
+        consecutive allocations, so every row carries the object plane's
+        exact ``(time, seq)`` key; the fanout shares one pool slot.
+        Zero-delay self copies (``broadcast(include_self=True)``) never
+        enter the store -- they are the one row class that can arrive
+        *inside* the window being drained, which the window invariant
+        (:meth:`_FastSpine.cut`) rules out.  The exact plane keeps them
+        as tuple rows, merged per row by its drain; the relaxed plane
+        delivers them inline at send time.
         """
         one_way = self._one_way_delay
         jittered = self._jitter > 0.0
         span = self._jitter_span
         rand = self._jitter_random
+        relaxed = self._relaxed
         drows = self._delay_rows
         row = drows[src] if drows is not None else None
         if row is None:
             row_fn = self._delay_row_fn
             if row_fn is not None:
                 row = row_fn(src)
-        if not isinstance(dsts, (list, tuple)):
-            dsts = list(dsts)
-        fanout = len(dsts)
+        if isinstance(dsts, range):
+            dst_arr = np.arange(dsts.start, dsts.stop, dsts.step, dtype=np.uint32)
+        else:
+            if not isinstance(dsts, (list, tuple)):
+                dsts = list(dsts)
+            dst_arr = np.asarray(dsts, dtype=np.uint32)
+        fanout = len(dst_arr)
         if not fanout:
             return
-        dst_arr = np.asarray(dsts, dtype=np.uint32)
         self_mask = dst_arr == np.uint32(src)
         nself = int(np.count_nonzero(self_mask))
         if row is not None:
             # Vectorized delay build: gather from a float64 snapshot of
-            # the provider's row (byte-capped cache -- rows are static
-            # for the run), zero the self positions, then apply the
-            # jitter multipliers.  The draws happen in the same
+            # the provider's row, zero the self positions, then apply
+            # the jitter multipliers.  The draws happen in the same
             # destination order and each element sees the same scalar
-            # op sequence (span*r, 1.0+, delay*) as the exact planes'
-            # per-dst loop, so the times are bit-identical.
+            # op sequence (span*r, 1.0+, delay*) as the per-dst loops,
+            # so the times are bit-identical.  Only the relaxed plane
+            # keeps the snapshots (byte-capped; rows are static for the
+            # run): the exact plane's memory budget has no room for n
+            # of them.
             cache = self._delay_row_arrays
             arr = cache.get(src)
             if arr is None:
                 arr = np.asarray(row, dtype=np.float64)
-                if (len(cache) + 1) * arr.nbytes > _ROW_CACHE_BYTES:
-                    cache.clear()
-                cache[src] = arr
+                if relaxed:
+                    if (len(cache) + 1) * arr.nbytes > _ROW_CACHE_BYTES:
+                        cache.clear()
+                    cache[src] = arr
             delays = arr[dst_arr]
             if nself:
                 delays[self_mask] = 0.0
             if jittered:
-                draws = [rand() for _ in range(fanout)]
-                delays *= 1.0 + span * np.asarray(draws, dtype=np.float64)
+                draws = np.fromiter(
+                    (rand() for _ in range(fanout)), np.float64, fanout
+                )
+                delays *= 1.0 + span * draws
         else:
             dl = []
             append = dl.append
@@ -1510,68 +1675,59 @@ class Network:
                     append(0.0 if src == dst else one_way(src, dst))
             delays = np.asarray(dl, dtype=np.float64)
         sim = self.sim
-        now = sim.now
         first = sim._seq
         sim._seq = first + fanout
         self.stats.record_multicast(message, size, fanout)
         fast = self._fast
         if first + fanout - fast.seq_base >= _FAST_SEQ_LIMIT:
             fast.rebase(first)
-        times = now + delays
+        times = sim.now + delays
+        rel = first - fast.seq_base
+        seqs = np.arange(rel, rel + fanout, dtype=np.uint32)
+        key = None
         if nself:
             keep = ~self_mask
-            times_k = times[keep]
-            dst_k = dst_arr[keep]
-            seqs_k = np.arange(first, first + fanout, dtype=np.int64)[keep]
-        else:
-            times_k = times
-            dst_k = dst_arr
-            seqs_k = None
+            if not relaxed:
+                entries = self._spine.entries
+                for k in np.flatnonzero(self_mask).tolist():
+                    _insort(entries, (times.item(k), first + k, src, src, message))
+                    if key is None:
+                        key = (times.item(k), first + k)
+            times = times[keep]
+            dst_arr = dst_arr[keep]
+            seqs = seqs[keep]
         fanout_k = fanout - nself
         if fanout_k:
             count = fast.count
+            if count + fanout_k > len(fast.times):
+                count = fast.grow(fanout_k)
             need = count + fanout_k
-            if need > len(fast.times):
-                fast.grow(need)
-            fast.times[count:need] = times_k
-            if seqs_k is None:
-                rel = first - fast.seq_base
-                fast.seqs[count:need] = np.arange(
-                    rel, rel + fanout, dtype=np.uint32
-                )
-            else:
-                fast.seqs[count:need] = (seqs_k - fast.seq_base).astype(
-                    np.uint32
-                )
-            fast.srcs[count:need] = src
-            fast.dsts[count:need] = dst_k
-            pool = fast.pool
-            fast.msgs[count:need] = len(pool)
+            fast.times[count:need] = times
+            fast.seqs[count:need] = seqs
+            fast.dsts[count:need] = dst_arr
             codes = self._cls_codes
             cls = message.__class__
             code = codes.get(cls)
             if code is None:
                 code = codes[cls] = len(codes)
-            fast.clss[count:need] = code
-            pool.append(message)
+            fast.msgs[count:need] = fast.add_slot(message, src, code)
             fast.count = need
             # argmin returns the first occurrence of the minimum, i.e.
             # the lowest seq among time ties -- exactly the earliest
             # (time, seq).
-            kidx = int(np.argmin(times_k))
-            t0 = times_k.item(kidx)
-            s0 = first + kidx if seqs_k is None else int(seqs_k.item(kidx))
-            armed = fast.armed
-            if armed is None or t0 < armed[0] or (t0 == armed[0] and s0 < armed[1]):
-                key = (t0, s0)
-                fast.armed = key
-                fast.live.add(key)
-                queue = sim._queue
-                _heappush(queue, (t0, s0, None, self._drain_fast, (t0, s0)))
-                if len(queue) > sim.max_queue_depth:
-                    sim.max_queue_depth = len(queue)
-        for _ in range(nself):
-            self._deliver_bound(src, src, message)
+            kidx = int(np.argmin(times))
+            head = (times.item(kidx), seqs.item(kidx) + fast.seq_base)
+            if key is None or head < key:
+                key = head
+        if relaxed:
+            spine, drain = fast, self._drain_fast
+        else:
+            spine, drain = self._spine, self._drain_spine
+        if key is not None and (spine.armed is None or key < spine.armed):
+            self._arm(spine, drain, key)
+        if relaxed:
+            for _ in range(nself):
+                self._deliver_bound(src, src, message)
 
     def _resolve_fast_dispatch(self, dst: int, cls: type, code: int) -> tuple:
         """Resolve (and usually memoize) the relaxed drain's dispatch
@@ -1618,29 +1774,24 @@ class Network:
         batch deliveries.
 
         Each pass snapshots the barrier (next non-cancelled heap event,
-        capped by the horizon), selects all rows with a smaller
-        ``(time, seq)`` key, removes them from the column and delivers
-        them grouped by destination -- within a destination in
+        capped by the horizon), cuts the window below it and delivers
+        the cut grouped by destination -- within a destination in
         ``(time, seq)`` order, maximal same-class runs handed to the
         batch handler in one call (re-called on the remainder when it
-        consumes partially; the relaxed plane drops the exact planes'
-        stop-after-send rule, which is the coalescing win).  Handler
-        sends land back in the column and are picked up by the next
-        pass if they still precede the barrier.  No row is ever held
-        past a barrier: passes repeat until nothing pending precedes
-        it.  ``sim.now`` is set to each row's arrival time before its
-        side effects, so it can step backwards across destination
-        groups -- documented-equivalent, not bit-identical.
+        consumes partially; the relaxed plane drops the exact plane's
+        stop-after-send rule, which is the coalescing win).  No row is
+        ever held past a barrier: passes repeat until nothing pending
+        precedes it.  ``sim.now`` is set to each row's arrival time
+        before its side effects, so it can step backwards across
+        destination groups -- documented-equivalent, not bit-identical.
 
-        When the delay provider exposes a positive ``delay_floor`` the
-        pass window is additionally capped at ``earliest pending row +
-        floor``.  Handler sends issued during a pass then always land
-        at or past the window end, so each destination observes its
-        rows in exact ``(time, seq)`` order and quorum crossings fire
-        at the same instants as the exact planes; only cross-destination
-        wall interleaving within a window (and same-instant tie order)
-        stays relaxed.  With ``floor == 0.0`` (bare-callable providers)
-        capping is disabled and only barrier-level equivalence holds.
+        With a positive ``delay_floor`` the window invariant holds, so
+        each destination observes its rows in exact ``(time, seq)``
+        order and quorum crossings fire at the same instants as on the
+        exact plane; only cross-destination wall interleaving within a
+        window (and same-instant tie order) stays relaxed.  Without one
+        (bare-callable providers) a pass runs to the barrier and only
+        barrier-level equivalence holds.
         """
         fast = self._fast
         key = (time, seq)
@@ -1654,7 +1805,8 @@ class Network:
         dispatch_get = self._fast_dispatch.get
         resolve = self._resolve_fast_dispatch
         stats = self._stats
-        floor = self._delay_floor
+        counters = stats.plane
+        floor = self._delay_floor if self._delay_floor > 0.0 else _INF
         while fast.count > fast.lo:
             # Barrier snapshot: clear cancelled timers at the head, then
             # cap the head key by the horizon (rows at exactly the
@@ -1674,105 +1826,25 @@ class Network:
             else:
                 bt = horizon
                 bs = _INF
-            lo = fast.lo
-            se = fast.sorted_end
-            count = fast.count
-            times = fast.times
-            seqs = fast.seqs
-            live_n = count - lo
-            if count - se > (live_n >> 1) + 4096:
-                # Fold the append tail into the sorted prefix once it
-                # passes a fraction of the live region: amortized O(log)
-                # sorts per row, so the per-pass work below never scans
-                # the backlog -- only the tail and the delivered cut.
-                morder = np.lexsort((seqs[lo:count], times[lo:count]))
-                times[lo:count] = times[lo:count][morder]
-                seqs[lo:count] = seqs[lo:count][morder]
-                for col in (fast.srcs, fast.dsts, fast.msgs, fast.clss):
-                    col[lo:count] = col[lo:count][morder]
-                se = fast.sorted_end = count
-            pn = se - lo
-            tn = count - se
-            ptimes = times[lo:se]
-            ttimes = times[se:count]
-            if floor > 0.0:
-                # Window cap: never deliver past the earliest pending
-                # row plus the provider's delay floor.  Any handler send
-                # during this pass happens at >= the window start and
-                # travels >= floor, so it lands at or past the window
-                # end -- per-destination delivery therefore runs in
-                # exact (time, seq) order (edge ties are safe: in-pass
-                # arrivals at the window boundary carry strictly larger
-                # seqs and go to a later pass).  The earliest pending
-                # time is the prefix head (sorted) vs a scan of the
-                # small tail.
-                tmin = ptimes[0] if pn else _INF
-                if tn:
-                    tmin2 = ttimes.min()
-                    if tmin2 < tmin:
-                        tmin = tmin2
-                window = float(tmin) + floor
-                if window < bt:
-                    bt = window
-                    bs = _INF
-            # Prefix cut: one searchsorted against the (time, seq)-sorted
-            # prefix, extended across time == bt ties by relative seq
-            # when the barrier seq is finite.
-            if pn:
-                if bs == _INF:
-                    kcut = int(np.searchsorted(ptimes, bt, side="right"))
-                else:
-                    kcut = int(np.searchsorted(ptimes, bt, side="left"))
-                    if kcut < pn and ptimes[kcut] == bt:
-                        bs_rel = bs - fast.seq_base
-                        pseqs = seqs[lo:se]
-                        while (
-                            kcut < pn
-                            and ptimes[kcut] == bt
-                            and int(pseqs[kcut]) < bs_rel
-                        ):
-                            kcut += 1
-            else:
-                kcut = 0
-            # Tail cut: boolean mask over the unsorted tail only.
-            nt = 0
-            tsel = None
-            if tn:
-                tsel = ttimes < bt
-                ties = ttimes == bt
-                if ties.any():
-                    tsel = tsel | (
-                        ties & (seqs[se:count] < (bs - fast.seq_base))
-                    )
-                nt = int(np.count_nonzero(tsel))
-            if not kcut and not nt:
+            _, _, _, btimes, bseqs, bdsts, bmsgs = fast.cut(
+                bt, bs, floor, counters
+            )
+            if btimes is None:
                 break
-            # Row indices of this pass's batch (prefix cut + tail hits),
-            # gathered per column; lexsort puts them into the total
-            # (dst, time, seq) delivery order.
-            if nt:
-                tidx = np.flatnonzero(tsel) + se
-                if kcut:
-                    idx = np.concatenate(
-                        (np.arange(lo, lo + kcut, dtype=np.int64), tidx)
-                    )
-                else:
-                    idx = tidx
-            else:
-                idx = np.arange(lo, lo + kcut, dtype=np.int64)
-            fast.lo = lo + kcut
+            # lexsort puts this pass's batch into the total (dst, time,
+            # seq) delivery order.  Maximal same-destination same-class
+            # runs are found with one vectorized boundary scan over the
+            # (dst, cls) columns; the data columns are converted to
+            # Python lists once per pass so the run loop below never
+            # pays per-row numpy scalar costs.
+            order = np.lexsort((bseqs, btimes, bdsts))
+            total = len(order)
+            counters["windows"] += 1
+            counters["window_rows"] += total
             pool = fast.pool
-            btimes = times[idx]
-            bdsts = fast.dsts[idx]
-            order = np.lexsort((seqs[idx], btimes, bdsts))
-            sidx = idx[order]
-            total = len(sidx)
-            # Maximal same-destination same-class runs are found with one
-            # vectorized boundary scan over the (dst, cls) columns; the
-            # data columns are converted to Python lists once per pass so
-            # the run loop below never pays per-row numpy scalar costs.
             dstcol = bdsts[order]
-            clscol = fast.clss[sidx]
+            slots = bmsgs[order]
+            clscol = fast.slot_clss[slots]
             if total > 1:
                 change = (dstcol[1:] != dstcol[:-1]) | (
                     clscol[1:] != clscol[:-1]
@@ -1784,27 +1856,9 @@ class Network:
                 edges = [0, total]
             bt_l = btimes[order].tolist()
             bd_l = dstcol.tolist()
-            bs_l = fast.srcs[sidx].tolist()
-            bm_l = fast.msgs[sidx].tolist()
+            bs_l = fast.slot_srcs[slots].tolist()
+            bm_l = slots.tolist()
             cc_l = clscol.tolist()
-            if nt:
-                # Swap-fill the selected tail holes from the tail's end
-                # -- O(selected) instead of O(tail), legal because the
-                # tail is unsorted so row order within it is free.  Only
-                # after the batch columns above are gathered, since the
-                # movers overwrite selected positions.  Handler sends
-                # during the delivery below append after the new count.
-                new_count = count - nt
-                holes = tidx[tidx < new_count]
-                if len(holes):
-                    movers = (
-                        np.flatnonzero(~tsel[new_count - se :]) + new_count
-                    )
-                    times[holes] = times[movers]
-                    seqs[holes] = seqs[movers]
-                    for col in (fast.srcs, fast.dsts, fast.msgs, fast.clss):
-                        col[holes] = col[movers]
-                fast.count = new_count
             # Run dispatch: one int-keyed cache lookup per (dst, cls)
             # run replaces the route/batch-route/getattr resolution
             # chain; stats accumulate in locals and flush once per pass.
@@ -1820,6 +1874,7 @@ class Network:
                     for idx in range(r, e):
                         sim.now = bt_l[idx]
                         self._deliver_bound(bs_l[idx], dst, pool[bm_l[idx]])
+                    counters["fault_fallbacks"] += e - r
                     continue
                 width = e - r
                 ent = dispatch_get((cc_l[r] << 32) | dst)
@@ -1862,65 +1917,9 @@ class Network:
                 stats.messages_delivered += delivered
             if dropped:
                 stats.messages_dropped += dropped
-        lo = fast.lo
-        count = fast.count
-        if count > lo:
-            live_n = count - lo
-            pool = fast.pool
-            if len(pool) > 2 * live_n + 64:
-                # Compact the message pool: delivered slots are dead but
-                # keep their objects alive until remapped away.
-                msgs = fast.msgs[lo:count]
-                uniq, inverse = np.unique(msgs, return_inverse=True)
-                fast.pool = [pool[m] for m in uniq.tolist()]
-                msgs[:] = inverse.astype(np.uint32)
-            if lo > live_n and lo > 4096:
-                # Shift-to-front once the dead front dominates, bounding
-                # buffer capacity at ~2x the live backlog.
-                for col in (
-                    fast.times, fast.seqs, fast.srcs, fast.dsts,
-                    fast.msgs, fast.clss,
-                ):
-                    col[:live_n] = col[lo:count].copy()
-                fast.lo = 0
-                fast.sorted_end -= lo
-                fast.count = live_n
-                lo = 0
-                count = live_n
-            se = fast.sorted_end
-            # Earliest pending (time, seq): the prefix head (sorted) vs
-            # a min over the small tail.
-            if lo < se:
-                best_t = float(fast.times[lo])
-                best_s = int(fast.seqs[lo])
-            else:
-                best_t = _INF
-                best_s = -1
-            if se < count:
-                ttimes = fast.times[se:count]
-                tmin = float(ttimes.min())
-                if tmin <= best_t:
-                    at_min = ttimes == tmin
-                    smin = int(fast.seqs[se:count][at_min].min())
-                    if tmin < best_t or smin < best_s:
-                        best_t = tmin
-                        best_s = smin
-            nkey = (best_t, best_s + fast.seq_base)
-            fast.armed = nkey
-            if nkey not in live:
-                live.add(nkey)
-                _heappush(
-                    queue, (nkey[0], nkey[1], None, self._drain_fast, nkey)
-                )
-                if len(queue) > sim.max_queue_depth:
-                    sim.max_queue_depth = len(queue)
-        else:
-            fast.armed = None
-            fast.pool.clear()
-            fast.seq_base = sim._seq
-            fast.lo = 0
-            fast.sorted_end = 0
-            fast.count = 0
+        nkey = fast.armed = fast.settle(sim._seq)
+        if nkey is not None and nkey not in live:
+            self._arm(fast, self._drain_fast, nkey)
 
     # ------------------------------------------------------------------
     # Delivery

@@ -14,10 +14,18 @@ Each is the straightforward pre-optimisation form of something under
   slots and bitmasks;
 * :func:`plan_from_expected` -- a ``RoundPlan`` from a hand-written
   ``ExpectedMessage`` list, so tests can state rounds message by message.
+
+And one oracle that is not a reference implementation:
+
+* :class:`DeliveryOrderRecorder` -- the order in which a network handed
+  messages to handlers, one ``(sim.now, dst, src, class)`` row per
+  handler call, whichever plane and whichever delivery path (terminal
+  handler, inbox or batch handler) made the call.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -205,3 +213,112 @@ class PerRoundSuspicionSensor(SuspicionSensor):
                     state.suspected_phase = min(state.suspected_phase, phase)
         state.checked = True
         return raised
+
+
+class DeliveryOrderRecorder:
+    """Hash of every handler call a network makes, in call order.
+
+    ``state_trace_hash`` compares where two runs *ended*; this compares
+    how they got there: two planes agree on :attr:`digest` iff they
+    delivered the same messages to the same nodes at the same simulated
+    instants in the same global order.  Install it on an idle network,
+    before or after nodes register (later registrations are wrapped
+    too).  It taps the three places a network finds a handler -- the
+    inbox (``register``), the terminal-handler map
+    (``register_dispatch``) and the batch endpoint
+    (``register_batch_endpoint``) -- so it sees a row exactly once
+    whichever of them delivers it; a batch call records the rows it
+    consumed at their own ``times[k]``, which is what ``sim.now`` reads
+    while the handler processes row ``k``.
+    """
+
+    def __init__(self, network, keep: bool = False):
+        self.sim = network.sim
+        self.count = 0
+        #: The rows themselves (for diffing a mismatch) when ``keep``.
+        self.rows = [] if keep else None
+        self._hash = hashlib.sha256()
+        for name, wrap in (
+            ("register", _recording_inbox),
+            ("register_dispatch", _RecordingRoute),
+            ("register_batch_endpoint", _RecordingEndpoint),
+        ):
+            setattr(network, name, self._wrapping(getattr(network, name), wrap))
+        for node, handler in list(network._handlers.items()):
+            network.register(node, handler)
+        for node, dispatch in list(network._routes.items()):
+            network.register_dispatch(node, dispatch)
+        for node, endpoint in list(network._batch_endpoints.items()):
+            network.register_batch_endpoint(node, endpoint)
+
+    @property
+    def digest(self) -> str:
+        return self._hash.hexdigest()
+
+    def _record(self, now: float, dst: int, src: int, cls: type) -> None:
+        row = (now, dst, int(src), cls.__name__)
+        self.count += 1
+        self._hash.update(repr(row).encode())
+        if self.rows is not None:
+            self.rows.append(row)
+
+    def _wrapping(self, register, wrap):
+        return lambda node, target: register(node, wrap(self, node, target))
+
+
+def _recording_inbox(recorder, dst, handler):
+    def inbox(src, message):
+        recorder._record(recorder.sim.now, dst, src, message.__class__)
+        handler(src, message)
+
+    return inbox
+
+
+class _RecordingRoute:
+    """Stands in for a node's live class -> handler map."""
+
+    def __init__(self, recorder, dst, route):
+        self.recorder = recorder
+        self.dst = dst
+        self.route = route
+
+    def get(self, cls, default=None):
+        handler = self.route.get(cls, default)
+        if handler is default:
+            return default  # unresolved: the inbox will record the row
+        recorder = self.recorder
+        dst = self.dst
+
+        def terminal(src, message):
+            recorder._record(recorder.sim.now, dst, src, cls)
+            if handler is not None:
+                handler(src, message)
+
+        return terminal
+
+
+class _RecordingEndpoint:
+    """Stands in for a batch endpoint: ``handle_<Class>Batch`` lookups
+    answer a wrapper that records the rows the real handler consumed."""
+
+    def __init__(self, recorder, dst, endpoint):
+        self._recorder = recorder
+        self._dst = dst
+        self._endpoint = endpoint
+
+    def __getattr__(self, name):
+        batch = getattr(self._endpoint, name)
+        if batch is None or not name.endswith("Batch"):
+            return batch
+        recorder = self._recorder
+        dst = self._dst
+
+        def recording(srcs, messages, times):
+            consumed = batch(srcs, messages, times)
+            width = len(messages)
+            rows = width if consumed is None else max(1, min(consumed, width))
+            for k in range(rows):
+                recorder._record(times[k], dst, srcs[k], messages[k].__class__)
+            return consumed
+
+        return recording

@@ -459,16 +459,22 @@ class FloorDelay:
         return self.delay
 
 
-def test_fast_plane_reads_the_provider_delay_floor():
+@pytest.mark.parametrize("plane", ["columnar", "columnar-fast"])
+def test_columnar_planes_read_the_provider_delay_floor(plane):
+    # Both drains window on the floor: the relaxed one caps its passes
+    # with it, the exact one needs it to park wide multicasts at all.
     sim = Simulator(seed=0)
-    network = Network(sim, FloorDelay(0.02), plane="columnar-fast")
+    network = Network(sim, FloorDelay(0.02), plane=plane)
     assert network._delay_floor == 0.02
-    # Bare callables advertise no floor: capping is disabled.
+    # Derived, never pickled: a checkpoint written when the exact plane
+    # stored 0.0 must not keep windows off after a resume.
+    assert "_delay_floor" not in network.__getstate__()
+    assert pickle.loads(pickle.dumps(network))._delay_floor == 0.02
+    # Bare callables advertise no floor.
     network.one_way_delay = lambda a, b: 0.02
     assert network._delay_floor == 0.0
-    # Exact planes never cap, whatever the provider knows.
-    exact = Network(Simulator(seed=0), FloorDelay(0.02), plane="columnar")
-    assert exact._delay_floor == 0.0
+    # The object plane never windows, whatever the provider knows.
+    assert Network(Simulator(seed=0), FloorDelay(0.02))._delay_floor == 0.0
 
 
 def test_fast_plane_delivers_object_multiset_in_dst_time_order():

@@ -1,0 +1,407 @@
+"""The wide-row store on the exact plane: windows, merge, put-back.
+
+A multicast whose fanout reaches ``Network.block_fanout`` -- over a
+delay provider that advertises a positive ``delay_floor`` -- parks its
+cross-node rows in the columnar store (``Network._fast``) instead of
+the tuple spine, and the drain delivers them in delay-floor windows
+merged against the tuple rows.  The contract is the same as for the
+tuple spine: delivery times, global order, seq allocation, RNG draws and
+statistics are bit-identical to the object plane.  These tests pin the
+store machinery specifically by lowering ``block_fanout`` so small
+fanouts engage it.
+"""
+
+import pickle
+
+import numpy as np
+import pytest
+
+from repro.sim import network as network_mod
+from repro.sim.engine import SimulationError, Simulator
+from repro.sim.network import Network, _Spine
+
+pytestmark = pytest.mark.usefixtures("small_fanout")
+
+
+@pytest.fixture(params=["sparse", "dense"])
+def small_fanout(request, monkeypatch):
+    """Engage the store at fanout 4 so n=8 traffic exercises it -- once
+    as the sparse store such traffic makes (one barrier-wide window,
+    trimmed when a handler parks rows under it), once with the sparse
+    rule off, so the same rows go through delay-floor windows."""
+    monkeypatch.setattr(Network, "block_fanout", 4)
+    if request.param == "dense":
+        monkeypatch.setattr(network_mod, "_SPARSE_ROWS", 0)
+
+
+class Ping:
+    wire_size = 10
+
+    def __init__(self, value):
+        self.value = value
+
+    def __repr__(self):
+        return f"Ping({self.value})"
+
+
+class Pong(Ping):
+    wire_size = 7
+
+
+class Spread:
+    """Distinct per-pair delays (so store rows interleave with
+    everything) and the floor the windowed drain needs.  Module-level,
+    so networks using it pickle."""
+
+    def __init__(self, step=0.003):
+        self.step = step
+
+    def __call__(self, a, b):
+        return 0.0 if a == b else 0.001 + ((a * 7 + b * 3) % 11) * self.step
+
+    def delay_floor(self):
+        return 0.001
+
+
+class Flat:
+    """One delay for every pair: whole fanouts tie on arrival time."""
+
+    def __init__(self, delay):
+        self.delay = delay
+
+    def __call__(self, a, b):
+        return 0.0 if a == b else self.delay
+
+    def delay_floor(self):
+        return self.delay
+
+
+def _bare(a, b):
+    # No delay_floor(): the provider the store must refuse.
+    return 0.0 if a == b else 0.001 + ((a * 7 + b * 3) % 11) * 0.003
+
+
+def run_wide_traffic(
+    plane, n=8, jitter=0.0, seed=1, delay=None, on_ping=None, rounds=3
+):
+    """All-to-all wide multicasts; ``on_ping(sim, network, dst, src,
+    message)`` adds per-test reactions.  Returns the delivery trace, the
+    wire-visible statistics and the network."""
+    sim = Simulator(seed=seed)
+    network = Network(sim, delay or Spread(), jitter=jitter, plane=plane)
+    trace = []
+
+    def handler(dst):
+        def on_message(src, message):
+            trace.append((sim.now, src, dst, repr(message)))
+            if on_ping is not None and type(message) is Ping:
+                on_ping(sim, network, dst, src, message)
+
+        return on_message
+
+    for node in range(n):
+        network.register(node, handler(node))
+    for round_index in range(rounds):
+        for src in range(n):
+            # Concurrent wide multicasts: rows of different fanouts
+            # interleave row-by-row (the PBFT all-to-all shape).
+            sim.schedule(
+                round_index * 0.01,
+                network.multicast,
+                src,
+                range(n),
+                Ping((round_index, src)),
+                Ping.wire_size,
+            )
+    sim.run()
+    stats = network.stats
+    return trace, {
+        "now": sim.now,
+        "seq": sim._seq,
+        "rng": sim.rng.getstate(),
+        "delivered": stats.messages_delivered,
+        "dropped": stats.messages_dropped,
+        "bytes": stats.bytes_sent,
+    }, network
+
+
+def assert_planes_agree(**kwargs):
+    trace_object, stats_object, _ = run_wide_traffic("object", **kwargs)
+    trace_store, stats_store, network = run_wide_traffic("columnar", **kwargs)
+    assert trace_store == trace_object
+    assert stats_store == stats_object
+    return network.stats.plane, network
+
+
+# ----------------------------------------------------------------------
+# Bit-identity
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("jitter", [0.0, 0.05])
+def test_store_trace_matches_object_plane(jitter):
+    counters, _ = assert_planes_agree(jitter=jitter)
+    # 8 senders x 7 cross-node rows x 3 rounds went through windows; the
+    # 24 zero-delay self copies stayed tuples.
+    assert counters["window_rows"] == 168
+    assert counters["tuple_rows"] == 24
+    assert counters["windows"] > 0
+
+
+def test_reactive_sends_interleave_with_store_rows():
+    def bounce(sim, network, dst, src, message):
+        if dst == 0:
+            # Sends fired from inside a window land in the tuple rows
+            # (fanout 1) and must still interleave correctly.
+            network.send(dst, src, Pong(message.value), Pong.wire_size)
+
+    counters, _ = assert_planes_agree(on_ping=bounce)
+    assert counters["tuple_rows"] > 24
+
+
+def test_store_engages_at_the_threshold():
+    sim = Simulator(seed=1)
+    network = Network(sim, Spread(), plane="columnar")
+    for node in range(6):
+        network.register(node, lambda src, msg: None)
+    network.multicast(0, range(6), Ping("wide"), Ping.wire_size)
+    # Five cross-node rows parked, the self copy a tuple.
+    assert network._fast.count == 5
+    assert [row[2:4] for row in network._spine.entries] == [(0, 0)]
+    network.multicast(1, range(3), Ping("narrow"), Ping.wire_size)
+    network.send(1, 2, Ping("unicast"), Ping.wire_size)
+    assert network._fast.count == 5
+    assert len(network._spine.entries) == 5
+    sim.run()
+    assert network._fast.count == 0 and not network._fast.pool
+    assert not network._spine.entries
+    assert network.stats.messages_delivered == 10
+
+
+def test_floorless_provider_stays_on_tuples():
+    # A bare callable promises no lower bound on its delays, so a window
+    # could never be wider than one instant: wide multicasts keep the
+    # tuple path and stay bit-identical to the object plane.
+    counters, network = assert_planes_agree(delay=_bare, jitter=0.05)
+    assert network._delay_floor == 0.0
+    assert counters["windows"] == 0 and counters["window_rows"] == 0
+    assert counters["tuple_rows"] == 192
+
+
+def test_arrival_ties_resolve_by_seq():
+    # Every row of a fanout -- and of the next sender's fanout -- lands
+    # at one timestamp: order is decided purely by seq, which the window
+    # sort must reproduce.
+    counters, _ = assert_planes_agree(delay=Flat(0.01), rounds=1)
+    assert counters["window_rows"] == 56
+
+
+# ----------------------------------------------------------------------
+# Faults and horizons
+# ----------------------------------------------------------------------
+def test_mid_flight_fault_falls_back_per_row():
+    def run(plane):
+        sim = Simulator(seed=1)
+        network = Network(sim, Flat(1.0), plane=plane)
+        trace = []
+        for node in range(6):
+            network.register(
+                node,
+                lambda src, msg, node=node: trace.append((node, msg.value)),
+            )
+        network.multicast(0, range(6), Ping(7), Ping.wire_size)
+        sim.schedule(0.5, network.set_down, 2, True)
+        sim.run()
+        return trace, network.stats
+
+    trace_object, stats_object = run("object")
+    trace_store, stats_store = run("columnar")
+    assert trace_store == trace_object
+    assert stats_store.messages_dropped == stats_object.messages_dropped == 1
+    # The five parked rows went through _deliver_bound's checks one by
+    # one; the self copy was delivered before the fault.
+    assert stats_store.plane["fault_fallbacks"] == 5
+
+
+def test_horizon_slices_a_window_and_resumes():
+    def run(plane):
+        sim = Simulator(seed=1)
+        network = Network(sim, Spread(0.1), plane=plane)
+        trace = []
+        for node in range(5):
+            network.register(
+                node,
+                lambda src, msg, node=node: trace.append(
+                    (sim.now, src, node, msg.value)
+                ),
+            )
+        network.multicast(0, range(5), Ping(1), Ping.wire_size)
+        sim.run(until=0.5)
+        first = list(trace)
+        sim.run(until=10.0)
+        return first, trace
+
+    first_o, full_o = run("object")
+    first_c, full_c = run("columnar")
+    assert 1 < len(first_o) < len(full_o)
+    assert first_c == first_o
+    assert full_c == full_o
+
+
+# ----------------------------------------------------------------------
+# Window edges: put-back, tail folds, seq rebases
+# ----------------------------------------------------------------------
+def test_timer_inside_the_window_puts_rows_back():
+    # Node 0 answers every Ping with a timer a quarter-floor ahead: it
+    # lands inside the window being delivered and becomes the heap head,
+    # so the rows behind it must leave the window again.
+    fired = []
+
+    def arm(sim, network, dst, src, message):
+        if dst == 0:
+            sim.schedule(0.00025, fired.append, (sim.now, message.value))
+
+    counters, _ = assert_planes_agree(on_ping=arm, jitter=0.05)
+    assert counters["put_backs"] > 0
+    # Both runs appended to ``fired``: the timers fired at equal times.
+    assert fired[: len(fired) // 2] == fired[len(fired) // 2 :]
+
+
+def test_tail_folds_mid_drain():
+    # 96 fanouts of 95 rows overflow the append tail (> 8192 rows) on the
+    # first cut; every node then answers the Pings of nodes 0-2 with a
+    # wide multicast each, refilling the tail while the drain is running
+    # faster than the shrinking prefix can excuse.
+    def more_waves(sim, network, dst, src, message):
+        if src < 3:
+            network.multicast(dst, range(96), Pong(dst), Pong.wire_size)
+
+    counters, _ = assert_planes_agree(n=96, rounds=1, on_ping=more_waves)
+    assert counters["tail_folds"] >= 2
+    assert counters["window_rows"] == 4 * 96 * 95
+
+
+def test_seq_rebase_with_rows_pending(monkeypatch):
+    # A relative-seq ceiling of 64 forces a rebase on nearly every
+    # multicast, with rows pending and -- thanks to the timers -- with
+    # cut rows waiting to be put back below the new base.
+    monkeypatch.setattr(network_mod, "_FAST_SEQ_LIMIT", 64)
+
+    def arm(sim, network, dst, src, message):
+        if dst == 0:
+            sim.schedule(0.00025, lambda: None)
+
+    counters, network = assert_planes_agree(on_ping=arm, jitter=0.05)
+    assert counters["put_backs"] > 0
+    assert network._fast.seq_base > 64
+
+
+# ----------------------------------------------------------------------
+# Memory
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("plane", ["columnar", "columnar-fast"])
+def test_store_capacity_tracks_the_live_backlog(monkeypatch, plane):
+    # A 512-way all-to-all, twice over: the second round's appends meet
+    # a half-drained store, whose dead front must be reclaimed before the
+    # columns are allowed to grow.
+    monkeypatch.setattr(Network, "block_fanout", 256)
+    sim = Simulator(seed=1)
+    network = Network(sim, Spread(0.01), plane=plane)
+    store = network._fast
+    peak = 0
+
+    def on_message(src, message):
+        nonlocal peak
+        peak = max(peak, store.count - store.lo)
+
+    for node in range(512):
+        network.register(node, on_message)
+    for start in (0.0, 0.05):
+        for src in range(512):
+            sim.schedule(
+                start, network.multicast, src, range(512), Ping(src),
+                Ping.wire_size,
+            )
+    sim.run()
+    assert network.stats.messages_delivered == 2 * 512 * 512
+    assert peak >= 512 * 511
+    assert len(store.times) <= 1.5 * peak
+    # ~20 bytes a row: src and class live once per pool slot.
+    assert sum(
+        getattr(store, name).itemsize for name in network_mod._FAST_COLUMNS
+    ) == 20
+
+
+# ----------------------------------------------------------------------
+# Checkpointing
+# ----------------------------------------------------------------------
+class PicklableEndpoint:
+    def __init__(self, sim):
+        self.sim = sim
+        self.received = []
+
+    def __call__(self, src, message):
+        self.received.append((self.sim.now, src, message.value))
+
+
+def test_network_pickles_with_wide_rows_in_flight():
+    def build():
+        sim = Simulator(seed=4)
+        network = Network(sim, Spread(0.1), jitter=0.1, plane="columnar")
+        endpoints = [PicklableEndpoint(sim) for _ in range(5)]
+        for node, endpoint in enumerate(endpoints):
+            network.register(node, endpoint)
+        network.multicast(0, range(5), Ping("m"), Ping.wire_size)
+        network.multicast(1, range(5), Ping("n"), Ping.wire_size)
+        return sim, network, endpoints
+
+    sim, network, endpoints = build()
+    sim.run()
+    want = [endpoint.received for endpoint in endpoints]
+
+    sim, network, endpoints = build()
+    sim.run(until=0.3)
+    store = network._fast
+    assert 0 < store.count - store.lo < 8  # cut mid-backlog
+    sim2, network2, endpoints2 = pickle.loads(
+        pickle.dumps((sim, network, endpoints))
+    )
+    sim2.run()
+    assert [endpoint.received for endpoint in endpoints2] == want
+    assert network2.stats.plane["window_rows"] == 8
+
+
+def test_spine_setstate_reads_older_layouts():
+    # Before the block heap existed, and today: a 3-tuple.
+    spine = _Spine.__new__(_Spine)
+    spine.__setstate__(([("row",)], (0.0, 1), {(0.0, 1)}))
+    assert spine.entries == [("row",)]
+    assert spine.__getstate__() == ([("row",)], (0.0, 1), {(0.0, 1)})
+    # With the block heap: restorable only while it was empty.
+    spine.__setstate__(([("row",)], None, set(), []))
+    assert spine.entries == [("row",)]
+    with pytest.raises(SimulationError, match="spine blocks"):
+        spine.__setstate__(([], None, set(), [(0.0, 1, object())]))
+
+
+def test_store_setstate_reads_the_per_row_src_and_class_layout():
+    # Checkpoints written while src and class were row columns: a slot
+    # belongs to one multicast, so any of its rows answers for it.
+    old_dtype = np.dtype(
+        [("time", "f8"), ("seq", "u4"), ("src", "u4"), ("dst", "u4"),
+         ("msg", "u4"), ("cls", "u4")]
+    )
+    rows = np.array(
+        [(0.5, 3, 7, 1, 0, 2), (0.4, 4, 7, 2, 0, 2), (0.9, 9, 5, 0, 1, 1)],
+        dtype=old_dtype,
+    )
+    store = network_mod._FastSpine.__new__(network_mod._FastSpine)
+    store.__setstate__((rows, ["wide", "unicast"], (0.4, 104), {(0.4, 104)}, 100))
+    assert store.count == 3 and store.lo == store.sorted_end == 0
+    assert store.slot_srcs[:2].tolist() == [7, 5]
+    assert store.slot_clss[:2].tolist() == [2, 1]
+    assert store.times[:3].tolist() == [0.5, 0.4, 0.9]
+    assert store.msgs[:3].tolist() == [0, 0, 1]
+    # And what it writes today restores to the same store.
+    again = pickle.loads(pickle.dumps(store))
+    assert again.seq_base == 100 and again.pool == ["wide", "unicast"]
+    assert again.slot_srcs[:2].tolist() == [7, 5]
+    assert again.settle(0) == (0.4, 104)
