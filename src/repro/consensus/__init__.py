@@ -8,7 +8,7 @@
   with pipelining, Kauri reconfiguration and OptiTree integration
   (Figs. 9, 11, 15).
 
-Documented simplifications (see DESIGN.md §5): view/tree changes are
+Documented simplification: view/tree changes are
 driven by the deterministic OptiLog log state rather than a full
 view-change sub-protocol -- every correct replica derives the same
 decision from the same committed prefix, which is the property a real

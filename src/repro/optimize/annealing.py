@@ -25,8 +25,8 @@ State = TypeVar("State")
 Mutation = Any
 
 # Calibration constant mapping the paper's wall-clock search times onto
-# iteration budgets: scoring a ~200-node tree takes on the order of tens of
-# microseconds, so a 1-second search performs roughly this many mutations.
+# iteration budgets: the rate of the paper's testbed, deliberately not this
+# host's (which is far higher).  Every seeded figure depends on the value.
 ITERATIONS_PER_SECOND = 20_000
 
 
@@ -50,6 +50,13 @@ class AnnealingSchedule:
     cooling: float = 0.999
     min_temperature: float = 1e-4
     iterations: int = 10_000
+
+    def __post_init__(self):
+        for name in ("initial_temperature", "min_temperature", "iterations"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        if not 0 < self.cooling <= 1:
+            raise ValueError(f"cooling must be in (0, 1], got {self.cooling!r}")
 
     @classmethod
     def for_search_time(cls, seconds: float, **overrides) -> "AnnealingSchedule":
@@ -143,13 +150,16 @@ class IncrementalSearch(Generic[State]):
     keeps incremental search bit-identical to :func:`anneal` over the
     equivalent ``score``/``mutate`` pair:
 
-    * :meth:`propose` draws from ``rng`` exactly as the full-path
-      ``mutate`` would (same calls, same order) and returns an opaque
-      mutation token -- or ``None`` for the full path's "mutation fell
-      through, candidate == current" case;
+    * :meth:`propose` consumes ``rng``'s bit stream exactly as the
+      full-path ``mutate`` would (same draws, same order) and returns an
+      opaque mutation token -- or ``None`` for the full path's "mutation
+      fell through, candidate == current" case.  ``rng`` is a plain
+      :class:`random.Random`: an engine may run ``randrange``'s own
+      ``getrandbits`` rejection loop inline, which a subclass overriding
+      ``randrange`` or ``_randbelow`` would not see;
     * :meth:`delta_score` returns the candidate's *absolute* score,
       bit-identical to what the full ``score`` would return on the
-      mutated state, updating only the O(b) affected cost entries;
+      mutated state, recomputing only the entries the mutation can move;
     * exactly one of :meth:`apply` (accepted) or :meth:`revert`
       (rejected) follows every ``delta_score``.  An engine may evaluate
       tentatively-in-place (then ``apply`` just installs cached entries
@@ -199,36 +209,39 @@ def anneal_incremental(
     and any divergence from the incremental score raises immediately.
     """
     schedule = schedule or AnnealingSchedule()
+    propose, delta_score = engine.propose, engine.delta_score
+    apply, revert, snapshot = engine.apply, engine.revert, engine.snapshot
+    uniform, exp, inf = rng.random, math.exp, math.inf
+    cooling, min_temperature = schedule.cooling, schedule.min_temperature
     current_score = engine.initial_score()
-    best = engine.snapshot()
+    best = snapshot()
     best_score = current_score
     initial_score = current_score
     temperature = schedule.initial_temperature
     accepted = 0
     converged = False
-    iterations_used = 0
+    iterations_used = schedule.iterations
 
     for iteration in range(schedule.iterations):
-        iterations_used = iteration + 1
-        mutation = engine.propose(rng)
+        mutation = propose(rng)
         if mutation is None:
             candidate_score = current_score
         else:
-            candidate_score = engine.delta_score(mutation)
+            candidate_score = delta_score(mutation)
         delta = candidate_score - current_score
         if delta <= 0:
-            accept = candidate_score != float("inf")
-        elif candidate_score == float("inf") or temperature <= 0:
+            accept = candidate_score != inf
+        elif candidate_score == inf or temperature <= 0:
             accept = False
         else:
-            accept = rng.random() < math.exp(-delta / temperature)
+            accept = uniform() < exp(-delta / temperature)
         if accept:
             if mutation is not None:
-                engine.apply(mutation)
+                apply(mutation)
             current_score = candidate_score
             accepted += 1
             if check_score is not None:
-                reference = check_score(engine.snapshot())
+                reference = check_score(snapshot())
                 if reference != current_score and not (
                     math.isinf(reference) and math.isinf(current_score)
                 ):
@@ -237,13 +250,14 @@ def anneal_incremental(
                         f"full score {reference!r} at iteration {iteration}"
                     )
             if current_score < best_score:
-                best = engine.snapshot()
+                best = snapshot()
                 best_score = current_score
         elif mutation is not None:
-            engine.revert(mutation)
-        temperature *= schedule.cooling
-        if temperature < schedule.min_temperature:
+            revert(mutation)
+        temperature *= cooling
+        if temperature < min_temperature:
             converged = True
+            iterations_used = iteration + 1
             break
 
     return AnnealingResult(

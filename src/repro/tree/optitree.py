@@ -6,7 +6,7 @@ trees with Definition 1's ``score(k, τ)`` where ``k = q + u``; the
 estimate ``u`` lets the score budget for the *actual* number of
 misbehaving replicas instead of the worst-case ``f`` (§6.1.2, Challenge 2).
 
-The search is simulated annealing over layouts: the ``mutate`` swaps two
+The search is simulated annealing over layouts: a mutation swaps two
 positions and keeps internal positions inside ``K`` (§4.2.4).
 """
 
@@ -25,7 +25,6 @@ from repro.optimize.annealing import (
     AnnealingResult,
     AnnealingSchedule,
     IncrementalSearch,
-    anneal,
     anneal_incremental,
 )
 from repro.experiments.parallel import derive_sweep_seed, parallel_map
@@ -57,56 +56,35 @@ def random_tree(
     return TreeConfiguration(layout=tuple(internal + others), branch_factor=b)
 
 
-def mutate_tree(
-    tree: TreeConfiguration,
-    candidates: FrozenSet[int],
-    rng: random.Random,
-) -> TreeConfiguration:
-    """Swap two positions; internal positions only receive candidates."""
-    n = tree.n
-    internal_count = tree.branch_factor + 1
-    position_a = rng.randrange(n)
-    position_b = rng.randrange(n)
-    if position_b == position_a:
-        position_b = (position_a + 1) % n
-    low, high = min(position_a, position_b), max(position_a, position_b)
-    # If the swap moves a replica INTO an internal position, that replica
-    # must be a candidate; otherwise resample the source from candidates
-    # occupying non-internal positions.
-    if low < internal_count <= high and tree.layout[high] not in candidates:
-        candidate_positions = [
-            position
-            for position in range(internal_count, n)
-            if tree.layout[position] in candidates
-        ]
-        if not candidate_positions:
-            return tree
-        high = rng.choice(candidate_positions)
-    return tree.swap(low, high)
-
-
-class _TreeSwap:
-    """One proposed position swap, with its tentatively computed entries."""
-
-    __slots__ = ("low", "high", "changed", "new_costs", "new_bad", "score")
-
-    def __init__(self, low: int, high: int):
-        self.low = low
-        self.high = high
-
-
 class IncrementalTreeSearch(IncrementalSearch[TreeConfiguration]):
     """Delta-evaluated tree search state (the §4.2.4 hot path).
 
-    Holds the layout as a mutable list plus per-intermediate cached
-    ``(Lagg(I), Lagg(I) + L[I][R])`` entries.  A swap mutation touches at
-    most two subtrees (plus, for a root swap, every uplink term), so
-    re-scoring costs O(b) instead of the full path's O(n) rebuild -- with
-    scores bit-identical to :func:`repro.tree.score.tree_score` because
-    the same IEEE operations run in the same order on the same floats.
+    Holds the layout as a mutable list, per intermediate the cached
+    ``Lagg(I)`` and ``Lagg(I) + L[I][R]``, and the current score.
+
+    A swap of two leaves -- most proposals -- is scored in O(1).  Within
+    one subtree no child set changes.  Across subtrees each of the two
+    cached ``Lagg`` is settled by comparison: an arriving link ``>=`` it
+    is the new maximum; otherwise a leaving link ``<`` it leaves it
+    unchanged.  ``max`` returns one of its operands and never rounds, so
+    a maximum settled this way is the very float a rescan returns, and
+    while neither ``Lagg`` moves no cost moves and the held score stands.
+
+    Only a decisive comparison may skip the rescan.  A leaving link that
+    equals the cached maximum (it held it or tied it; ``inf`` ties
+    ``inf``) says nothing about the children that stay, so that case,
+    like every swap of an internal position, takes the O(b) fallback:
+    rescan the touched subtrees (and, for a root swap, recompute every
+    uplink term) and re-sort the costs.  ``rescans`` and ``resorts``
+    count those two steps since construction; the O(1) path pays for
+    neither.  Either way scores are bit-identical to
+    :func:`repro.tree.score.tree_score`: the same IEEE operations on the
+    same floats.
 
     Feasibility (internal nodes ⊆ K) is tracked as a count of
-    non-candidate internal occupants, updated in O(1) per swap.
+    non-candidate internal occupants, updated in O(1) per swap.  The one
+    pending swap lives on the engine; the token :meth:`propose` returns
+    carries nothing.
     """
 
     def __init__(
@@ -117,6 +95,11 @@ class IncrementalTreeSearch(IncrementalSearch[TreeConfiguration]):
         k: int,
     ):
         self.n = initial.n
+        if np.shape(latency) != (self.n, self.n):
+            raise ValueError(
+                f"latency must be {self.n} x {self.n} for this tree, "
+                f"got shape {np.shape(latency)}"
+            )
         self.b = initial.branch_factor
         self.internal_count = self.b + 1
         self.rows = latency.tolist()  # Python floats: same IEEE doubles, faster ops
@@ -127,6 +110,8 @@ class IncrementalTreeSearch(IncrementalSearch[TreeConfiguration]):
         self.spans = spans
         self.votes = votes
         self.subtree_of = subtree_of
+        self._bits = self.n.bit_length()
+        self.rescans = self.resorts = 0
         self._bad = sum(
             1
             for replica in self.layout[: self.internal_count]
@@ -139,10 +124,13 @@ class IncrementalTreeSearch(IncrementalSearch[TreeConfiguration]):
             self.lagg[index] + root_row_of[self.layout[1 + index]][root]
             for index in range(self.b)
         ]
+        self._score = math.inf if self._bad else self._score_from(self.costs)
+        self.rescans = self.resorts = 0  # fallbacks only, not the build above
 
     # -- cost plumbing --------------------------------------------------
     def _compute_lagg(self, index: int) -> float:
         """Lagg of intermediate ``index`` from the current layout."""
+        self.rescans += 1
         begin, end = self.spans[index]
         if begin == end:
             return 0.0
@@ -159,110 +147,112 @@ class IncrementalTreeSearch(IncrementalSearch[TreeConfiguration]):
         # One implementation of the quorum-collect rule repo-wide: the
         # shared helper keeps the incremental scores bit-identical to
         # tree_score by construction.
-        return _collect_time(list(zip(costs, self.votes)), self.needed)
+        self.resorts += 1
+        return _collect_time(zip(costs, self.votes), self.needed)
 
     # -- IncrementalSearch protocol -------------------------------------
     def initial_score(self) -> float:
-        if self._bad:
-            return math.inf
-        return self._score_from(self.costs)
+        return self._score
 
-    def propose(self, rng: random.Random) -> Optional[_TreeSwap]:
+    def propose(self, rng: random.Random) -> Optional[bool]:
         n = self.n
         layout = self.layout
         internal_count = self.internal_count
-        position_a = rng.randrange(n)
-        position_b = rng.randrange(n)
+        # rng.randrange(n) twice, as the rejection loop it runs inside.
+        bits = self._bits
+        getrandbits = rng.getrandbits
+        position_a = getrandbits(bits)
+        while position_a >= n:
+            position_a = getrandbits(bits)
+        position_b = getrandbits(bits)
+        while position_b >= n:
+            position_b = getrandbits(bits)
         if position_b == position_a:
             position_b = (position_a + 1) % n
-        low, high = (
-            (position_a, position_b)
-            if position_a < position_b
-            else (position_b, position_a)
-        )
+        if position_a < position_b:
+            low, high = position_a, position_b
+        else:
+            low, high = position_b, position_a
         if low < internal_count <= high and layout[high] not in self.candidates:
+            candidates = self.candidates
             candidate_positions = [
                 position
                 for position in range(internal_count, n)
-                if layout[position] in self.candidates
+                if layout[position] in candidates
             ]
             if not candidate_positions:
                 return None  # the full path's "mutation falls through" case
             high = rng.choice(candidate_positions)
-        return _TreeSwap(low, high)
+        self._low = low
+        self._high = high
+        return True
 
-    def delta_score(self, mutation: _TreeSwap) -> float:
+    def delta_score(self, mutation: bool) -> float:
         layout = self.layout
-        low, high = mutation.low, mutation.high
-        layout[low], layout[high] = layout[high], layout[low]
-        bad = self._bad
-        if low < self.internal_count <= high:
-            candidates = self.candidates
-            if layout[low] not in candidates:
-                bad += 1
-            if layout[high] not in candidates:
-                bad -= 1
-        mutation.new_bad = bad
+        low, high = self._low, self._high
+        leaving, arriving = layout[low], layout[high]  # as seen from ``low``
+        layout[low], layout[high] = arriving, leaving
         subtree_of = self.subtree_of
-        index_high = subtree_of[high]
-        if low == 0:
-            # Root swap: every uplink term changes; Lagg only where the
-            # other endpoint sits inside a subtree.
-            changed = []
-            if index_high >= 0:
-                changed.append((index_high, self._compute_lagg(index_high)))
-            root = layout[0]
-            rows = self.rows
-            lagg = self.lagg
-            new_costs = [0.0] * self.b
-            for index in range(self.b):
-                value = lagg[index]
-                if changed and index == changed[0][0]:
-                    value = changed[0][1]
-                new_costs[index] = value + rows[layout[1 + index]][root]
-            mutation.changed = changed
-            mutation.new_costs = new_costs
-            score = math.inf if bad else self._score_from(new_costs)
+        index_low, index_high = subtree_of[low], subtree_of[high]
+        rows, lagg, bad = self.rows, self.lagg, self._bad
+        if low >= self.internal_count:  # leaf <-> leaf
+            if index_low == index_high:
+                self._changed = None
+                return self._score
+            row = rows[layout[1 + index_low]]
+            old_low = new_low = lagg[index_low]
+            if row[arriving] >= old_low:
+                new_low = row[arriving]
+            elif not row[leaving] < old_low:
+                new_low = self._compute_lagg(index_low)
+            row = rows[layout[1 + index_high]]
+            old_high = new_high = lagg[index_high]
+            if row[leaving] >= old_high:
+                new_high = row[leaving]
+            elif not row[arriving] < old_high:
+                new_high = self._compute_lagg(index_high)
+            if new_low == old_low and new_high == old_high:
+                self._changed = None
+                return self._score
+            changed = [(index_low, new_low), (index_high, new_high)]
         else:
-            index_low = subtree_of[low]
-            affected = (
-                {index_low, index_high}
-                if index_high != index_low
-                else {index_low}
-            )
-            affected.discard(-1)
-            root = layout[0]
-            rows = self.rows
-            costs = list(self.costs)
-            changed = []
-            for index in affected:
-                new_lagg = self._compute_lagg(index)
-                new_cost = new_lagg + rows[layout[1 + index]][root]
-                changed.append((index, new_lagg, new_cost))
-                costs[index] = new_cost
-            mutation.changed = changed
-            mutation.new_costs = None
-            score = math.inf if bad else self._score_from(costs)
-        mutation.score = score
-        return score
+            if high >= self.internal_count:
+                candidates = self.candidates
+                bad += (arriving not in candidates) - (leaving not in candidates)
+            # Both endpoints' subtrees; the root (-1) has no Lagg.
+            changed = [
+                (index, self._compute_lagg(index))
+                for index in {index_low, index_high}
+                if index >= 0
+            ]
+        root = layout[0]
+        if low:
+            costs = self.costs.copy()
+        else:  # root swap: every uplink term changes
+            costs = [
+                lagg[index] + rows[layout[1 + index]][root]
+                for index in range(self.b)
+            ]
+        for index, new_lagg in changed:
+            costs[index] = new_lagg + rows[layout[1 + index]][root]
+        self._changed = changed
+        self._new_costs = costs
+        self._new_bad = bad
+        self._new_score = math.inf if bad else self._score_from(costs)
+        return self._new_score
 
-    def apply(self, mutation: _TreeSwap) -> None:
-        self._bad = mutation.new_bad
-        if mutation.new_costs is not None:
-            self.costs = mutation.new_costs
-            for index, new_lagg in mutation.changed:
+    def apply(self, mutation: bool) -> None:
+        if self._changed is not None:  # else no cost moved: nothing to install
+            for index, new_lagg in self._changed:
                 self.lagg[index] = new_lagg
-        else:
-            for index, new_lagg, new_cost in mutation.changed:
-                self.lagg[index] = new_lagg
-                self.costs[index] = new_cost
+            self.costs = self._new_costs
+            self._bad = self._new_bad
+            self._score = self._new_score
 
-    def revert(self, mutation: _TreeSwap) -> None:
+    def revert(self, mutation: bool) -> None:
         layout = self.layout
-        layout[mutation.low], layout[mutation.high] = (
-            layout[mutation.high],
-            layout[mutation.low],
-        )
+        low, high = self._low, self._high
+        layout[low], layout[high] = layout[high], layout[low]
 
     def snapshot(self) -> TreeConfiguration:
         return TreeConfiguration(
@@ -280,7 +270,6 @@ def optitree_search(
     schedule: Optional[AnnealingSchedule] = None,
     k: Optional[int] = None,
     initial: Optional[TreeConfiguration] = None,
-    incremental: bool = True,
 ) -> Optional[AnnealingResult]:
     """Annealed tree search; returns None when K is too small for a tree.
 
@@ -288,10 +277,9 @@ def optitree_search(
     exploring the robustness/latency trade-off (Fig. 14) override it.
 
     The search runs on the delta-evaluated :class:`IncrementalTreeSearch`
-    engine; ``incremental=False`` selects the full-scoring reference path
-    (every mutation re-scores a fresh :class:`TreeConfiguration`), kept
-    for the equivalence tests -- both return bit-identical results under
-    the same seed.
+    engine; the full-scoring twin the tests compare it with (a fresh
+    :class:`TreeConfiguration` per mutation, bit-identical results under
+    the same seed) is ``optitree_search_full`` in ``tests/oracles.py``.
     """
     rng = rng or random.Random(0)
     votes_needed = k if k is not None else default_k(n, f, u)
@@ -304,20 +292,8 @@ def optitree_search(
     schedule = schedule or AnnealingSchedule(
         iterations=20_000, initial_temperature=0.05, cooling=0.9995
     )
-
-    if incremental:
-        engine = IncrementalTreeSearch(latency, initial, candidates, votes_needed)
-        return anneal_incremental(engine, rng, schedule)
-
-    def score(tree: TreeConfiguration) -> float:
-        if not tree.internal_nodes <= candidates:
-            return math.inf
-        return tree_score(latency, tree, votes_needed)
-
-    def mutate(tree: TreeConfiguration, mutation_rng: random.Random) -> TreeConfiguration:
-        return mutate_tree(tree, candidates, mutation_rng)
-
-    return anneal(initial, score, mutate, rng, schedule)
+    engine = IncrementalTreeSearch(latency, initial, candidates, votes_needed)
+    return anneal_incremental(engine, rng, schedule)
 
 
 def shard_candidates(

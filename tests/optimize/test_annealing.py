@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.optimize.annealing import AnnealingSchedule, anneal
 
 
@@ -77,3 +79,21 @@ def test_improvement_metric():
         AnnealingSchedule(iterations=3000),
     )
     assert 0.0 < result.improvement <= 1.0
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("iterations", -1),
+        ("cooling", 0.0),
+        ("cooling", 1.0001),
+        ("cooling", float("nan")),
+        ("initial_temperature", -0.05),
+        ("min_temperature", -1e-4),
+    ],
+)
+def test_schedule_rejects_out_of_range_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        AnnealingSchedule(**{field: value})
+    # The closed ends are legal.
+    AnnealingSchedule(iterations=0, cooling=1.0, initial_temperature=0.0, min_temperature=0.0)

@@ -13,7 +13,12 @@ Each is the straightforward pre-optimisation form of something under
   sensor used before rounds became :class:`~repro.core.roundplan.RoundPlan`
   slots and bitmasks;
 * :func:`plan_from_expected` -- a ``RoundPlan`` from a hand-written
-  ``ExpectedMessage`` list, so tests can state rounds message by message.
+  ``ExpectedMessage`` list, so tests can state rounds message by message;
+* :func:`mutate_tree` and :func:`optitree_search_full` -- OptiTree's
+  search over immutable trees, every mutation re-scored from scratch by
+  ``tree_score``, behind ``optitree_search``'s incremental engine;
+* :class:`EveryProposalChecked` -- that engine with every ``delta_score``
+  and every ``apply`` compared against a from-scratch computation.
 
 And one oracle that is not a reference implementation:
 
@@ -27,7 +32,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+import random
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.records import SuspicionRecord
 from repro.core.roundplan import ExpectedMessage, RoundPlan
@@ -38,6 +44,10 @@ from repro.core.timeouts import (
     PHASE_WRITE,
     PbftTimeouts,
 )
+from repro.optimize.annealing import AnnealingSchedule, anneal
+from repro.tree.optitree import IncrementalTreeSearch, random_tree
+from repro.tree.score import default_k, tree_score
+from repro.tree.topology import TreeConfiguration
 
 
 def quorum_formation_time(
@@ -213,6 +223,117 @@ class PerRoundSuspicionSensor(SuspicionSensor):
                     state.suspected_phase = min(state.suspected_phase, phase)
         state.checked = True
         return raised
+
+
+def mutate_tree(
+    tree: TreeConfiguration,
+    candidates: FrozenSet[int],
+    rng: random.Random,
+) -> TreeConfiguration:
+    """Swap two positions; internal positions only receive candidates."""
+    n = tree.n
+    internal_count = tree.branch_factor + 1
+    position_a = rng.randrange(n)
+    position_b = rng.randrange(n)
+    if position_b == position_a:
+        position_b = (position_a + 1) % n
+    low, high = min(position_a, position_b), max(position_a, position_b)
+    # If the swap moves a replica INTO an internal position, that replica
+    # must be a candidate; otherwise resample the source from candidates
+    # occupying non-internal positions.
+    if low < internal_count <= high and tree.layout[high] not in candidates:
+        candidate_positions = [
+            position
+            for position in range(internal_count, n)
+            if tree.layout[position] in candidates
+        ]
+        if not candidate_positions:
+            return tree
+        high = rng.choice(candidate_positions)
+    return tree.swap(low, high)
+
+
+def optitree_search_full(
+    latency,
+    n: int,
+    f: int,
+    candidates: FrozenSet[int],
+    u: int,
+    rng: Optional[random.Random] = None,
+    schedule: Optional[AnnealingSchedule] = None,
+    k: Optional[int] = None,
+    initial: Optional[TreeConfiguration] = None,
+):
+    """``optitree_search`` by full scoring: same arguments, same draws,
+    and -- the engine's contract -- the same result to the bit."""
+    rng = rng or random.Random(0)
+    votes_needed = k if k is not None else default_k(n, f, u)
+    if initial is None:
+        initial = random_tree(n, candidates, rng)
+        if initial is None:
+            return None
+    schedule = schedule or AnnealingSchedule(
+        iterations=20_000, initial_temperature=0.05, cooling=0.9995
+    )
+
+    def score(tree: TreeConfiguration) -> float:
+        if not tree.internal_nodes <= candidates:
+            return math.inf
+        return tree_score(latency, tree, votes_needed)
+
+    def mutate(tree: TreeConfiguration, mutation_rng: random.Random) -> TreeConfiguration:
+        return mutate_tree(tree, candidates, mutation_rng)
+
+    return anneal(initial, score, mutate, rng, schedule)
+
+
+class EveryProposalChecked(IncrementalTreeSearch):
+    """:class:`IncrementalTreeSearch` checked on every proposal.
+
+    ``anneal_incremental(check_score=...)`` re-scores accepted states
+    only; here every ``delta_score`` -- accepted or not -- must equal
+    ``tree_score`` of the tentative layout (``inf`` while an internal
+    node is outside ``K``), and after every ``apply`` the cached ``lagg``,
+    ``costs`` and score must equal a freshly built engine's.
+
+    ``proposals`` counts ``delta_score`` calls and ``leaf_rescans`` those
+    where a swap of two leaves could not be settled by comparison (a tie
+    with the cached maximum, or the maximum itself leaving) and rescanned.
+    """
+
+    def __init__(self, latency, initial, candidates, k):
+        super().__init__(latency, initial, candidates, k)
+        self._latency = latency
+        self._k = k
+        self.proposals = 0
+        self.leaf_rescans = 0
+
+    def _same(self, ours, reference, what: str) -> None:
+        assert ours == reference, (
+            f"{what}: incremental {ours!r} != from scratch {reference!r} after "
+            f"proposal {self.proposals} (swap {self._low}, {self._high})"
+        )
+
+    def delta_score(self, mutation) -> float:
+        self.proposals += 1
+        rescans_before = self.rescans
+        score = super().delta_score(mutation)
+        if self._low >= self.internal_count and self.rescans > rescans_before:
+            self.leaf_rescans += 1
+        tree = self.snapshot()  # the swap is made tentatively, in place
+        feasible = tree.internal_nodes <= self.candidates
+        reference = tree_score(self._latency, tree, self._k) if feasible else math.inf
+        self._same(score, reference, "delta_score")
+        return score
+
+    def apply(self, mutation) -> None:
+        super().apply(mutation)
+        fresh = IncrementalTreeSearch(
+            self._latency, self.snapshot(), self.candidates, self._k
+        )
+        self._same(self.lagg, fresh.lagg, "lagg")
+        self._same(self.costs, fresh.costs, "costs")
+        self._same(self.initial_score(), fresh.initial_score(), "held score")
 
 
 class DeliveryOrderRecorder:

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from oracles import mutate_tree
 from repro.optimize.annealing import AnnealingSchedule
 from repro.tree.kauri_reconfig import KauriReconfigurer, StarFallback
 from repro.tree.kauri_sa import KauriSaReconfigurer
-from repro.tree.optitree import OptiTree, mutate_tree, optitree_search, random_tree
+from repro.tree.optitree import OptiTree, optitree_search, random_tree
 from repro.tree.score import tree_score
 from repro.tree.topology import TreeConfiguration
 
