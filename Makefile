@@ -1,25 +1,13 @@
 # OptiLog reproduction -- developer entry points.
 #
 #   make test           tier-1 test suite (the CI gate)
-#   make bench          `repro bench` perf suite -> BENCH_full.json
-#   make bench-quick    CI variant (n <= 32, capped durations) -> BENCH_quick.json
-#                       + quick search suite -> BENCH_search_quick.json
-#                       + quick pipeline suite -> BENCH_pipeline_quick.json
-#   make bench-search   optimizer-layer suite -> BENCH_PR4.json
-#   make bench-pipeline monitoring-pipeline suite -> BENCH_PR5.json
+#   make lint           bytecode-compile the tree + import-check the package
+#   make ledger-smoke   three short perf-ledger measurements, each must be correct
+#                       (performance itself: ledger/README.md)
 #   make bench-figures  figure benchmarks at CI scale (REPRO_FULL=1 for paper scale)
-#   make bench-metrics  measurement-plane suite -> BENCH_metrics.json
-#   make bench-plane    message-plane suite (object vs columnar) -> BENCH_PR7.json
-#   make bench-scale    internet-scale suite (n up to 8192) -> BENCH_PR10.json
-#   make bench-attack   adversary-synthesis suite -> BENCH_PR9.json
-#   make bench-all      every bench suite, one consolidated -> BENCH_all.json
 #   make campaign-smoke flat-RSS + kill/resume campaign smoke (REPRO_FULL=1 for 2M)
 #   make attack-smoke   jobs byte-identity + smoke robustness frontier
-#   make profile        cProfile over the fixed hot-path scenario
-#   make profile-search cProfile over the fixed search hot path
-#   make profile-pipeline cProfile over the fixed monitoring hot path
-#   make profile-scale  cProfile over one n=1024 hierarchical scenario
-#   make lint           bytecode-compile the tree + import-check the package
+#   make quickstart     the README's first example
 #
 # Everything runs from the source tree via PYTHONPATH; `pip install -e .`
 # additionally provides the `repro` console script.
@@ -27,67 +15,36 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-quick bench-search bench-pipeline bench-figures bench-metrics bench-plane bench-scale bench-attack bench-all campaign-smoke attack-smoke profile profile-search profile-pipeline profile-scale lint quickstart
+.PHONY: test lint ledger-smoke bench-figures campaign-smoke attack-smoke quickstart
 
 test:
 	$(PYTHON) -m pytest -x -q
 
-bench:
-	$(PYTHON) -m repro bench --output BENCH_full.json
+lint:
+	$(PYTHON) -m compileall -q src tests benchmarks examples
+	$(PYTHON) -c "import repro, repro.experiments.runner, repro.workloads, repro.__main__"
+	$(PYTHON) -m repro list > /dev/null
 
-bench-quick:
-	$(PYTHON) -m repro bench --quick --output BENCH_quick.json
-	$(PYTHON) -m repro bench --quick --search --output BENCH_search_quick.json
-	$(PYTHON) -m repro bench --quick --pipeline --output BENCH_pipeline_quick.json
-	$(PYTHON) -m repro bench --quick --metrics --output BENCH_metrics_quick.json
-	$(PYTHON) -m repro bench --quick --plane --output BENCH_plane_quick.json
-
-bench-search:
-	$(PYTHON) -m repro bench --search --output BENCH_PR4.json
-
-bench-pipeline:
-	$(PYTHON) -m repro bench --pipeline --output BENCH_PR5.json
+# One short measurement of the Fig. 7 workload, one of the n=512 pbft
+# all-to-all (the wide-row store's windowed drain) and one of the role
+# search (Fig. 10/12/8 drivers, no simulator).  The driver form prints
+# {correct, attempted, failed, metrics} as its last line, and no line at
+# all when nothing was measured -- the JSON check fails on that too.
+ledger-smoke:
+	set -e; for workload in optiaware-attack pbft-scale role-search; do \
+		$(PYTHON) ledger/run.py --workload $$workload --seed 1 --seconds 5 --trace 0 \
+			| tail -n 1 \
+			| $(PYTHON) -c "import json, sys; r = json.load(sys.stdin); assert r['correct'] and r['failed'] == 0, r"; \
+	done
 
 bench-figures:
 	$(PYTHON) -m pytest benchmarks -q
-
-bench-metrics:
-	$(PYTHON) -m repro bench --metrics --output BENCH_metrics.json
-
-bench-plane:
-	$(PYTHON) -m repro bench --plane --output BENCH_PR7.json
-
-bench-scale:
-	$(PYTHON) -m repro bench --scale --output BENCH_PR10.json
-
-bench-attack:
-	$(PYTHON) -m repro bench --attack --output BENCH_PR9.json
-
-bench-all:
-	$(PYTHON) -m repro.bench.all BENCH_all.json
 
 campaign-smoke:
 	$(PYTHON) scripts/campaign_smoke.py
 
 attack-smoke:
 	$(PYTHON) scripts/attack_smoke.py BENCH_frontier_smoke.json
-
-profile:
-	$(PYTHON) -m repro.bench.profile
-
-profile-search:
-	$(PYTHON) -m repro.bench.profile_search
-
-profile-pipeline:
-	$(PYTHON) -m repro.bench.profile_pipeline
-
-profile-scale:
-	$(PYTHON) -m repro.bench.profile_scale
-
-lint:
-	$(PYTHON) -m compileall -q src tests benchmarks examples
-	$(PYTHON) -c "import repro, repro.experiments.runner, repro.workloads, repro.bench, repro.__main__"
-	$(PYTHON) -m repro list > /dev/null
 
 quickstart:
 	$(PYTHON) examples/quickstart.py

@@ -49,22 +49,6 @@ Subcommands
     Execute a figure driver (``fig7`` ... ``fig15``, ``fast`` and
     ``--jobs`` where supported) and print its table.
 
-``bench``
-    Run the fixed performance suite and write a ``BENCH_*.json`` that
-    embeds the recorded pre-refactor baseline next to the fresh
-    numbers.  ``--search`` selects the optimizer-layer suite (score
-    evals/sec, SA iterations/sec) and ``--pipeline`` the
-    monitoring-pipeline suite (log append/dispatch throughput,
-    suspicion-entry processing rate, MIS solve rates) and ``--metrics``
-    the measurement-plane suite (sketch ingest/merge, quantile queries,
-    state round-trips) instead of the simulator suite::
-
-        python -m repro bench --quick --output BENCH_quick.json
-        python -m repro bench --search --output BENCH_PR4.json
-        python -m repro bench --pipeline --output BENCH_PR5.json
-        python -m repro bench --metrics --output BENCH_metrics.json
-        python -m repro bench --scale --output BENCH_PR8.json
-
 ``list``
     Show the available protocols, workloads, deployments, fault kinds,
     scenarios and figures.
@@ -442,194 +426,6 @@ def cmd_fig(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    if args.list is not None:
-        from repro.bench.listing import format_suite_listing
-
-        try:
-            print(format_suite_listing(args.list or None))
-        except ValueError as error:
-            raise SystemExit(f"error: {error}")
-        return 0
-    if sum(
-        (args.search, args.pipeline, args.metrics, args.plane, args.scale,
-         args.attack)
-    ) > 1:
-        raise SystemExit(
-            "choose one of --search / --pipeline / --metrics / --plane / "
-            "--scale / --attack"
-        )
-    if args.rebaseline:
-        from repro.bench.rebaseline import rebaseline
-
-        if args.entry or args.quick:
-            raise SystemExit(
-                "--rebaseline always runs the full suite; drop --entry/--quick"
-            )
-        try:
-            path = rebaseline(
-                args.rebaseline,
-                note=args.note or "rebaselined",
-                progress=lambda message: print(message, file=sys.stderr),
-            )
-        except ValueError as error:
-            raise SystemExit(f"error: {error}")
-        print(f"wrote {path}")
-        return 0
-    if args.note:
-        raise SystemExit("--note applies only to --rebaseline")
-
-    if args.scale:
-        from repro.bench.scale import (
-            format_scale_table,
-            run_scale_suite,
-        )
-        from repro.bench.scale import write_report as write_scale_report
-
-        try:
-            report = run_scale_suite(
-                quick=args.quick,
-                only=args.entry or None,
-                progress=lambda message: print(message, file=sys.stderr),
-            )
-        except ValueError as error:
-            raise SystemExit(f"error: {error}")
-        print(format_scale_table(report))
-        output = args.output or (
-            "BENCH_scale_quick.json" if args.quick else "BENCH_PR10.json"
-        )
-        write_scale_report(report, output)
-        print(f"wrote {output}", file=sys.stderr)
-        return 0
-
-    if args.attack:
-        from repro.bench.attack import (
-            format_attack_table,
-            run_attack_suite,
-            write_attack_report,
-        )
-
-        if args.entry:
-            raise SystemExit("--entry applies to the simulator suite, not --attack")
-        report = run_attack_suite(
-            quick=args.quick,
-            progress=lambda message: print(message, file=sys.stderr),
-        )
-        print(format_attack_table(report))
-        output = args.output or (
-            "BENCH_attack_quick.json" if args.quick else "BENCH_PR9.json"
-        )
-        write_attack_report(report, output)
-        print(f"wrote {output}", file=sys.stderr)
-        return 0
-
-    if args.plane:
-        from repro.bench.plane import (
-            format_plane_table,
-            run_plane_suite,
-            write_plane_report,
-        )
-
-        if args.entry:
-            raise SystemExit("--entry applies to the simulator suite, not --plane")
-        report = run_plane_suite(
-            quick=args.quick,
-            progress=lambda message: print(message, file=sys.stderr),
-        )
-        print(format_plane_table(report))
-        output = args.output or (
-            "BENCH_plane_quick.json" if args.quick else "BENCH_PR7.json"
-        )
-        write_plane_report(report, output)
-        print(f"wrote {output}", file=sys.stderr)
-        return 0
-
-    if args.metrics:
-        from repro.bench.metrics import (
-            format_metrics_table,
-            run_metrics_suite,
-            write_metrics_report,
-        )
-
-        if args.entry:
-            raise SystemExit("--entry applies to the simulator suite, not --metrics")
-        report = run_metrics_suite(
-            quick=args.quick,
-            progress=lambda message: print(message, file=sys.stderr),
-        )
-        print(format_metrics_table(report))
-        output = args.output or (
-            "BENCH_metrics_quick.json" if args.quick else "BENCH_metrics.json"
-        )
-        write_metrics_report(report, output)
-        print(f"wrote {output}", file=sys.stderr)
-        return 0
-
-    if args.pipeline:
-        from repro.bench.pipeline import (
-            format_pipeline_table,
-            run_pipeline_suite,
-            write_pipeline_report,
-        )
-
-        if args.entry:
-            raise SystemExit("--entry applies to the simulator suite, not --pipeline")
-        report = run_pipeline_suite(
-            quick=args.quick,
-            progress=lambda message: print(message, file=sys.stderr),
-        )
-        print(format_pipeline_table(report))
-        output = args.output or (
-            "BENCH_pipeline_quick.json" if args.quick else "BENCH_PR5.json"
-        )
-        write_pipeline_report(report, output)
-        print(f"wrote {output}", file=sys.stderr)
-        return 0
-
-    if args.search:
-        from repro.bench.search import (
-            format_search_table,
-            run_search_suite,
-            write_search_report,
-        )
-
-        if args.entry:
-            raise SystemExit("--entry applies to the simulator suite, not --search")
-        report = run_search_suite(
-            quick=args.quick,
-            progress=lambda message: print(message, file=sys.stderr),
-        )
-        print(format_search_table(report))
-        output = args.output or (
-            "BENCH_search_quick.json" if args.quick else "BENCH_PR4.json"
-        )
-        write_search_report(report, output)
-        print(f"wrote {output}", file=sys.stderr)
-        return 0
-
-    from repro.bench import SUITE, format_table, run_suite, write_report
-
-    try:
-        report = run_suite(
-            quick=args.quick,
-            only=args.entry or None,
-            progress=lambda message: print(message, file=sys.stderr),
-        )
-    except ValueError as error:
-        raise SystemExit(f"error: {error}")
-    print(format_table(report))
-    output = args.output
-    if output is None:
-        # A partial run must not clobber a previously written full report.
-        if args.entry:
-            output = "BENCH_partial.json"
-        else:
-            output = "BENCH_quick.json" if args.quick else "BENCH_full.json"
-    write_report(report, output)
-    print(f"wrote {output}", file=sys.stderr)
-    return 0
-
-
 def cmd_list(_args: argparse.Namespace) -> int:
     print("protocols:")
     for name, (family, variant) in sorted(runner_mod.PROTOCOLS.items()):
@@ -641,7 +437,8 @@ def cmd_list(_args: argparse.Namespace) -> int:
     print("deployments:")
     for name in sorted(runner_mod.NAMED_DEPLOYMENTS.values()):
         print(f"  {name}")
-    print("  wonderproxy-N      (seeded random world placement, N >= 4)")
+    for pattern, description in runner_mod.DEPLOYMENT_PATTERNS:
+        print(f"  {pattern:27s}({description})")
     print("fault kinds:")
     print("  " + " ".join(runner_mod.FAULT_KINDS))
     print("scenarios:")
@@ -660,7 +457,7 @@ def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--protocol", default="pbft",
                         choices=sorted(runner_mod.PROTOCOLS))
     parser.add_argument("--deployment", default="Europe21",
-                        help="Europe21 | NA-EU43 | Global73 | Stellar56 | wonderproxy-N")
+                        help=" | ".join(runner_mod.deployment_names()))
     parser.add_argument("--workload", default="closed-loop",
                         help=f"{' | '.join(sorted(WORKLOADS))} | saturated")
     parser.add_argument("--param", action="append", metavar="KEY=VALUE",
@@ -839,76 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="shard the figure's sweep across N processes "
                                  "(fig7/fig9/fig12; results identical to serial)")
     fig_parser.set_defaults(func=cmd_fig)
-
-    bench_parser = sub.add_parser(
-        "bench", help="run the fixed perf suite, write a BENCH_*.json"
-    )
-    bench_parser.add_argument(
-        "--quick", action="store_true",
-        help="CI variant: n <= 32 entries only, capped durations, single run",
-    )
-    bench_parser.add_argument(
-        "--list", nargs="*", metavar="SUITE", default=None,
-        help="print the registered suites and their entry ids and exit; "
-             "with names, just those suites (simulator / search / pipeline "
-             "/ metrics / plane / scale / attack)",
-    )
-    bench_parser.add_argument(
-        "--entry", action="append", metavar="ID",
-        help="run only this suite entry (repeatable), e.g. hotstuff/n128",
-    )
-    bench_parser.add_argument(
-        "--search", action="store_true",
-        help="run the optimizer-layer search suite instead of the simulator suite",
-    )
-    bench_parser.add_argument(
-        "--pipeline", action="store_true",
-        help="run the monitoring-pipeline suite (log append/dispatch, "
-             "suspicion-entry processing, MIS solves) instead",
-    )
-    bench_parser.add_argument(
-        "--metrics", action="store_true",
-        help="run the measurement-plane suite (sketch ingest/merge, "
-             "quantile queries, state round-trips) instead",
-    )
-    bench_parser.add_argument(
-        "--plane", action="store_true",
-        help="run the message-plane suite (object vs columnar delivery, "
-             "state-trace equivalence, heap-event reduction) instead",
-    )
-    bench_parser.add_argument(
-        "--attack", action="store_true",
-        help="run the adversary-synthesis suite (objective evals/sec, "
-             "search throughput, synthesized-vs-hand-authored margins) "
-             "instead",
-    )
-    bench_parser.add_argument(
-        "--scale", action="store_true",
-        help="run the internet-scale suite (world-N deployments at "
-             "n in {512, 1024, 4096}, per-entry subprocess with peak-RSS "
-             "tracking) instead; --quick keeps n <= 512, --entry selects "
-             "ids like pbft/n512",
-    )
-    bench_parser.add_argument(
-        "--rebaseline", metavar="SUITE", default=None,
-        help="run SUITE in full and rewrite its recorded baseline module "
-             "(simulator / metrics / search / pipeline / plane)",
-    )
-    bench_parser.add_argument(
-        "--note", metavar="TEXT", default=None,
-        help="provenance note stored in the rebaselined module",
-    )
-    bench_parser.add_argument(
-        "--output", metavar="FILE", default=None,
-        help="report path (default BENCH_full.json / BENCH_quick.json; "
-             "BENCH_PR4.json / BENCH_search_quick.json with --search; "
-             "BENCH_PR5.json / BENCH_pipeline_quick.json with --pipeline; "
-             "BENCH_metrics.json / BENCH_metrics_quick.json with --metrics; "
-             "BENCH_PR7.json / BENCH_plane_quick.json with --plane; "
-             "BENCH_PR10.json / BENCH_scale_quick.json with --scale; "
-             "BENCH_PR9.json / BENCH_attack_quick.json with --attack)",
-    )
-    bench_parser.set_defaults(func=cmd_bench)
 
     list_parser = sub.add_parser("list", help="list protocols, workloads, deployments")
     list_parser.set_defaults(func=cmd_list)

@@ -17,7 +17,8 @@ vector is updated in place per mutation and the Vmax membership lists
 are maintained sorted, so no per-mutation ``WeightConfiguration``,
 ``weights()`` dict or ``sorted(vmax)`` allocation survives on the hot
 path.  Search results are bit-identical to the full-scoring reference
-(``incremental=False``) under the same seed.
+(``annealed_weight_search_full`` in ``tests/oracles.py``) under the same
+seed.
 """
 
 from __future__ import annotations
@@ -29,13 +30,11 @@ from typing import FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from repro.aware.score import weight_config_round_duration
 from repro.aware.weights import WeightConfiguration, WheatParameters
 from repro.core.timeouts import weighted_round_duration
 from repro.optimize.annealing import (
     AnnealingSchedule,
     IncrementalSearch,
-    anneal,
     anneal_incremental,
 )
 
@@ -189,15 +188,12 @@ def annealed_weight_search(
     candidates: Optional[FrozenSet[int]] = None,
     rng: Optional[random.Random] = None,
     schedule: Optional[AnnealingSchedule] = None,
-    incremental: bool = True,
 ) -> Optional[WeightConfiguration]:
     """Simulated-annealing search over (leader, Vmax) assignments.
 
     Mutations swap a Vmax holder with a non-holder, or move the leader
     role; special roles are only ever assigned within ``candidates``
-    (§4.2.4's mutate rule).  ``incremental=False`` selects the
-    full-scoring reference path (a fresh :class:`WeightConfiguration`
-    per mutation), kept for the equivalence tests.
+    (§4.2.4's mutate rule).
     """
     params = WheatParameters(n, f)
     rng = rng or random.Random(0)
@@ -209,33 +205,7 @@ def annealed_weight_search(
     initial_vmax = frozenset(rng.sample(pool, params.vmax_count))
     initial_leader = rng.choice(pool)
 
-    if incremental:
-        state = _WeightAnnealState(
-            latency, n, f, params, pool, initial_leader, initial_vmax
-        )
-        return anneal_incremental(state, rng, schedule).best_state
-
-    def score(configuration: WeightConfiguration) -> float:
-        return weight_config_round_duration(latency, configuration)
-
-    def mutate(
-        configuration: WeightConfiguration, mutation_rng: random.Random
-    ) -> WeightConfiguration:
-        vmax = set(configuration.vmax_replicas)
-        leader = configuration.leader
-        if mutation_rng.random() < 0.3:
-            leader = mutation_rng.choice(pool)
-        else:
-            outside = [replica for replica in pool if replica not in vmax]
-            if outside:
-                vmax.discard(mutation_rng.choice(sorted(vmax)))
-                vmax.add(mutation_rng.choice(outside))
-        return WeightConfiguration(
-            n=n, f=f, leader=leader, vmax_replicas=frozenset(vmax)
-        )
-
-    initial = WeightConfiguration(
-        n=n, f=f, leader=initial_leader, vmax_replicas=initial_vmax
+    state = _WeightAnnealState(
+        latency, n, f, params, pool, initial_leader, initial_vmax
     )
-    result = anneal(initial, score, mutate, rng, schedule)
-    return result.best_state
+    return anneal_incremental(state, rng, schedule).best_state

@@ -86,6 +86,22 @@ _WORLD = re.compile(r"^world-(\d+)(?:-j(\d+))?(-check)?$")
 #: graph (GML or edge list at ``path``; the bundled example otherwise).
 _TOPO = re.compile(r"^topo-(\d+)(?:-j(\d+))?(-check)?(?:@(.+))?$")
 
+#: The deployments built on demand from a name pattern, as (pattern,
+#: description).  ``resolve_deployment``'s error text, the CLI's
+#: ``--deployment`` help and ``repro list`` all read this one table
+#: (the first two through ``deployment_names``).
+DEPLOYMENT_PATTERNS = (
+    ("wonderproxy-N", "seeded random world placement, N >= 4"),
+    (
+        "world-N[-jK][-check]",
+        "the same draw on the hierarchical O(n)-memory substrate, for n >= 512",
+    ),
+    (
+        "topo-N[-jK][-check][@path]",
+        "replicas over an internet topology graph, GML or edge list",
+    ),
+)
+
 
 #: Every fault kind the runner can schedule.
 FAULT_KINDS = (
@@ -503,6 +519,14 @@ class ScenarioResult:
 # ----------------------------------------------------------------------
 # Resolution helpers
 # ----------------------------------------------------------------------
+def deployment_names() -> List[str]:
+    """Everything ``resolve_deployment`` accepts: the named city sets,
+    then the name patterns."""
+    return sorted(NAMED_DEPLOYMENTS.values()) + [
+        pattern for pattern, _ in DEPLOYMENT_PATTERNS
+    ]
+
+
 def resolve_deployment(name: str, seed: int = 0) -> Deployment:
     """Named city set, ``wonderproxy-N`` for a seeded random one, or the
     hierarchical substrates ``world-N[-jK][-check]`` /
@@ -545,11 +569,8 @@ def resolve_deployment(name: str, seed: int = 0) -> Deployment:
         )
     canonical = NAMED_DEPLOYMENTS.get(name.lower())
     if canonical is None:
-        known = ", ".join(sorted(NAMED_DEPLOYMENTS.values()))
-        raise ValueError(
-            f"unknown deployment {name!r} (known: {known}, wonderproxy-N, "
-            "world-N[-jK][-check], topo-N[-jK][-check][@path])"
-        )
+        known = ", ".join(deployment_names())
+        raise ValueError(f"unknown deployment {name!r} (known: {known})")
     return deployment_for(canonical)
 
 

@@ -13,7 +13,6 @@ from repro.optimize.annealing import (
     AnnealingResult,
     AnnealingSchedule,
     IncrementalSearch,
-    anneal,
     anneal_incremental,
 )
 from repro.optimize.graphs import Graph
@@ -42,7 +41,6 @@ __all__ = [
     "attack_search",
     "Graph",
     "IncrementalSearch",
-    "anneal",
     "anneal_incremental",
     "greedy_independent_set",
     "is_independent_set",

@@ -66,8 +66,8 @@ class AttackSearchEngine(IncrementalSearch):
     ``(genome, evaluation)`` pair so the annealer's best state carries
     its liveness/recovery report.  The cache makes re-visited states
     free; ``evaluations`` counts actual scenario-running evaluations and
-    ``scenario_runs`` the underlying seeded runs (the bench throughput
-    denominator).
+    ``scenario_runs`` the underlying seeded runs (the search's unit of
+    cost).
     """
 
     def __init__(

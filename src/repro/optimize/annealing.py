@@ -2,9 +2,9 @@
 
 OptiLog's ConfigSensor searches large configuration spaces with simulated
 annealing [Kirkpatrick et al. 1983].  The search here is generic: callers
-supply a ``score`` function (lower is better), a ``mutate`` function that
-proposes a neighbouring configuration, and a schedule.  The search ends
-when the iteration budget (the paper's *search timer*) expires or the
+supply an :class:`IncrementalSearch` engine, which proposes a neighbouring
+configuration and scores it (lower is better), and a schedule.  The search
+ends when the iteration budget (the paper's *search timer*) expires or the
 temperature cools below the convergence threshold, whichever is first.
 
 Determinism: all randomness flows through the caller-provided generator;
@@ -85,70 +85,14 @@ class AnnealingResult(Generic[State]):
         return (self.initial_score - self.best_score) / self.initial_score
 
 
-def anneal(
-    initial: State,
-    score: Callable[[State], float],
-    mutate: Callable[[State, random.Random], State],
-    rng: random.Random,
-    schedule: Optional[AnnealingSchedule] = None,
-) -> AnnealingResult[State]:
-    """Minimise ``score`` by simulated annealing from ``initial``.
-
-    ``mutate`` must return a *new* state (states are treated as immutable).
-    Infeasible states may be signalled with ``float("inf")`` scores; they
-    are never accepted.
-    """
-    schedule = schedule or AnnealingSchedule()
-    current = initial
-    current_score = score(current)
-    best = current
-    best_score = current_score
-    initial_score = current_score
-    temperature = schedule.initial_temperature
-    accepted = 0
-    converged = False
-    iterations_used = 0
-
-    for iteration in range(schedule.iterations):
-        iterations_used = iteration + 1
-        candidate = mutate(current, rng)
-        candidate_score = score(candidate)
-        delta = candidate_score - current_score
-        if delta <= 0:
-            accept = candidate_score != float("inf")
-        elif candidate_score == float("inf") or temperature <= 0:
-            accept = False
-        else:
-            accept = rng.random() < math.exp(-delta / temperature)
-        if accept:
-            current = candidate
-            current_score = candidate_score
-            accepted += 1
-            if current_score < best_score:
-                best = current
-                best_score = current_score
-        temperature *= schedule.cooling
-        if temperature < schedule.min_temperature:
-            converged = True
-            break
-
-    return AnnealingResult(
-        best_state=best,
-        best_score=best_score,
-        initial_score=initial_score,
-        iterations_used=iterations_used,
-        accepted=accepted,
-        converged=converged,
-    )
-
-
 class IncrementalSearch(Generic[State]):
     """Delta-evaluation protocol for :func:`anneal_incremental`.
 
     A search engine owns the *current* state as mutable internal data and
     exposes it to the annealer through five hooks.  The contract that
-    keeps incremental search bit-identical to :func:`anneal` over the
-    equivalent ``score``/``mutate`` pair:
+    keeps incremental search bit-identical to the classic full-scoring
+    loop (``anneal`` in ``tests/oracles.py``) over the equivalent
+    ``score``/``mutate`` pair:
 
     * :meth:`propose` consumes ``rng``'s bit stream exactly as the
       full-path ``mutate`` would (same draws, same order) and returns an
@@ -199,7 +143,8 @@ def anneal_incremental(
     """Minimise by simulated annealing over an incremental engine.
 
     The accept/reject sequence, iteration count and best state are
-    bit-identical to :func:`anneal` on the equivalent full-scoring
+    bit-identical to the full-scoring loop (``anneal`` in
+    ``tests/oracles.py``) on the equivalent ``score``/``mutate``
     closures, provided the engine honours the :class:`IncrementalSearch`
     contract: randomness is drawn in the same order and every
     ``delta_score`` matches the full score to the bit.

@@ -90,7 +90,7 @@ class Simulator:
         self._running = False
         self.events_processed = 0
         #: High-water mark of the event queue (pending + cancelled), for
-        #: the ``repro bench`` peak-queue-depth metric.
+        #: the perf ledger's ``sim.engine.max_queue_depth`` count.
         self.max_queue_depth = 0
         #: The active run()'s time horizon (``inf`` outside run()).  Event
         #: callbacks that expand into multiple deliveries -- the columnar

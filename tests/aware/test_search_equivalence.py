@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    annealed_weight_search_full,
     quorum_formation_time,
     round_duration_scalar,
     weight_config_round_duration_scalar,
@@ -157,8 +158,8 @@ def test_annealed_search_incremental_matches_full(n, seed):
     fast = annealed_weight_search(
         latency, n, f, rng=random.Random(seed), schedule=schedule
     )
-    slow = annealed_weight_search(
-        latency, n, f, rng=random.Random(seed), schedule=schedule, incremental=False
+    slow = annealed_weight_search_full(
+        latency, n, f, rng=random.Random(seed), schedule=schedule
     )
     assert fast == slow
 
@@ -171,14 +172,8 @@ def test_annealed_search_incremental_matches_full_restricted():
     fast = annealed_weight_search(
         latency, n, f, candidates=candidates, rng=random.Random(4), schedule=schedule
     )
-    slow = annealed_weight_search(
-        latency,
-        n,
-        f,
-        candidates=candidates,
-        rng=random.Random(4),
-        schedule=schedule,
-        incremental=False,
+    slow = annealed_weight_search_full(
+        latency, n, f, candidates=candidates, rng=random.Random(4), schedule=schedule
     )
     assert fast == slow
     assert fast.special_replicas() <= candidates
@@ -194,14 +189,8 @@ def test_annealed_search_tight_candidate_pool():
     fast = annealed_weight_search(
         latency, n, f, candidates=candidates, rng=random.Random(8), schedule=schedule
     )
-    slow = annealed_weight_search(
-        latency,
-        n,
-        f,
-        candidates=candidates,
-        rng=random.Random(8),
-        schedule=schedule,
-        incremental=False,
+    slow = annealed_weight_search_full(
+        latency, n, f, candidates=candidates, rng=random.Random(8), schedule=schedule
     )
     assert fast == slow
     assert fast.vmax_replicas == candidates

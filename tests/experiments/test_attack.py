@@ -1,6 +1,7 @@
 """The attack objective: arenas, baselines, censoring, references."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -10,11 +11,18 @@ from repro.experiments.attack import (
     ensure_baselines,
     evaluate_attack,
     evaluate_genome,
+    evaluate_references,
     make_arena,
     reference_attacks,
 )
 from repro.experiments.runner import FaultSpec
-from repro.faults.genome import AdversaryBudget, AttackGenome, AttackMove
+from repro.faults.genome import (
+    AdversaryBudget,
+    AttackGenome,
+    AttackMove,
+    seed_genome,
+)
+from repro.optimize.adversary import DEFAULT_SCHEDULE, attack_search
 
 #: One small arena shared by the module: n=21 pbft at a short duration.
 DURATION = 3.0
@@ -133,3 +141,60 @@ def test_best_reference_degradation_picks_max():
     ]
     assert best_reference_degradation(refs) == 4.0
     assert best_reference_degradation([{"degradation": None}]) is None
+
+
+# ----------------------------------------------------------------------
+# Synthesis pins.  Searches are seeded and event-budgeted, so their
+# outcomes repeat exactly; a behaviour-changing PR re-records the
+# literals on purpose.
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def quick_arena():
+    arena = make_arena("pbft", duration=4.0, seeds=(0,))
+    ensure_baselines(arena)
+    return arena
+
+
+def test_quick_search_is_pinned_and_beats_every_reference(quick_arena):
+    references = {
+        ref["name"]: ref["degradation"]
+        for ref in evaluate_references(quick_arena, "latency")
+    }
+    report = attack_search(
+        quick_arena,
+        AdversaryBudget(max_faulty=6),
+        "latency",
+        seed=0,
+        restarts=2,
+        schedule=replace(DEFAULT_SCHEDULE, iterations=8),
+    )
+    best = report["best"]
+    assert references == {
+        "partition-heal": 4.040662963394356,
+        "lossy-wan": 3.9860411734233763,
+    }
+    assert report["scenario_runs"] == 13
+    assert best["label"] == (
+        "genome victims=[13, 15, 17, 18, 19, 20] moves=partition[0:32]"
+    )
+    assert best["degradation"] == 25.10447796703234
+    # PR 9's acceptance criterion: the synthesized adversary strictly
+    # beats the strongest hand-authored scenario on the same arena.
+    assert best["degradation"] > max(references.values())
+
+
+def test_seed_genome_degradations_are_pinned(quick_arena):
+    budget = AdversaryBudget(max_faulty=6)
+    degradations = {}
+    for variant in range(6):
+        genome = seed_genome(budget, quick_arena.profile, variant=variant)
+        evaluation = evaluate_genome(quick_arena, budget, "latency", genome)
+        degradations[genome.moves[0].kind] = round(evaluation["degradation"], 6)
+    assert degradations == {
+        "churn": 1.008348,
+        "crash": 6.987406,
+        "delay": 1.0,
+        "loss": 1.005554,
+        "partition": 16.067921,
+        "stealth": 1.000187,
+    }

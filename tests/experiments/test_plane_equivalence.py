@@ -60,6 +60,27 @@ def test_columnar_plane_is_bit_identical(protocol):
     )
 
 
+@pytest.mark.parametrize("protocol", ["hotstuff-rr", "kauri"])
+def test_steady_state_drain_collapses_heap_events(protocol):
+    # PR 7's acceptance bar at CI size: a saturated pristine run drains
+    # whole runs of deliveries per heap pop, so the same deliveries cost
+    # at least 3x fewer engine events than one event per message.
+    def run(plane):
+        scenario = _scenario(
+            protocol, deployment="wonderproxy-16", workload="saturated",
+            workload_params={}, duration=1.0, seed=7, plane=plane,
+        )
+        return run_scenario(scenario).cluster
+
+    object_cluster, columnar_cluster = run("object"), run("columnar")
+    delivered = object_cluster.network.stats.messages_delivered
+    assert columnar_cluster.network.stats.messages_delivered == delivered > 0
+    assert (
+        object_cluster.sim.events_processed
+        >= 3 * columnar_cluster.sim.events_processed
+    )
+
+
 def test_check_mode_runs_both_planes_and_returns():
     scenario = _scenario("hotstuff-rr", plane="check")
     result = run_scenario(scenario)

@@ -4,6 +4,7 @@ fault scheduling, and equivalence with the pre-runner driver code."""
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.consensus.hotstuff import HotStuffCluster
@@ -74,6 +75,13 @@ def test_wonderproxy_deployment_is_seeded_and_bounded():
         resolve_deployment("wonderproxy-2")
     with pytest.raises(ValueError, match="unknown deployment"):
         resolve_deployment("atlantis9")
+    # world-N is the same draw on the hierarchical substrate: same cities,
+    # and (tests/net/test_hierarchy.py) bit-equal link latencies.
+    world = resolve_deployment("world-16", seed=3)
+    assert [city.name for city in world.cities] == [city.name for city in a.cities]
+    assert np.array_equal(world.latency.matrix_seconds(), a.latency.matrix_seconds())
+    with pytest.raises(ValueError):
+        resolve_deployment("world-2")
 
 
 def test_hotstuff_commits_client_requests():

