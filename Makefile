@@ -5,7 +5,7 @@
 #   make ledger-smoke   three short perf-ledger measurements, each must be correct
 #                       (performance itself: ledger/README.md)
 #   make bench-figures  figure benchmarks at CI scale (REPRO_FULL=1 for paper scale)
-#   make campaign-smoke flat-RSS + kill/resume campaign smoke (REPRO_FULL=1 for 2M)
+#   make campaign-smoke flat-RSS (campaign and plain run) + kill/resume (REPRO_FULL=1 for 2M)
 #   make attack-smoke   jobs byte-identity + smoke robustness frontier
 #   make quickstart     the README's first example
 #

@@ -1,14 +1,19 @@
 #!/usr/bin/env python
-"""Campaign smoke: flat memory at scale + kill/resume bit-identity.
+"""Campaign smoke: flat memory (campaign and plain run) + kill/resume
+bit-identity.
 
-The two load-bearing claims of the campaign plane, checked end to end:
+The load-bearing memory and resume claims, checked end to end:
 
 1. **O(1) metrics memory.**  A campaign an order of magnitude longer
    than the reference must not grow peak RSS with it: streaming sketches
    and replica compaction keep per-request state off the heap.  Each
    campaign runs in its own subprocess (``ru_maxrss`` is monotone per
    process, so same-process comparisons would be meaningless).
-2. **Kill/resume round-trip.**  A shard killed after its first slice
+2. **O(in-flight) consensus state without the campaign plane.**  A plain
+   ``repro run`` of a chained engine (OptiTree on Global73, the Fig. 9
+   tree) eight times longer stays inside the same RSS headroom: the
+   engines retire per-height state as they go, no ``compact()`` needed.
+3. **Kill/resume round-trip.**  A shard killed after its first slice
    and resumed from the checkpoint file lands byte-identically (outside
    the drive-dependent fields) on the uninterrupted run.
 
@@ -32,6 +37,9 @@ RSS_HEADROOM = 1.35
 
 REFERENCE_REQUESTS = 20_000
 SMOKE_REQUESTS = 2_000_000 if os.environ.get("REPRO_FULL") else 160_000
+
+#: Simulated seconds of the plain-run pair (8x apart, like the campaigns).
+PLAIN_DURATIONS = (30, 240)
 
 
 def _run_campaign_subprocess(requests: int, workload: str, params) -> dict:
@@ -96,6 +104,43 @@ def check_flat_memory() -> None:
         f"smoke commit latency: p50={summary['p50']:.4f}s "
         f"p90={summary['p90']:.4f}s p99={summary['p99']:.4f}s"
     )
+
+
+def _plain_run_peak_rss_kb(duration: int) -> int:
+    """Peak RSS of one ``repro run`` child; the CLI does not report its
+    own, so it is read from the child's ``wait4`` resource usage."""
+    command = [
+        sys.executable, "-m", "repro", "run",
+        "--protocol", "optitree",
+        "--deployment", "Global73",
+        "--workload", "saturated",
+        "--seed", "3",
+        "--duration", str(duration),
+    ]
+    process = subprocess.Popen(
+        command, stdout=subprocess.DEVNULL, env=dict(os.environ, PYTHONPATH="src")
+    )
+    _pid, status, usage = os.wait4(process.pid, 0)
+    process.returncode = os.waitstatus_to_exitcode(status)
+    if process.returncode != 0:
+        raise SystemExit(f"plain run subprocess failed ({process.returncode})")
+    return usage.ru_maxrss
+
+
+def check_flat_plain_run() -> None:
+    short, long = PLAIN_DURATIONS
+    short_rss = _plain_run_peak_rss_kb(short)
+    long_rss = _plain_run_peak_rss_kb(long)
+    growth = long_rss / short_rss
+    print(
+        f"plain run peak RSS: {short_rss} KiB at {short} sim-s, {long_rss} KiB "
+        f"at {long} sim-s ({long / short:.0f}x duration, {growth:.2f}x memory)"
+    )
+    if growth > RSS_HEADROOM:
+        raise SystemExit(
+            f"consensus state is not flat: {growth:.2f}x RSS for "
+            f"{long / short:.0f}x simulated time (allowed {RSS_HEADROOM}x)"
+        )
 
 
 def check_kill_resume() -> None:
@@ -166,6 +211,7 @@ def check_kill_resume() -> None:
 
 def main() -> int:
     check_flat_memory()
+    check_flat_plain_run()
     check_kill_resume()
     print("campaign smoke: OK")
     return 0

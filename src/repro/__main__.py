@@ -546,7 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
                                       "the same command resumes from them")
     campaign_parser.add_argument("--compact-keep", type=int, default=128,
                                  help="per-replica history kept behind the commit "
-                                      "frontier at each slice boundary")
+                                      "frontier at each slice boundary (HotStuff/"
+                                      "Kauri: bounds qc_heights only; their other "
+                                      "per-height state retires itself)")
     campaign_parser.set_defaults(func=cmd_campaign)
 
     scenario_parser = sub.add_parser(

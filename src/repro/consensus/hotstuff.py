@@ -56,8 +56,12 @@ class HotStuffReplica(ReplicaBase):
         #: leader_of() inlined as a flag for the per-message handlers.
         self._round_robin = leader_mode == "rr"
         self.payload_per_block = payload_per_block
-        self.blocks: Dict[str, Block] = {}
+        # Per-height state lives only while a handler can still read it
+        # (docs/ARCHITECTURE.md, "State lifetime"); only qc_heights waits
+        # for compact().
+        #: Voted-for blocks not yet committed, deleted on commit.
         self.block_at_height: Dict[int, Block] = {}
+        #: height -> voters at the next leader, deleted when the QC forms.
         self.votes: Dict[int, Set[int]] = {}
         self.qc_heights: Set[int] = set()
         self.high_qc: Optional[QuorumCertificate] = None
@@ -75,8 +79,6 @@ class HotStuffReplica(ReplicaBase):
         self._claimed_requests: set = set()
         #: Previous generation of claimed keys (see compact()).
         self._claimed_requests_old: set = set()
-        #: Heights at or below this were committed and compacted away.
-        self._compact_floor = 0
 
     # ------------------------------------------------------------------
     # Roles
@@ -166,12 +168,12 @@ class HotStuffReplica(ReplicaBase):
             qc_heights = self.qc_heights
             if view not in qc_heights:
                 qc_heights.add(view)
+                self.votes.pop(view, None)
                 high = self.high_qc
                 if high is None or view > high.view:
                     self.high_qc = qc
                 self._try_commit(view)
         block_hash = block.hash
-        self.blocks[block_hash] = block
         self.block_at_height[height] = block
         self.last_voted_height = height
         # Chained rule: votes for h go to the proposer of h+1 (vote_target).
@@ -186,13 +188,13 @@ class HotStuffReplica(ReplicaBase):
             return
         height = vote.height
         next_leader = (height + 1) % self.n if self._round_robin else self.fixed_leader
-        if next_leader != self.id:
-            return
+        if next_leader != self.id or height in self.qc_heights:
+            return  # not ours to count, or a straggler behind the QC
         voters = self.votes.get(height)
         if voters is None:
             voters = self.votes[height] = set()
         voters.add(vote.sender)
-        if len(voters) >= self.quorum and height not in self.qc_heights:
+        if len(voters) >= self.quorum:
             block = self.block_at_height.get(height)
             if block is None or block.hash != vote.block_hash:
                 return
@@ -236,17 +238,14 @@ class HotStuffReplica(ReplicaBase):
             if len(heights) == 1:
                 height = heights.pop()
                 next_leader = (height + 1) % n if round_robin else fixed_leader
-                if next_leader != my_id:
+                if next_leader != my_id or height in qc_heights:
+                    # Not ours to count, or stragglers behind the QC.
                     return count
                 voters = votes_map.get(height)
                 if voters is None:
                     voters = votes_map[height] = set()
                 senders = [v[2] for v in votes]
                 new_voters = set(senders)
-                if height in qc_heights:
-                    # QC already formed: every row is a pure set add.
-                    voters.update(new_voters)
-                    return count
                 need = quorum - len(voters)
                 if need > count:
                     # The whole column is sub-quorum: one bulk add.
@@ -292,13 +291,13 @@ class HotStuffReplica(ReplicaBase):
             # indexing skips three descriptor lookups per vote.
             height = vote[0]
             next_leader = (height + 1) % n if round_robin else fixed_leader
-            if next_leader != my_id:
+            if next_leader != my_id or height in qc_heights:
                 continue
             voters = votes_map.get(height)
             if voters is None:
                 voters = votes_map[height] = set()
             voters.add(vote[2])
-            if len(voters) >= quorum and height not in qc_heights:
+            if len(voters) >= quorum:
                 block = self.block_at_height.get(height)
                 block_hash = vote[1]
                 if block is None or block.hash != block_hash:
@@ -338,6 +337,7 @@ class HotStuffReplica(ReplicaBase):
         if view in qc_heights:
             return
         qc_heights.add(view)
+        self.votes.pop(view, None)
         high = self.high_qc
         if high is None or view > high.view:
             self.high_qc = qc
@@ -358,7 +358,7 @@ class HotStuffReplica(ReplicaBase):
             # Common case: QCs arrive in height order, one new commit.
             # record_commit() inlined (one commit per replica per height),
             # with the same fast construction as the vote path.
-            block = self.block_at_height.get(target)
+            block = self.block_at_height.pop(target, None)
             if block is not None:
                 self._commits_append(
                     tuple.__new__(
@@ -371,7 +371,7 @@ class HotStuffReplica(ReplicaBase):
             self.committed_height = target
             return
         for commit_height in range(committed + 1, target + 1):
-            block = self.block_at_height.get(commit_height)
+            block = self.block_at_height.pop(commit_height, None)
             if block is None:
                 continue
             self.metrics.record_commit(
@@ -398,22 +398,16 @@ class HotStuffReplica(ReplicaBase):
     # Campaign-plane compaction
     # ------------------------------------------------------------------
     def compact(self, keep: int = 128) -> None:
-        """Drop per-height state below ``committed_height - keep``.
+        """Floor ``qc_heights`` at ``committed_height - keep`` and age the
+        claimed request keys (the generational scheme of
+        ``PbftReplica.compact``).
 
-        Every read of the pruned maps is guarded (missing block/votes ->
-        ignore), so late messages for pruned heights are dropped like
-        duplicates; see ``PbftReplica.compact`` for the generational
-        claimed-key scheme.  Deterministic by construction.
+        Blocks and vote sets retire themselves, in every run;
+        ``qc_heights`` is part of the state trace and the commit rule
+        reads two heights back, so it is only floored here.
         """
         floor = self.committed_height - keep
-        if floor > self._compact_floor:
-            for height in [h for h in self.block_at_height if h <= floor]:
-                block = self.block_at_height.pop(height)
-                self.blocks.pop(block.hash, None)
-            for height in [h for h in self.votes if h <= floor]:
-                del self.votes[height]
-            self.qc_heights = {h for h in self.qc_heights if h > floor}
-            self._compact_floor = floor
+        self.qc_heights = {h for h in self.qc_heights if h > floor}
         self._claimed_requests_old = self._claimed_requests
         self._claimed_requests = set()
 
@@ -506,8 +500,8 @@ class HotStuffCluster:
         return self.observer.metrics
 
     def compact(self, keep: int = 128) -> None:
-        """Prune dead per-height state on every replica (campaign
-        slice boundaries; see ``HotStuffReplica.compact``)."""
+        """Floor ``qc_heights`` and age claimed keys on every replica
+        (campaign slice boundaries; see ``HotStuffReplica.compact``)."""
         for replica in self.replicas:
             replica.compact(keep)
 

@@ -52,15 +52,16 @@ class _Collection:
     """Vote collection state at an intermediate node, per height.
 
     A ``__slots__`` class: one is allocated per height per intermediate,
-    and slot access is what the per-vote path touches.
+    and slot access is what the per-vote path touches.  It lives until
+    its aggregate is sent (:meth:`KauriReplica._flush_aggregate` deletes
+    it), so "already sent" is "no longer in ``collections``".
     """
 
-    __slots__ = ("block", "votes", "sent", "timer")
+    __slots__ = ("block", "votes", "timer")
 
     def __init__(self, block: Block):
         self.block = block
         self.votes: Set[int] = set()
-        self.sent = False
         self.timer: Optional[object] = None
 
 
@@ -91,20 +92,30 @@ class KauriReplica(ReplicaBase):
         self.votes_needed = votes_needed or self.quorum
         # Per-child timeout: defaults to δ · round trip on the link.
         self._child_timeout = child_timeout
-        self.blocks: Dict[str, Block] = {}
+        # Per-height state lives only while a handler can still read it
+        # (docs/ARCHITECTURE.md, "State lifetime"); only qc_heights waits
+        # for compact().
+        #: Root: own proposals not yet committed (tree-change recovery
+        #: and the commit rule read them), deleted on commit.
         self.block_at_height: Dict[int, Block] = {}
         self.qc_heights: Set[int] = set()
         self.committed_height = 0
         self.next_height = 1
         self.last_parent = GENESIS_HASH
+        #: Root: heights proposed and not yet certified, and who voted
+        #: for each; a height leaves both when it is certified.
         self.in_flight: Set[int] = set()
         self.root_votes: Dict[int, Set[int]] = {}
+        #: Intermediate: height -> collection, until the aggregate is sent.
         self.collections: Dict[int, _Collection] = {}
         self.pending_records: List = []
         self.running = False
-        #: Suspicions produced by aggregation timeouts, drained by the
-        #: OptiTree integration.
-        self.aggregation_suspicions: List[Tuple[int, int]] = []
+        #: Suspicions raised by aggregation timeouts (§6.3), folded per
+        #: child as ``child -> (count, first_height, last_height)`` so a
+        #: long-dead child costs O(1).  Nothing in ``src`` reads it yet:
+        #: the reader is the engine test, and the event tap of ROADMAP
+        #: item 4 when it lands.
+        self.aggregation_suspicions: Dict[int, Tuple[int, int, int]] = {}
         #: Request-driven mode (workload attached): the root batches
         #: buffered client requests into proposals and replies on commit.
         self.request_driven = False
@@ -113,8 +124,6 @@ class KauriReplica(ReplicaBase):
         self._claimed_requests: Set = set()
         #: Previous generation of claimed keys (see compact()).
         self._claimed_requests_old: Set = set()
-        #: Heights at or below this were committed and compacted away.
-        self._compact_floor = 0
 
     # ------------------------------------------------------------------
     # Role helpers
@@ -221,7 +230,6 @@ class KauriReplica(ReplicaBase):
             request_ids=request_ids,
         )
         self.last_parent = block.hash
-        self.blocks[block.hash] = block
         self.block_at_height[height] = block
         self.in_flight.add(height)
         self.root_votes[height] = {self.id}
@@ -235,11 +243,12 @@ class KauriReplica(ReplicaBase):
             return
         votes = self.root_votes.get(message.height)
         if votes is None:
-            return
+            return  # certified already, or from before a tree change
         votes.update(message.aggregate.signers)
         votes.add(src)
-        if len(votes) >= self.votes_needed and message.height in self.in_flight:
+        if len(votes) >= self.votes_needed:
             self.in_flight.discard(message.height)
+            del self.root_votes[message.height]
             self.qc_heights.add(message.height)
             self._try_commit(message.height)
             # Tell the tree the height is certified (leaves learn commits
@@ -253,17 +262,16 @@ class KauriReplica(ReplicaBase):
     def handle_Proposal(self, src: int, proposal: Proposal) -> None:  # noqa: N802
         if not self.running:
             return
+        block = proposal.block
         # Claim before the role checks so an in-flight proposal still
         # prunes our buffer even when we are not this block's forwarder.
-        self._claim_requests(proposal.block)
+        if self.request_driven and block.request_ids:
+            self._claim_requests(block)
         if src != self._root:
             return
         if not self._is_intermediate:
             return
-        block = proposal.block
         height = block.height
-        self.blocks[block.hash] = block
-        self.block_at_height[height] = block
         collection = _Collection(block)
         collection.votes.add(self.id)  # own vote
         self.collections[height] = collection
@@ -287,7 +295,7 @@ class KauriReplica(ReplicaBase):
         if not self.running or not self._is_intermediate:
             return
         collection = self.collections.get(vote.height)
-        if collection is None or collection.sent:
+        if collection is None:
             return
         if src not in self._child_set:
             return
@@ -320,7 +328,7 @@ class KauriReplica(ReplicaBase):
             if len(heights) == 1:
                 height = heights.pop()
                 collection = collections.get(height)
-                if collection is None or collection.sent:
+                if collection is None:
                     return count
                 new_votes = set(srcs)
                 cvotes = collection.votes
@@ -344,7 +352,7 @@ class KauriReplica(ReplicaBase):
             vote = votes[k]
             height = vote[0]
             collection = collections.get(height)
-            if collection is None or collection.sent:
+            if collection is None:
                 continue
             src = srcs[k]
             if src not in child_set:
@@ -370,7 +378,6 @@ class KauriReplica(ReplicaBase):
         intermediate_set = self._intermediate_set
         root_votes = self.root_votes
         needed = self.votes_needed
-        in_flight = self.in_flight
         count = len(messages)
         for k in range(count):
             src = srcs[k]
@@ -383,9 +390,10 @@ class KauriReplica(ReplicaBase):
                 continue
             votes.update(message.aggregate.signers)
             votes.add(src)
-            if len(votes) >= needed and height in in_flight:
+            if len(votes) >= needed:
                 self.sim.now = times[k]
-                in_flight.discard(height)
+                self.in_flight.discard(height)
+                del root_votes[height]
                 self.qc_heights.add(height)
                 self._try_commit(height)
                 self._fill_pipeline()
@@ -408,13 +416,16 @@ class KauriReplica(ReplicaBase):
 
     def _flush_aggregate(self, height: int) -> None:
         collection = self.collections.get(height)
-        if collection is None or collection.sent or not self.running:
+        if collection is None or not self.running:
             return
-        collection.sent = True
+        # Sent once: votes that arrive later find no collection.
+        del self.collections[height]
         missing = self._child_set - collection.votes
         # §6.3: the aggregate must carry a suspicion for each missing vote.
+        suspicions = self.aggregation_suspicions
         for child in sorted(missing):
-            self.aggregation_suspicions.append((height, child))
+            count, first, _last = suspicions.get(child, (0, height, height))
+            suspicions[child] = (count + 1, first, height)
         agg = aggregate(
             self.registry,
             collection.block.hash,
@@ -456,10 +467,9 @@ class KauriReplica(ReplicaBase):
         root already handled.  Blocks from a *previous* root are ignored:
         their uncommitted requests are recovered explicitly by
         :meth:`KauriCluster.install_tree`, and claiming them here would
-        drop that recovery on the floor.
+        drop that recovery on the floor.  Callers skip the call when
+        there is nothing to claim (saturated mode, empty block).
         """
-        if not self.request_driven or not block.request_ids:
-            return
         if block.proposer != self._root:
             return
         keys = {(cid, rid) for cid, rid, _send_time in block.request_ids}
@@ -474,44 +484,17 @@ class KauriReplica(ReplicaBase):
     # Campaign-plane compaction
     # ------------------------------------------------------------------
     def compact(self, keep: int = 128) -> None:
-        """Drop per-height state below ``committed_height - keep``.
+        """Floor ``qc_heights`` at ``committed_height - keep`` and age the
+        claimed request keys.
 
-        All readers of the pruned maps None-guard (root_votes /
-        collections lookups, block_at_height range scans start above
-        ``committed_height``), so late traffic for pruned heights is
-        ignored like any duplicate; claimed request keys age through two
-        generations exactly as in ``PbftReplica.compact``.
+        Every other per-height map retires its own entries, in every run.
+        ``qc_heights`` (the root's; empty elsewhere) is part of the state
+        trace and the commit rule reads two heights back, so it is only
+        floored here; claimed keys age through two generations exactly as
+        in ``PbftReplica.compact``.
         """
-        frontier = self.committed_height
-        if self._root != self.id:
-            # Only the root advances committed_height (commits are its
-            # view); intermediates and leaves age out behind the highest
-            # block the tree has shown them instead.  Their pruned maps
-            # are write-only below that point: ``blocks`` is read only
-            # as a catch-up donor and collection flushes None-guard.
-            if self.block_at_height:
-                frontier = max(frontier, max(self.block_at_height))
-            if self.blocks:
-                frontier = max(
-                    frontier, max(b.height for b in self.blocks.values())
-                )
-        floor = frontier - keep
-        if floor > self._compact_floor:
-            for height in [h for h in self.block_at_height if h <= floor]:
-                del self.block_at_height[height]
-            stale = [
-                block_hash
-                for block_hash, block in self.blocks.items()
-                if block.height <= floor
-            ]
-            for block_hash in stale:
-                del self.blocks[block_hash]
-            for height in [h for h in self.root_votes if h <= floor]:
-                del self.root_votes[height]
-            for height in [h for h in self.collections if h <= floor]:
-                del self.collections[height]
-            self.qc_heights = {h for h in self.qc_heights if h > floor}
-            self._compact_floor = floor
+        floor = self.committed_height - keep
+        self.qc_heights = {h for h in self.qc_heights if h > floor}
         self._claimed_requests_old = self._claimed_requests
         self._claimed_requests = set()
 
@@ -521,16 +504,15 @@ class KauriReplica(ReplicaBase):
     def handle_Forward(self, src: int, message: Forward) -> None:  # noqa: N802
         if not self.running:
             return
+        block = message.block
         # Claim before the parent check: a Forward from a stale parent
         # still proves the current root has these requests in flight.
-        self._claim_requests(message.block)
+        if self.request_driven and block.request_ids:
+            self._claim_requests(block)
         if self._my_parent != src:
             return
-        block = message.block
-        block_hash = block.hash
-        self.blocks[block_hash] = block
         # Same fast construction as HotStuff's vote path: one per Forward.
-        vote = tuple.__new__(Vote, (message.height, block_hash, self.id))
+        vote = tuple.__new__(Vote, (message.height, block.hash, self.id))
         self._network_send(self.id, src, vote, _VOTE_SIZE)
 
     # ------------------------------------------------------------------
@@ -547,7 +529,8 @@ class KauriReplica(ReplicaBase):
         if target <= committed:
             return
         for commit_height in range(committed + 1, target + 1):
-            block = self.block_at_height.get(commit_height)
+            # Committed: no reader looks at or below committed_height.
+            block = self.block_at_height.pop(commit_height, None)
             if block is None:
                 continue
             self.metrics.record_commit(
@@ -662,7 +645,7 @@ class KauriCluster:
         recovered: List[ClientRequest] = []
         for height in range(root.committed_height + 1, root.next_height):
             block = root.block_at_height.get(height)
-            if block is None or block.proposer != root.id:
+            if block is None:
                 continue
             recovered.extend(
                 ClientRequest(client_id=cid, request_id=rid, send_time=st)
@@ -693,8 +676,8 @@ class KauriCluster:
         return self.root_replica.metrics
 
     def compact(self, keep: int = 128) -> None:
-        """Prune dead per-height state on every replica (campaign
-        slice boundaries; see ``KauriReplica.compact``)."""
+        """Floor ``qc_heights`` and age claimed keys on every replica
+        (campaign slice boundaries; see ``KauriReplica.compact``)."""
         for replica in self.replicas:
             replica.compact(keep)
 

@@ -71,9 +71,9 @@ class AggregateSignature:
         self.suspected = frozenset(suspected)
         self._signatures = None
         signer_set = frozenset(signers)
-        for signer in signer_set:
-            if not registry.has_key(signer):
-                raise KeyError(signer)
+        missing = registry.missing_keys(signer_set)
+        if missing:
+            raise KeyError(min(missing))
         self._signers = signer_set
         self._registry = registry
         return self

@@ -6,7 +6,9 @@ seconds.  At every slice boundary the campaign
 
 1. compacts the consensus replicas (:meth:`compact` drops per-sequence
    state the protocol can no longer read, keeping memory O(1) in run
-   length), and
+   length; the chained engines -- HotStuff, Kauri/OptiTree -- retire
+   their per-height maps themselves in every run, so for them ``keep``
+   bounds ``qc_heights`` only), and
 2. optionally writes a :mod:`repro.experiments.checkpoint` file, so a
    killed campaign resumes from the last boundary **bit-identically** to
    the uninterrupted run.
@@ -55,7 +57,8 @@ class CampaignSpec:
     #: Directory for per-shard checkpoint files; None disables
     #: checkpointing (slicing and compaction still happen).
     checkpoint_dir: Optional[str] = None
-    #: Replica state kept behind the commit frontier at compaction.
+    #: Replica state kept behind the commit frontier at compaction
+    #: (chained engines: ``qc_heights`` only, the rest retires itself).
     compact_keep: int = 128
     #: Hard slice-count backstop against a dried-up workload.
     max_slices: int = 1_000_000

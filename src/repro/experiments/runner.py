@@ -794,9 +794,14 @@ def _catch_up(cluster, victim: int) -> None:
             root.pending_requests.extend(recovered)
     elif hasattr(replica, "high_qc"):  # HotStuff
         donor = max(peers, key=lambda peer: peer.committed_height)
-        replica.blocks.update(donor.blocks)
-        replica.block_at_height.update(donor.block_at_height)
         replica.committed_height = max(replica.committed_height, donor.committed_height)
+        # A replica holds blocks only until they commit, so the donor's
+        # map is its uncommitted suffix; what the victim itself held at
+        # or below the adopted commit point is retired with it.
+        blocks = replica.block_at_height
+        blocks.update(donor.block_at_height)
+        for height in [h for h in blocks if h <= replica.committed_height]:
+            del blocks[height]
         replica.last_voted_height = max(
             replica.last_voted_height, donor.last_voted_height
         )

@@ -254,13 +254,14 @@ def test_kauri_child_vote_column_matches_loop(monkeypatch, deployment):
             height=3, proposer=replica.tree.root, parent="p",
             payload_count=1, timestamp=0.0,
         )
-        replica.collections[3] = _Collection(block)
+        collection = replica.collections[3] = _Collection(block)
         children = list(replica._my_children)
         votes = tuple(Vote(3, block.hash, c) for c in children)
         times = tuple(0.3 + k * 1e-6 for k in range(len(children)))
         consumed = replica.handle_VoteBatch(tuple(children), votes, times)
-        collection = replica.collections.get(3)
-        return consumed, frozenset(collection.votes), collection.sent
+        # Sending the aggregate retires the collection.
+        sent = 3 not in replica.collections
+        return consumed, frozenset(collection.votes), sent
 
     loop, fast = both_paths(monkeypatch, lambda: make_kauri(deployment), run)
     assert fast == loop

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import BlockObserver
 from repro.consensus.hotstuff import HotStuffCluster
 
 
@@ -28,13 +29,15 @@ def test_latency_is_three_chain(europe21):
 
 def test_round_robin_rotates_proposers(europe21):
     cluster = HotStuffCluster(europe21, leader_mode="rr", seed=1)
+    # A replica keeps a block only until it commits, so the run's
+    # proposers are observed as blocks are delivered.
+    observed = BlockObserver(cluster.network)
     cluster.run(5.0)
-    proposers = {
-        block.proposer
-        for replica in cluster.replicas
-        for block in replica.block_at_height.values()
-    }
-    assert len(proposers) > 5
+    assert observed.proposers == set(range(21))
+    assert all(
+        block.proposer == height % 21
+        for (_node, height), block in observed.blocks.items()
+    )
 
 
 def test_throughput_reflects_block_payload(europe21):
@@ -52,12 +55,14 @@ def test_farther_deployment_slower(europe21, global73):
 def test_safety_no_conflicting_commits(europe21):
     """No two replicas commit different blocks at the same height."""
     cluster = HotStuffCluster(europe21, leader_mode="rr", seed=3)
+    observed = BlockObserver(cluster.network)
     cluster.run(5.0)
     by_height = {}
     for replica in cluster.replicas:
+        assert replica.metrics.commits
         for event in replica.metrics.commits:
-            block = replica.block_at_height.get(event.height)
-            if block is None:
-                continue
+            # Committed blocks are retired from block_at_height; the
+            # observer kept what this replica was handed at the height.
+            block = observed.blocks[(replica.id, event.height)]
             existing = by_height.setdefault(event.height, block.hash)
             assert existing == block.hash, f"fork at height {event.height}"

@@ -55,8 +55,13 @@ def test_missing_child_votes_become_suspicions(europe21):
     cluster.network.set_down(victim)
     cluster.run(5.0)
     parent = cluster.replicas[cluster.tree.parent[victim]]
-    suspected = {child for _h, child in parent.aggregation_suspicions}
-    assert victim in suspected
+    # child -> (count, first_height, last_height): one suspicion per
+    # height the parent aggregated without the victim, and nobody else.
+    assert set(parent.aggregation_suspicions) == {victim}
+    count, first, last = parent.aggregation_suspicions[victim]
+    assert count >= 1
+    assert 1 <= first <= last
+    assert count == last - first + 1
     # Consensus still lives: q = n - f needs only 15 of 21 votes.
     assert cluster.root_replica.metrics.total_requests() > 0
 

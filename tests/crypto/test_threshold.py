@@ -93,3 +93,8 @@ def test_lazy_aggregate_validates_signers_eagerly():
     registry = KeyRegistry(3)
     with pytest.raises(KeyError):
         aggregate(registry, "h", [0, 42])
+    # Several unknown signers: the smallest is named, whatever the
+    # set's iteration order.
+    with pytest.raises(KeyError) as raised:
+        aggregate(registry, "h", [99, 0, 42, 7])
+    assert raised.value.args == (7,)

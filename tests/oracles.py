@@ -25,12 +25,17 @@ Each is the straightforward pre-optimisation form of something under
 * :class:`EveryProposalChecked` -- that engine with every ``delta_score``
   and every ``apply`` compared against a from-scratch computation.
 
-And one oracle that is not a reference implementation:
+And oracles that are not reference implementations:
 
 * :class:`DeliveryOrderRecorder` -- the order in which a network handed
   messages to handlers, one ``(sim.now, dst, src, class)`` row per
   handler call, whichever plane and whichever delivery path (terminal
-  handler, inbox or batch handler) made the call.
+  handler, inbox or batch handler) made the call;
+* :class:`BlockObserver` -- every block each node was handed, by height:
+  the history of a run, which the chained engines no longer keep
+  (a height's block is retired when it commits);
+* :func:`per_height_entries` -- how many per-height / per-sequence
+  bookkeeping entries a cluster's replicas hold right now.
 """
 
 from __future__ import annotations
@@ -473,11 +478,13 @@ class DeliveryOrderRecorder:
     while the handler processes row ``k``.
     """
 
-    def __init__(self, network, keep: bool = False):
+    def __init__(self, network, keep: bool = False, tap=None):
         self.sim = network.sim
         self.count = 0
         #: The rows themselves (for diffing a mismatch) when ``keep``.
         self.rows = [] if keep else None
+        #: ``tap(dst, src, message)`` sees each message as it is recorded.
+        self._tap = tap
         self._hash = hashlib.sha256()
         for name, wrap in (
             ("register", _recording_inbox),
@@ -496,12 +503,15 @@ class DeliveryOrderRecorder:
     def digest(self) -> str:
         return self._hash.hexdigest()
 
-    def _record(self, now: float, dst: int, src: int, cls: type) -> None:
-        row = (now, dst, int(src), cls.__name__)
+    def _record(self, now: float, dst: int, src: int, cls: type, message) -> None:
+        src = int(src)
+        row = (now, dst, src, cls.__name__)
         self.count += 1
         self._hash.update(repr(row).encode())
         if self.rows is not None:
             self.rows.append(row)
+        if self._tap is not None:
+            self._tap(dst, src, message)
 
     def _wrapping(self, register, wrap):
         return lambda node, target: register(node, wrap(self, node, target))
@@ -509,7 +519,7 @@ class DeliveryOrderRecorder:
 
 def _recording_inbox(recorder, dst, handler):
     def inbox(src, message):
-        recorder._record(recorder.sim.now, dst, src, message.__class__)
+        recorder._record(recorder.sim.now, dst, src, message.__class__, message)
         handler(src, message)
 
     return inbox
@@ -531,7 +541,7 @@ class _RecordingRoute:
         dst = self.dst
 
         def terminal(src, message):
-            recorder._record(recorder.sim.now, dst, src, cls)
+            recorder._record(recorder.sim.now, dst, src, cls, message)
             if handler is not None:
                 handler(src, message)
 
@@ -559,7 +569,54 @@ class _RecordingEndpoint:
             width = len(messages)
             rows = width if consumed is None else max(1, min(consumed, width))
             for k in range(rows):
-                recorder._record(times[k], dst, srcs[k], messages[k].__class__)
+                message = messages[k]
+                recorder._record(times[k], dst, srcs[k], message.__class__, message)
             return consumed
 
         return recording
+
+
+class BlockObserver:
+    """Every block each node was handed (Proposal or Forward), by height.
+
+    The chained engines keep a height's block only until it commits, so
+    a test that wants the run's history -- who proposed, which block a
+    replica committed at a height -- observes deliveries instead of
+    reading ``block_at_height`` after the fact.  Install on an idle
+    network, like the :class:`DeliveryOrderRecorder` it taps.
+    """
+
+    def __init__(self, network):
+        #: (node, height) -> the block last delivered to it at that height.
+        self.blocks: Dict[Tuple[int, int], object] = {}
+        self._recorder = DeliveryOrderRecorder(network, tap=self._see)
+
+    def _see(self, dst: int, src: int, message) -> None:
+        block = getattr(message, "block", None)
+        if block is not None:
+            self.blocks[(dst, block.height)] = block
+
+    @property
+    def proposers(self) -> Set[int]:
+        return {block.proposer for block in self.blocks.values()}
+
+
+#: Every map a replica keys by height (chained engines) or sequence
+#: number (PBFT); each engine holds its own subset.
+PER_HEIGHT_MAPS: Tuple[str, ...] = (
+    "preprepares", "executed", "prepare_weight", "commit_weight",
+    "block_at_height", "votes", "collections",
+    "root_votes", "qc_heights",
+)
+
+
+def per_height_entries(cluster, exclude: Sequence[str] = ()) -> int:
+    """Summed ``len()`` of every :data:`PER_HEIGHT_MAPS` member the
+    cluster's replicas have, minus the ``exclude``d names."""
+    total = 0
+    for replica in cluster.replicas:
+        for attr in PER_HEIGHT_MAPS:
+            state = None if attr in exclude else getattr(replica, attr, None)
+            if state is not None:
+                total += len(state)
+    return total
