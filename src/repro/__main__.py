@@ -481,16 +481,15 @@ def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pipeline-depth", type=int, default=None)
     parser.add_argument("--plane", default="object",
                         choices=("object", "columnar", "columnar-fast",
-                                 "check", "check-fast"),
-                        help="message plane: object (one event per message), "
-                             "columnar (batched deliveries, bit-identical "
-                             "results; faulted scenarios fall back to "
-                             "object), columnar-fast (coalesced barrier-"
+                                 "check-fast"),
+                        help="message plane: object (exact; narrow sends "
+                             "wait in the event heap, wide pristine "
+                             "multicasts in the row store -- columnar is a "
+                             "synonym), columnar-fast (coalesced barrier-"
                              "window deliveries, equivalent final metrics "
-                             "for campaign runs; needs jitter handling like "
-                             "columnar), check (run object+columnar, assert "
-                             "identical state traces), or check-fast (run "
-                             "columnar+columnar-fast at jitter=0, assert "
+                             "for campaign runs; faulted scenarios fall "
+                             "back to object), or check-fast (run "
+                             "object+columnar-fast at jitter=0, assert "
                              "equal commit counts and quantiles within the "
                              "sketch error bound)")
     parser.add_argument("--output", metavar="FILE",

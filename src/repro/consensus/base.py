@@ -150,10 +150,10 @@ class ReplicaBase:
         # The live cache doubles as the network's delivery fast path:
         # classes it already maps skip the on_message dispatch frame.
         network.register_dispatch(replica_id, self._handler_cache)
-        # Columnar-plane opt-in: the network probes the replica for
+        # Relaxed-plane opt-in: the network probes the replica for
         # handle_<Class>Batch methods and hands them same-class runs of
         # queued deliveries (see Network.register_batch_endpoint for the
-        # contract batch handlers must follow).  A no-op on the object
+        # contract batch handlers must follow).  A no-op on the exact
         # plane and for protocols without batch handlers.
         network.register_batch_endpoint(replica_id, self)
 

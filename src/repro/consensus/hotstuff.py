@@ -208,7 +208,7 @@ class HotStuffReplica(ReplicaBase):
             self.propose(height + 1, vote.block_hash)
 
     # ------------------------------------------------------------------
-    # Columnar-plane batch handlers (see Network.register_batch_endpoint
+    # Relaxed-plane batch handlers (see Network.register_batch_endpoint
     # for the contract: process rows in order, set sim.now before side
     # effects, stop right after any row that sends or schedules)
     # ------------------------------------------------------------------

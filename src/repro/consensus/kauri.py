@@ -307,7 +307,7 @@ class KauriReplica(ReplicaBase):
             self._flush_aggregate(vote.height)
 
     # ------------------------------------------------------------------
-    # Columnar-plane batch handlers (see Network.register_batch_endpoint
+    # Relaxed-plane batch handlers (see Network.register_batch_endpoint
     # for the contract: process rows in order, set sim.now before side
     # effects, stop right after any row that sends or schedules)
     # ------------------------------------------------------------------

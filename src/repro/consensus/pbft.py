@@ -154,8 +154,8 @@ class PbftReplica(ReplicaBase):
             # late Prepare/Commit arrives, so any row may send -- which
             # the batch-handler contract cannot express without yielding
             # after every row.  Shadow the class-level batch handlers with
-            # None: the columnar drain then delivers per row, which is
-            # exactly the object plane's semantics.
+            # None: the relaxed drain then delivers per row, which is
+            # exactly the exact plane's semantics.
             self.handle_PrepareBatch = None
             self.handle_CommitBatch = None
             self._sensor = self.optilog.pipeline.suspicion_sensor
@@ -325,7 +325,7 @@ class PbftReplica(ReplicaBase):
         self._maybe_execute(seq)
 
     # ------------------------------------------------------------------
-    # Columnar-plane batch handlers (see Network.register_batch_endpoint
+    # Relaxed-plane batch handlers (see Network.register_batch_endpoint
     # for the contract: process rows in order, set sim.now before side
     # effects, stop right after any row that sends or schedules).
     # Disabled per instance in optiaware mode (see __init__): there a

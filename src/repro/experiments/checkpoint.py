@@ -84,6 +84,32 @@ class _DeliverToken:
         )
 
 
+class _RetiredSpine:
+    """What ``repro.sim.network._Spine`` unpickles to.  Older builds kept
+    narrow sends in a sorted-list spine and pickled one with every
+    network: an empty one is dropped (``Network.__setstate__``); one
+    with rows in flight, or with a ``_drain_spine`` cursor still in the
+    heap, would resume without those deliveries."""
+
+    _REFUSAL = (
+        "checkpoint holds deliveries in flight in the sorted-list spine "
+        "(_Spine rows or a _drain_spine cursor), which this build "
+        "cannot restore; re-run the scenario from its start"
+    )
+
+    def __setstate__(self, state: tuple) -> None:
+        # (entries, armed key, live cursor keys[, parked blocks])
+        if any(state):
+            raise CheckpointError(self._REFUSAL)
+
+
+def _getattr(obj: Any, name: str) -> Any:
+    """``getattr`` as pickle calls it to rebuild a bound method."""
+    if name == "_drain_spine":
+        raise CheckpointError(_RetiredSpine._REFUSAL)
+    return getattr(obj, name)
+
+
 class _CheckpointPickler(pickle.Pickler):
     """Pickler that tokenises the network delivery closure."""
 
@@ -104,6 +130,10 @@ class _CheckpointUnpickler(pickle.Unpickler):
                 "blocks, which this build cannot restore; re-run the "
                 "scenario from its start"
             )
+        if (module, name) == ("repro.sim.network", "_Spine"):
+            return _RetiredSpine
+        if (module, name) == ("builtins", "getattr"):
+            return _getattr
         return super().find_class(module, name)
 
     def persistent_load(self, pid: str) -> Any:

@@ -380,15 +380,21 @@ class Scenario:
     measurements: Optional[MeasurementPolicy] = None
     search_iterations: int = 20_000  # OptiTree's annealing budget
     pipeline_depth: Optional[int] = None
-    #: Message plane: ``"object"`` (one heap event per message),
-    #: ``"columnar"`` (batched record deliveries, bit-identical results)
-    #: or ``"check"`` (run both, assert identical state-trace hashes).
-    #: Scenarios with scheduled faults always run on the object plane
-    #: regardless of this setting -- see :func:`_effective_plane`.
+    #: Message plane: ``"object"`` (exact; ``"columnar"`` is a synonym
+    #: kept for older callers and result files), ``"columnar-fast"``
+    #: (relaxed, equivalent final metrics; scheduled faults downgrade it
+    #: to exact -- see :func:`_effective_plane`) or ``"check-fast"`` (run
+    #: both, assert that equivalence).
     plane: str = "object"
     name: str = ""
 
     def __post_init__(self) -> None:
+        if self.plane == "check":
+            raise ValueError(
+                "plane='check' is gone: there is one exact plane, and the "
+                "heap-vs-store equivalence it asserted now lives in the "
+                "test suite (tests/experiments/test_delivery_order.py)"
+            )
         if self.plane not in MESSAGE_PLANES:
             raise ValueError(
                 f"unknown message plane {self.plane!r} "
@@ -419,11 +425,10 @@ class Scenario:
             ),
             "faults": [asdict(fault) for fault in self.faults],
         }
-        # The plane changes *how* messages are delivered, never *what*
-        # the run computes, so the default plane is omitted: golden
-        # files, checkpoint scenario identity and every pre-existing
-        # describe() consumer see byte-identical output.
-        if self.plane != "object":
+        # The exact plane, under either name, is omitted: golden files,
+        # checkpoint scenario identity and every pre-existing describe()
+        # consumer see byte-identical output.
+        if self.plane not in ("object", "columnar"):
             out["plane"] = self.plane
         return out
 
@@ -470,15 +475,16 @@ class ScenarioResult:
                     self.fault_instruments, key=lambda entry: entry[0]
                 )
             ]
-        # The plane describing itself.  Both keys are absent for a
-        # scenario that asked for the object plane, so golden files and
+        # The plane describing what it did, not what was asked for.
+        # Both keys are absent while the store never engaged (every
+        # n < ``Network.block_fanout`` exact run), so golden files and
         # every pre-existing consumer see byte-identical output.
         network = self.cluster.network
-        requested = _CHECKED_PLANE.get(self.scenario.plane, self.scenario.plane)
-        if network.plane != requested:
+        relaxed = self.scenario.plane in ("columnar-fast", "check-fast")
+        if relaxed and network.plane != "columnar-fast":
             # _effective_plane downgraded a faulted scenario.
             out["effective_plane"] = network.plane
-        if network.plane != "object":
+        if any(network.stats.plane.values()):
             # What the drains did (see NetworkStats.plane): same seed,
             # same counts -- but how a run is sliced into run() calls
             # and checkpoints moves windows, folds and put-backs.
@@ -614,23 +620,13 @@ def _resolve_workload(scenario: Scenario) -> Optional[Workload]:
 # ----------------------------------------------------------------------
 # Cluster construction
 # ----------------------------------------------------------------------
-#: The plane whose cluster a checked run hands back.
-_CHECKED_PLANE = {"check": "columnar", "check-fast": "columnar-fast"}
-
-
 def _effective_plane(scenario: Scenario) -> str:
-    """Resolve the message plane the cluster will actually use.
-
-    ``"check"``/``"check-fast"`` never reach a cluster (``run_scenario``
-    expands them into two full runs; ``prepare_scenario`` rejects them).
-    Scenarios with scheduled faults fall back to the object plane: the
-    columnar routes only cover pristine traffic, and forcing the
-    fallback here keeps faulted runs on the exact code path every golden
-    file was recorded against.  (The network additionally falls back
-    per-send at runtime if a fault appears outside the scenario's fault
-    list.)
-    """
-    if scenario.plane in ("columnar", "columnar-fast") and scenario.faults:
+    """The message plane the cluster will actually use.  A relaxed
+    scenario with scheduled faults runs exact: the relaxed drain and its
+    equivalence bound only cover pristine traffic.  (The exact plane
+    needs no such rule -- its store falls back per row the moment a
+    fault lands -- and ``"check-fast"`` never reaches a cluster.)"""
+    if scenario.plane == "columnar-fast" and scenario.faults:
         return "object"
     return scenario.plane
 
@@ -1259,9 +1255,9 @@ def prepare_scenario(scenario: Scenario) -> ScenarioResult:
         raise ValueError(
             f"unknown protocol {scenario.protocol!r} (known: {known})"
         )
-    if scenario.plane in ("check", "check-fast"):
+    if scenario.plane == "check-fast":
         raise ValueError(
-            f"plane={scenario.plane!r} runs the scenario twice and cannot "
+            "plane='check-fast' runs the scenario twice and cannot "
             "hand out one armed cluster; use run_scenario, or prepare the "
             "planes it compares separately"
         )
@@ -1294,19 +1290,16 @@ def prepare_scenario(scenario: Scenario) -> ScenarioResult:
 
 
 class PlaneDivergence(RuntimeError):
-    """A fast plane computed a different run than its reference plane.
+    """The relaxed plane computed a different run than the exact one.
 
-    Raised by ``plane='check'`` (columnar vs object, bit-identity) and
-    ``plane='check-fast'`` (columnar-fast vs columnar, final-metrics
-    equivalence) scenarios; always a bug in a fast delivery path (or a
-    batch handler violating its contract), never expected behaviour.
+    Raised by ``plane='check-fast'`` scenarios (final-metrics
+    equivalence); always a bug in the relaxed delivery path (or a batch
+    handler violating its contract), never expected behaviour.
     """
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Execute one scenario end-to-end, deterministically under its seed."""
-    if scenario.plane == "check":
-        return _run_checked(scenario)
     if scenario.plane == "check-fast":
         return _run_checked_fast(scenario)
     result = prepare_scenario(scenario)
@@ -1314,56 +1307,6 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     if _metrics_mode(scenario) == "check":
         _verify_measurements(scenario, result)
     return result
-
-
-def _run_checked(scenario: Scenario) -> ScenarioResult:
-    """``plane='check'``: run both planes, assert bit-identity, return
-    the columnar result.
-
-    Equality is judged twice: on :func:`state_trace_hash` (replica
-    state, commits, network stats, clock, RNG streams) and on the
-    metrics JSON (minus the plane tag itself).  Either mismatch raises
-    :class:`PlaneDivergence` naming the first differing field.
-    """
-    from repro.experiments.trace import state_trace_hash
-
-    if isinstance(scenario.workload, Workload):
-        raise ValueError(
-            "plane='check' reruns the scenario and needs a named workload "
-            "(a Workload instance would be consumed by the first run)"
-        )
-    object_result = run_scenario(replace(scenario, plane="object"))
-    columnar_result = run_scenario(replace(scenario, plane="columnar"))
-    object_hash = state_trace_hash(object_result.cluster)
-    columnar_hash = state_trace_hash(columnar_result.cluster)
-    if object_hash != columnar_hash:
-        raise PlaneDivergence(
-            f"state-trace hash diverged for {scenario.describe()['name']}: "
-            f"object={object_hash} columnar={columnar_hash}"
-        )
-    object_metrics = object_result.metrics()
-    columnar_metrics = columnar_result.metrics()
-    for metrics in (object_metrics, columnar_metrics):
-        metrics["scenario"].pop("plane", None)
-        # The plane's account of itself is not something planes share.
-        metrics.pop("plane", None)
-        metrics.pop("effective_plane", None)
-    object_json = json.dumps(object_metrics, sort_keys=True)
-    columnar_json = json.dumps(columnar_metrics, sort_keys=True)
-    if object_json != columnar_json:
-        diverged = sorted(
-            key
-            for key in set(object_metrics) | set(columnar_metrics)
-            if object_metrics.get(key) != columnar_metrics.get(key)
-        )
-        raise PlaneDivergence(
-            f"metrics diverged for {scenario.describe()['name']} "
-            f"in field(s): {', '.join(diverged)}"
-        )
-    # Report the scenario as requested (plane='check'), not the twin
-    # that happened to produce the returned cluster.
-    columnar_result.scenario = scenario
-    return columnar_result
 
 
 def _commit_heights(cluster) -> List[int]:
@@ -1382,8 +1325,8 @@ def _run_checked_fast(scenario: Scenario) -> ScenarioResult:
     """``plane='check-fast'``: run ``columnar`` and ``columnar-fast``,
     assert documented-equivalent final metrics, return the fast result.
 
-    Unlike ``plane='check'`` this does NOT compare state-trace hashes --
-    the relaxed plane coalesces deliveries inside barrier windows, so
+    This does NOT compare state-trace hashes -- the relaxed plane
+    coalesces deliveries inside barrier windows, so
     per-row interleavings (and with them RNG stream positions and exact
     latency digits) legitimately differ.  What MUST hold:
 

@@ -1,4 +1,5 @@
-"""State-trace hashing: the equivalence oracle for the message planes.
+"""State-trace hashing: the end-state half of the equivalence oracle for
+where the network lets a delivery wait.
 
 :func:`state_trace_hash` folds everything the simulation *computed* --
 per-replica protocol state, every commit event, network statistics
@@ -6,14 +7,15 @@ including the per-type byte ledger, the clock, the sequence counter and
 both RNG streams -- into one sha256 hex digest.  Two runs of the same
 scenario agree on this hash iff they delivered the same messages at the
 same times in the same order and drew the same randomness; it is the
-invariant ``MessagePlane("check")`` asserts between the object plane and
-the columnar plane.
+invariant the test suite asserts -- with the delivery-order digest of
+``tests/oracles.py`` -- between a heap-only run and one whose wide
+multicasts wait in the row store.
 
 What is deliberately **excluded**:
 
-* ``sim.events_processed`` -- the planes disagree on it by design (a
-  columnar drain of k messages is one heap event, not k), and it carries
-  no simulation-visible state;
+* ``sim.events_processed`` -- the two disagree on it by design (a store
+  drain of k messages is one heap event, not k), and it carries no
+  simulation-visible state;
 * the pending event heap -- cursor entries and per-message entries
   represent the same future deliveries differently; everything the heap
   will cause is already pinned down by the RNG states and the counters;

@@ -250,8 +250,8 @@ class HierarchicalLatencyModel:
         Distinct pairs pay at least the base term (``LOCAL_RTT_MS`` in
         region, the base table across regions) and offsets only add, so
         the minimum over the region table bounds every pair from below.
-        Conservative is fine here -- the consumer (the relaxed message
-        plane's drain window) only needs *a* positive lower bound.
+        Conservative is fine here -- the consumer (the network store's
+        drain window) only needs *a* positive lower bound.
         """
         base = self._base_ms
         regions = base.shape[0]

@@ -58,9 +58,9 @@ class _OneWay:
         return self.rows[src]
 
     def delay_floor(self) -> float:
-        """Smallest cross-node delay (seconds); the relaxed message
-        plane's window cap (``sim.network._drain_fast``) needs a lower
-        bound on every delay this provider can ever answer."""
+        """Smallest cross-node delay (seconds); the network store's
+        window cap (``sim.network._FastSpine.cut``) needs a lower bound
+        on every delay this provider can ever answer."""
         matrix = np.asarray(self.rows, dtype=float)
         n = matrix.shape[0]
         if n < 2:

@@ -93,9 +93,9 @@ class Simulator:
         #: the perf ledger's ``sim.engine.max_queue_depth`` count.
         self.max_queue_depth = 0
         #: The active run()'s time horizon (``inf`` outside run()).  Event
-        #: callbacks that expand into multiple deliveries -- the columnar
-        #: network's drain loops -- read this so they never deliver past
-        #: the point where run() itself would have stopped.
+        #: callbacks that deliver many messages -- the network's store
+        #: drains, which also pop deliveries off this queue's head -- read
+        #: this so they never pass the point where run() would have stopped.
         self.horizon = float("inf")
 
     # ------------------------------------------------------------------

@@ -13,79 +13,77 @@ unreachable, so sends and deliveries skip the down/partition checks --
 an *interceptor-only* network (a delay, loss or stealth attack with
 every node up) never calls ``_partitioned``; its multicasts loop over
 ``send``.  ``_pristine`` (``_links_clear`` and no interceptor): nothing can
-drop, delay or rewrite a message, so the columnar planes may batch it.
-Installing a fault mid-run re-enables the checks, including for messages
-already in flight, which re-validate at delivery time.  Every path draws
-in the same order (delay, jitter, interceptors, stats, seq), so seeded
-runs are bit-identical whichever one a message takes.
+drop, delay or rewrite a message, so a wide multicast may park in the
+store.  Installing a fault mid-run re-enables the checks, including for
+messages already in flight, which re-validate at delivery time.  Every
+path draws in the same order (delay, jitter, interceptors, stats, seq),
+so seeded runs are bit-identical whichever one a message takes.
 
-Message planes
---------------
-The network supports three delivery planes (``plane=`` constructor arg):
+Message plane
+-------------
+A pending delivery waits in one of two places, and the network picks by
+what it can observe about the send.
 
-``object``
-    The historical path: one heap entry per message, one delivery
-    callback per message.
+*The event heap.*  ``send()``, narrow multicasts, zero-delay self copies
+and every send on a non-pristine network push one
+``(time, seq, None, _deliver, (src, dst, message))`` entry.
 
-``columnar``
-    The batched, *exact* path.  Pristine deliveries never touch the
-    event heap: unicasts, narrow multicasts and zero-delay self copies
-    become ``(arrival_time, seq, src, dst, message)`` tuples in one
-    globally sorted *spine*; the cross-node rows of wide multicasts
-    (fanout >= ``Network.block_fanout``) are parked in the *wide-row
-    store* (:class:`_FastSpine`: ~20-byte array rows, a sorted prefix
-    plus an O(1) append tail).  One armed heap *cursor* stands for the
-    earliest of both, so the heap carries only timers and the cursor;
-    when it fires, a drain loop delivers long runs of consecutive rows
-    while their ``(time, seq)`` keys precede every other pending event
-    (and the run horizon), handing maximal same-destination same-class
-    tuple runs to per-node batch handlers (``handle_<Class>Batch``).
-    Every row keeps exactly the ``(time, seq)`` key the object plane
-    would have assigned -- the same jitter draws in the same order, the
-    same consecutive seq numbers -- so delivering rows in key order *is*
-    the object plane's heap pop order and seeded runs are bit-identical
-    across planes.
+*The wide-row store* (:class:`_FastSpine`: ~20-byte array rows, a sorted
+prefix plus an O(1) append tail).  A pristine multicast with
+``len(dsts) >= Network.block_fanout`` over a provider that advertises a
+positive ``delay_floor()`` parks its cross-node rows there; one armed
+heap *cursor* stands for the earliest of them.  Every row keeps exactly
+the ``(time, seq)`` key its heap entry would have had -- the same jitter
+draws in the same order, the same consecutive seq numbers -- so
+delivering rows and heap entries in key order *is* the heap-only pop
+order, and seeded runs are bit-identical whatever the threshold.
 
-    The store is drained in *windows*.  A cut takes every stored row
-    below ``min(barrier, earliest pending time + delay_floor)``, sorts
-    that window once, unboxes it to flat lists once and merges it per
-    row against the tuples.  The window invariant makes re-merging
-    unnecessary: whatever is sent while a window is delivered is sent at
-    or after the window's start and travels at least the provider's
-    ``delay_floor()`` (jitter only stretches a delay; float addition is
-    monotone), so it lands at or past the window end, with a fresh
-    larger seq.  Two things can still land inside a window.  Zero-delay
-    self copies: they stay tuples, which the merge watches.  Timers: one
-    that becomes the heap head moves the barrier, and window rows now
-    behind it are *put back* on the store's append tail for a later cut.
-    Providers without a floor (bare callables) keep wide multicasts on
-    the tuple path.
+The store is drained in *windows* (:meth:`Network._drain_store`).  A cut
+takes every stored row below ``min(barrier, earliest pending time +
+delay_floor)``, sorts that window once and unboxes it to flat lists
+once.  The window invariant makes re-merging unnecessary: whatever is
+sent while a window is delivered is sent at or after the window's start
+and travels at least the floor (jitter only stretches a delay; float
+addition is monotone), so it lands at or past the window end, with a
+fresh larger seq.  What can still land inside a window sits in the
+heap, and the drain merges the window against the heap's head:
 
-    The moment a fault makes the network non-pristine, new sends take
-    the object path and in-flight rows drain one message at a time
-    through the same delivery-time checks as the object plane.
+1. A head that is a pending delivery within the horizon is *merged*:
+   popped and delivered inline when it is next in ``(time, seq)`` order
+   and below the window's cap.  It is not a barrier -- that would split
+   a window at every unicast -- and it does not count as an engine
+   event.
+2. While such a head is pending, the next window starts at
+   ``min(store's earliest, head time)``: the head's handler parks rows a
+   floor after *it*.
+3. Past the cap, or once rows were parked since the last cut, the next
+   window is cut before the head is looked at again.
+4. When nothing is stored the drain ends: nothing is popped inline
+   without a window to protect.
+5. Any other head -- a timer, a stale cursor, an entry past the horizon
+   -- is the *barrier*: window rows behind it are *put back* on the
+   store's append tail, and the drain yields to the engine there.
 
-``columnar-fast``
-    The relaxed campaign path: *every* pending row lives in the store,
-    and each pass of the drain cuts the same kind of window but delivers
-    it destination-major, handing each destination's maximal same-class
-    run to its batch handler in ONE call -- even when, on the exact
-    plane, interleaved traffic to other destinations would have split
-    the run.  Semantics are *documented-equivalent*, not bit-identical:
-    per-row ``(time, seq)`` keys, jitter draws and seq allocation are
-    exactly the object plane's, and no row is ever reordered across a
-    timer barrier, but within a window ``sim.now`` can step backwards
-    between destination groups and per-replica arrival interleavings
-    differ.  Final metrics (commit counts, request totals, latency
-    quantiles) agree with ``columnar`` within the measurement-sketch
-    error bound; ``plane="check-fast"`` (resolved by the runner, like
-    ``"check"``) asserts exactly that.  Faults fall back identically to
-    ``columnar``.
+``plane="columnar-fast"`` (constructor arg; ``"columnar"`` is accepted
+as a synonym of the default ``"object"``) is the relaxed campaign path:
+*every* pending row lives in the store, and each pass of its drain cuts
+the same kind of window but delivers it destination-major, handing each
+destination's maximal same-class run to its batch handler
+(``handle_<Class>Batch``) in ONE call -- even when, on the exact plane,
+interleaved traffic to other destinations would have split the run.
+Semantics are *documented-equivalent*, not bit-identical: per-row
+``(time, seq)`` keys, jitter draws and seq allocation are exactly the
+exact plane's, and no row is ever reordered across a timer barrier, but
+within a window ``sim.now`` can step backwards between destination
+groups and per-replica arrival interleavings differ.  Final metrics
+(commit counts, request totals, latency quantiles) agree with the exact
+plane within the measurement-sketch error bound; ``plane="check-fast"``
+(resolved by the runner) asserts exactly that.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right as _bisect_right, insort as _insort
+from bisect import bisect_right as _bisect_right
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Dict, Iterable, Optional
 
@@ -93,13 +91,12 @@ import numpy as np
 
 from repro.sim.engine import SimulationError, Simulator
 
-#: Valid values for the ``plane`` knob as seen by scenario plumbing.  The
-#: network itself only builds "object", "columnar" or "columnar-fast";
-#: "check" and "check-fast" are resolved by the experiment runner into one
-#: run per plane plus a comparison (state-trace hashes for "check", final
-#: metrics within the sketch error bound for "check-fast"), mirroring
-#: ``check_score``/``check_rebuild``.
-MESSAGE_PLANES = ("object", "columnar", "columnar-fast", "check", "check-fast")
+#: Valid values for the ``plane`` knob as seen by scenario plumbing:
+#: "object" is the exact plane and "columnar" an accepted synonym with no
+#: behaviour of its own (older result files and callers name it);
+#: "check-fast" is resolved by the experiment runner into an exact and a
+#: relaxed run plus a comparison of their final metrics.
+MESSAGE_PLANES = ("object", "columnar", "columnar-fast", "check-fast")
 
 # An interceptor receives (src, dst, message, delay) and returns either
 # None (drop the message) or a (message, delay) pair to use instead.
@@ -126,8 +123,8 @@ def _provider_delay_floor(provider: Any) -> float:
     Resolved by duck-typing a ``delay_floor()`` method (the latency
     providers in :mod:`repro.net` and the client-site router implement
     it); bare callables answer 0.0.  The exact plane then keeps wide
-    multicasts on the tuple path, and the relaxed drain loses its window
-    cap -- see :meth:`Network._drain_fast` for what that costs in
+    multicasts in the heap, and the relaxed drain loses its window cap
+    -- see :meth:`Network._drain_fast` for what that costs in
     equivalence guarantees.
     """
     fn = getattr(provider, "delay_floor", None)
@@ -152,47 +149,6 @@ def _key_order(times: Any, seqs: Any) -> Any:
     return order
 
 
-class _Spine:
-    """The exact plane's tuple rows and its one heap cursor.
-
-    ``entries`` is a list of ``(arrival_time, seq, src, dst, message)``
-    rows kept sorted by ``(time, seq)`` (seqs are unique, so sort
-    comparisons never reach ``src``).  All destinations share the one
-    column -- rather than one column per destination -- which is what
-    makes the drain loop long: interleaved traffic to different
-    destinations does not break a drain into per-row cursor hops.
-
-    ``armed`` is the key of the row the live heap cursor is responsible
-    for -- the earliest of ``entries`` and the store -- or ``None`` when
-    both are empty; ``live`` holds the keys of every cursor currently in
-    the heap, so a drain that re-arms at a key whose cursor is still
-    queued does not push a duplicate (two heap tuples with equal
-    ``(time, seq)`` would make the heap compare callbacks).  A cursor
-    that fires when ``armed`` moved on is stale and returns immediately.
-    """
-
-    __slots__ = ("entries", "armed", "live")
-
-    def __init__(self):
-        self.entries: list = []
-        self.armed: Optional[tuple] = None
-        self.live: set = set()
-
-    def __getstate__(self):
-        return (self.entries, self.armed, self.live)
-
-    def __setstate__(self, state):
-        # 4-tuples come from checkpoints that still had a block heap.  A
-        # parked block never gets this far (its class is gone, so the
-        # load fails naming ``_SpineBlock``); an empty heap is dropped.
-        self.entries, self.armed, self.live = state[:3]
-        if len(state) > 3 and state[3]:
-            raise SimulationError(
-                "checkpoint parks spine blocks, which this build cannot "
-                "restore; re-run the scenario from its start"
-            )
-
-
 #: Checkpoint row layout of the wide-row store (in memory the columns
 #: live as parallel contiguous arrays).  u4 seqs are stored relative to
 #: ``_FastSpine.seq_base`` so the column survives multi-billion-event
@@ -207,7 +163,7 @@ _FAST_COLUMNS = ("times", "seqs", "dsts", "msgs")
 #: A store holding at most this many rows is *sparse*: a lone fanout in
 #: flight (a HotStuff proposal, PBFT's PrePrepare) puts a handful of
 #: rows in each delay-floor window, and a cut costs ~30 us of numpy
-#: calls however few it yields.  See ``Network._drain_spine``.
+#: calls however few it yields.  See ``Network._drain_store``.
 _SPARSE_ROWS = 4096
 
 #: Relative-seq ceiling that triggers a rebase of the store's seq
@@ -216,9 +172,9 @@ _FAST_SEQ_LIMIT = 0xFFF00000
 
 
 class _FastSpine:
-    """The columnar planes' wide-row store: pending pristine deliveries
-    as ~20-byte array rows (every row of the relaxed plane, the wide
-    multicasts of the exact one).
+    """The wide-row store: pending pristine deliveries as ~20-byte array
+    rows (every row of the relaxed plane, the wide multicasts of the
+    exact one).
 
     In memory the rows are four parallel arrays (``times`` f8, ``seqs``
     / ``dsts`` / ``msgs`` u4) -- parallel rather than one structured
@@ -242,8 +198,13 @@ class _FastSpine:
     amortized ``O(log)`` sorts per row.
 
     ``seq_base`` is the absolute seq the relative u4 ``seqs`` column is
-    anchored at.  ``armed``/``live`` are the relaxed plane's cursor
-    bookkeeping (as on :class:`_Spine`, where the exact plane's lives).
+    anchored at.  ``armed`` is the key of the row the live heap cursor
+    is responsible for -- the store's earliest -- or ``None`` when it is
+    empty; ``live`` holds the keys of every cursor currently in the
+    heap, so a drain that re-arms at a key whose cursor is still queued
+    does not push a duplicate (two heap tuples with equal ``(time,
+    seq)`` would make the heap compare callbacks).  A cursor that fires
+    when ``armed`` moved on is stale and returns immediately.
     """
 
     __slots__ = (
@@ -532,7 +493,7 @@ class _FastSpine:
 
 
 _PLANE_COUNTERS = (
-    "windows", "window_rows", "tuple_rows", "tail_folds", "put_backs",
+    "windows", "window_rows", "merged_rows", "tail_folds", "put_backs",
     "fault_fallbacks",
 )
 
@@ -570,18 +531,21 @@ class NetworkStats:
         self.messages_multicast = 0
         #: message class -> [messages, bytes], in first-send order.
         self._per_class: Dict[type, list] = {}
-        #: What the columnar drains did (all zero on the object plane):
-        #: store windows cut and rows delivered from them, rows from
-        #: tuples, tail folds, truncated windows and rows that took the
-        #: delivery-time checks because a fault landed mid-flight.
-        #: Deterministic, but a property of the plane: no cross-plane
-        #: oracle reads it.
+        #: What the store's drains did (all zero while nothing parked
+        #: there): windows cut and rows delivered from them, heap
+        #: deliveries merged inline between those rows, tail folds,
+        #: truncated windows and rows that took the delivery-time checks
+        #: because a fault landed mid-flight.  Deterministic, but a
+        #: property of where rows waited: no heap-vs-store oracle reads
+        #: it.
         self.plane: Dict[str, int] = dict.fromkeys(_PLANE_COUNTERS, 0)
 
     def __setstate__(self, state) -> None:
-        self.plane = dict.fromkeys(_PLANE_COUNTERS, 0)  # older checkpoints
         for name, value in state[1].items():
             setattr(self, name, value)
+        # Older checkpoints: no counters, or the sorted-list spine's.
+        old = getattr(self, "plane", {})
+        self.plane = {name: old.get(name, 0) for name in _PLANE_COUNTERS}
 
     @property
     def messages_sent(self) -> int:
@@ -639,20 +603,26 @@ class Network:
         Jitter draws come from a dedicated generator so enabling or
         disabling it does not perturb other random streams.
     plane:
-        ``"object"`` (default), ``"columnar"`` or ``"columnar-fast"`` --
-        see the module docstring.  The first two are bit-identical for
-        seeded runs; ``columnar-fast`` trades exact per-row interleaving
-        for coalesced barrier-window delivery (documented-equivalent
-        final metrics).
+        ``"object"`` (default; ``"columnar"`` is a synonym) or
+        ``"columnar-fast"`` -- see the module docstring.  The latter
+        trades exact per-row interleaving for coalesced barrier-window
+        delivery (documented-equivalent final metrics).
     """
 
     #: Pristine exact-plane multicasts with at least this fanout park
     #: their rows in the wide-row store (:class:`_FastSpine`) instead of
-    #: merging tuple rows into the spine -- provided the delay provider
+    #: pushing one heap entry each -- provided the delay provider
     #: advertises a positive ``delay_floor``, which the windowed drain
-    #: rests on.  Below it the per-window numpy overhead loses to
-    #: tuples.  Class-level so tests can lower it (per instance or
-    #: globally) to exercise the store at small n.
+    #: rests on.  Width stands in for *density*: a window costs ~30 us
+    #: of numpy calls however few rows it yields.  Store / heap-only us
+    #: per delivery, same run, threshold forced to 32: pbft 3.46 at
+    #: n = 64, 1.28 at 96, 0.89 at 128, 0.44 at 211; hotstuff-rr 1.23 at
+    #: 128, 1.15 at 211, 1.08 at 512 -- a lone one-to-all fanout never
+    #: pays.  256 stays because the ledger has a workload on each side of
+    #: it and none between n = 73 and 512 that could judge another value.
+    #: Class-level so tests can lower it (per instance or globally) to
+    #: exercise the store at small n, or raise it to ``inf`` for the
+    #: heap-only oracle.
     block_fanout: int = 256
 
     def __init__(
@@ -665,12 +635,10 @@ class Network:
         if plane not in ("object", "columnar", "columnar-fast"):
             raise ValueError(
                 f"unknown message plane {plane!r}; the network builds "
-                "'object', 'columnar' or 'columnar-fast' ('check' and "
-                "'check-fast' are resolved by the runner)"
+                "'object' (synonym 'columnar') or 'columnar-fast' "
+                "('check-fast' is resolved by the runner)"
             )
         self.sim = sim
-        self.plane = plane
-        self._columnar = plane in ("columnar", "columnar-fast")
         self._relaxed = plane == "columnar-fast"
         self._delay_rows: Optional[list] = None
         self._delay_row_fn: Optional[Callable[[int], Optional[list]]] = None
@@ -682,10 +650,6 @@ class Network:
         self.one_way_delay = one_way_delay
         self.jitter = jitter
         self._stats = NetworkStats()
-        #: The exact plane's sorted tuple rows and its heap cursor.
-        self._spine = _Spine()
-        #: The wide-row store: every row of the relaxed plane, the wide
-        #: multicasts of the exact one.
         self._fast = _FastSpine()
         #: message class -> small-int code for the store's per-slot
         #: class column.  Pickled with the network: parked slots carry
@@ -693,8 +657,6 @@ class Network:
         self._cls_codes: Dict[type, int] = {}
         #: node id -> object probed for ``handle_<Class>Batch`` methods.
         self._batch_endpoints: Dict[int, Any] = {}
-        #: node id -> class -> batch handler (or None), lazily resolved.
-        self._batch_routes: Dict[int, Dict[type, Optional[Callable]]] = {}
         #: ``(cls code << 32) | dst`` -> resolved dispatch tuple for the
         #: relaxed drain's run loop (see ``_resolve_fast_dispatch``).
         #: Pure cache: cleared on every registration change, never
@@ -718,7 +680,7 @@ class Network:
         #: deliveries skip the reachability checks.
         self._links_clear = True
         #: ``_links_clear`` and no interceptor: nothing can drop, delay or
-        #: rewrite a message, so the columnar planes may batch it.
+        #: rewrite a message, so it may park in the store.
         self._pristine = True
         self._jitter_rng = sim.derive_rng("network-jitter")
         self._jitter_random = self._jitter_rng.random
@@ -752,16 +714,13 @@ class Network:
           re-derived from the restored provider so a provider without a
           ``rows`` matrix (or ``row()`` view) never resurrects a stale
           one.
-        * The columnar state (``_spine``, ``_fast``,
-          ``_batch_endpoints``, ``_batch_routes``) pickles verbatim:
-          rows hold only plain values and messages, and the cached
-          batch handlers are bound methods of replicas already in the
-          checkpoint graph, so they rebind to the restored replicas on
-          load.  A drain's window never outlives the drain call (what
-          it cannot deliver it puts back), so the store and the tuple
-          rows are all there is to save.  The drain callback queued in
-          the heap is a plain bound method and needs no persistent-id
-          treatment.
+        * The store (``_fast``) and ``_batch_endpoints`` pickle
+          verbatim: rows hold only plain values and messages, and the
+          endpoints are replicas already in the checkpoint graph.  A
+          drain's window never outlives the drain call (what it cannot
+          deliver it puts back), so the store and the heap are all there
+          is to save.  The drain callback queued in the heap is a plain
+          bound method and needs no persistent-id treatment.
         """
         state = self.__dict__.copy()
         for key in (
@@ -779,6 +738,10 @@ class Network:
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
+        # Left by builds that kept narrow sends in a sorted-list spine;
+        # the checkpoint loader has already refused one holding rows.
+        for key in ("_spine", "_batch_routes", "_columnar", "plane"):
+            self.__dict__.pop(key, None)
         if "_relaxed" not in state:
             # Checkpoint from before the relaxed plane existed.
             self._relaxed = False
@@ -786,16 +749,10 @@ class Network:
             self._fast = _FastSpine()
         if "_cls_codes" not in state:
             self._cls_codes = {}
-        self._delay_floor = (
-            _provider_delay_floor(self._one_way_delay)
-            if self._columnar
-            else 0.0
-        )
         self._jitter_random = self._jitter_rng.random
         self._fast_dispatch = {}
         self._delay_row_arrays = {}
-        self._delay_rows = getattr(self._one_way_delay, "rows", None)
-        self._delay_row_fn = getattr(self._one_way_delay, "row", None)
+        self.one_way_delay = self._one_way_delay  # rows, row fn and floor
         self._deliver_bound = self._make_deliver()
         self._stats_per_class = self._stats._per_class
         self._refresh_fast_path()
@@ -803,6 +760,11 @@ class Network:
     # ------------------------------------------------------------------
     # Stats, delay provider and jitter
     # ------------------------------------------------------------------
+    @property
+    def plane(self) -> str:
+        """The plane this network runs, by its canonical name."""
+        return "columnar-fast" if self._relaxed else "object"
+
     @property
     def stats(self) -> NetworkStats:
         """The network's counters.  Read-only by design: the hot paths
@@ -828,11 +790,9 @@ class Network:
         # client-site router forwards replica rows while answering None
         # for client sources (which need its scalar mapping).
         self._delay_row_fn = getattr(value, "row", None)
-        # The columnar drains' window cap needs a lower bound on every
-        # cross-node delay; the object plane never reads it.
-        self._delay_floor = (
-            _provider_delay_floor(value) if self._columnar else 0.0
-        )
+        # The drains' window cap needs a lower bound on every cross-node
+        # delay; without one the exact plane keeps to the heap.
+        self._delay_floor = _provider_delay_floor(value)
 
     @property
     def jitter(self) -> float:
@@ -876,40 +836,35 @@ class Network:
         self._fast_dispatch.clear()
 
     def register_batch_endpoint(self, node_id: int, endpoint: Any) -> None:
-        """Columnar-plane opt-in: deliver same-class runs in bulk.
+        """Relaxed-plane opt-in: deliver same-class runs in bulk.
 
         ``endpoint`` (usually the replica object) is probed lazily for
         ``handle_<ClassName>Batch(srcs, messages, times)`` methods; when
-        one exists, the spine drain hands it a maximal run of *two or
-        more* consecutive same-class rows bound for this node instead of
-        delivering them one at a time.  Single-row runs keep the
-        ordinary per-row delivery: a batched class must therefore retain
-        an equivalent per-row handler (the object plane needs one
-        anyway, and cross-plane bit-identity already demands the two be
-        indistinguishable).
+        one exists, the relaxed drain (:meth:`_drain_fast`) hands it a
+        run of *two or more* same-class rows bound for this node instead
+        of delivering them one at a time.  Single-row runs, and every
+        row on the exact plane, keep the ordinary per-row delivery: a
+        batched class must therefore retain an equivalent per-row
+        handler.
 
-        Batch-handler contract (load-bearing for bit-identity):
+        Batch-handler contract:
 
         * Rows must be processed in order, with ``sim.now`` set to
           ``times[k]`` before row ``k``'s side effects (the drain sets it
           to ``times[0]`` before the call).
-        * The handler must return the number of rows consumed, and it
-          must stop -- returning ``k + 1`` -- as soon as processing row
-          ``k`` sends a message or schedules an event, because those side
-          effects may now precede row ``k + 1`` in global event order.
-          Rows that only mutate local state may be consumed freely.
-        * Returning ``None`` means "all rows consumed" (valid only for
-          handlers whose rows never send or schedule).
+        * The handler returns the number of rows it consumed (clamped to
+          ``1..len(rows)``) and is called again on the remainder; the
+          shipped handlers stop right after a row that sends or
+          schedules.
+        * Returning ``None`` means "all rows consumed".
         """
         self._batch_endpoints[node_id] = endpoint
-        self._batch_routes[node_id] = {}
         self._fast_dispatch.clear()
 
     def unregister(self, node_id: int) -> None:
         self._handlers.pop(node_id, None)
         self._routes.pop(node_id, None)
         self._batch_endpoints.pop(node_id, None)
-        self._batch_routes.pop(node_id, None)
         self._fast_dispatch.clear()
 
     def set_down(self, node_id: int, down: bool = True) -> None:
@@ -1007,8 +962,8 @@ class Network:
         # One path for every plane and fault state, inlined (a call frame
         # per message is measurable).  Draw order is fixed -- delay,
         # jitter, interceptors, stats, seq -- so a message gets the same
-        # ``(time, seq)`` key whichever plane carries it and whether or
-        # not idle interceptors are installed.
+        # ``(time, seq)`` key wherever it waits and whether or not idle
+        # interceptors are installed.
         if src == dst:
             delay = 0.0
         else:
@@ -1040,52 +995,39 @@ class Network:
         seq = sim._seq
         sim._seq = seq + 1
         time = sim.now + delay
-        queue = sim._queue
-        if pristine and self._columnar:
-            # Columnar pristine unicast: the row goes into the spine
-            # instead of the heap.
-            if self._relaxed:
-                if src == dst:
-                    # Zero-delay self rows are delivered inline at send
-                    # time (see ``_multicast_store``).  The seq above is
-                    # still allocated, keeping seq alignment with the
-                    # exact planes.
-                    self._deliver_bound(src, dst, message)
-                    return
-                # Relaxed plane: O(1) append to the store (the exact
-                # spine pays an O(rows) insort memmove per unicast).
-                fast = self._fast
-                if seq - fast.seq_base >= _FAST_SEQ_LIMIT:
-                    fast.rebase(seq)
-                count = fast.count
-                if count == len(fast.times):
-                    count = fast.grow(1)
-                codes = self._cls_codes
-                code = codes.get(cls)
-                if code is None:
-                    code = codes[cls] = len(codes)
-                fast.times[count] = time
-                fast.seqs[count] = seq - fast.seq_base
-                fast.dsts[count] = dst
-                fast.msgs[count] = fast.add_slot(message, src, code)
-                fast.count = count + 1
-                spine, drain = fast, self._drain_fast
-            else:
-                spine, drain = self._spine, self._drain_spine
-                _insort(spine.entries, (time, seq, src, dst, message))
-            armed = spine.armed
-            if armed is not None and not (
-                time < armed[0] or (time == armed[0] and seq < armed[1])
+        if pristine and self._relaxed:
+            if src == dst:
+                # Zero-delay self rows are delivered inline at send time
+                # (see ``_multicast_store``).  The seq above is still
+                # allocated, keeping seq alignment with the exact plane.
+                self._deliver_bound(src, dst, message)
+                return
+            # Relaxed plane, pristine unicast: O(1) append to the store.
+            fast = self._fast
+            if seq - fast.seq_base >= _FAST_SEQ_LIMIT:
+                fast.rebase(seq)
+            count = fast.count
+            if count == len(fast.times):
+                count = fast.grow(1)
+            codes = self._cls_codes
+            code = codes.get(cls)
+            if code is None:
+                code = codes[cls] = len(codes)
+            fast.times[count] = time
+            fast.seqs[count] = seq - fast.seq_base
+            fast.dsts[count] = dst
+            fast.msgs[count] = fast.add_slot(message, src, code)
+            fast.count = count + 1
+            armed = fast.armed
+            if armed is None or time < armed[0] or (
+                time == armed[0] and seq < armed[1]
             ):
-                return  # the armed cursor already precedes this row
-            key = (time, seq)
-            spine.armed = key
-            spine.live.add(key)
-            _heappush(queue, (time, seq, None, drain, key))
-        else:
-            _heappush(
-                queue, (time, seq, None, self._deliver_bound, (src, dst, message))
-            )
+                self._arm((time, seq))  # else its cursor precedes this row
+            return
+        queue = sim._queue
+        _heappush(
+            queue, (time, seq, None, self._deliver_bound, (src, dst, message))
+        )
         if len(queue) > sim.max_queue_depth:
             sim.max_queue_depth = len(queue)
 
@@ -1104,12 +1046,19 @@ class Network:
             for dst in dsts:
                 self.send(src, dst, message, size)
             return
-        if self._columnar:
-            if self._relaxed:
-                self._multicast_store(src, dsts, message, size)
-            else:
-                self._multicast_columnar(src, dsts, message, size)
+        if self._relaxed:
+            self._multicast_store(src, dsts, message, size)
             return
+        if self._delay_floor > 0.0:
+            # Wide and pristine: the fanout waits in the store.  The
+            # choice changes where rows wait, never their keys.
+            try:
+                wide = len(dsts) >= self.block_fanout  # type: ignore[arg-type]
+            except TypeError:
+                wide = False  # generator: always the heap
+            if wide:
+                self._multicast_store(src, dsts, message, size)
+                return
         one_way = self._one_way_delay
         jittered = self._jitter > 0.0
         span = self._jitter_span
@@ -1158,382 +1107,131 @@ class Network:
             self.stats.record_multicast(message, size, fanout)
 
     # ------------------------------------------------------------------
-    # Columnar plane: batched sends and drain loops
+    # Wide-row store: the exact drain, the shared multicast, the relaxed
+    # plane's drain
     # ------------------------------------------------------------------
-    def _multicast_columnar(
-        self, src: int, dsts: Iterable[int], message: Any, size: int
-    ) -> None:
-        """Pristine multicast on the exact columnar plane: merge the
-        fanned-out rows into the spine instead of pushing ``fanout`` heap
-        entries.  Wide fanouts over a provider with a delay floor go to
-        the store instead (:meth:`_multicast_store`): the choice changes
-        where rows wait, never their keys.
+    def _drain_store(self, time: float, seq: int) -> None:
+        """Cursor callback for the exact plane: deliver the store's rows
+        in windows, merged against the pending deliveries at the head of
+        the event heap (the five rules of the module docstring).
 
-        The per-destination loop draws jitter in destination order and
-        reserves the same consecutive seq numbers the object plane's
-        multicast would have assigned, so each row keeps the object
-        plane's exact ``(time, seq)`` key; merging by that key reproduces
-        the heap's pop order (seqs are unique, so the order is total).
+        A row or heap delivery is handed over only when no event with a
+        smaller ``(time, seq)`` key exists anywhere -- heap, horizon,
+        window or store -- which is when a heap-only run would have
+        popped exactly it.  ``sim.now`` is advanced to each arrival time
+        before its handler runs.
 
-        Merging mid-drain is safe: every new key exceeds the key of the
-        row currently being delivered (times are ``>= now``, seqs are
-        fresh), and the spine's already-delivered prefix holds strictly
-        smaller keys, so a whole-list sort leaves that prefix -- and the
-        drain's index into it -- untouched.
-        """
-        try:
-            sized_fanout = len(dsts)  # type: ignore[arg-type]
-        except TypeError:
-            sized_fanout = -1  # generator: always the tuple-row path
-        if sized_fanout >= self.block_fanout and self._delay_floor > 0.0:
-            self._multicast_store(src, dsts, message, size)
-            return
-        one_way = self._one_way_delay
-        jittered = self._jitter > 0.0
-        span = self._jitter_span
-        rand = self._jitter_random
-        drows = self._delay_rows
-        row = drows[src] if drows is not None else None
-        if row is None:
-            row_fn = self._delay_row_fn
-            if row_fn is not None:
-                row = row_fn(src)
-        sim = self.sim
-        now = sim.now
-        first = sim._seq
-        seq = first
-        new_rows = []
-        append = new_rows.append
-        if row is not None:
-            for dst in dsts:
-                delay = 0.0 if src == dst else row[dst]
-                if jittered:
-                    delay *= 1.0 + span * rand()
-                append((now + delay, seq, src, dst, message))
-                seq += 1
-        else:
-            for dst in dsts:
-                delay = 0.0 if src == dst else one_way(src, dst)
-                if jittered:
-                    delay *= 1.0 + span * rand()
-                append((now + delay, seq, src, dst, message))
-                seq += 1
-        sim._seq = seq
-        fanout = seq - first
-        if not fanout:
-            return
-        self.stats.record_multicast(message, size, fanout)
-        new_rows.sort()
-        spine = self._spine
-        entries = spine.entries
-        if not entries:
-            entries.extend(new_rows)
-        elif fanout < 8:
-            # Small fanout (Kauri tree hops): per-row insertion beats
-            # re-merging the whole spine.
-            for r in new_rows:
-                _insort(entries, r)
-        else:
-            # Two sorted runs; timsort merges them in one galloping pass.
-            entries.extend(new_rows)
-            entries.sort()
-        key = new_rows[0][:2]
-        if spine.armed is None or key < spine.armed:
-            self._arm(spine, self._drain_spine, key)
-
-    def _drain_spine(self, time: float, seq: int) -> None:
-        """Cursor callback for the exact plane: deliver consecutive rows
-        while their keys precede every other pending event, handing
-        maximal same-destination same-class runs to batch handlers.
-
-        A row is delivered only when no event with a smaller
-        ``(time, seq)`` key exists anywhere (heap, horizon, tuple rows
-        or the store) -- at that point the object plane would have
-        popped exactly this row next, so delivering it here preserves
-        global event order, clock values and seq allocation
-        bit-for-bit.  ``sim.now`` is advanced to each row's arrival time
-        before its handler runs.  When a foreign event intervenes, the
-        cursor re-arms at the next undelivered key.
-
-        The barrier (heap head key, capped by the horizon) is
-        snapshotted once and revalidated only when delivering a row
-        changed the heap head -- handlers push timers but never pop, so
-        the head object's identity is a sufficient staleness check.
-        Handler *sends* go back into the tuple rows or the store, not
-        the heap, so the snapshot usually survives the whole drain.
-
-        Store rows are drained in windows (module docstring): each cut
-        is put into ``(time, seq)`` order and unboxed to flat lists
-        once, and a strict two-way merge delivers it against the tuple
-        rows, which the merge re-reads whenever ``len(entries)`` moved.
-        Tuple rows stop at the window end too: past it, store rows not
-        yet cut may precede them.  Window rows a moved barrier leaves
-        behind go back to the store (*put-back*).
+        The heap head is snapshotted once and re-read only when a
+        delivery changed it -- handlers push but never pop, so the head
+        object's identity is a sufficient staleness check.  Everything
+        deliverable before the next cut lies below the *cap*
+        ``(ct, cs)``: the window end, or the barrier when that comes
+        first.
 
         A *sparse* store (:data:`_SPARSE_ROWS`) is cut up to the barrier
-        instead -- a lone fanout would otherwise pay a cut per handful
-        of rows.  The same invariant then bounds the window after the
-        fact: the first handler to park rows under it did so at ``now``,
-        they land at ``now + floor`` or later, and put-back returns what
-        lies beyond.
+        instead of a floor ahead.  The window invariant then bounds it
+        after the fact: the first handler to park rows under it did so
+        at ``now``, they land at ``now + floor`` or later, and put-back
+        returns what lies beyond.
         """
-        spine = self._spine
-        key = (time, seq)
-        live = spine.live
-        live.discard(key)
-        if spine.armed != key:
-            return  # Stale cursor: an earlier drain already passed this key.
-        entries = spine.entries
         store = self._fast
+        key = (time, seq)
+        live = store.live
+        live.discard(key)
+        if store.armed != key:
+            return  # Stale cursor: an earlier drain already passed this key.
         sim = self.sim
         queue = sim._queue
         horizon = sim.horizon
         floor = self._delay_floor
+        deliver = self._deliver_bound
         routes_get = self._routes.get
         handlers_get = self._handlers.get
-        batch_routes_get = self._batch_routes.get
         stats = self._stats
         counters = stats.plane
         unresolved = _UNRESOLVED
-        i = 0
-        tuples = 0
-        fallbacks = 0
-        # The live window (parallel lists, cursor ``wi``, end ``wn``) and
-        # the cap ``(ct, cs)`` on everything deliverable before the next
-        # cut: the window end, or the barrier when that comes first.
+        merged = fallbacks = 0
+        # The live window (parallel lists, cursor ``wi``, end ``wn``).
         wt = ws = wd = wsrc = wslot = wm = ()
         wi = wn = 0
-        ct = cs = _INF
+        ct = cs = -_INF
         sparse = False
         # Handlers park wide multicasts one pool slot at a time, so the
         # pool's length is the monotone "the store grew" signal (its row
         # count is not: appends reclaim the dead front).
         pool = store.pool
         parked = len(pool)
-        done = False
-        while not done:
-            # Barrier snapshot: clear cancelled timers at the head (the
-            # run loop would discard them anyway; yielding to one wastes
-            # a re-arm), then cap the head key by the horizon.
-            while queue:
-                head = queue[0]
-                handle = head[2]
-                if handle is None or not handle.cancelled:
-                    break
-                _heappop(queue)
-            if queue:
-                head = queue[0]
-                bt = head[0]
-                bs = head[1]
-                if bt > horizon:
-                    bt = horizon
-                    bs = _INF
-            else:
-                head = None
-                bt = horizon
-                bs = _INF
+        while True:
+            # Head snapshot, cancelled timers cleared (the run loop would
+            # discard them anyway; yielding to one wastes a re-arm).
+            head = sim._next_pending()
+            # A pending delivery merges (``ht``/``hs`` its key, and only
+            # the horizon bounds the cut: what hides behind it in the
+            # heap surfaces, and bars, once it is popped); anything else
+            # is the barrier.
+            bt = horizon
+            bs = ht = hs = _INF
+            if head is not None and head[0] <= horizon:
+                if head[3] is deliver:
+                    ht = head[0]
+                    hs = head[1]
+                else:
+                    bt = head[0]
+                    bs = head[1]
             if wi < wn and (bt < ct or (bt == ct and bs < cs)):
-                # A timer scheduled from inside the window now leads the
-                # heap: rows behind it return to the store's tail.
+                # A timer now leads the heap from inside the window:
+                # rows behind it return to the store's tail.
                 ct = bt
                 cs = bs
                 wn = store.put_back((wt, ws, wd, wslot), wi, wn, bt, bs, counters)
-            while True:
-                if sparse and len(pool) != parked:
-                    # A handler parked rows under a barrier-wide window:
-                    # they land a floor past its ``now`` at the earliest,
-                    # so the window ends there and the rest goes back.
-                    sparse = False
-                    if sim.now + floor < ct:
-                        ct = sim.now + floor
-                        cs = _INF
-                        wn = store.put_back(
-                            (wt, ws, wd, wslot), wi, wn, ct, cs, counters
-                        )
-                if wi == wn:
-                    # Cut the next window.  With nothing stored the
-                    # barrier alone caps the tuple run, which then ends
-                    # the moment a handler parks a wide multicast.
-                    ct = bt
-                    cs = bs
-                    sparse = False
-                    if store.count > store.lo:
-                        sparse = store.count - store.lo <= _SPARSE_ROWS
-                        ct, cs, hits, c_times, c_seqs, c_dsts, c_msgs = store.cut(
-                            bt, bs, _INF if sparse else floor, counters,
-                            entries[i][0] if i < len(entries) else _INF,
-                        )
-                        if c_times is not None:
-                            if hits:
-                                order = _key_order(c_times, c_seqs)
-                                c_times = c_times[order]
-                                c_seqs = c_seqs[order]
-                                c_dsts = c_dsts[order]
-                                c_msgs = c_msgs[order]
-                            wt = c_times.tolist()
-                            ws = (c_seqs.astype(np.int64) + store.seq_base).tolist()
-                            wd = c_dsts.tolist()
-                            wsrc = store.slot_srcs[c_msgs].tolist()
-                            wslot = c_msgs.tolist()
-                            wm = [pool[slot] for slot in wslot]
-                            wi = 0
-                            wn = len(wt)
-                            counters["windows"] += 1
-                            counters["window_rows"] += wn
-                parked = len(pool)
-                # ---- tuple run: up to the window head, else the cap ----
-                if wi < wn:
-                    sbt = wt[wi]
-                    sbs = ws[wi]
-                else:
-                    sbt = ct
-                    sbs = cs
-                # 0 = entries exhausted, 1 = hit the cap, 2 = heap head
-                # moved (re-snapshot the barrier), 3 = a handler parked
-                # rows in the store (they may precede the next tuple).
-                stop = 0
-                while i < len(entries):
-                    if i >= 256:
-                        # Compact the delivered prefix mid-drain.  A long
-                        # drain otherwise keeps dead rows in front, which
-                        # makes every mid-drain multicast merge (and every
-                        # insort bisect) pay for rows that are already
-                        # gone.  Only the in-flight suffix moves, so this
-                        # is O(1) amortized per delivered row.
-                        del entries[:i]
-                        tuples += i
-                        i = 0
-                    row = entries[i]
-                    t = row[0]
-                    if t > sbt or (t == sbt and row[1] > sbs):
-                        # The cap (window head, window end, foreign event
-                        # or horizon) comes first.
-                        stop = 1
-                        break
-                    dst = row[3]
-                    if not self._pristine:
-                        # A fault landed while rows were in flight: fall
-                        # back to per-message delivery-time checks (drops
-                        # count exactly as on the object plane).
-                        sim.now = t
-                        self._deliver_bound(row[2], dst, row[4])
-                        fallbacks += 1
-                        i += 1
-                        if queue and queue[0] is not head:
-                            stop = 2
-                            break
-                        if len(pool) != parked:
-                            stop = 3
-                            break
-                        continue
-                    message = row[4]
-                    cls = message.__class__
-                    batch_route = batch_routes_get(dst)
-                    if batch_route is not None:
-                        bh = batch_route.get(cls, unresolved)
-                        if bh is unresolved:
-                            endpoint = self._batch_endpoints.get(dst)
-                            bh = (
-                                getattr(
-                                    endpoint, "handle_" + cls.__name__ + "Batch", None
-                                )
-                                if endpoint is not None
-                                else None
-                            )
-                            batch_route[cls] = bh
-                        if bh is not None:
-                            # Maximal run of same-destination same-class
-                            # rows inside the cap, handed over as one
-                            # column.
-                            j = i + 1
-                            total = len(entries)
-                            while j < total:
-                                r2 = entries[j]
-                                t2 = r2[0]
-                                if (
-                                    r2[3] != dst
-                                    or t2 > sbt
-                                    or (t2 == sbt and r2[1] > sbs)
-                                    or r2[4].__class__ is not cls
-                                ):
-                                    break
-                                j += 1
-                            width = j - i
-                            if width > 1:
-                                sim.now = t
-                                times, _seqs, srcs, _dsts, messages = zip(
-                                    *entries[i:j]
-                                )
-                                consumed = bh(srcs, messages, times)
-                                if consumed is None:
-                                    consumed = width
-                                elif consumed < 1:
-                                    consumed = 1
-                                elif consumed > width:
-                                    consumed = width
-                                stats.messages_delivered += consumed
-                                i += consumed
-                                if queue and queue[0] is not head:
-                                    stop = 2
-                                    break
-                                if len(pool) != parked:
-                                    stop = 3
-                                    break
-                                continue
-                            # width == 1: the per-row handler below is
-                            # cheaper than the column machinery, and every
-                            # batched class has one (the object plane
-                            # depends on it), with identical semantics by
-                            # the batch-handler contract.
-                    sim.now = t
-                    route = routes_get(dst)
-                    if route is not None:
-                        handler = route.get(cls, unresolved)
-                        if handler is not unresolved:
-                            stats.messages_delivered += 1
-                            if handler is not None:
-                                handler(row[2], message)
-                            i += 1
-                            if queue and queue[0] is not head:
-                                stop = 2
-                                break
-                            if len(pool) != parked:
-                                stop = 3
-                                break
-                            continue
-                    fallback = handlers_get(dst)
-                    if fallback is None:
-                        stats.messages_dropped += 1
-                    else:
-                        stats.messages_delivered += 1
-                        fallback(row[2], message)
-                    i += 1
-                    if queue and queue[0] is not head:
-                        stop = 2
-                        break
-                    if len(pool) != parked:
-                        stop = 3
-                        break
-                if stop == 2:
-                    break  # Re-snapshot the barrier.
-                if stop == 3:
-                    continue  # Re-derive the window and the cap.
-                if wi == wn:
-                    # Everything under the cap is delivered: stop at the
-                    # true barrier (foreign event/horizon), else move on
-                    # to the next window.
-                    if ct == bt and cs == bs:
-                        done = True
-                        break
+            if sparse and len(pool) != parked:
+                # A handler parked rows under a barrier-wide window:
+                # they land a floor past its ``now`` at the earliest,
+                # so the window ends there and the rest goes back.
+                sparse = False
+                if sim.now + floor < ct:
+                    ct = sim.now + floor
+                    cs = _INF
+                    wn = store.put_back((wt, ws, wd, wslot), wi, wn, ct, cs, counters)
+            if wi == wn:
+                if store.count == store.lo:
+                    break  # Nothing stored: the heap is the engine's again.
+                if ht == _INF and ct == bt and cs == bs:
+                    break  # Everything before the barrier is delivered.
+                if ht > ct or (ht == ct and hs >= cs) or len(pool) != parked:
+                    # Past the cap, or rows were parked since the last
+                    # cut (they may tie with the cap's instant): cut the
+                    # next window before looking at the head again.
+                    sparse = store.count - store.lo <= _SPARSE_ROWS
+                    ct, cs, hits, c_times, c_seqs, c_dsts, c_msgs = store.cut(
+                        bt, bs, _INF if sparse else floor, counters, ht
+                    )
+                    parked = len(pool)
+                    if c_times is not None:
+                        if hits:
+                            order = _key_order(c_times, c_seqs)
+                            c_times = c_times[order]
+                            c_seqs = c_seqs[order]
+                            c_dsts = c_dsts[order]
+                            c_msgs = c_msgs[order]
+                        wt = c_times.tolist()
+                        ws = (c_seqs.astype(np.int64) + store.seq_base).tolist()
+                        wd = c_dsts.tolist()
+                        wsrc = store.slot_srcs[c_msgs].tolist()
+                        wslot = c_msgs.tolist()
+                        wm = [pool[slot] for slot in wslot]
+                        wi = 0
+                        wn = len(wt)
+                        counters["windows"] += 1
+                        counters["window_rows"] += wn
                     continue
-                # ---- window run: up to the next tuple key ----
-                k = wn
-                if i < len(entries):
-                    row = entries[i]
-                    k = _bisect_right(wt, row[0], wi, wn)
-                    while k > wi and wt[k - 1] == row[0] and ws[k - 1] > row[1]:
-                        k -= 1
-                elen = len(entries)
+            # ---- window run: up to the pending delivery's key ----
+            k = wn
+            if ht < _INF:
+                k = _bisect_right(wt, ht, wi, wn)
+                while k > wi and wt[k - 1] == ht and ws[k - 1] > hs:
+                    k -= 1
+            if k > wi:
                 delivered = 0
                 for t, dst, src, message in zip(
                     wt[wi:k], wd[wi:k], wsrc[wi:k], wm[wi:k]
@@ -1541,12 +1239,11 @@ class Network:
                     sim.now = t
                     wi += 1
                     if not self._pristine:
-                        self._deliver_bound(src, dst, message)
+                        # A fault landed while rows were parked: per-row
+                        # delivery-time checks, exactly the heap path's.
+                        deliver(src, dst, message)
                         fallbacks += 1
                     else:
-                        # Per-row delivery: a window holds one row per
-                        # destination of each multicast, so the batch
-                        # scan would all but always find width-1 runs.
                         route = routes_get(dst)
                         handler = (
                             route.get(message.__class__, unresolved)
@@ -1561,43 +1258,35 @@ class Network:
                         delivered += 1
                         if handler is not None:
                             handler(src, message)
-                    if queue and queue[0] is not head:
-                        stop = 2
-                        break
-                    if len(entries) != elen or (sparse and len(pool) != parked):
+                    if (queue and queue[0] is not head) or (
+                        sparse and len(pool) != parked
+                    ):
                         break
                 stats.messages_delivered += delivered
-                if stop == 2:
-                    break  # Re-snapshot the barrier.
-        if i:
-            del entries[:i]
-        counters["tuple_rows"] += tuples + i
+                continue
+            # ---- the pending delivery is next: merge it inline ----
+            _heappop(queue)
+            sim.now = ht
+            deliver(*head[4])
+            merged += 1
+        counters["merged_rows"] += merged
         counters["fault_fallbacks"] += fallbacks
-        nkey = None
-        if entries:
-            r0 = entries[0]
-            nkey = (r0[0], r0[1])
-        if store.pool:
-            skey = store.settle(sim._seq)
-            if skey is not None and (nkey is None or skey < nkey):
-                nkey = skey
-        spine.armed = nkey
+        nkey = store.armed = store.settle(sim._seq)
         if nkey is not None and nkey not in live:
-            self._arm(spine, self._drain_spine, nkey)
+            self._arm(nkey)
 
-    def _arm(self, spine: Any, drain: Callable, key: tuple) -> None:
-        """Push a heap cursor at ``key``, ``spine``'s earliest row."""
-        spine.armed = key
-        spine.live.add(key)
+    def _arm(self, key: tuple) -> None:
+        """Push a heap cursor at ``key``, the store's earliest row."""
+        store = self._fast
+        store.armed = key
+        store.live.add(key)
+        drain = self._drain_fast if self._relaxed else self._drain_store
         sim = self.sim
         queue = sim._queue
         _heappush(queue, (key[0], key[1], None, drain, key))
         if len(queue) > sim.max_queue_depth:
             sim.max_queue_depth = len(queue)
 
-    # ------------------------------------------------------------------
-    # Wide-row store: the shared multicast, the relaxed plane's drain
-    # ------------------------------------------------------------------
     def _multicast_store(
         self, src: int, dsts: Iterable[int], message: Any, size: int
     ) -> None:
@@ -1606,13 +1295,13 @@ class Network:
 
         Delays and jitter draws happen in destination order with the
         same ops as the per-destination loops, and seqs are the same
-        consecutive allocations, so every row carries the object plane's
+        consecutive allocations, so every row carries its heap entry's
         exact ``(time, seq)`` key; the fanout shares one pool slot.
         Zero-delay self copies (``broadcast(include_self=True)``) never
         enter the store -- they are the one row class that can arrive
         *inside* the window being drained, which the window invariant
-        (:meth:`_FastSpine.cut`) rules out.  The exact plane keeps them
-        as tuple rows, merged per row by its drain; the relaxed plane
+        (:meth:`_FastSpine.cut`) rules out.  The exact plane pushes them
+        on the heap, where its drain merges them; the relaxed plane
         delivers them inline at send time.
         """
         one_way = self._one_way_delay
@@ -1684,15 +1373,17 @@ class Network:
         times = sim.now + delays
         rel = first - fast.seq_base
         seqs = np.arange(rel, rel + fanout, dtype=np.uint32)
-        key = None
         if nself:
             keep = ~self_mask
             if not relaxed:
-                entries = self._spine.entries
+                queue = sim._queue
                 for k in np.flatnonzero(self_mask).tolist():
-                    _insort(entries, (times.item(k), first + k, src, src, message))
-                    if key is None:
-                        key = (times.item(k), first + k)
+                    _heappush(queue, (
+                        times.item(k), first + k, None, self._deliver_bound,
+                        (src, src, message),
+                    ))
+                if len(queue) > sim.max_queue_depth:
+                    sim.max_queue_depth = len(queue)
             times = times[keep]
             dst_arr = dst_arr[keep]
             seqs = seqs[keep]
@@ -1716,15 +1407,9 @@ class Network:
             # the lowest seq among time ties -- exactly the earliest
             # (time, seq).
             kidx = int(np.argmin(times))
-            head = (times.item(kidx), seqs.item(kidx) + fast.seq_base)
-            if key is None or head < key:
-                key = head
-        if relaxed:
-            spine, drain = fast, self._drain_fast
-        else:
-            spine, drain = self._spine, self._drain_spine
-        if key is not None and (spine.armed is None or key < spine.armed):
-            self._arm(spine, drain, key)
+            key = (times.item(kidx), seqs.item(kidx) + fast.seq_base)
+            if fast.armed is None or key < fast.armed:
+                self._arm(key)
         if relaxed:
             for _ in range(nself):
                 self._deliver_bound(src, src, message)
@@ -1800,7 +1485,6 @@ class Network:
         if fast.armed != key:
             return  # Stale cursor: an earlier drain already passed this key.
         sim = self.sim
-        queue = sim._queue
         horizon = sim.horizon
         dispatch_get = self._fast_dispatch.get
         resolve = self._resolve_fast_dispatch
@@ -1808,21 +1492,13 @@ class Network:
         counters = stats.plane
         floor = self._delay_floor if self._delay_floor > 0.0 else _INF
         while fast.count > fast.lo:
-            # Barrier snapshot: clear cancelled timers at the head, then
-            # cap the head key by the horizon (rows at exactly the
-            # horizon pass the tie-break via the _INF barrier seq).
-            while queue:
-                head = queue[0]
-                handle = head[2]
-                if handle is None or not handle.cancelled:
-                    break
-                _heappop(queue)
-            if queue:
-                bt = queue[0][0]
-                bs = queue[0][1]
-                if bt > horizon:
-                    bt = horizon
-                    bs = _INF
+            # Barrier snapshot: the live head's key, capped by the
+            # horizon (rows at exactly the horizon pass the tie-break
+            # via the _INF barrier seq).
+            head = sim._next_pending()
+            if head is not None and head[0] <= horizon:
+                bt = head[0]
+                bs = head[1]
             else:
                 bt = horizon
                 bs = _INF
@@ -1870,7 +1546,7 @@ class Network:
                 dst = bd_l[r]
                 if not self._pristine:
                     # A fault landed while rows were in flight: per-row
-                    # delivery-time checks, as on the exact planes.
+                    # delivery-time checks, as on the exact plane.
                     for idx in range(r, e):
                         sim.now = bt_l[idx]
                         self._deliver_bound(bs_l[idx], dst, pool[bm_l[idx]])
@@ -1919,7 +1595,7 @@ class Network:
                 stats.messages_dropped += dropped
         nkey = fast.armed = fast.settle(sim._seq)
         if nkey is not None and nkey not in live:
-            self._arm(fast, self._drain_fast, nkey)
+            self._arm(nkey)
 
     # ------------------------------------------------------------------
     # Delivery
@@ -1961,8 +1637,3 @@ class Network:
             inbox(src, message)
 
         return _deliver
-
-    def _deliver(self, src: int, dst: int, message: Any) -> None:
-        """Deliver one message now (the scheduled path uses the prebuilt
-        closure; this method is the equivalent public-ish entry point)."""
-        self._deliver_bound(src, dst, message)

@@ -165,7 +165,7 @@ class WorkloadClient:
         self._send_times: Dict[int, float] = {}
         self._voters: Dict[int, set] = {}
         binding.network.register(client_id, self.on_message)
-        # Columnar planes hand consecutive same-class reply runs to
+        # The relaxed plane hands consecutive same-class reply runs to
         # handle_ReplyBatch in one call instead of per-row dispatch.
         binding.network.register_batch_endpoint(client_id, self)
 
@@ -222,8 +222,7 @@ class WorkloadClient:
         ``on_complete`` does must observe it) and, when an
         ``on_complete`` callback exists, stops the batch right after --
         the callback may submit a new request, and those sends must
-        precede the remaining rows in global event order on the exact
-        planes.
+        precede the remaining rows in global event order.
         """
         voters_map = self._voters
         needed = self.replies_needed

@@ -1,23 +1,27 @@
-"""Delivery order, not just end state: object vs columnar.
+"""Delivery order, not just end state: heap-only vs the store.
 
-``state_trace_hash`` proves two planes *ended* in the same place; the
+``state_trace_hash`` proves two runs *ended* in the same place; the
 :class:`~oracles.DeliveryOrderRecorder` proves they took the same road:
 every handler call, its simulated instant, its node, its sender and its
-message class, in global call order.  The suite drives it over every
-engine family, seeds, jitter levels and ``block_fanout`` thresholds --
-2 and 4 push every multicast of these small deployments through the
-wide-row store (windows, merge, put-back), 256 leaves them on tuples --
-and across a checkpoint cut with wide rows in flight.
+message class, in global call order.  This is the equivalence
+``plane="check"`` used to assert on demand, held here against the
+heap-only oracle (``oracles.heap_only``): over every engine family,
+seeds, jitter levels and ``block_fanout`` thresholds -- 2 and 4 push
+every multicast of these small deployments through the wide-row store
+(windows, merge, put-back), 256 leaves them in the heap -- at the
+shipped threshold on an n = 256 all-to-all, and across a checkpoint cut
+with wide rows and heap deliveries in flight together.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import DeliveryOrderRecorder
+from oracles import DeliveryOrderRecorder, heap_only
 from repro.experiments.checkpoint import (
     CheckpointError,
     _deserialize_state,
+    _serialize_state,
     load_checkpoint,
     save_checkpoint,
 )
@@ -54,12 +58,25 @@ def _scenario(case, **overrides):
     return Scenario(**base)
 
 
-def _recorded_run(scenario, block_fanout, sparse_rows=None):
-    """Run with the recorder installed; ``block_fanout`` (and the sparse
-    threshold, when given) apply to this run only."""
+def _recorded_run(scenario, block_fanout=None, sparse_rows=None):
+    """Run with the recorder installed; ``block_fanout`` (the heap-only
+    oracle when None) and the sparse threshold, when given, apply to
+    this run only.  ``result.parked`` sums the cross-node fanout of the
+    multicasts that went to the store."""
     result = prepare_scenario(scenario)
     network = result.cluster.network
-    network.block_fanout = block_fanout
+    if block_fanout is None:
+        heap_only(network)
+    else:
+        network.block_fanout = block_fanout
+    result.parked = 0
+    to_store = network._multicast_store
+
+    def counting(src, dsts, message, size):
+        result.parked += sum(dst != src for dst in dsts)
+        to_store(src, dsts, message, size)
+
+    network._multicast_store = counting
     recorder = DeliveryOrderRecorder(network)
     default_sparse = network_mod._SPARSE_ROWS
     if sparse_rows is not None:
@@ -87,28 +104,33 @@ def _recorded_run(scenario, block_fanout, sparse_rows=None):
 def test_columnar_delivers_in_object_order(case, seed, jitter, block_fanout, dense):
     # ``dense`` switches the sparse-store rule off, so these small
     # backlogs go through delay-floor windows like an n=512 all-to-all.
-    runs = {
-        plane: _recorded_run(
-            _scenario(case, seed=seed, jitter=jitter, plane=plane),
-            block_fanout,
-            sparse_rows=0 if dense else None,
-        )
-        for plane in ("object", "columnar")
-    }
-    (object_result, object_order), (columnar_result, columnar_order) = (
-        runs["object"], runs["columnar"]
+    scenario = _scenario(case, seed=seed, jitter=jitter)
+    object_result, object_order = _recorded_run(scenario)
+    columnar_result, columnar_order = _recorded_run(
+        scenario, block_fanout, sparse_rows=0 if dense else None
     )
     assert columnar_order.count == object_order.count > 0
     assert columnar_order.digest == object_order.digest
     assert state_trace_hash(columnar_result.cluster) == state_trace_hash(
         object_result.cluster
     )
-    counters = columnar_result.metrics()["plane"]
-    delivered = columnar_result.cluster.network.stats.messages_delivered
-    assert counters["window_rows"] + counters["tuple_rows"] == delivered
+    assert "plane" not in object_result.metrics()
     # Every one of these deployments has a delay floor, so the threshold
-    # alone decides whether the store engages.
-    assert (counters["windows"] > 0) == (block_fanout < 256)
+    # alone decides whether the store engages -- and with it, whether
+    # the result JSON carries the counters.
+    counters = columnar_result.metrics().get("plane")
+    assert (counters is not None) == (block_fanout < 256)
+    if counters is not None:
+        network = columnar_result.cluster.network
+        # The run is pristine: a window row is a parked row, delivered
+        # once; what the drains merged came out of the heap, as did
+        # everything the engine popped itself.
+        still_parked = network._fast.count - network._fast.lo
+        assert counters["window_rows"] == columnar_result.parked - still_parked > 0
+        assert (
+            counters["window_rows"] + counters["merged_rows"]
+            <= network.stats.messages_delivered
+        )
 
 
 def test_recorder_sees_a_reordering():
@@ -146,15 +168,17 @@ def small_fanout(monkeypatch):
 
 
 def test_wide_rows_survive_a_checkpoint(tmp_path, small_fanout):
-    scenario = _scenario(_CASES[0], seed=7, jitter=0.02, plane="columnar",
-                         duration=3.0)
+    scenario = _scenario(_CASES[0], seed=7, jitter=0.02, duration=3.0)
     baseline = run_scenario(scenario)
 
     result = prepare_scenario(scenario)
     result.cluster.begin()
     result.cluster.sim.run(until=1.3)
-    store = result.cluster.network._fast
-    assert store.count > store.lo  # rows parked at the cut
+    network = result.cluster.network
+    assert network._fast.count > network._fast.lo  # rows parked at the cut...
+    assert any(  # ...beside deliveries waiting in the heap
+        entry[3] is network._deliver_bound for entry in result.cluster.sim._queue
+    )
     path = str(tmp_path / "wide.ckpt")
     save_checkpoint(path, result)
     restored = load_checkpoint(path, expected_scenario=scenario)
@@ -164,7 +188,9 @@ def test_wide_rows_survive_a_checkpoint(tmp_path, small_fanout):
     restored_metrics, baseline_metrics = restored.metrics(), baseline.metrics()
     restored_plane = restored_metrics.pop("plane")
     baseline_plane = baseline_metrics.pop("plane")
-    for invariant in ("window_rows", "tuple_rows", "fault_fallbacks"):
+    # (Where the cut falls moves windows and put-backs, and with them
+    # which heap deliveries a drain merged and which the engine popped.)
+    for invariant in ("window_rows", "fault_fallbacks"):
         assert restored_plane[invariant] == baseline_plane[invariant]
     assert restored_metrics == baseline_metrics
     assert state_trace_hash(restored.cluster) == state_trace_hash(
@@ -179,3 +205,44 @@ def test_checkpoint_with_parked_spine_blocks_is_refused():
     payload = b"crepro.sim.network\n_SpineBlock\n."
     with pytest.raises(CheckpointError, match="spine blocks"):
         _deserialize_state(payload)
+
+
+def test_checkpoint_with_a_spine_cursor_in_the_heap_is_refused(monkeypatch):
+    # A parent-commit checkpoint of a run whose narrow sends waited in
+    # the sorted-list spine holds a cursor for them in the heap: a bound
+    # method this build's network no longer has.
+    def _drain_spine(self, time, seq):
+        """Stands in for the method the parent build pickled by name."""
+
+    cluster = prepare_scenario(_scenario(_CASES[1])).cluster
+    monkeypatch.setattr(Network, "_drain_spine", _drain_spine, raising=False)
+    key = (0.5, cluster.sim._seq)
+    cluster.sim._queue.append((*key, None, cluster.network._drain_spine, key))
+    payload = _serialize_state(cluster)
+    monkeypatch.undo()
+    with pytest.raises(CheckpointError, match="_drain_spine cursor"):
+        _deserialize_state(payload)
+
+
+# ----------------------------------------------------------------------
+# The shipped threshold, in the dense regime
+# ----------------------------------------------------------------------
+def test_store_at_the_real_threshold_delivers_in_heap_order():
+    # Everything above lowers ``block_fanout``; here it is the constant
+    # that ships.  PBFT's all-to-all at n = 256 keeps ~65k rows parked --
+    # the dense regime: delay-floor windows, merged against the client's
+    # and the replies' heap entries.
+    scenario = Scenario(
+        protocol="pbft", deployment="world-256", workload="closed-loop",
+        duration=0.3, seed=1,
+    )
+    heap_result, heap_order = _recorded_run(scenario)
+    store_result, store_order = _recorded_run(scenario, Network.block_fanout)
+    assert store_order.count == heap_order.count > 100_000
+    assert store_order.digest == heap_order.digest
+    assert state_trace_hash(store_result.cluster) == state_trace_hash(
+        heap_result.cluster
+    )
+    counters = store_result.metrics()["plane"]
+    assert counters["windows"] > 0 and counters["merged_rows"] > 0
+    assert counters["window_rows"] > network_mod._SPARSE_ROWS

@@ -27,10 +27,13 @@ Each is the straightforward pre-optimisation form of something under
 
 And oracles that are not reference implementations:
 
+* :func:`heap_only` -- a network whose every delivery is one heap entry
+  popped by the engine: what the wide-row store must be
+  indistinguishable from;
 * :class:`DeliveryOrderRecorder` -- the order in which a network handed
   messages to handlers, one ``(sim.now, dst, src, class)`` row per
-  handler call, whichever plane and whichever delivery path (terminal
-  handler, inbox or batch handler) made the call;
+  handler call, wherever the row waited and whichever delivery path
+  (terminal handler, inbox or batch handler) made the call;
 * :class:`BlockObserver` -- every block each node was handed, by height:
   the history of a run, which the chained engines no longer keep
   (a height's block is retired when it commits);
@@ -461,11 +464,23 @@ class EveryProposalChecked(IncrementalTreeSearch):
         self._same(self.initial_score(), fresh.initial_score(), "held score")
 
 
+def heap_only(network):
+    """Switch ``network``'s wide-row store off and return it.
+
+    Every pending delivery is then one heap entry and ``Simulator.run``
+    alone decides the order -- the definition the store's windows and
+    merges are held to.  No ``src/`` hook: the threshold is the constant
+    the store tests already lower, set on the instance.
+    """
+    network.block_fanout = float("inf")
+    return network
+
+
 class DeliveryOrderRecorder:
     """Hash of every handler call a network makes, in call order.
 
     ``state_trace_hash`` compares where two runs *ended*; this compares
-    how they got there: two planes agree on :attr:`digest` iff they
+    how they got there: two runs agree on :attr:`digest` iff they
     delivered the same messages to the same nodes at the same simulated
     instants in the same global order.  Install it on an idle network,
     before or after nodes register (later registrations are wrapped

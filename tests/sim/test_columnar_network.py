@@ -1,18 +1,24 @@
-"""Columnar message plane: bit-identity with the object plane, batch
-handler dispatch, fault fallback, stats parity and pickling.
+"""The exact plane on mixed traffic -- wide multicasts in the store,
+unicasts, self copies and reactive sends in the heap -- against the
+heap-only oracle; the relaxed plane's batch dispatch; fault fallback,
+stats parity and pickling.
 
-The contract under test (see the "Message planes" section of
-:mod:`repro.sim.network`): a pristine columnar network delivers exactly
-the messages the object plane delivers, at the same simulated times, in
-the same global order, with the same RNG draws, seq numbers and
-statistics -- while using one heap cursor per column instead of one
-heap entry per message.  Any fault (down node, partition, interceptor,
-per-link override) makes new sends take the object path and in-flight
-columnar rows fall back to per-message delivery-time checks.
+The contract under test (see the "Message plane" section of
+:mod:`repro.sim.network`): wherever a row waits, the network delivers
+exactly the messages a heap-only run delivers, at the same simulated
+times, in the same global order, with the same RNG draws, seq numbers
+and statistics -- while the store's rows cost one heap cursor instead of
+one heap entry each.  Any fault (down node, partition, interceptor)
+makes new sends take the heap and parked rows fall back to per-message
+delivery-time checks.  Every pair below is (heap-only, store engaged at
+fanout 2) over a provider with a delay floor.
 """
 
 import pickle
+from types import SimpleNamespace
 
+from oracles import heap_only
+from repro.experiments import checkpoint
 from repro.sim.engine import Simulator
 from repro.sim.network import MESSAGE_PLANES, Network
 
@@ -35,14 +41,35 @@ class Pong(Ping):
     wire_size = 7
 
 
-def make_pair(delay=0.01, jitter=0.0, seed=1):
-    """One simulator + network per plane, identically seeded."""
-    pair = []
-    for plane in ("object", "columnar"):
-        sim = Simulator(seed=seed)
-        network = Network(sim, lambda a, b: delay, jitter=jitter, plane=plane)
-        pair.append((sim, network))
-    return pair
+class FloorDelay:
+    """Module-level provider (pickles) exposing the floor the store's
+    windows rest on: constant cross-node delay, zero self delay."""
+
+    def __init__(self, delay=0.01):
+        self.delay = delay
+
+    def __call__(self, a, b):
+        return 0.0 if a == b else self.delay
+
+    def delay_floor(self):
+        return self.delay
+
+
+def make_network(store, delay=0.01, jitter=0.0, seed=1):
+    """A simulator and its network: every multicast of two or more
+    parks in the store when ``store``, else the heap-only oracle."""
+    sim = Simulator(seed=seed)
+    network = Network(sim, FloorDelay(delay), jitter=jitter)
+    if store:
+        network.block_fanout = 2
+    else:
+        heap_only(network)
+    return sim, network
+
+
+def make_pair(**kwargs):
+    """(heap-only, store) simulators + networks, identically seeded."""
+    return [make_network(store, **kwargs) for store in (False, True)]
 
 
 def run_traffic(sim, network, n=6):
@@ -88,16 +115,13 @@ def snapshot(sim, network):
 # Construction
 # ----------------------------------------------------------------------
 def test_plane_vocabulary_and_validation():
-    assert MESSAGE_PLANES == (
-        "object", "columnar", "columnar-fast", "check", "check-fast"
-    )
+    assert MESSAGE_PLANES == ("object", "columnar", "columnar-fast", "check-fast")
     sim = Simulator(seed=0)
-    with pytest.raises(ValueError, match="check"):
-        Network(sim, lambda a, b: 0.01, plane="check")
-    with pytest.raises(ValueError, match="check"):
-        Network(sim, lambda a, b: 0.01, plane="check-fast")
-    with pytest.raises(ValueError):
-        Network(sim, lambda a, b: 0.01, plane="rowwise")
+    # One exact plane under two accepted names, no behaviour between them.
+    assert Network(sim, lambda a, b: 0.01, plane="columnar").plane == "object"
+    for plane in ("check", "check-fast", "rowwise"):
+        with pytest.raises(ValueError, match="unknown message plane"):
+            Network(sim, lambda a, b: 0.01, plane=plane)
 
 
 # ----------------------------------------------------------------------
@@ -116,23 +140,35 @@ def test_columnar_uses_fewer_heap_events():
     (sim_o, net_o), (sim_c, net_c) = make_pair()
     run_traffic(sim_o, net_o)
     run_traffic(sim_c, net_c)
-    # One cursor per drained column vs one entry per message: the
-    # columnar run must process strictly fewer heap events for the
-    # identical delivery trace.
+    # One cursor per drain vs one entry per message: the store run pops
+    # strictly fewer heap events for the identical delivery trace, and
+    # the heap deliveries its drain merged inline are not among them.
+    assert net_c.stats.plane["merged_rows"] > 0
     assert sim_c.events_processed < sim_o.events_processed
 
 
 def test_delivery_tie_order_matches_object_plane():
-    # Zero delay and zero jitter: every delivery carries the same
-    # timestamp and order is decided purely by seq allocation.
-    (sim_o, net_o), (sim_c, net_c) = make_pair(delay=0.0)
-    trace_object = run_traffic(sim_o, net_o)
-    trace_columnar = run_traffic(sim_c, net_c)
+    # One flat delay, zero jitter, and a second wave sent exactly one
+    # delay after the first: its fanout (store rows) lands on the very
+    # instant the first wave's replies (heap deliveries) do, so the
+    # merge of window rows against heap heads is decided purely by seq.
+    def run(store):
+        sim, network = make_network(store)
+        sim.schedule(
+            0.01, network.multicast, 2, range(6), Ping("wave"), Ping.wire_size
+        )
+        return run_traffic(sim, network)
+
+    trace_object, trace_columnar = run(False), run(True)
+    # (Pong inherits Ping's repr: ``Ping(100)`` at 0.02 is a reply.)
+    at_tie = [rep for t, _, _, rep in trace_object if t == 0.02]
+    assert "Ping(wave)" in at_tie and "Ping(100)" in at_tie
     assert trace_columnar == trace_object
 
 
 # ----------------------------------------------------------------------
-# Batch handler dispatch (unicast columns)
+# Batch handler dispatch: the relaxed drain's (the exact plane delivers
+# per row and never calls a batch handler)
 # ----------------------------------------------------------------------
 class BatchEndpoint:
     """Records whether rows arrived via the batch or the row path."""
@@ -154,7 +190,7 @@ class BatchEndpoint:
 
 def test_unicast_runs_reach_batch_handler():
     sim = Simulator(seed=1)
-    network = Network(sim, lambda a, b: 0.01, plane="columnar")
+    network = Network(sim, lambda a, b: 0.01, plane="columnar-fast")
     endpoint = BatchEndpoint(sim)
     network.register(1, endpoint.on_message)
     network.register_batch_endpoint(1, endpoint)
@@ -172,10 +208,9 @@ def test_unicast_runs_reach_batch_handler():
 
 
 class YieldingEndpoint(BatchEndpoint):
-    """Consumes one row per call and replies: the cooperative contract
-    for handlers whose rows send (side effects may precede row k+1).
-    The per-row handler is equivalent, as the contract requires --
-    single-row runs are delivered through it, not the batch path."""
+    """Consumes one row per call and replies, as the shipped handlers
+    do after a row that sends; the drain calls again on the remainder.
+    The per-row handler is equivalent, as the contract requires."""
 
     def __init__(self, sim, network):
         super().__init__(sim)
@@ -193,12 +228,15 @@ class YieldingEndpoint(BatchEndpoint):
 
 
 def test_yielding_batch_handler_preserves_order():
+    endpoints = []
+
     def run(plane):
         sim = Simulator(seed=1)
         network = Network(sim, lambda a, b: 0.01, plane=plane)
         trace = []
-        if plane == "columnar":
+        if plane == "columnar-fast":
             endpoint = YieldingEndpoint(sim, network)
+            endpoints.append(endpoint)
             network.register(1, endpoint.on_message)
             network.register_batch_endpoint(1, endpoint)
         else:
@@ -218,11 +256,15 @@ def test_yielding_batch_handler_preserves_order():
         return trace, snapshot(sim, network)
 
     trace_object, stats_object = run("object")
-    trace_columnar, stats_columnar = run("columnar")
-    assert trace_columnar == trace_object
+    trace_fast, stats_fast = run("columnar-fast")
+    # The run of three reached the batch handler three times -- whole,
+    # then each remainder -- and every row was answered once, in order.
+    assert [value for _, value, _ in endpoints[0].batches] == [0, 2, 3]
+    assert endpoints[0].rows == []
+    assert trace_fast == trace_object
     # The endpoints differ by construction, so only the wire-visible
     # stats are compared (same sends, same deliveries, same bytes).
-    assert stats_columnar == stats_object
+    assert stats_fast == stats_object
 
 
 class GreedyEndpoint(BatchEndpoint):
@@ -235,19 +277,20 @@ class GreedyEndpoint(BatchEndpoint):
 
 def test_overclaimed_consumed_count_is_clamped():
     sim = Simulator(seed=1)
-    network = Network(sim, lambda a, b: 0.01, plane="columnar")
+    network = Network(sim, lambda a, b: 0.01, plane="columnar-fast")
     endpoint = GreedyEndpoint(sim)
     network.register(1, endpoint.on_message)
     network.register_batch_endpoint(1, endpoint)
     for src in (0, 2):
         network.send(src, 1, Ping(src), Ping.wire_size)
     sim.run()
+    assert endpoint.batches == [2]  # the handler ran, and over-claimed
     assert network.stats.messages_delivered == 2
 
 
 def test_mixed_classes_split_into_class_runs():
     sim = Simulator(seed=1)
-    network = Network(sim, lambda a, b: 0.0, plane="columnar")
+    network = Network(sim, lambda a, b: 0.0, plane="columnar-fast")
     endpoint = BatchEndpoint(sim)
     network.register(1, endpoint.on_message)
     network.register_batch_endpoint(1, endpoint)
@@ -266,11 +309,11 @@ def test_mixed_classes_split_into_class_runs():
 # Horizon slicing
 # ----------------------------------------------------------------------
 def test_horizon_slices_columns_and_resumes():
-    # run(until=...) must not deliver rows beyond the horizon, and a
-    # later run() must deliver them -- the campaign plane's slice loop.
-    def run(plane):
-        sim = Simulator(seed=1)
-        network = Network(sim, lambda a, b: 1.0, plane=plane)
+    # run(until=...) must not deliver rows beyond the horizon -- parked
+    # ones or the heap's -- and a later run() must deliver them: the
+    # campaign plane's slice loop.
+    def run(store):
+        sim, network = make_network(store, delay=1.0, seed=1)
         trace = []
         for node in range(3):
             network.register(
@@ -285,8 +328,8 @@ def test_horizon_slices_columns_and_resumes():
         sim.run(until=10.0)
         return first, trace
 
-    first_o, full_o = run("object")
-    first_c, full_c = run("columnar")
+    first_o, full_o = run(False)
+    first_c, full_c = run(True)
     assert first_c == first_o  # nothing before the horizon... (self-row)
     assert full_c == full_o  # ...and everything after resuming
 
@@ -295,9 +338,8 @@ def test_horizon_slices_columns_and_resumes():
 # Fault fallback
 # ----------------------------------------------------------------------
 def test_mid_flight_crash_drops_on_both_planes():
-    def run(plane):
-        sim = Simulator(seed=1)
-        network = Network(sim, lambda a, b: 1.0, plane=plane)
+    def run(store):
+        sim, network = make_network(store, delay=1.0, seed=1)
         trace = []
         for node in range(4):
             network.register(
@@ -310,17 +352,16 @@ def test_mid_flight_crash_drops_on_both_planes():
         sim.run()
         return trace, snapshot(sim, network)
 
-    trace_object, stats_object = run("object")
-    trace_columnar, stats_columnar = run("columnar")
+    trace_object, stats_object = run(False)
+    trace_columnar, stats_columnar = run(True)
     assert trace_columnar == trace_object
     assert stats_columnar == stats_object
     assert stats_columnar["dropped"] == 2  # multicast row + unicast row
 
 
 def test_sends_after_fault_take_object_path_and_match():
-    def run(plane):
-        sim = Simulator(seed=3)
-        network = Network(sim, lambda a, b: 0.01, jitter=0.05, plane=plane)
+    def run(store):
+        sim, network = make_network(store, delay=0.01, jitter=0.05, seed=3)
         trace = []
         for node in range(4):
             network.register(
@@ -343,25 +384,23 @@ def test_sends_after_fault_take_object_path_and_match():
         sim.run()
         return trace, snapshot(sim, network)
 
-    trace_object, stats_object = run("object")
-    trace_columnar, stats_columnar = run("columnar")
+    trace_object, stats_object = run(False)
+    trace_columnar, stats_columnar = run(True)
     assert trace_columnar == trace_object
     assert stats_columnar == stats_object
-    # The interceptor-dropped unicast is not counted as sent (satellite:
-    # drop-vs-sent accounting must agree between planes).
+    # The interceptor-dropped unicast is not counted as sent.
     assert stats_columnar["dropped"] == 1
     assert stats_columnar["per_type_bytes"] == stats_object["per_type_bytes"]
 
 
 def test_lossy_interceptor_stats_agree_between_planes():
-    # A probabilistic-loss interceptor added mid-run: drops must not
-    # count as sent on the columnar path either, and per_type_bytes must
-    # agree byte-for-byte (the loss RNG is seeded per run).
+    # A probabilistic-loss interceptor added mid-run, with rows parked:
+    # drops must not count as sent, and per_type_bytes must agree
+    # byte-for-byte (the loss RNG is seeded per run).
     import random
 
-    def run(plane):
-        sim = Simulator(seed=2)
-        network = Network(sim, lambda a, b: 0.02, plane=plane)
+    def run(store):
+        sim, network = make_network(store, delay=0.02, seed=2)
         received = []
         for node in range(5):
             network.register(
@@ -386,8 +425,8 @@ def test_lossy_interceptor_stats_agree_between_planes():
         sim.run()
         return received, snapshot(sim, network)
 
-    received_object, stats_object = run("object")
-    received_columnar, stats_columnar = run("columnar")
+    received_object, stats_object = run(False)
+    received_columnar, stats_columnar = run(True)
     assert received_columnar == received_object
     assert stats_columnar == stats_object
     assert stats_columnar["dropped"] > 0
@@ -396,13 +435,8 @@ def test_lossy_interceptor_stats_agree_between_planes():
 
 
 # ----------------------------------------------------------------------
-# Pickling (checkpoint/resume with columns in flight)
+# Pickling (checkpoint/resume with rows in flight)
 # ----------------------------------------------------------------------
-def _half_second(a, b):
-    """Module-level delay provider so the network graph pickles."""
-    return 0.5
-
-
 class PicklableEndpoint:
     """Module-level endpoint so the network graph pickles."""
 
@@ -416,8 +450,7 @@ class PicklableEndpoint:
 
 def test_columnar_network_pickles_with_rows_in_flight():
     def build():
-        sim = Simulator(seed=4)
-        network = Network(sim, _half_second, jitter=0.1, plane="columnar")
+        sim, network = make_network(True, delay=0.5, jitter=0.1, seed=4)
         endpoints = [PicklableEndpoint(sim) for _ in range(3)]
         for node, endpoint in enumerate(endpoints):
             network.register(node, endpoint)
@@ -431,12 +464,18 @@ def test_columnar_network_pickles_with_rows_in_flight():
     want = [endpoint.received for endpoint in endpoints]
     want_stats = snapshot(sim, network)
 
-    # Pickled mid-flight (armed cursors, partially drained columns).
+    # Pickled mid-flight: two rows parked behind an armed cursor, and
+    # the unicast in the heap -- an entry that holds the delivery
+    # closure, so the graph goes through the checkpoint pickler.
     sim, network, endpoints = build()
     sim.run(until=0.1)
-    sim2, network2, endpoints2 = pickle.loads(
-        pickle.dumps((sim, network, endpoints))
+    assert network._fast.count == 2 and len(sim._queue) == 2
+    graph = SimpleNamespace(cluster=SimpleNamespace(sim=sim, network=network))
+    graph, endpoints2 = checkpoint._deserialize_state(
+        checkpoint._serialize_state((graph, endpoints))
     )
+    checkpoint._rebind_deliveries(graph)
+    sim2, network2 = graph.cluster.sim, graph.cluster.network
     sim2.run()
     assert [endpoint.received for endpoint in endpoints2] == want
     assert snapshot(sim2, network2) == want_stats
@@ -445,36 +484,22 @@ def test_columnar_network_pickles_with_rows_in_flight():
 # ----------------------------------------------------------------------
 # Relaxed plane (columnar-fast)
 # ----------------------------------------------------------------------
-class FloorDelay:
-    """Module-level provider (pickles) exposing the relaxed plane's
-    window-cap floor: constant cross-node delay, zero self delay."""
-
-    def __init__(self, delay=0.01):
-        self.delay = delay
-
-    def __call__(self, a, b):
-        return 0.0 if a == b else self.delay
-
-    def delay_floor(self):
-        return self.delay
-
-
 @pytest.mark.parametrize("plane", ["columnar", "columnar-fast"])
 def test_columnar_planes_read_the_provider_delay_floor(plane):
     # Both drains window on the floor: the relaxed one caps its passes
-    # with it, the exact one needs it to park wide multicasts at all.
+    # with it, the exact one needs it to park wide multicasts at all --
+    # under either of its names, and by default.
     sim = Simulator(seed=0)
     network = Network(sim, FloorDelay(0.02), plane=plane)
     assert network._delay_floor == 0.02
-    # Derived, never pickled: a checkpoint written when the exact plane
-    # stored 0.0 must not keep windows off after a resume.
+    assert Network(Simulator(seed=0), FloorDelay(0.02))._delay_floor == 0.02
+    # Derived, never pickled: a checkpoint written by a build whose
+    # default plane stored 0.0 must not keep windows off after a resume.
     assert "_delay_floor" not in network.__getstate__()
     assert pickle.loads(pickle.dumps(network))._delay_floor == 0.02
     # Bare callables advertise no floor.
     network.one_way_delay = lambda a, b: 0.02
     assert network._delay_floor == 0.0
-    # The object plane never windows, whatever the provider knows.
-    assert Network(Simulator(seed=0), FloorDelay(0.02))._delay_floor == 0.0
 
 
 def test_fast_plane_delivers_object_multiset_in_dst_time_order():

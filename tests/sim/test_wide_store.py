@@ -2,13 +2,13 @@
 
 A multicast whose fanout reaches ``Network.block_fanout`` -- over a
 delay provider that advertises a positive ``delay_floor`` -- parks its
-cross-node rows in the columnar store (``Network._fast``) instead of
-the tuple spine, and the drain delivers them in delay-floor windows
-merged against the tuple rows.  The contract is the same as for the
-tuple spine: delivery times, global order, seq allocation, RNG draws and
-statistics are bit-identical to the object plane.  These tests pin the
-store machinery specifically by lowering ``block_fanout`` so small
-fanouts engage it.
+cross-node rows in the store (``Network._fast``) instead of pushing one
+heap entry each, and the drain delivers them in delay-floor windows
+merged against the deliveries pending at the head of the heap.  The
+contract: delivery times, global order, seq allocation, RNG draws and
+statistics are bit-identical to a heap-only run (``oracles.heap_only``).
+These tests pin the store machinery specifically by lowering
+``block_fanout`` so small fanouts engage it.
 """
 
 import pickle
@@ -16,9 +16,15 @@ import pickle
 import numpy as np
 import pytest
 
+from oracles import heap_only
+from repro.experiments.checkpoint import (
+    CheckpointError,
+    _deserialize_state,
+    _serialize_state,
+)
 from repro.sim import network as network_mod
-from repro.sim.engine import SimulationError, Simulator
-from repro.sim.network import Network, _Spine
+from repro.sim.engine import Simulator
+from repro.sim.network import Network
 
 pytestmark = pytest.mark.usefixtures("small_fanout")
 
@@ -28,10 +34,12 @@ def small_fanout(request, monkeypatch):
     """Engage the store at fanout 4 so n=8 traffic exercises it -- once
     as the sparse store such traffic makes (one barrier-wide window,
     trimmed when a handler parks rows under it), once with the sparse
-    rule off, so the same rows go through delay-floor windows."""
+    rule off, so the same rows go through delay-floor windows.  Answers
+    which, for the tests whose counters depend on it."""
     monkeypatch.setattr(Network, "block_fanout", 4)
     if request.param == "dense":
         monkeypatch.setattr(network_mod, "_SPARSE_ROWS", 0)
+    return request.param
 
 
 class Ping:
@@ -82,13 +90,18 @@ def _bare(a, b):
 
 
 def run_wide_traffic(
-    plane, n=8, jitter=0.0, seed=1, delay=None, on_ping=None, rounds=3
+    store, n=8, jitter=0.0, seed=1, delay=None, on_ping=None, rounds=3,
+    drive=Simulator.run,
 ):
-    """All-to-all wide multicasts; ``on_ping(sim, network, dst, src,
-    message)`` adds per-test reactions.  Returns the delivery trace, the
-    wire-visible statistics and the network."""
+    """All-to-all wide multicasts, through the store or -- the oracle --
+    the heap alone; ``on_ping(sim, network, dst, src, message)`` adds
+    per-test reactions and ``drive(sim)`` runs the simulation to its
+    end.  Returns the delivery trace, the wire-visible statistics and
+    the network."""
     sim = Simulator(seed=seed)
-    network = Network(sim, delay or Spread(), jitter=jitter, plane=plane)
+    network = Network(sim, delay or Spread(), jitter=jitter)
+    if not store:
+        heap_only(network)
     trace = []
 
     def handler(dst):
@@ -113,7 +126,7 @@ def run_wide_traffic(
                 Ping((round_index, src)),
                 Ping.wire_size,
             )
-    sim.run()
+    drive(sim)
     stats = network.stats
     return trace, {
         "now": sim.now,
@@ -125,12 +138,29 @@ def run_wide_traffic(
     }, network
 
 
-def assert_planes_agree(**kwargs):
-    trace_object, stats_object, _ = run_wide_traffic("object", **kwargs)
-    trace_store, stats_store, network = run_wide_traffic("columnar", **kwargs)
-    assert trace_store == trace_object
-    assert stats_store == stats_object
+def assert_store_matches_heap(**kwargs):
+    trace_heap, stats_heap, _ = run_wide_traffic(False, **kwargs)
+    trace_store, stats_store, network = run_wide_traffic(True, **kwargs)
+    assert trace_store == trace_heap
+    assert stats_store == stats_heap
     return network.stats.plane, network
+
+
+# What node 0 does on every Ping, for the tests that need something to
+# land inside an open window (``on_ping`` reactions).
+def _timer(sim, network, dst, src, message):
+    if dst == 0:  # a quarter-floor ahead
+        sim.schedule(0.00025, lambda: None)
+
+
+def _self_copy(sim, network, dst, src, message):
+    if dst == 0:  # zero delay: lands at ``now``
+        network.send(0, 0, Pong(message.value), Pong.wire_size)
+
+
+def _unicast_reply(sim, network, dst, src, message):
+    if dst == 0:  # fanout 1: waits in the heap, the head when it lands
+        network.send(0, src, Pong(message.value), Pong.wire_size)
 
 
 # ----------------------------------------------------------------------
@@ -138,59 +168,64 @@ def assert_planes_agree(**kwargs):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("jitter", [0.0, 0.05])
 def test_store_trace_matches_object_plane(jitter):
-    counters, _ = assert_planes_agree(jitter=jitter)
-    # 8 senders x 7 cross-node rows x 3 rounds went through windows; the
-    # 24 zero-delay self copies stayed tuples.
+    counters, _ = assert_store_matches_heap(jitter=jitter)
+    # 8 senders x 7 cross-node rows x 3 rounds went through windows.  The
+    # 24 zero-delay self copies were heap entries sent by timers at the
+    # instant they land, so the engine popped them before any cursor:
+    # no drain had one to merge.
     assert counters["window_rows"] == 168
-    assert counters["tuple_rows"] == 24
+    assert counters["merged_rows"] == 0
     assert counters["windows"] > 0
 
 
 def test_reactive_sends_interleave_with_store_rows():
-    def bounce(sim, network, dst, src, message):
-        if dst == 0:
-            # Sends fired from inside a window land in the tuple rows
-            # (fanout 1) and must still interleave correctly.
-            network.send(dst, src, Pong(message.value), Pong.wire_size)
-
-    counters, _ = assert_planes_agree(on_ping=bounce)
-    assert counters["tuple_rows"] > 24
+    # Sends fired from inside a window wait in the heap (fanout 1) and
+    # must still interleave correctly.
+    counters, _ = assert_store_matches_heap(on_ping=_unicast_reply)
+    assert counters["merged_rows"] > 0
 
 
 def test_store_engages_at_the_threshold():
     sim = Simulator(seed=1)
-    network = Network(sim, Spread(), plane="columnar")
+    network = Network(sim, Spread())
     for node in range(6):
         network.register(node, lambda src, msg: None)
     network.multicast(0, range(6), Ping("wide"), Ping.wire_size)
-    # Five cross-node rows parked, the self copy a tuple.
+    # Five cross-node rows parked behind one cursor, the self copy a
+    # heap delivery.
     assert network._fast.count == 5
-    assert [row[2:4] for row in network._spine.entries] == [(0, 0)]
+    assert len(sim._queue) == 2
+    assert any(
+        entry[3] is network._deliver_bound and entry[4][:2] == (0, 0)
+        for entry in sim._queue
+    )
     network.multicast(1, range(3), Ping("narrow"), Ping.wire_size)
     network.send(1, 2, Ping("unicast"), Ping.wire_size)
     assert network._fast.count == 5
-    assert len(network._spine.entries) == 5
+    assert len(sim._queue) == 6
     sim.run()
     assert network._fast.count == 0 and not network._fast.pool
-    assert not network._spine.entries
+    assert not sim._queue
     assert network.stats.messages_delivered == 10
 
 
 def test_floorless_provider_stays_on_tuples():
     # A bare callable promises no lower bound on its delays, so a window
-    # could never be wider than one instant: wide multicasts keep the
-    # tuple path and stay bit-identical to the object plane.
-    counters, network = assert_planes_agree(delay=_bare, jitter=0.05)
+    # could never be wider than one instant: wide multicasts stay heap
+    # entries (the tuples of the name) and nothing parks or merges.
+    counters, network = assert_store_matches_heap(delay=_bare, jitter=0.05)
     assert network._delay_floor == 0.0
-    assert counters["windows"] == 0 and counters["window_rows"] == 0
-    assert counters["tuple_rows"] == 192
+    assert not any(counters.values())
+    # One engine event per delivery, plus the 24 timers that sent them.
+    assert network.stats.messages_delivered == 192
+    assert network.sim.events_processed == 192 + 24
 
 
 def test_arrival_ties_resolve_by_seq():
     # Every row of a fanout -- and of the next sender's fanout -- lands
     # at one timestamp: order is decided purely by seq, which the window
     # sort must reproduce.
-    counters, _ = assert_planes_agree(delay=Flat(0.01), rounds=1)
+    counters, _ = assert_store_matches_heap(delay=Flat(0.01), rounds=1)
     assert counters["window_rows"] == 56
 
 
@@ -198,9 +233,11 @@ def test_arrival_ties_resolve_by_seq():
 # Faults and horizons
 # ----------------------------------------------------------------------
 def test_mid_flight_fault_falls_back_per_row():
-    def run(plane):
+    def run(store):
         sim = Simulator(seed=1)
-        network = Network(sim, Flat(1.0), plane=plane)
+        network = Network(sim, Flat(1.0))
+        if not store:
+            heap_only(network)
         trace = []
         for node in range(6):
             network.register(
@@ -212,8 +249,8 @@ def test_mid_flight_fault_falls_back_per_row():
         sim.run()
         return trace, network.stats
 
-    trace_object, stats_object = run("object")
-    trace_store, stats_store = run("columnar")
+    trace_object, stats_object = run(False)
+    trace_store, stats_store = run(True)
     assert trace_store == trace_object
     assert stats_store.messages_dropped == stats_object.messages_dropped == 1
     # The five parked rows went through _deliver_bound's checks one by
@@ -222,9 +259,11 @@ def test_mid_flight_fault_falls_back_per_row():
 
 
 def test_horizon_slices_a_window_and_resumes():
-    def run(plane):
+    def run(store):
         sim = Simulator(seed=1)
-        network = Network(sim, Spread(0.1), plane=plane)
+        network = Network(sim, Spread(0.1))
+        if not store:
+            heap_only(network)
         trace = []
         for node in range(5):
             network.register(
@@ -239,16 +278,76 @@ def test_horizon_slices_a_window_and_resumes():
         sim.run(until=10.0)
         return first, trace
 
-    first_o, full_o = run("object")
-    first_c, full_c = run("columnar")
+    first_o, full_o = run(False)
+    first_c, full_c = run(True)
     assert 1 < len(first_o) < len(full_o)
     assert first_c == first_o
     assert full_c == full_o
 
 
+def _every_event_its_own_run(sim):
+    while sim.pending:
+        sim.run(max_events=1)
+
+
+def _slices_ending_inside_windows(sim):
+    # 0.7 ms steps against a 1 ms floor: most slices end inside a window.
+    until = 0.0
+    while sim.pending:
+        until += 0.0007
+        sim.run(until=until)
+
+
+@pytest.mark.parametrize(
+    "drive", [_every_event_its_own_run, _slices_ending_inside_windows]
+)
+def test_sliced_runs_resume_to_the_same_trace(drive):
+    # A budget stop falls between two heap pops, never inside a drain;
+    # a horizon stop falls inside one, which puts the rest of its window
+    # back.  Either way the next run() picks up where this one stopped.
+    counters, _ = assert_store_matches_heap(
+        drive=drive, on_ping=_unicast_reply, jitter=0.05
+    )
+    assert counters["window_rows"] == 168 and counters["merged_rows"] > 0
+
+
 # ----------------------------------------------------------------------
-# Window edges: put-back, tail folds, seq rebases
+# Window edges: what lands inside an open window, put-back, tail folds,
+# seq rebases
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("landing", [_timer, _self_copy, _unicast_reply])
+def test_what_lands_inside_an_open_window(small_fanout, landing):
+    # Node 0 answers every Ping with something that lands inside a
+    # window: a timer a quarter-floor ahead, a zero-delay self copy, or
+    # a unicast that is the heap's head when a later window opens.  The
+    # timer bars the window (rows behind it go back); the deliveries
+    # merge into it and bar nothing.
+    counters, _ = assert_store_matches_heap(on_ping=landing, jitter=0.05)
+    assert (counters["merged_rows"] > 0) == (landing is not _timer)
+    if small_fanout == "dense":
+        # (A sparse window is also trimmed, by put-back, the first time
+        # a handler parks rows under it.)
+        assert (counters["put_backs"] > 0) == (landing is _timer)
+
+
+def test_rows_parked_at_the_window_end_tie_with_heap_heads():
+    # One flat delay equal to the floor: what node 0 sends from inside
+    # the window [d, 2d) -- a wide fanout (parked) and then a unicast
+    # (heap) -- lands exactly at the window's end, 2d, the parked rows
+    # with the smaller seqs.  The heap head is below the cap (2d, inf)
+    # when the window runs out; the rows parked since the cut must be
+    # cut before it is merged.
+    def react(sim, network, dst, src, message):
+        if dst == 0:
+            network.multicast(0, range(8), Pong(message.value), Pong.wire_size)
+            network.send(0, src, Pong(message.value), Pong.wire_size)
+
+    counters, _ = assert_store_matches_heap(
+        delay=Flat(0.01), rounds=1, on_ping=react
+    )
+    assert counters["merged_rows"] >= 7
+
+
 def test_timer_inside_the_window_puts_rows_back():
     # Node 0 answers every Ping with a timer a quarter-floor ahead: it
     # lands inside the window being delivered and becomes the heap head,
@@ -259,7 +358,7 @@ def test_timer_inside_the_window_puts_rows_back():
         if dst == 0:
             sim.schedule(0.00025, fired.append, (sim.now, message.value))
 
-    counters, _ = assert_planes_agree(on_ping=arm, jitter=0.05)
+    counters, _ = assert_store_matches_heap(on_ping=arm, jitter=0.05)
     assert counters["put_backs"] > 0
     # Both runs appended to ``fired``: the timers fired at equal times.
     assert fired[: len(fired) // 2] == fired[len(fired) // 2 :]
@@ -274,7 +373,7 @@ def test_tail_folds_mid_drain():
         if src < 3:
             network.multicast(dst, range(96), Pong(dst), Pong.wire_size)
 
-    counters, _ = assert_planes_agree(n=96, rounds=1, on_ping=more_waves)
+    counters, _ = assert_store_matches_heap(n=96, rounds=1, on_ping=more_waves)
     assert counters["tail_folds"] >= 2
     assert counters["window_rows"] == 4 * 96 * 95
 
@@ -289,7 +388,7 @@ def test_seq_rebase_with_rows_pending(monkeypatch):
         if dst == 0:
             sim.schedule(0.00025, lambda: None)
 
-    counters, network = assert_planes_agree(on_ping=arm, jitter=0.05)
+    counters, network = assert_store_matches_heap(on_ping=arm, jitter=0.05)
     assert counters["put_backs"] > 0
     assert network._fast.seq_base > 64
 
@@ -345,7 +444,7 @@ class PicklableEndpoint:
 def test_network_pickles_with_wide_rows_in_flight():
     def build():
         sim = Simulator(seed=4)
-        network = Network(sim, Spread(0.1), jitter=0.1, plane="columnar")
+        network = Network(sim, Spread(0.1), jitter=0.1)
         endpoints = [PicklableEndpoint(sim) for _ in range(5)]
         for node, endpoint in enumerate(endpoints):
             network.register(node, endpoint)
@@ -369,17 +468,43 @@ def test_network_pickles_with_wide_rows_in_flight():
     assert network2.stats.plane["window_rows"] == 8
 
 
-def test_spine_setstate_reads_older_layouts():
-    # Before the block heap existed, and today: a 3-tuple.
-    spine = _Spine.__new__(_Spine)
-    spine.__setstate__(([("row",)], (0.0, 1), {(0.0, 1)}))
-    assert spine.entries == [("row",)]
-    assert spine.__getstate__() == ([("row",)], (0.0, 1), {(0.0, 1)})
-    # With the block heap: restorable only while it was empty.
-    spine.__setstate__(([("row",)], None, set(), []))
-    assert spine.entries == [("row",)]
-    with pytest.raises(SimulationError, match="spine blocks"):
-        spine.__setstate__(([], None, set(), [(0.0, 1, object())]))
+class _Spine:
+    """Pickles as the retired ``repro.sim.network._Spine`` did: by
+    reference to a class of that name, with ``(entries, armed, live)``
+    -- plus the block heap, for a while -- as its state."""
+
+    __module__ = "repro.sim.network"
+
+    def __init__(self, *state):
+        self.state = state
+
+    def __reduce__(self):
+        return (object.__new__, (_Spine,), self.state)
+
+
+def test_spine_setstate_reads_older_layouts(monkeypatch):
+    # What is left of the sorted-list spine is the checkpoint loader's
+    # stand-in for it, which reads both layouts older builds wrote.
+    monkeypatch.setattr(network_mod, "_Spine", _Spine, raising=False)
+
+    def restore(*spine_state):
+        network = Network(Simulator(seed=1), Spread())
+        network._spine = _Spine(*spine_state)
+        return _deserialize_state(_serialize_state(network))
+
+    # Empty -- every checkpoint whose sends were all in the heap -- it
+    # loads, under either layout, and the network drops the key.
+    for empty in (([], None, set()), ([], None, set(), [])):
+        assert "_spine" not in vars(restore(*empty))
+    # Holding rows, a live cursor key or a parked block, it is refused.
+    key = (0.5, 7)
+    for in_flight in (
+        ([(0.5, 7, 0, 1, "row")], key, {key}),
+        ([], key, {key}),
+        ([], None, set(), [(0.5, 7, object)]),
+    ):
+        with pytest.raises(CheckpointError, match="sorted-list spine"):
+            restore(*in_flight)
 
 
 def test_store_setstate_reads_the_per_row_src_and_class_layout():
