@@ -165,29 +165,32 @@ def _parse_fault(text: str) -> FaultSpec:
         raise SystemExit(f"bad --fault {text!r}: {error}")
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    scenario = Scenario(
-        protocol=args.protocol,
-        deployment=args.deployment,
-        workload=args.workload,
-        workload_params=_parse_params(args.param),
-        duration=args.duration,
-        seed=args.seed,
-        delta=args.delta,
-        jitter=args.jitter,
-        client_city=args.client_city,
-        faults=[_parse_fault(fault) for fault in args.fault or []],
-        search_iterations=args.search_iterations,
-        pipeline_depth=args.pipeline_depth,
-        plane=args.plane,
-    )
+def _scenario_from_args(args: argparse.Namespace, seed: int) -> Scenario:
+    """The scenario ``run``, ``sweep`` and ``campaign`` describe with their
+    shared options (see :func:`_add_scenario_options`); a value the
+    scenario rejects exits with its message."""
     try:
-        result = run_scenario(scenario)
+        return Scenario(
+            protocol=args.protocol,
+            deployment=args.deployment,
+            workload=args.workload,
+            workload_params=_parse_params(args.param),
+            duration=args.duration,
+            seed=seed,
+            delta=args.delta,
+            jitter=args.jitter,
+            client_city=args.client_city,
+            faults=[_parse_fault(fault) for fault in args.fault or []],
+            search_iterations=args.search_iterations,
+            pipeline_depth=args.pipeline_depth,
+            plane=args.plane,
+        )
     except (ValueError, TypeError) as error:
-        # Bad protocol/workload/deployment names or workload params; the
-        # exception text already names the offender and the known values.
         raise SystemExit(f"error: {error}")
-    text = result.to_json(indent=2)
+
+
+def _emit(args: argparse.Namespace, text: str) -> int:
+    """Write ``text`` to ``--output`` (noting it on stderr) or stdout."""
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text + "\n")
@@ -195,6 +198,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         print(text)
     return 0
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    scenario = _scenario_from_args(args, args.seed)
+    try:
+        result = run_scenario(scenario)
+    except (ValueError, TypeError) as error:
+        # Bad protocol/workload/deployment names or workload params; the
+        # exception text already names the offender and the known values.
+        raise SystemExit(f"error: {error}")
+    return _emit(args, result.to_json(indent=2))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -212,24 +226,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     if not seeds:
         raise SystemExit("sweep needs --seeds and/or --derive-seeds")
-    scenarios = [
-        Scenario(
-            protocol=args.protocol,
-            deployment=args.deployment,
-            workload=args.workload,
-            workload_params=_parse_params(args.param),
-            duration=args.duration,
-            seed=seed,
-            delta=args.delta,
-            jitter=args.jitter,
-            client_city=args.client_city,
-            faults=[_parse_fault(fault) for fault in args.fault or []],
-            search_iterations=args.search_iterations,
-            pipeline_depth=args.pipeline_depth,
-            plane=args.plane,
-        )
-        for seed in seeds
-    ]
+    scenarios = [_scenario_from_args(args, seed) for seed in seeds]
     try:
         metrics = run_scenarios(
             scenarios,
@@ -240,35 +237,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise SystemExit(f"error: {error} (failing point: {error.label})")
     except (ValueError, TypeError) as error:
         raise SystemExit(f"error: {error}")
-    text = json.dumps(metrics, sort_keys=True, indent=2)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        print(text)
-    return 0
+    return _emit(args, json.dumps(metrics, sort_keys=True, indent=2))
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
     from repro.experiments.campaign import CampaignSpec, campaign_to_json, run_campaign
     from repro.experiments.parallel import ParallelWorkerError
 
-    scenario = Scenario(
-        protocol=args.protocol,
-        deployment=args.deployment,
-        workload=args.workload,
-        workload_params=_parse_params(args.param),
-        duration=args.duration,
-        seed=args.seed,
-        delta=args.delta,
-        jitter=args.jitter,
-        client_city=args.client_city,
-        faults=[_parse_fault(fault) for fault in args.fault or []],
-        search_iterations=args.search_iterations,
-        pipeline_depth=args.pipeline_depth,
-        plane=args.plane,
-    )
+    scenario = _scenario_from_args(args, args.seed)
     try:
         spec = CampaignSpec(
             scenario=scenario,
@@ -287,14 +263,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         raise SystemExit(f"error: {error} (failing point: {error.label})")
     except (ValueError, TypeError) as error:
         raise SystemExit(f"error: {error}")
-    text = campaign_to_json(report, indent=2)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        print(text)
-    return 0
+    return _emit(args, campaign_to_json(report, indent=2))
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
@@ -313,14 +282,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         )
     except (ValueError, TypeError) as error:
         raise SystemExit(f"error: {error}")
-    text = result.to_json(indent=2)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        print(text)
-    return 0
+    return _emit(args, result.to_json(indent=2))
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
@@ -480,18 +442,15 @@ def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
                         help="OptiTree annealing iterations")
     parser.add_argument("--pipeline-depth", type=int, default=None)
     parser.add_argument("--plane", default="object",
-                        choices=("object", "columnar", "columnar-fast",
-                                 "check-fast"),
+                        choices=runner_mod.MESSAGE_PLANES,
                         help="message plane: object (exact; narrow sends "
                              "wait in the event heap, wide pristine "
                              "multicasts in the row store -- columnar is a "
-                             "synonym), columnar-fast (coalesced barrier-"
+                             "synonym) or columnar-fast (coalesced barrier-"
                              "window deliveries, equivalent final metrics "
-                             "for campaign runs; faulted scenarios fall "
-                             "back to object), or check-fast (run "
-                             "object+columnar-fast at jitter=0, assert "
-                             "equal commit counts and quantiles within the "
-                             "sketch error bound)")
+                             "for campaign runs, asserted by the test "
+                             "suite; faulted scenarios fall back to "
+                             "object)")
     parser.add_argument("--output", metavar="FILE",
                         help="write JSON here instead of stdout")
 

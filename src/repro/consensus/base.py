@@ -45,7 +45,7 @@ class RunMetrics:
     def commit_sink(self) -> Callable[[CommitEvent], None]:
         """Hot-path sink taking a ready-made :class:`CommitEvent`.
 
-        The streaming twins in :mod:`repro.metrics` implement the same
+        The streaming twin in :mod:`repro.metrics` implements the same
         method, so replicas prebind one callable and never know which
         measurement mode is active.
         """
@@ -162,7 +162,7 @@ class ReplicaBase:
 
         ``metrics`` is anything with the :class:`RunMetrics` query API
         plus ``commit_sink()``/``record_commit()`` -- in practice
-        :class:`RunMetrics` itself or the streaming/checked twins from
+        :class:`RunMetrics` itself or the streaming twin from
         :mod:`repro.metrics`.  Must run before the replica commits
         anything; commits already recorded stay with the old observer.
         """

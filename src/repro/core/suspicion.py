@@ -26,7 +26,10 @@ eviction also triggers when ``G`` no longer contains an independent set of
 size ``n − f``.
 
 OptiTree's alternative candidate rule (``E_d``/``T``, §6.4) subclasses
-this monitor in :mod:`repro.tree.candidates`.
+this monitor in :mod:`repro.tree.candidates`.  Both maintain their state
+incrementally; the from-scratch derivation it must equal after every
+mutation is a test oracle (``tests/oracles.py::RebuildChecked``), not a
+mode of the monitor.
 """
 
 from __future__ import annotations
@@ -343,10 +346,7 @@ class SuspicionMonitor(Monitor):
     edge multiset, one-way crash multiset) that mutate on append,
     eviction and one-way aging.  The graph is only rebuilt -- and the
     MIS only re-solved -- when those counters actually changed (dirty
-    flag + structural fingerprint).  ``check_rebuild=True`` re-derives
-    everything from scratch after every mutation and asserts equality
-    (the checked-reference mode, mirroring the optimizer layer's
-    ``check_score``).
+    flag + structural fingerprint).
 
     Parameters
     ----------
@@ -361,9 +361,6 @@ class SuspicionMonitor(Monitor):
         Largest graph solved with exact Bron-Kerbosch; beyond it the
         greedy heuristic is used (the paper likewise uses a heuristic
         variant, §7.2).
-    check_rebuild:
-        Verify every incremental update against the from-scratch
-        rebuild (slow; for tests and debugging).
     """
 
     name = "suspicion-monitor"
@@ -378,14 +375,12 @@ class SuspicionMonitor(Monitor):
         misbehavior: Optional[MisbehaviorMonitor] = None,
         stability_window: int = 10,
         exact_mis_threshold: int = 25,
-        check_rebuild: bool = False,
     ):
         self.n = n
         self.f = f
         self.misbehavior = misbehavior
         self.stability_window = stability_window
         self.exact_mis_threshold = exact_mis_threshold
-        self.check_rebuild = check_rebuild
         self._items: Deque[_SuspicionItem] = deque()
         self.current_view = 0
         self._last_suspicion_view = 0
@@ -459,8 +454,6 @@ class SuspicionMonitor(Monitor):
             # A reciprocation also proves two-way-ness; it does not create
             # a new edge by itself if none exists (nothing to reciprocate),
             # and it cannot change C, G, K or u -- no refresh needed.
-            if self.check_rebuild:
-                self._check_against_rebuild()
             return
         if self._is_filtered(record):
             self.filtered_count += 1
@@ -484,8 +477,6 @@ class SuspicionMonitor(Monitor):
         self._note_phase(record)
         if self._dirty:
             self._refresh()
-        if self.check_rebuild:
-            self._check_against_rebuild()
 
     def _is_filtered(self, record: SuspicionRecord) -> bool:
         """Arrival-time filtering per §4.2.3 plus structural checks.
@@ -499,8 +490,8 @@ class SuspicionMonitor(Monitor):
           filtered (the late round start is causally explained).
 
         Retention of only the *earliest-phase* suspicions of each round
-        happens retroactively in :meth:`_rebuild`, so log-order races
-        cannot defeat it.
+        happens retroactively in :meth:`_register_item`, so log-order
+        races cannot defeat it.
         """
         leader = self._round_leaders.get(record.round_id)
         if (
@@ -567,8 +558,6 @@ class SuspicionMonitor(Monitor):
             self._last_suspicion_view = view  # pace removals one per view
         if self._dirty:
             self._refresh()
-        if self.check_rebuild:
-            self._check_against_rebuild()
 
     # ------------------------------------------------------------------
     # Incremental registries
@@ -674,8 +663,6 @@ class SuspicionMonitor(Monitor):
         though the suspicion registries did not."""
         self._dirty = True
         self._refresh()
-        if self.check_rebuild:
-            self._check_against_rebuild()
 
     # ------------------------------------------------------------------
     # Derived state
@@ -694,8 +681,7 @@ class SuspicionMonitor(Monitor):
         Applying this over the full item set (rather than online) means
         a Byzantine replica cannot win by racing its later-phase
         suspicions into the log ahead of the legitimate ones.  Served
-        from the incrementally maintained per-round min-phase map;
-        :meth:`_rebuild` recomputes that map from scratch.
+        from the incrementally maintained per-round min-phase map.
         """
         min_phase = self._round_min_phase
         return [
@@ -745,110 +731,6 @@ class SuspicionMonitor(Monitor):
         self.candidates = candidates
         self.u = u
         self._dirty = False
-
-    def _rebuild(self) -> None:
-        """From-scratch rebuild: recompute the registries from the raw
-        item deque, then refresh.  Kept as the reference path (and the
-        recovery hatch) for the incremental mutations above; the checked
-        mode compares against :meth:`_reference_state` instead, which
-        does not touch ``self`` at all."""
-        self._round_phase_counts = {}
-        self._round_min_phase = {}
-        self._round_items = {}
-        self._pair_pending = {}
-        self._edge_counts = {}
-        self._oneway_counts = {}
-        min_phase = self._round_min_phase
-        for item in self._items:
-            round_id, phase = item.round_id, item.phase
-            counts = self._round_phase_counts.setdefault(round_id, {})
-            counts[phase] = counts.get(phase, 0) + 1
-            self._round_items.setdefault(round_id, []).append(item)
-            if not item.reciprocated:
-                self._pair_pending.setdefault(
-                    ordered_edge(item.reporter, item.suspect), []
-                ).append(item)
-            current = min_phase.get(round_id)
-            if current is None or phase < current:
-                min_phase[round_id] = phase
-        for item in self._items:
-            if item.phase == min_phase[item.round_id]:
-                self._add_contribution(item)
-        self._dirty = True
-        self._derive_key = None
-        self._derive_cache = None
-        self._refresh()
-
-    def _reference_state(self) -> Tuple[Set[int], Graph, FrozenSet[int], int]:
-        """(C, G, K, u) recomputed from scratch, without mutating self.
-
-        This is the pre-incremental ``_rebuild`` body (minus overflow
-        eviction, which the incremental path has already resolved); the
-        checked mode asserts the incremental state equals it after every
-        mutation."""
-        min_phase: Dict[int, int] = {}
-        for item in self._items:
-            current = min_phase.get(item.round_id)
-            if current is None or item.phase < current:
-                min_phase[item.round_id] = item.phase
-        effective = [
-            item for item in self._items if item.phase == min_phase[item.round_id]
-        ]
-        faulty = self._faulty_set()
-        crashed: Set[int] = set()
-        for item in effective:
-            if item.one_way and item.suspect not in faulty:
-                crashed.add(item.suspect)
-        vertices = [
-            v for v in range(self.n) if v not in faulty and v not in crashed
-        ]
-        vertex_set = set(vertices)
-        graph = Graph(vertices=vertices)
-        for item in effective:
-            if item.one_way:
-                continue
-            if item.reporter in vertex_set and item.suspect in vertex_set:
-                graph.add_edge(item.reporter, item.suspect)
-        candidates, u = self._derive(graph)
-        return crashed, graph, candidates, u
-
-    def _check_against_rebuild(self) -> None:
-        """Checked-reference mode: assert incremental == from-scratch."""
-        min_phase: Dict[int, int] = {}
-        for item in self._items:
-            current = min_phase.get(item.round_id)
-            if current is None or item.phase < current:
-                min_phase[item.round_id] = item.phase
-        if min_phase != self._round_min_phase:
-            raise AssertionError(
-                "incremental min-phase diverged: "
-                f"{self._round_min_phase} != {min_phase}"
-            )
-        for item in self._items:
-            pending = self._pair_pending.get(
-                ordered_edge(item.reporter, item.suspect), ()
-            )
-            awaiting = any(other is item for other in pending)
-            if item.reciprocated == awaiting and not item.one_way:
-                raise AssertionError(
-                    f"reciprocation index diverged for item seq={item.seq}: "
-                    f"reciprocated={item.reciprocated}, pending={awaiting}"
-                )
-        crashed, graph, candidates, u = self._reference_state()
-        if (
-            crashed != self.crashed
-            or graph.vertices() != self.graph.vertices()
-            or graph.edges() != self.graph.edges()
-            or candidates != self.candidates
-            or u != self.u
-        ):
-            raise AssertionError(
-                "incremental suspicion state diverged from rebuild: "
-                f"C {sorted(self.crashed)} vs {sorted(crashed)}, "
-                f"E {self.graph.edges()} vs {graph.edges()}, "
-                f"K {sorted(self.candidates)} vs {sorted(candidates)}, "
-                f"u {self.u} vs {u}"
-            )
 
     def _min_candidates(self) -> int:
         """Smallest tolerable candidate set (n - f for the base monitor)."""

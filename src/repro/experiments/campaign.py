@@ -77,9 +77,9 @@ class CampaignSpec:
         """The scenario one shard runs: derived seed, streaming metrics.
 
         An explicit ``measurements`` policy on the campaign scenario is
-        honoured (``check`` mode is how the twin-measurement tests drive
-        campaigns); without one, campaigns default to sketch metrics --
-        exact mode would grow per-request state and defeat compaction.
+        honoured as given; without one, campaigns default to sketch
+        metrics -- exact mode would grow per-request state and defeat
+        compaction.
         """
         measurements = self.scenario.measurements or MeasurementPolicy(
             metrics="sketch"

@@ -35,7 +35,7 @@ import math
 import random
 import re
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.consensus.base import RunMetrics
@@ -76,15 +76,14 @@ NAMED_DEPLOYMENTS = {
 
 _WONDERPROXY = re.compile(r"^wonderproxy-(\d+)$")
 
-#: ``world-N[-jK][-check]``: the wonderproxy city draw served by the
+#: ``world-N[-jK]``: the wonderproxy city draw served by the
 #: hierarchical (O(n + r^2)) latency substrate.  ``-jK`` jitters repeat
-#: placements up to K route-km from their anchor; ``-check`` attaches
-#: the bit-identity / self-consistency verification twin.
-_WORLD = re.compile(r"^world-(\d+)(?:-j(\d+))?(-check)?$")
+#: placements up to K route-km from their anchor.
+_WORLD = re.compile(r"^world-(\d+)(?:-j(\d+))?$")
 
-#: ``topo-N[-jK][-check][@path]``: replicas over an internet topology
+#: ``topo-N[-jK][@path]``: replicas over an internet topology
 #: graph (GML or edge list at ``path``; the bundled example otherwise).
-_TOPO = re.compile(r"^topo-(\d+)(?:-j(\d+))?(-check)?(?:@(.+))?$")
+_TOPO = re.compile(r"^topo-(\d+)(?:-j(\d+))?(?:@(.+))?$")
 
 #: The deployments built on demand from a name pattern, as (pattern,
 #: description).  ``resolve_deployment``'s error text, the CLI's
@@ -93,11 +92,11 @@ _TOPO = re.compile(r"^topo-(\d+)(?:-j(\d+))?(-check)?(?:@(.+))?$")
 DEPLOYMENT_PATTERNS = (
     ("wonderproxy-N", "seeded random world placement, N >= 4"),
     (
-        "world-N[-jK][-check]",
+        "world-N[-jK]",
         "the same draw on the hierarchical O(n)-memory substrate, for n >= 512",
     ),
     (
-        "topo-N[-jK][-check][@path]",
+        "topo-N[-jK][@path]",
         "replicas over an internet topology graph, GML or edge list",
     ),
 )
@@ -314,9 +313,9 @@ def validate_fault_composition(faults: Sequence["FaultSpec"]) -> None:
                 )
 
 
-#: How a scenario measures: the exact per-commit path, the O(1)-memory
-#: streaming sketches, or both at once with a divergence check.
-METRICS_MODES = ("exact", "sketch", "check")
+#: How a scenario measures: the exact per-commit path or the O(1)-memory
+#: streaming sketches.
+METRICS_MODES = ("exact", "sketch")
 
 
 @dataclass
@@ -327,12 +326,10 @@ class MeasurementPolicy:
     Also selects the measurement plane: ``metrics="exact"`` (default)
     materialises every commit/latency sample; ``"sketch"`` streams them
     into the mergeable O(1)-memory sketches from :mod:`repro.metrics`
-    (quantiles within the documented error bound); ``"check"`` runs both
-    and raises :class:`repro.metrics.MeasurementDivergence` if the
-    sketch strays outside its bound -- the checked-twin pattern
-    ``check_score``/``check_rebuild`` use for the role-assignment fast
-    paths.  ``window`` fixes the throughput-timeline granularity and
-    ``bins_per_decade`` the histogram resolution for the sketch modes.
+    (quantiles within the documented error bound).  The mode only
+    observes the run: the same seed commits the same blocks either way.
+    ``window`` fixes the throughput-timeline granularity and
+    ``bins_per_decade`` the histogram resolution for the sketch mode.
     """
 
     probe_at: float = 5.0
@@ -350,8 +347,10 @@ class MeasurementPolicy:
                 f"unknown metrics mode {self.metrics!r} "
                 f"(known: {', '.join(METRICS_MODES)})"
             )
-        if self.window <= 0:
-            raise ValueError(f"metrics window must be positive, got {self.window!r}")
+        if not (math.isfinite(self.window) and self.window > 0):
+            raise ValueError(
+                f"metrics window must be finite and > 0, got {self.window!r}"
+            )
         if self.bins_per_decade < 1:
             raise ValueError(
                 f"bins_per_decade must be >= 1, got {self.bins_per_decade!r}"
@@ -381,24 +380,40 @@ class Scenario:
     search_iterations: int = 20_000  # OptiTree's annealing budget
     pipeline_depth: Optional[int] = None
     #: Message plane: ``"object"`` (exact; ``"columnar"`` is a synonym
-    #: kept for older callers and result files), ``"columnar-fast"``
+    #: kept for older callers and result files) or ``"columnar-fast"``
     #: (relaxed, equivalent final metrics; scheduled faults downgrade it
-    #: to exact -- see :func:`_effective_plane`) or ``"check-fast"`` (run
-    #: both, assert that equivalence).
+    #: to exact -- see :func:`_effective_plane`).
     plane: str = "object"
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.plane == "check":
+        if self.plane.startswith("check"):
             raise ValueError(
-                "plane='check' is gone: there is one exact plane, and the "
-                "heap-vs-store equivalence it asserted now lives in the "
-                "test suite (tests/experiments/test_delivery_order.py)"
+                f"plane={self.plane!r} is gone: the equivalence it asserted "
+                "now lives in the test suite (tests/oracles.py: heap_only "
+                "for 'check', assert_relaxed_equivalent for 'check-fast')"
             )
         if self.plane not in MESSAGE_PLANES:
             raise ValueError(
                 f"unknown message plane {self.plane!r} "
                 f"(known: {', '.join(MESSAGE_PLANES)})"
+            )
+        # NaN fails every comparison, so each rule states what must hold:
+        # a NaN duration never ends a run, a NaN delta switches every
+        # delta*d_m deadline off, a negative or NaN jitter is ignored.
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(f"duration must be finite and > 0, got {self.duration!r}")
+        if not (math.isfinite(self.jitter) and self.jitter >= 0):
+            raise ValueError(f"jitter must be finite and >= 0, got {self.jitter!r}")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError(f"delta must be finite and > 0, got {self.delta!r}")
+        if self.pipeline_depth is not None and self.pipeline_depth < 1:
+            raise ValueError(
+                f"pipeline_depth must be None or >= 1, got {self.pipeline_depth!r}"
+            )
+        if self.search_iterations < 0:
+            raise ValueError(
+                f"search_iterations must be >= 0, got {self.search_iterations!r}"
             )
         validate_fault_composition(self.faults)
 
@@ -460,7 +475,7 @@ class ScenarioResult:
             "messages_delivered": self.cluster.network.stats.messages_delivered,
             "bytes_sent": self.cluster.network.stats.bytes_sent,
         }
-        # Polymorphic over exact RunMetrics and the streaming twins: the
+        # Polymorphic over exact RunMetrics and the streaming twin: the
         # exact summary reproduces the historical inline computation
         # bit-for-bit, so fault-free golden files are unchanged.
         commit_latency = self.run_metrics.latency_summary()
@@ -480,8 +495,7 @@ class ScenarioResult:
         # n < ``Network.block_fanout`` exact run), so golden files and
         # every pre-existing consumer see byte-identical output.
         network = self.cluster.network
-        relaxed = self.scenario.plane in ("columnar-fast", "check-fast")
-        if relaxed and network.plane != "columnar-fast":
+        if self.scenario.plane == "columnar-fast" and network.plane != "columnar-fast":
             # _effective_plane downgraded a faulted scenario.
             out["effective_plane"] = network.plane
         if any(network.stats.plane.values()):
@@ -535,8 +549,8 @@ def deployment_names() -> List[str]:
 
 def resolve_deployment(name: str, seed: int = 0) -> Deployment:
     """Named city set, ``wonderproxy-N`` for a seeded random one, or the
-    hierarchical substrates ``world-N[-jK][-check]`` /
-    ``topo-N[-jK][-check][@path]`` (see :mod:`repro.net.hierarchy`)."""
+    hierarchical substrates ``world-N[-jK]`` / ``topo-N[-jK][@path]``
+    (see :mod:`repro.net.hierarchy`)."""
     match = _WONDERPROXY.match(name.lower())
     if match:
         n = int(match.group(1))
@@ -556,7 +570,6 @@ def resolve_deployment(name: str, seed: int = 0) -> Deployment:
             name=name.lower(),
             hierarchical=True,
             jitter_km=float(match.group(2) or 0),
-            check=bool(match.group(3)),
         )
     match = _TOPO.match(name)
     if match:
@@ -569,9 +582,8 @@ def resolve_deployment(name: str, seed: int = 0) -> Deployment:
             n,
             random.Random(seed),
             name=name,
-            path=match.group(4),
+            path=match.group(3),
             jitter_km=float(match.group(2) or 0),
-            check=bool(match.group(3)),
         )
     canonical = NAMED_DEPLOYMENTS.get(name.lower())
     if canonical is None:
@@ -624,8 +636,8 @@ def _effective_plane(scenario: Scenario) -> str:
     """The message plane the cluster will actually use.  A relaxed
     scenario with scheduled faults runs exact: the relaxed drain and its
     equivalence bound only cover pristine traffic.  (The exact plane
-    needs no such rule -- its store falls back per row the moment a
-    fault lands -- and ``"check-fast"`` never reaches a cluster.)"""
+    needs no such rule: its store falls back per row the moment a fault
+    lands.)"""
     if scenario.plane == "columnar-fast" and scenario.faults:
         return "object"
     return scenario.plane
@@ -1156,87 +1168,24 @@ def _schedule_fault(spec: FaultSpec, cluster, index: int, instruments: List) -> 
 # ----------------------------------------------------------------------
 # Measurement plane selection
 # ----------------------------------------------------------------------
-def _metrics_mode(scenario: Scenario) -> str:
-    policy = scenario.measurements
-    return policy.metrics if policy is not None else "exact"
-
-
 def _apply_measurement_mode(scenario: Scenario, cluster) -> None:
-    """Swap replicas (and the workload) onto the streaming sketches.
-
-    ``sketch`` replaces the per-commit lists outright; ``check``
-    dual-writes so reads stay byte-identical to ``exact`` while
-    :func:`_verify_measurements` can compare the two paths afterwards.
-    """
-    mode = _metrics_mode(scenario)
-    if mode == "exact":
-        return
-    from repro.consensus.base import RunMetrics as ExactRunMetrics
-    from repro.metrics import (
-        CheckedRunMetrics,
-        MetricsSketch,
-        StreamingRunMetrics,
-    )
-
+    """``sketch`` mode: swap replicas (and the workload) off the
+    per-commit lists and onto the streaming sketches."""
     policy = scenario.measurements
+    if policy is None or policy.metrics == "exact":
+        return
+    from repro.metrics import MetricsSketch, StreamingRunMetrics
 
-    def make_metrics():
-        sketch = MetricsSketch(
+    def make_sketch():
+        return MetricsSketch(
             bins_per_decade=policy.bins_per_decade, window=policy.window
         )
-        streaming = StreamingRunMetrics(sketch)
-        if mode == "check":
-            return CheckedRunMetrics(ExactRunMetrics(), streaming)
-        return streaming
 
     for replica in cluster.replicas:
-        replica.use_metrics(make_metrics())
+        replica.use_metrics(StreamingRunMetrics(make_sketch()))
     workload = getattr(cluster, "workload", None)
     if workload is not None:
-        workload.enable_streaming(
-            MetricsSketch(
-                bins_per_decade=policy.bins_per_decade, window=policy.window
-            ),
-            keep_exact=(mode == "check"),
-        )
-
-
-def _verify_measurements(scenario: Scenario, result: ScenarioResult) -> None:
-    """``check`` mode epilogue: sketch vs exact, loudly."""
-    from repro.metrics import MeasurementDivergence
-
-    result.run_metrics.verify(scenario.duration)
-    workload = result.workload if result.workload is not None else getattr(
-        result.cluster, "workload", None
-    )
-    if workload is None or workload._stream_sketch is None:
-        return
-    sketch = workload._stream_sketch
-    exact = workload.summary()  # keep_exact=True -> the exact path answers
-    if sketch.blocks != exact["requests_completed"]:
-        raise MeasurementDivergence(
-            f"client sketch saw {sketch.blocks} completions, exact path "
-            f"{exact['requests_completed']}"
-        )
-    stats = sketch.summary()
-    if stats is None:
-        return
-    if not math.isclose(stats["mean"], exact["mean_latency"], rel_tol=1e-9):
-        raise MeasurementDivergence(
-            f"client mean diverged: sketch={stats['mean']!r} "
-            f"exact={exact['mean_latency']!r}"
-        )
-    bound = sketch.error_bound()
-    for sketch_key, exact_key in (
-        ("p50", "p50_latency"), ("p90", "p90_latency"), ("p99", "p99_latency")
-    ):
-        want = exact[exact_key]
-        relative = abs(stats[sketch_key] - want) / max(abs(want), 1e-12)
-        if relative > bound * (1.0 + 1e-9):
-            raise MeasurementDivergence(
-                f"client {sketch_key} diverged by {relative:.3%} "
-                f"(bound {bound:.3%}): sketch={stats[sketch_key]!r} want={want!r}"
-            )
+        workload.enable_streaming(make_sketch())
 
 
 # ----------------------------------------------------------------------
@@ -1254,12 +1203,6 @@ def prepare_scenario(scenario: Scenario) -> ScenarioResult:
         known = ", ".join(sorted(PROTOCOLS))
         raise ValueError(
             f"unknown protocol {scenario.protocol!r} (known: {known})"
-        )
-    if scenario.plane == "check-fast":
-        raise ValueError(
-            "plane='check-fast' runs the scenario twice and cannot "
-            "hand out one armed cluster; use run_scenario, or prepare the "
-            "planes it compares separately"
         )
     if (
         PROTOCOLS[scenario.protocol] == ("pbft", "optiaware")
@@ -1289,130 +1232,8 @@ def prepare_scenario(scenario: Scenario) -> ScenarioResult:
     )
 
 
-class PlaneDivergence(RuntimeError):
-    """The relaxed plane computed a different run than the exact one.
-
-    Raised by ``plane='check-fast'`` scenarios (final-metrics
-    equivalence); always a bug in the relaxed delivery path (or a batch
-    handler violating its contract), never expected behaviour.
-    """
-
-
 def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Execute one scenario end-to-end, deterministically under its seed."""
-    if scenario.plane == "check-fast":
-        return _run_checked_fast(scenario)
     result = prepare_scenario(scenario)
     result.run_metrics = result.cluster.run(scenario.duration)
-    if _metrics_mode(scenario) == "check":
-        _verify_measurements(scenario, result)
     return result
-
-
-def _commit_heights(cluster) -> List[int]:
-    """Per-replica commit heights: ``executed_seq`` (PBFT) or
-    ``committed_height`` (HotStuff/Kauri)."""
-    heights = []
-    for replica in cluster.replicas:
-        height = getattr(replica, "executed_seq", None)
-        if height is None:
-            height = getattr(replica, "committed_height", 0)
-        heights.append(height)
-    return heights
-
-
-def _run_checked_fast(scenario: Scenario) -> ScenarioResult:
-    """``plane='check-fast'``: run ``columnar`` and ``columnar-fast``,
-    assert documented-equivalent final metrics, return the fast result.
-
-    This does NOT compare state-trace hashes -- the relaxed plane
-    coalesces deliveries inside barrier windows, so
-    per-row interleavings (and with them RNG stream positions and exact
-    latency digits) legitimately differ.  What MUST hold:
-
-    * committed request totals, committed block counts and per-replica
-      commit heights are EQUAL;
-    * client request totals (sent and completed) are EQUAL;
-    * every latency quantile (commit and client side) agrees within the
-      :class:`repro.metrics.MetricsSketch` error bound.
-
-    Jitter must be 0.0: jitter draws happen at send time in send order,
-    and the planes send in different orders, so with jitter enabled the
-    twins would see different per-message delays and the comparison
-    would be meaningless rather than strict.
-    """
-    from repro.metrics import MetricsSketch
-
-    if isinstance(scenario.workload, Workload):
-        raise ValueError(
-            "plane='check-fast' reruns the scenario and needs a named "
-            "workload (a Workload instance would be consumed by the first "
-            "run)"
-        )
-    if scenario.jitter != 0.0:
-        raise ValueError(
-            "plane='check-fast' requires jitter=0.0: jitter draws happen "
-            "in send order, which legitimately differs between the exact "
-            "and relaxed planes, so jittered twins are not comparable"
-        )
-    name = scenario.describe()["name"]
-    exact_result = run_scenario(replace(scenario, plane="columnar"))
-    fast_result = run_scenario(replace(scenario, plane="columnar-fast"))
-    exact_metrics = exact_result.metrics()
-    fast_metrics = fast_result.metrics()
-    for field_name in ("committed_requests", "committed_blocks"):
-        if exact_metrics.get(field_name) != fast_metrics.get(field_name):
-            raise PlaneDivergence(
-                f"{field_name} diverged for {name}: "
-                f"columnar={exact_metrics.get(field_name)} "
-                f"columnar-fast={fast_metrics.get(field_name)}"
-            )
-    exact_heights = _commit_heights(exact_result.cluster)
-    fast_heights = _commit_heights(fast_result.cluster)
-    if exact_heights != fast_heights:
-        raise PlaneDivergence(
-            f"per-replica commit heights diverged for {name}: "
-            f"columnar={exact_heights} columnar-fast={fast_heights}"
-        )
-    exact_client = exact_metrics.get("client") or {}
-    fast_client = fast_metrics.get("client") or {}
-    for field_name in ("requests_sent", "requests_completed"):
-        if exact_client.get(field_name) != fast_client.get(field_name):
-            raise PlaneDivergence(
-                f"client {field_name} diverged for {name}: "
-                f"columnar={exact_client.get(field_name)} "
-                f"columnar-fast={fast_client.get(field_name)}"
-            )
-    bound = MetricsSketch().error_bound()
-
-    def _check_quantiles(label: str, exact: Any, fast: Any) -> None:
-        if not isinstance(exact, dict) or not isinstance(fast, dict):
-            return
-        for key in exact:
-            a = exact.get(key)
-            b = fast.get(key)
-            if not isinstance(a, float) or not isinstance(b, float):
-                continue
-            scale = max(abs(a), abs(b))
-            if scale and abs(a - b) > bound * scale:
-                raise PlaneDivergence(
-                    f"{label}.{key} diverged for {name} beyond the sketch "
-                    f"error bound ({bound:.4%}): columnar={a!r} "
-                    f"columnar-fast={b!r}"
-                )
-
-    _check_quantiles(
-        "commit_latency",
-        exact_metrics.get("commit_latency"),
-        fast_metrics.get("commit_latency"),
-    )
-    latency_keys = [k for k in exact_client if "latency" in k]
-    _check_quantiles(
-        "client",
-        {k: exact_client[k] for k in latency_keys},
-        {k: fast_client.get(k) for k in latency_keys},
-    )
-    # Report the scenario as requested (plane='check-fast'), not the
-    # twin that happened to produce the returned cluster.
-    fast_result.scenario = scenario
-    return fast_result

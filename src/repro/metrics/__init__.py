@@ -15,9 +15,9 @@ O(1)-memory twin:
   independent of request volume;
 * :class:`MetricsSketch` -- the three combined, the unit a campaign
   shard checkpoints and merges;
-* :class:`StreamingRunMetrics` / :class:`CheckedRunMetrics` -- drop-in
-  twins of :class:`repro.consensus.base.RunMetrics` selected through
-  ``MeasurementPolicy(metrics=...)`` in the scenario runner.
+* :class:`StreamingRunMetrics` -- drop-in twin of
+  :class:`repro.consensus.base.RunMetrics` selected through
+  ``MeasurementPolicy(metrics="sketch")`` in the scenario runner.
 
 Every sketch is **mergeable**: ``merge`` is associative and commutative
 with an identity (the freshly constructed sketch), so a sharded campaign
@@ -28,19 +28,12 @@ checkpoints and cross-process merges never pickle live objects.
 """
 
 from repro.metrics.hist import LogHistogram
-from repro.metrics.runmetrics import (
-    CheckedRunMetrics,
-    MeasurementDivergence,
-    MetricsSketch,
-    StreamingRunMetrics,
-)
+from repro.metrics.runmetrics import MetricsSketch, StreamingRunMetrics
 from repro.metrics.streaming import StreamingStats
 from repro.metrics.windows import ThroughputWindows
 
 __all__ = [
-    "CheckedRunMetrics",
     "LogHistogram",
-    "MeasurementDivergence",
     "MetricsSketch",
     "StreamingRunMetrics",
     "StreamingStats",

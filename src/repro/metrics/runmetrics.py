@@ -1,30 +1,23 @@
-"""RunMetrics-compatible streaming twins.
+"""RunMetrics-compatible streaming twin.
 
 :class:`StreamingRunMetrics` answers the same questions as
 :class:`repro.consensus.base.RunMetrics` -- totals, mean latency,
 percentile summary, timeline series -- from a constant-size
-:class:`MetricsSketch` instead of the full commit list.
-:class:`CheckedRunMetrics` dual-writes both and can :meth:`~.verify`
-that the sketch stayed inside its documented error bound, the same
-checked-twin pattern ``check_score``/``check_rebuild`` use for the
-role-assignment fast paths.
+:class:`MetricsSketch` instead of the full commit list.  That it stays
+inside the sketch's documented error bound is a test of two runs of one
+seed (``tests/experiments/test_measurement_modes.py``).
 
 The selector lives in the scenario runner:
-``MeasurementPolicy(metrics="exact" | "sketch" | "check")``.
+``MeasurementPolicy(metrics="exact" | "sketch")``.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.metrics.hist import LogHistogram
 from repro.metrics.streaming import StreamingStats
 from repro.metrics.windows import ThroughputWindows
-
-
-class MeasurementDivergence(AssertionError):
-    """The sketch strayed outside its documented bound of the exact path."""
 
 
 class MetricsSketch:
@@ -169,121 +162,3 @@ class StreamingRunMetrics:
         self, duration: float, bucket: float = 1.0
     ) -> List[Tuple[float, float]]:
         return self.sketch.windows.latency_series(duration, bucket)
-
-
-class CheckedRunMetrics:
-    """Dual-write twin: exact ``RunMetrics`` plus a streaming sketch.
-
-    Reads are served by the exact side (so ``metrics="check"`` output is
-    byte-identical to ``metrics="exact"``); :meth:`verify` then asserts
-    the sketch reproduced the exact totals and stayed within
-    ``error_bound()`` on every quantile.  This is the reference harness
-    the property tests and the CI smoke drive.
-    """
-
-    __slots__ = ("exact", "streaming_metrics")
-
-    streaming = False  # reads are exact
-
-    def __init__(self, exact: Any, streaming_metrics: StreamingRunMetrics):
-        self.exact = exact
-        self.streaming_metrics = streaming_metrics
-
-    # -- ingest --------------------------------------------------------
-    def commit_sink(self) -> Callable[[Any], None]:
-        exact_sink = self.exact.commit_sink()
-        sketch_sink = self.streaming_metrics.commit_sink()
-
-        def dual_sink(event: Any) -> None:
-            exact_sink(event)
-            sketch_sink(event)
-
-        return dual_sink
-
-    def record_commit(
-        self, height: int, commit_time: float, propose_time: float, payload: int
-    ) -> None:
-        self.exact.record_commit(height, commit_time, propose_time, payload)
-        self.streaming_metrics.record_commit(
-            height, commit_time, propose_time, payload
-        )
-
-    # -- queries: exact side answers -----------------------------------
-    @property
-    def commits(self):
-        return self.exact.commits
-
-    def total_requests(self) -> int:
-        return self.exact.total_requests()
-
-    def committed_blocks(self) -> int:
-        return self.exact.committed_blocks()
-
-    def throughput(self, duration: float) -> float:
-        return self.exact.throughput(duration)
-
-    def mean_latency(self) -> float:
-        return self.exact.mean_latency()
-
-    def latency_summary(self) -> Optional[Dict[str, float]]:
-        return self.exact.latency_summary()
-
-    def throughput_series(self, duration: float, bucket: float = 1.0):
-        return self.exact.throughput_series(duration, bucket)
-
-    def latency_series(self, duration: float, bucket: float = 1.0):
-        return self.exact.latency_series(duration, bucket)
-
-    # -- the check -----------------------------------------------------
-    def verify(self, duration: Optional[float] = None) -> None:
-        """Raise :class:`MeasurementDivergence` if the sketch disagrees
-        with the exact path beyond its documented bound."""
-        exact = self.exact
-        sketch = self.streaming_metrics.sketch
-        if exact.committed_blocks() != sketch.blocks:
-            raise MeasurementDivergence(
-                f"sketch saw {sketch.blocks} blocks, exact path "
-                f"{exact.committed_blocks()}"
-            )
-        if exact.total_requests() != sketch.requests:
-            raise MeasurementDivergence(
-                f"sketch saw {sketch.requests} requests, exact path "
-                f"{exact.total_requests()}"
-            )
-        exact_summary = exact.latency_summary()
-        sketch_summary = sketch.summary()
-        if (exact_summary is None) != (sketch_summary is None):
-            raise MeasurementDivergence(
-                f"summary presence disagrees: exact={exact_summary!r} "
-                f"sketch={sketch_summary!r}"
-            )
-        if exact_summary is None:
-            return
-        # The streaming mean is the same sum in the same order; only the
-        # exact side's re-sum over the *sorted* list can differ, by float
-        # association alone.
-        if not math.isclose(
-            sketch_summary["mean"], exact_summary["mean"], rel_tol=1e-9
-        ):
-            raise MeasurementDivergence(
-                f"mean diverged: sketch={sketch_summary['mean']!r} "
-                f"exact={exact_summary['mean']!r}"
-            )
-        bound = sketch.error_bound()
-        for key in ("p50", "p90", "p99"):
-            got = sketch_summary[key]
-            want = exact_summary[key]
-            scale = max(abs(want), 1e-12)
-            relative = abs(got - want) / scale
-            if relative > bound * (1.0 + 1e-9):
-                raise MeasurementDivergence(
-                    f"{key} diverged by {relative:.3%} "
-                    f"(bound {bound:.3%}): sketch={got!r} exact={want!r}"
-                )
-        if duration is not None:
-            exact_tp = exact.throughput(duration)
-            sketch_tp = self.streaming_metrics.throughput(duration)
-            if exact_tp != sketch_tp:
-                raise MeasurementDivergence(
-                    f"throughput diverged: sketch={sketch_tp!r} exact={exact_tp!r}"
-                )

@@ -170,7 +170,6 @@ def random_world_deployment(
     name: Optional[str] = None,
     hierarchical: bool = False,
     jitter_km: float = 0.0,
-    check: bool = False,
 ) -> Deployment:
     """Place ``n`` replicas in cities sampled worldwide (with replacement
     once the pool is exhausted), as in the paper's scoring studies.
@@ -182,10 +181,7 @@ def random_world_deployment(
     traces exactly.  ``jitter_km > 0`` spreads repeat placements up to
     that many route-km from their anchor city, drawing offsets from a
     generator *derived* from ``rng`` (the ``derive_rng`` idiom) so
-    enabling jitter never perturbs the placement draws.  ``check=True``
-    attaches the verification twin: bit-equality against the dense
-    reference when one exists (zero offsets, n small enough), internal
-    scalar/row/symmetry consistency otherwise.
+    enabling jitter never perturbs the placement draws.
     """
     rng = rng or random.Random(0)
     pool = list(ALL_CITIES)
@@ -195,8 +191,8 @@ def random_world_deployment(
     else:
         cities = pool + [rng.choice(ALL_CITIES) for _ in range(n - len(pool))]
     if not hierarchical:
-        if jitter_km or check:
-            raise ValueError("jitter_km/check require hierarchical=True")
+        if jitter_km:
+            raise ValueError("jitter_km requires hierarchical=True")
         return Deployment(
             name=name or f"World{n}", cities=cities, latency=LatencyModel(cities)
         )
@@ -215,9 +211,4 @@ def random_world_deployment(
                 offsets.append(0.0)
                 seen.add(key)
     latency = hierarchy.HierarchicalLatencyModel(cities, offsets_km=offsets)
-    if check:
-        if offsets is None and n <= hierarchy.CHECK_MAX_N:
-            hierarchy.verify_against_dense(latency, random.Random(f"{n}:check"))
-        else:
-            hierarchy.verify_self_consistent(latency, random.Random(f"{n}:check"))
     return Deployment(name=name or f"World{n}", cities=cities, latency=latency)

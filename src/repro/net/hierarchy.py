@@ -20,8 +20,8 @@ Memory is O(n + r^2) instead of O(n^2).  Rows for the network's
 multicast path are synthesized on demand and kept in a bounded LRU, so
 even an access pattern touching every source stays O(n * cache).
 
-Bit-identity contract (load-bearing; pinned by tests and the
-``latency="check"`` deployment twin): with all offsets zero the model is
+Bit-identity contract (load-bearing; pinned by the dense cross-check
+and the scalar/row consistency oracles in ``tests/oracles.py``): with all offsets zero the model is
 **bit-identical** to the dense model over the same cities.  Same-region
 pairs reduce to ``LOCAL_RTT_MS + 0.0 * MS_PER_KM``, which is exactly the
 dense zero-distance value; cross-region pairs serve the *same double*
@@ -36,7 +36,6 @@ equals ``row(a)[b]`` bitwise -- with or without offsets.
 
 from __future__ import annotations
 
-import random
 from collections import OrderedDict
 from typing import List, Optional, Sequence
 
@@ -46,17 +45,12 @@ from repro.net.cities import City
 from repro.net.latency_model import (
     LOCAL_RTT_MS,
     MS_PER_KM,
-    LatencyModel,
     _pairwise_rtt_ms,
 )
 
 #: Rows kept by the per-model LRU; at n=4096 a row of boxed floats is
 #: ~100 KB, so the default cache tops out around 13 MB.
 ROW_CACHE_SIZE = 128
-
-
-class LatencyDivergence(AssertionError):
-    """A checked latency twin found two backends disagreeing."""
 
 
 class _HierOneWay:
@@ -163,14 +157,6 @@ class HierarchicalLatencyModel:
     def region_count(self) -> int:
         return self._base_ms.shape[0]
 
-    def regions(self) -> List[int]:
-        """Per-replica region indices (a copy)."""
-        return list(self._region)
-
-    def offsets_km(self) -> List[float]:
-        """Per-replica intra-region offsets in km (a copy)."""
-        return list(self._off)
-
     # ------------------------------------------------------------------
     # Lookup (scalar path)
     # ------------------------------------------------------------------
@@ -271,8 +257,8 @@ class HierarchicalLatencyModel:
     # Dense views (small-n analysis only -- these are O(n^2) on purpose)
     # ------------------------------------------------------------------
     def matrix_ms(self) -> np.ndarray:
-        """Full RTT matrix in ms.  O(n^2) memory: for figures, search
-        and the check twin at small n, never the simulation hot path."""
+        """Full RTT matrix in ms.  O(n^2) memory: for figures and
+        search at small n, never the simulation hot path."""
         n = len(self.cities)
         out = np.empty((n, n), dtype=float)
         for a in range(n):
@@ -309,96 +295,3 @@ class HierarchicalLatencyModel:
             count += row_ms.shape[0]
         return {"min": lo, "max": hi, "mean": total / count}
 
-
-# ----------------------------------------------------------------------
-# Checked twins
-# ----------------------------------------------------------------------
-#: Largest n the dense cross-check twin will materialize a reference for.
-CHECK_MAX_N = 512
-
-#: Sampled pairs per check (on top of a handful of full rows).
-CHECK_SAMPLES = 4096
-
-
-def verify_against_dense(
-    model: HierarchicalLatencyModel,
-    rng: Optional[random.Random] = None,
-    samples: int = CHECK_SAMPLES,
-) -> int:
-    """Cross-check the hierarchical model against the dense reference.
-
-    Builds a dense :class:`LatencyModel` over the same cities (only
-    valid for zero offsets -- the configuration where both models are
-    defined on the same inputs) and asserts **bit equality** on a few
-    full rows plus ``samples`` uniformly drawn pairs, through both the
-    scalar and the row path.  Returns the number of pairs compared;
-    raises :class:`LatencyDivergence` naming the first differing pair.
-    """
-    n = len(model.cities)
-    if n > CHECK_MAX_N:
-        raise ValueError(
-            f"dense check twin caps at n={CHECK_MAX_N} (got {n}): the "
-            "reference is the O(n^2) matrix being avoided"
-        )
-    if any(v != 0.0 for v in model.offsets_km()):
-        raise ValueError(
-            "dense check twin requires zero offsets; jittered replicas "
-            "have no dense-model coordinates (use verify_self_consistent)"
-        )
-    rng = rng or random.Random(0)
-    dense = LatencyModel(model.cities)
-    compared = 0
-    # A handful of full rows: every dst for a few srcs, via the row path.
-    row_srcs = sorted({0, n - 1, *(rng.randrange(n) for _ in range(6))})
-    for src in row_srcs:
-        row = model.row(src)
-        for dst in range(n):
-            expect = dense.one_way(src, dst)
-            if row[dst] != expect:
-                raise LatencyDivergence(
-                    f"row({src})[{dst}] = {row[dst]!r} != dense {expect!r}"
-                )
-        compared += n
-    # Sampled pairs through the scalar path.
-    for _ in range(samples):
-        a = rng.randrange(n)
-        b = rng.randrange(n)
-        got = model.one_way(a, b)
-        expect = dense.one_way(a, b)
-        if got != expect:
-            raise LatencyDivergence(
-                f"one_way({a}, {b}) = {got!r} != dense {expect!r}"
-            )
-        compared += 1
-    return compared
-
-
-def verify_self_consistent(
-    model: HierarchicalLatencyModel,
-    rng: Optional[random.Random] = None,
-    samples: int = CHECK_SAMPLES,
-) -> int:
-    """Internal consistency check for configurations with no dense
-    reference (non-zero offsets, graph-derived base tables): the scalar
-    path, the row path and symmetry must agree bitwise on sampled pairs.
-    """
-    n = len(model.cities)
-    rng = rng or random.Random(0)
-    compared = 0
-    for _ in range(samples):
-        a = rng.randrange(n)
-        b = rng.randrange(n)
-        scalar = model.one_way(a, b)
-        via_row = model.row(a)[b]
-        if scalar != via_row:
-            raise LatencyDivergence(
-                f"one_way({a}, {b}) = {scalar!r} != row({a})[{b}] = {via_row!r}"
-            )
-        mirrored = model.one_way(b, a)
-        if scalar != mirrored:
-            raise LatencyDivergence(
-                f"one_way({a}, {b}) = {scalar!r} != one_way({b}, {a}) = "
-                f"{mirrored!r}"
-            )
-        compared += 1
-    return compared

@@ -342,26 +342,20 @@ def topology_deployment(
     name: Optional[str] = None,
     path=None,
     jitter_km: float = 0.0,
-    check: bool = False,
 ):
     """A ``Deployment`` of ``n`` replicas over a topology graph.
 
     Loads ``path`` (the bundled :data:`EXAMPLE_GRAPH` by default),
     derives the inter-region table from shortest paths, places replicas
     with :func:`assign_replicas` and wraps the result in the standard
-    ``Deployment`` API.  ``check=True`` runs the scalar/row/symmetry
-    consistency twin (there is no dense reference for graph-derived
-    tables).
+    ``Deployment`` API.
     """
     from repro.net.deployments import Deployment
-    from repro.net.hierarchy import verify_self_consistent
 
     rng = rng or random.Random(0)
     graph = load_graph(path or EXAMPLE_GRAPH)
     regions, offsets = assign_replicas(graph, n, rng, jitter_km=jitter_km)
     model = graph_latency_model(graph, regions, offsets)
-    if check:
-        verify_self_consistent(model, random.Random(f"{n}:check"))
     return Deployment(
         name=name or f"Topo{n}", cities=model.cities, latency=model
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Generic, Optional, TypeVar
+from typing import Any, Generic, Optional, TypeVar
 
 State = TypeVar("State")
 Mutation = Any
@@ -115,7 +115,7 @@ class IncrementalSearch(Generic[State]):
     """
 
     def initial_score(self) -> float:
-        """Full score of the initial state (the checked reference)."""
+        """Full score of the initial state."""
         raise NotImplementedError
 
     def propose(self, rng: random.Random) -> Optional[Mutation]:
@@ -138,7 +138,6 @@ def anneal_incremental(
     engine: IncrementalSearch[State],
     rng: random.Random,
     schedule: Optional[AnnealingSchedule] = None,
-    check_score: Optional[Callable[[State], float]] = None,
 ) -> AnnealingResult[State]:
     """Minimise by simulated annealing over an incremental engine.
 
@@ -147,11 +146,9 @@ def anneal_incremental(
     ``tests/oracles.py``) on the equivalent ``score``/``mutate``
     closures, provided the engine honours the :class:`IncrementalSearch`
     contract: randomness is drawn in the same order and every
-    ``delta_score`` matches the full score to the bit.
-
-    ``check_score`` enables the checked-reference mode used by tests: the
-    current state is re-scored from scratch after every accepted mutation
-    and any divergence from the incremental score raises immediately.
+    ``delta_score`` matches the full score to the bit.  Tests hold an
+    engine to that contract by wrapping it (``ScoreChecked`` in
+    ``tests/oracles.py``), not through a mode of this loop.
     """
     schedule = schedule or AnnealingSchedule()
     propose, delta_score = engine.propose, engine.delta_score
@@ -185,15 +182,6 @@ def anneal_incremental(
                 apply(mutation)
             current_score = candidate_score
             accepted += 1
-            if check_score is not None:
-                reference = check_score(snapshot())
-                if reference != current_score and not (
-                    math.isinf(reference) and math.isinf(current_score)
-                ):
-                    raise AssertionError(
-                        f"incremental score {current_score!r} diverged from "
-                        f"full score {reference!r} at iteration {iteration}"
-                    )
             if current_score < best_score:
                 best = snapshot()
                 best_score = current_score

@@ -18,15 +18,15 @@ Two implementations are provided:
 
 Both run on **int-bitmask adjacency** (:meth:`Graph.adjacency_bitmasks`):
 vertex sets become machine ints, set intersection becomes ``&``, degree
-becomes a popcount.  The original set-based solvers are kept as
-``*_reference`` twins; the equivalence tests pin the bitset results to
+becomes a popcount.  The original set-based solvers are test oracles
+(``tests/oracles.py``); the equivalence tests pin the bitset results to
 them bit-for-bit (the tie-breaking rules translate exactly because bit
 index order equals sorted vertex order).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional
 
 from repro.optimize.graphs import Graph
 
@@ -231,71 +231,6 @@ def greedy_independent_set(graph: Graph) -> FrozenSet[int]:
     """
     vertices, masks = graph.adjacency_bitmasks()
     return greedy_independent_set_masks(vertices, masks)
-
-
-# ----------------------------------------------------------------------
-# Set-based reference twins (the pre-bitset originals)
-# ----------------------------------------------------------------------
-def _bron_kerbosch_max_clique(adj: Dict[int, Set[int]]) -> Tuple[int, ...]:
-    """Maximum clique via Bron-Kerbosch with pivoting (reference).
-
-    Deterministic: candidate iteration is in sorted order and ties between
-    equal-sized cliques resolve to the lexicographically smallest tuple.
-    """
-    best: List[Tuple[int, ...]] = [()]
-
-    def consider(clique: Tuple[int, ...]) -> None:
-        current = best[0]
-        if len(clique) > len(current) or (
-            len(clique) == len(current) and clique < current
-        ):
-            best[0] = clique
-
-    def expand(r: Tuple[int, ...], p: Set[int], x: Set[int]) -> None:
-        if not p and not x:
-            consider(tuple(sorted(r)))
-            return
-        # Prune: even taking all of P cannot beat the current best.
-        if len(r) + len(p) < len(best[0]):
-            return
-        # Pivot on the vertex of P ∪ X with the most neighbours in P.
-        pivot = max(sorted(p | x), key=lambda v: len(adj[v] & p))
-        for v in sorted(p - adj[pivot]):
-            expand(r + (v,), p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
-
-    expand((), set(adj), set())
-    return best[0]
-
-
-def maximum_independent_set_reference(graph: Graph) -> FrozenSet[int]:
-    """The pre-bitset exact solver; pinned equal to the production one."""
-    vertices = graph.vertices()
-    if not vertices:
-        return frozenset()
-    complement_adj: Dict[int, Set[int]] = {v: set() for v in vertices}
-    vertex_set = set(vertices)
-    for v in vertices:
-        complement_adj[v] = vertex_set - set(graph.neighbors(v)) - {v}
-    return frozenset(_bron_kerbosch_max_clique(complement_adj))
-
-
-def greedy_independent_set_reference(graph: Graph) -> FrozenSet[int]:
-    """The pre-bitset greedy heuristic; pinned equal to the production one."""
-    remaining = {v: set(graph.neighbors(v)) for v in graph.vertices()}
-    chosen: Set[int] = set()
-    while remaining:
-        v = min(remaining, key=lambda u: (len(remaining[u]), u))
-        chosen.add(v)
-        dropped = remaining.pop(v)
-        for u in dropped:
-            if u in remaining:
-                for w in remaining[u]:
-                    if w in remaining:
-                        remaining[w].discard(u)
-                del remaining[u]
-    return frozenset(chosen)
 
 
 def independent_set_of_size(

@@ -77,8 +77,8 @@ exact plane's, and no row is ever reordered across a timer barrier, but
 within a window ``sim.now`` can step backwards between destination
 groups and per-replica arrival interleavings differ.  Final metrics
 (commit counts, request totals, latency quantiles) agree with the exact
-plane within the measurement-sketch error bound; ``plane="check-fast"``
-(resolved by the runner) asserts exactly that.
+plane within the measurement-sketch error bound
+(``tests/oracles.py::assert_relaxed_equivalent`` asserts exactly that).
 """
 
 from __future__ import annotations
@@ -91,12 +91,10 @@ import numpy as np
 
 from repro.sim.engine import SimulationError, Simulator
 
-#: Valid values for the ``plane`` knob as seen by scenario plumbing:
-#: "object" is the exact plane and "columnar" an accepted synonym with no
-#: behaviour of its own (older result files and callers name it);
-#: "check-fast" is resolved by the experiment runner into an exact and a
-#: relaxed run plus a comparison of their final metrics.
-MESSAGE_PLANES = ("object", "columnar", "columnar-fast", "check-fast")
+#: Valid values for the ``plane`` knob: "object" is the exact plane and
+#: "columnar" an accepted synonym with no behaviour of its own (older
+#: result files and callers name it); "columnar-fast" is the relaxed one.
+MESSAGE_PLANES = ("object", "columnar", "columnar-fast")
 
 # An interceptor receives (src, dst, message, delay) and returns either
 # None (drop the message) or a (message, delay) pair to use instead.
@@ -632,11 +630,10 @@ class Network:
         jitter: float = 0.0,
         plane: str = "object",
     ):
-        if plane not in ("object", "columnar", "columnar-fast"):
+        if plane not in MESSAGE_PLANES:
             raise ValueError(
-                f"unknown message plane {plane!r}; the network builds "
-                "'object' (synonym 'columnar') or 'columnar-fast' "
-                "('check-fast' is resolved by the runner)"
+                f"unknown message plane {plane!r} (known: "
+                f"{', '.join(MESSAGE_PLANES)})"
             )
         self.sim = sim
         self._relaxed = plane == "columnar-fast"

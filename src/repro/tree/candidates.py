@@ -131,7 +131,6 @@ class TreeSuspicionMonitor(SuspicionMonitor):
         stability_window: int = 10,
         exact_mis_threshold: int = 25,
         internal_nodes_needed: Optional[int] = None,
-        check_rebuild: bool = False,
     ):
         if internal_nodes_needed is None:
             from repro.tree.topology import branch_factor_for
@@ -149,18 +148,10 @@ class TreeSuspicionMonitor(SuspicionMonitor):
             misbehavior=misbehavior,
             stability_window=stability_window,
             exact_mis_threshold=exact_mis_threshold,
-            check_rebuild=check_rebuild,
         )
 
     def _min_candidates(self) -> int:
         return self.internal_nodes_needed
-
-    def _edge_order(self) -> List[Edge]:
-        return [
-            ordered_edge(item.reporter, item.suspect)
-            for item in self._effective_items()
-            if not item.one_way
-        ]
 
     def _structure_key(self, vertices, edges) -> tuple:
         # E_d depends on the *arrival order* of effective edges, not just
@@ -168,18 +159,20 @@ class TreeSuspicionMonitor(SuspicionMonitor):
         # order is stashed for the _derive call that may follow in the
         # same refresh iteration (items cannot change in between), so a
         # cache miss does not walk the item deque twice.
-        order = self._edge_order()
+        order = [
+            ordered_edge(item.reporter, item.suspect)
+            for item in self._effective_items()
+            if not item.one_way
+        ]
         self._pending_edge_order = order
         base = super()._structure_key(vertices, edges)
         return base + (tuple(order),)
 
     def _derive(self, graph: Graph) -> Tuple[FrozenSet[int], int]:
-        # Consume-and-clear: callers outside the refresh loop (the
-        # checked mode's _reference_state) find no stash and recompute.
+        # The order _structure_key stashed in this refresh iteration,
+        # consumed so no stale list outlives it.
         order = self._pending_edge_order
         self._pending_edge_order = None
-        if order is None:
-            order = self._edge_order()
         candidates, u, e_d, t_set = tree_candidates(graph, order)
         self.e_d = e_d
         self.t_set = t_set

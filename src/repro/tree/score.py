@@ -19,9 +19,11 @@ greedy rather than an exponential subset scan.
 timeouts (TR3 via Lemma 6);  Definition 1's score is the ranking metric
 and the figures report it, like the paper.
 
-The hot-path implementations run over the configuration's precomputed
+Each quantity has two implementations, and both are production paths:
+the vectorized one runs over the configuration's precomputed
 :attr:`~repro.tree.topology.TreeConfiguration.score_arrays` (numpy child
-index views); the scalar ``*_scalar`` twins are the checked reference --
+index views) for wide trees, and the ``*_scalar`` loops serve every tree
+with a branch factor below ``_VECTORIZE_MIN_BRANCH``.  They are
 bit-identical by construction (same IEEE ops in the same order), pinned
 by ``tests/tree/test_score_equivalence.py``.
 """
@@ -44,7 +46,9 @@ PHASE_AGGREGATE = 4
 #: Branch factor at which the vectorized scorer overtakes the scalar
 #: loops (fixed numpy call overhead vs O(b²) Python link walks); both
 #: produce bit-identical scores, so the dispatch is purely a speed
-#: choice.  b >= 10 corresponds to n >= 111.
+#: choice.  ``branch_factor_for(110) == 9`` and ``(111) == 10``: the
+#: 73-replica deployments (b = 8) score on the scalar loops, n = 211
+#: (b = 14) on the vectorized path.
 _VECTORIZE_MIN_BRANCH = 10
 
 

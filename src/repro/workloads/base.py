@@ -160,7 +160,7 @@ class WorkloadClient:
         self.completed = 0
         self.latencies: List[Tuple[float, float]] = []  # (complete_time, latency)
         #: Streaming mode: a callable ``(complete_time, latency)`` that
-        #: replaces (or, for the checked twin, shadows) the list above.
+        #: replaces the list above.
         self._latency_sink: Optional[Callable[[float, float], None]] = None
         self._send_times: Dict[int, float] = {}
         self._voters: Dict[int, set] = {}
@@ -278,20 +278,6 @@ class _SketchSink:
         self.sketch.observe(complete_time, latency, 1)
 
 
-class _DualSink:
-    """Checked-twin sink: exact list and sketch both see every sample."""
-
-    __slots__ = ("latencies", "sketch")
-
-    def __init__(self, latencies, sketch):
-        self.latencies = latencies
-        self.sketch = sketch
-
-    def __call__(self, complete_time: float, latency: float) -> None:
-        self.latencies.append((complete_time, latency))
-        self.sketch.observe(complete_time, latency, 1)
-
-
 class Workload:
     """Base class for traffic generators.
 
@@ -313,7 +299,6 @@ class Workload:
         self.running = False
         #: Shared MetricsSketch when streaming measurement is on.
         self._stream_sketch = None
-        self._stream_keep_exact = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -334,27 +319,17 @@ class Workload:
             binding.place_client(CLIENT_ID_BASE + k, site)
             client = WorkloadClient(CLIENT_ID_BASE + k, binding, self._on_complete)
             if self._stream_sketch is not None:
-                self._wire_sink(client)
+                client._latency_sink = _SketchSink(self._stream_sketch)
             self.clients.append(client)
 
-    def enable_streaming(self, sketch, keep_exact: bool = False) -> None:
+    def enable_streaming(self, sketch) -> None:
         """Stream client latencies into ``sketch`` instead of the
-        per-request list (O(1) client memory).
-
-        With ``keep_exact=True`` the list is kept too -- the dual-write
-        configuration ``metrics="check"`` uses to compare paths.  Applies
-        to existing clients and to any created by a later rebind.
+        per-request list (O(1) client memory).  Applies to existing
+        clients and to any created by a later rebind.
         """
         self._stream_sketch = sketch
-        self._stream_keep_exact = keep_exact
         for client in self.clients:
-            self._wire_sink(client)
-
-    def _wire_sink(self, client: WorkloadClient) -> None:
-        if self._stream_keep_exact:
-            client._latency_sink = _DualSink(client.latencies, self._stream_sketch)
-        else:
-            client._latency_sink = _SketchSink(self._stream_sketch)
+            client._latency_sink = _SketchSink(sketch)
 
     def _site_of(self, k: int, binding: ClusterBinding) -> Optional[int]:
         if self.sites is not None:
@@ -394,8 +369,8 @@ class Workload:
     def summary(self) -> Dict[str, float]:
         out = {"requests_sent": self.sent, "requests_completed": self.completed}
         sketch = self._stream_sketch
-        if sketch is not None and not self._stream_keep_exact:
-            # Pure streaming: the exact list was never kept.
+        if sketch is not None:
+            # Streaming: the exact list was never kept.
             stats = sketch.summary()
             if stats is not None:
                 out.update(

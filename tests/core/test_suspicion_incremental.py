@@ -6,8 +6,9 @@ log interleavings -- slow suspicions, reciprocations ("forgives"),
 misbehavior proofs, view changes, leader notes -- and assert the
 incremental state equals a from-scratch rebuild at *every* step, via
 
-* ``check_rebuild=True`` (the monitor's internal checked-reference mode,
-  which raises on the first divergence), and
+* :class:`oracles.RebuildChecked` (a test-side subclass that re-derives
+  everything from scratch after every mutation and raises on the first
+  divergence), and
 * an independent prefix replay: a fresh monitor fed the same committed
   prefix must land on the identical (C, K, u, G, active) state.
 """
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import RebuildChecked, rebuilt_state
 from repro.core.log import AppendOnlyLog
 from repro.core.misbehavior import InvalidSignatureProof, MisbehaviorMonitor
 from repro.core.records import ComplaintRecord, SuspicionKind, SuspicionRecord
@@ -26,6 +28,13 @@ from repro.crypto.signatures import KeyRegistry
 from repro.tree.candidates import TreeSuspicionMonitor
 
 MSG_TYPES = ("write", "aggregate", "propose", "proposal-timestamp")
+
+
+#: Each monitor class with the from-scratch rebuild check mixed in.
+CHECKED = {
+    cls: type(f"Checked{cls.__name__}", (RebuildChecked, cls), {})
+    for cls in (SuspicionMonitor, TreeSuspicionMonitor)
+}
 
 
 @st.composite
@@ -129,11 +138,11 @@ def state_of(monitor):
 @given(op_streams())
 @settings(max_examples=40, deadline=None)
 def test_checked_mode_accepts_random_interleavings(monitor_cls, stream):
-    """check_rebuild=True re-derives from scratch after every mutation
-    and raises on divergence -- a pass IS the per-step equivalence."""
+    """RebuildChecked re-derives from scratch after every mutation and
+    raises on divergence -- a pass IS the per-step equivalence."""
     n, f, ops = stream
     registry = KeyRegistry(n)
-    log, monitor = build(monitor_cls, n, f, registry, check_rebuild=True)
+    log, monitor = build(CHECKED[monitor_cls], n, f, registry)
     for op in ops:
         apply_op(log, monitor, registry, op)
 
@@ -157,9 +166,9 @@ def test_every_prefix_replay_matches(monitor_cls, stream):
 
 def test_checked_mode_detects_planted_divergence():
     """Corrupting the incremental registries must trip the checker (the
-    divergence-detection twin of the optimizer's check_score tests)."""
+    divergence-detection twin of the optimizer's ScoreChecked tests)."""
     log = AppendOnlyLog()
-    monitor = SuspicionMonitor(0, log, n=7, f=2, check_rebuild=True)
+    monitor = CHECKED[SuspicionMonitor](0, log, n=7, f=2)
     log.append(
         SuspicionRecord(
             reporter=1, suspect=2, kind=SuspicionKind.SLOW, round_id=1, phase=1
@@ -176,29 +185,21 @@ def test_checked_mode_detects_planted_divergence():
         )
 
 
-@pytest.mark.parametrize("monitor_cls", [SuspicionMonitor, TreeSuspicionMonitor])
-@given(op_streams())
-@settings(max_examples=20, deadline=None)
-def test_rebuild_recovery_hatch_reconstructs_registries(monitor_cls, stream):
-    """_rebuild() (the from-scratch recovery hatch) must reconstruct the
-    incremental registries and derived state exactly -- even after they
-    were corrupted."""
-    n, f, ops = stream
-    registry = KeyRegistry(n)
-    log, monitor = build(monitor_cls, n, f, registry)
-    for op in ops:
-        apply_op(log, monitor, registry, op)
-    before = state_of(monitor)
-    # Trash every registry; _rebuild must restore them from the deque.
-    monitor._round_phase_counts = {"garbage": True}
-    monitor._round_min_phase = {}
-    monitor._round_items = {}
-    monitor._pair_pending = {(0, 1): []}
-    monitor._edge_counts = {(0, 1): 99}
-    monitor._oneway_counts = {0: 99}
-    monitor._rebuild()
-    assert state_of(monitor) == before
-    monitor._check_against_rebuild()  # registries consistent again
+def test_rebuilt_state_leaves_the_monitor_untouched():
+    """The oracle derives on its own graph: the tree monitor's E_d and T
+    are the objects its last refresh installed, before and after."""
+    log = AppendOnlyLog()
+    monitor = TreeSuspicionMonitor(0, log, n=13, f=4)
+    for round_id, (a, b) in enumerate([(1, 2), (2, 3), (1, 3), (5, 6)]):
+        log.append(
+            SuspicionRecord(reporter=a, suspect=b, kind=SuspicionKind.SLOW,
+                            round_id=round_id, phase=1)
+        )
+    e_d, t_set = monitor.e_d, monitor.t_set
+    assert e_d and t_set  # (1, 2) in E_d, 3 closes a triangle with it
+    crashed, graph, candidates, u = rebuilt_state(monitor)
+    assert monitor.e_d is e_d and monitor.t_set is t_set
+    assert (candidates, u) == (monitor.K, monitor.u)
 
 
 def test_eviction_order_preserved_under_overflow():
@@ -225,8 +226,7 @@ def test_aging_eviction_matches_reference_state():
     """Stability-window aging pops the oldest item and the incremental
     state tracks the from-scratch rebuild through it."""
     log = AppendOnlyLog()
-    monitor = SuspicionMonitor(0, log, n=7, f=2, stability_window=2,
-                               check_rebuild=True)
+    monitor = CHECKED[SuspicionMonitor](0, log, n=7, f=2, stability_window=2)
     log.append(
         SuspicionRecord(reporter=1, suspect=2, kind=SuspicionKind.SLOW,
                         round_id=1, phase=1)
@@ -246,7 +246,7 @@ def test_reciprocation_drains_only_its_pairs_pending_items():
     nothing else (amortised O(1)); items already aged one-way stay
     unreciprocated and leave the index for good."""
     log = AppendOnlyLog()
-    monitor = SuspicionMonitor(0, log, n=7, f=2, check_rebuild=True)
+    monitor = CHECKED[SuspicionMonitor](0, log, n=7, f=2)
 
     def slow(reporter, suspect, round_id):
         log.append(SuspicionRecord(reporter=reporter, suspect=suspect,

@@ -99,8 +99,9 @@ def test_shard_scenarios_get_derived_seeds_and_sketch_metrics():
 
 
 def test_explicit_measurement_policy_is_honoured():
-    spec = _spec(scenario=_scenario(measurements=MeasurementPolicy(metrics="check")))
-    assert spec.shard_scenario(0).measurements.metrics == "check"
+    policy = MeasurementPolicy(metrics="sketch", window=2.5)
+    spec = _spec(scenario=_scenario(measurements=policy))
+    assert spec.shard_scenario(0).measurements is policy
 
 
 # ----------------------------------------------------------------------

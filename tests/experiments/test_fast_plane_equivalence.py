@@ -1,27 +1,28 @@
-"""Relaxed message plane: columnar-fast vs columnar equivalence.
+"""Relaxed message plane: columnar-fast vs the exact plane.
 
 ``plane='columnar-fast'`` coalesces same-destination rows inside
-barrier windows, so it is NOT bit-identical to the exact planes --
-the contract is documented equivalence on final metrics: equal commit
+barrier windows, so it is NOT bit-identical to the exact plane -- the
+contract is documented equivalence on final metrics: equal commit
 counts, per-replica commit heights and client request totals, and
 latency quantiles within the :class:`repro.metrics.MetricsSketch`
-error bound.  ``plane='check-fast'`` runs both twins and raises
-:class:`PlaneDivergence` on the first violation; the property test
-below drives it across protocols, workloads and seeds.
+error bound.  ``oracles.assert_relaxed_equivalent`` runs both planes
+and asserts exactly that; the property test below drives it across
+protocols, workloads and seeds.
 
-Faulted scenarios silently fall back to the object plane (same rule as
-columnar), and the structured-array spine checkpoints: a cut/resumed
-columnar-fast run replays bit-identically to the uninterrupted one.
+Faulted scenarios silently fall back to the object plane, and the
+structured-array spine checkpoints: a cut/resumed columnar-fast run
+replays bit-identically to the uninterrupted one.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from oracles import assert_relaxed_equivalent
 from repro.experiments.checkpoint import load_checkpoint, save_checkpoint
 from repro.experiments.runner import (
     FaultSpec,
-    PlaneDivergence,
     Scenario,
     prepare_scenario,
     run_scenario,
@@ -43,15 +44,26 @@ def _scenario(protocol, workload, workload_params, **overrides):
     return Scenario(**base)
 
 
-#: (protocol, workload, workload_params) -- every engine family, both
-#: open- and closed-loop client drives where the protocol supports them.
+#: (protocol, workload, workload_params, scenario overrides) -- every
+#: engine family, both open- and closed-loop client drives where the
+#: protocol supports them, and one deployment wide enough (n = 256) that
+#: multicasts park in the row store on both planes.
 _CASES = [
-    ("pbft", "open-loop", (("rate", 120.0), ("clients", 2))),
-    ("pbft", "closed-loop", (("clients", 3),)),
-    ("pbft-optiaware", "open-loop", (("rate", 120.0), ("clients", 2))),
-    ("hotstuff-rr", "saturated", ()),
-    ("kauri", "saturated", ()),
+    ("pbft", "open-loop", (("rate", 120.0), ("clients", 2)), ()),
+    ("pbft", "closed-loop", (("clients", 3),), ()),
+    ("pbft-optiaware", "open-loop", (("rate", 120.0), ("clients", 2)), ()),
+    ("hotstuff-rr", "saturated", (), ()),
+    ("kauri", "saturated", (), ()),
+    (
+        "pbft", "open-loop", (("rate", 120.0), ("clients", 2)),
+        (("deployment", "world-256"), ("duration", 1.0)),
+    ),
 ]
+
+
+def _case_scenario(case, **overrides):
+    protocol, workload, params, case_overrides = case
+    return _scenario(protocol, workload, params, **dict(case_overrides), **overrides)
 
 
 @settings(
@@ -64,72 +76,40 @@ _CASES = [
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_fast_plane_matches_exact_final_metrics(case, seed):
-    # check-fast reruns the scenario on both planes and raises
-    # PlaneDivergence on any count mismatch or quantile outside the
-    # sketch error bound -- the property is simply that it returns.
-    protocol, workload, params = case
-    result = run_scenario(
-        _scenario(protocol, workload, params, seed=seed, plane="check-fast")
-    )
-    assert result.cluster.network.plane == "columnar-fast"
-    assert result.scenario.describe()["plane"] == "check-fast"
+    # The oracle reruns the scenario on both planes and fails on any
+    # count mismatch or quantile outside the sketch error bound -- the
+    # property is simply that it returns.
+    exact, fast = assert_relaxed_equivalent(_case_scenario(case, seed=seed))
+    assert exact.cluster.network.plane == "object"
+    assert fast.cluster.network.plane == "columnar-fast"
 
 
-@pytest.mark.parametrize("case", _CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+@pytest.mark.parametrize(
+    "case", _CASES, ids=lambda c: "-".join([c[0], c[1], *(str(v) for _, v in c[3])])
+)
 def test_every_engine_family_passes_check_fast(case):
-    protocol, workload, params = case
-    result = run_scenario(
-        _scenario(protocol, workload, params, plane="check-fast")
-    )
-    assert result.run_metrics is not None
-
-
-def test_check_fast_rejects_jitter():
-    with pytest.raises(ValueError, match="jitter"):
-        run_scenario(
-            _scenario(
-                "pbft",
-                "open-loop",
-                {"rate": 120.0, "clients": 2},
-                jitter=0.02,
-                plane="check-fast",
-            )
-        )
-
-
-def test_check_fast_rejects_workload_instances():
-    from repro.workloads import make_workload
-
-    scenario = _scenario("pbft", "open-loop", {}, plane="check-fast")
-    scenario.workload = make_workload("open-loop", rate=120.0, clients=2)
-    scenario.workload_params = {}
-    with pytest.raises(ValueError, match="named workload"):
-        run_scenario(scenario)
+    # What plane="check-fast" asserted, now asserted by the oracle.
+    exact, fast = assert_relaxed_equivalent(_case_scenario(case))
+    assert fast.run_metrics is not None
+    if case[3]:
+        # Wide enough for the store: the exact plane drains windows too.
+        assert exact.metrics()["plane"]["windows"] > 0
+        assert fast.metrics()["plane"]["windows"] > 0
 
 
 def test_prepare_rejects_check_fast_plane():
-    with pytest.raises(ValueError, match="run_scenario"):
-        prepare_scenario(
-            _scenario(
-                "pbft", "open-loop", {"rate": 120.0, "clients": 2},
-                plane="check-fast",
-            )
-        )
+    # Refused at construction, and the refusal names the oracle that
+    # holds the equivalence it used to assert.
+    with pytest.raises(ValueError, match="assert_relaxed_equivalent"):
+        prepare_scenario(_scenario("pbft", "open-loop", {}, plane="check-fast"))
 
 
 def test_check_fast_raises_on_divergence(monkeypatch):
-    import repro.experiments.runner as runner_mod
-
     heights = iter([[3, 3, 3, 3, 3, 3, 3], [3, 3, 3, 3, 3, 3, 2]])
-    monkeypatch.setattr(
-        runner_mod, "_commit_heights", lambda cluster: next(heights)
-    )
-    with pytest.raises(PlaneDivergence, match="commit heights"):
-        run_scenario(
-            _scenario(
-                "hotstuff-rr", "saturated", {}, duration=1.0,
-                plane="check-fast",
-            )
+    monkeypatch.setattr(oracles, "commit_heights", lambda cluster: next(heights))
+    with pytest.raises(AssertionError, match="commit heights"):
+        assert_relaxed_equivalent(
+            _scenario("hotstuff-rr", "saturated", {}, duration=1.0)
         )
 
 

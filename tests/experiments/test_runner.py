@@ -383,6 +383,28 @@ def test_invalid_combinations_are_rejected():
         FaultSpec(kind="meteor")
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("duration", NAN), ("duration", INF), ("duration", 0.0), ("duration", -1.0),
+        ("jitter", -0.5), ("jitter", -2.0), ("jitter", NAN), ("jitter", INF),
+        ("delta", NAN), ("delta", -1.0), ("delta", 0.0), ("delta", INF),
+        ("pipeline_depth", 0), ("pipeline_depth", -1),
+        ("search_iterations", -1),
+    ],
+)
+def test_out_of_range_values_fail_at_construction(field, value):
+    # Each of these used to hang (a NaN duration never ends a run), run
+    # empty (duration <= 0, pipeline_depth < 1) or be silently ignored
+    # (negative or NaN jitter, a NaN delta that switches deadlines off).
+    with pytest.raises(ValueError, match=field):
+        Scenario(**{field: value})
+
+
 def test_runner_matches_pre_refactor_hotstuff_construction():
     """The fig9 HotStuff-fixed cell through the runner must equal the
     original direct construction (the pre-runner driver code)."""

@@ -8,6 +8,8 @@ name patterns are documented from one table the same way.
 
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -26,8 +28,19 @@ def _repro(*argv):
         capture_output=True,
         text=True,
         env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-        cwd="/root/repo",
+        cwd=Path(__file__).resolve().parents[2],
+        timeout=120,
     )
+
+
+def test_cli_rejects_nan_duration_within_seconds():
+    # A NaN duration never ends a run; it must fail at construction.
+    started = time.monotonic()
+    proc = _repro("run", "--protocol", "pbft", "--deployment", "Europe21",
+                  "--duration", "nan")
+    assert proc.returncode != 0
+    assert "duration" in proc.stderr
+    assert time.monotonic() - started < 5.0
 
 
 def test_registry_lines_are_sorted_and_described():

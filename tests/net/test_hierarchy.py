@@ -5,15 +5,14 @@ import random
 import numpy as np
 import pytest
 
-from repro.net.cities import ALL_CITIES
-from repro.net.hierarchy import (
+from oracles import (
     CHECK_MAX_N,
-    ROW_CACHE_SIZE,
-    HierarchicalLatencyModel,
     LatencyDivergence,
     verify_against_dense,
     verify_self_consistent,
 )
+from repro.net.cities import ALL_CITIES
+from repro.net.hierarchy import ROW_CACHE_SIZE, HierarchicalLatencyModel
 from repro.net.latency_model import LOCAL_RTT_MS, MS_PER_KM, LatencyModel
 
 

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.net.hierarchy import verify_self_consistent
+from oracles import verify_self_consistent
 from repro.net.latency_model import LOCAL_RTT_MS
 from repro.net.topology_graph import (
     EXAMPLE_GRAPH,

@@ -3,8 +3,8 @@
 A toy combinatorial problem (pick a subset of fixed size minimising the
 sum of its values) exercised through both paths: the incremental engine
 must reproduce the full path's accept/reject sequence, best state and
-score exactly, and the checked-reference mode must catch an engine whose
-deltas drift.
+score exactly, and :class:`oracles.ScoreChecked` must catch an engine
+whose deltas drift.
 """
 
 import math
@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from oracles import anneal
+from oracles import ScoreChecked, anneal
 from repro.optimize.annealing import (
     AnnealingSchedule,
     IncrementalSearch,
@@ -43,7 +43,7 @@ class SubsetEngine(IncrementalSearch):
     def __init__(self, initial: frozenset, skew: float = 0.0):
         self.members = sorted(initial)
         self.score = full_score(initial)
-        self.skew = skew  # deliberate delta error for the checked mode
+        self.skew = skew  # deliberate delta error for ScoreChecked
 
     def initial_score(self) -> float:
         return self.score
@@ -109,23 +109,27 @@ def test_incremental_finds_optimum():
 
 
 def test_checked_reference_mode_passes_for_honest_engine():
-    result = anneal_incremental(
-        SubsetEngine(frozenset(range(SUBSET_SIZE))),
-        random.Random(5),
-        AnnealingSchedule(iterations=200, initial_temperature=1.0),
-        check_score=full_score,
-    )
+    schedule = AnnealingSchedule(iterations=200, initial_temperature=1.0)
+    initial = frozenset(range(SUBSET_SIZE))
+    checked = ScoreChecked(SubsetEngine(initial), full_score)
+    result = anneal_incremental(checked, random.Random(5), schedule)
     assert result.accepted > 0
+    assert checked.applied > 0
+    # The wrapper only watches: the bare engine takes the same steps.
+    assert result == anneal_incremental(
+        SubsetEngine(initial), random.Random(5), schedule
+    )
 
 
 def test_checked_reference_mode_catches_drifting_deltas():
-    engine = SubsetEngine(frozenset(range(SUBSET_SIZE)), skew=1e-9)
+    engine = ScoreChecked(
+        SubsetEngine(frozenset(range(SUBSET_SIZE)), skew=1e-9), full_score
+    )
     with pytest.raises(AssertionError, match="diverged"):
         anneal_incremental(
             engine,
             random.Random(5),
             AnnealingSchedule(iterations=200, initial_temperature=1.0),
-            check_score=full_score,
         )
 
 

@@ -2,7 +2,7 @@
 
 The production :func:`maximum_independent_set` / \
 :func:`greedy_independent_set` run on int-bitmask adjacency (PR 5); the
-pre-bitset implementations are kept as ``*_reference`` twins and these
+pre-bitset implementations are test oracles (``tests/oracles.py``) and these
 tests assert exact equality -- same set, including all deterministic
 tie-breaks -- across random graph families, plus the mask-level API and
 the adjacency-bitmask memoization.
@@ -13,15 +13,17 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    greedy_independent_set_reference,
+    maximum_independent_set_reference,
+)
 from repro.optimize.graphs import Graph
 from repro.optimize.maxindset import (
     greedy_independent_set,
     greedy_independent_set_masks,
-    greedy_independent_set_reference,
     is_independent_set,
     maximum_independent_set,
     maximum_independent_set_masks,
-    maximum_independent_set_reference,
 )
 
 

@@ -23,7 +23,18 @@ Each is the straightforward pre-optimisation form of something under
   fresh ``WeightConfiguration`` per mutation, behind
   ``annealed_weight_search``'s incremental state;
 * :class:`EveryProposalChecked` -- that engine with every ``delta_score``
-  and every ``apply`` compared against a from-scratch computation.
+  and every ``apply`` compared against a from-scratch computation;
+  :class:`ScoreChecked` -- any annealing engine with its score re-derived
+  after every ``apply``;
+* :class:`RebuildChecked` -- a suspicion monitor whose incremental (C, G,
+  K, u) is compared after every mutation against :func:`rebuilt_state`,
+  the from-scratch derivation over its raw item deque;
+* :func:`maximum_independent_set_reference` and
+  :func:`greedy_independent_set_reference` -- the set-based MIS solvers
+  behind the bitmask ones;
+* :func:`verify_against_dense` and :func:`verify_self_consistent` -- the
+  hierarchical latency substrate against the dense matrix it replaces,
+  and its scalar path against its row path and itself mirrored.
 
 And oracles that are not reference implementations:
 
@@ -38,7 +49,10 @@ And oracles that are not reference implementations:
   the history of a run, which the chained engines no longer keep
   (a height's block is retired when it commits);
 * :func:`per_height_entries` -- how many per-height / per-sequence
-  bookkeeping entries a cluster's replicas hold right now.
+  bookkeeping entries a cluster's replicas hold right now;
+* :func:`assert_relaxed_equivalent` -- a scenario run on the exact and
+  the relaxed (``columnar-fast``) plane, held to the relaxed plane's
+  documented equivalence on final metrics.
 """
 
 from __future__ import annotations
@@ -46,7 +60,9 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from dataclasses import replace
 from typing import (
+    Any,
     Callable,
     Dict,
     FrozenSet,
@@ -69,7 +85,13 @@ from repro.core.timeouts import (
     PHASE_WRITE,
     PbftTimeouts,
 )
+from repro.experiments.runner import Scenario, ScenarioResult, run_scenario
+from repro.metrics import MetricsSketch
+from repro.net.hierarchy import HierarchicalLatencyModel
+from repro.net.latency_model import LatencyModel
 from repro.optimize.annealing import AnnealingResult, AnnealingSchedule, State
+from repro.optimize.graphs import Graph, ordered_edge
+from repro.tree.candidates import TreeSuspicionMonitor, tree_candidates
 from repro.tree.optitree import IncrementalTreeSearch, random_tree
 from repro.tree.score import default_k, tree_score
 from repro.tree.topology import TreeConfiguration
@@ -418,8 +440,8 @@ def annealed_weight_search_full(
 class EveryProposalChecked(IncrementalTreeSearch):
     """:class:`IncrementalTreeSearch` checked on every proposal.
 
-    ``anneal_incremental(check_score=...)`` re-scores accepted states
-    only; here every ``delta_score`` -- accepted or not -- must equal
+    :class:`ScoreChecked` re-scores accepted states only; here every
+    ``delta_score`` -- accepted or not -- must equal
     ``tree_score`` of the tentative layout (``inf`` while an internal
     node is outside ``K``), and after every ``apply`` the cached ``lagg``,
     ``costs`` and score must equal a freshly built engine's.
@@ -462,6 +484,303 @@ class EveryProposalChecked(IncrementalTreeSearch):
         self._same(self.lagg, fresh.lagg, "lagg")
         self._same(self.costs, fresh.costs, "costs")
         self._same(self.initial_score(), fresh.initial_score(), "held score")
+
+
+class ScoreChecked:
+    """``engine`` with its held score re-derived after every ``apply``.
+
+    The score the last ``delta_score`` promised must equal
+    ``full_score`` of the state ``apply`` installed (two infinities are
+    equal); a drifting delta raises on the first accepted step it moves.
+    Every other hook is the wrapped engine's, so the annealer draws the
+    same randomness and takes the same steps as on the bare engine.
+    """
+
+    def __init__(self, engine, full_score: Callable[[Any], float]):
+        self.engine = engine
+        self.full_score = full_score
+        self.applied = 0
+        self._promised = math.nan
+
+    def __getattr__(self, name):
+        return getattr(self.engine, name)
+
+    def delta_score(self, mutation) -> float:
+        self._promised = self.engine.delta_score(mutation)
+        return self._promised
+
+    def apply(self, mutation) -> None:
+        self.engine.apply(mutation)
+        self.applied += 1
+        promised = self._promised
+        reference = self.full_score(self.engine.snapshot())
+        if reference != promised and not (
+            math.isinf(reference) and math.isinf(promised)
+        ):
+            raise AssertionError(
+                f"incremental score {promised!r} diverged from full score "
+                f"{reference!r} at accepted step {self.applied}"
+            )
+
+
+def _min_phases(items) -> Dict[int, int]:
+    """Each round's earliest suspicion phase (the §4.2.3 causal filter)."""
+    min_phase: Dict[int, int] = {}
+    for item in items:
+        current = min_phase.get(item.round_id)
+        if current is None or item.phase < current:
+            min_phase[item.round_id] = item.phase
+    return min_phase
+
+
+def rebuilt_state(monitor) -> Tuple[Set[int], Graph, FrozenSet[int], int]:
+    """(C, G, K, u) of a suspicion monitor derived from scratch.
+
+    Reads the monitor's raw item deque and ``F`` and nothing it
+    maintains incrementally, and writes nothing: the min-phase causal
+    filter, the crash set, the graph and the candidate rule (the MIS, or
+    §6.4's ``E_d``/``T`` for :class:`TreeSuspicionMonitor`) are all
+    recomputed here.
+    """
+    min_phase = _min_phases(monitor._items)
+    effective = [
+        item for item in monitor._items if item.phase == min_phase[item.round_id]
+    ]
+    faulty = monitor._faulty_set()
+    crashed = {
+        item.suspect for item in effective
+        if item.one_way and item.suspect not in faulty
+    }
+    vertices = [v for v in range(monitor.n) if v not in faulty and v not in crashed]
+    vertex_set = set(vertices)
+    graph = Graph(vertices=vertices)
+    order = []
+    for item in effective:
+        if item.one_way:
+            continue
+        order.append(ordered_edge(item.reporter, item.suspect))
+        if item.reporter in vertex_set and item.suspect in vertex_set:
+            graph.add_edge(item.reporter, item.suspect)
+    if isinstance(monitor, TreeSuspicionMonitor):
+        candidates, u, _, _ = tree_candidates(graph, order)
+    else:
+        candidates = monitor._candidate_set(graph)
+        u = max(0, len(graph) - len(candidates))
+    return crashed, graph, candidates, u
+
+
+class RebuildChecked:
+    """Mixin for :class:`~repro.core.suspicion.SuspicionMonitor` and
+    :class:`TreeSuspicionMonitor`: after every ``on_entry``,
+    ``advance_view`` and change of ``F``, the incremental registries and
+    derived state must equal a from-scratch derivation.
+
+    Use it first in the bases (``class Checked(RebuildChecked,
+    SuspicionMonitor)``) so its hooks wrap the monitor's.  Raises
+    ``AssertionError`` on the first divergence.
+    """
+
+    def on_entry(self, entry) -> None:
+        super().on_entry(entry)
+        self.check_against_rebuild()
+
+    def advance_view(self, view: int) -> None:
+        super().advance_view(view)
+        self.check_against_rebuild()
+
+    def _on_faulty_changed(self) -> None:
+        super()._on_faulty_changed()
+        self.check_against_rebuild()
+
+    def check_against_rebuild(self) -> None:
+        min_phase = _min_phases(self._items)
+        if min_phase != self._round_min_phase:
+            raise AssertionError(
+                "incremental min-phase diverged: "
+                f"{self._round_min_phase} != {min_phase}"
+            )
+        for item in self._items:
+            pending = self._pair_pending.get(
+                ordered_edge(item.reporter, item.suspect), ()
+            )
+            awaiting = any(other is item for other in pending)
+            if item.reciprocated == awaiting and not item.one_way:
+                raise AssertionError(
+                    f"reciprocation index diverged for item seq={item.seq}: "
+                    f"reciprocated={item.reciprocated}, pending={awaiting}"
+                )
+        crashed, graph, candidates, u = rebuilt_state(self)
+        if (
+            crashed != self.crashed
+            or graph.vertices() != self.graph.vertices()
+            or graph.edges() != self.graph.edges()
+            or candidates != self.candidates
+            or u != self.u
+        ):
+            raise AssertionError(
+                "incremental suspicion state diverged from rebuild: "
+                f"C {sorted(self.crashed)} vs {sorted(crashed)}, "
+                f"E {self.graph.edges()} vs {graph.edges()}, "
+                f"K {sorted(self.candidates)} vs {sorted(candidates)}, "
+                f"u {self.u} vs {u}"
+            )
+
+
+def _bron_kerbosch_max_clique(adj: Dict[int, Set[int]]) -> Tuple[int, ...]:
+    """Maximum clique via Bron-Kerbosch with pivoting (reference).
+
+    Deterministic: candidate iteration is in sorted order and ties between
+    equal-sized cliques resolve to the lexicographically smallest tuple.
+    """
+    best: List[Tuple[int, ...]] = [()]
+
+    def consider(clique: Tuple[int, ...]) -> None:
+        current = best[0]
+        if len(clique) > len(current) or (
+            len(clique) == len(current) and clique < current
+        ):
+            best[0] = clique
+
+    def expand(r: Tuple[int, ...], p: Set[int], x: Set[int]) -> None:
+        if not p and not x:
+            consider(tuple(sorted(r)))
+            return
+        # Prune: even taking all of P cannot beat the current best.
+        if len(r) + len(p) < len(best[0]):
+            return
+        # Pivot on the vertex of P ∪ X with the most neighbours in P.
+        pivot = max(sorted(p | x), key=lambda v: len(adj[v] & p))
+        for v in sorted(p - adj[pivot]):
+            expand(r + (v,), p & adj[v], x & adj[v])
+            p = p - {v}
+            x = x | {v}
+
+    expand((), set(adj), set())
+    return best[0]
+
+
+def maximum_independent_set_reference(graph: Graph) -> FrozenSet[int]:
+    """The pre-bitset exact solver; pinned equal to the production one."""
+    vertices = graph.vertices()
+    if not vertices:
+        return frozenset()
+    complement_adj: Dict[int, Set[int]] = {v: set() for v in vertices}
+    vertex_set = set(vertices)
+    for v in vertices:
+        complement_adj[v] = vertex_set - set(graph.neighbors(v)) - {v}
+    return frozenset(_bron_kerbosch_max_clique(complement_adj))
+
+
+def greedy_independent_set_reference(graph: Graph) -> FrozenSet[int]:
+    """The pre-bitset greedy heuristic; pinned equal to the production one."""
+    remaining = {v: set(graph.neighbors(v)) for v in graph.vertices()}
+    chosen: Set[int] = set()
+    while remaining:
+        v = min(remaining, key=lambda u: (len(remaining[u]), u))
+        chosen.add(v)
+        dropped = remaining.pop(v)
+        for u in dropped:
+            if u in remaining:
+                for w in remaining[u]:
+                    if w in remaining:
+                        remaining[w].discard(u)
+                del remaining[u]
+    return frozenset(chosen)
+
+
+class LatencyDivergence(AssertionError):
+    """Two latency backends disagreed on a pair."""
+
+
+#: Largest n the dense cross-check will materialize a reference for.
+CHECK_MAX_N = 512
+
+#: Sampled pairs per check (on top of a handful of full rows).
+CHECK_SAMPLES = 4096
+
+
+def verify_against_dense(
+    model: HierarchicalLatencyModel,
+    rng: Optional[random.Random] = None,
+    samples: int = CHECK_SAMPLES,
+) -> int:
+    """Cross-check the hierarchical model against the dense reference.
+
+    Builds a dense :class:`LatencyModel` over the same cities (only
+    valid for zero offsets -- the configuration where both models are
+    defined on the same inputs) and asserts **bit equality** on a few
+    full rows plus ``samples`` uniformly drawn pairs, through both the
+    scalar and the row path.  Returns the number of pairs compared;
+    raises :class:`LatencyDivergence` naming the first differing pair.
+    """
+    n = len(model.cities)
+    if n > CHECK_MAX_N:
+        raise ValueError(
+            f"dense check caps at n={CHECK_MAX_N} (got {n}): the "
+            "reference is the O(n^2) matrix being avoided"
+        )
+    if any(v != 0.0 for v in model._off):
+        raise ValueError(
+            "dense check requires zero offsets; jittered replicas "
+            "have no dense-model coordinates (use verify_self_consistent)"
+        )
+    rng = rng or random.Random(0)
+    dense = LatencyModel(model.cities)
+    compared = 0
+    # A handful of full rows: every dst for a few srcs, via the row path.
+    row_srcs = sorted({0, n - 1, *(rng.randrange(n) for _ in range(6))})
+    for src in row_srcs:
+        row = model.row(src)
+        for dst in range(n):
+            expect = dense.one_way(src, dst)
+            if row[dst] != expect:
+                raise LatencyDivergence(
+                    f"row({src})[{dst}] = {row[dst]!r} != dense {expect!r}"
+                )
+        compared += n
+    # Sampled pairs through the scalar path.
+    for _ in range(samples):
+        a = rng.randrange(n)
+        b = rng.randrange(n)
+        got = model.one_way(a, b)
+        expect = dense.one_way(a, b)
+        if got != expect:
+            raise LatencyDivergence(
+                f"one_way({a}, {b}) = {got!r} != dense {expect!r}"
+            )
+        compared += 1
+    return compared
+
+
+def verify_self_consistent(
+    model: HierarchicalLatencyModel,
+    rng: Optional[random.Random] = None,
+    samples: int = CHECK_SAMPLES,
+) -> int:
+    """Internal consistency check for configurations with no dense
+    reference (non-zero offsets, graph-derived base tables): the scalar
+    path, the row path and symmetry must agree bitwise on sampled pairs.
+    """
+    n = len(model.cities)
+    rng = rng or random.Random(0)
+    compared = 0
+    for _ in range(samples):
+        a = rng.randrange(n)
+        b = rng.randrange(n)
+        scalar = model.one_way(a, b)
+        via_row = model.row(a)[b]
+        if scalar != via_row:
+            raise LatencyDivergence(
+                f"one_way({a}, {b}) = {scalar!r} != row({a})[{b}] = {via_row!r}"
+            )
+        mirrored = model.one_way(b, a)
+        if scalar != mirrored:
+            raise LatencyDivergence(
+                f"one_way({a}, {b}) = {scalar!r} != one_way({b}, {a}) = "
+                f"{mirrored!r}"
+            )
+        compared += 1
+    return compared
 
 
 def heap_only(network):
@@ -635,3 +954,85 @@ def per_height_entries(cluster, exclude: Sequence[str] = ()) -> int:
             if state is not None:
                 total += len(state)
     return total
+
+
+def commit_heights(cluster) -> List[int]:
+    """Per-replica commit heights: ``executed_seq`` (PBFT) or
+    ``committed_height`` (HotStuff/Kauri)."""
+    heights = []
+    for replica in cluster.replicas:
+        height = getattr(replica, "executed_seq", None)
+        if height is None:
+            height = getattr(replica, "committed_height", 0)
+        heights.append(height)
+    return heights
+
+
+def assert_relaxed_equivalent(
+    scenario: Scenario,
+) -> Tuple[ScenarioResult, ScenarioResult]:
+    """Run ``scenario`` on the exact and the relaxed plane, assert the
+    relaxed plane's documented equivalence, return both runs (exact
+    first).
+
+    Not a state-trace comparison: the relaxed plane coalesces deliveries
+    inside barrier windows, so per-row interleavings (and with them RNG
+    stream positions and exact latency digits) legitimately differ.
+    What must hold:
+
+    * committed request totals, committed block counts and per-replica
+      commit heights are EQUAL;
+    * client request totals (sent and completed) are EQUAL;
+    * every latency quantile (commit and client side) agrees within the
+      :class:`~repro.metrics.MetricsSketch` error bound.
+
+    The scenario needs jitter 0 (jitter is drawn at send time in send
+    order, which differs between the planes, so jittered twins would see
+    different delays) and a named workload (an instance would be
+    consumed by the first run).
+    """
+    assert scenario.jitter == 0.0, "jittered twins are not comparable"
+    assert isinstance(scenario.workload, str), "needs a named workload"
+    name = scenario.describe()["name"]
+    exact_result = run_scenario(replace(scenario, plane="object"))
+    fast_result = run_scenario(replace(scenario, plane="columnar-fast"))
+    exact_metrics = exact_result.metrics()
+    fast_metrics = fast_result.metrics()
+    for field_name in ("committed_requests", "committed_blocks"):
+        assert exact_metrics.get(field_name) == fast_metrics.get(field_name), (
+            f"{field_name} diverged for {name}: "
+            f"exact={exact_metrics.get(field_name)} "
+            f"relaxed={fast_metrics.get(field_name)}"
+        )
+    exact_heights = commit_heights(exact_result.cluster)
+    fast_heights = commit_heights(fast_result.cluster)
+    assert exact_heights == fast_heights, (
+        f"per-replica commit heights diverged for {name}: "
+        f"exact={exact_heights} relaxed={fast_heights}"
+    )
+    exact_client = exact_metrics.get("client") or {}
+    fast_client = fast_metrics.get("client") or {}
+    for field_name in ("requests_sent", "requests_completed"):
+        assert exact_client.get(field_name) == fast_client.get(field_name), (
+            f"client {field_name} diverged for {name}: "
+            f"exact={exact_client.get(field_name)} "
+            f"relaxed={fast_client.get(field_name)}"
+        )
+    bound = MetricsSketch().error_bound()
+    exact_client_latency = {k: v for k, v in exact_client.items() if "latency" in k}
+    for label, exact, fast in (
+        (
+            "commit_latency",
+            exact_metrics.get("commit_latency") or {},
+            fast_metrics.get("commit_latency") or {},
+        ),
+        ("client", exact_client_latency, fast_client),
+    ):
+        for key, a in exact.items():
+            b = fast.get(key)
+            if isinstance(a, float) and isinstance(b, float):
+                assert abs(a - b) <= bound * max(abs(a), abs(b)), (
+                    f"{label}.{key} diverged for {name} beyond the sketch "
+                    f"error bound ({bound:.4%}): exact={a!r} relaxed={b!r}"
+                )
+    return exact_result, fast_result

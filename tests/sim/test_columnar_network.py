@@ -115,7 +115,7 @@ def snapshot(sim, network):
 # Construction
 # ----------------------------------------------------------------------
 def test_plane_vocabulary_and_validation():
-    assert MESSAGE_PLANES == ("object", "columnar", "columnar-fast", "check-fast")
+    assert MESSAGE_PLANES == ("object", "columnar", "columnar-fast")
     sim = Simulator(seed=0)
     # One exact plane under two accepted names, no behaviour between them.
     assert Network(sim, lambda a, b: 0.01, plane="columnar").plane == "object"

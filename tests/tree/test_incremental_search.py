@@ -5,8 +5,8 @@ point, the incremental path returns *identical* ``best_state`` /
 ``best_score`` / ``accepted`` to the full-scoring reference under the
 same seed, across sizes including the paper's n=211, and the delta
 scores match the from-scratch scores to the bit -- after every accept
-(checked-reference mode) and, through ``EveryProposalChecked``, after
-every proposal.  The full-scoring reference is ``optitree_search_full``
+(``ScoreChecked``) and, through ``EveryProposalChecked``, after every
+proposal.  The full-scoring reference is ``optitree_search_full``
 in ``tests/oracles.py``.
 """
 
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import EveryProposalChecked, optitree_search_full
+from oracles import EveryProposalChecked, ScoreChecked, optitree_search_full
 from repro.net.deployments import random_world_deployment
 from repro.optimize.annealing import AnnealingSchedule, anneal_incremental
 from repro.tree.kauri_sa import KauriSaReconfigurer
@@ -74,8 +74,8 @@ def test_optitree_incremental_matches_full_restricted_candidates(n, candidate_ra
 
 @pytest.mark.parametrize("n", [4, 57, 211])
 def test_tree_engine_deltas_match_full_scores_to_the_bit(n):
-    """Checked-reference mode: every accepted incremental score equals
-    the from-scratch ``tree_score`` of the mutated layout exactly."""
+    """ScoreChecked: every accepted incremental score equals the
+    from-scratch ``tree_score`` of the mutated layout exactly."""
     latency = latency_for(n)
     f = (n - 1) // 3
     k = 2 * f + 1
@@ -84,10 +84,9 @@ def test_tree_engine_deltas_match_full_scores_to_the_bit(n):
     initial = random_tree(n, candidates, rng)
     engine = IncrementalTreeSearch(latency, initial, candidates, k)
     result = anneal_incremental(
-        engine,
+        ScoreChecked(engine, lambda tree: tree_score(latency, tree, k)),
         rng,
         AnnealingSchedule(iterations=300, initial_temperature=0.05),
-        check_score=lambda tree: tree_score(latency, tree, k),
     )
     assert result.accepted > 0
     # The engine's final cached costs equal a fresh engine's.
