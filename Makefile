@@ -22,7 +22,7 @@ test:
 
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples
-	$(PYTHON) -c "import repro, repro.experiments.runner, repro.workloads, repro.__main__"
+	$(PYTHON) -c "import repro, repro.experiments.runner, repro.faults.schedule, repro.workloads, repro.__main__"
 	$(PYTHON) -m repro list > /dev/null
 
 # One short measurement of the Fig. 7 workload, one of the n=512 pbft

@@ -15,7 +15,10 @@ The load-bearing memory and resume claims, checked end to end:
    engines retire per-height state as they go, no ``compact()`` needed.
 3. **Kill/resume round-trip.**  A shard killed after its first slice
    and resumed from the checkpoint file lands byte-identically (outside
-   the drive-dependent fields) on the uninterrupted run.
+   the drive-dependent fields) on the uninterrupted run -- once
+   fault-free, once with armed faults in the checkpoint: a crash that is
+   down at the first checkpoint and revives (through catch-up) after it,
+   plus a loss interceptor on replies.
 
 Usage::
 
@@ -143,9 +146,17 @@ def check_flat_plain_run() -> None:
         )
 
 
-def check_kill_resume() -> None:
+def check_kill_resume(faulted: bool = False) -> None:
     from repro.experiments.campaign import CampaignSpec, run_campaign_shard
-    from repro.experiments.runner import Scenario
+    from repro.experiments.runner import FaultSpec, Scenario
+
+    faults = [
+        FaultSpec(kind="crash", start=2.0, end=6.0, attacker=2),
+        # Replies only: PBFT has no retransmission, so a lost protocol
+        # message would stall the shard short of its target.
+        FaultSpec(kind="loss", start=1.0, end=12.0, params={"rate": 0.02},
+                  message_types=("Reply",)),
+    ] if faulted else []
 
     drive_dependent = ("resumed_from", "slices_run", "peak_rss_kb")
 
@@ -168,6 +179,7 @@ def check_kill_resume() -> None:
                 ),
                 duration=1e9,
                 seed=13,
+                faults=faults,
             ),
             requests=20_000,
             checkpoint_every=4.0,
@@ -204,8 +216,8 @@ def check_kill_resume() -> None:
                 f"  resumed:       {json.dumps(strip(resumed), sort_keys=True)}"
             )
     print(
-        f"kill/resume: bit-identical after resuming from "
-        f"t={spec.checkpoint_every}s"
+        f"{'faulted ' if faulted else ''}kill/resume: bit-identical after "
+        f"resuming from t={spec.checkpoint_every}s"
     )
 
 
@@ -213,6 +225,7 @@ def main() -> int:
     check_flat_memory()
     check_flat_plain_run()
     check_kill_resume()
+    check_kill_resume(faulted=True)
     print("campaign smoke: OK")
     return 0
 

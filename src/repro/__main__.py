@@ -68,6 +68,7 @@ from typing import Any, Dict, List, Optional
 from repro.experiments import runner as runner_mod
 from repro.experiments import scenarios as scenarios_mod
 from repro.experiments.runner import FaultSpec, Scenario, run_scenario
+from repro.faults.schedule import FAULT_KINDS
 from repro.workloads import WORKLOADS
 
 FIGURES = tuple(f"fig{i}" for i in range(7, 16))
@@ -402,7 +403,7 @@ def cmd_list(_args: argparse.Namespace) -> int:
     for pattern, description in runner_mod.DEPLOYMENT_PATTERNS:
         print(f"  {pattern:27s}({description})")
     print("fault kinds:")
-    print("  " + " ".join(runner_mod.FAULT_KINDS))
+    print("  " + " ".join(FAULT_KINDS))
     print("scenarios:")
     for name, (_factory, description) in sorted(
         scenarios_mod.ADVERSARIAL_SCENARIOS.items()

@@ -1,4 +1,4 @@
-"""Shared replica machinery and run metrics."""
+"""Shared replica and cluster machinery, and run metrics."""
 
 from __future__ import annotations
 
@@ -6,8 +6,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.crypto.signatures import KeyRegistry
+from repro.net.deployments import Deployment
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
+from repro.workloads.base import ClientSiteRouter, ClusterBinding, Workload, percentile
 
 
 class CommitEvent(NamedTuple):
@@ -88,11 +90,6 @@ class RunMetrics:
         """
         if not self.commits:
             return None
-        # Lazy import: the consensus engines import repro.workloads.base
-        # at class-definition time, so the reverse import must wait until
-        # first use.
-        from repro.workloads.base import percentile
-
         values = sorted(event.latency for event in self.commits)
         return {
             "mean": sum(values) / len(values),
@@ -198,3 +195,112 @@ class ReplicaBase:
             self._handler_cache[cls] = handler
         if handler is not None:
             handler(src, message)
+
+
+class ClusterBase:
+    """What the protocol clusters share: the run lifecycle, workload
+    attachment, compaction and state transfer to a revived replica.
+
+    A subclass builds ``sim``, ``network`` (whose jitter stream derives
+    from the simulator), ``registry`` and ``replicas``, in that order, and
+    names the replica whose metrics a run reports (:attr:`observer`).
+    """
+
+    deployment: Deployment
+    n: int
+    f: int
+    sim: Simulator
+    network: Network
+    replicas: List[Any]
+    observer: ReplicaBase
+    workload: Optional[Workload] = None
+
+    @property
+    def replies_needed(self) -> int:
+        """Matching replies a client collects per request."""
+        return self.f + 1
+
+    def attach_workload(self, workload: Workload, client_city: int = 0) -> None:
+        """Switch a self-clocked engine (HotStuff, Kauri) to
+        request-driven mode under ``workload``; PBFT binds its workload
+        at construction.
+
+        Blocks then batch real client requests (payload capped at
+        ``payload_per_block``) instead of the fixed synthetic payload,
+        and clients collect :attr:`replies_needed` replies per request.
+        """
+        self.router = ClientSiteRouter(
+            self.deployment.one_way, self.n, default_site=client_city
+        )
+        self.network.one_way_delay = self.router
+        for replica in self.replicas:
+            replica.request_driven = True
+        self._bind(workload)
+
+    def _bind(self, workload: Workload) -> None:
+        workload.bind(
+            ClusterBinding(
+                sim=self.sim,
+                network=self.network,
+                n=self.n,
+                f=self.f,
+                replies_needed=self.replies_needed,
+                place_client=self.router.place,
+            )
+        )
+        self.workload = workload
+
+    def begin(self) -> None:
+        """Start replicas and workload without advancing the clock.
+
+        ``begin`` / sliced ``sim.run`` / ``finish`` decomposes :meth:`run`
+        for the campaign plane, which checkpoints between slices.  A
+        resumed cluster must *not* call ``begin`` again.
+        """
+        for replica in self.replicas:
+            replica.start()
+        if self.workload is not None:
+            self.workload.start()
+
+    def finish(self) -> RunMetrics:
+        if self.workload is not None:
+            self.workload.stop()
+        for replica in self.replicas:
+            replica.stop()
+        return self.observer.metrics
+
+    def run(self, duration: float) -> RunMetrics:
+        """Run for ``duration`` simulated seconds; returns the observer's
+        metrics."""
+        self.begin()
+        self.sim.run(until=duration)
+        return self.finish()
+
+    def compact(self, keep: int = 128) -> None:
+        """Prune dead per-height state on every replica (campaign slice
+        boundaries; see each replica's ``compact``)."""
+        for replica in self.replicas:
+            replica.compact(keep)
+
+    def catch_up(self, victim: int) -> None:
+        """Fast-forward a revived replica from the most advanced live peer.
+
+        Models the state transfer every production BFT system performs on
+        rejoin: the replica adopts committed state so it cannot propose
+        stale sequence numbers, vote on heights it slept through, or
+        follow a leader that was voted out while it was down.  Each
+        engine's ``adopt_state`` says what that state is; the donor is
+        the live peer with the greatest ``progress``.
+        """
+        network = self.network
+        peers = [
+            replica
+            for replica in self.replicas
+            if replica.id != victim and not network.is_down(replica.id)
+        ]
+        if peers:
+            donor = max(peers, key=lambda peer: peer.progress)
+            self._transfer(self.replicas[victim], donor)
+
+    def _transfer(self, replica: Any, donor: Any) -> None:
+        replica.adopt_state(donor)

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from repro.consensus.base import CommitEvent, ReplicaBase, RunMetrics
+from repro.consensus.base import ClusterBase, CommitEvent, ReplicaBase
 from repro.consensus.messages import Block, ClientRequest, Proposal, Reply, Vote
 from repro.crypto.signatures import KeyRegistry
 from repro.crypto.threshold import QuorumCertificate, aggregate
 from repro.net.deployments import Deployment
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
-from repro.workloads.base import ClientSiteRouter, ClusterBinding, Workload
 
 GENESIS_HASH = "genesis"
 
@@ -411,8 +410,34 @@ class HotStuffReplica(ReplicaBase):
         self._claimed_requests_old = self._claimed_requests
         self._claimed_requests = set()
 
+    # ------------------------------------------------------------------
+    # State transfer (a revived replica; see ClusterBase.catch_up)
+    # ------------------------------------------------------------------
+    @property
+    def progress(self) -> int:
+        return self.committed_height
 
-class HotStuffCluster:
+    def adopt_state(self, donor: "HotStuffReplica") -> None:
+        """Adopt ``donor``'s commit point, uncommitted suffix, vote floor,
+        highest QC and claimed request keys."""
+        self.committed_height = max(self.committed_height, donor.committed_height)
+        # A replica holds blocks only until they commit, so the donor's
+        # map is its uncommitted suffix; what this replica held at or
+        # below the adopted commit point is retired with it.
+        blocks = self.block_at_height
+        blocks.update(donor.block_at_height)
+        for height in [h for h in blocks if h <= self.committed_height]:
+            del blocks[height]
+        self.last_voted_height = max(self.last_voted_height, donor.last_voted_height)
+        if donor.high_qc is not None and (
+            self.high_qc is None or donor.high_qc.view > self.high_qc.view
+        ):
+            self.high_qc = donor.high_qc
+        self._claimed_requests |= donor._claimed_requests
+        self._claimed_requests_old |= donor._claimed_requests_old
+
+
+class HotStuffCluster(ClusterBase):
     """Builds and runs a HotStuff deployment (Fig. 9 baselines)."""
 
     def __init__(
@@ -447,65 +472,9 @@ class HotStuffCluster:
             )
             for replica_id in range(n)
         ]
-        self.workload: Optional[Workload] = None
-
-    def attach_workload(self, workload: Workload, client_city: int = 0) -> None:
-        """Switch the cluster to request-driven mode under ``workload``.
-
-        Blocks then batch real client requests (payload capped at
-        ``payload_per_block``) instead of the fixed synthetic payload,
-        and clients collect ``f + 1`` replies per request.
-        """
-        self.router = ClientSiteRouter(
-            self.deployment.one_way, self.n, default_site=client_city
-        )
-        self.network.one_way_delay = self.router
-        for replica in self.replicas:
-            replica.request_driven = True
-        workload.bind(
-            ClusterBinding(
-                sim=self.sim,
-                network=self.network,
-                n=self.n,
-                f=self.f,
-                replies_needed=self.f + 1,
-                place_client=self.router.place,
-            )
-        )
-        self.workload = workload
-
-    def run(self, duration: float) -> RunMetrics:
-        """Run for ``duration`` simulated seconds; returns observer metrics.
-
-        The observer is a non-leader replica, like the paper's throughput
-        probes.
-        """
-        self.begin()
-        self.sim.run(until=duration)
-        return self.finish()
-
-    def begin(self) -> None:
-        """Start replicas/workload; see ``PbftCluster.begin`` for the
-        begin/slice/finish campaign contract."""
-        for replica in self.replicas:
-            replica.start()
-        if self.workload is not None:
-            self.workload.start()
-
-    def finish(self) -> RunMetrics:
-        if self.workload is not None:
-            self.workload.stop()
-        for replica in self.replicas:
-            replica.stop()
-        return self.observer.metrics
-
-    def compact(self, keep: int = 128) -> None:
-        """Floor ``qc_heights`` and age claimed keys on every replica
-        (campaign slice boundaries; see ``HotStuffReplica.compact``)."""
-        for replica in self.replicas:
-            replica.compact(keep)
 
     @property
     def observer(self) -> HotStuffReplica:
+        """A non-leader replica, like the paper's throughput probes."""
         leader = self.replicas[0].leader_of(1)
         return self.replicas[(leader + 1) % self.n]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.consensus.base import ReplicaBase, RunMetrics
+from repro.consensus.base import ClusterBase, ReplicaBase
 from repro.consensus.messages import (
     AggregateVote,
     Block,
@@ -38,7 +38,6 @@ from repro.net.deployments import Deployment
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.tree.topology import TreeConfiguration
-from repro.workloads.base import ClientSiteRouter, ClusterBinding, Workload
 
 GENESIS_HASH = "genesis"
 
@@ -499,6 +498,50 @@ class KauriReplica(ReplicaBase):
         self._claimed_requests = set()
 
     # ------------------------------------------------------------------
+    # State transfer and stranded requests (revival, tree change)
+    # ------------------------------------------------------------------
+    @property
+    def progress(self) -> int:
+        return self.committed_height
+
+    def adopt_state(self, donor: "KauriReplica") -> None:
+        """Adopt ``donor``'s heights and claimed request keys (see
+        ClusterBase.catch_up)."""
+        self.next_height = max(self.next_height, donor.next_height)
+        self.committed_height = max(self.committed_height, donor.committed_height)
+        self._claimed_requests |= donor._claimed_requests
+        self._claimed_requests_old |= donor._claimed_requests_old
+
+    def release_stranded(self) -> List[ClientRequest]:
+        """Requests this replica proposed as root but never committed,
+        plus its undrained backlog -- the traffic a dead block must not
+        lose.  The backlog is handed over, not copied."""
+        if not self.request_driven:
+            return []
+        stranded: List[ClientRequest] = []
+        for height in range(self.committed_height + 1, self.next_height):
+            block = self.block_at_height.get(height)
+            if block is None:
+                continue
+            stranded.extend(
+                ClientRequest(client_id=cid, request_id=rid, send_time=st)
+                for cid, rid, st in block.request_ids
+            )
+        stranded.extend(self.pending_requests)
+        self.pending_requests = []
+        return stranded
+
+    def take_over(self, requests: List[ClientRequest]) -> None:
+        """Queue requests stranded elsewhere for this root's next
+        proposals, un-claiming them first: the blocks that claimed them
+        are dead, and a stale claim would drop them on the floor."""
+        for request in requests:
+            key = (request.client_id, request.request_id)
+            self._claimed_requests.discard(key)
+            self._claimed_requests_old.discard(key)
+        self.pending_requests.extend(requests)
+
+    # ------------------------------------------------------------------
     # Leaves
     # ------------------------------------------------------------------
     def handle_Forward(self, src: int, message: Forward) -> None:  # noqa: N802
@@ -549,8 +592,12 @@ class KauriReplica(ReplicaBase):
         self.pending_records.append(record)
 
 
-class KauriCluster:
+class KauriCluster(ClusterBase):
     """Builds and runs a Kauri/OptiTree deployment."""
+
+    #: Only the tree root tracks commits, so clients accept its single
+    #: reply.
+    replies_needed = 1
 
     def __init__(
         self,
@@ -589,97 +636,35 @@ class KauriCluster:
             )
             for replica_id in range(n)
         ]
-        self.workload: Optional[Workload] = None
 
     @property
     def root_replica(self) -> KauriReplica:
         return self.replicas[self.tree.root]
 
-    def attach_workload(self, workload: Workload, client_city: int = 0) -> None:
-        """Switch the cluster to request-driven mode under ``workload``.
-
-        Clients accept a single reply (``replies_needed=1``) because only
-        the tree root tracks commits in Kauri.
-        """
-        self.router = ClientSiteRouter(
-            self.deployment.one_way, self.n, default_site=client_city
-        )
-        self.network.one_way_delay = self.router
-        for replica in self.replicas:
-            replica.request_driven = True
-        workload.bind(
-            ClusterBinding(
-                sim=self.sim,
-                network=self.network,
-                n=self.n,
-                f=self.f,
-                replies_needed=1,
-                place_client=self.router.place,
-            )
-        )
-        self.workload = workload
+    observer = root_replica
 
     def install_tree(self, tree: TreeConfiguration) -> None:
         old_root = self.replicas[self.tree.root]
         new_root = self.replicas[tree.root]
-        recovered = self._uncommitted_requests(old_root) if old_root is not new_root else []
+        stranded = old_root.release_stranded() if old_root is not new_root else []
         self.tree = tree
         for replica in self.replicas:
             replica.install_tree(tree)
-        if recovered:
-            # Blocks the old root had in flight die with the old tree
-            # (aggregation state is reset and stale AggregateVotes are
-            # rejected), so their requests move to the new root; un-claim
-            # them there or the recovery would be dropped on the floor.
-            for request in recovered:
-                key = (request.client_id, request.request_id)
-                new_root._claimed_requests.discard(key)
-                new_root._claimed_requests_old.discard(key)
-            new_root.pending_requests.extend(recovered)
+        # Blocks the old root had in flight die with the old tree
+        # (aggregation state is reset and stale AggregateVotes are
+        # rejected), so their requests move to the new root.
+        new_root.take_over(stranded)
 
-    def _uncommitted_requests(self, root: KauriReplica) -> List[ClientRequest]:
-        """Requests the given root proposed but never committed, plus its
-        undrained backlog -- the traffic a tree change must not lose."""
-        if not root.request_driven:
-            return []
-        recovered: List[ClientRequest] = []
-        for height in range(root.committed_height + 1, root.next_height):
-            block = root.block_at_height.get(height)
-            if block is None:
-                continue
-            recovered.extend(
-                ClientRequest(client_id=cid, request_id=rid, send_time=st)
-                for cid, rid, st in block.request_ids
-            )
-        recovered.extend(root.pending_requests)
-        root.pending_requests = []
-        return recovered
-
-    def run(self, duration: float) -> RunMetrics:
-        self.begin()
-        self.sim.run(until=duration)
-        return self.finish()
-
-    def begin(self) -> None:
-        """Start replicas/workload; see ``PbftCluster.begin`` for the
-        begin/slice/finish campaign contract."""
-        for replica in self.replicas:
-            replica.start()
-        if self.workload is not None:
-            self.workload.start()
-
-    def finish(self) -> RunMetrics:
-        if self.workload is not None:
-            self.workload.stop()
-        for replica in self.replicas:
-            replica.stop()
-        return self.root_replica.metrics
-
-    def compact(self, keep: int = 128) -> None:
-        """Floor ``qc_heights`` and age claimed keys on every replica
-        (campaign slice boundaries; see ``KauriReplica.compact``)."""
-        for replica in self.replicas:
-            replica.compact(keep)
+    def _transfer(self, replica: KauriReplica, donor: KauriReplica) -> None:
+        # Blocks the victim proposed into the void while down are dead
+        # (every send from a down node is dropped): hand their stranded
+        # requests to the live root, exactly as a tree change does.
+        # N.B. a revived *root* additionally needs a reconfiguration
+        # (Fig. 15's install_tree) before it proposes again; catch-up
+        # restores state, it does not resurrect a stalled pipeline.
+        stranded = replica.release_stranded()
+        replica.adopt_state(donor)
+        self.root_replica.take_over(stranded)
 
     def pause(self) -> None:
         for replica in self.replicas:

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.aware.optiaware import OptiAware
 from repro.aware.weights import WeightConfiguration
-from repro.consensus.base import ReplicaBase, RunMetrics
+from repro.consensus.base import ClusterBase, ReplicaBase
 from repro.consensus.messages import (
     Block,
     ClientRequest,
@@ -53,7 +53,7 @@ from repro.crypto.signatures import KeyRegistry
 from repro.net.deployments import Deployment
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
-from repro.workloads.base import ClientSiteRouter, ClusterBinding, Workload
+from repro.workloads.base import ClientSiteRouter, Workload
 from repro.workloads.closed_loop import ClosedLoopClient  # noqa: F401  (back-compat re-export)
 from repro.workloads.closed_loop import ClosedLoopWorkload
 
@@ -623,6 +623,32 @@ class PbftReplica(ReplicaBase):
         self._committed_requests = set()
 
     # ------------------------------------------------------------------
+    # State transfer (a revived replica; see ClusterBase.catch_up)
+    # ------------------------------------------------------------------
+    @property
+    def progress(self) -> int:
+        return self.executed_seq
+
+    def adopt_state(self, donor: "PbftReplica") -> None:
+        """Adopt ``donor``'s configuration, sequence numbers and committed
+        request keys, abandon the instance in flight, and replay the
+        committed OptiLog records slept through so the monitors converge
+        with the fleet (the log is a prefix of the donor's: commit order
+        is total)."""
+        self.config = donor.config
+        self.pending_config = None
+        self.seq = max(self.seq, donor.seq)
+        self.executed_seq = max(self.executed_seq, donor.executed_seq)
+        self._committed_requests |= donor._committed_requests
+        self._committed_requests_old |= donor._committed_requests_old
+        self.in_flight = None
+        if self.optilog is not None and donor.optilog is not None:
+            mine = self.optilog.pipeline.log
+            theirs = donor.optilog.pipeline.log
+            for entry in list(theirs)[len(mine):]:
+                mine.append(entry.record, view=entry.view)
+
+    # ------------------------------------------------------------------
     # OptiLog integration
     # ------------------------------------------------------------------
     def _gossip_record(self, record) -> None:
@@ -741,7 +767,7 @@ class PbftReplica(ReplicaBase):
         self._maybe_propose()
 
 
-class PbftCluster:
+class PbftCluster(ClusterBase):
     """A PBFT deployment driven by a workload (Fig. 7: one closed-loop
     observer client; any :class:`repro.workloads.Workload` attaches)."""
 
@@ -788,17 +814,7 @@ class PbftCluster:
             )
             for replica_id in range(n)
         ]
-        self.workload = workload if workload is not None else ClosedLoopWorkload()
-        self.workload.bind(
-            ClusterBinding(
-                sim=self.sim,
-                network=self.network,
-                n=n,
-                f=self.f,
-                replies_needed=self.f + 1,
-                place_client=self.router.place,
-            )
-        )
+        self._bind(workload if workload is not None else ClosedLoopWorkload())
         #: The observer endpoint (first client), kept for Fig. 7-style
         #: ``cluster.client.latency_series(...)`` access.
         self.client = self.workload.clients[0] if self.workload.clients else None
@@ -827,33 +843,9 @@ class PbftCluster:
                 self.sim.schedule_at(search_time, replica.run_config_search)
             search_time += search_period
 
-    def begin(self) -> None:
-        """Start replicas and workload without advancing the clock.
-
-        ``begin`` / sliced ``sim.run`` / ``finish`` decomposes :meth:`run`
-        for the campaign plane, which checkpoints between slices.  A
-        resumed cluster must *not* call ``begin`` again.
-        """
-        for replica in self.replicas:
-            replica.start()
-        self.workload.start()
-
-    def finish(self) -> RunMetrics:
-        self.workload.stop()
-        for replica in self.replicas:
-            replica.stop()
-        return self.replicas[0].metrics
-
-    def run(self, duration: float) -> RunMetrics:
-        self.begin()
-        self.sim.run(until=duration)
-        return self.finish()
-
-    def compact(self, keep: int = 128) -> None:
-        """Prune dead per-sequence state on every replica (campaign
-        slice boundaries; see ``PbftReplica.compact``)."""
-        for replica in self.replicas:
-            replica.compact(keep)
+    @property
+    def observer(self) -> PbftReplica:
+        return self.replicas[0]
 
     @property
     def current_leader(self) -> int:

@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments.runner import Scenario, prepare_scenario, resolve_deployment
 from repro.faults.genome import (
     AdversaryBudget,
     ArenaProfile,
@@ -45,13 +46,7 @@ from repro.faults.genome import (
     compile_genome,
     genome_to_dict,
 )
-from repro.experiments.runner import (
-    FaultSpec,
-    Scenario,
-    _concrete_attacker_ids,
-    prepare_scenario,
-    resolve_deployment,
-)
+from repro.faults.schedule import FaultSpec, _concrete_attacker_ids
 from repro.experiments.scenarios import ADVERSARIAL_SCENARIOS
 
 #: Objectives the search can anneal against.

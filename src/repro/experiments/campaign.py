@@ -103,16 +103,6 @@ class CampaignSpec:
         return os.path.join(self.checkpoint_dir, f"shard-{shard}.ckpt")
 
 
-def _live_metrics(cluster) -> Any:
-    """The metrics object ``finish()`` will eventually return, readable
-    mid-run (campaigns poll it at slice boundaries)."""
-    if hasattr(cluster, "root_replica"):  # Kauri / OptiTree
-        return cluster.root_replica.metrics
-    if hasattr(cluster, "observer"):  # HotStuff
-        return cluster.observer.metrics
-    return cluster.replicas[0].metrics  # PBFT
-
-
 def _peak_rss_kb() -> int:
     """Peak RSS of this process in KiB (Linux ``ru_maxrss`` unit)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -144,7 +134,8 @@ def run_campaign_shard(point: Dict[str, Any]) -> Dict[str, Any]:
 
     cluster = result.cluster
     sim = cluster.sim
-    metrics = _live_metrics(cluster)
+    # What finish() will return, polled at slice boundaries.
+    metrics = cluster.observer.metrics
     slices = 0
     while metrics.total_requests() < target and slices < max_slices:
         if not sim._queue:

@@ -7,7 +7,7 @@ and resumed bit-identically: the resumed run executes exactly the events
 the uninterrupted run would have, in the same order, with the same
 random draws.
 
-File format (version 1, little-endian)::
+File format (version 2, little-endian)::
 
     8 bytes   magic  b"RPROCKPT"
     <H        format version
@@ -22,13 +22,19 @@ wrong magic, unknown version, truncation anywhere, payload checksum
 mismatch, or resuming under a different scenario identity.  A checkpoint
 that loads without error is the state it claims to be.
 
+A checkpoint resumes on the build that wrote it.  The version moves
+whenever a pickled class moves or changes layout: version 2 is the
+build whose armed faults are :class:`repro.faults.schedule.ArmedFault`,
+so a version-1 file is refused by its header, not by pickle.
+
 Why pickle works here
 ---------------------
 The simulation object graph was made closure-free for exactly this
-purpose (driver classes in :mod:`repro.experiments.runner`,
-:class:`repro.sim.engine.SimClock`, ``Network.__getstate__``).  The one
-survivor is the network's per-message delivery closure, which sits in
-every in-flight ``(time, seq, None, _deliver, args)`` heap entry.  It is
+purpose (armed faults in :mod:`repro.faults.schedule`, which schedule
+their own bound methods, :class:`repro.sim.engine.SimClock`,
+``Network.__getstate__``).  The one survivor is the network's
+per-message delivery closure, which sits in every in-flight
+``(time, seq, None, _deliver, args)`` heap entry.  It is
 handled out-of-band: the pickler writes a persistent id instead of the
 closure, the unpickler substitutes a :class:`_DeliverToken` placeholder,
 and :func:`load_checkpoint` rewrites the queue entries to point at the
@@ -52,7 +58,7 @@ import struct
 from typing import Any, Dict, Optional
 
 MAGIC = b"RPROCKPT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _HEADER_STRUCT = struct.Struct("<I")
 _PAYLOAD_STRUCT = struct.Struct("<Q")
@@ -84,32 +90,6 @@ class _DeliverToken:
         )
 
 
-class _RetiredSpine:
-    """What ``repro.sim.network._Spine`` unpickles to.  Older builds kept
-    narrow sends in a sorted-list spine and pickled one with every
-    network: an empty one is dropped (``Network.__setstate__``); one
-    with rows in flight, or with a ``_drain_spine`` cursor still in the
-    heap, would resume without those deliveries."""
-
-    _REFUSAL = (
-        "checkpoint holds deliveries in flight in the sorted-list spine "
-        "(_Spine rows or a _drain_spine cursor), which this build "
-        "cannot restore; re-run the scenario from its start"
-    )
-
-    def __setstate__(self, state: tuple) -> None:
-        # (entries, armed key, live cursor keys[, parked blocks])
-        if any(state):
-            raise CheckpointError(self._REFUSAL)
-
-
-def _getattr(obj: Any, name: str) -> Any:
-    """``getattr`` as pickle calls it to rebuild a bound method."""
-    if name == "_drain_spine":
-        raise CheckpointError(_RetiredSpine._REFUSAL)
-    return getattr(obj, name)
-
-
 class _CheckpointPickler(pickle.Pickler):
     """Pickler that tokenises the network delivery closure."""
 
@@ -120,22 +100,6 @@ class _CheckpointPickler(pickle.Pickler):
 
 
 class _CheckpointUnpickler(pickle.Unpickler):
-    def find_class(self, module: str, name: str) -> Any:
-        if (module, name) == ("repro.sim.network", "_SpineBlock"):
-            # Written while wide multicasts were parked as spine blocks,
-            # a row format this build no longer reads.  Resuming without
-            # them would silently lose in-flight messages.
-            raise CheckpointError(
-                "checkpoint holds wide multicasts in flight as spine "
-                "blocks, which this build cannot restore; re-run the "
-                "scenario from its start"
-            )
-        if (module, name) == ("repro.sim.network", "_Spine"):
-            return _RetiredSpine
-        if (module, name) == ("builtins", "getattr"):
-            return _getattr
-        return super().find_class(module, name)
-
     def persistent_load(self, pid: str) -> Any:
         if pid == _DELIVER_PID:
             return _DeliverToken()
@@ -249,7 +213,8 @@ def _parse(blob_handle: io.BufferedReader) -> tuple:
     )
     if version != FORMAT_VERSION:
         raise CheckpointError(
-            f"checkpoint format v{version} unsupported (expected v{FORMAT_VERSION})"
+            f"checkpoint format v{version} unsupported (this build reads "
+            f"v{FORMAT_VERSION}); re-run the scenario from its start"
         )
     (header_len,) = _HEADER_STRUCT.unpack(
         _read_exact(blob_handle, _HEADER_STRUCT.size, "header length")

@@ -1,37 +1,35 @@
 """Node churn: crash -> recover cycles (§4.2.3's crash suspicions, plus
 the recovering executions the role-assignment evaluation needs).
 
-:class:`ChurnSchedule` extends :class:`repro.faults.crash.CrashSchedule`
-from one-shot crashes to cycles: every ``period`` seconds a victim from a
-pool goes down for ``downtime`` seconds and then comes back.  Revival is
-*catch-up safe*: an ``on_revive`` hook runs right after the node rejoins
-the network, so the host can fast-forward the replica's state (committed
-height, sequence numbers) before traffic reaches it -- a replica reviving
-into a pipelined protocol with stale state would otherwise poison the run
-with phantom conflicts no real recovery procedure produces.
+:class:`ChurnSchedule` runs cycles: every ``period`` seconds a victim
+from a pool goes down for ``downtime`` seconds and then comes back.
+Revival is *catch-up safe*: an ``on_revive`` hook runs right after the
+node rejoins the network, so the host can fast-forward the replica's
+state (committed height, sequence numbers) before traffic reaches it --
+a replica reviving into a pipelined protocol with stale state would
+otherwise poison the run with phantom conflicts no real recovery
+procedure produces.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.faults.crash import CrashSchedule
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 
 
-class ChurnSchedule(CrashSchedule):
+class ChurnSchedule:
     """Crash/recover cycles over a victim pool.
 
     Victims are taken round-robin from ``pool`` unless an ``rng`` (from
     ``sim.derive_rng``) is supplied, in which case each cycle picks a
     uniformly random pool member.  A victim that is still down when its
     next turn comes around is skipped, so overlapping cycles cannot
-    double-crash a node.  Crash/revival bookkeeping (``crashes``,
-    ``revivals``, the live :attr:`crashed` set) is inherited from
-    :class:`CrashSchedule`.
+    double-crash a node.  ``crashes`` and ``revivals`` record
+    ``(time, victim)`` per event, in firing order.
     """
 
     def __init__(
@@ -40,8 +38,11 @@ class ChurnSchedule(CrashSchedule):
         network: Network,
         on_revive: Optional[Callable[[int], None]] = None,
     ):
-        super().__init__(sim, network)
+        self.sim = sim
+        self.network = network
         self.on_revive = on_revive
+        self.crashes: List[Tuple[float, int]] = []
+        self.revivals: List[Tuple[float, int]] = []
         self._cursor = 0
 
     # ------------------------------------------------------------------
@@ -87,25 +88,14 @@ class ChurnSchedule(CrashSchedule):
     # Immediate actions
     # ------------------------------------------------------------------
     def crash(self, victim: int) -> None:
-        self._crash(victim)
+        self.network.set_down(victim)
+        self.crashes.append((self.sim.now, victim))
 
     def revive(self, victim: int) -> None:
-        self._revive(victim)
+        self.network.set_down(victim, False)
+        self.revivals.append((self.sim.now, victim))
         if self.on_revive is not None:
             self.on_revive(victim)
-
-    # ------------------------------------------------------------------
-    # State
-    # ------------------------------------------------------------------
-    @property
-    def down(self) -> List[int]:
-        """Victims currently crashed, in crash order (alias of
-        :attr:`CrashSchedule.crashed` in churn vocabulary)."""
-        return self.crashed
-
-    @property
-    def cycles_completed(self) -> int:
-        return len(self.revivals)
 
 
 class _CycleDriver:

@@ -5,8 +5,9 @@ single points in a huge coordinated-attack space.  This module makes
 that space *searchable*: an :class:`AttackGenome` is a small, immutable,
 picklable description of a coordinated strategy -- which replicas the
 adversary controls and what timed moves they make -- that
-:func:`compile_genome` lowers deterministically into the runner's
-``FaultSpec`` vocabulary, under an explicit :class:`AdversaryBudget`.
+:func:`compile_genome` lowers deterministically into the
+:class:`~repro.faults.schedule.FaultSpec` vocabulary, under an explicit
+:class:`AdversaryBudget`.
 
 Design rules (all load-bearing for the search):
 
@@ -30,10 +31,6 @@ Design rules (all load-bearing for the search):
   ``(genome, budget, arena)``; mutation draws only from the caller's
   RNG.  Together with the seeded scenario runner this makes a whole
   attack search replayable bit-for-bit.
-
-The compiler needs only the spec vocabulary (``FaultSpec`` and the
-composition validator), imported lazily to keep ``repro.faults`` free of
-a circular import with the runner.
 """
 
 from __future__ import annotations
@@ -42,6 +39,8 @@ import dataclasses
 import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.faults.schedule import FaultSpec, validate_fault_composition
 
 #: Genotype resolution: windows/levels are integers on ``[0, GRID]``.
 GRID = 32
@@ -190,7 +189,7 @@ def _times(move: AttackMove, duration: float) -> Tuple[float, float]:
 
 def compile_genome(
     genome: AttackGenome, budget: AdversaryBudget, arena: ArenaProfile
-) -> List[Any]:
+) -> List[FaultSpec]:
     """Lower a genome to a validated ``FaultSpec`` list.
 
     Pure and deterministic; raises :class:`GenomeError` when the genome
@@ -198,8 +197,6 @@ def compile_genome(
     (from the spec/composition validators) when the lowered schedule is
     internally inconsistent -- the search maps both to an ``inf`` score.
     """
-    from repro.experiments.runner import FaultSpec, validate_fault_composition
-
     victims = genome.victims
     if not victims:
         raise GenomeError("genome has no victims")
@@ -239,7 +236,7 @@ def compile_genome(
         )
 
     duration = arena.duration
-    specs: List[Any] = []
+    specs: List[FaultSpec] = []
     for move in genome.moves:
         start, end = _times(move, duration)
         fraction = move.level / GRID

@@ -468,19 +468,12 @@ class _FastSpine:
         )
 
     def __setstate__(self, state):
-        rows, self.pool, self.armed, self.live, self.seq_base = state[:5]
+        rows, self.pool, self.armed, self.live, self.seq_base, srcs, clss = state
         slots = max(64, len(self.pool))
         self.slot_srcs = np.zeros(slots, dtype=np.uint32)
         self.slot_clss = np.zeros(slots, dtype=np.uint32)
-        if len(state) > 5:
-            self.slot_srcs[: len(state[5])] = state[5]
-            self.slot_clss[: len(state[6])] = state[6]
-        else:
-            # Rows that still carried their own src/cls columns: a slot
-            # is shared only by one multicast's fanout, so any row of it
-            # answers for the slot.
-            self.slot_srcs[rows["msg"]] = rows["src"]
-            self.slot_clss[rows["msg"]] = rows["cls"]
+        self.slot_srcs[: len(srcs)] = srcs
+        self.slot_clss[: len(clss)] = clss
         n = len(rows)
         self.count = n
         self.lo = self.sorted_end = 0
@@ -537,13 +530,6 @@ class NetworkStats:
         #: property of where rows waited: no heap-vs-store oracle reads
         #: it.
         self.plane: Dict[str, int] = dict.fromkeys(_PLANE_COUNTERS, 0)
-
-    def __setstate__(self, state) -> None:
-        for name, value in state[1].items():
-            setattr(self, name, value)
-        # Older checkpoints: no counters, or the sorted-list spine's.
-        old = getattr(self, "plane", {})
-        self.plane = {name: old.get(name, 0) for name in _PLANE_COUNTERS}
 
     @property
     def messages_sent(self) -> int:
@@ -735,17 +721,6 @@ class Network:
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
-        # Left by builds that kept narrow sends in a sorted-list spine;
-        # the checkpoint loader has already refused one holding rows.
-        for key in ("_spine", "_batch_routes", "_columnar", "plane"):
-            self.__dict__.pop(key, None)
-        if "_relaxed" not in state:
-            # Checkpoint from before the relaxed plane existed.
-            self._relaxed = False
-        if "_fast" not in state:
-            self._fast = _FastSpine()
-        if "_cls_codes" not in state:
-            self._cls_codes = {}
         self._jitter_random = self._jitter_rng.random
         self._fast_dispatch = {}
         self._delay_row_arrays = {}

@@ -22,7 +22,12 @@ import random
 import pytest
 
 from oracles import DeliveryOrderRecorder, per_height_entries
-from repro.experiments.runner import FaultSpec, Scenario, prepare_scenario
+from repro.experiments.runner import (
+    FaultSpec,
+    MeasurementPolicy,
+    Scenario,
+    prepare_scenario,
+)
 from repro.experiments.scenarios import make_scenario
 from repro.experiments.trace import state_trace_hash
 from repro.tree.kauri_reconfig import KauriReconfigurer
@@ -124,6 +129,29 @@ def _follower_crash(block_fanout):
     )
 
 
+def _pbft_follower_crash(block_fanout):
+    # OptiAware's state transfer: the revived follower adopts the donor's
+    # configuration and sequence numbers and replays the ~1,300 committed
+    # log records (suspicions of itself among them) it slept through.
+    crash = FaultSpec(kind="crash", start=1.0, end=2.5, attacker=11)
+    return _prepared(
+        Scenario(
+            protocol="pbft-optiaware",
+            deployment="Europe21",
+            workload="open-loop",
+            workload_params=dict(rate=100.0, clients=2),
+            duration=4.0,
+            seed=4,
+            delta=1.25,
+            measurements=MeasurementPolicy(
+                probe_at=0.2, publish_at=0.6, first_search_at=1.5, search_period=2.0
+            ),
+            faults=[crash],
+        ),
+        block_fanout,
+    )
+
+
 def _leaf_crash(block_fanout):
     # The parent's aggregation timer, not the last vote, flushes while
     # the leaf is down; the leaf rejoins through catch-up.
@@ -187,12 +215,18 @@ _RECORDED = {
         "7b9a94c9e0a707ba363d69cdbf12490272fc3f1890e990d1eb1d17bc1b195cbb",
         "457d7cc0ce5526968f82dad49433402beb78d60d32c09a444e0aba7c64903628",
     ),
+    # Recorded on the commit before state transfer moved into the engines.
+    "pbft-optiaware-follower-crash": (
+        _pbft_follower_crash,
+        "77cd8761c9c148b3869025a579397349cc291c084bc1c76927ac54ea90386bb4",
+        "148e598009c09618f158d20529f6d70b14453e9db47fd4d514de41768d30a138",
+    ),
 }
 
 
 # Heap-only, and every fanout of four or more parked in the row store
 # until the fault lands.  (The ids are the two plane names these runs
-# used to go by, kept so the twelve test ids outlive the second name.)
+# used to go by, kept so the test ids outlive the second name.)
 @pytest.mark.parametrize(
     "block_fanout",
     [pytest.param(float("inf"), id="object"), pytest.param(4, id="columnar")],

@@ -18,13 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import DeliveryOrderRecorder, heap_only
-from repro.experiments.checkpoint import (
-    CheckpointError,
-    _deserialize_state,
-    _serialize_state,
-    load_checkpoint,
-    save_checkpoint,
-)
+from repro.experiments.checkpoint import load_checkpoint, save_checkpoint
 from repro.experiments.runner import Scenario, prepare_scenario, run_scenario
 from repro.experiments.trace import state_trace_hash
 from repro.sim import network as network_mod
@@ -196,32 +190,6 @@ def test_wide_rows_survive_a_checkpoint(tmp_path, small_fanout):
     assert state_trace_hash(restored.cluster) == state_trace_hash(
         baseline.cluster
     )
-
-
-def test_checkpoint_with_parked_spine_blocks_is_refused():
-    # What unpickling a parent-commit checkpoint with blocks in flight
-    # comes down to: a reference to a class that no longer exists.  The
-    # load must say so rather than resume without those rows.
-    payload = b"crepro.sim.network\n_SpineBlock\n."
-    with pytest.raises(CheckpointError, match="spine blocks"):
-        _deserialize_state(payload)
-
-
-def test_checkpoint_with_a_spine_cursor_in_the_heap_is_refused(monkeypatch):
-    # A parent-commit checkpoint of a run whose narrow sends waited in
-    # the sorted-list spine holds a cursor for them in the heap: a bound
-    # method this build's network no longer has.
-    def _drain_spine(self, time, seq):
-        """Stands in for the method the parent build pickled by name."""
-
-    cluster = prepare_scenario(_scenario(_CASES[1])).cluster
-    monkeypatch.setattr(Network, "_drain_spine", _drain_spine, raising=False)
-    key = (0.5, cluster.sim._seq)
-    cluster.sim._queue.append((*key, None, cluster.network._drain_spine, key))
-    payload = _serialize_state(cluster)
-    monkeypatch.undo()
-    with pytest.raises(CheckpointError, match="_drain_spine cursor"):
-        _deserialize_state(payload)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.log import AppendOnlyLog
 from repro.faults.churn import ChurnSchedule
-from repro.faults.crash import CrashSchedule
 from repro.faults.delay import DelayAttack, DeltaDelayAttack, StealthDelayAttack
 from repro.faults.false_suspicion import TargetedSuspicionAttack
 from repro.faults.loss import MessageLoss
@@ -145,23 +144,6 @@ def test_message_loss_never_drops_self_delivery():
     assert loss.messages_lost == 1
 
 
-def test_crash_schedule_crashes_current_role():
-    sim = Simulator()
-    network = Network(sim, lambda a, b: 0.01)
-    schedule = CrashSchedule(sim, network)
-    role = {"holder": 4}
-    schedule.crash_role_every(10.0, lambda: role["holder"], end=35.0)
-
-    def rotate():
-        role["holder"] += 1
-
-    sim.schedule_at(15.0, rotate)
-    sim.schedule_at(25.0, rotate)
-    sim.run(until=40.0)
-    assert schedule.crashed == [4, 5, 6]
-    assert network.is_down(4)
-
-
 def test_targeted_suspicion_attack_removes_pairs():
     log = AppendOnlyLog()
     monitor = TreeSuspicionMonitor(0, log, n=13, f=4)
@@ -187,31 +169,6 @@ def test_targeted_attack_exhausts_pool():
     assert attack.attack_round(log, tree, 2) is None
 
 
-def test_crash_role_every_never_fires_past_end():
-    """start + period > end used to fire one stray crash after the window."""
-    sim = Simulator()
-    network = Network(sim, lambda a, b: 0.01)
-    schedule = CrashSchedule(sim, network)
-    schedule.crash_role_every(10.0, lambda: 3, start=30.0, end=35.0)
-    sim.run(until=100.0)
-    assert schedule.crashed == []
-    assert not network.is_down(3)
-
-
-def test_crash_schedule_revival_reflected_in_live_state():
-    sim = Simulator()
-    network = Network(sim, lambda a, b: 0.01)
-    schedule = CrashSchedule(sim, network)
-    schedule.crash_at(5.0, 2)
-    schedule.crash_at(6.0, 4)
-    schedule.revive_at(9.0, 2)
-    sim.run(until=20.0)
-    assert schedule.crashed == [4]
-    assert schedule.revivals == [(9.0, 2)]
-    assert not network.is_down(2)
-    assert network.is_down(4)
-
-
 def test_churn_cycles_crash_and_revive_with_hook():
     sim = Simulator()
     network = Network(sim, lambda a, b: 0.01)
@@ -222,8 +179,7 @@ def test_churn_cycles_crash_and_revive_with_hook():
     # Crashes at 10, 20, 30, 40 (round-robin 1,2,1,2), each up again 4 s later.
     assert [victim for _t, victim in schedule.crashes] == [1, 2, 1, 2]
     assert revived == [1, 2, 1, 2]
-    assert schedule.down == []
-    assert schedule.cycles_completed == 4
+    assert len(schedule.revivals) == 4
     assert not network.is_down(1) and not network.is_down(2)
 
 
@@ -237,7 +193,7 @@ def test_churn_respects_window_and_skips_down_victims():
     sim.run(until=30.0)
     assert [victim for _t, victim in schedule.crashes] == [7]
     assert schedule.revivals and schedule.revivals[0][0] == 17.0
-    # start + period > end: empty schedule (same contract as CrashSchedule).
+    # start + period > end: empty schedule, no stray crash past the window.
     late = ChurnSchedule(sim, network)
     late.cycle(pool=[1], period=10.0, downtime=1.0, start=28.0, end=35.0)
     sim.run(until=60.0)

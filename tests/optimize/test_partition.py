@@ -1,21 +1,11 @@
-"""Tests for collaborative (partitioned) configuration search."""
+"""Tests for the one candidate partition: ``shard_candidates``."""
 
-import random
-
-import pytest
-
-from repro.aware.search import exhaustive_weight_search
-from repro.aware.score import weight_config_round_duration
-from repro.optimize.partition import (
-    partition_candidates,
-    scatter_search,
-    slice_for_replica,
-)
+from repro.tree.optitree import shard_candidates
 
 
 def test_partitions_cover_and_are_disjoint():
     candidates = frozenset(range(10))
-    slices = partition_candidates(candidates, 3)
+    slices = shard_candidates(candidates, 3)
     union = frozenset().union(*slices)
     assert union == candidates
     total = sum(len(chunk) for chunk in slices)
@@ -25,55 +15,9 @@ def test_partitions_cover_and_are_disjoint():
 
 def test_partitions_deterministic_across_replicas():
     candidates = frozenset({9, 3, 7, 1, 5})
-    assert partition_candidates(candidates, 2) == partition_candidates(
-        candidates, 2
+    assert shard_candidates(candidates, 2) == shard_candidates(
+        frozenset([5, 1, 7, 3, 9]), 2
     )
-
-
-def test_slice_for_replica_wraps():
-    candidates = frozenset(range(6))
-    assert slice_for_replica(candidates, 3, 0) == slice_for_replica(
-        candidates, 3, 3
-    )
-
-
-def test_invalid_parts_rejected():
-    with pytest.raises(ValueError):
-        partition_candidates(frozenset({1}), 0)
-
-
-def test_scatter_search_finds_global_best_leader(europe21_links):
-    """Sliced Aware searches: some slice's winner equals the global one."""
-    n, f = 21, 6
-    candidates = frozenset(range(n))
-
-    def sliced(chunk, full, rng):
-        # Restrict the LEADER to the slice; Vmax may use any candidate.
-        best, best_score = None, float("inf")
-        for leader in sorted(chunk):
-            config = exhaustive_weight_search(
-                europe21_links, n, f, candidates=full
-            )
-            config = type(config)(
-                n=n, f=f, leader=leader, vmax_replicas=config.vmax_replicas
-            )
-            score = weight_config_round_duration(europe21_links, config)
-            if score < best_score:
-                best, best_score = config, score
-        return best
-
-    winners = scatter_search(candidates, 4, sliced, random.Random(0))
-    assert len(winners) == 4
-    global_best = exhaustive_weight_search(europe21_links, n, f)
-    global_score = weight_config_round_duration(europe21_links, global_best)
-    best_of_winners = min(
-        weight_config_round_duration(europe21_links, w) for w in winners
-    )
-    assert best_of_winners <= global_score * 1.001
-
-
-def test_empty_slices_skipped():
-    winners = scatter_search(
-        frozenset({1}), 4, lambda chunk, full, rng: max(chunk), random.Random(0)
-    )
-    assert winners == [1]
+    assert shard_candidates(candidates, 2) == [
+        frozenset({1, 5, 9}), frozenset({3, 7})
+    ]

@@ -13,15 +13,9 @@ These tests pin the store machinery specifically by lowering
 
 import pickle
 
-import numpy as np
 import pytest
 
 from oracles import heap_only
-from repro.experiments.checkpoint import (
-    CheckpointError,
-    _deserialize_state,
-    _serialize_state,
-)
 from repro.sim import network as network_mod
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
@@ -466,67 +460,3 @@ def test_network_pickles_with_wide_rows_in_flight():
     sim2.run()
     assert [endpoint.received for endpoint in endpoints2] == want
     assert network2.stats.plane["window_rows"] == 8
-
-
-class _Spine:
-    """Pickles as the retired ``repro.sim.network._Spine`` did: by
-    reference to a class of that name, with ``(entries, armed, live)``
-    -- plus the block heap, for a while -- as its state."""
-
-    __module__ = "repro.sim.network"
-
-    def __init__(self, *state):
-        self.state = state
-
-    def __reduce__(self):
-        return (object.__new__, (_Spine,), self.state)
-
-
-def test_spine_setstate_reads_older_layouts(monkeypatch):
-    # What is left of the sorted-list spine is the checkpoint loader's
-    # stand-in for it, which reads both layouts older builds wrote.
-    monkeypatch.setattr(network_mod, "_Spine", _Spine, raising=False)
-
-    def restore(*spine_state):
-        network = Network(Simulator(seed=1), Spread())
-        network._spine = _Spine(*spine_state)
-        return _deserialize_state(_serialize_state(network))
-
-    # Empty -- every checkpoint whose sends were all in the heap -- it
-    # loads, under either layout, and the network drops the key.
-    for empty in (([], None, set()), ([], None, set(), [])):
-        assert "_spine" not in vars(restore(*empty))
-    # Holding rows, a live cursor key or a parked block, it is refused.
-    key = (0.5, 7)
-    for in_flight in (
-        ([(0.5, 7, 0, 1, "row")], key, {key}),
-        ([], key, {key}),
-        ([], None, set(), [(0.5, 7, object)]),
-    ):
-        with pytest.raises(CheckpointError, match="sorted-list spine"):
-            restore(*in_flight)
-
-
-def test_store_setstate_reads_the_per_row_src_and_class_layout():
-    # Checkpoints written while src and class were row columns: a slot
-    # belongs to one multicast, so any of its rows answers for it.
-    old_dtype = np.dtype(
-        [("time", "f8"), ("seq", "u4"), ("src", "u4"), ("dst", "u4"),
-         ("msg", "u4"), ("cls", "u4")]
-    )
-    rows = np.array(
-        [(0.5, 3, 7, 1, 0, 2), (0.4, 4, 7, 2, 0, 2), (0.9, 9, 5, 0, 1, 1)],
-        dtype=old_dtype,
-    )
-    store = network_mod._FastSpine.__new__(network_mod._FastSpine)
-    store.__setstate__((rows, ["wide", "unicast"], (0.4, 104), {(0.4, 104)}, 100))
-    assert store.count == 3 and store.lo == store.sorted_end == 0
-    assert store.slot_srcs[:2].tolist() == [7, 5]
-    assert store.slot_clss[:2].tolist() == [2, 1]
-    assert store.times[:3].tolist() == [0.5, 0.4, 0.9]
-    assert store.msgs[:3].tolist() == [0, 0, 1]
-    # And what it writes today restores to the same store.
-    again = pickle.loads(pickle.dumps(store))
-    assert again.seq_base == 100 and again.pool == ["wide", "unicast"]
-    assert again.slot_srcs[:2].tolist() == [7, 5]
-    assert again.settle(0) == (0.4, 104)
