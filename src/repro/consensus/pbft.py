@@ -176,21 +176,19 @@ class PbftReplica(ReplicaBase):
     @config.setter
     def config(self, config: WeightConfiguration) -> None:
         """Adopt ``config`` and compile what every vote reads from it:
-        the leader, the per-sender vote weights (``None`` = every vote
+        the leader (this setter is the only writer of ``leader`` and
+        ``is_leader``), the per-sender vote weights (``None`` = every vote
         weighs 1.0; uniform voting must not cost O(n) per replica) and
         the quorum weight."""
         self._config = config
         self.leader = config.leader
+        self.is_leader = config.leader == self.id
         if self.uniform_voting:
             self._weights: Optional[List[float]] = None
             self._quorum_weight = self._uniform_quorum
         else:
             self._weights = config.weight_vector().tolist()
             self._quorum_weight = config.quorum_weight
-
-    @property
-    def is_leader(self) -> bool:
-        return self.leader == self.id
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -272,6 +270,15 @@ class PbftReplica(ReplicaBase):
             )
         )
 
+    # One vote rule for Prepare and Commit, row handlers and batch
+    # handlers alike: (1) a sender's second vote is dropped; (2) the
+    # OptiAware sensor sees every vote, late ones included; (3) the door:
+    # a vote for a decided phase (Prepare after our Commit went out,
+    # Commit after execution) or for a compacted seq returns without
+    # writing; (4) the vote accumulates; (5) only a running weight at the
+    # quorum calls _maybe_send_commit / _maybe_execute, which delete the
+    # phase's accumulators -- nothing reads them again, and the door keeps
+    # late votes from re-creating them.
     def handle_Prepare(self, src: int, message: Prepare) -> None:  # noqa: N802
         if not self.running:
             return
@@ -280,23 +287,29 @@ class PbftReplica(ReplicaBase):
         bit = 1 << src
         if senders & bit:
             return
-        self.prepare_senders[seq] = senders | bit
         sensor = self._sensor
         if sensor is not None:
             sensor.on_message(seq, src, "write", self.sim.now)
+        if seq in self.sent_commit or seq <= self._compact_floor:
+            return
+        self.prepare_senders[seq] = senders | bit
         weights = self._weights
-        self.prepare_weight[seq] = self.prepare_weight.get(seq, 0.0) + (
+        weight = self.prepare_weight.get(seq, 0.0) + (
             1.0 if weights is None else weights[src]
         )
-        self._maybe_send_commit(seq)
+        self.prepare_weight[seq] = weight
+        if weight >= self._quorum_weight:
+            self._maybe_send_commit(seq)
 
     def _maybe_send_commit(self, seq: int) -> None:
-        if seq in self.sent_commit or seq not in self.preprepares:
-            return
-        if self.prepare_weight.get(seq, 0.0) < self._quorum_weight:
+        """Prepare quorum reached: send our Commit once the PrePrepare is
+        known (every later Prepare re-checks until it is)."""
+        preprepare = self.preprepares.get(seq)
+        if preprepare is None:
             return
         self.sent_commit.add(seq)
-        preprepare = self.preprepares[seq]
+        del self.prepare_senders[seq]
+        del self.prepare_weight[seq]
         self.broadcast(
             Commit(
                 view=preprepare.view,
@@ -314,15 +327,19 @@ class PbftReplica(ReplicaBase):
         bit = 1 << src
         if senders & bit:
             return
-        self.commit_senders[seq] = senders | bit
         sensor = self._sensor
         if sensor is not None:
             sensor.on_message(seq, src, "accept", self.sim.now)
+        if seq in self.executed or seq <= self._compact_floor:
+            return
+        self.commit_senders[seq] = senders | bit
         weights = self._weights
-        self.commit_weight[seq] = self.commit_weight.get(seq, 0.0) + (
+        weight = self.commit_weight.get(seq, 0.0) + (
             1.0 if weights is None else weights[src]
         )
-        self._maybe_execute(seq)
+        self.commit_weight[seq] = weight
+        if weight >= self._quorum_weight:
+            self._maybe_execute(seq)
 
     # ------------------------------------------------------------------
     # Relaxed-plane batch handlers (see Network.register_batch_endpoint
@@ -333,18 +350,19 @@ class PbftReplica(ReplicaBase):
     # no batch handler ever has a sensor to feed.
     # ------------------------------------------------------------------
     def _tally_batch(
-        self, srcs, messages, times, senders_map, weight_map, armed, fire
+        self, srcs, messages, times, senders_map, weight_map, closed, armed, fire
     ) -> Optional[int]:
         """numpy reduction over one ack column (Prepare or Commit rows).
 
         Applies when the column is *regular*: one seq throughout,
-        all-new distinct senders.  Sub-quorum rows collapse to a bulk
-        set update plus a sequential ``np.cumsum`` of the sender weights
-        (bit-identical to the per-row float adds: cumsum folds left in
-        order), and the quorum-crossing row -- the first partial sum at
-        or past the quorum weight, found by ``searchsorted`` -- calls
-        ``fire`` at its own arrival time when ``armed``.  Returns the
-        consumed count, or ``None`` to fall back to the per-row loop.
+        all-new distinct senders.  A ``closed`` column (the door) is
+        consumed without a write.  Otherwise sub-quorum rows collapse to
+        a bulk set update plus a sequential ``np.cumsum`` of the sender
+        weights (bit-identical to the per-row float adds: cumsum folds
+        left in order), and the quorum-crossing row -- the first partial
+        sum at or past the quorum weight, found by ``searchsorted`` --
+        calls ``fire`` at its own arrival time when ``armed``.  Returns
+        the consumed count, or ``None`` to fall back to the per-row loop.
         """
         count = len(messages)
         # Prepare and Commit rows both carry ``seq`` at index 1; set
@@ -362,6 +380,9 @@ class PbftReplica(ReplicaBase):
         if senders & mask:
             return None
         sim = self.sim
+        if closed:
+            sim.now = times[count - 1]
+            return count
         pre = weight_map.get(seq, 0.0)
         if self.uniform_voting:
             # Count-only tally: every weight is exactly 1.0, so the
@@ -425,6 +446,8 @@ class PbftReplica(ReplicaBase):
         prepare_senders = self.prepare_senders
         prepare_weight = self.prepare_weight
         sent_commit = self.sent_commit
+        floor = self._compact_floor
+        quorum = self._quorum_weight
         weights = self._weights
         count = len(messages)
         tally_min = (
@@ -433,34 +456,35 @@ class PbftReplica(ReplicaBase):
             else _BATCH_TALLY_MIN
         )
         if count >= tally_min and self.optilog is None:
+            seq = messages[0].seq
             consumed = self._tally_batch(
                 srcs,
                 messages,
                 times,
                 prepare_senders,
                 prepare_weight,
-                armed=(
-                    messages[0].seq in self.preprepares
-                    and messages[0].seq not in sent_commit
-                ),
+                closed=seq in sent_commit or seq <= floor,
+                armed=seq in self.preprepares,
                 fire=self._maybe_send_commit,
             )
             if consumed is not None:
                 return consumed
         for k in range(count):
-            message = messages[k]
-            seq = message.seq
+            seq = messages[k].seq
             senders = prepare_senders.get(seq, 0)
             src = srcs[k]
             bit = 1 << src
             if senders & bit:
                 continue
             sim.now = times[k]
+            if seq in sent_commit or seq <= floor:
+                continue
             prepare_senders[seq] = senders | bit
-            prepare_weight[seq] = prepare_weight.get(seq, 0.0) + (
+            weight = prepare_weight.get(seq, 0.0) + (
                 1.0 if weights is None else weights[src]
             )
-            if seq not in sent_commit:
+            prepare_weight[seq] = weight
+            if weight >= quorum:
                 self._maybe_send_commit(seq)
                 if seq in sent_commit:
                     return k + 1
@@ -476,6 +500,8 @@ class PbftReplica(ReplicaBase):
         commit_senders = self.commit_senders
         commit_weight = self.commit_weight
         executed = self.executed
+        floor = self._compact_floor
+        quorum = self._quorum_weight
         weights = self._weights
         count = len(messages)
         tally_min = (
@@ -484,36 +510,35 @@ class PbftReplica(ReplicaBase):
             else _BATCH_TALLY_MIN
         )
         if count >= tally_min and self.optilog is None:
-            seq0 = messages[0].seq
+            seq = messages[0].seq
             consumed = self._tally_batch(
                 srcs,
                 messages,
                 times,
                 commit_senders,
                 commit_weight,
-                armed=(
-                    seq0 in self.sent_commit
-                    and seq0 in self.preprepares
-                    and seq0 not in executed
-                ),
+                closed=seq in executed or seq <= floor,
+                armed=seq in self.sent_commit,
                 fire=self._maybe_execute,
             )
             if consumed is not None:
                 return consumed
         for k in range(count):
-            message = messages[k]
-            seq = message.seq
+            seq = messages[k].seq
             senders = commit_senders.get(seq, 0)
             src = srcs[k]
             bit = 1 << src
             if senders & bit:
                 continue
             sim.now = times[k]
+            if seq in executed or seq <= floor:
+                continue
             commit_senders[seq] = senders | bit
-            commit_weight[seq] = commit_weight.get(seq, 0.0) + (
+            weight = commit_weight.get(seq, 0.0) + (
                 1.0 if weights is None else weights[src]
             )
-            if seq not in executed:
+            commit_weight[seq] = weight
+            if weight >= quorum:
                 self._maybe_execute(seq)
                 if seq in executed:
                     return k + 1
@@ -547,70 +572,60 @@ class PbftReplica(ReplicaBase):
         return count
 
     def _maybe_execute(self, seq: int) -> None:
-        if seq in self.executed or seq not in self.preprepares:
+        """Commit quorum reached: execute once our own Commit went out
+        (every later Commit re-checks until it has)."""
+        if seq not in self.sent_commit:  # implies the PrePrepare is known
             return
-        if seq in self.sent_commit and self.commit_weight.get(seq, 0.0) >= self._quorum_weight:
-            self.executed.add(seq)
-            self.executed_seq = max(self.executed_seq, seq)
-            block = self.preprepares[seq].block
-            self.metrics.record_commit(
-                seq, self.sim.now, block.timestamp, block.payload_count
-            )
-            committed_keys = set()
-            for client_id, request_id, _send_time in block.request_ids:
-                self.send(client_id, Reply(self.id, request_id, self.sim.now))
-                committed_keys.add((client_id, request_id))
-            self._committed_requests |= committed_keys
-            self.pending_requests = [
-                request
-                for request in self.pending_requests
-                if (request.client_id, request.request_id) not in committed_keys
-            ]
-            if self.optilog is not None and block.records:
-                # Gossip bursts commit whole blocks of records at once;
-                # the batched path hoists the per-append lookups.
-                self.optilog.pipeline.log.append_many(block.records)
-            self._adopt_pending_config()
-            if self.in_flight == seq:
-                self.in_flight = None
-            self._maybe_propose()
+        self.executed.add(seq)
+        del self.commit_senders[seq]
+        del self.commit_weight[seq]
+        self.executed_seq = max(self.executed_seq, seq)
+        block = self.preprepares[seq].block
+        self.metrics.record_commit(
+            seq, self.sim.now, block.timestamp, block.payload_count
+        )
+        committed_keys = set()
+        for client_id, request_id, _send_time in block.request_ids:
+            self.send(client_id, Reply(self.id, request_id, self.sim.now))
+            committed_keys.add((client_id, request_id))
+        self._committed_requests |= committed_keys
+        self.pending_requests = [
+            request
+            for request in self.pending_requests
+            if (request.client_id, request.request_id) not in committed_keys
+        ]
+        if self.optilog is not None and block.records:
+            # Gossip bursts commit whole blocks of records at once;
+            # the batched path hoists the per-append lookups.
+            self.optilog.pipeline.log.append_many(block.records)
+        self._adopt_pending_config()
+        if self.in_flight == seq:
+            self.in_flight = None
+        self._maybe_propose()
 
     # ------------------------------------------------------------------
     # Campaign-plane compaction
     # ------------------------------------------------------------------
     def compact(self, keep: int = 128) -> None:
-        """Drop per-sequence state the protocol can no longer read.
+        """Drop the per-sequence guards the protocol can no longer read.
 
         Called at campaign slice boundaries so multi-million-request runs
         keep O(1) consensus memory.  Only *executed* seqs at least
-        ``keep`` behind ``executed_seq`` are pruned; every handler guard
-        already treats a missing entry as "done, ignore", so late
-        messages for pruned seqs are dropped exactly like duplicates.
+        ``keep`` behind ``executed_seq`` are pruned: their preprepare /
+        ``sent_commit`` / ``executed`` entries give way to the
+        ``_compact_floor`` check every handler makes, so late messages
+        for pruned seqs are dropped exactly like duplicates.  Vote
+        accumulators are not swept: the handler that decides a phase
+        already deleted them (see the vote rule above ``handle_Prepare``).
         Committed request keys use two generations: a key survives at
         least one full compaction interval, which exceeds any in-flight
         client request's delivery time, so de-duplication never misses.
         Deterministic: pruning is a pure function of replica state.
         """
-        # Vote accumulators are dead the moment a seq executes: the
-        # prepare path returns at ``sent_commit`` and the commit path at
-        # ``executed`` before either reads them again, so they can go for
-        # EVERY executed seq -- including the keep window, whose
-        # preprepare/sent_commit/executed entries the guards still need.
-        # A late vote merely re-creates a small fresh accumulator that
-        # nothing ever reads.
-        for seq in self.executed:
-            self.prepare_weight.pop(seq, None)
-            self.prepare_senders.pop(seq, None)
-            self.commit_weight.pop(seq, None)
-            self.commit_senders.pop(seq, None)
         floor = self.executed_seq - keep
         if floor > self._compact_floor:
             for seq in [s for s in self.executed if s <= floor]:
                 self.preprepares.pop(seq, None)
-                self.prepare_weight.pop(seq, None)
-                self.prepare_senders.pop(seq, None)
-                self.commit_weight.pop(seq, None)
-                self.commit_senders.pop(seq, None)
                 self.sent_commit.discard(seq)
                 self.executed.discard(seq)
             self._compact_floor = floor

@@ -7,7 +7,7 @@ and resumed bit-identically: the resumed run executes exactly the events
 the uninterrupted run would have, in the same order, with the same
 random draws.
 
-File format (version 2, little-endian)::
+File format (version 3, little-endian)::
 
     8 bytes   magic  b"RPROCKPT"
     <H        format version
@@ -23,9 +23,10 @@ mismatch, or resuming under a different scenario identity.  A checkpoint
 that loads without error is the state it claims to be.
 
 A checkpoint resumes on the build that wrote it.  The version moves
-whenever a pickled class moves or changes layout: version 2 is the
-build whose armed faults are :class:`repro.faults.schedule.ArmedFault`,
-so a version-1 file is refused by its header, not by pickle.
+whenever a pickled class moves or changes layout, or the delivery token
+changes encoding: version 3 pickles the token as a
+:class:`_DeliverToken` reduce and drops ``MetricsSketch.latency``, so a
+version-2 file is refused by its header, not by pickle.
 
 Why pickle works here
 ---------------------
@@ -34,13 +35,14 @@ purpose (armed faults in :mod:`repro.faults.schedule`, which schedule
 their own bound methods, :class:`repro.sim.engine.SimClock`,
 ``Network.__getstate__``).  The one survivor is the network's
 per-message delivery closure, which sits in every in-flight
-``(time, seq, None, _deliver, args)`` heap entry.  It is
-handled out-of-band: the pickler writes a persistent id instead of the
-closure, the unpickler substitutes a :class:`_DeliverToken` placeholder,
-and :func:`load_checkpoint` rewrites the queue entries to point at the
+``(time, seq, None, _deliver, args)`` heap entry.  The pickler's
+``reducer_override`` -- consulted only for objects that need a reduce,
+not for the ints, floats, strings and containers that make up most of
+the graph -- writes a :class:`_DeliverToken` in its place, and
+:func:`load_checkpoint` rewrites the queue entries to point at the
 freshly rebuilt ``network._deliver_bound`` (restored by
 ``Network.__setstate__``).  Campaign clusters have exactly one network,
-so the rebind is unambiguous.
+so the rebind is unambiguous.  Any other closure still fails to pickle.
 
 Writes are atomic (temp file + ``os.replace``) so a kill *during*
 checkpointing leaves either the previous checkpoint or none -- never a
@@ -58,7 +60,7 @@ import struct
 from typing import Any, Dict, Optional
 
 MAGIC = b"RPROCKPT"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _HEADER_STRUCT = struct.Struct("<I")
 _PAYLOAD_STRUCT = struct.Struct("<Q")
@@ -67,7 +69,6 @@ _VERSION_STRUCT = struct.Struct("<H")
 #: Qualname of the one closure allowed in the checkpointed graph (the
 #: network delivery fast path); see module docstring.
 _DELIVER_QUALNAME = "Network._make_deliver.<locals>._deliver"
-_DELIVER_PID = "repro-net-deliver"
 
 
 class CheckpointError(RuntimeError):
@@ -93,17 +94,10 @@ class _DeliverToken:
 class _CheckpointPickler(pickle.Pickler):
     """Pickler that tokenises the network delivery closure."""
 
-    def persistent_id(self, obj: Any) -> Optional[str]:
+    def reducer_override(self, obj: Any) -> Any:
         if getattr(obj, "__qualname__", None) == _DELIVER_QUALNAME:
-            return _DELIVER_PID
-        return None
-
-
-class _CheckpointUnpickler(pickle.Unpickler):
-    def persistent_load(self, pid: str) -> Any:
-        if pid == _DELIVER_PID:
-            return _DeliverToken()
-        raise CheckpointError(f"unknown persistent id {pid!r} in checkpoint")
+            return _DeliverToken, ()
+        return NotImplemented
 
 
 def _serialize_state(result: Any) -> bytes:
@@ -117,9 +111,7 @@ def _serialize_state(result: Any) -> bytes:
 
 def _deserialize_state(payload: bytes) -> Any:
     try:
-        return _CheckpointUnpickler(io.BytesIO(payload)).load()
-    except CheckpointError:
-        raise
+        return pickle.loads(payload)
     except Exception as exc:  # pickle raises a zoo of types on bad input
         raise CheckpointError(f"checkpoint payload does not unpickle: {exc}") from exc
 

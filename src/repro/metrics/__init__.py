@@ -7,13 +7,12 @@ every client, and a full sort at the end.  This package provides the
 O(1)-memory twin:
 
 * :class:`LogHistogram` -- fixed-bin log-scale latency histogram with
-  quantile queries inside a documented relative-error bound;
-* :class:`StreamingStats` -- count / sum / min / max / mean in five
-  floats;
+  quantile queries inside a documented relative-error bound, plus the
+  exact count / sum / min / max / mean;
 * :class:`ThroughputWindows` -- committed work per fixed time window
   (the timeline series the figures plot), O(duration / window) memory
   independent of request volume;
-* :class:`MetricsSketch` -- the three combined, the unit a campaign
+* :class:`MetricsSketch` -- the two combined, the unit a campaign
   shard checkpoints and merges;
 * :class:`StreamingRunMetrics` -- drop-in twin of
   :class:`repro.consensus.base.RunMetrics` selected through
@@ -29,13 +28,11 @@ checkpoints and cross-process merges never pickle live objects.
 
 from repro.metrics.hist import LogHistogram
 from repro.metrics.runmetrics import MetricsSketch, StreamingRunMetrics
-from repro.metrics.streaming import StreamingStats
 from repro.metrics.windows import ThroughputWindows
 
 __all__ = [
     "LogHistogram",
     "MetricsSketch",
     "StreamingRunMetrics",
-    "StreamingStats",
     "ThroughputWindows",
 ]

@@ -16,19 +16,18 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.metrics.hist import LogHistogram
-from repro.metrics.streaming import StreamingStats
 from repro.metrics.windows import ThroughputWindows
 
 
 class MetricsSketch:
     """The mergeable unit of campaign measurement.
 
-    One latency histogram + one scalar accumulator + one windowed
-    timeline, plus exact block/request counters.  This is what a
-    campaign shard serialises, checkpoints, and merges.
+    One latency histogram (which also keeps the exact count, sum, min
+    and max) + one windowed timeline, plus exact block/request counters.
+    This is what a campaign shard serialises, checkpoints, and merges.
     """
 
-    __slots__ = ("hist", "latency", "windows", "blocks", "requests")
+    __slots__ = ("hist", "windows", "blocks", "requests")
 
     def __init__(
         self,
@@ -38,7 +37,6 @@ class MetricsSketch:
         hi: float = 1e4,
     ):
         self.hist = LogHistogram(lo=lo, hi=hi, bins_per_decade=bins_per_decade)
-        self.latency = StreamingStats()
         self.windows = ThroughputWindows(window=window)
         self.blocks = 0
         self.requests = 0
@@ -47,7 +45,6 @@ class MetricsSketch:
         """Fold one committed block in (the campaign hot path)."""
         self.blocks += 1
         self.requests += payload
-        self.latency.add(latency)
         self.hist.add(latency)
         self.windows.add(commit_time, latency, payload)
 
@@ -56,7 +53,6 @@ class MetricsSketch:
         of the same configuration as identity (float sums are exact-order
         dependent, so shards merge in deterministic shard order)."""
         self.hist.merge(other.hist)
-        self.latency.merge(other.latency)
         self.windows.merge(other.windows)
         self.blocks += other.blocks
         self.requests += other.requests
@@ -67,7 +63,7 @@ class MetricsSketch:
         if self.blocks == 0:
             return None
         return {
-            "mean": self.latency.mean(),
+            "mean": self.hist.mean(),
             "p50": self.hist.quantile(0.50),
             "p90": self.hist.quantile(0.90),
             "p99": self.hist.quantile(0.99),
@@ -79,7 +75,6 @@ class MetricsSketch:
     def state_dict(self) -> Dict[str, object]:
         return {
             "hist": self.hist.state_dict(),
-            "latency": self.latency.state_dict(),
             "windows": self.windows.state_dict(),
             "blocks": self.blocks,
             "requests": self.requests,
@@ -89,7 +84,6 @@ class MetricsSketch:
     def from_state(cls, state: Dict[str, object]) -> "MetricsSketch":
         sketch = cls.__new__(cls)
         sketch.hist = LogHistogram.from_state(state["hist"])
-        sketch.latency = StreamingStats.from_state(state["latency"])
         sketch.windows = ThroughputWindows.from_state(state["windows"])
         sketch.blocks = state["blocks"]
         sketch.requests = state["requests"]
@@ -148,7 +142,7 @@ class StreamingRunMetrics:
     def mean_latency(self) -> float:
         if self.sketch.blocks == 0:
             return float("inf")
-        return self.sketch.latency.mean()
+        return self.sketch.hist.mean()
 
     def latency_summary(self) -> Optional[Dict[str, float]]:
         return self.sketch.summary()

@@ -20,7 +20,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 
-#: Client node ids start here; ids below are replica ids.
+#: Client node ids start here, or at ``n`` when a cluster has more than
+#: this many replicas (see :attr:`ClusterBinding.first_client_id`).
 CLIENT_ID_BASE = 1000
 
 # The message classes live in repro.consensus, whose engine modules import
@@ -62,14 +63,19 @@ class ClusterBinding:
     replies_needed: int
     place_client: Callable[[int, Optional[int]], None]
 
+    @property
+    def first_client_id(self) -> int:
+        """Node id of the first client: above every replica id."""
+        return max(CLIENT_ID_BASE, self.n)
+
 
 class ClientSiteRouter:
     """Routes client node ids onto replica cities for link-delay lookup.
 
     Clusters share this instead of each reimplementing the id-to-site
-    mapping: replicas map to themselves, clients map to their pinned city
-    (or ``default_site``), and co-located pairs fall back to a sub-ms
-    local delay.
+    mapping: replicas (ids below ``n``) map to themselves, clients map to
+    their pinned city (or ``default_site``), and co-located pairs fall
+    back to a sub-ms local delay.
     """
 
     def __init__(self, one_way: Callable[[int, int], float], n: int,
@@ -86,16 +92,17 @@ class ClientSiteRouter:
             self.sites[client_id] = site % self.n
 
     def site_of(self, node: int) -> int:
-        if node >= CLIENT_ID_BASE:
+        if node >= self.n:
             return self.sites.get(node, self.default_site)
         return node
 
     def delay(self, a: int, b: int) -> float:
         # site_of() inlined: this runs once per simulated message on
         # client-driven clusters.
-        if a >= CLIENT_ID_BASE:
+        n = self.n
+        if a >= n:
             a = self.sites.get(a, self.default_site)
-        if b >= CLIENT_ID_BASE:
+        if b >= n:
             b = self.sites.get(b, self.default_site)
         return self.one_way(a, b) or self.local_delay
 
@@ -116,7 +123,7 @@ class ClientSiteRouter:
         site mapping (and the co-located local-delay floor against their
         own site) needs the scalar path.
         """
-        if src >= CLIENT_ID_BASE:
+        if src >= self.n:
             return None
         row_fn = getattr(self.one_way, "row", None)
         return row_fn(src) if row_fn is not None else None
@@ -314,10 +321,11 @@ class Workload:
         self._make_clients(binding)
 
     def _make_clients(self, binding: ClusterBinding) -> None:
+        first = binding.first_client_id
         for k in range(self.num_clients):
             site = self._site_of(k, binding)
-            binding.place_client(CLIENT_ID_BASE + k, site)
-            client = WorkloadClient(CLIENT_ID_BASE + k, binding, self._on_complete)
+            binding.place_client(first + k, site)
+            client = WorkloadClient(first + k, binding, self._on_complete)
             if self._stream_sketch is not None:
                 client._latency_sink = _SketchSink(self._stream_sketch)
             self.clients.append(client)

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Set
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.workloads import base
-from repro.workloads.base import CLIENT_ID_BASE, ClusterBinding, Workload
+from repro.workloads.base import ClusterBinding, Workload
 
 
 class ClosedLoopClient:
@@ -131,11 +131,12 @@ class ClosedLoopWorkload(Workload):
         self.think_time = think_time
 
     def _make_clients(self, binding: ClusterBinding) -> None:
+        first = binding.first_client_id
         for k in range(self.num_clients):
-            binding.place_client(CLIENT_ID_BASE + k, self._site_of(k, binding))
+            binding.place_client(first + k, self._site_of(k, binding))
             self.clients.append(
                 ClosedLoopClient(
-                    client_id=CLIENT_ID_BASE + k,
+                    client_id=first + k,
                     n=binding.n,
                     f=binding.f,
                     sim=binding.sim,

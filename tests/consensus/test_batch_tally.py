@@ -222,6 +222,34 @@ def test_pbft_commit_column_matches_loop(monkeypatch, deployment):
     assert fast == loop
 
 
+@pytest.mark.parametrize(
+    "cls, decide",
+    [
+        pytest.param(Prepare, lambda r: r.sent_commit.add(5), id="prepare-after-commit"),
+        pytest.param(Commit, lambda r: r.executed.add(5), id="commit-after-execute"),
+        pytest.param(Prepare, lambda r: setattr(r, "_compact_floor", 5), id="prepare-compacted"),
+        pytest.param(Commit, lambda r: setattr(r, "_compact_floor", 5), id="commit-compacted"),
+    ],
+)
+def test_pbft_decided_column_writes_nothing(monkeypatch, deployment, cls, decide):
+    # The door: a decided or compacted seq's late votes are consumed on
+    # both paths without re-creating an accumulator.
+    def run(replica):
+        decide(replica)
+        srcs, messages, times = ack_column(cls, 5, list(range(2, N)))
+        handler = (
+            replica.handle_PrepareBatch if cls is Prepare else replica.handle_CommitBatch
+        )
+        consumed = handler(srcs, messages, times)
+        return consumed, pbft_state(replica)
+
+    loop, fast = both_paths(monkeypatch, lambda: make_pbft(deployment), run)
+    assert fast == loop
+    consumed, state = loop
+    assert consumed == N - 2
+    assert state[:4] == ({}, {}, {}, {})
+
+
 def test_pbft_optiaware_still_shadows_batch_handlers(deployment):
     replica = make_pbft(deployment, mode="optiaware")
     assert replica.handle_PrepareBatch is None

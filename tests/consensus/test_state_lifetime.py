@@ -1,8 +1,9 @@
-"""Chained engines hold O(in-flight) state, and retiring it is invisible.
+"""Engines hold O(in-flight) state, and retiring it is invisible.
 
 Kauri/OptiTree and HotStuff delete every per-height entry in the handler
 that makes it unreadable (``docs/ARCHITECTURE.md``, "State lifetime"),
-in every run -- not at campaign slice boundaries only.  Two claims:
+in every run -- not at campaign slice boundaries only; PBFT does the same
+for its vote accumulators (the last section).  Two claims:
 
 * **The bound.**  A run four times as long holds the same number of
   per-height entries (``qc_heights`` aside, which only ``compact()``
@@ -240,5 +241,75 @@ def test_retirement_is_invisible_under_faults(case, block_fanout):
     cluster.run(result.scenario.duration)
     assert recorder.count > 5_000
     assert (cluster.network.stats.plane["window_rows"] > 0) == (block_fanout == 4)
+    assert state_trace_hash(cluster) == recorded_state
+    assert recorder.digest == recorded_order
+
+
+# ----------------------------------------------------------------------
+# PBFT: a phase's vote accumulators die where the phase is decided
+# ----------------------------------------------------------------------
+def _pbft_static():
+    return Scenario(
+        protocol="pbft",
+        deployment="Europe21",
+        workload="open-loop",
+        workload_params=dict(rate=150.0, clients=2),
+        duration=4.0,
+        seed=4,
+    )
+
+
+def _pbft_optiaware_delay():
+    # Late votes raise suspicions here, so the sensor must still see the
+    # votes the door turns away.
+    return Scenario(
+        protocol="pbft-optiaware",
+        deployment="Europe21",
+        workload="open-loop",
+        workload_params=dict(rate=100.0, clients=2),
+        duration=4.0,
+        seed=4,
+        delta=1.25,
+        measurements=MeasurementPolicy(
+            probe_at=0.2, publish_at=0.6, first_search_at=1.5, search_period=2.0
+        ),
+        faults=[
+            FaultSpec(kind="delay", start=1.0, attacker="leader",
+                      extra_delay=0.3, message_types=("PrePrepare",)),
+        ],
+    )
+
+
+#: case -> (scenario builder, state_trace_hash, delivery digest), recorded on the
+#: commit before the door, when every accumulator lived until compact().
+_PBFT_RECORDED = {
+    "pbft-static": (
+        _pbft_static,
+        "4c7b33c5a8071a2f1d6ae2e4d43f54d9a81a21e9837ff958aa19b6e63d2f4d4a",
+        "f13344be09e53011c3c9989152390472cacfb2cc6d6b97414cb3482eae3f8cf3",
+    ),
+    "pbft-optiaware-delay": (
+        _pbft_optiaware_delay,
+        "0e820b00b172aefda3db9b7073c4023577ec1feb8defda99cefcaf463d77dbda",
+        "3ae709a1eb64dec0d90ba4d2e8c9763a2b8097f0897a0f2ec4bdc6ac6a276e82",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PBFT_RECORDED))
+def test_pbft_accumulators_die_at_decision(case):
+    build, recorded_state, recorded_order = _PBFT_RECORDED[case]
+    result = prepare_scenario(build())
+    cluster = result.cluster
+    recorder = DeliveryOrderRecorder(cluster.network)
+    cluster.run(result.scenario.duration)  # no compact() anywhere
+    assert cluster.replicas[0].executed_seq > 50
+    for replica in cluster.replicas:
+        assert not replica.prepare_senders.keys() & replica.sent_commit
+        assert not replica.prepare_weight.keys() & replica.sent_commit
+        assert not replica.commit_senders.keys() & replica.executed
+        assert not replica.commit_weight.keys() & replica.executed
+        # What is left is the instance in flight.
+        assert len(replica.prepare_weight) + len(replica.commit_weight) <= 2
     assert state_trace_hash(cluster) == recorded_state
     assert recorder.digest == recorded_order

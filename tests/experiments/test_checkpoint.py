@@ -262,13 +262,26 @@ def test_bad_magic_fails_loudly(saved_checkpoint):
 def test_unknown_format_version_fails_loudly(saved_checkpoint):
     scenario, path = saved_checkpoint
     blob = open(path, "rb").read()
-    # v1 files pickled their armed faults under classes this build no
-    # longer has: the header refuses them before pickle is asked to.
-    for version in (99, 1):
+    # v1 files pickled their armed faults, and v2 files the delivery
+    # token and the sketch, in layouts this build no longer reads: the
+    # header refuses them before pickle is asked to.
+    for version in (99, 1, 2):
         with open(path, "wb") as handle:
             handle.write(blob[:8] + version.to_bytes(2, "little") + blob[10:])
         with pytest.raises(CheckpointError, match=f"v{version} unsupported"):
             load_checkpoint(path, expected_scenario=scenario)
+
+
+def test_a_second_closure_is_not_checkpointable(tmp_path):
+    # Only the network's delivery closure is tokenised; any other closure
+    # in the graph still refuses to pickle.
+    result = prepare_scenario(_scenario("pbft"))
+    result.cluster.begin()
+    result.cluster.sim.run(until=_CUT)
+    marker = object()
+    result.cluster.sim.schedule(1.0, lambda: marker)
+    with pytest.raises(CheckpointError, match="not checkpointable"):
+        save_checkpoint(str(tmp_path / "closure.ckpt"), result)
 
 
 def test_trailing_garbage_fails_loudly(saved_checkpoint):

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import LogHistogram, MetricsSketch, StreamingStats
+from repro.metrics import LogHistogram, MetricsSketch
 from repro.workloads import percentile
 
 
@@ -276,14 +276,14 @@ def test_sketch_state_roundtrip_preserves_everything(commits):
 
 @settings(max_examples=40, deadline=None)
 @given(latency_streams())
-def test_streaming_stats_match_naive(values):
-    stats = StreamingStats()
-    for value in values:
-        stats.add(value)
-    assert stats.count == len(values)
+def test_histogram_scalars_match_naive(values):
+    hist = _fold_values(values)
+    assert hist.count == len(values)
     if values:
-        assert stats.min == min(values)
-        assert stats.max == max(values)
+        assert hist.min == min(values)
+        assert hist.max == max(values)
         assert math.isclose(
-            stats.mean(), sum(values) / len(values), rel_tol=1e-12
+            hist.mean(), sum(values) / len(values), rel_tol=1e-12
         )
+    else:
+        assert math.isnan(hist.mean())

@@ -14,6 +14,9 @@ Each is the straightforward pre-optimisation form of something under
   slots and bitmasks;
 * :func:`plan_from_expected` -- a ``RoundPlan`` from a hand-written
   ``ExpectedMessage`` list, so tests can state rounds message by message;
+* :class:`AccumulatingPbftReplica` -- PBFT's Prepare / Commit handlers
+  before the door: every vote accumulates and re-checks the quorum, and
+  no accumulator dies;
 * :func:`anneal` -- the classic annealing loop over immutable states
   and ``score``/``mutate`` closures, behind ``anneal_incremental``;
 * :func:`mutate_tree` and :func:`optitree_search_full` -- OptiTree's
@@ -76,6 +79,8 @@ from typing import (
 
 from repro.aware.score import weight_config_round_duration
 from repro.aware.weights import WeightConfiguration, WheatParameters
+from repro.consensus.messages import Commit
+from repro.consensus.pbft import PbftReplica
 from repro.core.records import SuspicionRecord
 from repro.core.roundplan import ExpectedMessage, RoundPlan
 from repro.core.suspicion import SuspicionSensor
@@ -270,6 +275,77 @@ class PerRoundSuspicionSensor(SuspicionSensor):
                     state.suspected_phase = min(state.suspected_phase, phase)
         state.checked = True
         return raised
+
+
+class AccumulatingPbftReplica(PbftReplica):
+    """PBFT with the Prepare / Commit handlers it had before the door:
+    every vote that is not a sender's second accumulates, whatever its
+    phase, and calls ``_maybe_send_commit`` / ``_maybe_execute``, which
+    re-check every guard; no accumulator is ever deleted.  Execution
+    itself is the production body."""
+
+    def handle_Prepare(self, src: int, message) -> None:  # noqa: N802
+        if not self.running:
+            return
+        seq = message.seq
+        senders = self.prepare_senders.get(seq, 0)
+        bit = 1 << src
+        if senders & bit:
+            return
+        self.prepare_senders[seq] = senders | bit
+        sensor = self._sensor
+        if sensor is not None:
+            sensor.on_message(seq, src, "write", self.sim.now)
+        weights = self._weights
+        self.prepare_weight[seq] = self.prepare_weight.get(seq, 0.0) + (
+            1.0 if weights is None else weights[src]
+        )
+        self._maybe_send_commit(seq)
+
+    def _maybe_send_commit(self, seq: int) -> None:
+        if seq in self.sent_commit or seq not in self.preprepares:
+            return
+        if self.prepare_weight.get(seq, 0.0) < self._quorum_weight:
+            return
+        self.sent_commit.add(seq)
+        preprepare = self.preprepares[seq]
+        self.broadcast(
+            Commit(
+                view=preprepare.view,
+                seq=seq,
+                block_hash=preprepare.block.hash,
+                sender=self.id,
+            )
+        )
+
+    def handle_Commit(self, src: int, message) -> None:  # noqa: N802
+        if not self.running:
+            return
+        seq = message.seq
+        senders = self.commit_senders.get(seq, 0)
+        bit = 1 << src
+        if senders & bit:
+            return
+        self.commit_senders[seq] = senders | bit
+        sensor = self._sensor
+        if sensor is not None:
+            sensor.on_message(seq, src, "accept", self.sim.now)
+        weights = self._weights
+        self.commit_weight[seq] = self.commit_weight.get(seq, 0.0) + (
+            1.0 if weights is None else weights[src]
+        )
+        self._maybe_execute(seq)
+
+    def _maybe_execute(self, seq: int) -> None:
+        if seq in self.executed or seq not in self.preprepares:
+            return
+        if (
+            seq in self.sent_commit
+            and self.commit_weight.get(seq, 0.0) >= self._quorum_weight
+        ):
+            kept = self.commit_senders[seq], self.commit_weight[seq]
+            super()._maybe_execute(seq)
+            self.commit_senders[seq], self.commit_weight[seq] = kept
 
 
 def anneal(

@@ -308,3 +308,35 @@ def test_client_site_router_delay_floor_clamps_to_local_delay():
     # Bare callables advertise no bound.
     bare = ClientSiteRouter(lambda a, b: 0.004, n=4)
     assert bare.delay_floor() == 0.0
+
+
+@pytest.mark.parametrize(
+    "protocol, workload, params",
+    [
+        ("pbft", "closed-loop", {"clients": 2}),
+        ("pbft", "open-loop", {"rate": 10.0, "clients": 2}),
+        ("hotstuff-rr", "open-loop", {"rate": 10.0, "clients": 2}),
+    ],
+)
+def test_client_ids_stay_clear_of_replica_ids_above_1000(protocol, workload, params):
+    # At n = 1024 the fixed base 1000 would hand the first clients live
+    # replica ids, and the router would send replica 1000's traffic from
+    # a client's city.
+    from repro.experiments.runner import Scenario, prepare_scenario
+
+    cluster = prepare_scenario(
+        Scenario(
+            protocol=protocol,
+            deployment="world-1024",
+            workload=workload,
+            workload_params=params,
+            duration=0.3,
+            seed=1,
+        )
+    ).cluster
+    n = cluster.n
+    assert [client.id for client in cluster.workload.clients] == [n, n + 1]
+    handlers = cluster.network._handlers
+    for replica in cluster.replicas:
+        assert handlers[replica.id].__self__ is replica
+    assert cluster.router(1000, 5) == cluster.deployment.one_way(1000, 5)
