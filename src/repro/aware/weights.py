@@ -55,10 +55,6 @@ class WheatParameters:
         """Qv = 2(f + Δ) + 1."""
         return 2 * (self.f + self.delta_replicas) + 1
 
-    @property
-    def total_weight(self) -> float:
-        return self.vmax_count * self.vmax + (self.n - self.vmax_count) * self.vmin
-
 
 @dataclass(frozen=True)
 class WeightConfiguration(Configuration):

@@ -150,10 +150,6 @@ class KauriReplica(ReplicaBase):
     def is_root(self) -> bool:
         return self.tree.root == self.id
 
-    @property
-    def is_intermediate(self) -> bool:
-        return self.id in self.tree.intermediates
-
     def child_timeout(self, child: int) -> float:
         if self._child_timeout is not None:
             return self._child_timeout(self.id, child)

@@ -50,9 +50,6 @@ class LatencyVectorRecord:
         # efficient encoding §7.2/§7.8 allude to.
         return RECORD_HEADER_SIZE + 2 * len(self.vector)
 
-    def latency_to(self, other: int) -> float:
-        return self.vector[other]
-
 
 @dataclass(frozen=True)
 class SuspicionRecord:
@@ -74,9 +71,6 @@ class SuspicionRecord:
     @property
     def wire_size(self) -> int:
         return RECORD_HEADER_SIZE + 8 + 8 + 1 + 8 + 2 + 2
-
-    def involves(self, a: int, b: int) -> bool:
-        return {self.reporter, self.suspect} == {a, b}
 
 
 @dataclass(frozen=True)

@@ -76,12 +76,10 @@ NAMED_DEPLOYMENTS = {
     "stellar56": "Stellar56",
 }
 
-_WONDERPROXY = re.compile(r"^wonderproxy-(\d+)$")
-
-#: ``world-N[-jK]``: the wonderproxy city draw served by the
-#: hierarchical (O(n + r^2)) latency substrate.  ``-jK`` jitters repeat
-#: placements up to K route-km from their anchor.
-_WORLD = re.compile(r"^world-(\d+)(?:-j(\d+))?$")
+#: ``world-N[-jK]``, also spelled ``wonderproxy-N[-jK]``: a seeded draw
+#: of N replicas from the world city pool.  ``-jK`` jitters repeat
+#: placements up to K route-km from their city.
+_WORLD = re.compile(r"^(world|wonderproxy)-(\d+)(?:-j(\d+))?$")
 
 #: ``topo-N[-jK][@path]``: replicas over an internet topology
 #: graph (GML or edge list at ``path``; the bundled example otherwise).
@@ -92,11 +90,8 @@ _TOPO = re.compile(r"^topo-(\d+)(?:-j(\d+))?(?:@(.+))?$")
 #: ``--deployment`` help and ``repro list`` all read this one table
 #: (the first two through ``deployment_names``).
 DEPLOYMENT_PATTERNS = (
-    ("wonderproxy-N", "seeded random world placement, N >= 4"),
-    (
-        "world-N[-jK]",
-        "the same draw on the hierarchical O(n)-memory substrate, for n >= 512",
-    ),
+    ("world-N[-jK]", "seeded random world placement, N >= 4"),
+    ("wonderproxy-N[-jK]", "older spelling of world-N[-jK]"),
     (
         "topo-N[-jK][@path]",
         "replicas over an internet topology graph, GML or edge list",
@@ -312,28 +307,18 @@ def deployment_names() -> List[str]:
 
 
 def resolve_deployment(name: str, seed: int = 0) -> Deployment:
-    """Named city set, ``wonderproxy-N`` for a seeded random one, or the
-    hierarchical substrates ``world-N[-jK]`` / ``topo-N[-jK][@path]``
-    (see :mod:`repro.net.hierarchy`)."""
-    match = _WONDERPROXY.match(name.lower())
-    if match:
-        n = int(match.group(1))
-        if n < 4:
-            raise ValueError("wonderproxy deployments need >= 4 replicas")
-        return random_world_deployment(
-            n, random.Random(seed), name=f"wonderproxy-{n}"
-        )
+    """Named city set, ``world-N[-jK]`` (or ``wonderproxy-N[-jK]``) for a
+    seeded random one, or ``topo-N[-jK][@path]`` over a topology graph."""
     match = _WORLD.match(name.lower())
     if match:
-        n = int(match.group(1))
+        kind, n = match.group(1), int(match.group(2))
         if n < 4:
-            raise ValueError("world deployments need >= 4 replicas")
+            raise ValueError(f"{kind} deployments need >= 4 replicas")
         return random_world_deployment(
             n,
             random.Random(seed),
             name=name.lower(),
-            hierarchical=True,
-            jitter_km=float(match.group(2) or 0),
+            jitter_km=float(match.group(3) or 0),
         )
     match = _TOPO.match(name)
     if match:

@@ -30,7 +30,7 @@ associative, commutative, with the empty histogram as identity.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 
 class LogHistogram:
@@ -82,14 +82,6 @@ class LogHistogram:
     def _index_of(self, value: float) -> int:
         return int((math.log10(value) - self._log_lo) * self._scale)
 
-    def bin_edges(self, index: int) -> tuple:
-        """``(low, high)`` edges of bin ``index``."""
-        step = 1.0 / self.bins_per_decade
-        return (
-            10.0 ** (self._log_lo + index * step),
-            10.0 ** (self._log_lo + (index + 1) * step),
-        )
-
     def _bin_value(self, index: int) -> float:
         """Geometric midpoint of bin ``index`` (its representative value)."""
         return 10.0 ** (self._log_lo + (index + 0.5) / self.bins_per_decade)
@@ -126,10 +118,6 @@ class LogHistogram:
             self.clamped_high += 1
             index = self._n_bins - 1
         self.counts[index] += 1
-
-    def add_many(self, values: Sequence[float]) -> None:
-        for value in values:
-            self.add(value)
 
     # ------------------------------------------------------------------
     # Merge

@@ -8,12 +8,13 @@ placements for the scoring studies (Figs. 10, 12, 14).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.net.cities import ALL_CITIES, City, city_by_name
-from repro.net.latency_model import LatencyModel, _OneWay  # noqa: F401  (re-export)
+from repro.net.latency_model import LatencyModel
 
 # 21 European cities (one replica each); includes Nuremberg, the client
 # location shown in Fig. 7.
@@ -113,9 +114,12 @@ class Deployment:
     cities:
         One city per replica; index equals replica id.
     latency:
-        The latency model for this placement: a dense
-        :class:`LatencyModel` or a
-        :class:`~repro.net.hierarchy.HierarchicalLatencyModel`.
+        The latency model for this placement.
+
+    ``one_way`` is the model's delay provider
+    (:class:`~repro.net.latency_model.DelayProvider`): scalar calls and
+    ``row(src)``, plus eager ``rows`` for small n, each bit-identical to
+    ``latency.one_way``.
     """
 
     name: str
@@ -123,21 +127,21 @@ class Deployment:
     latency: LatencyModel
 
     def __post_init__(self) -> None:
-        # The model picks its own provider: eager nested lists for small
-        # n (list indexing is the fastest per-message lookup), a lazy
-        # row-serving view for large n.  Either way the provider answers
-        # scalar calls and ``row(src)`` bit-identically to
-        # ``latency.one_way`` (same float ops on the same doubles).
         self.one_way = self.latency.one_way_provider()
 
     @property
     def n(self) -> int:
         return len(self.cities)
 
-    def one_way(self, a: int, b: int) -> float:
-        # Shadowed by the provider installed in __post_init__; kept for
-        # type checkers and as documentation of the signature.
-        return self.latency.one_way(a, b)
+
+def check_placement(n: int, jitter_km: float) -> None:
+    """Reject a placement size below 1 and a jitter that is not a
+    finite, non-negative distance (NaN fails every comparison, so a NaN
+    jitter would otherwise silently mean none)."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n!r}")
+    if not (math.isfinite(jitter_km) and jitter_km >= 0.0):
+        raise ValueError(f"jitter_km must be finite and >= 0, got {jitter_km!r}")
 
 
 def _build(name: str, city_names: Sequence[str]) -> Deployment:
@@ -168,21 +172,18 @@ def random_world_deployment(
     n: int,
     rng: Optional[random.Random] = None,
     name: Optional[str] = None,
-    hierarchical: bool = False,
     jitter_km: float = 0.0,
 ) -> Deployment:
     """Place ``n`` replicas in cities sampled worldwide (with replacement
     once the pool is exhausted), as in the paper's scoring studies.
 
-    ``hierarchical=True`` swaps the O(n²) dense matrix for the
-    region-tiered :class:`~repro.net.hierarchy.HierarchicalLatencyModel`
-    over the **same city draw** -- with ``jitter_km=0`` the two are
-    bit-identical, so ``world-N`` scenarios replay ``wonderproxy-N``
-    traces exactly.  ``jitter_km > 0`` spreads repeat placements up to
-    that many route-km from their anchor city, drawing offsets from a
-    generator *derived* from ``rng`` (the ``derive_rng`` idiom) so
-    enabling jitter never perturbs the placement draws.
+    Repeated cities share a region and see only ``LOCAL_RTT_MS``.
+    ``jitter_km > 0`` spreads repeat placements up to that many route-km
+    from their city, drawing offsets from a generator *derived* from
+    ``rng`` (the ``derive_rng`` idiom) so enabling jitter never perturbs
+    the placement draws.
     """
+    check_placement(n, jitter_km)
     rng = rng or random.Random(0)
     pool = list(ALL_CITIES)
     rng.shuffle(pool)
@@ -190,14 +191,6 @@ def random_world_deployment(
         cities = pool[:n]
     else:
         cities = pool + [rng.choice(ALL_CITIES) for _ in range(n - len(pool))]
-    if not hierarchical:
-        if jitter_km:
-            raise ValueError("jitter_km requires hierarchical=True")
-        return Deployment(
-            name=name or f"World{n}", cities=cities, latency=LatencyModel(cities)
-        )
-    from repro.net import hierarchy
-
     offsets = None
     if jitter_km > 0.0:
         jitter_rng = random.Random(f"{rng.random()}:world-jitter")
@@ -210,5 +203,5 @@ def random_world_deployment(
             else:
                 offsets.append(0.0)
                 seen.add(key)
-    latency = hierarchy.HierarchicalLatencyModel(cities, offsets_km=offsets)
+    latency = LatencyModel(cities, offsets_km=offsets)
     return Deployment(name=name or f"World{n}", cities=cities, latency=latency)

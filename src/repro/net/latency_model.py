@@ -1,4 +1,4 @@
-"""Distance-based round-trip-time model.
+"""Distance-based round-trip-time model over a region table.
 
 The paper reports that its emulator's intercontinental delays range from
 150 to 250 ms, plus the 1 ms actual network delay of the cluster.  We
@@ -11,6 +11,28 @@ of RTT on a great-circle path, and real routes are ~25% longer than the
 great circle.  Antipodal pairs (~20,000 km) then see ~250 ms and nearby
 European pairs 5-40 ms, matching the paper's envelope.
 
+Every deployment is stored as an r x r table of base RTTs between
+*regions* plus a per-replica offset in route-km:
+
+``rtt_ms(a, b) = base_ms[region(a), region(b)]
+                 + (offset_km[a] + offset_km[b]) * MS_PER_KM``
+
+with ``base_ms`` replaced by ``LOCAL_RTT_MS`` when the regions match.
+Built from cities, the model makes one region per distinct location and
+the table is the formula above over those locations; topology graphs
+pass their own regions and shortest-path table
+(:mod:`repro.net.topology_graph`).  Memory is O(n + r^2); the O(n^2)
+views (``matrix_ms``, eager rows) are one vectorized gather, on request.
+
+With zero offsets every pair gets exactly the double the formula gives
+for its two cities: :func:`_pairwise_rtt_ms` is elementwise in its input
+pair and bitwise symmetric (``sin(-x) = -sin(x)`` and IEEE
+multiplication commutes), co-located pairs reduce to ``LOCAL_RTT_MS +
+0.0 * MS_PER_KM``, and ``x + 0.0 == x`` for the offset term.  The scalar
+path, the row path and the matrix apply the same IEEE operations in the
+same order, so ``one_way(a, b)`` equals ``row(a)[b]`` bitwise, with or
+without offsets.
+
 The model is symmetric and deterministic; per-message jitter is applied by
 the network layer, not here.
 """
@@ -19,110 +41,85 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.net.cities import City
-from repro.net.geo import EARTH_RADIUS_KM, haversine_km
+from repro.net.geo import EARTH_RADIUS_KM
 
 LOCAL_RTT_MS = 1.0
 MS_PER_KM = 0.0125
 
-#: Largest n for which the dense provider eagerly tolist's the full
-#: one-way matrix.  Beyond this the nested Python lists dominate the
-#: footprint (~540 MB at n=4096, on top of the 134 MB float64 matrix),
-#: so larger models serve rows lazily from the matrix instead.
-EAGER_ROWS_MAX_N = 512
+#: Largest n whose delay provider holds every one-way delay as nested
+#: Python lists (list indexing is the fastest per-message lookup).  Past
+#: it rows are built on demand into an LRU: at n = 512 the eager lists
+#: would add ~11 MB to a run that peaks near 56 MB, and ~540 MB at
+#: n = 4096.  256 keeps every named deployment and every role-search
+#: draw (n <= 211) eager and the n = 512 scale row lazy.
+EAGER_ROWS_MAX_N = 256
+
+#: Rows kept by a lazy provider's LRU; a 4096-wide row of boxed floats
+#: is ~130 KB, so the cache tops out around 17 MB.
+ROW_CACHE_SIZE = 128
 
 
-class _OneWay:
-    """Eager matrix-backed one-way delay provider (small n).
+class DelayProvider:
+    """The network-facing one-way delay provider of a :class:`LatencyModel`.
 
-    A ``__slots__`` class rather than a closure: the callable ends up
-    inside every checkpointed object graph (network, fault adversaries),
-    and closures do not pickle.  The exposed ``rows`` attribute lets
-    batch senders (``Network.multicast``) index the matrix directly
-    instead of calling per destination, exactly as before.
+    Scalar calls answer ``(src, dst)`` lookups and ``row(src)`` feeds the
+    batch send paths.  Models with n <= :data:`EAGER_ROWS_MAX_N` also get
+    ``rows``, the full one-way matrix as nested lists, which the network
+    indexes directly; larger models answer ``rows = None`` and build each
+    row on demand into a bounded LRU.  Every path serves the double
+    :meth:`LatencyModel.one_way` computes.
+
+    A ``__slots__`` class rather than a closure: it ends up inside every
+    checkpointed object graph (network, fault adversaries).  It pickles
+    only its model and re-derives rows and cache on load.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("model", "rows", "_cache")
 
-    def __init__(self, rows: List[List[float]]):
-        self.rows = rows
-
-    def __call__(self, a: int, b: int) -> float:
-        return self.rows[a][b]
-
-    def row(self, src: int) -> List[float]:
-        return self.rows[src]
-
-    def delay_floor(self) -> float:
-        """Smallest cross-node delay (seconds); the network store's
-        window cap (``sim.network._FastSpine.cut``) needs a lower bound
-        on every delay this provider can ever answer."""
-        matrix = np.asarray(self.rows, dtype=float)
-        n = matrix.shape[0]
-        if n < 2:
-            return 0.0
-        off = matrix[~np.eye(n, dtype=bool)]
-        return float(off.min())
-
-
-class _LazyOneWay:
-    """Lazy matrix-backed one-way delay provider (large n).
-
-    Serves scalar lookups straight off the float64 RTT matrix
-    (``.item()`` unboxes the exact double; the scalar division chain
-    matches ``LatencyModel.one_way`` bitwise) and synthesizes row lists
-    on demand into a bounded LRU, so the n x n nested-list twin of the
-    matrix is never materialized.
-    """
-
-    __slots__ = ("matrix_ms", "_cache")
-
-    #: Rows kept per provider; a 4096-wide row of boxed floats is
-    #: ~130 KB, so the cache tops out around 17 MB.
-    CACHE_SIZE = 128
-
-    def __init__(self, matrix_ms: np.ndarray):
-        self.matrix_ms = matrix_ms
+    def __init__(self, model: "LatencyModel"):
+        self.model = model
+        self.rows: Optional[List[List[float]]] = (
+            model.one_way_rows() if len(model) <= EAGER_ROWS_MAX_N else None
+        )
         self._cache: "OrderedDict[int, List[float]]" = OrderedDict()
 
     def __call__(self, a: int, b: int) -> float:
-        # Same IEEE chain as LatencyModel.one_way: (ms / 1000.0) / 2.0
-        # on the exact matrix double (zero diagonal included).
-        return (self.matrix_ms.item(a, b) / 1000.0) / 2.0
+        rows = self.rows
+        if rows is not None:
+            return rows[a][b]
+        return self.model.one_way(a, b)
 
     def row(self, src: int) -> List[float]:
+        rows = self.rows
+        if rows is not None:
+            return rows[src]
         cache = self._cache
         row = cache.get(src)
         if row is not None:
             cache.move_to_end(src)
             return row
-        # Elementwise IEEE divisions match the scalar chain exactly;
-        # tolist() converts without changing any double.
-        row = ((self.matrix_ms[src] / 1000.0) / 2.0).tolist()
+        row = self.model.one_way_row(src)
         cache[src] = row
-        if len(cache) > self.CACHE_SIZE:
+        if len(cache) > ROW_CACHE_SIZE:
             cache.popitem(last=False)
         return row
 
     def delay_floor(self) -> float:
-        """Smallest cross-node one-way delay in seconds (see
-        ``_OneWay.delay_floor``)."""
-        n = self.matrix_ms.shape[0]
-        if n < 2:
-            return 0.0
-        off = self.matrix_ms[~np.eye(n, dtype=bool)]
-        return (float(off.min()) / 1000.0) / 2.0
+        """Smallest cross-node delay (seconds); the network store's
+        window cap (``sim.network._FastSpine.cut``) needs a lower bound
+        on every delay this provider can ever answer."""
+        return self.model.one_way_floor()
 
     def __getstate__(self):
-        return self.matrix_ms
+        return self.model
 
-    def __setstate__(self, state):
-        self.matrix_ms = state
-        self._cache = OrderedDict()
+    def __setstate__(self, model):
+        self.__init__(model)
 
 
 def _pairwise_rtt_ms(lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
@@ -169,58 +166,142 @@ def _pairwise_rtt_ms(lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
 
 
 class LatencyModel:
-    """Round-trip and one-way latencies for a fixed list of locations.
+    """Round-trip and one-way latencies for a fixed list of replicas.
 
     The model is indexed by replica id (position in ``cities``), matching
-    how the consensus engines address replicas.  Latencies are cached in a
-    dense matrix at construction.
+    how the consensus engines address replicas.
 
     Parameters
     ----------
     cities:
-        One entry per replica; the same city may appear multiple times
-        (co-located replicas see only the 1 ms local RTT).
+        One entry per replica; the same location appearing repeatedly is
+        what creates shared regions (co-located replicas see only the
+        1 ms local RTT plus their offsets).
+    offsets_km:
+        Optional per-replica route distance from its region's location;
+        ``None`` means every replica sits exactly there.
+    regions / base_ms:
+        Direct region assignment and inter-region RTT table (ms, zero
+        diagonal), for backends that do not derive the table from city
+        coordinates (the topology-graph backend).  When omitted, regions
+        are keyed by distinct ``(lat, lon)`` in first-appearance order
+        and the table is the haversine formula over those locations.
     """
 
-    def __init__(self, cities: Sequence[City]):
+    def __init__(
+        self,
+        cities: Sequence[City],
+        offsets_km: Optional[Sequence[float]] = None,
+        regions: Optional[Sequence[int]] = None,
+        base_ms: Optional[np.ndarray] = None,
+    ):
         self.cities = list(cities)
-        lats = np.array([city.lat for city in self.cities], dtype=float)
-        lons = np.array([city.lon for city in self.cities], dtype=float)
-        self._rtt_ms = _pairwise_rtt_ms(lats, lons)
+        n = len(self.cities)
+        if (regions is None) != (base_ms is None):
+            raise ValueError("regions and base_ms must be given together")
+        if regions is None:
+            region_of: Dict[tuple, int] = {}
+            regions = [
+                region_of.setdefault((city.lat, city.lon), len(region_of))
+                for city in self.cities
+            ]
+            lats = np.array([lat for lat, _ in region_of], dtype=float)
+            lons = np.array([lon for _, lon in region_of], dtype=float)
+            base_ms = _pairwise_rtt_ms(lats, lons)
+        else:
+            base_ms = np.asarray(base_ms, dtype=float)
+            if base_ms.ndim != 2 or base_ms.shape[0] != base_ms.shape[1]:
+                raise ValueError(f"base_ms must be square, got {base_ms.shape}")
+            if any(r < 0 or r >= base_ms.shape[0] for r in regions):
+                raise ValueError("region index out of range for base_ms")
+        if len(regions) != n:
+            raise ValueError(f"{len(regions)} regions for {n} replicas")
+        if offsets_km is None:
+            offsets = [0.0] * n
+        else:
+            offsets = [float(v) for v in offsets_km]
+            if len(offsets) != n:
+                raise ValueError(f"{len(offsets)} offsets for {n} replicas")
+            # NaN fails every comparison, so the rule states what must hold.
+            if not all(math.isfinite(v) and v >= 0.0 for v in offsets):
+                raise ValueError("offsets_km must be finite and non-negative")
+        self._base_ms = base_ms
+        self._region = list(regions)
+        self._region_arr = np.array(self._region, dtype=np.intp)
+        self._off = offsets
+        self._off_arr = np.array(offsets, dtype=float)
 
-    @staticmethod
-    def _pair_rtt_ms(a: City, b: City) -> float:
-        """Scalar reference for one pair; the constructor is vectorized
-        (see :func:`_pairwise_rtt_ms`) but must stay bit-identical to
-        this formula -- the equivalence test compares the two."""
-        distance = haversine_km(a.lat, a.lon, b.lat, b.lon)
-        return LOCAL_RTT_MS + distance * MS_PER_KM
+    def __getstate__(self):
+        return (self.cities, self._off, self._region, self._base_ms)
+
+    def __setstate__(self, state):
+        cities, offsets, regions, base_ms = state
+        self.__init__(cities, offsets, regions, base_ms)
+
+    @property
+    def region_count(self) -> int:
+        return self._base_ms.shape[0]
 
     # ------------------------------------------------------------------
-    # Lookup
+    # Scalar lookup
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.cities)
-
-    def rtt(self, a: int, b: int) -> float:
-        """Round-trip time between replicas ``a`` and ``b`` in seconds."""
-        if a == b:
-            return 0.0
-        return float(self._rtt_ms[a, b]) / 1000.0
 
     def rtt_ms(self, a: int, b: int) -> float:
         """Round-trip time in milliseconds (paper's unit)."""
         if a == b:
             return 0.0
-        return float(self._rtt_ms[a, b])
+        ra = self._region[a]
+        rb = self._region[b]
+        # .item() unboxes the exact double; the scalar path only runs
+        # per message past EAGER_ROWS_MAX_N, so no list twin is kept.
+        base = LOCAL_RTT_MS if ra == rb else self._base_ms.item(ra, rb)
+        off = self._off
+        # Same IEEE op order as the vectorized paths: offsets summed
+        # first, scaled, then added to the base term.
+        return base + (off[a] + off[b]) * MS_PER_KM
+
+    def rtt(self, a: int, b: int) -> float:
+        """Round-trip time between replicas ``a`` and ``b`` in seconds."""
+        if a == b:
+            return 0.0
+        return self.rtt_ms(a, b) / 1000.0
 
     def one_way(self, a: int, b: int) -> float:
         """One-way delay in seconds (half the RTT)."""
-        return self.rtt(a, b) / 2.0
+        if a == b:
+            return 0.0
+        return (self.rtt_ms(a, b) / 1000.0) / 2.0
+
+    # ------------------------------------------------------------------
+    # Vectorized views
+    # ------------------------------------------------------------------
+    def one_way_row(self, src: int) -> List[float]:
+        """One-way delays (seconds) from ``src`` to every replica;
+        ``one_way_row(src)[dst]`` equals :meth:`one_way` bitwise."""
+        region = self._region_arr
+        ra = self._region[src]
+        row_ms = np.where(region == ra, LOCAL_RTT_MS, self._base_ms[ra][region])
+        row_ms += (self._off[src] + self._off_arr) * MS_PER_KM
+        row_ms[src] = 0.0
+        return ((row_ms / 1000.0) / 2.0).tolist()
+
+    def matrix_ms(self) -> np.ndarray:
+        """Full symmetric RTT matrix in milliseconds (zero diagonal).
+
+        One gather of the base table, the same IEEE ops as the scalar
+        path; O(n^2) memory, for figures, search and the eager rows."""
+        region = self._region_arr
+        out = self._base_ms[np.ix_(region, region)]
+        out[region[:, None] == region[None, :]] = LOCAL_RTT_MS
+        out += (self._off_arr[:, None] + self._off_arr[None, :]) * MS_PER_KM
+        np.fill_diagonal(out, 0.0)
+        return out
 
     def matrix_seconds(self) -> np.ndarray:
         """Full symmetric RTT matrix in seconds (zero diagonal)."""
-        return self._rtt_ms / 1000.0
+        return self.matrix_ms() / 1000.0
 
     def one_way_rows(self) -> List[List[float]]:
         """One-way delays in seconds as nested Python lists.
@@ -232,30 +313,35 @@ class LatencyModel:
         """
         # Elementwise IEEE divisions match the scalar (v / 1000.0) / 2.0
         # exactly; tolist() converts without changing any double.
-        return ((self._rtt_ms / 1000.0) / 2.0).tolist()
+        return ((self.matrix_ms() / 1000.0) / 2.0).tolist()
 
-    def one_way_provider(self):
-        """The network-facing delay provider for this model.
+    def one_way_provider(self) -> DelayProvider:
+        """The network-facing delay provider for this model."""
+        return DelayProvider(self)
 
-        Small models eagerly tolist the one-way matrix (list indexing is
-        the fastest per-message lookup); past ``EAGER_ROWS_MAX_N`` the
-        provider serves rows lazily from the float64 matrix so the
-        nested-list twin never doubles the footprint.  Both providers
-        answer ``(a, b)`` calls and ``row(src)`` bit-identically to
-        :meth:`one_way`.
+    def one_way_floor(self) -> float:
+        """Smallest one-way delay (seconds) between distinct replicas
+        when offsets are zero, and a lower bound on it otherwise.
+
+        Read off the region table: the smallest base entry between two
+        populated regions, and ``LOCAL_RTT_MS`` only if some region holds
+        two replicas.  Offsets only add to either term.
         """
-        if len(self.cities) <= EAGER_ROWS_MAX_N:
-            return _OneWay(self.one_way_rows())
-        return _LazyOneWay(self._rtt_ms)
-
-    def matrix_ms(self) -> np.ndarray:
-        """Full symmetric RTT matrix in milliseconds (zero diagonal)."""
-        return self._rtt_ms.copy()
+        if len(self.cities) < 2:
+            return 0.0
+        counts = np.bincount(self._region_arr, minlength=self.region_count)
+        populated = np.flatnonzero(counts)
+        floor_ms = LOCAL_RTT_MS if counts.max() > 1 else math.inf
+        if populated.shape[0] > 1:
+            table = self._base_ms[np.ix_(populated, populated)]
+            off_diagonal = table[~np.eye(populated.shape[0], dtype=bool)]
+            floor_ms = min(floor_ms, float(off_diagonal.min()))
+        return (floor_ms / 1000.0) / 2.0
 
     def stats_ms(self) -> Dict[str, float]:
         """Envelope statistics over all distinct pairs, in milliseconds."""
         n = len(self.cities)
-        upper = self._rtt_ms[np.triu_indices(n, k=1)]
+        upper = self.matrix_ms()[np.triu_indices(n, k=1)]
         if upper.size == 0:
             return {"min": 0.0, "max": 0.0, "mean": 0.0}
         return {
@@ -263,16 +349,3 @@ class LatencyModel:
             "max": float(upper.max()),
             "mean": float(upper.mean()),
         }
-
-    def closest_index(self, lat: float, lon: float) -> int:
-        """Index of the model city closest to (lat, lon).
-
-        Used to map external validator locations (e.g. the Stellar set)
-        onto the emulated network, as the paper does.
-        """
-        best: Tuple[float, int] = (float("inf"), -1)
-        for idx, city in enumerate(self.cities):
-            dist = haversine_km(lat, lon, city.lat, city.lon)
-            if dist < best[0]:
-                best = (dist, idx)
-        return best[1]

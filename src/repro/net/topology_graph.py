@@ -3,7 +3,7 @@
 Ingests an internet topology graph -- GML (the format Internet Topology
 Zoo and the monerosim/Shadow pipeline use) or a plain edge list -- and
 derives the inter-region RTT table of a
-:class:`~repro.net.hierarchy.HierarchicalLatencyModel` from **shortest
+:class:`~repro.net.latency_model.LatencyModel` from **shortest
 paths over the graph's nodes** (the "region gateways"): traffic between
 two regions follows the cheapest multi-hop route through the backbone,
 not the great circle.
@@ -34,8 +34,7 @@ import numpy as np
 
 from repro.net.cities import City
 from repro.net.geo import haversine_km
-from repro.net.hierarchy import HierarchicalLatencyModel
-from repro.net.latency_model import LOCAL_RTT_MS, MS_PER_KM
+from repro.net.latency_model import LOCAL_RTT_MS, MS_PER_KM, LatencyModel
 
 #: Bundled example graph (an abstracted intercontinental backbone) so
 #: ``topo-N`` deployments work out of the box.
@@ -292,11 +291,11 @@ def graph_latency_model(
     graph: TopologyGraph,
     regions: Sequence[int],
     offsets_km: Optional[Sequence[float]] = None,
-) -> HierarchicalLatencyModel:
-    """Hierarchical model whose base table is the graph's shortest paths."""
+) -> LatencyModel:
+    """Latency model whose base table is the graph's shortest paths."""
     gateway_cities = graph_cities(graph)
     cities = [gateway_cities[r] for r in regions]
-    return HierarchicalLatencyModel(
+    return LatencyModel(
         cities,
         offsets_km=offsets_km,
         regions=list(regions),
@@ -350,8 +349,9 @@ def topology_deployment(
     with :func:`assign_replicas` and wraps the result in the standard
     ``Deployment`` API.
     """
-    from repro.net.deployments import Deployment
+    from repro.net.deployments import Deployment, check_placement
 
+    check_placement(n, jitter_km)
     rng = rng or random.Random(0)
     graph = load_graph(path or EXAMPLE_GRAPH)
     regions, offsets = assign_replicas(graph, n, rng, jitter_km=jitter_km)

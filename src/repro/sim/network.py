@@ -753,14 +753,15 @@ class Network:
     def one_way_delay(self, value: Callable[[int, int], float]) -> None:
         self._one_way_delay = value
         self._delay_row_arrays.clear()
-        # Providers that expose their full matrix (Deployment.one_way)
-        # let the send paths index a plain list instead of calling out.
+        # Providers that expose their full matrix (Deployment.one_way up
+        # to EAGER_ROWS_MAX_N) let the send paths index a plain list
+        # instead of calling out.
         self._delay_rows = getattr(value, "rows", None)
         # Providers without an eager matrix may still serve one row at a
-        # time (``row(src) -> list | None``): the hierarchical substrate
-        # and the lazy dense provider synthesize rows on demand, and the
-        # client-site router forwards replica rows while answering None
-        # for client sources (which need its scalar mapping).
+        # time (``row(src) -> list | None``): the latency model's provider
+        # builds rows on demand past its threshold, and the client-site
+        # router forwards replica rows while answering None for client
+        # sources (which need its scalar mapping).
         self._delay_row_fn = getattr(value, "row", None)
         # The drains' window cap needs a lower bound on every cross-node
         # delay; without one the exact plane keeps to the heap.
@@ -1038,9 +1039,9 @@ class Network:
         deliver = self._deliver_bound
         # When the delay provider exposes its matrix (Deployment.one_way
         # does), index the row directly instead of calling per destination.
-        # Row-serving providers (hierarchical substrate, lazy dense,
-        # client-site router) answer one row at a time -- or None, which
-        # falls back to the scalar loop.
+        # Row-serving providers (the latency model's past its eager
+        # threshold, the client-site router) answer one row at a time --
+        # or None, which falls back to the scalar loop.
         rows = self._delay_rows
         row = rows[src] if rows is not None else None
         if row is None:

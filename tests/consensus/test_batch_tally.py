@@ -24,7 +24,7 @@ N = 48
 
 @pytest.fixture
 def deployment():
-    return random_world_deployment(N, random.Random(7), hierarchical=True)
+    return random_world_deployment(N, random.Random(7))
 
 
 def both_paths(monkeypatch, build, run):

@@ -260,15 +260,13 @@ def test_resumed_campaign_report_matches_uninterrupted(tmp_path):
 
 
 def test_lazy_delay_provider_slice_resumes_bit_identically(tmp_path, monkeypatch):
-    # The n=4096 memory diet swaps the eager nested-list delay provider
-    # for the matrix-backed _LazyOneWay past EAGER_ROWS_MAX_N; its
-    # __getstate__ drops the row LRU, which a resumed slice rebuilds on
-    # demand.  Force every deployment onto the lazy provider and pin
-    # that a killed campaign slice still resumes byte-identical to the
-    # uninterrupted run -- the checkpoint gap would otherwise only show
-    # at n > 512, far outside test budgets.
+    # Past EAGER_ROWS_MAX_N the delay provider serves rows from an LRU
+    # instead of eager nested lists; it pickles only its model and
+    # rebuilds the cache on load, which a resumed slice refills on
+    # demand.  Force every deployment onto LRU rows and pin that a killed
+    # campaign slice still resumes byte-identical to the uninterrupted
+    # run -- the checkpoint gap would otherwise only show at n > 256.
     from repro.net import latency_model
-    from repro.net.latency_model import _LazyOneWay
 
     monkeypatch.setattr(latency_model, "EAGER_ROWS_MAX_N", 0)
     spec = _spec(shards=1, checkpoint_dir=str(tmp_path))
@@ -285,7 +283,7 @@ def test_lazy_delay_provider_slice_resumes_bit_identically(tmp_path, monkeypatch
     assert resumed["resumed_from"] == spec.checkpoint_every
     assert _strip(resumed) == _strip(baseline)
 
-    # The patched threshold really did route through the lazy provider.
+    # The patched threshold really did route through LRU rows.
     from repro.experiments.runner import resolve_deployment
 
-    assert isinstance(resolve_deployment("wonderproxy-4").one_way, _LazyOneWay)
+    assert resolve_deployment("wonderproxy-4").one_way.rows is None

@@ -75,8 +75,8 @@ def test_wonderproxy_deployment_is_seeded_and_bounded():
         resolve_deployment("wonderproxy-2")
     with pytest.raises(ValueError, match="unknown deployment"):
         resolve_deployment("atlantis9")
-    # world-N is the same draw on the hierarchical substrate: same cities,
-    # and (tests/net/test_hierarchy.py) bit-equal link latencies.
+    # world-N is the same draw under its newer spelling: same cities and
+    # bit-equal link latencies.
     world = resolve_deployment("world-16", seed=3)
     assert [city.name for city in world.cities] == [city.name for city in a.cities]
     assert np.array_equal(world.latency.matrix_seconds(), a.latency.matrix_seconds())

@@ -2,8 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from repro.experiments.runner import resolve_deployment
 from repro.net.deployments import (
     EUROPE21,
     GLOBAL73,
@@ -12,6 +14,7 @@ from repro.net.deployments import (
     random_world_deployment,
 )
 from repro.net.stellar import STELLAR_VALIDATORS, stellar_deployment
+from repro.net.topology_graph import topology_deployment
 
 
 def test_deployment_sizes_match_paper():
@@ -73,8 +76,8 @@ def test_stellar_deployment_latency_built():
 # world-N at scale (n > 220 repeats cities: the densified regime)
 # ----------------------------------------------------------------------
 def test_world_deployment_deterministic_beyond_pool():
-    a = random_world_deployment(260, random.Random(9), hierarchical=True)
-    b = random_world_deployment(260, random.Random(9), hierarchical=True)
+    a = random_world_deployment(260, random.Random(9))
+    b = random_world_deployment(260, random.Random(9))
     assert [c.name for c in a.cities] == [c.name for c in b.cities]
     pairs = random.Random(1).sample(
         [(i, j) for i in range(0, 260, 13) for j in range(1, 260, 17)], 50
@@ -84,15 +87,15 @@ def test_world_deployment_deterministic_beyond_pool():
 
 
 def test_world_deployment_seed_changes_placement():
-    a = random_world_deployment(260, random.Random(9), hierarchical=True)
-    b = random_world_deployment(260, random.Random(10), hierarchical=True)
+    a = random_world_deployment(260, random.Random(9))
+    b = random_world_deployment(260, random.Random(10))
     assert [c.name for c in a.cities] != [c.name for c in b.cities]
 
 
 def test_world_deployment_covers_every_region():
     from repro.net.deployments import ALL_CITIES
 
-    deployment = random_world_deployment(260, random.Random(3), hierarchical=True)
+    deployment = random_world_deployment(260, random.Random(3))
     assert {c.region for c in deployment.cities} == {
         c.region for c in ALL_CITIES
     }
@@ -101,7 +104,7 @@ def test_world_deployment_covers_every_region():
 def test_colocated_replicas_see_local_rtt_at_scale():
     from repro.net.latency_model import LOCAL_RTT_MS
 
-    deployment = random_world_deployment(260, random.Random(3), hierarchical=True)
+    deployment = random_world_deployment(260, random.Random(3))
     by_location = {}
     for index, city in enumerate(deployment.cities):
         by_location.setdefault((city.lat, city.lon), []).append(index)
@@ -113,7 +116,7 @@ def test_colocated_replicas_see_local_rtt_at_scale():
 
 
 def test_jittered_repeats_spread_but_stay_deterministic():
-    kwargs = dict(hierarchical=True, jitter_km=50.0)
+    kwargs = dict(jitter_km=50.0)
     a = random_world_deployment(260, random.Random(3), **kwargs)
     b = random_world_deployment(260, random.Random(3), **kwargs)
     by_location = {}
@@ -125,3 +128,52 @@ def test_jittered_repeats_spread_but_stay_deterministic():
 
     assert a.latency.rtt_ms(first, second) > LOCAL_RTT_MS
     assert a.latency.rtt_ms(first, second) == b.latency.rtt_ms(first, second)
+
+
+def test_world_and_wonderproxy_resolve_to_equal_models():
+    # One branch, two spellings: same draw, same doubles, and each keeps
+    # the name it was asked for.
+    for n in (16, 300):
+        world = resolve_deployment(f"world-{n}", seed=2)
+        older = resolve_deployment(f"wonderproxy-{n}", seed=2)
+        assert (world.name, older.name) == (f"world-{n}", f"wonderproxy-{n}")
+        assert world.cities == older.cities
+        assert np.array_equal(world.latency.matrix_ms(), older.latency.matrix_ms())
+    jittered = resolve_deployment("wonderproxy-260-j40", seed=2)
+    assert np.array_equal(
+        jittered.latency.matrix_ms(),
+        resolve_deployment("world-260-j40", seed=2).latency.matrix_ms(),
+    )
+
+
+# ----------------------------------------------------------------------
+# Bad sizes and NaN are refused at construction, naming the argument
+# ----------------------------------------------------------------------
+def test_random_world_deployment_rejects_negative_n():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        random_world_deployment(-3)
+
+
+def test_random_world_deployment_rejects_zero_n():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        random_world_deployment(0)
+
+
+def test_topology_deployment_rejects_negative_n():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        topology_deployment(-2)
+
+
+def test_random_world_deployment_rejects_nan_jitter():
+    with pytest.raises(ValueError, match="jitter_km must be finite"):
+        random_world_deployment(10, jitter_km=float("nan"))
+
+
+def test_random_world_deployment_rejects_negative_jitter():
+    with pytest.raises(ValueError, match="jitter_km must be finite"):
+        random_world_deployment(10, jitter_km=-5.0)
+
+
+def test_topology_deployment_rejects_nan_jitter():
+    with pytest.raises(ValueError, match="jitter_km must be finite"):
+        topology_deployment(8, jitter_km=float("nan"))

@@ -35,9 +35,11 @@ Each is the straightforward pre-optimisation form of something under
 * :func:`maximum_independent_set_reference` and
   :func:`greedy_independent_set_reference` -- the set-based MIS solvers
   behind the bitmask ones;
-* :func:`verify_against_dense` and :func:`verify_self_consistent` -- the
-  hierarchical latency substrate against the dense matrix it replaces,
-  and its scalar path against its row path and itself mirrored.
+* :func:`pair_rtt_ms`, :func:`verify_against_dense` and
+  :func:`verify_self_consistent` -- the scalar haversine formula for one
+  pair, the latency model's region table against that formula evaluated
+  pair by pair, and its scalar path against its row path and itself
+  mirrored.
 
 And oracles that are not reference implementations:
 
@@ -92,8 +94,9 @@ from repro.core.timeouts import (
 )
 from repro.experiments.runner import Scenario, ScenarioResult, run_scenario
 from repro.metrics import MetricsSketch
-from repro.net.hierarchy import HierarchicalLatencyModel
-from repro.net.latency_model import LatencyModel
+from repro.net.cities import City
+from repro.net.geo import haversine_km
+from repro.net.latency_model import LOCAL_RTT_MS, MS_PER_KM, LatencyModel
 from repro.optimize.annealing import AnnealingResult, AnnealingSchedule, State
 from repro.optimize.graphs import Graph, ordered_edge
 from repro.tree.candidates import TreeSuspicionMonitor, tree_candidates
@@ -765,53 +768,70 @@ def greedy_independent_set_reference(graph: Graph) -> FrozenSet[int]:
 
 
 class LatencyDivergence(AssertionError):
-    """Two latency backends disagreed on a pair."""
+    """The latency model disagreed with its reference on a pair."""
 
 
-#: Largest n the dense cross-check will materialize a reference for.
+#: Largest n the pair-by-pair cross-check accepts.
 CHECK_MAX_N = 512
 
 #: Sampled pairs per check (on top of a handful of full rows).
 CHECK_SAMPLES = 4096
 
 
+def pair_rtt_ms(a: City, b: City) -> float:
+    """Scalar reference RTT (ms) for one pair of cities: the formula the
+    vectorized construction (``latency_model._pairwise_rtt_ms``) must
+    reproduce bit for bit."""
+    distance = haversine_km(a.lat, a.lon, b.lat, b.lon)
+    return LOCAL_RTT_MS + distance * MS_PER_KM
+
+
+def _reference_one_way(cities: Sequence[City], a: int, b: int) -> float:
+    if a == b:
+        return 0.0
+    lo, hi = min(a, b), max(a, b)
+    return (pair_rtt_ms(cities[lo], cities[hi]) / 1000.0) / 2.0
+
+
 def verify_against_dense(
-    model: HierarchicalLatencyModel,
+    model: LatencyModel,
     rng: Optional[random.Random] = None,
     samples: int = CHECK_SAMPLES,
 ) -> int:
-    """Cross-check the hierarchical model against the dense reference.
+    """Cross-check the model's region table against :func:`pair_rtt_ms`.
 
-    Builds a dense :class:`LatencyModel` over the same cities (only
-    valid for zero offsets -- the configuration where both models are
-    defined on the same inputs) and asserts **bit equality** on a few
-    full rows plus ``samples`` uniformly drawn pairs, through both the
-    scalar and the row path.  Returns the number of pairs compared;
-    raises :class:`LatencyDivergence` naming the first differing pair.
+    Evaluates the scalar formula for every compared pair of the model's
+    cities (only valid for zero offsets -- jittered replicas have no
+    coordinates of their own) and asserts **bit equality** on a few full
+    rows, through the provider's row path, plus ``samples`` uniformly
+    drawn pairs through the scalar path.  Returns the number of pairs
+    compared; raises :class:`LatencyDivergence` naming the first
+    differing pair.
     """
     n = len(model.cities)
     if n > CHECK_MAX_N:
         raise ValueError(
             f"dense check caps at n={CHECK_MAX_N} (got {n}): the "
-            "reference is the O(n^2) matrix being avoided"
+            "reference is one scalar formula call per pair"
         )
     if any(v != 0.0 for v in model._off):
         raise ValueError(
             "dense check requires zero offsets; jittered replicas "
-            "have no dense-model coordinates (use verify_self_consistent)"
+            "have no coordinates of their own (use verify_self_consistent)"
         )
     rng = rng or random.Random(0)
-    dense = LatencyModel(model.cities)
+    cities = model.cities
+    provider = model.one_way_provider()
     compared = 0
     # A handful of full rows: every dst for a few srcs, via the row path.
     row_srcs = sorted({0, n - 1, *(rng.randrange(n) for _ in range(6))})
     for src in row_srcs:
-        row = model.row(src)
+        row = provider.row(src)
         for dst in range(n):
-            expect = dense.one_way(src, dst)
+            expect = _reference_one_way(cities, src, dst)
             if row[dst] != expect:
                 raise LatencyDivergence(
-                    f"row({src})[{dst}] = {row[dst]!r} != dense {expect!r}"
+                    f"row({src})[{dst}] = {row[dst]!r} != formula {expect!r}"
                 )
         compared += n
     # Sampled pairs through the scalar path.
@@ -819,17 +839,17 @@ def verify_against_dense(
         a = rng.randrange(n)
         b = rng.randrange(n)
         got = model.one_way(a, b)
-        expect = dense.one_way(a, b)
+        expect = _reference_one_way(cities, a, b)
         if got != expect:
             raise LatencyDivergence(
-                f"one_way({a}, {b}) = {got!r} != dense {expect!r}"
+                f"one_way({a}, {b}) = {got!r} != formula {expect!r}"
             )
         compared += 1
     return compared
 
 
 def verify_self_consistent(
-    model: HierarchicalLatencyModel,
+    model: LatencyModel,
     rng: Optional[random.Random] = None,
     samples: int = CHECK_SAMPLES,
 ) -> int:
@@ -839,12 +859,13 @@ def verify_self_consistent(
     """
     n = len(model.cities)
     rng = rng or random.Random(0)
+    row = model.one_way_provider().row
     compared = 0
     for _ in range(samples):
         a = rng.randrange(n)
         b = rng.randrange(n)
         scalar = model.one_way(a, b)
-        via_row = model.row(a)[b]
+        via_row = row(a)[b]
         if scalar != via_row:
             raise LatencyDivergence(
                 f"one_way({a}, {b}) = {scalar!r} != row({a})[{b}] = {via_row!r}"
