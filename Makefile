@@ -2,7 +2,7 @@
 #
 #   make test           tier-1 test suite (the CI gate)
 #   make lint           bytecode-compile the tree + import-check the package
-#   make ledger-smoke   five short perf-ledger measurements, each must be correct
+#   make ledger-smoke   six short perf-ledger measurements, each must be correct
 #                       (performance itself: ledger/README.md)
 #   make bench-figures  figure benchmarks at CI scale (REPRO_FULL=1 for paper scale)
 #   make campaign-smoke flat-RSS (campaign and plain run) + kill/resume (REPRO_FULL=1 for 2M)
@@ -25,16 +25,17 @@ lint:
 	$(PYTHON) -c "import repro, repro.experiments.runner, repro.faults.schedule, repro.workloads, repro.__main__"
 	$(PYTHON) -m repro list > /dev/null
 
-# One short measurement of the Fig. 7 workload, one of the n=512 pbft
-# all-to-all (the wide-row store's windowed drain), one of the 73-city
-# tree run (self-clocked unicast votes read the delay provider's eager
-# rows), one of the request-target campaign (slices, compaction,
-# checkpoints) and one of the role search (Fig. 10/12/8 drivers, no
-# simulator).  The driver form prints
+# One short measurement of every ledger row: the Fig. 7 workload, the
+# n=512 pbft all-to-all (the wide-row store's windowed drain), the
+# 73-city tree run (self-clocked unicast votes read the delay provider's
+# eager rows), the faulted WAN scenarios (partition, loss, churn and
+# stealth delay on the object plane), the request-target campaign
+# (slices, compaction, checkpoints) and the role search (Fig. 10/12/8
+# drivers, no simulator).  The driver form prints
 # {correct, attempted, failed, metrics} as its last line, and no line at
 # all when nothing was measured -- the JSON check fails on that too.
 ledger-smoke:
-	set -e; for workload in optiaware-attack pbft-scale tree-wan campaign-stream role-search; do \
+	set -e; for workload in optiaware-attack pbft-scale tree-wan faulted-wan campaign-stream role-search; do \
 		$(PYTHON) ledger/run.py --workload $$workload --seed 1 --seconds 5 --trace 0 \
 			| tail -n 1 \
 			| $(PYTHON) -c "import json, sys; r = json.load(sys.stdin); assert r['correct'] and r['failed'] == 0, r"; \

@@ -67,6 +67,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.experiments import runner as runner_mod
 from repro.experiments import scenarios as scenarios_mod
+from repro.experiments.parallel import ParallelWorkerError
 from repro.experiments.runner import FaultSpec, Scenario, run_scenario
 from repro.faults.schedule import FAULT_KINDS
 from repro.workloads import WORKLOADS
@@ -168,26 +169,22 @@ def _parse_fault(text: str) -> FaultSpec:
 
 def _scenario_from_args(args: argparse.Namespace, seed: int) -> Scenario:
     """The scenario ``run``, ``sweep`` and ``campaign`` describe with their
-    shared options (see :func:`_add_scenario_options`); a value the
-    scenario rejects exits with its message."""
-    try:
-        return Scenario(
-            protocol=args.protocol,
-            deployment=args.deployment,
-            workload=args.workload,
-            workload_params=_parse_params(args.param),
-            duration=args.duration,
-            seed=seed,
-            delta=args.delta,
-            jitter=args.jitter,
-            client_city=args.client_city,
-            faults=[_parse_fault(fault) for fault in args.fault or []],
-            search_iterations=args.search_iterations,
-            pipeline_depth=args.pipeline_depth,
-            plane=args.plane,
-        )
-    except (ValueError, TypeError) as error:
-        raise SystemExit(f"error: {error}")
+    shared options (see :func:`_add_scenario_options`)."""
+    return Scenario(
+        protocol=args.protocol,
+        deployment=args.deployment,
+        workload=args.workload,
+        workload_params=_parse_params(args.param),
+        duration=args.duration,
+        seed=seed,
+        delta=args.delta,
+        jitter=args.jitter,
+        client_city=args.client_city,
+        faults=[_parse_fault(fault) for fault in args.fault or []],
+        search_iterations=args.search_iterations,
+        pipeline_depth=args.pipeline_depth,
+        plane=args.plane,
+    )
 
 
 def _emit(args: argparse.Namespace, text: str) -> int:
@@ -202,22 +199,12 @@ def _emit(args: argparse.Namespace, text: str) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    scenario = _scenario_from_args(args, args.seed)
-    try:
-        result = run_scenario(scenario)
-    except (ValueError, TypeError) as error:
-        # Bad protocol/workload/deployment names or workload params; the
-        # exception text already names the offender and the known values.
-        raise SystemExit(f"error: {error}")
+    result = run_scenario(_scenario_from_args(args, args.seed))
     return _emit(args, result.to_json(indent=2))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.parallel import (
-        ParallelWorkerError,
-        derive_sweep_seed,
-        run_scenarios,
-    )
+    from repro.experiments.parallel import derive_sweep_seed, run_scenarios
 
     seeds = list(args.seeds or [])
     if args.derive_seeds:
@@ -228,42 +215,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not seeds:
         raise SystemExit("sweep needs --seeds and/or --derive-seeds")
     scenarios = [_scenario_from_args(args, seed) for seed in seeds]
-    try:
-        metrics = run_scenarios(
-            scenarios,
-            jobs=args.jobs,
-            progress=lambda message: print(message, file=sys.stderr),
-        )
-    except ParallelWorkerError as error:
-        raise SystemExit(f"error: {error} (failing point: {error.label})")
-    except (ValueError, TypeError) as error:
-        raise SystemExit(f"error: {error}")
+    metrics = run_scenarios(
+        scenarios,
+        jobs=args.jobs,
+        progress=lambda message: print(message, file=sys.stderr),
+    )
     return _emit(args, json.dumps(metrics, sort_keys=True, indent=2))
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
     from repro.experiments.campaign import CampaignSpec, campaign_to_json, run_campaign
-    from repro.experiments.parallel import ParallelWorkerError
 
-    scenario = _scenario_from_args(args, args.seed)
-    try:
-        spec = CampaignSpec(
-            scenario=scenario,
-            requests=args.requests,
-            checkpoint_every=args.checkpoint_every,
-            shards=args.shards,
-            checkpoint_dir=args.checkpoint_dir,
-            compact_keep=args.compact_keep,
-        )
-        report = run_campaign(
-            spec,
-            jobs=args.jobs,
-            progress=lambda message: print(message, file=sys.stderr),
-        )
-    except ParallelWorkerError as error:
-        raise SystemExit(f"error: {error} (failing point: {error.label})")
-    except (ValueError, TypeError) as error:
-        raise SystemExit(f"error: {error}")
+    spec = CampaignSpec(
+        scenario=_scenario_from_args(args, args.seed),
+        requests=args.requests,
+        checkpoint_every=args.checkpoint_every,
+        shards=args.shards,
+        checkpoint_dir=args.checkpoint_dir,
+        compact_keep=args.compact_keep,
+    )
+    report = run_campaign(
+        spec,
+        jobs=args.jobs,
+        progress=lambda message: print(message, file=sys.stderr),
+    )
     return _emit(args, campaign_to_json(report, indent=2))
 
 
@@ -277,12 +252,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
             "scenario needs a name (or --list); available scenarios:\n"
             + scenarios_mod.format_scenario_registry()
         )
-    try:
-        result = scenarios_mod.run_named(
-            args.name, seed=args.seed, duration=args.duration
-        )
-    except (ValueError, TypeError) as error:
-        raise SystemExit(f"error: {error}")
+    result = scenarios_mod.run_named(args.name, seed=args.seed, duration=args.duration)
     return _emit(args, result.to_json(indent=2))
 
 
@@ -292,86 +262,66 @@ def cmd_attack(args: argparse.Namespace) -> int:
         evaluate_references,
         make_arena,
     )
-    from repro.experiments.frontier import (
-        format_frontier_table,
-        run_frontier,
-        write_frontier,
-    )
-    from repro.experiments.parallel import ParallelWorkerError
+    from repro.experiments.frontier import format_frontier_table, run_frontier
     from repro.faults.genome import AdversaryBudget
     from repro.optimize.adversary import DEFAULT_SCHEDULE, attack_search
 
     progress = lambda message: print(message, file=sys.stderr)  # noqa: E731
     schedule = dataclasses.replace(DEFAULT_SCHEDULE, iterations=args.iterations)
-    try:
-        budget = AdversaryBudget(
-            max_faulty=args.budget_faulty,
-            delta=args.budget_delta,
-            max_loss_rate=args.budget_loss,
-            max_extra_delay=args.budget_delay,
-            max_moves=args.budget_moves,
+    budget = AdversaryBudget(
+        max_faulty=args.budget_faulty,
+        delta=args.budget_delta,
+        max_loss_rate=args.budget_loss,
+        max_extra_delay=args.budget_delay,
+        max_moves=args.budget_moves,
+    )
+    if args.frontier:
+        report = run_frontier(
+            arena_name=args.arena,
+            objective=args.objective,
+            axis=args.axis,
+            levels=args.levels,
+            base_budget=budget,
+            duration=args.duration,
+            seeds=tuple(args.eval_seeds),
+            seed=args.seed,
+            restarts=args.restarts,
+            schedule=schedule,
+            jobs=args.jobs,
+            progress=progress,
         )
-        if args.frontier:
-            report = run_frontier(
-                arena_name=args.arena,
-                objective=args.objective,
-                axis=args.axis,
-                levels=args.levels,
-                base_budget=budget,
-                duration=args.duration,
-                seeds=tuple(args.eval_seeds),
-                seed=args.seed,
-                restarts=args.restarts,
-                schedule=schedule,
-                jobs=args.jobs,
-                progress=progress,
-            )
-            print(format_frontier_table(report))
-        else:
-            arena = make_arena(
-                args.arena, duration=args.duration, seeds=tuple(args.eval_seeds)
-            )
-            report = attack_search(
-                arena,
-                budget,
-                args.objective,
-                seed=args.seed,
-                restarts=args.restarts,
-                schedule=schedule,
-                jobs=args.jobs,
-                progress=progress,
-            )
-            references = evaluate_references(arena, args.objective)
-            report["references"] = [
-                {
-                    "name": ref["name"],
-                    "degradation": ref["degradation"],
-                    "victims": ref["victims"],
-                }
-                for ref in references
-            ]
-            report["best_reference"] = best_reference_degradation(references)
-            print(
-                f"arena {report['arena']} / {report['objective']}: synthesized "
-                f"degradation {report['best']['degradation']:.3f} "
-                f"(best hand-authored reference: {report['best_reference']:.3f})"
-            )
-            print(f"  {report['best']['label']}")
-    except ParallelWorkerError as error:
-        raise SystemExit(f"error: {error} (failing point: {error.label})")
-    except (ValueError, TypeError) as error:
-        raise SystemExit(f"error: {error}")
-    text = json.dumps(report, sort_keys=True, indent=2)
-    if args.output:
-        if args.frontier:
-            write_frontier(report, args.output)
-        else:
-            with open(args.output, "w") as handle:
-                handle.write(text + "\n")
-        print(f"wrote {args.output}", file=sys.stderr)
+        print(format_frontier_table(report))
     else:
-        print(text)
-    return 0
+        arena = make_arena(
+            args.arena, duration=args.duration, seeds=tuple(args.eval_seeds)
+        )
+        report = attack_search(
+            arena,
+            budget,
+            args.objective,
+            seed=args.seed,
+            restarts=args.restarts,
+            schedule=schedule,
+            jobs=args.jobs,
+            progress=progress,
+        )
+        references = evaluate_references(arena, args.objective)
+        report["references"] = [
+            {
+                "name": ref["name"],
+                "degradation": ref["degradation"],
+                "victims": ref["victims"],
+            }
+            for ref in references
+        ]
+        report["best_reference"] = best_reference_degradation(references)
+        print(
+            f"arena {report['arena']} / {report['objective']}: synthesized "
+            f"degradation {report['best']['degradation']:.3f} "
+            f"(best hand-authored reference: {report['best_reference']:.3f})"
+        )
+        print(f"  {report['best']['label']}")
+    return _emit(args, json.dumps(report, sort_keys=True, indent=2))
 
 
 def cmd_fig(args: argparse.Namespace) -> int:
@@ -379,12 +329,16 @@ def cmd_fig(args: argparse.Namespace) -> int:
         raise SystemExit(f"unknown figure {args.figure!r} (known: {', '.join(FIGURES)})")
     module = importlib.import_module(f"repro.experiments.{args.figure}")
     main = module.main
+    kwargs: Dict[str, Any] = {
+        knob: getattr(args, knob)
+        for knob in ("duration", "seed", "fast", "jobs")
+        if getattr(args, knob) is not None
+    }
     accepted = inspect.signature(main).parameters
-    kwargs: Dict[str, Any] = {}
-    for knob in ("duration", "seed", "fast", "jobs"):
-        value = getattr(args, knob, None)
-        if value is not None and knob in accepted:
-            kwargs[knob] = value
+    refused = [knob for knob in kwargs if knob not in accepted]
+    if refused:
+        flags = ", ".join(f"--{knob}" for knob in refused)
+        raise ValueError(f"{args.figure} does not take {flags}")
     print(main(**kwargs))
     return 0
 
@@ -604,8 +558,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Parse ``argv`` and run its command.  The one error boundary: a
+    value the library rejects (``ValueError`` / ``TypeError``, whose text
+    names the offender) or a failed worker exits 1 with ``error: ...``
+    instead of a traceback."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ParallelWorkerError as error:
+        raise SystemExit(f"error: {error} (failing point: {error.label})")
+    except (ValueError, TypeError) as error:
+        raise SystemExit(f"error: {error}")
 
 
 if __name__ == "__main__":

@@ -9,14 +9,13 @@ search avoids replicas outside the candidate set ``K``.
 
 from repro.aware.optiaware import OptiAware
 from repro.aware.score import aware_score, weight_config_round_duration
-from repro.aware.search import annealed_weight_search, exhaustive_weight_search
+from repro.aware.search import exhaustive_weight_search
 from repro.aware.weights import WeightConfiguration, WheatParameters
 
 __all__ = [
     "OptiAware",
     "WeightConfiguration",
     "WheatParameters",
-    "annealed_weight_search",
     "aware_score",
     "exhaustive_weight_search",
     "weight_config_round_duration",

@@ -20,7 +20,7 @@ from typing import Any, Callable, FrozenSet, Optional
 import numpy as np
 
 from repro.aware.score import weight_config_round_duration
-from repro.aware.search import annealed_weight_search, exhaustive_weight_search
+from repro.aware.search import exhaustive_weight_search
 from repro.aware.weights import WeightConfiguration, WheatParameters
 from repro.core.pipeline import OptiLogPipeline, PipelineSettings
 from repro.core.records import Configuration
@@ -52,14 +52,12 @@ class OptiAware:
         settings: Optional[PipelineSettings] = None,
         propose: Optional[Callable[[Any], None]] = None,
         use_suspicions: bool = True,
-        exhaustive: bool = True,
         on_reconfigure: Optional[Callable] = None,
     ):
         self.n = n
         self.f = f
         self.parameters = WheatParameters(n, f)
         self.use_suspicions = use_suspicions
-        self.exhaustive = exhaustive
         settings = settings or PipelineSettings(n=n, f=f)
         self.pipeline = OptiLogPipeline(
             replica_id, settings, registry=registry, propose=propose
@@ -85,12 +83,8 @@ class OptiAware:
         self, candidates: FrozenSet[int], u: int, rng: random.Random
     ) -> Optional[WeightConfiguration]:
         pool = candidates if self.use_suspicions else frozenset(range(self.n))
-        if self.exhaustive:
-            return exhaustive_weight_search(
-                self.pipeline.latency_matrix, self.n, self.f, candidates=pool
-            )
-        return annealed_weight_search(
-            self.pipeline.latency_matrix, self.n, self.f, candidates=pool, rng=rng
+        return exhaustive_weight_search(
+            self.pipeline.latency_matrix, self.n, self.f, candidates=pool
         )
 
     def _validate(self, configuration: Configuration) -> bool:

@@ -12,7 +12,7 @@ single ``Vmin`` replica -- fewer replies than the unweighted
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable
+from typing import Dict, FrozenSet
 
 import numpy as np
 
@@ -68,10 +68,6 @@ class WeightConfiguration(Configuration):
     f: int
     leader: int
     vmax_replicas: FrozenSet[int]
-
-    @classmethod
-    def make(cls, n: int, f: int, leader: int, vmax_replicas: Iterable[int]) -> "WeightConfiguration":
-        return cls(n=n, f=f, leader=leader, vmax_replicas=frozenset(vmax_replicas))
 
     def __post_init__(self):
         params = self.parameters  # validates n, f

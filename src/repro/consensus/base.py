@@ -243,7 +243,6 @@ class ClusterBase:
                 sim=self.sim,
                 network=self.network,
                 n=self.n,
-                f=self.f,
                 replies_needed=self.replies_needed,
                 place_client=self.router.place,
             )

@@ -87,10 +87,6 @@ class HotStuffReplica(ReplicaBase):
             return self.fixed_leader
         return height % self.n
 
-    def vote_target(self, height: int) -> int:
-        """Votes for height h go to the proposer of h+1 (chained)."""
-        return self.leader_of(height + 1)
-
     # ------------------------------------------------------------------
     # Proposing
     # ------------------------------------------------------------------
@@ -175,7 +171,7 @@ class HotStuffReplica(ReplicaBase):
         block_hash = block.hash
         self.block_at_height[height] = block
         self.last_voted_height = height
-        # Chained rule: votes for h go to the proposer of h+1 (vote_target).
+        # Chained rule: votes for h go to the proposer of h+1.
         # tuple.__new__ bypasses the NamedTuple __new__ wrapper frame; this
         # is the single hottest allocation in a saturated run.
         target = (height + 1) % self.n if self._round_robin else self.fixed_leader

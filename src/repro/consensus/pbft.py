@@ -54,7 +54,6 @@ from repro.net.deployments import Deployment
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.workloads.base import ClientSiteRouter, Workload
-from repro.workloads.closed_loop import ClosedLoopClient  # noqa: F401  (back-compat re-export)
 from repro.workloads.closed_loop import ClosedLoopWorkload
 
 #: Narrower columns tally faster row-by-row than through numpy.

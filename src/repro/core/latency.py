@@ -31,8 +31,8 @@ from repro.core.sensor import Sensor, SensorApp
 class LatencySensor(Sensor):
     """Collects per-peer latency samples and emits latency vectors.
 
-    Samples arrive through :meth:`observe_rtt` (protocol round trips) or
-    :meth:`observe_link` (pre-halved probe estimates).  The most recent
+    Samples arrive through :meth:`observe_rtt` (protocol round trips,
+    stored halved as link latencies).  The most recent
     sample per peer wins; an exponentially-weighted option is deliberately
     omitted because the paper re-measures periodically and replaces rows
     wholesale.
@@ -48,10 +48,6 @@ class LatencySensor(Sensor):
     def observe_rtt(self, peer: int, rtt_seconds: float) -> None:
         """Record a round-trip observation; stored as link latency RTT/2."""
         self._samples[peer] = rtt_seconds / 2.0
-
-    def observe_link(self, peer: int, link_seconds: float) -> None:
-        """Record an already-normalised link-latency observation."""
-        self._samples[peer] = link_seconds
 
     def mark_unreachable(self, peer: int) -> None:
         """Mark a peer that failed to reply (∞ in the vector)."""

@@ -186,6 +186,3 @@ class MisbehaviorMonitor(Monitor):
     def F(self) -> FrozenSet[int]:  # noqa: N802 - paper notation
         """The provably-faulty set F (§4.2.2)."""
         return frozenset(self.faulty)
-
-    def is_faulty(self, replica: int) -> bool:
-        return replica in self.faulty

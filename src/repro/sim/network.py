@@ -834,12 +834,6 @@ class Network:
         self._batch_endpoints[node_id] = endpoint
         self._fast_dispatch.clear()
 
-    def unregister(self, node_id: int) -> None:
-        self._handlers.pop(node_id, None)
-        self._routes.pop(node_id, None)
-        self._batch_endpoints.pop(node_id, None)
-        self._fast_dispatch.clear()
-
     def set_down(self, node_id: int, down: bool = True) -> None:
         """Crash (or revive) a node: messages to and from it are dropped."""
         if down:

@@ -77,6 +77,3 @@ class KauriReconfigurer:
         tree = self.tree_for_bin(self.trials)
         self.trials += 1
         return tree
-
-    def reset(self) -> None:
-        self.trials = 0

@@ -14,6 +14,11 @@ open-loop saturation:
   deployment's cities (multi-region skew);
 * :class:`RampWorkload` -- rate ramping up to find the saturation knee.
 
+Every workload's endpoints are the one :class:`WorkloadClient` class;
+workloads differ only in when they call its ``submit`` -- on a timer
+(open loop and its subclasses) or from the completion hook (closed
+loop) -- so every shape is measured, streamed and checkpointed alike.
+
 All workloads draw randomness from
 :meth:`repro.sim.engine.Simulator.derive_rng`, so runs are bit-identical
 under a fixed seed.  Engines attach workloads through
@@ -32,7 +37,7 @@ from repro.workloads.base import (
     percentile,
 )
 from repro.workloads.bursty import BurstyWorkload
-from repro.workloads.closed_loop import ClosedLoopClient, ClosedLoopWorkload
+from repro.workloads.closed_loop import ClosedLoopWorkload
 from repro.workloads.compositions import DiurnalWorkload, FlashCrowdWorkload
 from repro.workloads.open_loop import OpenLoopWorkload
 from repro.workloads.ramp import RampWorkload
@@ -71,7 +76,6 @@ def make_workload(name: str, **params: Any) -> Workload:
 __all__ = [
     "CLIENT_ID_BASE",
     "BurstyWorkload",
-    "ClosedLoopClient",
     "ClosedLoopWorkload",
     "ClusterBinding",
     "DiurnalWorkload",

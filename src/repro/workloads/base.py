@@ -59,7 +59,6 @@ class ClusterBinding:
     sim: Simulator
     network: Network
     n: int
-    f: int
     replies_needed: int
     place_client: Callable[[int, Optional[int]], None]
 
@@ -91,14 +90,8 @@ class ClientSiteRouter:
         if site is not None:
             self.sites[client_id] = site % self.n
 
-    def site_of(self, node: int) -> int:
-        if node >= self.n:
-            return self.sites.get(node, self.default_site)
-        return node
-
     def delay(self, a: int, b: int) -> float:
-        # site_of() inlined: this runs once per simulated message on
-        # client-driven clusters.
+        # Clients map to their site, replicas to themselves.
         n = self.n
         if a >= n:
             a = self.sites.get(a, self.default_site)
@@ -153,7 +146,7 @@ class WorkloadClient:
         self,
         client_id: int,
         binding: ClusterBinding,
-        on_complete: Optional[Callable[[int], None]] = None,
+        on_complete: Optional[Callable[["WorkloadClient"], None]] = None,
     ):
         _import_messages()
         self.id = client_id
@@ -217,7 +210,7 @@ class WorkloadClient:
             else:
                 sink(now, now - send_time)
             if self.on_complete is not None:
-                self.on_complete(message.request_id)
+                self.on_complete(self)
 
     def handle_ReplyBatch(self, srcs, messages, times) -> Optional[int]:
         """Batch twin of :meth:`on_message` for ``Reply`` runs
@@ -252,7 +245,7 @@ class WorkloadClient:
                     else:
                         sink(now, now - send_time)
                     if on_complete is not None:
-                        on_complete(message.request_id)
+                        on_complete(self)
                         return k + 1
             k += 1
         return None
@@ -352,8 +345,9 @@ class Workload:
     def stop(self) -> None:
         self.running = False
 
-    def _on_complete(self, request_id: int) -> None:
-        """Hook called when any client's request completes."""
+    def _on_complete(self, client: WorkloadClient) -> None:
+        """Hook called when one of ``client``'s requests completes (a
+        bound method, so it pickles with the clients that hold it)."""
 
     # ------------------------------------------------------------------
     # Metrics

@@ -1,13 +1,12 @@
 """Tests for Aware's score function and configuration search."""
 
 import math
-import random
 
 import numpy as np
 import pytest
 
 from repro.aware.score import aware_score, weight_config_round_duration
-from repro.aware.search import annealed_weight_search, exhaustive_weight_search
+from repro.aware.search import exhaustive_weight_search
 from repro.aware.weights import WeightConfiguration
 
 
@@ -48,23 +47,6 @@ def test_exhaustive_search_deterministic(europe21_links):
     a = exhaustive_weight_search(europe21_links, 21, 6)
     b = exhaustive_weight_search(europe21_links, 21, 6)
     assert a == b
-
-
-def test_annealed_search_feasible_and_candidate_respecting(europe21_links):
-    candidates = frozenset(range(2, 20))
-    result = annealed_weight_search(
-        europe21_links, 21, 6, candidates=candidates, rng=random.Random(1)
-    )
-    assert result is not None
-    assert result.special_replicas() <= candidates
-
-
-def test_annealed_close_to_exhaustive(europe21_links):
-    exhaustive = exhaustive_weight_search(europe21_links, 21, 6)
-    annealed = annealed_weight_search(europe21_links, 21, 6, rng=random.Random(3))
-    score_exhaustive = weight_config_round_duration(europe21_links, exhaustive)
-    score_annealed = weight_config_round_duration(europe21_links, annealed)
-    assert score_annealed <= 1.5 * score_exhaustive
 
 
 def test_optimized_beats_static_configuration(europe21_links):

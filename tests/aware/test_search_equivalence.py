@@ -8,7 +8,7 @@ Three layers, each pinned bit-exactly against its scalar reference:
 * ``PbftTimeouts.round_duration`` / ``weight_config_round_duration`` vs
   their ``*_scalar`` oracles in ``tests/oracles.py`` (fig7's simulations
   consume these values);
-* the annealed/exhaustive searches vs the full-scoring reference path.
+* the exhaustive search vs its per-leader Vmax reference.
 """
 
 import math
@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from oracles import (
-    annealed_weight_search_full,
     quorum_formation_time,
     round_duration_scalar,
     weight_config_round_duration_scalar,
@@ -26,7 +25,6 @@ from oracles import (
 from repro.aware.score import weight_config_round_duration
 from repro.aware.search import (
     _centrality_order,
-    annealed_weight_search,
     exhaustive_weight_search,
 )
 from repro.aware.weights import WeightConfiguration, WheatParameters
@@ -37,7 +35,6 @@ from repro.core.timeouts import (
     weighted_round_duration,
 )
 from repro.net.deployments import random_world_deployment
-from repro.optimize.annealing import AnnealingSchedule
 
 
 def latency_for(n: int, seed: int = 0):
@@ -147,53 +144,6 @@ def test_weight_vector_matches_weights_dict():
     weights = configuration.weights()
     for replica in range(21):
         assert vector[replica] == weights[replica]
-
-
-@pytest.mark.parametrize("n", [21, 57])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_annealed_search_incremental_matches_full(n, seed):
-    latency = latency_for(n)
-    f = (n - 1) // 3
-    schedule = AnnealingSchedule(iterations=300, initial_temperature=0.05)
-    fast = annealed_weight_search(
-        latency, n, f, rng=random.Random(seed), schedule=schedule
-    )
-    slow = annealed_weight_search_full(
-        latency, n, f, rng=random.Random(seed), schedule=schedule
-    )
-    assert fast == slow
-
-
-def test_annealed_search_incremental_matches_full_restricted():
-    n, f = 57, 18
-    latency = latency_for(n)
-    candidates = frozenset(range(1, n - 2))
-    schedule = AnnealingSchedule(iterations=300, initial_temperature=0.05)
-    fast = annealed_weight_search(
-        latency, n, f, candidates=candidates, rng=random.Random(4), schedule=schedule
-    )
-    slow = annealed_weight_search_full(
-        latency, n, f, candidates=candidates, rng=random.Random(4), schedule=schedule
-    )
-    assert fast == slow
-    assert fast.special_replicas() <= candidates
-
-
-def test_annealed_search_tight_candidate_pool():
-    """Pool == Vmax count: the only mutations are leader moves and the
-    'outside empty' no-op; both engines must agree."""
-    n, f = 21, 6
-    latency = latency_for(n)
-    candidates = frozenset(range(12))  # exactly 2f candidates
-    schedule = AnnealingSchedule(iterations=120, initial_temperature=0.05)
-    fast = annealed_weight_search(
-        latency, n, f, candidates=candidates, rng=random.Random(8), schedule=schedule
-    )
-    slow = annealed_weight_search_full(
-        latency, n, f, candidates=candidates, rng=random.Random(8), schedule=schedule
-    )
-    assert fast == slow
-    assert fast.vmax_replicas == candidates
 
 
 def test_exhaustive_search_hoisted_vmax_unchanged():

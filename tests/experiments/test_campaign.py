@@ -131,6 +131,16 @@ def test_campaign_reaches_target_and_merges_shards():
     json.loads(campaign_to_json(report))
 
 
+def test_default_workload_campaign_reports_client_latency():
+    # The default (closed-loop) workload streams its client latency into
+    # the shard sketch like the open loop does.
+    default = Scenario(protocol="pbft", deployment="wonderproxy-4",
+                       duration=1e9, seed=3)
+    report = run_campaign(_spec(scenario=default, requests=400, shards=1))
+    assert report["merged"]["committed_requests"] >= 400
+    assert set(report["merged"]["client_latency"]) == {"mean", "p50", "p90", "p99"}
+
+
 def test_campaign_jobs_identity_outside_host_section():
     serial = run_campaign(_spec(), jobs=1)
     pooled = run_campaign(_spec(), jobs=2)
@@ -163,6 +173,20 @@ def test_killed_shard_resumes_bit_identically(tmp_path):
     resumed = run_campaign_shard(_point(spec))
     assert resumed["resumed_from"] == spec.checkpoint_every
     assert "underrun" not in resumed
+    assert _strip(resumed) == _strip(baseline)
+
+
+def test_think_time_closed_loop_shard_resumes_bit_identically(tmp_path):
+    # A pending think-time resubmission sits in the event heap at the
+    # cut; it must pickle and fire after resume as it would have.
+    scenario = _scenario(workload="closed-loop",
+                         workload_params=dict(clients=2, think_time=0.02))
+    spec = _spec(scenario=scenario, requests=300, checkpoint_every=0.5,
+                 shards=1, checkpoint_dir=str(tmp_path))
+    baseline = run_campaign_shard(_point(spec, checkpoint_path=None))
+    assert run_campaign_shard(_point(spec, max_slices=1))["underrun"] is True
+    resumed = run_campaign_shard(_point(spec))
+    assert resumed["resumed_from"] == spec.checkpoint_every
     assert _strip(resumed) == _strip(baseline)
 
 

@@ -118,6 +118,25 @@ def test_sketch_mode_keeps_no_per_request_state():
         assert client.latencies == []
 
 
+def test_closed_loop_clients_stream_in_sketch_mode():
+    # The paper's workload measures like every other one: its clients
+    # feed the sketch, and nothing per request outlives the request.
+    overrides = dict(workload="closed-loop", workload_params=dict(clients=2))
+    exact = run_scenario(_scenario(**overrides))
+    sketch = run_scenario(_scenario("sketch", **overrides))
+    exact_client = exact.workload.summary()
+    sketch_client = sketch.workload.summary()
+    assert "p50_latency" in sketch_client
+    assert sketch_client["requests_completed"] == exact_client["requests_completed"]
+    assert exact_client["requests_completed"] > 0
+    bound = sketch.workload._stream_sketch.error_bound()
+    assert _within(bound, sketch_client["p50_latency"], exact_client["p50_latency"])
+    for client in sketch.workload.clients:
+        assert client.latencies == []
+        assert len(client._voters) <= 1
+        assert len(client._send_times) <= 1
+
+
 def test_policy_window_and_bins_flow_into_the_sketch():
     scenario = _scenario(
         measurements=MeasurementPolicy(metrics="sketch", window=2.0,

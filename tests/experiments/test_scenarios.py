@@ -43,6 +43,20 @@ def test_cli_rejects_nan_duration_within_seconds():
     assert time.monotonic() - started < 5.0
 
 
+def test_cli_rejected_attack_schedule_is_an_error_not_a_traceback():
+    proc = _repro("attack", "--iterations", "-1")
+    assert proc.returncode == 1
+    assert "error: iterations" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_fig_names_the_flags_its_driver_does_not_take():
+    proc = _repro("fig", "fig13", "--seed", "7", "--duration", "3")
+    assert proc.returncode == 1
+    assert "fig13 does not take --duration, --seed" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_registry_lines_are_sorted_and_described():
     lines = format_scenario_registry().splitlines()
     names = [line.split()[0] for line in lines]

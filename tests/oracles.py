@@ -22,9 +22,6 @@ Each is the straightforward pre-optimisation form of something under
 * :func:`mutate_tree` and :func:`optitree_search_full` -- OptiTree's
   search over immutable trees, every mutation re-scored from scratch by
   ``tree_score``, behind ``optitree_search``'s incremental engine;
-* :func:`annealed_weight_search_full` -- the (leader, Vmax) search with a
-  fresh ``WeightConfiguration`` per mutation, behind
-  ``annealed_weight_search``'s incremental state;
 * :class:`EveryProposalChecked` -- that engine with every ``delta_score``
   and every ``apply`` compared against a from-scratch computation;
   :class:`ScoreChecked` -- any annealing engine with its score re-derived
@@ -80,7 +77,6 @@ from typing import (
 )
 
 from repro.aware.score import weight_config_round_duration
-from repro.aware.weights import WeightConfiguration, WheatParameters
 from repro.consensus.messages import Commit
 from repro.consensus.pbft import PbftReplica
 from repro.core.records import SuspicionRecord
@@ -468,52 +464,6 @@ def optitree_search_full(
         return mutate_tree(tree, candidates, mutation_rng)
 
     return anneal(initial, score, mutate, rng, schedule)
-
-
-def annealed_weight_search_full(
-    latency,
-    n: int,
-    f: int,
-    candidates: Optional[FrozenSet[int]] = None,
-    rng: Optional[random.Random] = None,
-    schedule: Optional[AnnealingSchedule] = None,
-) -> Optional[WeightConfiguration]:
-    """``annealed_weight_search`` by full scoring: same arguments, same
-    draws, a fresh :class:`WeightConfiguration` per mutation -- and the
-    same result to the bit."""
-    params = WheatParameters(n, f)
-    rng = rng or random.Random(0)
-    pool = sorted(candidates) if candidates is not None else list(range(n))
-    if len(pool) < params.vmax_count:
-        return None
-
-    schedule = schedule or AnnealingSchedule(iterations=2000, initial_temperature=0.05)
-    initial_vmax = frozenset(rng.sample(pool, params.vmax_count))
-    initial_leader = rng.choice(pool)
-
-    def score(configuration: WeightConfiguration) -> float:
-        return weight_config_round_duration(latency, configuration)
-
-    def mutate(
-        configuration: WeightConfiguration, mutation_rng: random.Random
-    ) -> WeightConfiguration:
-        vmax = set(configuration.vmax_replicas)
-        leader = configuration.leader
-        if mutation_rng.random() < 0.3:
-            leader = mutation_rng.choice(pool)
-        else:
-            outside = [replica for replica in pool if replica not in vmax]
-            if outside:
-                vmax.discard(mutation_rng.choice(sorted(vmax)))
-                vmax.add(mutation_rng.choice(outside))
-        return WeightConfiguration(
-            n=n, f=f, leader=leader, vmax_replicas=frozenset(vmax)
-        )
-
-    initial = WeightConfiguration(
-        n=n, f=f, leader=initial_leader, vmax_replicas=initial_vmax
-    )
-    return anneal(initial, score, mutate, rng, schedule).best_state
 
 
 class EveryProposalChecked(IncrementalTreeSearch):

@@ -50,7 +50,6 @@ def bind(workload, sim, network, n=N, f=F, replies_needed=None):
             sim=sim,
             network=network,
             n=n,
-            f=f,
             replies_needed=replies_needed if replies_needed is not None else f + 1,
             place_client=lambda client_id, site: None,
         )
@@ -218,6 +217,32 @@ def test_closed_loop_keeps_one_request_outstanding():
     # (up to float accumulation in the virtual clock).
     for _, latency in workload.latencies():
         assert latency >= 2 * LINK_DELAY - 1e-9
+
+
+def test_closed_loop_think_time_summary_is_pinned():
+    # Two think-time clients on a real engine: each completion schedules
+    # one resubmission ``think_time`` later, on the client that completed.
+    from repro.experiments.runner import Scenario, run_scenario
+
+    result = run_scenario(
+        Scenario(
+            protocol="pbft",
+            deployment="wonderproxy-4",
+            workload="closed-loop",
+            workload_params=dict(clients=2, think_time=0.05),
+            duration=5.0,
+            seed=2,
+        )
+    )
+    assert result.workload.summary() == {
+        "requests_sent": 47,
+        "requests_completed": 46,
+        "mean_latency": 0.16474887890613651,
+        "p50_latency": 0.1645882827692644,
+        "p90_latency": 0.16551057131867997,
+        "p99_latency": 0.20195793700319278,
+    }
+    assert [client.sent for client in result.workload.clients] == [24, 23]
 
 
 def test_workload_summary_reports_percentiles():
