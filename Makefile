@@ -8,6 +8,7 @@
 #   make campaign-smoke flat-RSS (campaign and plain run) + kill/resume (REPRO_FULL=1 for 2M)
 #   make attack-smoke   jobs byte-identity + smoke robustness frontier
 #   make quickstart     the README's first example
+#   make examples       run every examples/*.py script end to end
 #
 # Everything runs from the source tree via PYTHONPATH; `pip install -e .`
 # additionally provides the `repro` console script.
@@ -15,7 +16,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint ledger-smoke bench-figures campaign-smoke attack-smoke quickstart
+.PHONY: test lint ledger-smoke bench-figures campaign-smoke attack-smoke quickstart examples
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -52,3 +53,11 @@ attack-smoke:
 
 quickstart:
 	$(PYTHON) examples/quickstart.py
+
+# `make lint` only byte-compiles the examples; this runs them, so an
+# example that drifts from the library API fails here.
+examples:
+	set -e; for example in examples/*.py; do \
+		echo "== $$example"; \
+		$(PYTHON) $$example; \
+	done

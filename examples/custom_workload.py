@@ -1,14 +1,15 @@
 """Defining your own workload and running it through the scenario runner.
 
-Two user-defined traffic shapes:
+Two user-defined traffic shapes, both subclasses of
+:class:`repro.workloads.OpenLoopWorkload` that only declare their rate
+profile: a step table of segment start offsets and rates, optionally
+repeating every ``period``, handed to ``set_profile``.  The base class
+samples Poisson arrivals exactly at the table's boundaries.
 
-* ``DiurnalWorkload`` subclasses :class:`repro.workloads.OpenLoopWorkload`
-  and only overrides the rate profile -- a sinusoidal day/night cycle,
-  discretized into piecewise-constant steps so the base class's
-  boundary-exact Poisson sampling stays exact.
-* ``FlashCrowdWorkload`` composes an existing shape: a quiet baseline
-  with one huge spike, built by overriding ``rate_at``/``next_change``
-  directly.
+* ``SineDayWorkload`` -- a sinusoidal day/night cycle, discretized into
+  piecewise-constant steps that repeat every period.
+* ``OneSpikeWorkload`` -- a quiet baseline with one huge spike (a
+  "flash crowd"), then the baseline forever after.
 
 Because a :class:`~repro.experiments.runner.Scenario` accepts a
 ``Workload`` *instance* (not just a registered name), custom shapes plug
@@ -24,7 +25,7 @@ from repro.experiments.runner import Scenario, run_scenario
 from repro.workloads import OpenLoopWorkload
 
 
-class DiurnalWorkload(OpenLoopWorkload):
+class SineDayWorkload(OpenLoopWorkload):
     """Sinusoidal day/night rate: mean +/- amplitude over one period."""
 
     name = "diurnal"
@@ -36,20 +37,17 @@ class DiurnalWorkload(OpenLoopWorkload):
         self.amplitude = amplitude
         self.period = period
         self.step = period / steps_per_period
-
-    def rate_at(self, t):
-        # Piecewise-constant over each step, sampled at the step start.
-        start = (t // self.step) * self.step
-        phase = 2.0 * math.pi * (start % self.period) / self.period
-        return max(0.0, self.mean_rate + self.amplitude * math.sin(phase))
-
-    def next_change(self, t):
-        boundary = ((t // self.step) + 1) * self.step
-        # Strictly after t, or float noise at a boundary livelocks the sim.
-        return boundary if boundary > t else boundary + self.step
+        # Constant over each step, sampled at the step start.
+        starts = [k * self.step for k in range(steps_per_period)]
+        self.set_profile(
+            starts,
+            [max(0.0, mean_rate + amplitude * math.sin(2.0 * math.pi * start / period))
+             for start in starts],
+            period=period,
+        )
 
 
-class FlashCrowdWorkload(OpenLoopWorkload):
+class OneSpikeWorkload(OpenLoopWorkload):
     """Quiet baseline, then a short massive spike (a 'flash crowd')."""
 
     name = "flash-crowd"
@@ -61,25 +59,15 @@ class FlashCrowdWorkload(OpenLoopWorkload):
         self.spike_rate = spike_rate
         self.spike_start = spike_start
         self.spike_end = spike_start + spike_duration
-
-    def in_spike(self, t):
-        return self.spike_start <= t < self.spike_end
-
-    def rate_at(self, t):
-        return self.spike_rate if self.in_spike(t) else self.base_rate
-
-    def next_change(self, t):
-        if t < self.spike_start:
-            return self.spike_start
-        if t < self.spike_end:
-            return self.spike_end
-        return None  # constant baseline forever after
+        # No period: the last segment (the baseline) lasts forever.
+        self.set_profile([0.0, spike_start, self.spike_end],
+                         [base_rate, spike_rate, base_rate])
 
 
 def main() -> None:
     for workload in (
-        DiurnalWorkload(mean_rate=60.0, amplitude=40.0, period=30.0),
-        FlashCrowdWorkload(base_rate=20.0, spike_rate=300.0, spike_start=20.0),
+        SineDayWorkload(mean_rate=60.0, amplitude=40.0, period=30.0),
+        OneSpikeWorkload(base_rate=20.0, spike_rate=300.0, spike_start=20.0),
     ):
         scenario = Scenario(
             protocol="hotstuff-rr",

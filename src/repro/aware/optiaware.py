@@ -38,9 +38,6 @@ class OptiAware:
         With False the candidate set is all replicas and the stack
         degrades to plain Aware (the baseline in Fig. 7): latency-driven
         optimization without accountability.
-    exhaustive:
-        Search strategy; exhaustive is deterministic and is the default
-        at PBFT scale.
     """
 
     def __init__(

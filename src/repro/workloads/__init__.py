@@ -10,9 +10,16 @@ open-loop saturation:
 * :class:`OpenLoopWorkload` -- Poisson arrivals at a constant rate,
   independent of service progress;
 * :class:`BurstyWorkload` -- on/off phases with sharp transitions;
+* :class:`RampWorkload` -- rate ramping up to find the saturation knee;
+* :class:`DiurnalWorkload` -- a raised-cosine day/night cycle;
+* :class:`FlashCrowdWorkload` -- recurring flash crowds that decay back
+  to a baseline;
 * :class:`SkewedWorkload` -- Zipf-weighted clients pinned to the
-  deployment's cities (multi-region skew);
-* :class:`RampWorkload` -- rate ramping up to find the saturation knee.
+  deployment's cities (multi-region skew).
+
+The open-loop shapes share one rate profile: a step table set through
+:meth:`OpenLoopWorkload.set_profile` and read by one lookup, so every
+shape samples its arrivals exactly at its rate boundaries.
 
 Every workload's endpoints are the one :class:`WorkloadClient` class;
 workloads differ only in when they call its ``submit`` -- on a timer
@@ -36,11 +43,14 @@ from repro.workloads.base import (
     WorkloadClient,
     percentile,
 )
-from repro.workloads.bursty import BurstyWorkload
 from repro.workloads.closed_loop import ClosedLoopWorkload
-from repro.workloads.compositions import DiurnalWorkload, FlashCrowdWorkload
-from repro.workloads.open_loop import OpenLoopWorkload
-from repro.workloads.ramp import RampWorkload
+from repro.workloads.open_loop import (
+    BurstyWorkload,
+    DiurnalWorkload,
+    FlashCrowdWorkload,
+    OpenLoopWorkload,
+    RampWorkload,
+)
 from repro.workloads.skewed import SkewedWorkload, zipf_weights
 
 #: Requests per block proposal (§7.3: "blocks of 1000 proposals").
