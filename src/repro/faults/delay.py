@@ -53,7 +53,10 @@ class DelayAttack:
         return self.window.active()
 
     def __call__(self, src: int, dst: int, message, delay: float) -> Optional[Tuple]:
-        if src != self.attacker or not self.active():
+        if src != self.attacker:
+            return message, delay
+        window = self.window
+        if not window.start <= window._now() <= window.end:
             return message, delay
         if type(message).__name__ not in self.message_types:
             return message, delay
@@ -87,7 +90,10 @@ class DeltaDelayAttack:
         self.messages_delayed = 0
 
     def __call__(self, src: int, dst: int, message, delay: float) -> Optional[Tuple]:
-        if src not in self.attackers or not self.window.active():
+        if src not in self.attackers:
+            return message, delay
+        window = self.window
+        if not window.start <= window._now() <= window.end:
             return message, delay
         if type(message).__name__ not in self.message_types:
             return message, delay
@@ -141,7 +147,10 @@ class StealthDelayAttack:
         self.total_added = 0.0
 
     def __call__(self, src: int, dst: int, message, delay: float) -> Optional[Tuple]:
-        if src not in self.attackers or not self.window.active():
+        if src not in self.attackers:
+            return message, delay
+        window = self.window
+        if not window.start <= window._now() <= window.end:
             return message, delay
         if (
             self.message_types is not None

@@ -66,7 +66,8 @@ class MessageLoss:
             # Self-delivery never crosses a link; losing it would model a
             # node corrupting its own memory, not a lossy network.
             return message, delay
-        if not self.window.active():
+        window = self.window
+        if not window.start <= window._now() <= window.end:
             return message, delay
         if self.senders is not None and src not in self.senders:
             return message, delay

@@ -28,6 +28,10 @@ class ActivationWindow:
     raises ``ValueError`` at construction time.  Use a picklable clock
     (:class:`repro.sim.engine.SimClock`) when the window may be
     checkpointed.
+
+    The check is ``start <= _now() <= end``.  Interceptors, which run
+    once per message sent, inline exactly that expression instead of
+    calling :meth:`active`.
     """
 
     __slots__ = ("start", "end", "_now")

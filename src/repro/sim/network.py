@@ -9,12 +9,13 @@ in :mod:`repro.faults` manipulate traffic without touching protocol code.
 
 Fast paths: two predicates, recomputed on each topology/interceptor
 mutation.  ``_links_clear`` (no down node, no partition): nothing can be
-unreachable, so sends and deliveries skip the down/partition checks --
-an *interceptor-only* network (a delay, loss or stealth attack with
-every node up) never calls ``_partitioned``; its multicasts loop over
-``send``.  ``_pristine`` (``_links_clear`` and no interceptor): nothing can
-drop, delay or rewrite a message, so a wide multicast may park in the
-store.  Installing a fault mid-run re-enables the checks, including for
+unreachable, so sends and deliveries skip the down/partition checks.
+``_pristine`` (``_links_clear`` and no interceptor): nothing can drop,
+delay or rewrite a message, so a wide multicast may park in the store.
+Every fan-out -- a multicast in any fault state, a client's request
+broadcast -- runs one per-destination loop (:meth:`Network.fan_out`)
+that hoists the per-call work and skips what the predicates rule out.
+Installing a fault mid-run re-enables the checks, including for
 messages already in flight, which re-validate at delivery time.  Every
 path draws in the same order (delay, jitter, interceptors, stats, seq),
 so seeded runs are bit-identical whichever one a message takes.
@@ -24,9 +25,9 @@ Message plane
 A pending delivery waits in one of two places, and the network picks by
 what it can observe about the send.
 
-*The event heap.*  ``send()``, narrow multicasts, zero-delay self copies
-and every send on a non-pristine network push one
-``(time, seq, None, _deliver, (src, dst, message))`` entry.
+*The event heap.*  ``send()``, ``fan_out()`` (narrow or non-pristine
+multicasts, client broadcasts) and zero-delay self copies push one
+``(time, seq, None, _deliver, (src, dst, message))`` entry each.
 
 *The wide-row store* (:class:`_FastSpine`: ~20-byte array rows, a sorted
 prefix plus an O(1) append tail).  A pristine multicast with
@@ -496,8 +497,9 @@ class NetworkStats:
     actually put on the wire: a message dropped at send time (down node,
     partition, interceptor drop) increments ``messages_dropped`` alone, so
     fault scenarios do not inflate the overhead accounting.
-    ``messages_multicast`` counts batched :meth:`Network.multicast` calls
-    (each of which still counts one ``messages_sent`` per destination).
+    ``messages_multicast`` counts replica :meth:`Network.multicast` calls
+    (each still counts one ``messages_sent`` per destination); client
+    request broadcasts (:meth:`Network.fan_out`) count none.
 
     Representation: the send path bumps ONE class-keyed ``[count, bytes]``
     accumulator per message; the public totals (``messages_sent``,
@@ -760,8 +762,7 @@ class Network:
         # Providers without an eager matrix may still serve one row at a
         # time (``row(src) -> list | None``): the latency model's provider
         # builds rows on demand past its threshold, and the client-site
-        # router forwards replica rows while answering None for client
-        # sources (which need its scalar mapping).
+        # router serves replica and client sources alike.
         self._delay_row_fn = getattr(value, "row", None)
         # The drains' window cap needs a lower bound on every cross-node
         # delay; without one the exact plane keeps to the heap.
@@ -999,24 +1000,12 @@ class Network:
             sim.max_queue_depth = len(queue)
 
     def multicast(self, src: int, dsts: Iterable[int], message: Any, size: int = 0) -> None:
-        """Send the same message to every destination, as one batch.
-
-        On a pristine network the per-destination fault checks and stats
-        bookkeeping are hoisted out of the loop; per-destination delays and
-        jitter draws are identical (same values, same RNG order) to a loop
-        of :meth:`send` calls, so the batch is purely a constant-factor
-        optimisation.  On a faulted network it degrades to exactly that
-        loop.
-        """
-        self.stats.messages_multicast += 1
-        if not self._pristine:
-            for dst in dsts:
-                self.send(src, dst, message, size)
-            return
-        if self._relaxed:
-            self._multicast_store(src, dsts, message, size)
-            return
-        if self._delay_floor > 0.0:
+        """Send the same message to every destination, as one batch that
+        matches a loop of :meth:`send` calls destination by destination.
+        A wide pristine multicast on the exact plane parks in the store;
+        every other one is :meth:`fan_out`."""
+        self._stats.messages_multicast += 1
+        if self._pristine and not self._relaxed and self._delay_floor > 0.0:
             # Wide and pristine: the fanout waits in the store.  The
             # choice changes where rows wait, never their keys.
             try:
@@ -1026,52 +1015,88 @@ class Network:
             if wide:
                 self._multicast_store(src, dsts, message, size)
                 return
-        one_way = self._one_way_delay
+        self.fan_out(src, dsts, message, size)
+
+    def fan_out(self, src: int, dsts: Iterable[int], message: Any, size: int = 0) -> None:
+        """A loop of :meth:`send` calls in one, whatever the fault state:
+        the same checks, delay, jitter draw, interceptors in order,
+        stats and seq per destination, with the per-call work hoisted.
+
+        Counts no multicast (client request broadcasts call it directly)
+        and pushes to the heap however wide ``dsts`` is -- except on a
+        pristine relaxed plane, where every row lives in the store.
+        """
+        pristine = self._pristine
+        if pristine and self._relaxed:
+            self._multicast_store(src, dsts, message, size)
+            return
+        clear = self._links_clear
+        if not pristine:
+            interceptors = self._interceptors
+            per_class = self._stats_per_class
+            if not clear:
+                down = self._down
+                src_down = src in down
+                # An ungrouped sender reaches every group: check it against none.
+                groups = self._partition_group if src in self._partition_group else {}
+                src_group = groups.get(src)
         jittered = self._jitter > 0.0
         span = self._jitter_span
         rand = self._jitter_random
         deliver = self._deliver_bound
-        # When the delay provider exposes its matrix (Deployment.one_way
-        # does), index the row directly instead of calling per destination.
-        # Row-serving providers (the latency model's past its eager
-        # threshold, the client-site router) answer one row at a time --
-        # or None, which falls back to the scalar loop.
+        stats = self._stats
         rows = self._delay_rows
         row = rows[src] if rows is not None else None
         if row is None:
             row_fn = self._delay_row_fn
-            if row_fn is not None:
-                row = row_fn(src)
+            row = row_fn(src) if row_fn is not None else None
+            if row is None:  # a bare callable: one call per pair
+                one_way = self._one_way_delay
+                dsts = dsts if isinstance(dsts, (list, tuple, range)) else list(dsts)
+                row = {dst: one_way(src, dst) for dst in dsts if dst != src}
         # Simulator.post(), inlined: ``now`` is constant for the batch.
         sim = self.sim
         now = sim.now
         queue = sim._queue
-        # Entries keep consecutive seq numbers (nothing else can push
-        # while these loops run), so ordering is identical to a loop of
-        # send() calls.
-        seq = sim._seq
-        fanout = 0
-        if row is not None:
-            for dst in dsts:
-                delay = 0.0 if src == dst else row[dst]
-                if jittered:
-                    delay *= 1.0 + span * rand()
-                _heappush(queue, (now + delay, seq, None, deliver, (src, dst, message)))
-                seq += 1
-                fanout += 1
-        else:
-            for dst in dsts:
-                delay = 0.0 if src == dst else one_way(src, dst)
-                if jittered:
-                    delay *= 1.0 + span * rand()
-                _heappush(queue, (now + delay, seq, None, deliver, (src, dst, message)))
-                seq += 1
-                fanout += 1
+        seq = first = sim._seq
+        for dst in dsts:
+            if not clear and (
+                src_down or dst in down or groups.get(dst, src_group) != src_group
+            ):
+                stats.messages_dropped += 1
+                continue
+            delay = 0.0 if src == dst else row[dst]
+            if jittered:
+                delay *= 1.0 + span * rand()
+            copy = message
+            if not pristine:
+                sim._seq = seq  # an interceptor may schedule
+                kept = True
+                for interceptor in interceptors:
+                    kept = interceptor(src, dst, copy, delay)
+                    if kept is None:
+                        break
+                    copy, delay = kept
+                seq = sim._seq
+                if kept is None:
+                    stats.messages_dropped += 1
+                    continue
+                if delay < 0:
+                    raise SimulationError(f"cannot post {delay:.6f}s in the past")
+                # Per message: a rewrite may change the class.
+                entry = per_class.get(copy.__class__)
+                if entry is None:
+                    per_class[copy.__class__] = [1, size]
+                else:
+                    entry[0] += 1
+                    entry[1] += size
+            _heappush(queue, (now + delay, seq, None, deliver, (src, dst, copy)))
+            seq += 1
         sim._seq = seq
         if len(queue) > sim.max_queue_depth:
-            sim.max_queue_depth = len(queue)
-        if fanout:
-            self.stats.record_multicast(message, size, fanout)
+            sim.max_queue_depth = len(queue)  # nothing pops meanwhile
+        if pristine and seq > first:
+            stats.record_multicast(message, size, seq - first)
 
     # ------------------------------------------------------------------
     # Wide-row store: the exact drain, the shared multicast, the relaxed
@@ -1261,7 +1286,7 @@ class Network:
         fanout as one vectorized segment.
 
         Delays and jitter draws happen in destination order with the
-        same ops as the per-destination loops, and seqs are the same
+        same ops as :meth:`fan_out`'s loop, and seqs are the same
         consecutive allocations, so every row carries its heap entry's
         exact ``(time, seq)`` key; the fanout shares one pool slot.
         Zero-delay self copies (``broadcast(include_self=True)``) never
@@ -1298,7 +1323,7 @@ class Network:
             # the provider's row, zero the self positions, then apply
             # the jitter multipliers.  The draws happen in the same
             # destination order and each element sees the same scalar
-            # op sequence (span*r, 1.0+, delay*) as the per-dst loops,
+            # op sequence (span*r, 1.0+, delay*) as fan_out's loop,
             # so the times are bit-identical.  Only the relaxed plane
             # keeps the snapshots (byte-capped; rows are static for the
             # run): the exact plane's memory budget has no room for n

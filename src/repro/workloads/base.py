@@ -84,11 +84,27 @@ class ClientSiteRouter:
         self.default_site = default_site % n
         self.local_delay = local_delay
         self.sites: Dict[int, int] = {}
+        self._derive()
+
+    def _derive(self) -> None:
+        """The row caches (see :meth:`row`): derived, never pickled."""
+        self._replica_row = getattr(self.one_way, "row", None)
+        self._client_rows: Dict[int, List[float]] = {}
+
+    def __getstate__(self) -> Dict:
+        state = self.__dict__.copy()
+        del state["_replica_row"], state["_client_rows"]
+        return state
+
+    def __setstate__(self, state: Dict) -> None:
+        self.__dict__.update(state)
+        self._derive()
 
     def place(self, client_id: int, site: Optional[int]) -> None:
         """`place_client` callback for :class:`ClusterBinding`."""
         if site is not None:
             self.sites[client_id] = site % self.n
+            self._client_rows.pop(client_id, None)
 
     def delay(self, a: int, b: int) -> float:
         # Clients map to their site, replicas to themselves.
@@ -101,25 +117,34 @@ class ClientSiteRouter:
 
     # The router is installed as the network's delay provider directly
     # (``network.one_way_delay = router``) so its ``row`` view reaches
-    # the multicast batch paths.
+    # the fan-out paths.
     __call__ = delay
 
-    def row(self, src):
-        """Row view for the network's batch send paths.
+    def row(self, src: int) -> Optional[List[float]]:
+        """``src``'s delays to every replica, for the network's fan-out
+        paths: entry ``r`` is exactly ``delay(src, r)``.
 
-        Replica sources forward the underlying provider's row: replica
-        multicasts only ever target replicas, every distinct replica
-        pair's delay is >= 0.5 ms (the ``or local_delay`` floor never
-        fires for them), and the network handles ``src == dst`` before
-        row lookup -- so the raw row is exactly what :meth:`delay` would
-        return per destination.  Client sources answer ``None``: their
-        site mapping (and the co-located local-delay floor against their
-        own site) needs the scalar path.
+        Replica sources forward the underlying provider's row (``None``
+        when it serves none): replica multicasts only ever target
+        replicas, every distinct replica pair's delay is >= 0.5 ms (the
+        ``or local_delay`` floor never fires for them), and the network
+        handles ``src == dst`` before row lookup.  Client sources --
+        placed or on the default site -- answer a row cached per client
+        and built from their site, the co-located replica's entry being
+        the ``local_delay`` floor; :meth:`place` drops a client's row.
         """
-        if src >= self.n:
-            return None
-        row_fn = getattr(self.one_way, "row", None)
-        return row_fn(src) if row_fn is not None else None
+        n = self.n
+        if src < n:
+            row_fn = self._replica_row
+            return row_fn(src) if row_fn is not None else None
+        row = self._client_rows.get(src)
+        if row is None:
+            site = self.sites.get(src, self.default_site)
+            one_way = self.one_way
+            local = self.local_delay
+            row = [one_way(site, r) or local for r in range(n)]
+            self._client_rows[src] = row
+        return row
 
     def delay_floor(self) -> float:
         """Lower bound on every delay the router can answer: the
@@ -188,8 +213,7 @@ class WorkloadClient:
         )
         self._send_times[self.next_request] = self.sim.now
         self._voters[self.next_request] = set()
-        for replica in range(self.n):
-            self.network.send(self.id, replica, request, request.wire_size)
+        self.network.fan_out(self.id, range(self.n), request, request.wire_size)
         return self.next_request
 
     def on_message(self, src: int, message) -> None:

@@ -1,21 +1,28 @@
-"""Interceptor-only sends == the generic checked loop, entry for entry.
+"""Faulted sends and fan-outs == the generic checked loop, entry for entry.
 
-A network with interceptors but every link up keeps the inlined
-heap-push / stats path in ``send`` (``multicast`` loops over it).
-The oracle below is the generic loop those replaced -- reachability
-checks, provider call, jitter, interceptors, one stats bump,
-``sim.post``, one destination at a time -- and both must leave the same
-``(time, seq)`` heap entries, jitter stream and ``NetworkStats``.
+``send`` keeps one inlined heap-push / stats path, and every fan-out --
+``multicast`` in any fault state, a client's request broadcast through
+``fan_out`` -- runs one hoisted per-destination loop.  The oracle below
+is the generic loop those replaced -- reachability checks, provider
+call, jitter, interceptors, one stats bump, ``sim.post``, one
+destination at a time -- and both must leave the same ``(time, seq)``
+heap entries, jitter stream and ``NetworkStats``, with interceptors
+only, with a node down or a partition active (installed before the
+sends or flipped between them), over matrix, row-only and scalar
+providers, and from client ids (>= 1000) fanning out to the replicas.
 """
 
 import random
+from functools import partial
 
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.network import Network
+from repro.workloads.base import ClientSiteRouter
 
 N = 9
+CLIENTS = (1000, 1001)
 
 
 class Ping:
@@ -32,6 +39,30 @@ def delay_of(a, b):
 
 
 delay_of.rows = [[delay_of(a, b) for b in range(N)] for a in range(N)]
+
+
+class RowOnly:
+    """Router-shaped provider: scalar calls and ``row()``, no ``rows``."""
+
+    def __call__(self, a, b):
+        return delay_of(a, b)
+
+    def row(self, src):
+        return [delay_of(src, b) for b in range(N)]
+
+
+def placed_router():
+    router = ClientSiteRouter(RowOnly(), n=N, default_site=2)
+    router.place(CLIENTS[1], 6)
+    return router
+
+
+PROVIDERS = {
+    "rows": lambda: delay_of,
+    "scalar": lambda: (lambda a, b: delay_of(a, b)),
+    "row-only": RowOnly,
+    "router": placed_router,
+}
 
 
 def generic_send(network, src, dst, message, size=0):
@@ -51,10 +82,14 @@ def generic_send(network, src, dst, message, size=0):
     network.sim.post(delay, network._deliver_bound, (src, dst, message))
 
 
-def generic_multicast(network, src, dsts, message, size=0):
-    network.stats.messages_multicast += 1
+def generic_fan_out(network, src, dsts, message, size=0):
     for dst in dsts:
         generic_send(network, src, dst, message, size)
+
+
+def generic_multicast(network, src, dsts, message, size=0):
+    network.stats.messages_multicast += 1
+    generic_fan_out(network, src, dsts, message, size)
 
 
 class Stretch:
@@ -80,9 +115,49 @@ def rewrite_even(src, dst, message, delay):
     return (Pong(message.tag), delay) if dst % 2 == 0 else (message, delay)
 
 
-def _traffic(rng):
+def _ignore(*args):
+    pass
+
+
+class Poster:
+    """Posts an event of its own on every third call, so the loop must
+    hand it the live seq and take the advanced one back."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.calls = 0
+
+    def __call__(self, src, dst, message, delay):
+        self.calls += 1
+        if self.calls % 3 == 0:
+            self.sim.post(0.5, _ignore, (src, dst, Ping(-self.calls)))
+        return message, delay
+
+
+def down(node, is_down=True):
+    return lambda network: network.set_down(node, is_down)
+
+
+def split(*groups):
+    return lambda network: network.partition(groups)
+
+
+def heal(network):
+    network.heal()
+
+
+def _traffic(rng, clients):
+    """60 steps of sends and multicasts; with ``clients``, client ids
+    also fan a request out to every replica and receive replies."""
     script = []
     for step in range(60):
+        if clients and rng.random() < 0.3:
+            client = rng.choice(CLIENTS)
+            if rng.random() < 0.5:
+                script.append(("fan_out", client, range(N), Ping(step), 120))
+            else:
+                script.append(("send", rng.randrange(N), client, Ping(step), 40))
+            continue
         src = rng.randrange(N)
         if rng.random() < 0.5:
             script.append(("send", src, rng.randrange(N), Ping(step), rng.randrange(200)))
@@ -112,40 +187,79 @@ def _snapshot(network, interceptors):
     }
 
 
-def _run(fast, provider, jitter, install_at):
-    """Play the script; ``install_at`` maps step -> interceptor to add."""
+def _run(fast, provider, jitter, install_at, flips=None):
+    """Play the script; ``install_at`` maps step -> interceptor factory
+    (called with the simulator), ``flips`` step -> topology change."""
     sim = Simulator(seed=4)
-    network = Network(sim, provider, jitter=jitter)
-    send = network.send if fast else lambda *a: generic_send(network, *a)
-    multicast = network.multicast if fast else lambda *a: generic_multicast(network, *a)
+    network = Network(sim, PROVIDERS[provider](), jitter=jitter)
+    if fast:
+        paths = {"send": network.send, "multicast": network.multicast,
+                 "fan_out": network.fan_out}
+    else:
+        paths = {"send": partial(generic_send, network),
+                 "multicast": partial(generic_multicast, network),
+                 "fan_out": partial(generic_fan_out, network)}
+    flips = flips or {}
     interceptors = []
-    for step, action in enumerate(_traffic(random.Random(11))):
+    # The matrix provider only covers replica ids.
+    for step, action in enumerate(_traffic(random.Random(11), provider != "rows")):
+        if step in flips:
+            flips[step](network)
         if step in install_at:
-            interceptors.append(install_at[step]())
+            interceptors.append(install_at[step](sim))
             network.add_interceptor(interceptors[-1])
         sim.now = 0.01 * step
-        (send if action[0] == "send" else multicast)(*action[1:])
+        paths[action[0]](*action[1:])
     return _snapshot(network, interceptors)
 
 
 @pytest.mark.parametrize("jitter", [0.0, 0.02])
-@pytest.mark.parametrize(
-    "provider", [delay_of, lambda a, b: delay_of(a, b)], ids=["rows", "scalar"]
-)
+@pytest.mark.parametrize("provider", ["rows", "scalar", "row-only", "router"])
 @pytest.mark.parametrize(
     "install_at",
     [
-        {0: lambda: Stretch(2)},
-        {0: lambda: Stretch(2), 1: lambda: drop_to_three},
-        {0: lambda: rewrite_even, 2: lambda: Stretch(5)},
+        {0: lambda sim: Stretch(2)},
+        {0: lambda sim: Stretch(2), 1: lambda sim: drop_to_three},
+        {0: lambda sim: rewrite_even, 2: lambda sim: Stretch(5)},
         # Installed mid-run: the sends before it take the pristine path.
-        {25: lambda: Stretch(2), 40: lambda: drop_to_three},
+        {25: lambda sim: Stretch(2), 40: lambda sim: drop_to_three},
+        {0: Poster, 10: lambda sim: drop_to_three},
     ],
-    ids=["delay", "delay+drop", "rewrite+delay", "mid-run"],
+    ids=["delay", "delay+drop", "rewrite+delay", "mid-run", "posting"],
 )
 def test_interceptor_only_paths_match_generic_loop(provider, jitter, install_at):
     assert _run(True, provider, jitter, install_at) == _run(
         False, provider, jitter, install_at
+    )
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.02])
+@pytest.mark.parametrize("provider", ["rows", "scalar", "row-only", "router"])
+@pytest.mark.parametrize(
+    "install_at",
+    [
+        {},
+        {0: lambda sim: Stretch(2), 1: lambda sim: drop_to_three},
+        {5: lambda sim: rewrite_even, 30: Poster},
+    ],
+    ids=["no-interceptor", "delay+drop", "rewrite+posting"],
+)
+@pytest.mark.parametrize(
+    "flips",
+    [
+        {0: down(4)},
+        # Nodes 7, 8 and client 1001 stay ungrouped; client 1000 is grouped.
+        {0: split([0, 1, 2, 3, 1000], [4, 5, 6])},
+        # Flipped between sends: down, partition on top, revive, heal,
+        # then the sender side goes down.
+        {10: down(4), 20: split([0, 1, 2], [3, 4, 5, 1001]), 30: down(4, False),
+         40: heal, 50: down(0)},
+    ],
+    ids=["down", "partition", "flipped"],
+)
+def test_faulted_paths_match_generic_loop(provider, jitter, install_at, flips):
+    assert _run(True, provider, jitter, install_at, flips) == _run(
+        False, provider, jitter, install_at, flips
     )
 
 

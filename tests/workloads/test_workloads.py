@@ -335,6 +335,68 @@ def test_client_site_router_delay_floor_clamps_to_local_delay():
     assert bare.delay_floor() == 0.0
 
 
+def _europe_router():
+    from repro.net.deployments import deployment_for
+    from repro.workloads.base import ClientSiteRouter
+
+    deployment = deployment_for("Europe21")
+    return ClientSiteRouter(deployment.one_way, deployment.n, default_site=3)
+
+
+def test_client_site_router_row_matches_delay_for_clients():
+    router = _europe_router()
+    n = router.n
+    router.place(2000, 7)
+    # Placed, default-site, and co-located with the default site's replica
+    # (entry 3 is the ``local_delay`` floor, not the provider's 0.0).
+    for client in (2000, 2001):
+        assert router.row(client) == [router.delay(client, r) for r in range(n)]
+    assert router.row(2001)[3] == router.local_delay
+    assert router.row(2000)[7] == router.local_delay
+
+
+def test_client_site_router_place_drops_a_served_row():
+    router = _europe_router()
+    before = router.row(2000)
+    assert before[3] == router.local_delay
+    router.place(2000, 11)
+    after = router.row(2000)
+    assert after != before
+    assert after == [router.delay(2000, r) for r in range(router.n)]
+
+
+def test_client_site_router_rows_survive_pickling():
+    import pickle
+
+    router = _europe_router()
+    router.place(2000, 5)
+    served = {client: router.row(client) for client in (2000, 2001)}
+    state = pickle.dumps(router)
+    restored = pickle.loads(state)
+    # The row cache is derived state: not pickled, rebuilt on demand.
+    assert not {"_client_rows", "_replica_row"} & set(router.__getstate__())
+    assert {client: restored.row(client) for client in served} == served
+
+
+@pytest.mark.parametrize(
+    "name", ["Europe21", "NA-EU43", "Global73", "Stellar56", "world-64"]
+)
+def test_client_site_router_replica_rows_need_no_floor(name):
+    # Replica rows forward the provider's row raw: that equals delay()
+    # only because no distinct replica pair is below the local floor.
+    from repro.net.deployments import deployment_for, random_world_deployment
+    from repro.workloads.base import ClientSiteRouter
+
+    deployment = (
+        random_world_deployment(64) if name == "world-64" else deployment_for(name)
+    )
+    router = ClientSiteRouter(deployment.one_way, deployment.n)
+    n = deployment.n
+    for r in range(n):
+        row = router.row(r)
+        assert all(row[d] == router.delay(r, d) for d in range(n) if d != r)
+
+
 @pytest.mark.parametrize(
     "protocol, workload, params",
     [
