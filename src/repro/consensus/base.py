@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
+from repro.consensus.messages import Block, ClientRequest, Reply
 from repro.crypto.signatures import KeyRegistry
 from repro.net.deployments import Deployment
 from repro.sim.engine import Simulator
@@ -38,11 +39,6 @@ class RunMetrics:
     """
 
     commits: List[CommitEvent] = field(default_factory=list)
-
-    def record_commit(
-        self, height: int, commit_time: float, propose_time: float, payload: int
-    ) -> None:
-        self.commits.append(CommitEvent(height, commit_time, propose_time, payload))
 
     def commit_sink(self) -> Callable[[CommitEvent], None]:
         """Hot-path sink taking a ready-made :class:`CommitEvent`.
@@ -113,8 +109,12 @@ class RunMetrics:
         ]
 
 
+_REPLY_SIZE = Reply.wire_size
+
+
 class ReplicaBase:
-    """Common state and helpers for protocol replicas."""
+    """Common state and helpers for protocol replicas: dispatch, the one
+    commit path (:meth:`_commit`) and the client request book."""
 
     def __init__(
         self,
@@ -132,6 +132,13 @@ class ReplicaBase:
         self.network = network
         self.registry = registry
         self.metrics = RunMetrics()
+        self.running = False
+        self.pending_requests: List[ClientRequest] = []
+        #: (client_id, request_id) keys already claimed or committed;
+        #: buffered requests with these keys are dropped.
+        self._claimed_requests: Set[Tuple[int, int]] = set()
+        #: Previous generation of claimed keys (see compact()).
+        self._claimed_requests_old: Set[Tuple[int, int]] = set()
         #: Unweighted quorum size q = n - f.  A plain attribute (not a
         #: property): it is read once per vote on the hot path.
         self.quorum = n - f
@@ -158,13 +165,66 @@ class ReplicaBase:
         """Swap the metrics observer and rebind the commit fast path.
 
         ``metrics`` is anything with the :class:`RunMetrics` query API
-        plus ``commit_sink()``/``record_commit()`` -- in practice
-        :class:`RunMetrics` itself or the streaming twin from
-        :mod:`repro.metrics`.  Must run before the replica commits
-        anything; commits already recorded stay with the old observer.
+        plus ``commit_sink()`` -- in practice :class:`RunMetrics` itself
+        or the streaming twin from :mod:`repro.metrics`.  Must run before
+        the replica commits anything; commits already recorded stay with
+        the old observer.
         """
         self.metrics = metrics
         self._commits_append = metrics.commit_sink()
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def start(self) -> None:
+        self.running = True
+
+    def stop(self) -> None:
+        self.running = False
+
+    # ------------------------------------------------------------------
+    # Commit path and request book
+    # ------------------------------------------------------------------
+    def _commit(self, height: int, block: Block) -> None:
+        """Record ``block`` committed at ``height`` and reply to its
+        clients: the one place any engine commits a block."""
+        now = self.sim.now
+        # tuple.__new__ skips the NamedTuple __new__ frame: every replica
+        # records every commit.
+        self._commits_append(
+            tuple.__new__(
+                CommitEvent, (height, now, block.timestamp, block.payload_count)
+            )
+        )
+        replica = self.id
+        send = self._network_send
+        for client_id, request_id, _send_time in block.request_ids:
+            send(replica, client_id, Reply(replica, request_id, now), _REPLY_SIZE)
+
+    def _claim_requests(self, block: Block) -> None:
+        """Mark ``block``'s requests claimed and drop them from the
+        buffer, so no later proposal re-batches (and re-commits) them."""
+        keys = {(cid, rid) for cid, rid, _send_time in block.request_ids}
+        self._claimed_requests |= keys
+        self.pending_requests = [
+            request
+            for request in self.pending_requests
+            if (request.client_id, request.request_id) not in keys
+        ]
+
+    def compact(self, keep: int = 128) -> None:
+        """Age the claimed request keys through two generations: a key
+        survives at least one full compaction interval, which exceeds any
+        in-flight client request's delivery time, so de-duplication never
+        misses.  Engines prune their own per-height state first."""
+        self._claimed_requests_old = self._claimed_requests
+        self._claimed_requests = set()
+
+    def adopt_state(self, donor: "ReplicaBase") -> None:
+        """Adopt ``donor``'s claimed request keys (see
+        ClusterBase.catch_up); engines adopt their own commit point."""
+        self._claimed_requests |= donor._claimed_requests
+        self._claimed_requests_old |= donor._claimed_requests_old
 
     # ------------------------------------------------------------------
     # Messaging
@@ -195,6 +255,118 @@ class ReplicaBase:
             self._handler_cache[cls] = handler
         if handler is not None:
             handler(src, message)
+
+
+#: Parent of a chain's first block.
+GENESIS_HASH = "genesis"
+
+
+class ChainedReplica(ReplicaBase):
+    """What HotStuff and Kauri share: the 3-chain commit rule over
+    certified heights, and a request book their proposers drain in
+    request-driven mode.
+
+    Per-height state lives only while a handler can still read it
+    (docs/ARCHITECTURE.md, "State lifetime"): a block leaves
+    ``block_at_height`` when it commits; only ``qc_heights`` waits for
+    :meth:`compact`.
+    """
+
+    def __init__(
+        self,
+        replica_id: int,
+        n: int,
+        f: int,
+        sim: Simulator,
+        network: Network,
+        registry: KeyRegistry,
+    ):
+        super().__init__(replica_id, n, f, sim, network, registry)
+        #: Blocks this replica may still commit, deleted on commit.
+        self.block_at_height: Dict[int, Block] = {}
+        self.qc_heights: Set[int] = set()
+        self.committed_height = 0
+        #: Request-driven mode (workload attached): blocks batch buffered
+        #: client requests instead of the fixed synthetic payload, and
+        #: committing replicas reply to clients.
+        self.request_driven = False
+
+    # ------------------------------------------------------------------
+    # Client path (request-driven mode only)
+    # ------------------------------------------------------------------
+    def handle_ClientRequest(self, src: int, request: ClientRequest) -> None:  # noqa: N802
+        """Buffer client traffic for whichever replica proposes next.
+
+        Clients broadcast to every replica, so a future leader (or root)
+        already holds the backlog.
+        """
+        if not self.running or not self.request_driven:
+            return
+        key = (request.client_id, request.request_id)
+        if key in self._claimed_requests or key in self._claimed_requests_old:
+            return
+        self.pending_requests.append(request)
+
+    def handle_ClientRequestBatch(self, srcs, requests, times) -> int:  # noqa: N802
+        """Bulk :meth:`handle_ClientRequest`: pure buffer appends."""
+        if not self.running or not self.request_driven:
+            return len(requests)
+        claimed = self._claimed_requests
+        claimed_old = self._claimed_requests_old
+        pending = self.pending_requests
+        for request in requests:
+            key = (request.client_id, request.request_id)
+            if key in claimed or key in claimed_old:
+                continue
+            pending.append(request)
+        return len(requests)
+
+    # ------------------------------------------------------------------
+    # Commit rule
+    # ------------------------------------------------------------------
+    def _try_commit(self, height: int) -> None:
+        """3-chain rule: QCs at h, h-1, h-2 commit the block at h-2 and
+        every uncommitted block below it."""
+        if height < 3:
+            return
+        qc_heights = self.qc_heights
+        if height - 1 not in qc_heights or height - 2 not in qc_heights:
+            return
+        target = height - 2
+        committed = self.committed_height
+        if target <= committed:
+            return
+        blocks = self.block_at_height
+        for commit_height in range(committed + 1, target + 1):
+            # Committed: no reader looks at or below committed_height.
+            block = blocks.pop(commit_height, None)
+            if block is not None:
+                self._commit(commit_height, block)
+        self.committed_height = target
+
+    # ------------------------------------------------------------------
+    # Campaign-plane compaction and state transfer
+    # ------------------------------------------------------------------
+    def compact(self, keep: int = 128) -> None:
+        """Floor ``qc_heights`` at ``committed_height - keep`` and age the
+        claimed request keys.
+
+        Every other per-height map retires its own entries, in every run;
+        ``qc_heights`` is part of the state trace and the commit rule
+        reads two heights back, so it is only floored here.
+        """
+        floor = self.committed_height - keep
+        self.qc_heights = {h for h in self.qc_heights if h > floor}
+        super().compact(keep)
+
+    @property
+    def progress(self) -> int:
+        return self.committed_height
+
+    def adopt_state(self, donor: "ChainedReplica") -> None:
+        """Adopt ``donor``'s commit point and claimed request keys."""
+        super().adopt_state(donor)
+        self.committed_height = max(self.committed_height, donor.committed_height)
 
 
 class ClusterBase:

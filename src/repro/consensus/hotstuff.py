@@ -16,15 +16,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from repro.consensus.base import ClusterBase, CommitEvent, ReplicaBase
-from repro.consensus.messages import Block, ClientRequest, Proposal, Reply, Vote
+from repro.consensus.base import GENESIS_HASH, ChainedReplica, ClusterBase
+from repro.consensus.messages import Block, Proposal, Vote
 from repro.crypto.signatures import KeyRegistry
 from repro.crypto.threshold import QuorumCertificate, aggregate
 from repro.net.deployments import Deployment
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
-
-GENESIS_HASH = "genesis"
 
 _VOTE_SIZE = Vote.wire_size
 
@@ -32,7 +30,7 @@ _VOTE_SIZE = Vote.wire_size
 _BATCH_TALLY_MIN = 16
 
 
-class HotStuffReplica(ReplicaBase):
+class HotStuffReplica(ChainedReplica):
     """One chained-HotStuff replica."""
 
     def __init__(
@@ -55,29 +53,10 @@ class HotStuffReplica(ReplicaBase):
         #: leader_of() inlined as a flag for the per-message handlers.
         self._round_robin = leader_mode == "rr"
         self.payload_per_block = payload_per_block
-        # Per-height state lives only while a handler can still read it
-        # (docs/ARCHITECTURE.md, "State lifetime"); only qc_heights waits
-        # for compact().
-        #: Voted-for blocks not yet committed, deleted on commit.
-        self.block_at_height: Dict[int, Block] = {}
         #: height -> voters at the next leader, deleted when the QC forms.
         self.votes: Dict[int, Set[int]] = {}
-        self.qc_heights: Set[int] = set()
         self.high_qc: Optional[QuorumCertificate] = None
         self.last_voted_height = 0
-        self.committed_height = 0
-        self.running = False
-        #: Request-driven mode (workload attached): blocks batch buffered
-        #: client requests instead of the fixed synthetic payload, and
-        #: every replica replies to clients on commit.
-        self.request_driven = False
-        self.pending_requests: List[ClientRequest] = []
-        #: Requests already claimed by some proposal (every replica sees
-        #: every Proposal, so rotating leaders do not re-batch requests a
-        #: previous leader already put in flight) or already committed.
-        self._claimed_requests: set = set()
-        #: Previous generation of claimed keys (see compact()).
-        self._claimed_requests_old: set = set()
 
     # ------------------------------------------------------------------
     # Roles
@@ -94,9 +73,6 @@ class HotStuffReplica(ReplicaBase):
         self.running = True
         if self.leader_of(1) == self.id:
             self.propose(1, GENESIS_HASH)
-
-    def stop(self) -> None:
-        self.running = False
 
     def propose(self, height: int, parent: str) -> None:
         if not self.running:
@@ -127,17 +103,6 @@ class HotStuffReplica(ReplicaBase):
         self.broadcast(Proposal(height=height, block=block, qc=self.high_qc))
 
     # ------------------------------------------------------------------
-    # Client path (request-driven mode only)
-    # ------------------------------------------------------------------
-    def handle_ClientRequest(self, src: int, request: ClientRequest) -> None:  # noqa: N802
-        if not self.running or not self.request_driven:
-            return
-        key = (request.client_id, request.request_id)
-        if key in self._claimed_requests or key in self._claimed_requests_old:
-            return
-        self.pending_requests.append(request)
-
-    # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
     def handle_Proposal(self, src: int, proposal: Proposal) -> None:  # noqa: N802
@@ -150,15 +115,17 @@ class HotStuffReplica(ReplicaBase):
             return
         # Claim before the height check: a proposal observed out of order
         # still proves its requests are in flight, and skipping the claim
-        # would let a later leader re-batch (and re-commit) them.
+        # would let a later leader re-batch (and re-commit) them.  Every
+        # replica sees every Proposal, so rotating leaders never re-batch
+        # requests a previous leader already put in flight.
         if self.request_driven and block.request_ids:
             self._claim_requests(block)
         if height <= self.last_voted_height:
             return
         qc = proposal.qc
         if qc is not None:
-            # _observe_qc(), inlined: the piggybacked QC is new at every
-            # follower, so this runs once per proposal delivery.
+            # A piggybacked QC is new at every follower: certify its
+            # height as _form_qc does at the leader.
             view = qc.view
             qc_heights = self.qc_heights
             if view not in qc_heights:
@@ -193,14 +160,7 @@ class HotStuffReplica(ReplicaBase):
             block = self.block_at_height.get(height)
             if block is None or block.hash != vote.block_hash:
                 return
-            qc = QuorumCertificate(
-                view=height,
-                block_hash=vote.block_hash,
-                aggregate=aggregate(self.registry, vote.block_hash, voters),
-                weight=float(len(voters)),
-            )
-            self._observe_qc(qc)
-            self.propose(height + 1, vote.block_hash)
+            self._form_qc(height, vote.block_hash, voters)
 
     # ------------------------------------------------------------------
     # Relaxed-plane batch handlers (see Network.register_batch_endpoint
@@ -257,16 +217,7 @@ class HotStuffReplica(ReplicaBase):
                     vote = votes[k]
                     if block is not None and block.hash == vote[1]:
                         self.sim.now = times[k]
-                        qc = QuorumCertificate(
-                            view=height,
-                            block_hash=vote[1],
-                            aggregate=aggregate(
-                                self.registry, vote[1], voters
-                            ),
-                            weight=float(len(voters)),
-                        )
-                        self._observe_qc(qc)
-                        self.propose(height + 1, vote[1])
+                        self._form_qc(height, vote[1], voters)
                         return k + 1
                     # Hash mismatch at the crossing row: the per-row
                     # loop below re-checks every later row (each is at
@@ -298,125 +249,38 @@ class HotStuffReplica(ReplicaBase):
                 if block is None or block.hash != block_hash:
                     continue
                 self.sim.now = times[k]
-                qc = QuorumCertificate(
-                    view=height,
-                    block_hash=block_hash,
-                    aggregate=aggregate(self.registry, block_hash, voters),
-                    weight=float(len(voters)),
-                )
-                self._observe_qc(qc)
-                self.propose(height + 1, block_hash)
+                self._form_qc(height, block_hash, voters)
                 return k + 1
         return count
 
-    def handle_ClientRequestBatch(self, srcs, requests, times) -> int:  # noqa: N802
-        """Bulk :meth:`handle_ClientRequest`: pure buffer appends."""
-        if not self.running or not self.request_driven:
-            return len(requests)
-        claimed = self._claimed_requests
-        claimed_old = self._claimed_requests_old
-        pending = self.pending_requests
-        for request in requests:
-            key = (request.client_id, request.request_id)
-            if key in claimed or key in claimed_old:
-                continue
-            pending.append(request)
-        return len(requests)
-
     # ------------------------------------------------------------------
-    # QCs and commit rule
+    # QCs
     # ------------------------------------------------------------------
-    def _observe_qc(self, qc: QuorumCertificate) -> None:
-        view = qc.view
-        qc_heights = self.qc_heights
-        if view in qc_heights:
-            return
-        qc_heights.add(view)
-        self.votes.pop(view, None)
+    def _form_qc(self, height: int, block_hash: str, voters: Set[int]) -> None:
+        """Quorum at the next leader (``height`` is not yet certified):
+        certify ``height``, retire its vote set, try the commit rule and
+        propose on top."""
+        qc = QuorumCertificate(
+            view=height,
+            block_hash=block_hash,
+            aggregate=aggregate(self.registry, block_hash, voters),
+            weight=float(len(voters)),
+        )
+        self.qc_heights.add(height)
+        self.votes.pop(height, None)
         high = self.high_qc
-        if high is None or view > high.view:
+        if high is None or height > high.view:
             self.high_qc = qc
-        self._try_commit(view)
-
-    def _try_commit(self, height: int) -> None:
-        """3-chain rule: QCs at h, h-1, h-2 commit the block at h-2."""
-        if height < 3:
-            return
-        qc_heights = self.qc_heights
-        if height - 1 not in qc_heights or height - 2 not in qc_heights:
-            return
-        target = height - 2
-        committed = self.committed_height
-        if target <= committed:
-            return
-        if target == committed + 1:
-            # Common case: QCs arrive in height order, one new commit.
-            # record_commit() inlined (one commit per replica per height),
-            # with the same fast construction as the vote path.
-            block = self.block_at_height.pop(target, None)
-            if block is not None:
-                self._commits_append(
-                    tuple.__new__(
-                        CommitEvent,
-                        (target, self.sim.now, block.timestamp, block.payload_count),
-                    )
-                )
-                if self.request_driven and block.request_ids:
-                    self._reply_to_clients(block)
-            self.committed_height = target
-            return
-        for commit_height in range(committed + 1, target + 1):
-            block = self.block_at_height.pop(commit_height, None)
-            if block is None:
-                continue
-            self.metrics.record_commit(
-                commit_height, self.sim.now, block.timestamp, block.payload_count
-            )
-            if self.request_driven and block.request_ids:
-                self._reply_to_clients(block)
-        self.committed_height = target
-
-    def _claim_requests(self, block: Block) -> None:
-        keys = {(cid, rid) for cid, rid, _send_time in block.request_ids}
-        self._claimed_requests |= keys
-        self.pending_requests = [
-            request
-            for request in self.pending_requests
-            if (request.client_id, request.request_id) not in keys
-        ]
-
-    def _reply_to_clients(self, block: Block) -> None:
-        for client_id, request_id, _send_time in block.request_ids:
-            self.send(client_id, Reply(self.id, request_id, self.sim.now))
-
-    # ------------------------------------------------------------------
-    # Campaign-plane compaction
-    # ------------------------------------------------------------------
-    def compact(self, keep: int = 128) -> None:
-        """Floor ``qc_heights`` at ``committed_height - keep`` and age the
-        claimed request keys (the generational scheme of
-        ``PbftReplica.compact``).
-
-        Blocks and vote sets retire themselves, in every run;
-        ``qc_heights`` is part of the state trace and the commit rule
-        reads two heights back, so it is only floored here.
-        """
-        floor = self.committed_height - keep
-        self.qc_heights = {h for h in self.qc_heights if h > floor}
-        self._claimed_requests_old = self._claimed_requests
-        self._claimed_requests = set()
+        self._try_commit(height)
+        self.propose(height + 1, block_hash)
 
     # ------------------------------------------------------------------
     # State transfer (a revived replica; see ClusterBase.catch_up)
     # ------------------------------------------------------------------
-    @property
-    def progress(self) -> int:
-        return self.committed_height
-
     def adopt_state(self, donor: "HotStuffReplica") -> None:
         """Adopt ``donor``'s commit point, uncommitted suffix, vote floor,
         highest QC and claimed request keys."""
-        self.committed_height = max(self.committed_height, donor.committed_height)
+        super().adopt_state(donor)
         # A replica holds blocks only until they commit, so the donor's
         # map is its uncommitted suffix; what this replica held at or
         # below the adopted commit point is retired with it.
@@ -429,8 +293,6 @@ class HotStuffReplica(ReplicaBase):
             self.high_qc is None or donor.high_qc.view > self.high_qc.view
         ):
             self.high_qc = donor.high_qc
-        self._claimed_requests |= donor._claimed_requests
-        self._claimed_requests_old |= donor._claimed_requests_old
 
 
 class HotStuffCluster(ClusterBase):

@@ -22,24 +22,21 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.consensus.base import ClusterBase, ReplicaBase
+from repro.consensus.base import GENESIS_HASH, ChainedReplica, ClusterBase
 from repro.consensus.messages import (
     AggregateVote,
     Block,
     ClientRequest,
     Forward,
     Proposal,
-    Reply,
     Vote,
 )
 from repro.crypto.signatures import KeyRegistry
-from repro.crypto.threshold import QuorumCertificate, aggregate
+from repro.crypto.threshold import aggregate
 from repro.net.deployments import Deployment
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.tree.topology import TreeConfiguration
-
-GENESIS_HASH = "genesis"
 
 _VOTE_SIZE = Vote.wire_size
 
@@ -64,7 +61,7 @@ class _Collection:
         self.timer: Optional[object] = None
 
 
-class KauriReplica(ReplicaBase):
+class KauriReplica(ChainedReplica):
     """One Kauri replica; its role follows the installed tree."""
 
     def __init__(
@@ -91,14 +88,9 @@ class KauriReplica(ReplicaBase):
         self.votes_needed = votes_needed or self.quorum
         # Per-child timeout: defaults to δ · round trip on the link.
         self._child_timeout = child_timeout
-        # Per-height state lives only while a handler can still read it
-        # (docs/ARCHITECTURE.md, "State lifetime"); only qc_heights waits
-        # for compact().
-        #: Root: own proposals not yet committed (tree-change recovery
-        #: and the commit rule read them), deleted on commit.
-        self.block_at_height: Dict[int, Block] = {}
-        self.qc_heights: Set[int] = set()
-        self.committed_height = 0
+        # block_at_height holds the root's own proposals (tree-change
+        # recovery and the commit rule read them); qc_heights is the
+        # root's and empty elsewhere.
         self.next_height = 1
         self.last_parent = GENESIS_HASH
         #: Root: heights proposed and not yet certified, and who voted
@@ -108,21 +100,12 @@ class KauriReplica(ReplicaBase):
         #: Intermediate: height -> collection, until the aggregate is sent.
         self.collections: Dict[int, _Collection] = {}
         self.pending_records: List = []
-        self.running = False
         #: Suspicions raised by aggregation timeouts (§6.3), folded per
         #: child as ``child -> (count, first_height, last_height)`` so a
         #: long-dead child costs O(1).  Nothing in ``src`` reads it yet:
         #: the reader is the engine test, and the event tap of ROADMAP
         #: item 4 when it lands.
         self.aggregation_suspicions: Dict[int, Tuple[int, int, int]] = {}
-        #: Request-driven mode (workload attached): the root batches
-        #: buffered client requests into proposals and replies on commit.
-        self.request_driven = False
-        self.pending_requests: List[ClientRequest] = []
-        #: Requests claimed by an observed proposal or already committed.
-        self._claimed_requests: Set = set()
-        #: Previous generation of claimed keys (see compact()).
-        self._claimed_requests_old: Set = set()
 
     # ------------------------------------------------------------------
     # Role helpers
@@ -164,9 +147,6 @@ class KauriReplica(ReplicaBase):
         self.running = True
         if self.is_root:
             self._fill_pipeline()
-
-    def stop(self) -> None:
-        self.running = False
 
     def install_tree(self, tree: TreeConfiguration) -> None:
         """Adopt a new tree (reconfiguration); collection state resets."""
@@ -242,14 +222,18 @@ class KauriReplica(ReplicaBase):
         votes.update(message.aggregate.signers)
         votes.add(src)
         if len(votes) >= self.votes_needed:
-            self.in_flight.discard(message.height)
-            del self.root_votes[message.height]
-            self.qc_heights.add(message.height)
-            self._try_commit(message.height)
-            # Tell the tree the height is certified (leaves learn commits
-            # through the next proposals in a real system; metrics-wise the
-            # root's view is what Fig. 9 reports).
-            self._fill_pipeline()
+            self._certify(message.height)
+
+    def _certify(self, height: int) -> None:
+        """Enough votes for ``height``: certify it, try the commit rule
+        and refill the pipeline.  (Leaves learn commits through the next
+        proposals in a real system; metrics-wise the root's view is what
+        Fig. 9 reports.)"""
+        self.in_flight.discard(height)
+        del self.root_votes[height]
+        self.qc_heights.add(height)
+        self._try_commit(height)
+        self._fill_pipeline()
 
     # ------------------------------------------------------------------
     # Intermediates: forwarding and aggregation
@@ -387,27 +371,9 @@ class KauriReplica(ReplicaBase):
             votes.add(src)
             if len(votes) >= needed:
                 self.sim.now = times[k]
-                self.in_flight.discard(height)
-                del root_votes[height]
-                self.qc_heights.add(height)
-                self._try_commit(height)
-                self._fill_pipeline()
+                self._certify(height)
                 return k + 1
         return count
-
-    def handle_ClientRequestBatch(self, srcs, requests, times) -> int:  # noqa: N802
-        """Bulk :meth:`handle_ClientRequest`: pure buffer appends."""
-        if not self.running or not self.request_driven:
-            return len(requests)
-        claimed = self._claimed_requests
-        claimed_old = self._claimed_requests_old
-        pending = self.pending_requests
-        for request in requests:
-            key = (request.client_id, request.request_id)
-            if key in claimed or key in claimed_old:
-                continue
-            pending.append(request)
-        return len(requests)
 
     def _flush_aggregate(self, height: int) -> None:
         collection = self.collections.get(height)
@@ -438,21 +404,8 @@ class KauriReplica(ReplicaBase):
         )
 
     # ------------------------------------------------------------------
-    # Client path (request-driven mode only)
+    # Request book and commits (request-driven mode; root's view)
     # ------------------------------------------------------------------
-    def handle_ClientRequest(self, src: int, request: ClientRequest) -> None:  # noqa: N802
-        """Buffer client traffic; only the root drains the buffer.
-
-        Clients broadcast to every replica, so a future root already
-        holds the backlog after a tree change.
-        """
-        if not self.running or not self.request_driven:
-            return
-        key = (request.client_id, request.request_id)
-        if key in self._claimed_requests or key in self._claimed_requests_old:
-            return
-        self.pending_requests.append(request)
-
     def _claim_requests(self, block: Block) -> None:
         """Drop requests the current root already put in flight.
 
@@ -465,48 +418,24 @@ class KauriReplica(ReplicaBase):
         drop that recovery on the floor.  Callers skip the call when
         there is nothing to claim (saturated mode, empty block).
         """
-        if block.proposer != self._root:
-            return
-        keys = {(cid, rid) for cid, rid, _send_time in block.request_ids}
-        self._claimed_requests |= keys
-        self.pending_requests = [
-            request
-            for request in self.pending_requests
-            if (request.client_id, request.request_id) not in keys
-        ]
+        if block.proposer == self._root:
+            super()._claim_requests(block)
 
-    # ------------------------------------------------------------------
-    # Campaign-plane compaction
-    # ------------------------------------------------------------------
-    def compact(self, keep: int = 128) -> None:
-        """Floor ``qc_heights`` at ``committed_height - keep`` and age the
-        claimed request keys.
-
-        Every other per-height map retires its own entries, in every run.
-        ``qc_heights`` (the root's; empty elsewhere) is part of the state
-        trace and the commit rule reads two heights back, so it is only
-        floored here; claimed keys age through two generations exactly as
-        in ``PbftReplica.compact``.
-        """
-        floor = self.committed_height - keep
-        self.qc_heights = {h for h in self.qc_heights if h > floor}
-        self._claimed_requests_old = self._claimed_requests
-        self._claimed_requests = set()
+    def _commit(self, height: int, block: Block) -> None:
+        # Only the root observes commits, so it alone replies and clients
+        # accept a single reply (replies_needed = 1).
+        if block.request_ids:
+            self._claim_requests(block)
+        super()._commit(height, block)
 
     # ------------------------------------------------------------------
     # State transfer and stranded requests (revival, tree change)
     # ------------------------------------------------------------------
-    @property
-    def progress(self) -> int:
-        return self.committed_height
-
     def adopt_state(self, donor: "KauriReplica") -> None:
         """Adopt ``donor``'s heights and claimed request keys (see
         ClusterBase.catch_up)."""
+        super().adopt_state(donor)
         self.next_height = max(self.next_height, donor.next_height)
-        self.committed_height = max(self.committed_height, donor.committed_height)
-        self._claimed_requests |= donor._claimed_requests
-        self._claimed_requests_old |= donor._claimed_requests_old
 
     def release_stranded(self) -> List[ClientRequest]:
         """Requests this replica proposed as root but never committed,
@@ -555,34 +484,8 @@ class KauriReplica(ReplicaBase):
         self._network_send(self.id, src, vote, _VOTE_SIZE)
 
     # ------------------------------------------------------------------
-    # Commit rule (3-chain, root's view)
+    # OptiLog records
     # ------------------------------------------------------------------
-    def _try_commit(self, height: int) -> None:
-        if height < 3:
-            return
-        qc_heights = self.qc_heights
-        if height - 1 not in qc_heights or height - 2 not in qc_heights:
-            return
-        target = height - 2
-        committed = self.committed_height
-        if target <= committed:
-            return
-        for commit_height in range(committed + 1, target + 1):
-            # Committed: no reader looks at or below committed_height.
-            block = self.block_at_height.pop(commit_height, None)
-            if block is None:
-                continue
-            self.metrics.record_commit(
-                commit_height, self.sim.now, block.timestamp, block.payload_count
-            )
-            if self.request_driven and block.request_ids:
-                # Only the root observes commits, so it alone replies and
-                # clients accept a single reply (replies_needed = 1).
-                self._claim_requests(block)
-                for client_id, request_id, _send_time in block.request_ids:
-                    self.send(client_id, Reply(self.id, request_id, self.sim.now))
-        self.committed_height = target
-
     def submit_record(self, record) -> None:
         """Queue an OptiLog record for inclusion in the next proposal."""
         self.pending_records.append(record)

@@ -44,10 +44,8 @@ from repro.consensus.messages import (
     Probe,
     ProbeReply,
     RecordGossip,
-    Reply,
 )
 from repro.core.pipeline import PipelineSettings
-from repro.core.records import LatencyVectorRecord
 from repro.core.suspicion import SuspicionSensor
 from repro.crypto.signatures import KeyRegistry
 from repro.net.deployments import Deployment
@@ -98,7 +96,6 @@ class PbftReplica(ReplicaBase):
         # Consensus state.
         self.seq = 0
         self.executed_seq = 0
-        self.pending_requests: List[ClientRequest] = []
         self.pending_records: List = []
         self.preprepares: Dict[int, PrePrepare] = {}
         self.prepare_weight: Dict[int, float] = {}
@@ -114,7 +111,6 @@ class PbftReplica(ReplicaBase):
         self.sent_commit: Set[int] = set()
         self.executed: Set[int] = set()
         self.in_flight: Optional[int] = None
-        self.running = False
         #: BFT-SMaRt without Wheat: uniform votes, majority quorum.
         self.uniform_voting = mode == "static"
         self._uniform_quorum = float(-(-(n + f + 1) // 2))  # ceil majority
@@ -158,9 +154,6 @@ class PbftReplica(ReplicaBase):
             self.handle_PrepareBatch = None
             self.handle_CommitBatch = None
             self._sensor = self.optilog.pipeline.suspicion_sensor
-        self._committed_requests: Set = set()
-        #: Previous generation of committed request keys (see compact()).
-        self._committed_requests_old: Set = set()
         #: Seqs at or below this were executed and compacted away; late
         #: messages for them are ignored like any other duplicate.
         self._compact_floor = 0
@@ -190,15 +183,6 @@ class PbftReplica(ReplicaBase):
             self._quorum_weight = config.quorum_weight
 
     # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        self.running = True
-
-    def stop(self) -> None:
-        self.running = False
-
-    # ------------------------------------------------------------------
     # Client path
     # ------------------------------------------------------------------
     def handle_ClientRequest(self, src: int, request: ClientRequest) -> None:  # noqa: N802
@@ -208,7 +192,7 @@ class PbftReplica(ReplicaBase):
         # whoever is leader when proposing drains the buffer, so requests
         # survive leader changes.
         key = (request.client_id, request.request_id)
-        if key in self._committed_requests or key in self._committed_requests_old:
+        if key in self._claimed_requests or key in self._claimed_requests_old:
             return
         self.pending_requests.append(request)
         if self.is_leader:
@@ -549,15 +533,15 @@ class PbftReplica(ReplicaBase):
         yields."""
         if not self.running:
             return len(requests)
-        committed = self._committed_requests
-        committed_old = self._committed_requests_old
+        claimed = self._claimed_requests
+        claimed_old = self._claimed_requests_old
         is_leader = self.is_leader
         sim = self.sim
         count = len(requests)
         for k in range(count):
             request = requests[k]
             key = (request.client_id, request.request_id)
-            if key in committed or key in committed_old:
+            if key in claimed or key in claimed_old:
                 continue
             # _maybe_propose rebinds pending_requests when it proposes, so
             # read the attribute fresh rather than holding an alias.
@@ -580,19 +564,8 @@ class PbftReplica(ReplicaBase):
         del self.commit_weight[seq]
         self.executed_seq = max(self.executed_seq, seq)
         block = self.preprepares[seq].block
-        self.metrics.record_commit(
-            seq, self.sim.now, block.timestamp, block.payload_count
-        )
-        committed_keys = set()
-        for client_id, request_id, _send_time in block.request_ids:
-            self.send(client_id, Reply(self.id, request_id, self.sim.now))
-            committed_keys.add((client_id, request_id))
-        self._committed_requests |= committed_keys
-        self.pending_requests = [
-            request
-            for request in self.pending_requests
-            if (request.client_id, request.request_id) not in committed_keys
-        ]
+        self._commit(seq, block)
+        self._claim_requests(block)
         if self.optilog is not None and block.records:
             # Gossip bursts commit whole blocks of records at once;
             # the batched path hoists the per-append lookups.
@@ -616,9 +589,7 @@ class PbftReplica(ReplicaBase):
         for pruned seqs are dropped exactly like duplicates.  Vote
         accumulators are not swept: the handler that decides a phase
         already deleted them (see the vote rule above ``handle_Prepare``).
-        Committed request keys use two generations: a key survives at
-        least one full compaction interval, which exceeds any in-flight
-        client request's delivery time, so de-duplication never misses.
+        Committed request keys age in ``ReplicaBase.compact``.
         Deterministic: pruning is a pure function of replica state.
         """
         floor = self.executed_seq - keep
@@ -633,8 +604,7 @@ class PbftReplica(ReplicaBase):
                 # rounds still waiting on a message keep everything.
                 live = self._sensor.forget_through(floor)
                 self.optilog.pipeline.suspicion_monitor.forget_rounds_through(floor, live)
-        self._committed_requests_old = self._committed_requests
-        self._committed_requests = set()
+        super().compact(keep)
 
     # ------------------------------------------------------------------
     # State transfer (a revived replica; see ClusterBase.catch_up)
@@ -649,12 +619,11 @@ class PbftReplica(ReplicaBase):
         committed OptiLog records slept through so the monitors converge
         with the fleet (the log is a prefix of the donor's: commit order
         is total)."""
+        super().adopt_state(donor)
         self.config = donor.config
         self.pending_config = None
         self.seq = max(self.seq, donor.seq)
         self.executed_seq = max(self.executed_seq, donor.executed_seq)
-        self._committed_requests |= donor._committed_requests
-        self._committed_requests_old |= donor._committed_requests_old
         self.in_flight = None
         if self.optilog is not None and donor.optilog is not None:
             mine = self.optilog.pipeline.log

@@ -97,9 +97,8 @@ class StreamingRunMetrics:
     """Drop-in ``RunMetrics`` twin backed by a :class:`MetricsSketch`.
 
     Replicas feed it through :meth:`commit_sink` -- a callable taking a
-    :class:`~repro.consensus.base.CommitEvent` -- or
-    :meth:`record_commit`; both fold into the sketch and keep no
-    per-commit state.
+    :class:`~repro.consensus.base.CommitEvent` -- which folds each event
+    into the sketch and keeps no per-commit state.
     """
 
     __slots__ = ("sketch",)
@@ -121,11 +120,6 @@ class StreamingRunMetrics:
             event.commit_time - event.propose_time,
             event.payload_count,
         )
-
-    def record_commit(
-        self, height: int, commit_time: float, propose_time: float, payload: int
-    ) -> None:
-        self.sketch.observe(commit_time, commit_time - propose_time, payload)
 
     # -- queries (RunMetrics API) --------------------------------------
     def total_requests(self) -> int:

@@ -4,9 +4,10 @@ The hottest allocations (votes, commit events, signatures) bypass the
 NamedTuple ``__new__`` wrapper via ``tuple.__new__(cls, (...))``, which
 skips arity checking.  These tests freeze the field layouts so adding a
 field to one of the classes fails HERE, pointing at the construction
-sites that must be updated (hotstuff.py, kauri.py, base.py,
-signatures.py), instead of surfacing as a malformed tuple at a distant
-receiver.
+sites that must be updated (``Vote`` in hotstuff.py and kauri.py,
+``CommitEvent`` only in base.py's ``ReplicaBase._commit``, ``Signature``
+in signatures.py), instead of surfacing as a malformed tuple at a
+distant receiver.
 """
 
 from repro.consensus.base import CommitEvent

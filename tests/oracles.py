@@ -1004,15 +1004,8 @@ def per_height_entries(cluster, exclude: Sequence[str] = ()) -> int:
 
 
 def commit_heights(cluster) -> List[int]:
-    """Per-replica commit heights: ``executed_seq`` (PBFT) or
-    ``committed_height`` (HotStuff/Kauri)."""
-    heights = []
-    for replica in cluster.replicas:
-        height = getattr(replica, "executed_seq", None)
-        if height is None:
-            height = getattr(replica, "committed_height", 0)
-        heights.append(height)
-    return heights
+    """Per-replica commit heights: every engine's ``progress``."""
+    return [replica.progress for replica in cluster.replicas]
 
 
 def assert_relaxed_equivalent(
