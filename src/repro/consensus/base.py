@@ -154,12 +154,6 @@ class ReplicaBase:
         # The live cache doubles as the network's delivery fast path:
         # classes it already maps skip the on_message dispatch frame.
         network.register_dispatch(replica_id, self._handler_cache)
-        # Relaxed-plane opt-in: the network probes the replica for
-        # handle_<Class>Batch methods and hands them same-class runs of
-        # queued deliveries (see Network.register_batch_endpoint for the
-        # contract batch handlers must follow).  A no-op on the exact
-        # plane and for protocols without batch handlers.
-        network.register_batch_endpoint(replica_id, self)
 
     def use_metrics(self, metrics: Any) -> None:
         """Swap the metrics observer and rebind the commit fast path.
@@ -306,20 +300,6 @@ class ChainedReplica(ReplicaBase):
         if key in self._claimed_requests or key in self._claimed_requests_old:
             return
         self.pending_requests.append(request)
-
-    def handle_ClientRequestBatch(self, srcs, requests, times) -> int:  # noqa: N802
-        """Bulk :meth:`handle_ClientRequest`: pure buffer appends."""
-        if not self.running or not self.request_driven:
-            return len(requests)
-        claimed = self._claimed_requests
-        claimed_old = self._claimed_requests_old
-        pending = self.pending_requests
-        for request in requests:
-            key = (request.client_id, request.request_id)
-            if key in claimed or key in claimed_old:
-                continue
-            pending.append(request)
-        return len(requests)
 
     # ------------------------------------------------------------------
     # Commit rule

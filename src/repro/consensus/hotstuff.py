@@ -26,10 +26,6 @@ from repro.sim.network import Network
 
 _VOTE_SIZE = Vote.wire_size
 
-#: Narrower columns tally faster row-by-row than through numpy.
-_BATCH_TALLY_MIN = 16
-
-
 class HotStuffReplica(ChainedReplica):
     """One chained-HotStuff replica."""
 
@@ -161,97 +157,6 @@ class HotStuffReplica(ChainedReplica):
             if block is None or block.hash != vote.block_hash:
                 return
             self._form_qc(height, vote.block_hash, voters)
-
-    # ------------------------------------------------------------------
-    # Relaxed-plane batch handlers (see Network.register_batch_endpoint
-    # for the contract: process rows in order, set sim.now before side
-    # effects, stop right after any row that sends or schedules)
-    # ------------------------------------------------------------------
-    def handle_VoteBatch(self, srcs, votes, times) -> int:  # noqa: N802
-        """Bulk :meth:`handle_Vote`: sub-quorum votes reduce to set adds.
-
-        Semantically a loop of per-message calls; the quorum-crossing
-        vote forms the QC at its own arrival time and yields control
-        back, because the resulting proposal broadcast may precede the
-        remaining votes in global event order.
-        """
-        if not self.running:
-            return len(votes)
-        votes_map = self.votes
-        qc_heights = self.qc_heights
-        quorum = self.quorum
-        round_robin = self._round_robin
-        fixed_leader = self.fixed_leader
-        n = self.n
-        my_id = self.id
-        count = len(votes)
-        if count >= _BATCH_TALLY_MIN:
-            # Bulk tally for the common wide column: every vote carries
-            # the same height (one round's fanout gathered in one run),
-            # so the per-row dict/set churn collapses to set reductions.
-            heights = {v[0] for v in votes}
-            if len(heights) == 1:
-                height = heights.pop()
-                next_leader = (height + 1) % n if round_robin else fixed_leader
-                if next_leader != my_id or height in qc_heights:
-                    # Not ours to count, or stragglers behind the QC.
-                    return count
-                voters = votes_map.get(height)
-                if voters is None:
-                    voters = votes_map[height] = set()
-                senders = [v[2] for v in votes]
-                new_voters = set(senders)
-                need = quorum - len(voters)
-                if need > count:
-                    # The whole column is sub-quorum: one bulk add.
-                    voters.update(new_voters)
-                    return count
-                if len(new_voters) == count and voters.isdisjoint(
-                    new_voters
-                ):
-                    # All-new distinct voters: quorum crosses at exactly
-                    # row ``need - 1``.
-                    k = need - 1
-                    voters.update(senders[: k + 1])
-                    block = self.block_at_height.get(height)
-                    vote = votes[k]
-                    if block is not None and block.hash == vote[1]:
-                        self.sim.now = times[k]
-                        self._form_qc(height, vote[1], voters)
-                        return k + 1
-                    # Hash mismatch at the crossing row: the per-row
-                    # loop below re-checks every later row (each is at
-                    # or past quorum), exactly as handle_Vote would.
-                    start = k + 1
-                else:
-                    # Duplicate or already-seen voters: the crossing
-                    # index depends on set growth; take the loop.
-                    start = 0
-            else:
-                start = 0
-        else:
-            start = 0
-        for k in range(start, count):
-            vote = votes[k]
-            # Vote rows are (height, block_hash, sender) NamedTuples;
-            # indexing skips three descriptor lookups per vote.
-            height = vote[0]
-            next_leader = (height + 1) % n if round_robin else fixed_leader
-            if next_leader != my_id or height in qc_heights:
-                continue
-            voters = votes_map.get(height)
-            if voters is None:
-                voters = votes_map[height] = set()
-            voters.add(vote[2])
-            if len(voters) >= quorum:
-                block = self.block_at_height.get(height)
-                block_hash = vote[1]
-                if block is None or block.hash != block_hash:
-                    continue
-                self.sim.now = times[k]
-                self._form_qc(height, block_hash, voters)
-                return k + 1
-        return count
 
     # ------------------------------------------------------------------
     # QCs

@@ -40,10 +40,6 @@ from repro.tree.topology import TreeConfiguration
 
 _VOTE_SIZE = Vote.wire_size
 
-#: Narrower columns tally faster row-by-row than through numpy.
-_BATCH_TALLY_MIN = 16
-
-
 class _Collection:
     """Vote collection state at an intermediate node, per height.
 
@@ -284,96 +280,6 @@ class KauriReplica(ChainedReplica):
             if collection.timer is not None:
                 collection.timer.cancel()
             self._flush_aggregate(vote.height)
-
-    # ------------------------------------------------------------------
-    # Relaxed-plane batch handlers (see Network.register_batch_endpoint
-    # for the contract: process rows in order, set sim.now before side
-    # effects, stop right after any row that sends or schedules)
-    # ------------------------------------------------------------------
-    def handle_VoteBatch(self, srcs, votes, times) -> int:  # noqa: N802
-        """Bulk :meth:`handle_Vote` at an intermediate: child votes below
-        the expected count reduce to set adds; the completing vote flushes
-        the aggregate upward at its own arrival time and yields."""
-        if not self.running or not self._is_intermediate:
-            return len(votes)
-        collections = self.collections
-        child_set = self._child_set
-        expected = self._expected_votes
-        count = len(votes)
-        if count >= _BATCH_TALLY_MIN:
-            # Bulk tally for the regular wide column: one height, all
-            # rows from distinct children not yet counted.
-            heights = {v[0] for v in votes}
-            if len(heights) == 1:
-                height = heights.pop()
-                collection = collections.get(height)
-                if collection is None:
-                    return count
-                new_votes = set(srcs)
-                cvotes = collection.votes
-                if (
-                    len(new_votes) == count
-                    and child_set.issuperset(new_votes)
-                    and cvotes.isdisjoint(new_votes)
-                ):
-                    need = expected - len(cvotes)
-                    if need > count:
-                        cvotes.update(srcs)
-                        return count
-                    k = need - 1
-                    cvotes.update(srcs[: k + 1])
-                    self.sim.now = times[k]
-                    if collection.timer is not None:
-                        collection.timer.cancel()
-                    self._flush_aggregate(height)
-                    return k + 1
-        for k in range(count):
-            vote = votes[k]
-            height = vote[0]
-            collection = collections.get(height)
-            if collection is None:
-                continue
-            src = srcs[k]
-            if src not in child_set:
-                continue
-            cvotes = collection.votes
-            cvotes.add(src)
-            if len(cvotes) >= expected:
-                self.sim.now = times[k]
-                if collection.timer is not None:
-                    collection.timer.cancel()
-                self._flush_aggregate(height)
-                return k + 1
-        return count
-
-    def handle_AggregateVoteBatch(self, srcs, messages, times) -> int:  # noqa: N802
-        """Bulk :meth:`handle_AggregateVote` at the root: signer-set
-        unions below the certification threshold are pure; the
-        certifying aggregate commits and refills the pipeline at its own
-        arrival time, then yields (the new proposals may precede the
-        remaining aggregates in event order)."""
-        if not self.running or self._root != self.id:
-            return len(messages)
-        intermediate_set = self._intermediate_set
-        root_votes = self.root_votes
-        needed = self.votes_needed
-        count = len(messages)
-        for k in range(count):
-            src = srcs[k]
-            if src not in intermediate_set:
-                continue
-            message = messages[k]
-            height = message.height
-            votes = root_votes.get(height)
-            if votes is None:
-                continue
-            votes.update(message.aggregate.signers)
-            votes.add(src)
-            if len(votes) >= needed:
-                self.sim.now = times[k]
-                self._certify(height)
-                return k + 1
-        return count
 
     def _flush_aggregate(self, height: int) -> None:
         collection = self.collections.get(height)

@@ -30,8 +30,6 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Set
 
-import numpy as np
-
 from repro.aware.optiaware import OptiAware
 from repro.aware.weights import WeightConfiguration
 from repro.consensus.base import ClusterBase, ReplicaBase
@@ -53,23 +51,6 @@ from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.workloads.base import ClientSiteRouter, Workload
 from repro.workloads.closed_loop import ClosedLoopWorkload
-
-#: Narrower columns tally faster row-by-row than through numpy.
-_BATCH_TALLY_MIN = 16
-
-#: The uniform-voting tally is numpy-free (count arithmetic plus one
-#: bitmask pass), so it beats the per-row loop -- which pays a dict
-#: round-trip and a quorum probe per row -- from two rows up.  Only the
-#: weighted tally needs the numpy-amortizing threshold above.
-_BATCH_TALLY_MIN_UNIFORM = 2
-
-try:
-    _popcount = int.bit_count  # Python >= 3.10
-except AttributeError:  # pragma: no cover - 3.9 fallback
-
-    def _popcount(value: int) -> int:
-        return bin(value).count("1")
-
 
 class PbftReplica(ReplicaBase):
     """One PBFT replica, optionally wrapped with Aware/OptiAware."""
@@ -145,14 +126,6 @@ class PbftReplica(ReplicaBase):
         #: are replayed after a reconfiguration adopts that leader.
         self.stale_preprepares: Dict[int, List[PrePrepare]] = {}
         if mode == "optiaware":
-            # Suspicion bookkeeping can raise (and gossip) the moment a
-            # late Prepare/Commit arrives, so any row may send -- which
-            # the batch-handler contract cannot express without yielding
-            # after every row.  Shadow the class-level batch handlers with
-            # None: the relaxed drain then delivers per row, which is
-            # exactly the exact plane's semantics.
-            self.handle_PrepareBatch = None
-            self.handle_CommitBatch = None
             self._sensor = self.optilog.pipeline.suspicion_sensor
         #: Seqs at or below this were executed and compacted away; late
         #: messages for them are ignored like any other duplicate.
@@ -253,8 +226,7 @@ class PbftReplica(ReplicaBase):
             )
         )
 
-    # One vote rule for Prepare and Commit, row handlers and batch
-    # handlers alike: (1) a sender's second vote is dropped; (2) the
+    # One vote rule for Prepare and Commit: (1) a sender's second vote is dropped; (2) the
     # OptiAware sensor sees every vote, late ones included; (3) the door:
     # a vote for a decided phase (Prepare after our Commit went out,
     # Commit after execution) or for a compacted seq returns without
@@ -323,236 +295,6 @@ class PbftReplica(ReplicaBase):
         self.commit_weight[seq] = weight
         if weight >= self._quorum_weight:
             self._maybe_execute(seq)
-
-    # ------------------------------------------------------------------
-    # Relaxed-plane batch handlers (see Network.register_batch_endpoint
-    # for the contract: process rows in order, set sim.now before side
-    # effects, stop right after any row that sends or schedules).
-    # Disabled per instance in optiaware mode (see __init__): there a
-    # late arrival can gossip a suspicion from inside the sensor feed, so
-    # no batch handler ever has a sensor to feed.
-    # ------------------------------------------------------------------
-    def _tally_batch(
-        self, srcs, messages, times, senders_map, weight_map, closed, armed, fire
-    ) -> Optional[int]:
-        """numpy reduction over one ack column (Prepare or Commit rows).
-
-        Applies when the column is *regular*: one seq throughout,
-        all-new distinct senders.  A ``closed`` column (the door) is
-        consumed without a write.  Otherwise sub-quorum rows collapse to
-        a bulk set update plus a sequential ``np.cumsum`` of the sender
-        weights (bit-identical to the per-row float adds: cumsum folds
-        left in order), and the quorum-crossing row -- the first partial
-        sum at or past the quorum weight, found by ``searchsorted`` --
-        calls ``fire`` at its own arrival time when ``armed``.  Returns
-        the consumed count, or ``None`` to fall back to the per-row loop.
-        """
-        count = len(messages)
-        # Prepare and Commit rows both carry ``seq`` at index 1; set
-        # comprehensions beat numpy extraction for these checks.
-        seqset = {m[1] for m in messages}
-        if len(seqset) != 1:
-            return None
-        seq = seqset.pop()
-        mask = 0
-        for src in srcs:
-            mask |= 1 << src
-        if _popcount(mask) != count:
-            return None
-        senders = senders_map.get(seq, 0)
-        if senders & mask:
-            return None
-        sim = self.sim
-        if closed:
-            sim.now = times[count - 1]
-            return count
-        pre = weight_map.get(seq, 0.0)
-        if self.uniform_voting:
-            # Count-only tally: every weight is exactly 1.0, so the
-            # running totals are the exact floats ``pre + 1 ..
-            # pre + count`` and the crossing index is arithmetic --
-            # bit-identical to the cumsum it replaces (integers below
-            # 2**53), without materializing any weight arrays.
-            full = pre + float(count)
-            if not armed or full < self._quorum_weight:
-                senders_map[seq] = senders | mask
-                weight_map[seq] = full
-                sim.now = times[count - 1]
-                return count
-            k = int(self._quorum_weight - pre) - 1
-            if k < 0:
-                k = 0
-            partial = 0
-            for src in srcs[: k + 1]:
-                partial |= 1 << src
-            senders_map[seq] = senders | partial
-            weight_map[seq] = pre + float(k + 1)
-            sim.now = times[k]
-            fire(seq)
-            return k + 1
-        weight_of = self._weights.__getitem__
-        weights = np.empty(count + 1)
-        weights[1:] = np.fromiter(
-            (weight_of(src) for src in srcs), dtype=float, count=count
-        )
-        weights[0] = pre
-        totals = np.cumsum(weights)
-        if not armed:
-            senders_map[seq] = senders | mask
-            weight_map[seq] = totals.item(count)
-            sim.now = times[count - 1]
-            return count
-        # First row whose running weight reaches the quorum (totals[0]
-        # is the pre-batch weight, so row k's total is totals[k + 1]).
-        k = int(np.searchsorted(totals[1:], self._quorum_weight))
-        if k >= count:
-            senders_map[seq] = senders | mask
-            weight_map[seq] = totals.item(count)
-            sim.now = times[count - 1]
-            return count
-        partial = 0
-        for src in srcs[: k + 1]:
-            partial |= 1 << src
-        senders_map[seq] = senders | partial
-        weight_map[seq] = totals.item(k + 1)
-        sim.now = times[k]
-        fire(seq)
-        return k + 1
-
-    def handle_PrepareBatch(self, srcs, messages, times) -> int:  # noqa: N802
-        """Bulk :meth:`handle_Prepare`: sub-quorum prepares reduce to a
-        set add plus a weight accumulate; the quorum-crossing prepare
-        broadcasts our Commit at its own arrival time and yields."""
-        if not self.running:
-            return len(messages)
-        sim = self.sim
-        prepare_senders = self.prepare_senders
-        prepare_weight = self.prepare_weight
-        sent_commit = self.sent_commit
-        floor = self._compact_floor
-        quorum = self._quorum_weight
-        weights = self._weights
-        count = len(messages)
-        tally_min = (
-            _BATCH_TALLY_MIN_UNIFORM
-            if self.uniform_voting
-            else _BATCH_TALLY_MIN
-        )
-        if count >= tally_min and self.optilog is None:
-            seq = messages[0].seq
-            consumed = self._tally_batch(
-                srcs,
-                messages,
-                times,
-                prepare_senders,
-                prepare_weight,
-                closed=seq in sent_commit or seq <= floor,
-                armed=seq in self.preprepares,
-                fire=self._maybe_send_commit,
-            )
-            if consumed is not None:
-                return consumed
-        for k in range(count):
-            seq = messages[k].seq
-            senders = prepare_senders.get(seq, 0)
-            src = srcs[k]
-            bit = 1 << src
-            if senders & bit:
-                continue
-            sim.now = times[k]
-            if seq in sent_commit or seq <= floor:
-                continue
-            prepare_senders[seq] = senders | bit
-            weight = prepare_weight.get(seq, 0.0) + (
-                1.0 if weights is None else weights[src]
-            )
-            prepare_weight[seq] = weight
-            if weight >= quorum:
-                self._maybe_send_commit(seq)
-                if seq in sent_commit:
-                    return k + 1
-        return count
-
-    def handle_CommitBatch(self, srcs, messages, times) -> int:  # noqa: N802
-        """Bulk :meth:`handle_Commit`; the quorum-crossing commit executes
-        the block (replies, config adoption, next proposal) at its own
-        arrival time and yields."""
-        if not self.running:
-            return len(messages)
-        sim = self.sim
-        commit_senders = self.commit_senders
-        commit_weight = self.commit_weight
-        executed = self.executed
-        floor = self._compact_floor
-        quorum = self._quorum_weight
-        weights = self._weights
-        count = len(messages)
-        tally_min = (
-            _BATCH_TALLY_MIN_UNIFORM
-            if self.uniform_voting
-            else _BATCH_TALLY_MIN
-        )
-        if count >= tally_min and self.optilog is None:
-            seq = messages[0].seq
-            consumed = self._tally_batch(
-                srcs,
-                messages,
-                times,
-                commit_senders,
-                commit_weight,
-                closed=seq in executed or seq <= floor,
-                armed=seq in self.sent_commit,
-                fire=self._maybe_execute,
-            )
-            if consumed is not None:
-                return consumed
-        for k in range(count):
-            seq = messages[k].seq
-            senders = commit_senders.get(seq, 0)
-            src = srcs[k]
-            bit = 1 << src
-            if senders & bit:
-                continue
-            sim.now = times[k]
-            if seq in executed or seq <= floor:
-                continue
-            commit_senders[seq] = senders | bit
-            weight = commit_weight.get(seq, 0.0) + (
-                1.0 if weights is None else weights[src]
-            )
-            commit_weight[seq] = weight
-            if weight >= quorum:
-                self._maybe_execute(seq)
-                if seq in executed:
-                    return k + 1
-        return count
-
-    def handle_ClientRequestBatch(self, srcs, requests, times) -> int:  # noqa: N802
-        """Bulk :meth:`handle_ClientRequest`: buffer appends are pure; at
-        the leader a request that starts a proposal broadcasts and
-        yields."""
-        if not self.running:
-            return len(requests)
-        claimed = self._claimed_requests
-        claimed_old = self._claimed_requests_old
-        is_leader = self.is_leader
-        sim = self.sim
-        count = len(requests)
-        for k in range(count):
-            request = requests[k]
-            key = (request.client_id, request.request_id)
-            if key in claimed or key in claimed_old:
-                continue
-            # _maybe_propose rebinds pending_requests when it proposes, so
-            # read the attribute fresh rather than holding an alias.
-            self.pending_requests.append(request)
-            if is_leader:
-                sim.now = times[k]
-                before = self.in_flight
-                self._maybe_propose()
-                if self.in_flight is not before:
-                    return k + 1
-        return count
 
     def _maybe_execute(self, seq: int) -> None:
         """Commit quorum reached: execute once our own Commit went out

@@ -72,6 +72,10 @@ class CampaignSpec:
             )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
+        if self.compact_keep < 0:
+            # A negative keep puts PBFT's compaction floor above its
+            # executed seq, so every in-flight vote reads as a duplicate.
+            raise ValueError(f"compact_keep must be >= 0, got {self.compact_keep}")
 
     def shard_scenario(self, shard: int) -> Scenario:
         """The scenario one shard runs: derived seed, streaming metrics.

@@ -62,7 +62,7 @@ import struct
 from typing import Any, Dict, Optional
 
 MAGIC = b"RPROCKPT"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 _HEADER_STRUCT = struct.Struct("<I")
 _PAYLOAD_STRUCT = struct.Struct("<Q")

@@ -68,10 +68,9 @@ heap, and the drain merges the window against the heap's head:
 ``plane="columnar-fast"`` (constructor arg; ``"columnar"`` is accepted
 as a synonym of the default ``"object"``) is the relaxed campaign path:
 *every* pending row lives in the store, and each pass of its drain cuts
-the same kind of window but delivers it destination-major, handing each
-destination's maximal same-class run to its batch handler
-(``handle_<Class>Batch``) in ONE call -- even when, on the exact plane,
-interleaved traffic to other destinations would have split the run.
+the same kind of window but delivers it destination-major -- every row
+for one destination, in ``(time, seq)`` order, before the next
+destination's -- through the same per-row handlers as the exact plane.
 Semantics are *documented-equivalent*, not bit-identical: per-row
 ``(time, seq)`` keys, jitter draws and seq allocation are exactly the
 exact plane's, and no row is ever reordered across a timer barrier, but
@@ -182,9 +181,7 @@ class _FastSpine:
     checkpoints still serialize the packed :data:`_FAST_DTYPE` rows.
     What a whole fanout shares is stored once per *pool slot*: ``pool``
     holds the message objects the ``msgs`` column indexes, ``slot_srcs``
-    / ``slot_clss`` their sender and small-int class code
-    (``Network._cls_codes``; the relaxed drain finds same-class runs
-    with one vectorized scan of the gathered codes).
+    their senders.
 
     Each column is split in three: ``[:lo]`` is the dead front (already
     delivered; reclaimed by :meth:`grow` and :meth:`settle`),
@@ -208,7 +205,7 @@ class _FastSpine:
 
     __slots__ = (
         "times", "seqs", "dsts", "msgs", "count", "pool", "slot_srcs",
-        "slot_clss", "armed", "live", "seq_base", "lo", "sorted_end",
+        "armed", "live", "seq_base", "lo", "sorted_end",
     )
 
     def __init__(self):
@@ -219,7 +216,6 @@ class _FastSpine:
         self.count = 0
         self.pool: list = []
         self.slot_srcs = np.empty(64, dtype=np.uint32)
-        self.slot_clss = np.empty(64, dtype=np.uint32)
         self.armed: Optional[tuple] = None
         self.live: set = set()
         self.seq_base = 0
@@ -256,16 +252,14 @@ class _FastSpine:
         self.count = live
         return live
 
-    def add_slot(self, message: Any, src: int, code: int) -> int:
+    def add_slot(self, message: Any, src: int) -> int:
         """Intern ``message`` (one slot serves a whole fanout)."""
         pool = self.pool
         slot = len(pool)
         if slot == len(self.slot_srcs):
             pad = np.empty(slot, dtype=np.uint32)
             self.slot_srcs = np.concatenate((self.slot_srcs, pad))
-            self.slot_clss = np.concatenate((self.slot_clss, pad))
         self.slot_srcs[slot] = src
-        self.slot_clss[slot] = code
         pool.append(message)
         return slot
 
@@ -426,7 +420,6 @@ class _FastSpine:
             uniq, inverse = np.unique(msgs, return_inverse=True)
             self.pool = [pool[m] for m in uniq.tolist()]
             self.slot_srcs = self.slot_srcs[uniq]
-            self.slot_clss = self.slot_clss[uniq]
             msgs[:] = inverse.astype(np.uint32)
         if lo > live_n and lo > 4096:
             # Shift-to-front once the dead front dominates.
@@ -465,16 +458,14 @@ class _FastSpine:
         slots = len(self.pool)
         return (
             rows, self.pool, self.armed, self.live, self.seq_base,
-            self.slot_srcs[:slots].copy(), self.slot_clss[:slots].copy(),
+            self.slot_srcs[:slots].copy(),
         )
 
     def __setstate__(self, state):
-        rows, self.pool, self.armed, self.live, self.seq_base, srcs, clss = state
+        rows, self.pool, self.armed, self.live, self.seq_base, srcs = state
         slots = max(64, len(self.pool))
         self.slot_srcs = np.zeros(slots, dtype=np.uint32)
-        self.slot_clss = np.zeros(slots, dtype=np.uint32)
         self.slot_srcs[: len(srcs)] = srcs
-        self.slot_clss[: len(clss)] = clss
         n = len(rows)
         self.count = n
         self.lo = self.sorted_end = 0
@@ -591,8 +582,8 @@ class Network:
     plane:
         ``"object"`` (default; ``"columnar"`` is a synonym) or
         ``"columnar-fast"`` -- see the module docstring.  The latter
-        trades exact per-row interleaving for coalesced barrier-window
-        delivery (documented-equivalent final metrics).
+        trades exact cross-destination interleaving for destination-major
+        window delivery (documented-equivalent final metrics).
     """
 
     #: Pristine exact-plane multicasts with at least this fanout park
@@ -636,17 +627,6 @@ class Network:
         self.jitter = jitter
         self._stats = NetworkStats()
         self._fast = _FastSpine()
-        #: message class -> small-int code for the store's per-slot
-        #: class column.  Pickled with the network: parked slots carry
-        #: codes, so the mapping must stay consistent across a resume.
-        self._cls_codes: Dict[type, int] = {}
-        #: node id -> object probed for ``handle_<Class>Batch`` methods.
-        self._batch_endpoints: Dict[int, Any] = {}
-        #: ``(cls code << 32) | dst`` -> resolved dispatch tuple for the
-        #: relaxed drain's run loop (see ``_resolve_fast_dispatch``).
-        #: Pure cache: cleared on every registration change, never
-        #: pickled.
-        self._fast_dispatch: Dict[int, tuple] = {}
         self._handlers: Dict[int, Callable[[int, Any], None]] = {}
         #: node id -> its class->bound-handler cache (see
         #: :meth:`register_dispatch`); lets delivery call the terminal
@@ -699,12 +679,10 @@ class Network:
           re-derived from the restored provider so a provider without a
           ``rows`` matrix (or ``row()`` view) never resurrects a stale
           one.
-        * The store (``_fast``) and ``_batch_endpoints`` pickle
-          verbatim: rows hold only plain values and messages, and the
-          endpoints are replicas already in the checkpoint graph.  A
-          drain's window never outlives the drain call (what it cannot
-          deliver it puts back), so the store and the heap are all there
-          is to save.  The drain callback queued in the heap is a plain
+        * The store (``_fast``) pickles verbatim: rows hold only plain
+          values and messages.  A drain's window never outlives the
+          drain call (what it cannot deliver it puts back), so the store
+          and the heap are all there is to save.  The drain callback queued in the heap is a plain
           bound method and needs no persistent-id treatment.
         """
         state = self.__dict__.copy()
@@ -714,7 +692,6 @@ class Network:
             "_delay_rows",
             "_delay_row_fn",
             "_jitter_random",
-            "_fast_dispatch",
             "_delay_row_arrays",
             "_delay_floor",
         ):
@@ -724,7 +701,6 @@ class Network:
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
         self._jitter_random = self._jitter_rng.random
-        self._fast_dispatch = {}
         self._delay_row_arrays = {}
         self.one_way_delay = self._one_way_delay  # rows, row fn and floor
         self._deliver_bound = self._make_deliver()
@@ -790,7 +766,6 @@ class Network:
     def register(self, node_id: int, handler: Callable[[int, Any], None]) -> None:
         """Register ``handler(src, message)`` as the inbox of ``node_id``."""
         self._handlers[node_id] = handler
-        self._fast_dispatch.clear()
 
     def register_dispatch(
         self, node_id: int, dispatch: Dict[type, Optional[Callable]]
@@ -807,33 +782,6 @@ class Network:
         to no handler, exactly as the generic inbox behaves.
         """
         self._routes[node_id] = dispatch
-        self._fast_dispatch.clear()
-
-    def register_batch_endpoint(self, node_id: int, endpoint: Any) -> None:
-        """Relaxed-plane opt-in: deliver same-class runs in bulk.
-
-        ``endpoint`` (usually the replica object) is probed lazily for
-        ``handle_<ClassName>Batch(srcs, messages, times)`` methods; when
-        one exists, the relaxed drain (:meth:`_drain_fast`) hands it a
-        run of *two or more* same-class rows bound for this node instead
-        of delivering them one at a time.  Single-row runs, and every
-        row on the exact plane, keep the ordinary per-row delivery: a
-        batched class must therefore retain an equivalent per-row
-        handler.
-
-        Batch-handler contract:
-
-        * Rows must be processed in order, with ``sim.now`` set to
-          ``times[k]`` before row ``k``'s side effects (the drain sets it
-          to ``times[0]`` before the call).
-        * The handler returns the number of rows it consumed (clamped to
-          ``1..len(rows)``) and is called again on the remainder; the
-          shipped handlers stop right after a row that sends or
-          schedules.
-        * Returning ``None`` means "all rows consumed".
-        """
-        self._batch_endpoints[node_id] = endpoint
-        self._fast_dispatch.clear()
 
     def set_down(self, node_id: int, down: bool = True) -> None:
         """Crash (or revive) a node: messages to and from it are dropped."""
@@ -977,14 +925,10 @@ class Network:
             count = fast.count
             if count == len(fast.times):
                 count = fast.grow(1)
-            codes = self._cls_codes
-            code = codes.get(cls)
-            if code is None:
-                code = codes[cls] = len(codes)
             fast.times[count] = time
             fast.seqs[count] = seq - fast.seq_base
             fast.dsts[count] = dst
-            fast.msgs[count] = fast.add_slot(message, src, code)
+            fast.msgs[count] = fast.add_slot(message, src)
             fast.count = count + 1
             armed = fast.armed
             if armed is None or time < armed[0] or (
@@ -1388,12 +1332,7 @@ class Network:
             fast.times[count:need] = times
             fast.seqs[count:need] = seqs
             fast.dsts[count:need] = dst_arr
-            codes = self._cls_codes
-            cls = message.__class__
-            code = codes.get(cls)
-            if code is None:
-                code = codes[cls] = len(codes)
-            fast.msgs[count:need] = fast.add_slot(message, src, code)
+            fast.msgs[count:need] = fast.add_slot(message, src)
             fast.count = need
             # argmin returns the first occurrence of the minimum, i.e.
             # the lowest seq among time ties -- exactly the earliest
@@ -1406,60 +1345,17 @@ class Network:
             for _ in range(nself):
                 self._deliver_bound(src, src, message)
 
-    def _resolve_fast_dispatch(self, dst: int, cls: type, code: int) -> tuple:
-        """Resolve (and usually memoize) the relaxed drain's dispatch
-        for one ``(dst, message class)`` pair.
-
-        Returns ``(batch_handler, per_row_fn, counted)``:
-
-        * ``batch_handler`` -- the ``handle_<Class>Batch`` method when
-          ``dst`` registered a batch endpoint exposing one, else None.
-        * ``per_row_fn`` -- the terminal handler from the node's live
-          dispatch map when resolved, else its generic inbox, else None.
-        * ``counted`` -- False only for unregistered destinations, whose
-          rows count as dropped.
-
-        The entry is cached under ``(code << 32) | dst`` (collision-free:
-        dst is a u4 column value) and the cache is cleared by every
-        ``register*``/``unregister`` call.  One transient case is served
-        uncached: a node with a dispatch map that has not resolved this
-        class yet.  Its inbox populates the live map on first dispatch,
-        so memoizing here would pin the slow inbox path forever -- the
-        next run re-resolves and picks up the terminal handler.
-        """
-        bh = None
-        endpoint = self._batch_endpoints.get(dst)
-        if endpoint is not None:
-            bh = getattr(endpoint, "handle_" + cls.__name__ + "Batch", None)
-        route = self._routes.get(dst)
-        if route is not None:
-            handler = route.get(cls, _UNRESOLVED)
-            if handler is not _UNRESOLVED:
-                ent = (bh, handler, True)
-                self._fast_dispatch[(code << 32) | dst] = ent
-                return ent
-            fallback = self._handlers.get(dst)
-            return (bh, fallback, fallback is not None)
-        fallback = self._handlers.get(dst)
-        ent = (bh, fallback, fallback is not None)
-        self._fast_dispatch[(code << 32) | dst] = ent
-        return ent
-
     def _drain_fast(self, time: float, seq: int) -> None:
-        """Cursor callback for the relaxed plane: coalesce EVERY pending
-        row that precedes the next timer barrier into destination-major
-        batch deliveries.
+        """Cursor callback for the relaxed plane: deliver EVERY pending
+        row that precedes the next timer barrier, destination-major.
 
         Each pass snapshots the barrier (next non-cancelled heap event,
         capped by the horizon), cuts the window below it and delivers
-        the cut grouped by destination -- within a destination in
-        ``(time, seq)`` order, maximal same-class runs handed to the
-        batch handler in one call (re-called on the remainder when it
-        consumes partially; the relaxed plane drops the exact plane's
-        stop-after-send rule, which is the coalescing win).  No row is
-        ever held past a barrier: passes repeat until nothing pending
+        the cut in ``(dst, time, seq)`` order, each row through the same
+        route -> inbox lookup as :meth:`_drain_store`.  No row is ever
+        held past a barrier: passes repeat until nothing pending
         precedes it.  ``sim.now`` is set to each row's arrival time
-        before its side effects, so it can step backwards across
+        before its handler runs, so it can step backwards across
         destination groups -- documented-equivalent, not bit-identical.
 
         With a positive ``delay_floor`` the window invariant holds, so
@@ -1478,8 +1374,10 @@ class Network:
             return  # Stale cursor: an earlier drain already passed this key.
         sim = self.sim
         horizon = sim.horizon
-        dispatch_get = self._fast_dispatch.get
-        resolve = self._resolve_fast_dispatch
+        deliver = self._deliver_bound
+        routes_get = self._routes.get
+        handlers_get = self._handlers.get
+        unresolved = _UNRESOLVED
         stats = self._stats
         counters = stats.plane
         floor = self._delay_floor if self._delay_floor > 0.0 else _INF
@@ -1499,92 +1397,46 @@ class Network:
             )
             if btimes is None:
                 break
-            # lexsort puts this pass's batch into the total (dst, time,
-            # seq) delivery order.  Maximal same-destination same-class
-            # runs are found with one vectorized boundary scan over the
-            # (dst, cls) columns; the data columns are converted to
-            # Python lists once per pass so the run loop below never
-            # pays per-row numpy scalar costs.
+            # lexsort puts this pass's window into the total (dst, time,
+            # seq) delivery order; the columns become Python lists once
+            # per pass so the row loop pays no numpy scalar costs.
             order = np.lexsort((bseqs, btimes, bdsts))
-            total = len(order)
             counters["windows"] += 1
-            counters["window_rows"] += total
+            counters["window_rows"] += len(order)
             pool = fast.pool
-            dstcol = bdsts[order]
             slots = bmsgs[order]
-            clscol = fast.slot_clss[slots]
-            if total > 1:
-                change = (dstcol[1:] != dstcol[:-1]) | (
-                    clscol[1:] != clscol[:-1]
-                )
-                edges = [0]
-                edges.extend((np.flatnonzero(change) + 1).tolist())
-                edges.append(total)
-            else:
-                edges = [0, total]
-            bt_l = btimes[order].tolist()
-            bd_l = dstcol.tolist()
-            bs_l = fast.slot_srcs[slots].tolist()
-            bm_l = slots.tolist()
-            cc_l = clscol.tolist()
-            # Run dispatch: one int-keyed cache lookup per (dst, cls)
-            # run replaces the route/batch-route/getattr resolution
-            # chain; stats accumulate in locals and flush once per pass.
-            delivered = 0
-            dropped = 0
-            for ri in range(len(edges) - 1):
-                r = edges[ri]
-                e = edges[ri + 1]
-                dst = bd_l[r]
+            delivered = dropped = fallbacks = 0
+            for t, dst, src, slot in zip(
+                btimes[order].tolist(),
+                bdsts[order].tolist(),
+                fast.slot_srcs[slots].tolist(),
+                slots.tolist(),
+            ):
+                sim.now = t
+                message = pool[slot]
                 if not self._pristine:
                     # A fault landed while rows were in flight: per-row
                     # delivery-time checks, as on the exact plane.
-                    for idx in range(r, e):
-                        sim.now = bt_l[idx]
-                        self._deliver_bound(bs_l[idx], dst, pool[bm_l[idx]])
-                    counters["fault_fallbacks"] += e - r
+                    deliver(src, dst, message)
+                    fallbacks += 1
                     continue
-                width = e - r
-                ent = dispatch_get((cc_l[r] << 32) | dst)
-                if ent is None:
-                    ent = resolve(dst, pool[bm_l[r]].__class__, cc_l[r])
-                bh = ent[0]
-                if bh is not None and width > 1:
-                    srcs = bs_l[r:e]
-                    messages = [pool[m] for m in bm_l[r:e]]
-                    ts = bt_l[r:e]
-                    start = 0
-                    while start < width:
-                        sim.now = ts[start]
-                        if start:
-                            consumed = bh(
-                                srcs[start:], messages[start:], ts[start:]
-                            )
-                        else:
-                            consumed = bh(srcs, messages, ts)
-                        if consumed is None:
-                            consumed = width - start
-                        elif consumed < 1:
-                            consumed = 1
-                        elif consumed > width - start:
-                            consumed = width - start
-                        start += consumed
-                    delivered += width
-                    continue
-                fn = ent[1]
-                if fn is not None:
-                    delivered += width
-                    for idx in range(r, e):
-                        sim.now = bt_l[idx]
-                        fn(bs_l[idx], pool[bm_l[idx]])
-                elif ent[2]:
-                    delivered += width
-                else:
-                    dropped += width
-            if delivered:
-                stats.messages_delivered += delivered
-            if dropped:
-                stats.messages_dropped += dropped
+                route = routes_get(dst)
+                handler = (
+                    route.get(message.__class__, unresolved)
+                    if route is not None
+                    else unresolved
+                )
+                if handler is unresolved:
+                    handler = handlers_get(dst)
+                    if handler is None:
+                        dropped += 1
+                        continue
+                delivered += 1
+                if handler is not None:
+                    handler(src, message)
+            stats.messages_delivered += delivered
+            stats.messages_dropped += dropped
+            counters["fault_fallbacks"] += fallbacks
         nkey = fast.armed = fast.settle(sim._seq)
         if nkey is not None and nkey not in live:
             self._arm(nkey)

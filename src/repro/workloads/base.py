@@ -190,9 +190,6 @@ class WorkloadClient:
         self._send_times: Dict[int, float] = {}
         self._voters: Dict[int, set] = {}
         binding.network.register(client_id, self.on_message)
-        # The relaxed plane hands consecutive same-class reply runs to
-        # handle_ReplyBatch in one call instead of per-row dispatch.
-        binding.network.register_batch_endpoint(client_id, self)
 
     def __setstate__(self, state: Dict) -> None:
         # A client restored from a checkpoint skips __init__, but its
@@ -235,44 +232,6 @@ class WorkloadClient:
                 sink(now, now - send_time)
             if self.on_complete is not None:
                 self.on_complete(self)
-
-    def handle_ReplyBatch(self, srcs, messages, times) -> Optional[int]:
-        """Batch twin of :meth:`on_message` for ``Reply`` runs
-        (see ``Network.register_batch_endpoint``).
-
-        Rows that only accumulate a voter mutate local state and are
-        consumed freely; a row that completes a request sets ``sim.now``
-        to its arrival time first (the latency sample and anything
-        ``on_complete`` does must observe it) and, when an
-        ``on_complete`` callback exists, stops the batch right after --
-        the callback may submit a new request, and those sends must
-        precede the remaining rows in global event order.
-        """
-        voters_map = self._voters
-        needed = self.replies_needed
-        sim = self.sim
-        on_complete = self.on_complete
-        k = 0
-        for message in messages:
-            voters = voters_map.get(message.request_id)
-            if voters is not None:
-                voters.add(srcs[k])
-                if len(voters) >= needed:
-                    sim.now = times[k]
-                    send_time = self._send_times.pop(message.request_id)
-                    del voters_map[message.request_id]
-                    self.completed += 1
-                    now = sim.now
-                    sink = self._latency_sink
-                    if sink is None:
-                        self.latencies.append((now, now - send_time))
-                    else:
-                        sink(now, now - send_time)
-                    if on_complete is not None:
-                        on_complete(self)
-                        return k + 1
-            k += 1
-        return None
 
     def latency_series(self, duration: float, bucket: float = 1.0):
         """Mean end-to-end latency per time bucket."""

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.__main__ import main
 from repro.experiments.campaign import (
     CampaignSpec,
     campaign_to_json,
@@ -77,6 +78,15 @@ def test_spec_validates_inputs():
         _spec(checkpoint_every=0.0)
     with pytest.raises(ValueError, match="shards"):
         _spec(shards=0)
+
+
+def test_negative_compact_keep_is_refused_before_anything_runs():
+    # A negative keep stalled PBFT (the compaction floor passed the
+    # executed seq) and the campaign spun toward max_slices.
+    with pytest.raises(ValueError, match="compact_keep must be >= 0, got -5"):
+        _spec(compact_keep=-5)
+    with pytest.raises(SystemExit, match=r"^error: compact_keep must be >= 0"):
+        main(["campaign", "--deployment", "wonderproxy-4", "--compact-keep", "-1"])
 
 
 def test_shard_targets_split_with_remainder_up_front():

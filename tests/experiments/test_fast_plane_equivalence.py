@@ -11,8 +11,12 @@ protocols, workloads and seeds.
 
 Faulted scenarios silently fall back to the object plane, and the
 structured-array spine checkpoints: a cut/resumed columnar-fast run
-replays bit-identically to the uninterrupted one.
+replays bit-identically to the uninterrupted one.  Eight pinned runs
+hold the relaxed plane's own bytes (result JSON and state trace), so a
+drain rewrite that should not change them cannot drift silently.
 """
+
+import hashlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -162,3 +166,70 @@ def test_fast_spine_checkpoint_resume_is_bit_identical(tmp_path):
     assert state_trace_hash(restored.cluster) == state_trace_hash(
         baseline.cluster
     )
+
+
+# ----------------------------------------------------------------------
+# Relaxed-plane pins: the bytes a columnar-fast run produces
+# ----------------------------------------------------------------------
+_OPEN_LOOP = (("rate", 200.0), ("clients", 2))
+
+#: (protocol, deployment, workload, params, duration, jitter) ->
+#: (sha256 of ``result.to_json(indent=2)``, ``state_trace_hash``), seed 1,
+#: delta 1.25.  Only a change to what the relaxed plane computes may
+#: re-record them.
+_RELAXED_PINS = {
+    ("pbft", "world-300", "open-loop", _OPEN_LOOP, 1.5, 0.02): (
+        "dad6f2c11d3ebe679e6133318b65bfc59cc9029ac5eb843a749b0c37826ba76c",
+        "70312c2a9a65ffabfb0866ce75b08623128e7eb2092860323e5bb81c520e42ad",
+    ),
+    ("pbft", "world-300", "open-loop", _OPEN_LOOP, 1.5, 0.0): (
+        "5ee24aa8a5ef2a06dbe75f456524e161317efb3c58a66bd157dc30d95feff447",
+        "47098e81e539d7f9107d695f95af36c5d3851e8b9a5f94cbf866bd822c4f654b",
+    ),
+    ("pbft-optiaware", "Europe21", "open-loop", _OPEN_LOOP, 4.0, 0.02): (
+        "a98d344effed5b47c4466e9e5e4261a1f68ade3e5f9355ec9138a8554b517ef7",
+        "b92ba26191dd0491ef5c780b7ed1e6a2021128d475c39db6fe098cf71f9a08ad",
+    ),
+    ("pbft-optiaware", "Europe21", "open-loop", _OPEN_LOOP, 4.0, 0.0): (
+        "5578bfece4a2ab25796a84b0cc53f0f8d02d807558f3ea277b67ba7d07634eb4",
+        "027564e419c2c625f8641f6b69cf8c1367d6ff7b168bb67129060c1c2fc8808f",
+    ),
+    ("hotstuff-rr", "world-300", "saturated", (), 4.0, 0.02): (
+        "92ef739a32d9e3a90537a88182aca9e428f5918732a48a128f44061157e9e8c3",
+        "aecd8843f55a3dfdda8e661e6d12fddbee3fb9e4575ee881b7e23807d78090e6",
+    ),
+    ("hotstuff-rr", "world-300", "saturated", (), 4.0, 0.0): (
+        "998a705f0755c87bde4ec7c6941f209066be20eb1aac51afce32d5d0b47af9ab",
+        "6f7e432a08a77980ca0b0caa1655e3fc7fe861f066aa4a6eab267fcbba9ec7ad",
+    ),
+    ("kauri", "world-73", "saturated", (), 6.0, 0.02): (
+        "bf6ac8fd359b4bddaa47b9fad503a1ccc74ff0ef6a3097d610567ab2f3afc31b",
+        "ff193d0ed3d9bd27ec37f039de203a8b54c630ebf4a75ab54235eb1fd0c44358",
+    ),
+    ("kauri", "world-73", "saturated", (), 6.0, 0.0): (
+        "bc41920f5977c040960758b4e2c1ddbc6c66350fe0ae3ca88b859edac5b274d9",
+        "d8e27b95b73f4218c91d3abb2ed49fa8b2738ce8da44f9304eaad885f39dbf76",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case", sorted(_RELAXED_PINS), ids=lambda c: f"{c[0]}-{c[1]}-j{c[5]}"
+)
+def test_relaxed_plane_reproduces_recorded_bytes(case):
+    protocol, deployment, workload, params, duration, jitter = case
+    result = run_scenario(
+        Scenario(
+            protocol=protocol,
+            deployment=deployment,
+            workload=workload,
+            workload_params=dict(params),
+            duration=duration,
+            seed=1,
+            jitter=jitter,
+            delta=1.25,
+            plane="columnar-fast",
+        )
+    )
+    digest = hashlib.sha256(result.to_json(indent=2).encode()).hexdigest()
+    assert (digest, state_trace_hash(result.cluster)) == _RELAXED_PINS[case]

@@ -46,7 +46,7 @@ And oracles that are not reference implementations:
 * :class:`DeliveryOrderRecorder` -- the order in which a network handed
   messages to handlers, one ``(sim.now, dst, src, class)`` row per
   handler call, wherever the row waited and whichever delivery path
-  (terminal handler, inbox or batch handler) made the call;
+  (terminal handler or inbox) made the call;
 * :class:`BlockObserver` -- every block each node was handed, by height:
   the history of a run, which the chained engines no longer keep
   (a height's block is retired when it commits);
@@ -850,13 +850,10 @@ class DeliveryOrderRecorder:
     delivered the same messages to the same nodes at the same simulated
     instants in the same global order.  Install it on an idle network,
     before or after nodes register (later registrations are wrapped
-    too).  It taps the three places a network finds a handler -- the
-    inbox (``register``), the terminal-handler map
-    (``register_dispatch``) and the batch endpoint
-    (``register_batch_endpoint``) -- so it sees a row exactly once
-    whichever of them delivers it; a batch call records the rows it
-    consumed at their own ``times[k]``, which is what ``sim.now`` reads
-    while the handler processes row ``k``.
+    too).  It taps the two places a network finds a handler -- the
+    inbox (``register``) and the terminal-handler map
+    (``register_dispatch``) -- so it sees a row exactly once whichever
+    of them delivers it, at the ``sim.now`` its handler reads.
     """
 
     def __init__(self, network, keep: bool = False, tap=None):
@@ -870,15 +867,12 @@ class DeliveryOrderRecorder:
         for name, wrap in (
             ("register", _recording_inbox),
             ("register_dispatch", _RecordingRoute),
-            ("register_batch_endpoint", _RecordingEndpoint),
         ):
             setattr(network, name, self._wrapping(getattr(network, name), wrap))
         for node, handler in list(network._handlers.items()):
             network.register(node, handler)
         for node, dispatch in list(network._routes.items()):
             network.register_dispatch(node, dispatch)
-        for node, endpoint in list(network._batch_endpoints.items()):
-            network.register_batch_endpoint(node, endpoint)
 
     @property
     def digest(self) -> str:
@@ -927,34 +921,6 @@ class _RecordingRoute:
                 handler(src, message)
 
         return terminal
-
-
-class _RecordingEndpoint:
-    """Stands in for a batch endpoint: ``handle_<Class>Batch`` lookups
-    answer a wrapper that records the rows the real handler consumed."""
-
-    def __init__(self, recorder, dst, endpoint):
-        self._recorder = recorder
-        self._dst = dst
-        self._endpoint = endpoint
-
-    def __getattr__(self, name):
-        batch = getattr(self._endpoint, name)
-        if batch is None or not name.endswith("Batch"):
-            return batch
-        recorder = self._recorder
-        dst = self._dst
-
-        def recording(srcs, messages, times):
-            consumed = batch(srcs, messages, times)
-            width = len(messages)
-            rows = width if consumed is None else max(1, min(consumed, width))
-            for k in range(rows):
-                message = messages[k]
-                recorder._record(times[k], dst, srcs[k], message.__class__, message)
-            return consumed
-
-        return recording
 
 
 class BlockObserver:

@@ -1,6 +1,6 @@
 """The exact plane on mixed traffic -- wide multicasts in the store,
 unicasts, self copies and reactive sends in the heap -- against the
-heap-only oracle; the relaxed plane's batch dispatch; fault fallback,
+heap-only oracle; the relaxed plane's per-row drain; fault fallback,
 stats parity and pickling.
 
 The contract under test (see the "Message plane" section of
@@ -26,7 +26,7 @@ import pytest
 
 
 class Ping:
-    """Minimal message class so batch dispatch has a real class name."""
+    """Minimal message class."""
 
     wire_size = 10
 
@@ -167,83 +167,21 @@ def test_delivery_tie_order_matches_object_plane():
 
 
 # ----------------------------------------------------------------------
-# Batch handler dispatch: the relaxed drain's (the exact plane delivers
-# per row and never calls a batch handler)
+# The relaxed drain: destination-major, per row, through the inboxes
 # ----------------------------------------------------------------------
-class BatchEndpoint:
-    """Records whether rows arrived via the batch or the row path."""
-
-    def __init__(self, sim):
-        self.sim = sim
-        self.batches = []
-        self.rows = []
-
-    def on_message(self, src, message):
-        self.rows.append((self.sim.now, src, message.value))
-
-    def handle_PingBatch(self, srcs, messages, times):  # noqa: N802
-        self.batches.append(
-            (list(srcs), [m.value for m in messages], list(times))
-        )
-        return len(messages)
-
-
-def test_unicast_runs_reach_batch_handler():
-    sim = Simulator(seed=1)
-    network = Network(sim, lambda a, b: 0.01, plane="columnar-fast")
-    endpoint = BatchEndpoint(sim)
-    network.register(1, endpoint.on_message)
-    network.register_batch_endpoint(1, endpoint)
-    for src in (0, 2, 3):
-        network.send(src, 1, Ping(src), Ping.wire_size)
-    sim.run()
-    # All three same-class rows arrive as one gathered run; the per-row
-    # path never fires.
-    assert endpoint.rows == []
-    assert len(endpoint.batches) == 1
-    srcs, values, times = endpoint.batches[0]
-    assert srcs == values == [0, 2, 3]
-    assert times == sorted(times)
-    assert network.stats.messages_delivered == 3
-
-
-class YieldingEndpoint(BatchEndpoint):
-    """Consumes one row per call and replies, as the shipped handlers
-    do after a row that sends; the drain calls again on the remainder.
-    The per-row handler is equivalent, as the contract requires."""
-
-    def __init__(self, sim, network):
-        super().__init__(sim)
-        self.network = network
-
-    def on_message(self, src, message):
-        self.rows.append((self.sim.now, src, message.value))
-        self.network.send(1, src, Pong(message.value), Pong.wire_size)
-
-    def handle_PingBatch(self, srcs, messages, times):  # noqa: N802
-        self.sim.now = times[0]
-        self.batches.append((srcs[0], messages[0].value, times[0]))
-        self.network.send(1, srcs[0], Pong(messages[0].value), Pong.wire_size)
-        return 1
-
-
-def test_yielding_batch_handler_preserves_order():
-    endpoints = []
-
+def test_relaxed_drain_answers_each_row_in_order():
+    # Three pings reach node 1 in one window; each is answered by the
+    # ordinary inbox before the next is delivered, so the pongs leave in
+    # arrival order on both planes.
     def run(plane):
         sim = Simulator(seed=1)
         network = Network(sim, lambda a, b: 0.01, plane=plane)
         trace = []
-        if plane == "columnar-fast":
-            endpoint = YieldingEndpoint(sim, network)
-            endpoints.append(endpoint)
-            network.register(1, endpoint.on_message)
-            network.register_batch_endpoint(1, endpoint)
-        else:
-            def on_ping(src, message):
-                network.send(1, src, Pong(message.value), Pong.wire_size)
 
-            network.register(1, on_ping)
+        def on_ping(src, message):
+            network.send(1, src, Pong(message.value), Pong.wire_size)
+
+        network.register(1, on_ping)
         for node in (0, 2, 3):
             network.register(
                 node,
@@ -257,52 +195,10 @@ def test_yielding_batch_handler_preserves_order():
 
     trace_object, stats_object = run("object")
     trace_fast, stats_fast = run("columnar-fast")
-    # The run of three reached the batch handler three times -- whole,
-    # then each remainder -- and every row was answered once, in order.
-    assert [value for _, value, _ in endpoints[0].batches] == [0, 2, 3]
-    assert endpoints[0].rows == []
+    assert [value for _, _, _, value in trace_object] == [0, 2, 3]
     assert trace_fast == trace_object
-    # The endpoints differ by construction, so only the wire-visible
-    # stats are compared (same sends, same deliveries, same bytes).
+    # Same final clock, seq counter, RNG state and wire statistics.
     assert stats_fast == stats_object
-
-
-class GreedyEndpoint(BatchEndpoint):
-    """Claims more rows than it was handed: the network must clamp."""
-
-    def handle_PingBatch(self, srcs, messages, times):  # noqa: N802
-        self.batches.append(len(messages))
-        return len(messages) + 10
-
-
-def test_overclaimed_consumed_count_is_clamped():
-    sim = Simulator(seed=1)
-    network = Network(sim, lambda a, b: 0.01, plane="columnar-fast")
-    endpoint = GreedyEndpoint(sim)
-    network.register(1, endpoint.on_message)
-    network.register_batch_endpoint(1, endpoint)
-    for src in (0, 2):
-        network.send(src, 1, Ping(src), Ping.wire_size)
-    sim.run()
-    assert endpoint.batches == [2]  # the handler ran, and over-claimed
-    assert network.stats.messages_delivered == 2
-
-
-def test_mixed_classes_split_into_class_runs():
-    sim = Simulator(seed=1)
-    network = Network(sim, lambda a, b: 0.0, plane="columnar-fast")
-    endpoint = BatchEndpoint(sim)
-    network.register(1, endpoint.on_message)
-    network.register_batch_endpoint(1, endpoint)
-    # Ping, Ping, Pong, Ping at identical times: the Pong (no batch
-    # handler) breaks the run and takes the per-row path, and the
-    # trailing single-row Ping run goes per-row too (batch handlers
-    # only see runs of two or more).
-    for index, cls in enumerate((Ping, Ping, Pong, Ping)):
-        network.send(index + 2, 1, cls(index), cls.wire_size)
-    sim.run()
-    assert [values for _, values, _ in endpoint.batches] == [[0, 1]]
-    assert [value for _, _, value in endpoint.rows] == [2, 3]
 
 
 # ----------------------------------------------------------------------

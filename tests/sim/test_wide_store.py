@@ -417,7 +417,7 @@ def test_store_capacity_tracks_the_live_backlog(monkeypatch, plane):
     assert network.stats.messages_delivered == 2 * 512 * 512
     assert peak >= 512 * 511
     assert len(store.times) <= 1.5 * peak
-    # ~20 bytes a row: src and class live once per pool slot.
+    # ~20 bytes a row: the src lives once per pool slot.
     assert sum(
         getattr(store, name).itemsize for name in network_mod._FAST_COLUMNS
     ) == 20
