@@ -2,6 +2,7 @@
 #
 #   make test           tier-1 test suite (the CI gate)
 #   make lint           bytecode-compile the tree + import-check the package
+#                       + fail on a src/ definition nothing calls (orphans)
 #   make ledger-smoke   six short perf-ledger measurements, each must be correct
 #                       (performance itself: ledger/README.md)
 #   make bench-figures  figure benchmarks at CI scale (REPRO_FULL=1 for paper scale)
@@ -25,6 +26,7 @@ lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples
 	$(PYTHON) -c "import repro, repro.experiments.runner, repro.faults.schedule, repro.workloads, repro.__main__"
 	$(PYTHON) -m repro list > /dev/null
+	$(PYTHON) scripts/check_orphans.py
 
 # One short measurement of every ledger row: the Fig. 7 workload, the
 # n=512 pbft all-to-all (the wide-row store's windowed drain), the

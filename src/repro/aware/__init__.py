@@ -8,7 +8,7 @@ search avoids replicas outside the candidate set ``K``.
 """
 
 from repro.aware.optiaware import OptiAware
-from repro.aware.score import aware_score, weight_config_round_duration
+from repro.aware.score import weight_config_round_duration
 from repro.aware.search import exhaustive_weight_search
 from repro.aware.weights import WeightConfiguration, WheatParameters
 
@@ -16,7 +16,6 @@ __all__ = [
     "OptiAware",
     "WeightConfiguration",
     "WheatParameters",
-    "aware_score",
     "exhaustive_weight_search",
     "weight_config_round_duration",
 ]

@@ -17,7 +17,6 @@ import math
 import random
 from typing import Any, Callable, FrozenSet, Optional
 
-import numpy as np
 
 from repro.aware.score import weight_config_round_duration
 from repro.aware.search import exhaustive_weight_search

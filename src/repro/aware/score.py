@@ -10,9 +10,6 @@ requirements TR1-TR3, so the implementation delegates to
 
 from __future__ import annotations
 
-import math
-from typing import FrozenSet, Optional
-
 import numpy as np
 
 from repro.aware.weights import WeightConfiguration
@@ -34,22 +31,3 @@ def weight_config_round_duration(
         configuration.weight_vector(),
         configuration.quorum_weight,
     )
-
-
-def aware_score(
-    latency: np.ndarray,
-    configuration: WeightConfiguration,
-    candidates: Optional[FrozenSet[int]] = None,
-) -> float:
-    """Aware's score, optionally enforcing OptiAware's candidate rule.
-
-    When ``candidates`` is given (OptiAware), configurations assigning a
-    special role (leader or Vmax) to a non-candidate are infeasible and
-    score ``inf``; this is how suspicions steer the search away from
-    misbehaving replicas.
-    """
-    if candidates is not None and not (
-        configuration.special_replicas() <= candidates
-    ):
-        return math.inf
-    return weight_config_round_duration(latency, configuration)

@@ -353,9 +353,8 @@ class ClusterBase:
     """What the protocol clusters share: the run lifecycle, workload
     attachment, compaction and state transfer to a revived replica.
 
-    A subclass builds ``sim``, ``network`` (whose jitter stream derives
-    from the simulator), ``registry`` and ``replicas``, in that order, and
-    names the replica whose metrics a run reports (:attr:`observer`).
+    A subclass calls :meth:`_build_network`, then builds ``replicas``,
+    and names the replica whose metrics a run reports (:attr:`observer`).
     """
 
     deployment: Deployment
@@ -366,6 +365,24 @@ class ClusterBase:
     replicas: List[Any]
     observer: ReplicaBase
     workload: Optional[Workload] = None
+
+    def _build_network(
+        self,
+        deployment: Deployment,
+        one_way: Callable[[int, int], float],
+        seed: int,
+        jitter: float,
+        plane: str,
+    ) -> None:
+        """Set ``deployment``, ``n``, ``f = (n - 1) // 3``, then build
+        ``sim``, ``network`` over ``one_way`` (its jitter stream derives
+        from the simulator) and ``registry``, in that order."""
+        self.deployment = deployment
+        self.n = n = deployment.n
+        self.f = (n - 1) // 3
+        self.sim = Simulator(seed=seed)
+        self.network = Network(self.sim, one_way, jitter=jitter, plane=plane)
+        self.registry = KeyRegistry(n, seed=seed)
 
     @property
     def replies_needed(self) -> int:

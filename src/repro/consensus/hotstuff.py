@@ -29,6 +29,9 @@ _VOTE_SIZE = Vote.wire_size
 class HotStuffReplica(ChainedReplica):
     """One chained-HotStuff replica."""
 
+    #: Requests per block (the paper batches 1000).
+    payload_per_block = 1000
+
     def __init__(
         self,
         replica_id: int,
@@ -39,16 +42,19 @@ class HotStuffReplica(ChainedReplica):
         registry: KeyRegistry,
         leader_mode: str = "fixed",
         fixed_leader: int = 0,
-        payload_per_block: int = 1000,
     ):
         super().__init__(replica_id, n, f, sim, network, registry)
         if leader_mode not in ("fixed", "rr"):
             raise ValueError(f"unknown leader mode {leader_mode!r}")
+        if not 0 <= fixed_leader < n:
+            # No replica would ever lead: the run commits nothing, silently.
+            raise ValueError(
+                f"fixed_leader must be a replica id in [0, {n}), got {fixed_leader!r}"
+            )
         self.leader_mode = leader_mode
         self.fixed_leader = fixed_leader
         #: leader_of() inlined as a flag for the per-message handlers.
         self._round_robin = leader_mode == "rr"
-        self.payload_per_block = payload_per_block
         #: height -> voters at the next leader, deleted when the QC forms.
         self.votes: Dict[int, Set[int]] = {}
         self.high_qc: Optional[QuorumCertificate] = None
@@ -206,34 +212,25 @@ class HotStuffCluster(ClusterBase):
     def __init__(
         self,
         deployment: Deployment,
-        f: Optional[int] = None,
         leader_mode: str = "fixed",
         fixed_leader: int = 0,
-        payload_per_block: int = 1000,
         seed: int = 0,
         jitter: float = 0.02,
         plane: str = "object",
     ):
-        self.deployment = deployment
-        n = deployment.n
-        self.n = n
-        self.f = f if f is not None else (n - 1) // 3
-        self.sim = Simulator(seed=seed)
-        self.network = Network(self.sim, deployment.one_way, jitter=jitter, plane=plane)
-        self.registry = KeyRegistry(n, seed=seed)
+        self._build_network(deployment, deployment.one_way, seed, jitter, plane)
         self.replicas: List[HotStuffReplica] = [
             HotStuffReplica(
                 replica_id,
-                n,
+                self.n,
                 self.f,
                 self.sim,
                 self.network,
                 self.registry,
                 leader_mode=leader_mode,
                 fixed_leader=fixed_leader,
-                payload_per_block=payload_per_block,
             )
-            for replica_id in range(n)
+            for replica_id in range(self.n)
         ]
 
     @property

@@ -20,7 +20,7 @@ Kauri-sa, or OptiTree search) and installs the new tree on every replica.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.consensus.base import GENESIS_HASH, ChainedReplica, ClusterBase
 from repro.consensus.messages import (
@@ -60,6 +60,9 @@ class _Collection:
 class KauriReplica(ChainedReplica):
     """One Kauri replica; its role follows the installed tree."""
 
+    #: Requests per block (the paper batches 1000).
+    payload_per_block = 1000
+
     def __init__(
         self,
         replica_id: int,
@@ -69,21 +72,14 @@ class KauriReplica(ChainedReplica):
         network: Network,
         registry: KeyRegistry,
         tree: TreeConfiguration,
-        payload_per_block: int = 1000,
         pipeline_depth: int = 1,
-        child_timeout: Callable[[int, int], float] = None,
         delta: float = 1.0,
-        votes_needed: Optional[int] = None,
     ):
         super().__init__(replica_id, n, f, sim, network, registry)
         self.tree = tree
         self._adopt_tree_roles(tree)
-        self.payload_per_block = payload_per_block
         self.pipeline_depth = pipeline_depth
         self.delta = delta
-        self.votes_needed = votes_needed or self.quorum
-        # Per-child timeout: defaults to δ · round trip on the link.
-        self._child_timeout = child_timeout
         # block_at_height holds the root's own proposals (tree-change
         # recovery and the commit rule read them); qc_heights is the
         # root's and empty elsewhere.
@@ -95,7 +91,6 @@ class KauriReplica(ChainedReplica):
         self.root_votes: Dict[int, Set[int]] = {}
         #: Intermediate: height -> collection, until the aggregate is sent.
         self.collections: Dict[int, _Collection] = {}
-        self.pending_records: List = []
         #: Suspicions raised by aggregation timeouts (§6.3), folded per
         #: child as ``child -> (count, first_height, last_height)`` so a
         #: long-dead child costs O(1).  Nothing in ``src`` reads it yet:
@@ -121,8 +116,8 @@ class KauriReplica(ChainedReplica):
         self._expected_votes = len(self._my_children) + 1
         self._intermediate_set = frozenset(tree.intermediates)
         self._is_intermediate = self.id in self._intermediate_set
-        #: Lazily computed aggregation-timer horizon (max child timeout);
-        #: only cacheable for the default, run-static timeout rule.
+        #: Lazily computed aggregation-timer horizon (max child timeout):
+        #: the link delays are static, so it is the same every height.
         self._flush_horizon: Optional[float] = None
 
     @property
@@ -130,11 +125,9 @@ class KauriReplica(ChainedReplica):
         return self.tree.root == self.id
 
     def child_timeout(self, child: int) -> float:
-        if self._child_timeout is not None:
-            return self._child_timeout(self.id, child)
-        # δ · (downlink + uplink) from the emulated link latency.
-        rtt = 2.0 * self.network.one_way_delay(self.id, child) * 2.0
-        return self.delta * rtt
+        # δ · 2 · one_way · 2: δ times two round trips on the emulated link.
+        two_round_trips = 2.0 * self.network.one_way_delay(self.id, child) * 2.0
+        return self.delta * two_round_trips
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -166,8 +159,6 @@ class KauriReplica(ChainedReplica):
             return
         height = self.next_height
         self.next_height += 1
-        records = tuple(self.pending_records)
-        self.pending_records = []
         if self.request_driven:
             # Claim while draining: a key already claimed (in flight under
             # this tree, committed, or duplicated in the buffer after a
@@ -196,7 +187,7 @@ class KauriReplica(ChainedReplica):
             proposer=self.id,
             parent=self.last_parent,
             payload_count=payload_count,
-            records=records,
+            records=(),
             timestamp=self.sim.now,
             request_ids=request_ids,
         )
@@ -217,7 +208,7 @@ class KauriReplica(ChainedReplica):
             return  # certified already, or from before a tree change
         votes.update(message.aggregate.signers)
         votes.add(src)
-        if len(votes) >= self.votes_needed:
+        if len(votes) >= self.quorum:
             self._certify(message.height)
 
     def _certify(self, height: int) -> None:
@@ -255,11 +246,9 @@ class KauriReplica(ChainedReplica):
         if children:
             horizon = self._flush_horizon
             if horizon is None:
-                horizon = max(self.child_timeout(child) for child in children)
-                if self._child_timeout is None:
-                    # The default rule is a pure function of the (static)
-                    # link delays, so the max is the same every height.
-                    self._flush_horizon = horizon
+                horizon = self._flush_horizon = max(
+                    self.child_timeout(child) for child in children
+                )
             collection.timer = self.sim.schedule(
                 horizon, self._flush_aggregate, height
             )
@@ -389,13 +378,6 @@ class KauriReplica(ChainedReplica):
         vote = tuple.__new__(Vote, (message.height, block.hash, self.id))
         self._network_send(self.id, src, vote, _VOTE_SIZE)
 
-    # ------------------------------------------------------------------
-    # OptiLog records
-    # ------------------------------------------------------------------
-    def submit_record(self, record) -> None:
-        """Queue an OptiLog record for inclusion in the next proposal."""
-        self.pending_records.append(record)
-
 
 class KauriCluster(ClusterBase):
     """Builds and runs a Kauri/OptiTree deployment."""
@@ -408,38 +390,27 @@ class KauriCluster(ClusterBase):
         self,
         deployment: Deployment,
         tree: TreeConfiguration,
-        f: Optional[int] = None,
-        payload_per_block: int = 1000,
         pipeline_depth: int = 1,
         seed: int = 0,
         jitter: float = 0.02,
         delta: float = 1.0,
-        votes_needed: Optional[int] = None,
         plane: str = "object",
     ):
-        self.deployment = deployment
-        n = deployment.n
-        self.n = n
-        self.f = f if f is not None else (n - 1) // 3
         self.tree = tree
-        self.sim = Simulator(seed=seed)
-        self.network = Network(self.sim, deployment.one_way, jitter=jitter, plane=plane)
-        self.registry = KeyRegistry(n, seed=seed)
+        self._build_network(deployment, deployment.one_way, seed, jitter, plane)
         self.replicas: List[KauriReplica] = [
             KauriReplica(
                 replica_id,
-                n,
+                self.n,
                 self.f,
                 self.sim,
                 self.network,
                 self.registry,
                 tree=tree,
-                payload_per_block=payload_per_block,
                 pipeline_depth=pipeline_depth if replica_id == tree.root else 1,
                 delta=delta,
-                votes_needed=votes_needed,
             )
-            for replica_id in range(n)
+            for replica_id in range(self.n)
         ]
 
     @property

@@ -55,6 +55,9 @@ from repro.workloads.closed_loop import ClosedLoopWorkload
 class PbftReplica(ReplicaBase):
     """One PBFT replica, optionally wrapped with Aware/OptiAware."""
 
+    #: Requests per block.
+    batch_size = 64
+
     def __init__(
         self,
         replica_id: int,
@@ -65,14 +68,12 @@ class PbftReplica(ReplicaBase):
         registry: KeyRegistry,
         mode: str = "static",
         delta: float = 1.0,
-        batch_size: int = 64,
         default_config: Optional[WeightConfiguration] = None,
     ):
         super().__init__(replica_id, n, f, sim, network, registry)
         if mode not in ("static", "aware", "optiaware"):
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
-        self.batch_size = batch_size
         self.delta = delta
         # Consensus state.
         self.seq = 0
@@ -500,7 +501,6 @@ class PbftCluster(ClusterBase):
         self,
         deployment: Deployment,
         mode: str = "static",
-        f: Optional[int] = None,
         delta: float = 1.0,
         seed: int = 0,
         jitter: float = 0.02,
@@ -508,10 +508,6 @@ class PbftCluster(ClusterBase):
         workload: Optional[Workload] = None,
         plane: str = "object",
     ):
-        self.deployment = deployment
-        n = deployment.n
-        self.n = n
-        self.f = f if f is not None else (n - 1) // 3
         self.mode = mode
         # The default client lives in one of the cities (Fig. 7:
         # Nuremberg), co-located with that city's replica (sub-ms RTT);
@@ -521,11 +517,10 @@ class PbftCluster(ClusterBase):
             client_city_index if client_city_index is not None else 0
         )
         self.router = ClientSiteRouter(
-            deployment.one_way, n, default_site=self.client_city
+            deployment.one_way, deployment.n, default_site=self.client_city
         )
-        self.sim = Simulator(seed=seed)
-        self.network = Network(self.sim, self.router, jitter=jitter, plane=plane)
-        self.registry = KeyRegistry(n, seed=seed)
+        self._build_network(deployment, self.router, seed, jitter, plane)
+        n = self.n
         default_config = None
         if mode == "static":
             default_config = WeightConfiguration(

@@ -230,12 +230,3 @@ class ConfigMonitor(Monitor):
         self.reconfigurations.append(decision)
         if self.on_reconfigure is not None:
             self.on_reconfigure(decision)
-
-    def install(self, configuration: Configuration) -> None:
-        """Adopt an initial configuration without a log proposal."""
-        self.current = configuration
-        self.current_score = self._score(configuration)
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)

@@ -18,7 +18,7 @@ with observed arrival times.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -143,14 +143,6 @@ class LatencyMonitor(Monitor):
         """True when every pair is measured (O(1): it runs once per
         proposal on every replica)."""
         return self._unmeasured == 0
-
-    def reachable_peers(self, a: int) -> List[int]:
-        return [
-            b
-            for b in range(self.n)
-            if b != a and not math.isinf(self.matrix[a, b])
-        ]
-
 
 def probe_all_peers(
     sensor: LatencySensor,

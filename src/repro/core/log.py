@@ -65,7 +65,6 @@ class AppendOnlyLog:
         #: re-run isinstance over every subscriber per commit.  Cleared on
         #: :meth:`subscribe` (new matches possible for known types).
         self._dispatch_cache: Dict[type, tuple] = {}
-        self._total_wire_size = 0
         self.current_view = 0
 
     # ------------------------------------------------------------------
@@ -84,9 +83,6 @@ class AppendOnlyLog:
         if bucket is None:
             bucket = self._by_type[cls] = []
         bucket.append(entry)
-        # Read the record directly: entry.wire_size would seed its lazy
-        # cache, pure overhead on the append path.
-        self._total_wire_size += getattr(record, "wire_size", 0)
         callbacks = self._dispatch_cache.get(cls)
         if callbacks is None:
             # Snapshot, like the old per-append list(...) copy: a callback
@@ -127,7 +123,6 @@ class AppendOnlyLog:
             if bucket is None:
                 bucket = by_type[cls] = []
             bucket.append(entry)
-            self._total_wire_size += getattr(record, "wire_size", 0)
             callbacks = dispatch_cache.get(cls)
             if callbacks is None:
                 callbacks = tuple(
@@ -191,10 +186,6 @@ class AppendOnlyLog:
     def last_seq(self) -> int:
         """Sequence number of the newest entry, or -1 when empty."""
         return len(self._entries) - 1
-
-    def total_wire_size(self) -> int:
-        """Sum of record wire sizes; maintained incrementally on append."""
-        return self._total_wire_size
 
     def type_histogram(self) -> Dict[str, int]:
         """Per-type entry counts, keyed by type name in first-commit order."""

@@ -113,9 +113,6 @@ class IncompleteAggregateProof:
         return bool(missing)  # valid proof iff some child is uncovered
 
 
-PROOF_TYPES = (EquivocationProof, InvalidSignatureProof, IncompleteAggregateProof)
-
-
 # ----------------------------------------------------------------------
 # Sensor
 # ----------------------------------------------------------------------

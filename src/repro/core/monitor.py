@@ -8,7 +8,7 @@ class wires a monitor to its record type(s) on the local log view.
 
 from __future__ import annotations
 
-from typing import Callable, List, Type
+from typing import Callable, List
 
 from repro.core.log import AppendOnlyLog, LogEntry
 

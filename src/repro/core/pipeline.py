@@ -62,13 +62,12 @@ class OptiLogPipeline:
         settings: PipelineSettings,
         registry: Optional[KeyRegistry] = None,
         propose: Optional[Callable[[Any], None]] = None,
-        log: Optional[AppendOnlyLog] = None,
         suspicion_monitor_factory: Optional[Callable[..., SuspicionMonitor]] = None,
     ):
         self.replica_id = replica_id
         self.settings = settings
         self.registry = registry or KeyRegistry(settings.n)
-        self.log = log if log is not None else AppendOnlyLog()
+        self.log = AppendOnlyLog()
         self.app = SensorApp(replica_id, propose=propose)
         self.rng = random.Random((settings.seed, replica_id).__repr__())
 

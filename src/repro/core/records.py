@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Tuple
 
 from repro.crypto.signatures import SIGNATURE_SIZE
 
@@ -146,11 +146,3 @@ class ConfigProposalRecord:
             + SIGNATURE_SIZE
         )
 
-
-#: Union of record payload types accepted by the log.
-RECORD_TYPES = (
-    LatencyVectorRecord,
-    SuspicionRecord,
-    ComplaintRecord,
-    ConfigProposalRecord,
-)

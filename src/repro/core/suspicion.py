@@ -264,15 +264,6 @@ class SuspicionSensor(Sensor):
             view=view,
         )
 
-    def forgive(self, suspect: int) -> None:
-        """Allow reporting ``suspect`` slow again (e.g. after a
-        reconfiguration gave it a fresh start)."""
-        self._slow_reported = {
-            (reported, round_id)
-            for reported, round_id in self._slow_reported
-            if reported != suspect
-        }
-
     # -- helpers ----------------------------------------------------------
     def _raise_slow(
         self,
@@ -791,7 +782,3 @@ class SuspicionMonitor(Monitor):
     def estimate(self) -> Tuple[FrozenSet[int], int]:
         """The pair (K, u) consumed by the ConfigSensor."""
         return self.candidates, self.u
-
-    def active_suspicions(self) -> List[Tuple[int, int]]:
-        """Currently active (reporter, suspect) pairs, in log order."""
-        return [(item.reporter, item.suspect) for item in self._items]

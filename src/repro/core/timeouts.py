@@ -12,8 +12,9 @@ expected round duration ``d_rnd``.  Appendix C gives three requirements:
 
 This module implements the PBFT/Aware instantiation (Example C.1):
 Propose → Write (all-to-all) → Accept (all-to-all), with weighted quorums.
-``pbft_round_duration`` *is* Aware's score function -- "the d_rnd developed
-above is the same as the result of the score function defined by Aware."
+``PbftTimeouts.round_duration`` *is* Aware's score function -- "the d_rnd
+developed above is the same as the result of the score function defined by
+Aware."
 
 Tree timeouts (Lemma 6) live in :mod:`repro.tree.score`.
 
@@ -23,13 +24,12 @@ Phases (used by suspicion filtering): 0 proposal timestamp, 1 propose,
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import List, Mapping, Optional
 
 import numpy as np
 
-from repro.core.roundplan import ExpectedMessage, RoundPlan
+from repro.core.roundplan import RoundPlan
 
-PHASE_PROPOSAL = 0
 PHASE_PROPOSE = 1
 PHASE_WRITE = 2
 PHASE_ACCEPT = 3
@@ -84,11 +84,6 @@ def weighted_round_duration(
     )
 
 
-def uniform_weights(n: int) -> Dict[int, float]:
-    """Unweighted voting: every replica has weight 1 (quorum = 2f+1)."""
-    return {replica: 1.0 for replica in range(n)}
-
-
 class PbftTimeouts:
     """Expected message delays for one PBFT/Aware configuration.
 
@@ -135,14 +130,6 @@ class PbftTimeouts:
         """TR1: the leader's Propose reaches ``receiver`` at L(L, A)."""
         return float(self.latency[self.leader, receiver])
 
-    def write_arrival(self, sender: int, receiver: int) -> float:
-        """TR2: Write(sender→receiver) = propose-to-sender + link.
-
-        The leader's Propose doubles as its own Write (BFT-SMaRt
-        convention), so for ``sender == leader`` this is just the link.
-        """
-        return self.propose_arrival(sender) + float(self.latency[sender, receiver])
-
     def accept_send_time(self, sender: int) -> float:
         """When ``sender`` has a Write quorum and can send its Accept.
 
@@ -157,9 +144,6 @@ class PbftTimeouts:
                 write, self._weights_array(), self.quorum_weight
             )
         return float(self._accept_send[sender])
-
-    def accept_arrival(self, sender: int, receiver: int) -> float:
-        return self.accept_send_time(sender) + float(self.latency[sender, receiver])
 
     # -- TR3 --------------------------------------------------------------
     def round_duration(self) -> float:
@@ -177,9 +161,9 @@ class PbftTimeouts:
         """Compile every ``d_m`` ``receiver`` expects in a round.
 
         Slots are ``(propose | write | accept, sender)``.  The element-wise
-        float64 adds are the same IEEE operations as the scalar accessors
-        above, so each ``d_m`` is bit-identical to ``propose_arrival`` /
-        ``write_arrival`` / ``accept_arrival``.
+        float64 adds are the same IEEE operations as the scalar TR1/TR2
+        chains (``propose_arrival`` + link, ``accept_send_time`` + link),
+        so each ``d_m`` is bit-identical to them.
         """
         n, leader = self.n, self.leader
         self.accept_send_time(leader)  # materialise the Accept sends
@@ -198,27 +182,3 @@ class PbftTimeouts:
         return RoundPlan(
             ("propose", "write", "accept"), n, propose + write + accept, phases, delta
         )
-
-    def expected_messages(self, receiver: int) -> List[ExpectedMessage]:
-        """All messages ``receiver`` expects in a round, with their d_m."""
-        return self.round_plan(receiver).expected_messages()
-
-
-def pbft_round_duration(
-    latency: np.ndarray,
-    leader: int,
-    weights: Optional[Mapping[int, float]] = None,
-    quorum_weight: Optional[float] = None,
-) -> float:
-    """Predicted round duration for a (leader, weights) configuration.
-
-    With uniform weights this is PBFT's expected commit latency; with
-    Wheat weights it is Aware's score function.
-    """
-    n = latency.shape[0]
-    if weights is None:
-        weights = uniform_weights(n)
-    if quorum_weight is None:
-        f = (n - 1) // 3
-        quorum_weight = 2 * f + 1
-    return PbftTimeouts(latency, leader, weights, quorum_weight).round_duration()

@@ -18,7 +18,6 @@ import hmac
 from typing import Any, Dict, NamedTuple
 
 SIGNATURE_SIZE = 64  # Ed25519 signature bytes, used for size accounting.
-PUBKEY_SIZE = 32
 
 
 class InvalidSignature(Exception):
@@ -145,13 +144,6 @@ class KeyRegistry:
             return False
         expected = self._digest_for(signature.signer, canonical_bytes(payload))
         return hmac.compare_digest(expected, signature.digest)
-
-    def require_valid(self, signature: Signature, payload: Any) -> None:
-        """Verify or raise :class:`InvalidSignature`."""
-        if not self.verify(signature, payload):
-            raise InvalidSignature(
-                f"bad signature from {signature.signer} over {payload!r}"
-            )
 
     def forge(self, signer: int, payload: Any) -> Signature:
         """Produce an *invalid* signature claiming to be from ``signer``.

@@ -33,7 +33,6 @@ arguments; arenas and evaluations are picklable for the process pool.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 

@@ -25,9 +25,8 @@ from repro.optimize.annealing import AnnealingSchedule
 from repro.tree.candidates import TreeSuspicionMonitor
 from repro.tree.kauri_reconfig import KauriReconfigurer
 from repro.tree.kauri_sa import KauriSaReconfigurer
-from repro.tree.optitree import optitree_search, random_tree
+from repro.tree.optitree import optitree_search
 from repro.tree.score import tree_score
-from repro.tree.topology import branch_factor_for
 
 
 @dataclass

@@ -20,7 +20,6 @@ from repro.experiments.tables import format_table
 from repro.net.deployments import random_world_deployment
 from repro.optimize.annealing import AnnealingSchedule
 from repro.tree.optitree import optitree_search
-from repro.workloads import REQUESTS_PER_BLOCK  # noqa: F401  (doc cross-ref)
 
 SIZES = (57, 91, 111, 157, 183, 211)
 SEARCH_TIMES = (0.25, 0.5, 1.0, 2.0, 4.0)

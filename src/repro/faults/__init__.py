@@ -37,7 +37,6 @@ from repro.faults.genome import (
     AttackMove,
     GenomeError,
     compile_genome,
-    genome_from_dict,
     genome_to_dict,
     mutate,
     seed_genome,
@@ -63,7 +62,6 @@ __all__ = [
     "StealthDelayAttack",
     "TargetedSuspicionAttack",
     "compile_genome",
-    "genome_from_dict",
     "genome_to_dict",
     "mutate",
     "seed_genome",

@@ -49,9 +49,6 @@ class DelayAttack:
     def end(self) -> float:
         return self.window.end
 
-    def active(self) -> bool:
-        return self.window.active()
-
     def __call__(self, src: int, dst: int, message, delay: float) -> Optional[Tuple]:
         if src != self.attacker:
             return message, delay

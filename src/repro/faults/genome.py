@@ -488,10 +488,3 @@ def genome_to_dict(genome: AttackGenome) -> Dict[str, Any]:
         "victims": list(genome.victims),
         "moves": [dataclasses.asdict(move) for move in genome.moves],
     }
-
-
-def genome_from_dict(payload: Dict[str, Any]) -> AttackGenome:
-    return AttackGenome(
-        victims=tuple(int(v) for v in payload["victims"]),
-        moves=tuple(AttackMove(**move) for move in payload["moves"]),
-    ).canonical()

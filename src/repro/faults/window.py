@@ -29,9 +29,9 @@ class ActivationWindow:
     (:class:`repro.sim.engine.SimClock`) when the window may be
     checkpointed.
 
-    The check is ``start <= _now() <= end``.  Interceptors, which run
-    once per message sent, inline exactly that expression instead of
-    calling :meth:`active`.
+    The check is ``start <= _now() <= end``, inclusive at both ends.
+    Interceptors, which run once per message sent, inline exactly that
+    expression.
     """
 
     __slots__ = ("start", "end", "_now")
@@ -59,6 +59,3 @@ class ActivationWindow:
         self.start = start
         self.end = end
         self._now = now_fn
-
-    def active(self) -> bool:
-        return self.start <= self._now() <= self.end

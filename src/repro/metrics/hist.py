@@ -19,7 +19,7 @@ exact thanks to the clamp.
 
 Values outside ``[lo, hi)`` are clamped into the edge bins and counted
 in ``clamped_low`` / ``clamped_high``; the error bound does not apply to
-them (min/max stay exact either way).  The default domain --
+them (min/max stay exact either way).  The domain --
 1 microsecond to 10,000 seconds -- brackets every latency this simulator
 can produce by orders of magnitude.
 
@@ -30,15 +30,17 @@ associative, commutative, with the empty histogram as identity.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 class LogHistogram:
     """Mergeable log-scale histogram over ``[lo, hi)``."""
 
+    #: The domain: 1 microsecond to 10,000 seconds, one for every histogram.
+    lo = 1e-6
+    hi = 1e4
+
     __slots__ = (
-        "lo",
-        "hi",
         "bins_per_decade",
         "counts",
         "count",
@@ -52,18 +54,9 @@ class LogHistogram:
         "_n_bins",
     )
 
-    def __init__(
-        self,
-        lo: float = 1e-6,
-        hi: float = 1e4,
-        bins_per_decade: int = 100,
-    ):
-        if not (0.0 < lo < hi):
-            raise ValueError(f"need 0 < lo < hi, got lo={lo!r} hi={hi!r}")
+    def __init__(self, bins_per_decade: int = 100):
         if bins_per_decade < 1:
             raise ValueError(f"bins_per_decade must be >= 1, got {bins_per_decade!r}")
-        self.lo = float(lo)
-        self.hi = float(hi)
         self.bins_per_decade = int(bins_per_decade)
         self._log_lo = math.log10(self.lo)
         self._scale = float(self.bins_per_decade)
@@ -92,11 +85,7 @@ class LogHistogram:
         return 10.0 ** (1.0 / (2.0 * self.bins_per_decade)) - 1.0
 
     def compatible_with(self, other: "LogHistogram") -> bool:
-        return (
-            self.lo == other.lo
-            and self.hi == other.hi
-            and self.bins_per_decade == other.bins_per_decade
-        )
+        return self.bins_per_decade == other.bins_per_decade
 
     # ------------------------------------------------------------------
     # Ingest
@@ -133,8 +122,7 @@ class LogHistogram:
         if not self.compatible_with(other):
             raise ValueError(
                 "cannot merge histograms with different geometry: "
-                f"(lo={self.lo}, hi={self.hi}, bpd={self.bins_per_decade}) vs "
-                f"(lo={other.lo}, hi={other.hi}, bpd={other.bins_per_decade})"
+                f"bpd={self.bins_per_decade} vs bpd={other.bins_per_decade}"
             )
         counts = self.counts
         for index, extra in enumerate(other.counts):
@@ -217,11 +205,12 @@ class LogHistogram:
 
     @classmethod
     def from_state(cls, state: Dict[str, object]) -> "LogHistogram":
-        hist = cls(
-            lo=state["lo"],
-            hi=state["hi"],
-            bins_per_decade=state["bins_per_decade"],
-        )
+        if (state["lo"], state["hi"]) != (cls.lo, cls.hi):
+            raise ValueError(
+                f"histogram state over [{state['lo']}, {state['hi']}), "
+                f"expected [{cls.lo}, {cls.hi})"
+            )
+        hist = cls(bins_per_decade=state["bins_per_decade"])
         for index, bucket in state["bins"]:
             hist.counts[index] = bucket
         hist.count = state["count"]

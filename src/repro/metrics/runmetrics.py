@@ -33,10 +33,8 @@ class MetricsSketch:
         self,
         bins_per_decade: int = 100,
         window: float = 1.0,
-        lo: float = 1e-6,
-        hi: float = 1e4,
     ):
-        self.hist = LogHistogram(lo=lo, hi=hi, bins_per_decade=bins_per_decade)
+        self.hist = LogHistogram(bins_per_decade=bins_per_decade)
         self.windows = ThroughputWindows(window=window)
         self.blocks = 0
         self.requests = 0

@@ -304,8 +304,3 @@ if len(_BY_NAME) != len(ALL_CITIES):  # pragma: no cover - dataset sanity
 def city_by_name(name: str) -> City:
     """Look up a city by its exact name; raises ``KeyError`` if unknown."""
     return _BY_NAME[name]
-
-
-def cities_in_region(region: str) -> List[City]:
-    """All cities with the given region tag (EU, NA, SA, AS, AF, OC)."""
-    return [city for city in ALL_CITIES if city.region == region]

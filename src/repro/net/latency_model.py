@@ -337,15 +337,3 @@ class LatencyModel:
             off_diagonal = table[~np.eye(populated.shape[0], dtype=bool)]
             floor_ms = min(floor_ms, float(off_diagonal.min()))
         return (floor_ms / 1000.0) / 2.0
-
-    def stats_ms(self) -> Dict[str, float]:
-        """Envelope statistics over all distinct pairs, in milliseconds."""
-        n = len(self.cities)
-        upper = self.matrix_ms()[np.triu_indices(n, k=1)]
-        if upper.size == 0:
-            return {"min": 0.0, "max": 0.0, "mean": 0.0}
-        return {
-            "min": float(upper.min()),
-            "max": float(upper.max()),
-            "mean": float(upper.mean()),
-        }

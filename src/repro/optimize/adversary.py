@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.experiments.attack import (
     AttackArena,

@@ -8,7 +8,7 @@ returns sorted data.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 Edge = Tuple[int, int]
 
@@ -54,11 +54,6 @@ class Graph:
             self._adj[v] = set()
             self._bitmasks = None
 
-    def remove_vertex(self, v: int) -> None:
-        for neighbor in self._adj.pop(v, set()):
-            self._adj[neighbor].discard(v)
-        self._bitmasks = None
-
     def add_edge(self, a: int, b: int) -> None:
         a, b = ordered_edge(a, b)
         self.add_vertex(a)
@@ -82,11 +77,6 @@ class Graph:
                 bucket_b = adj[b] = set()
             bucket_a.add(b)
             bucket_b.add(a)
-        self._bitmasks = None
-
-    def remove_edge(self, a: int, b: int) -> None:
-        self._adj.get(a, set()).discard(b)
-        self._adj.get(b, set()).discard(a)
         self._bitmasks = None
 
     # ------------------------------------------------------------------
@@ -166,14 +156,6 @@ class Graph:
             self._bitmasks = result
         return result
 
-    def subgraph(self, keep: Iterable[int]) -> "Graph":
-        keep_set = set(keep)
-        sub = Graph(vertices=(v for v in self._adj if v in keep_set))
-        for a, b in self.edges():
-            if a in keep_set and b in keep_set:
-                sub.add_edge(a, b)
-        return sub
-
     def complement(self) -> "Graph":
         verts = self.vertices()
         comp = Graph(vertices=verts)
@@ -194,9 +176,3 @@ class Graph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(|V|={len(self)}, |E|={self.edge_count()})"
-
-
-def triangles_through_edge(graph: Graph, a: int, b: int) -> FrozenSet[int]:
-    """Vertices forming a triangle with the edge (a, b)."""
-    common = set(graph.neighbors(a)) & set(graph.neighbors(b))
-    return frozenset(common)

@@ -26,7 +26,7 @@ index order equals sorted vertex order).
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional
+from typing import FrozenSet, List
 
 from repro.optimize.graphs import Graph
 
@@ -35,16 +35,6 @@ try:  # Python >= 3.10
 except AttributeError:  # pragma: no cover - exercised on 3.9 CI only
     def _popcount(mask: int) -> int:
         return bin(mask).count("1")
-
-
-def is_independent_set(graph: Graph, vertices: Iterable[int]) -> bool:
-    """True iff no two of ``vertices`` are adjacent in ``graph``."""
-    chosen = list(vertices)
-    for i, a in enumerate(chosen):
-        for b in chosen[i + 1 :]:
-            if graph.has_edge(a, b):
-                return False
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -231,24 +221,3 @@ def greedy_independent_set(graph: Graph) -> FrozenSet[int]:
     """
     vertices, masks = graph.adjacency_bitmasks()
     return greedy_independent_set_masks(vertices, masks)
-
-
-def independent_set_of_size(
-    graph: Graph, size: int, exact_threshold: int = 40
-) -> Optional[FrozenSet[int]]:
-    """An independent set with at least ``size`` vertices, or None.
-
-    Used by the SuspicionMonitor's overflow rule ("too many suspicions
-    occur when G no longer contains an independent set of size n-f").  For
-    graphs up to ``exact_threshold`` vertices the check is exact; beyond
-    that the greedy heuristic provides a sound (never falsely positive)
-    approximation.
-    """
-    greedy = greedy_independent_set(graph)
-    if len(greedy) >= size:
-        return greedy
-    if len(graph) <= exact_threshold:
-        exact = maximum_independent_set(graph)
-        if len(exact) >= size:
-            return exact
-    return None

@@ -835,12 +835,6 @@ class Network:
         self._partition_group = {}
         self._refresh_fast_path()
 
-    def reachable(self, src: int, dst: int) -> bool:
-        """Can a message currently flow ``src`` -> ``dst``?"""
-        if src in self._down or dst in self._down:
-            return False
-        return not self._partitioned(src, dst)
-
     def _partitioned(self, a: int, b: int) -> bool:
         group_a = self._partition_group.get(a)
         group_b = self._partition_group.get(b)
@@ -849,10 +843,6 @@ class Network:
     def add_interceptor(self, interceptor: Interceptor) -> None:
         """Install a fault-injection hook; interceptors run in order."""
         self._interceptors.append(interceptor)
-        self._refresh_fast_path()
-
-    def remove_interceptor(self, interceptor: Interceptor) -> None:
-        self._interceptors.remove(interceptor)
         self._refresh_fast_path()
 
     # ------------------------------------------------------------------

@@ -16,8 +16,8 @@ from repro.tree.candidates import TreeSuspicionMonitor, build_disjoint_edge_set
 from repro.tree.kauri_reconfig import KauriReconfigurer
 from repro.tree.kauri_sa import KauriSaReconfigurer
 from repro.tree.optitree import IncrementalTreeSearch, OptiTree, optitree_search
-from repro.tree.score import TreeTimeouts, tree_round_duration, tree_score
-from repro.tree.topology import TreeConfiguration, branch_factor_for, perfect_tree_sizes
+from repro.tree.score import TreeTimeouts, tree_score
+from repro.tree.topology import TreeConfiguration, branch_factor_for
 
 __all__ = [
     "IncrementalTreeSearch",
@@ -30,7 +30,5 @@ __all__ = [
     "branch_factor_for",
     "build_disjoint_edge_set",
     "optitree_search",
-    "perfect_tree_sizes",
-    "tree_round_duration",
     "tree_score",
 ]

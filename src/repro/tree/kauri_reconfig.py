@@ -12,7 +12,7 @@ exactly what OptiTree improves on.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.tree.topology import TreeConfiguration, branch_factor_for
@@ -46,20 +46,16 @@ class KauriReconfigurer:
         permutation = list(range(n))
         self.rng.shuffle(permutation)
         self._permutation = permutation
-        self._bins: List[List[int]] = [
+        #: The disjoint internal-node bins (t-bounded conformity).
+        self.bins: List[List[int]] = [
             permutation[j * self.internal_count : (j + 1) * self.internal_count]
             for j in range(self.bin_count)
         ]
         self.trials = 0
 
-    @property
-    def bins(self) -> List[List[int]]:
-        """The disjoint internal-node bins (t-bounded conformity)."""
-        return [list(b) for b in self._bins]
-
     def tree_for_bin(self, index: int) -> TreeConfiguration:
         """Tree ``index``: bin members internal, everyone else a leaf."""
-        internal = self._bins[index]
+        internal = self.bins[index]
         internal_set = set(internal)
         leaves = [r for r in self._permutation if r not in internal_set]
         self.rng.shuffle(leaves)

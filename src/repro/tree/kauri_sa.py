@@ -19,19 +19,12 @@ from typing import FrozenSet, Optional, Set
 import numpy as np
 
 from repro.optimize.annealing import AnnealingSchedule
-from repro.tree.optitree import optitree_search, optitree_search_sharded
+from repro.tree.optitree import optitree_search
 from repro.tree.topology import TreeConfiguration, branch_factor_for
 
 
 class KauriSaReconfigurer:
-    """Sequence of annealed trees with internal-node blacklisting.
-
-    ``shards > 1`` switches :meth:`next_tree` to the candidate-set-sharded
-    search (:func:`optitree_search_sharded`): per-call root seeds are
-    drawn from the reconfigurer's own RNG stream (so successive trees
-    stay independent) and each shard's seed is derived from that root, so
-    the chosen tree is byte-identical for any ``jobs`` value.
-    """
+    """Sequence of annealed trees with internal-node blacklisting."""
 
     def __init__(
         self,
@@ -40,8 +33,6 @@ class KauriSaReconfigurer:
         f: int,
         rng: Optional[random.Random] = None,
         schedule: Optional[AnnealingSchedule] = None,
-        shards: int = 1,
-        jobs: int = 1,
     ):
         self.latency = latency
         self.n = n
@@ -51,8 +42,6 @@ class KauriSaReconfigurer:
         self.schedule = schedule or AnnealingSchedule(
             iterations=20_000, initial_temperature=0.05, cooling=0.9995
         )
-        self.shards = shards
-        self.jobs = jobs
         self.excluded: Set[int] = set()
         self.trees_formed = 0
         self._candidates: Optional[FrozenSet[int]] = None
@@ -74,30 +63,16 @@ class KauriSaReconfigurer:
         star-fallback point).
         """
         k = (self.n - self.f) + self.f  # q + f: no estimate u available
-        if self.shards > 1:
-            result = optitree_search_sharded(
-                self.latency,
-                self.n,
-                self.f,
-                self.candidates,
-                u=0,
-                root_seed=self.rng.getrandbits(63),
-                shards=self.shards,
-                jobs=self.jobs,
-                schedule=self.schedule,
-                k=k,
-            )
-        else:
-            result = optitree_search(
-                self.latency,
-                self.n,
-                self.f,
-                self.candidates,
-                u=0,
-                rng=self.rng,
-                schedule=self.schedule,
-                k=k,
-            )
+        result = optitree_search(
+            self.latency,
+            self.n,
+            self.f,
+            self.candidates,
+            u=0,
+            rng=self.rng,
+            schedule=self.schedule,
+            k=k,
+        )
         if result is None:
             return None
         self.trees_formed += 1

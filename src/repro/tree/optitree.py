@@ -27,7 +27,6 @@ from repro.optimize.annealing import (
     IncrementalSearch,
     anneal_incremental,
 )
-from repro.experiments.parallel import derive_sweep_seed, parallel_map
 from repro.tree.candidates import TreeSuspicionMonitor
 from repro.tree.score import TreeTimeouts, _collect_time, default_k, tree_score
 from repro.tree.topology import (
@@ -41,10 +40,9 @@ def random_tree(
     n: int,
     candidates: FrozenSet[int],
     rng: random.Random,
-    branch_factor: int = 0,
 ) -> Optional[TreeConfiguration]:
     """A uniformly random layout whose internal nodes come from ``K``."""
-    b = branch_factor or branch_factor_for(n)
+    b = branch_factor_for(n)
     internal_count = b + 1
     pool = sorted(candidates)
     if len(pool) < internal_count:
@@ -269,7 +267,6 @@ def optitree_search(
     rng: Optional[random.Random] = None,
     schedule: Optional[AnnealingSchedule] = None,
     k: Optional[int] = None,
-    initial: Optional[TreeConfiguration] = None,
 ) -> Optional[AnnealingResult]:
     """Annealed tree search; returns None when K is too small for a tree.
 
@@ -283,114 +280,15 @@ def optitree_search(
     """
     rng = rng or random.Random(0)
     votes_needed = k if k is not None else default_k(n, f, u)
-
+    initial = random_tree(n, candidates, rng)
     if initial is None:
-        initial = random_tree(n, candidates, rng)
-        if initial is None:
-            return None
+        return None
 
     schedule = schedule or AnnealingSchedule(
         iterations=20_000, initial_temperature=0.05, cooling=0.9995
     )
     engine = IncrementalTreeSearch(latency, initial, candidates, votes_needed)
     return anneal_incremental(engine, rng, schedule)
-
-
-def shard_candidates(
-    candidates: FrozenSet[int], shards: int
-) -> list:
-    """Deterministic partition of ``candidates`` into ``shards`` slices.
-
-    Candidates are sorted and dealt round-robin, so every shard sees a
-    spread of replica ids (contiguous slices would concentrate whole
-    regions in one shard under region-sorted deployments).  The partition
-    depends only on the set and the shard count -- never on worker
-    scheduling -- which is what makes the sharded search reproducible.
-    """
-    ordered = sorted(candidates)
-    return [frozenset(ordered[i::shards]) for i in range(shards)]
-
-
-def _search_shard(point):
-    """Process-pool worker: one full annealing run on one candidate shard."""
-    latency, n, f, candidates, u, seed, schedule, k = point
-    return optitree_search(
-        latency,
-        n,
-        f,
-        candidates,
-        u,
-        rng=random.Random(seed),
-        schedule=schedule,
-        k=k,
-    )
-
-
-def optitree_search_sharded(
-    latency: np.ndarray,
-    n: int,
-    f: int,
-    candidates: FrozenSet[int],
-    u: int,
-    root_seed: int = 0,
-    shards: int = 1,
-    jobs: int = 1,
-    schedule: Optional[AnnealingSchedule] = None,
-    k: Optional[int] = None,
-) -> Optional[AnnealingResult]:
-    """Candidate-set-sharded annealed search.
-
-    The candidate set is partitioned into ``shards`` disjoint subsets
-    (:func:`shard_candidates`); each shard runs a *complete* annealing
-    search restricted to its subset, on the same delta-evaluated
-    :class:`IncrementalTreeSearch` engine as the serial path.  Shards
-    share nothing, so they fan out over the PR 4 sweep executor
-    (:func:`repro.experiments.parallel.parallel_map`).
-
-    Determinism contract (the "byte-identical merge"):
-
-    * each shard's RNG is seeded with
-      ``derive_sweep_seed(root_seed, "shard-<i>")`` -- a pure function of
-      the root seed and the shard index, never of pool scheduling;
-    * ``parallel_map`` returns results in submission order, and the merge
-      scans that order keeping the strictly-best score -- ties go to the
-      lowest shard index;
-
-    so the returned result is identical for any ``jobs`` value, including
-    the serial ``jobs=1`` loop.  Shards too small to form a tree (fewer
-    than ``b + 1`` candidates) contribute ``None`` and are skipped.
-    """
-    if shards <= 1:
-        return optitree_search(
-            latency,
-            n,
-            f,
-            candidates,
-            u,
-            rng=random.Random(derive_sweep_seed(root_seed, "shard-0")),
-            schedule=schedule,
-            k=k,
-        )
-    points = [
-        (
-            latency,
-            n,
-            f,
-            subset,
-            u,
-            derive_sweep_seed(root_seed, f"shard-{index}"),
-            schedule,
-            k,
-        )
-        for index, subset in enumerate(shard_candidates(candidates, shards))
-    ]
-    best = None
-    for result in parallel_map(_search_shard, points, jobs=jobs):
-        if result is None:
-            continue
-        if best is None or result.best_score < best.best_score:
-            best = result
-    return best
 
 
 class OptiTree:
@@ -478,9 +376,3 @@ class OptiTree:
     @property
     def u(self) -> int:
         return self.pipeline.u
-
-    @property
-    def current_tree(self) -> Optional[TreeConfiguration]:
-        monitor = self.pipeline.config_monitor
-        current = monitor.current if monitor is not None else None
-        return current if isinstance(current, TreeConfiguration) else None

@@ -14,18 +14,18 @@ is independent of the others, the optimum takes intermediates in ascending
 ``Lagg(I) + L[I][R]`` order until coverage is reached -- an O(b log b)
 greedy rather than an exponential subset scan.
 
-``tree_round_duration`` additionally counts dissemination
+:meth:`TreeTimeouts.round_duration` additionally counts dissemination
 (``L[R][I] + 2·Lagg(I) + L[I][R]``), which is the ``d_rnd`` used for
 timeouts (TR3 via Lemma 6);  Definition 1's score is the ranking metric
 and the figures report it, like the paper.
 
-Each quantity has two implementations, and both are production paths:
-the vectorized one runs over the configuration's precomputed
+The score has two implementations, and both are production paths: the
+vectorized one runs over the configuration's precomputed
 :attr:`~repro.tree.topology.TreeConfiguration.score_arrays` (numpy child
-index views) for wide trees, and the ``*_scalar`` loops serve every tree
-with a branch factor below ``_VECTORIZE_MIN_BRANCH``.  They are
-bit-identical by construction (same IEEE ops in the same order), pinned
-by ``tests/tree/test_score_equivalence.py``.
+index views) for wide trees, and the ``tree_score_scalar`` loop serves
+every tree with a branch factor below ``_VECTORIZE_MIN_BRANCH``.  They
+are bit-identical by construction (same IEEE ops in the same order),
+pinned by ``tests/tree/test_score_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -130,31 +130,6 @@ def tree_score_scalar(
     return _collect_time(costs, k - 1)  # the root's vote is added separately
 
 
-def tree_round_duration(
-    latency: np.ndarray, tree: TreeConfiguration, k: int
-) -> float:
-    """``d_rnd``: dissemination + aggregation along the critical subtrees."""
-    if tree.branch_factor < _VECTORIZE_MIN_BRANCH:
-        return tree_round_duration_scalar(latency, tree, k)
-    intermediates, lagg, uplink, votes = _subtree_costs(latency, tree)
-    costs = latency[tree.root, intermediates] + 2.0 * lagg + uplink
-    return _collect_time_array(costs, votes, k - 1)
-
-
-def tree_round_duration_scalar(
-    latency: np.ndarray, tree: TreeConfiguration, k: int
-) -> float:
-    """Reference implementation of :func:`tree_round_duration`."""
-    root = tree.root
-    costs = []
-    for intermediate in tree.intermediates:
-        lagg = aggregation_latency(latency, tree, intermediate)
-        down = float(latency[root, intermediate])
-        up = float(latency[intermediate, root])
-        costs.append((down + 2.0 * lagg + up, tree.subtree_size(intermediate)))
-    return _collect_time(costs, k - 1)
-
-
 class TreeTimeouts:
     """Per-message ``d_m`` for a tree round (Lemma 6).
 
@@ -219,18 +194,9 @@ class TreeTimeouts:
         """Forwarded Propose reaches a leaf via its parent (TR2)."""
         return float(self._materialise()[1][leaf])
 
-    def vote_arrival(self, leaf: int) -> float:
-        """A leaf's Vote returns to its parent (TR2, one more link)."""
-        return float(self._materialise()[2][leaf])
-
-    def aggregate_arrival(self, intermediate: int) -> float:
-        """An intermediate's Aggregated Vote reaches the root (TR2:
-        slowest child vote plus the uplink)."""
-        return self._materialise()[3][intermediate]
-
     def round_duration(self) -> float:
-        """TR3: d_rnd from the aggregate arrivals (equals
-        :func:`tree_round_duration`)."""
+        """TR3: d_rnd from the aggregate arrivals, i.e. the quorum-collect
+        time of ``L[R][I] + 2·Lagg(I) + L[I][R]`` over the subtrees."""
         aggregate = self._materialise()[3]
         costs = [
             (aggregate[intermediate], self.tree.subtree_size(intermediate))

@@ -32,24 +32,6 @@ def branch_factor_for(n: int) -> int:
     return int((math.isqrt(4 * n - 3) - 1) // 2)
 
 
-def is_perfect_tree_size(n: int) -> bool:
-    """True iff ``n = 1 + b + b²`` for some integer ``b``."""
-    b = branch_factor_for(n)
-    return 1 + b + b * b == n
-
-
-def perfect_tree_sizes(limit: int) -> List[int]:
-    """All perfect height-3 sizes up to ``limit`` (13, 21, 31, 43, ...)."""
-    sizes = []
-    b = 3
-    while True:
-        n = 1 + b + b * b
-        if n > limit:
-            return sizes
-        sizes.append(n)
-        b += 1
-
-
 @lru_cache(maxsize=None)
 def tree_position_structure(
     n: int, branch_factor: int
@@ -210,9 +192,3 @@ class TreeConfiguration(Configuration):
     @property
     def wire_size(self) -> int:
         return RECORD_HEADER_SIZE + 2 * len(self.layout)
-
-    def swap(self, position_a: int, position_b: int) -> "TreeConfiguration":
-        """New configuration with the replicas at two positions swapped."""
-        layout = list(self.layout)
-        layout[position_a], layout[position_b] = layout[position_b], layout[position_a]
-        return TreeConfiguration(layout=tuple(layout), branch_factor=self.branch_factor)

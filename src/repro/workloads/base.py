@@ -79,9 +79,14 @@ class ClientSiteRouter:
 
     def __init__(self, one_way: Callable[[int, int], float], n: int,
                  default_site: int = 0, local_delay: float = 0.0005):
+        if not 0 <= default_site < n:
+            # A wrapped index would silently run from another city.
+            raise ValueError(
+                f"client_city must be a city index in [0, {n}), got {default_site!r}"
+            )
         self.one_way = one_way
         self.n = n
-        self.default_site = default_site % n
+        self.default_site = default_site
         self.local_delay = local_delay
         self.sites: Dict[int, int] = {}
         self._derive()

@@ -1,22 +1,11 @@
 """Tests for Aware's score function and configuration search."""
 
-import math
-
 import numpy as np
 import pytest
 
-from repro.aware.score import aware_score, weight_config_round_duration
+from repro.aware.score import weight_config_round_duration
 from repro.aware.search import exhaustive_weight_search
 from repro.aware.weights import WeightConfiguration
-
-
-def test_score_infeasible_outside_candidates(europe21_links):
-    config = WeightConfiguration(
-        n=21, f=6, leader=0, vmax_replicas=frozenset(range(1, 13))
-    )
-    candidates = frozenset(range(21)) - {0}
-    assert aware_score(europe21_links, config, candidates) == math.inf
-    assert aware_score(europe21_links, config) < math.inf
 
 
 def test_exhaustive_search_returns_best_leader(europe21_links):

@@ -21,6 +21,7 @@ from oracles import (
     quorum_formation_time,
     round_duration_scalar,
     weight_config_round_duration_scalar,
+    write_arrival,
 )
 from repro.aware.score import weight_config_round_duration
 from repro.aware.search import (
@@ -31,7 +32,6 @@ from repro.aware.weights import WeightConfiguration, WheatParameters
 from repro.core.timeouts import (
     PbftTimeouts,
     quorum_formation_times,
-    uniform_weights,
     weighted_round_duration,
 )
 from repro.net.deployments import random_world_deployment
@@ -99,7 +99,7 @@ def test_round_duration_uniform_weights_bit_equals_scalar():
     n = 21
     latency = latency_for(n)
     timeouts = PbftTimeouts(
-        latency, leader=3, weights=uniform_weights(n), quorum_weight=13
+        latency, leader=3, weights={r: 1.0 for r in range(n)}, quorum_weight=13
     )
     assert timeouts.round_duration() == round_duration_scalar(timeouts)
 
@@ -107,11 +107,11 @@ def test_round_duration_uniform_weights_bit_equals_scalar():
 def test_accept_send_times_match_scalar_quorum_scan():
     n = 21
     latency = latency_for(n)
-    weights = uniform_weights(n)
+    weights = {r: 1.0 for r in range(n)}
     timeouts = PbftTimeouts(latency, leader=3, weights=weights, quorum_weight=13)
     for replica in range(n):
         arrivals = {
-            writer: timeouts.write_arrival(writer, replica) for writer in range(n)
+            writer: write_arrival(timeouts, writer, replica) for writer in range(n)
         }
         assert timeouts.accept_send_time(replica) == quorum_formation_time(
             arrivals, weights, 13

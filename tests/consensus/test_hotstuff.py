@@ -41,7 +41,9 @@ def test_round_robin_rotates_proposers(europe21):
 
 
 def test_throughput_reflects_block_payload(europe21):
-    cluster = HotStuffCluster(europe21, payload_per_block=500, seed=1)
+    cluster = HotStuffCluster(europe21, seed=1)
+    for replica in cluster.replicas:
+        replica.payload_per_block = 500
     metrics = cluster.run(5.0)
     assert metrics.total_requests() == 500 * len(metrics.commits)
 
@@ -66,3 +68,18 @@ def test_safety_no_conflicting_commits(europe21):
             block = observed.blocks[(replica.id, event.height)]
             existing = by_height.setdefault(event.height, block.hash)
             assert existing == block.hash, f"fork at height {event.height}"
+
+
+@pytest.mark.parametrize("leader", [-1, 21, 100])
+def test_fixed_leader_outside_the_replicas_is_rejected(europe21, leader):
+    # No replica would ever lead: the run used to commit nothing, silently.
+    with pytest.raises(ValueError, match=rf"fixed_leader .*\[0, 21\).*{leader}"):
+        HotStuffCluster(europe21, leader_mode="fixed", fixed_leader=leader)
+
+
+def test_fixed_leader_at_the_last_replica_commits(europe21):
+    cluster = HotStuffCluster(europe21, leader_mode="fixed", fixed_leader=20, seed=1)
+    observed = BlockObserver(cluster.network)
+    metrics = cluster.run(2.0)
+    assert metrics.commits
+    assert observed.proposers == {20}

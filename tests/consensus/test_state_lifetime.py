@@ -30,7 +30,7 @@ from repro.experiments.runner import (
     prepare_scenario,
 )
 from repro.experiments.scenarios import make_scenario
-from repro.experiments.trace import state_trace_hash
+from state_trace import state_trace_hash
 from repro.tree.kauri_reconfig import KauriReconfigurer
 
 _CHAINED = ["kauri", "optitree", "hotstuff-rr", "hotstuff-fixed"]

@@ -46,6 +46,12 @@ def make_monitor(candidates=None, u=0, on_reconfigure=None, improvement=0.9):
     return log, monitor, state
 
 
+def install(monitor, configuration) -> None:
+    """Adopt ``configuration`` as the current one without a log proposal."""
+    monitor.current = configuration
+    monitor.current_score = leader_score(configuration)
+
+
 def proposal(leader: int, proposer: int = 0, claimed=None, avoid=()) -> ConfigProposalRecord:
     configuration = config_with_leader(leader, avoid=avoid)
     return ConfigProposalRecord(
@@ -65,7 +71,7 @@ def test_first_proposal_activates_when_no_current():
 
 def test_valid_current_requires_significant_improvement():
     log, monitor, _ = make_monitor(improvement=0.9)
-    monitor.install(config_with_leader(3))  # score 4
+    install(monitor, config_with_leader(3))  # score 4
     log.append(proposal(leader=2, proposer=1))  # score 3 < 0.9*4 -> activate
     assert monitor.current.leader == 2
     log.append(proposal(leader=2, proposer=2))
@@ -75,14 +81,14 @@ def test_valid_current_requires_significant_improvement():
 
 def test_marginal_improvement_rejected():
     log, monitor, _ = make_monitor(improvement=0.5)
-    monitor.install(config_with_leader(2))  # score 3
+    install(monitor, config_with_leader(2))  # score 3
     log.append(proposal(leader=1, proposer=1))  # score 2 > 0.5*3
     assert monitor.current.leader == 2
 
 
 def test_invalid_current_waits_for_f_plus_1_proposals():
     log, monitor, state = make_monitor()
-    monitor.install(config_with_leader(3))
+    install(monitor, config_with_leader(3))
     state["candidates"] = frozenset(range(N)) - {3}  # leader now suspect
     assert not monitor.current_is_valid()
     log.append(proposal(leader=1, proposer=1, avoid={3}))
@@ -96,7 +102,7 @@ def test_invalid_current_waits_for_f_plus_1_proposals():
 def test_claimed_score_is_ignored_scores_recomputed():
     """Accountability: a lying proposer cannot win with a fake score."""
     log, monitor, state = make_monitor()
-    monitor.install(config_with_leader(6))
+    install(monitor, config_with_leader(6))
     state["candidates"] = frozenset(range(N)) - {6}
     log.append(proposal(leader=5, proposer=1, claimed=0.0001, avoid={6}))  # lie
     log.append(proposal(leader=1, proposer=2, avoid={6}))
@@ -115,17 +121,17 @@ def test_stale_pending_revalidated_on_candidate_change():
     """A buffered proposal naming a later-suspected replica must not be
     reconfigured to (the OptiAware attack regression)."""
     log, monitor, state = make_monitor()
-    monitor.install(config_with_leader(2))
+    install(monitor, config_with_leader(2))
     log.append(proposal(leader=2, proposer=1))  # same as current; buffered
     state["candidates"] = frozenset(range(N)) - {2}  # 2 becomes suspect
     monitor.recheck()
     assert len(monitor.reconfigurations) == 0  # stale proposal dropped
-    assert monitor.pending_count == 0
+    assert not monitor._pending
 
 
 def test_newer_proposal_replaces_same_proposer():
     log, monitor, state = make_monitor()
-    monitor.install(config_with_leader(1))
+    install(monitor, config_with_leader(1))
     state["candidates"] = frozenset(range(N)) - {1}
     log.append(proposal(leader=6, proposer=2, avoid={1}))
     log.append(proposal(leader=2, proposer=2, avoid={1}))  # same proposer, better

@@ -72,13 +72,6 @@ def test_entries_of_type_and_histogram():
     }
 
 
-def test_total_wire_size_sums_records():
-    log = AppendOnlyLog()
-    a = log.append(vector())
-    b = log.append(suspicion())
-    assert log.total_wire_size() == a.wire_size + b.wire_size
-
-
 def test_entries_of_type_respects_subclasses_and_order():
     """The per-type index must serve superclass queries merged in commit
     order, exactly like the old full-log isinstance scan."""
@@ -141,7 +134,6 @@ def test_append_many_equivalent_to_sequential_appends():
     assert [e.seq for e in batch_entries] == [e.seq for e in loop_entries]
     assert [e.view for e in batch_entries] == [2, 2, 2, 2]
     assert batch_seen == loop_seen
-    assert batch_log.total_wire_size() == loop_log.total_wire_size()
     assert batch_log.type_histogram() == loop_log.type_histogram()
 
 
@@ -186,12 +178,11 @@ def test_wire_size_cached_on_entry():
             return 7
 
     log = AppendOnlyLog()
-    entry = log.append(Counting())  # append reads the record once
+    entry = log.append(Counting())
     baseline_reads = Counting.reads
     assert entry.wire_size == 7
     assert entry.wire_size == 7  # second read served from the cache
     assert Counting.reads == baseline_reads + 1
-    assert log.total_wire_size() == 7
 
 
 def test_same_order_gives_same_entries_on_two_logs():

@@ -122,6 +122,11 @@ def apply_op(log, monitor, registry, op):
         monitor.note_round_leader(op[1], op[2])
 
 
+def active_suspicions(monitor):
+    """The monitor's active (reporter, suspect) pairs, in log order."""
+    return [(item.reporter, item.suspect) for item in monitor._items]
+
+
 def state_of(monitor):
     return (
         monitor.K,
@@ -129,7 +134,7 @@ def state_of(monitor):
         monitor.C,
         monitor.graph.vertices(),
         monitor.graph.edges(),
-        monitor.active_suspicions(),
+        active_suspicions(monitor),
         monitor.filtered_count,
     )
 
@@ -217,7 +222,7 @@ def test_eviction_order_preserved_under_overflow():
         )
     # Lemma 1 kept K at n - f by evicting the *oldest* suspicions; the
     # survivors must be a suffix of the original stream.
-    survivors = monitor.active_suspicions()
+    survivors = active_suspicions(monitor)
     assert survivors == [tuple(p) for p in pairs[len(pairs) - len(survivors):]]
     assert len(monitor.K) >= 4
 
@@ -237,7 +242,7 @@ def test_aging_eviction_matches_reference_state():
     )
     for view in range(1, 12):
         monitor.advance_view(view)
-    assert monitor.active_suspicions() == []
+    assert active_suspicions(monitor) == []
     assert monitor.u == 0
 
 

@@ -112,7 +112,6 @@ def test_one_slow_per_suspect_per_round():
                        plan=plan(expected(3)))
     sensor.check_round(2, now=1.0)
     assert len(suspicions(log)) == 2
-    sensor.forgive(3)  # clears the dedup state entirely
     assert all(s.suspect == 3 for s in suspicions(log))
 
 

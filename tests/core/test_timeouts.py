@@ -6,12 +6,19 @@ import numpy as np
 import pytest
 
 from oracles import quorum_formation_time as quorum_formation_time_scalar
-from repro.core.timeouts import (
-    PbftTimeouts,
-    pbft_round_duration,
-    quorum_formation_times,
-    uniform_weights,
-)
+from oracles import write_arrival
+from repro.core.timeouts import PbftTimeouts, quorum_formation_times
+
+#: Plain PBFT's votes at n = 4: every replica weighs 1.
+UNIFORM_4 = {replica: 1.0 for replica in range(4)}
+
+
+def pbft_round_duration(latency: np.ndarray, leader: int) -> float:
+    """Plain PBFT's ``d_rnd``: uniform weights, quorum 2f + 1."""
+    n = latency.shape[0]
+    f = (n - 1) // 3
+    weights = {replica: 1.0 for replica in range(n)}
+    return PbftTimeouts(latency, leader, weights, 2 * f + 1).round_duration()
 
 
 def square_latency(n: float = 4, value: float = 0.01) -> np.ndarray:
@@ -63,17 +70,17 @@ def test_quorum_formation_ignores_unreachable():
 # ----------------------------------------------------------------------
 def test_tr1_propose_is_single_link():
     latency = square_latency()
-    timeouts = PbftTimeouts(latency, leader=0, weights=uniform_weights(4), quorum_weight=3)
+    timeouts = PbftTimeouts(latency, leader=0, weights=UNIFORM_4, quorum_weight=3)
     assert timeouts.propose_arrival(1) == pytest.approx(0.01)
     assert timeouts.propose_arrival(0) == 0.0
 
 
 def test_tr2_write_adds_link_to_propose():
     latency = square_latency()
-    timeouts = PbftTimeouts(latency, leader=0, weights=uniform_weights(4), quorum_weight=3)
-    assert timeouts.write_arrival(1, 2) == pytest.approx(0.02)
+    timeouts = PbftTimeouts(latency, leader=0, weights=UNIFORM_4, quorum_weight=3)
+    assert write_arrival(timeouts, 1, 2) == pytest.approx(0.02)
     # The leader's propose doubles as its write: one link only.
-    assert timeouts.write_arrival(0, 2) == pytest.approx(0.01)
+    assert write_arrival(timeouts, 0, 2) == pytest.approx(0.01)
 
 
 def test_tr3_round_duration_on_uniform_square():
@@ -99,8 +106,8 @@ def test_leader_choice_changes_round_duration(europe21_links):
 
 def test_expected_messages_cover_all_phases():
     latency = square_latency()
-    timeouts = PbftTimeouts(latency, leader=0, weights=uniform_weights(4), quorum_weight=3)
-    expected = timeouts.expected_messages(1)
+    timeouts = PbftTimeouts(latency, leader=0, weights=UNIFORM_4, quorum_weight=3)
+    expected = timeouts.round_plan(1).expected_messages()
     kinds = {(m.sender, m.msg_type) for m in expected}
     assert (0, "propose") in kinds
     assert (2, "write") in kinds
@@ -111,8 +118,8 @@ def test_expected_messages_cover_all_phases():
 def test_expected_messages_monotone_in_phase():
     """TR2 chains: each message's d_m is at least its predecessor's."""
     latency = square_latency()
-    timeouts = PbftTimeouts(latency, leader=0, weights=uniform_weights(4), quorum_weight=3)
-    expected = {(m.msg_type, m.sender): m.d_m for m in timeouts.expected_messages(1)}
+    timeouts = PbftTimeouts(latency, leader=0, weights=UNIFORM_4, quorum_weight=3)
+    expected = {(m.msg_type, m.sender): m.d_m for m in timeouts.round_plan(1).expected_messages()}
     assert expected[("write", 2)] >= expected[("propose", 0)]
     assert expected[("accept", 2)] >= expected[("write", 2)]
 

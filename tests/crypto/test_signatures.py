@@ -4,7 +4,6 @@ import pytest
 
 from repro.crypto.signatures import (
     SIGNATURE_SIZE,
-    InvalidSignature,
     KeyRegistry,
 )
 
@@ -32,13 +31,6 @@ def test_forge_produces_invalid_signature():
     registry = KeyRegistry(4)
     forged = registry.forge(1, "payload")
     assert not registry.verify(forged, "payload")
-
-
-def test_require_valid_raises():
-    registry = KeyRegistry(4)
-    forged = registry.forge(1, "payload")
-    with pytest.raises(InvalidSignature):
-        registry.require_valid(forged, "payload")
 
 
 def test_registries_with_different_seeds_do_not_cross_verify():

@@ -28,7 +28,7 @@ from repro.experiments.runner import (
     prepare_scenario,
     run_scenario,
 )
-from repro.experiments.trace import state_trace_hash
+from state_trace import state_trace_hash
 from repro.faults.schedule import FAULT_KINDS
 
 _DURATION = 6.0

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from oracles import DeliveryOrderRecorder, heap_only
 from repro.experiments.checkpoint import load_checkpoint, save_checkpoint
 from repro.experiments.runner import Scenario, prepare_scenario, run_scenario
-from repro.experiments.trace import state_trace_hash
+from state_trace import state_trace_hash
 from repro.sim import network as network_mod
 from repro.sim.network import Network
 

@@ -31,7 +31,7 @@ from repro.experiments.runner import (
     prepare_scenario,
     run_scenario,
 )
-from repro.experiments.trace import state_trace_hash
+from state_trace import state_trace_hash
 
 
 def _scenario(protocol, workload, workload_params, **overrides):

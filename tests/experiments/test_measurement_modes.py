@@ -14,7 +14,7 @@ from repro.experiments.runner import (
     Scenario,
     run_scenario,
 )
-from repro.experiments.trace import state_trace_hash
+from state_trace import state_trace_hash
 from repro.metrics import MetricsSketch
 
 

@@ -3,7 +3,7 @@
 The acceptance bar: for every protocol family, a scenario whose wide
 multicasts wait in the row store is **bit-identical** to the heap-only
 run (``oracles.heap_only``) -- same metrics JSON (minus the store's
-counters), same :func:`~repro.experiments.trace.state_trace_hash` --
+counters), same :func:`state_trace.state_trace_hash` --
 at thresholds that push everything (2, 4) or nothing (256) of these
 n <= 16 deployments through it, sparse and dense.  The plane *names*:
 ``object`` and ``columnar`` are one plane, ``check`` is refused, a
@@ -24,7 +24,7 @@ from repro.experiments.runner import (
     prepare_scenario,
     run_scenario,
 )
-from repro.experiments.trace import state_trace_hash
+from state_trace import state_trace_hash
 from repro.sim import network as network_mod
 from repro.sim.network import Network
 

@@ -43,6 +43,14 @@ def test_cli_rejects_nan_duration_within_seconds():
     assert time.monotonic() - started < 5.0
 
 
+def test_cli_rejects_client_city_outside_the_deployment():
+    proc = _repro("run", "--protocol", "pbft", "--deployment", "Europe21",
+                  "--duration", "1", "--client-city", "25")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: client_city")
+    assert "[0, 21)" in proc.stderr and "25" in proc.stderr
+
+
 def test_cli_rejected_attack_schedule_is_an_error_not_a_traceback():
     proc = _repro("attack", "--iterations", "-1")
     assert proc.returncode == 1

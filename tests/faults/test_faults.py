@@ -56,16 +56,22 @@ def test_windowed_attack_without_clock_fails_loudly():
         ActivationWindow(end=20.0)
     # The trivial always-active window needs no clock.
     attack = DelayAttack(attacker=1, message_types=("PrePrepare",), extra_delay=0.5)
-    assert attack.active()
+    message = PrePrepare()
+    assert attack(1, 2, message, 0.01) == (message, 0.51)
 
 
 def test_activation_window_boundaries_are_inclusive():
     clock = {"now": 0.0}
-    window = ActivationWindow(start=10.0, end=20.0, now_fn=lambda: clock["now"])
+    attack = DelayAttack(
+        attacker=1, message_types=("PrePrepare",), extra_delay=0.5,
+        start=10.0, end=20.0, now_fn=lambda: clock["now"],
+    )
+    message = PrePrepare()
     for now, expected in ((9.999, False), (10.0, True), (15.0, True),
                           (20.0, True), (20.001, False)):
         clock["now"] = now
-        assert window.active() is expected
+        delayed = attack(1, 2, message, 0.01) == (message, 0.51)
+        assert delayed is expected
     with pytest.raises(ValueError, match="precedes"):
         ActivationWindow(start=5.0, end=1.0, now_fn=lambda: 0.0)
 

@@ -14,8 +14,6 @@ from repro.faults.genome import (
     GenomeError,
     allowed_kinds,
     compile_genome,
-    genome_from_dict,
-    genome_to_dict,
     mutate,
     seed_genome,
 )
@@ -189,7 +187,3 @@ def test_canonical_form_makes_equal_strategies_equal():
     assert forward == backward
     assert hash(forward) == hash(backward)
 
-
-def test_json_round_trip_is_exact():
-    genome = seed_genome(BUDGET, AWARE, variant=3)
-    assert genome_from_dict(genome_to_dict(genome)) == genome

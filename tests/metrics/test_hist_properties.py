@@ -130,8 +130,13 @@ def test_fresh_histogram_is_merge_identity(values):
 def test_merge_rejects_mismatched_geometry():
     with pytest.raises(ValueError, match="different geometry"):
         LogHistogram(bins_per_decade=100).merge(LogHistogram(bins_per_decade=50))
-    with pytest.raises(ValueError, match="different geometry"):
-        LogHistogram(lo=1e-6).merge(LogHistogram(lo=1e-3))
+
+
+def test_from_state_refuses_a_foreign_domain():
+    state = LogHistogram().state_dict()
+    state["lo"] = 1e-3
+    with pytest.raises(ValueError, match="expected"):
+        LogHistogram.from_state(state)
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +202,7 @@ def test_quantile_of_empty_histogram_is_nan():
 
 
 def test_out_of_domain_values_are_clamped_and_counted():
-    hist = LogHistogram(lo=1e-3, hi=1e2)
+    hist = LogHistogram()
     hist.add(1e-9)
     hist.add(1e9)
     assert hist.clamped_low == 1

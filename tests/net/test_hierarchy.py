@@ -123,15 +123,6 @@ def test_row_cache_bounded():
     assert provider.row(299) is row
 
 
-def test_stats_ms_matches_dense():
-    cities = _cities(100)
-    upper = _formula_ms(cities)[np.triu_indices(100, k=1)]
-    got = LatencyModel(cities).stats_ms()
-    assert got["min"] == upper.min()
-    assert got["max"] == upper.max()
-    assert got["mean"] == pytest.approx(upper.mean(), rel=1e-12)
-
-
 def test_verify_against_dense_passes():
     cities = _cities(256)
     model = LatencyModel(cities)

@@ -8,8 +8,7 @@ import pytest
 
 from repro.experiments.attack import ensure_baselines, make_arena
 from repro.faults.genome import AdversaryBudget
-from repro.optimize import AttackSearchEngine, attack_search
-from repro.optimize.adversary import DEFAULT_SCHEDULE
+from repro.optimize.adversary import DEFAULT_SCHEDULE, AttackSearchEngine, attack_search
 from repro.optimize.annealing import anneal_incremental
 
 BUDGET = AdversaryBudget(max_faulty=6)

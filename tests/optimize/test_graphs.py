@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.optimize.graphs import Graph, ordered_edge, triangles_through_edge
+from repro.optimize.graphs import Graph, ordered_edge
 
 
 def test_ordered_edge_canonical():
@@ -26,27 +26,6 @@ def test_edges_sorted_and_unique():
     assert graph.edge_count() == 2
 
 
-def test_remove_vertex_removes_incident_edges():
-    graph = Graph(edges=[(1, 2), (2, 3)])
-    graph.remove_vertex(2)
-    assert graph.edges() == []
-    assert 2 not in graph
-
-
-def test_remove_edge_keeps_vertices():
-    graph = Graph(edges=[(1, 2)])
-    graph.remove_edge(1, 2)
-    assert graph.vertices() == [1, 2]
-    assert not graph.has_edge(1, 2)
-
-
-def test_subgraph_filters_both_ends():
-    graph = Graph(edges=[(1, 2), (2, 3), (3, 4)])
-    sub = graph.subgraph([2, 3])
-    assert sub.vertices() == [2, 3]
-    assert sub.edges() == [(2, 3)]
-
-
 def test_complement_inverts_adjacency():
     graph = Graph(vertices=[1, 2, 3], edges=[(1, 2)])
     comp = graph.complement()
@@ -58,12 +37,6 @@ def test_degree_and_neighbors_sorted():
     assert graph.neighbors(5) == [1, 2, 3]
     assert graph.degree(5) == 3
     assert graph.degree(1) == 1
-
-
-def test_triangles_through_edge():
-    graph = Graph(edges=[(1, 2), (2, 3), (1, 3), (3, 4)])
-    assert triangles_through_edge(graph, 1, 2) == {3}
-    assert triangles_through_edge(graph, 3, 4) == frozenset()
 
 
 def test_copy_is_independent():

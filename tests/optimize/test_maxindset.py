@@ -5,13 +5,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import is_independent_set
 from repro.optimize.graphs import Graph
-from repro.optimize.maxindset import (
-    greedy_independent_set,
-    independent_set_of_size,
-    is_independent_set,
-    maximum_independent_set,
-)
+from repro.optimize.maxindset import greedy_independent_set, maximum_independent_set
 
 
 def star(center: int, leaves) -> Graph:
@@ -60,12 +56,6 @@ def test_greedy_is_maximal_independent():
     for vertex in graph.vertices():
         if vertex not in greedy:
             assert any(graph.has_edge(vertex, chosen) for chosen in greedy)
-
-
-def test_independent_set_of_size_respects_bound():
-    graph = star(0, range(1, 5))
-    assert independent_set_of_size(graph, 4) is not None
-    assert independent_set_of_size(graph, 5) is None
 
 
 @st.composite

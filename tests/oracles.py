@@ -7,6 +7,8 @@ Each is the straightforward pre-optimisation form of something under
   :func:`weight_config_round_duration_scalar` -- the per-dict quorum scan
   and ``d_rnd`` behind the vectorized ``quorum_formation_times`` /
   ``PbftTimeouts.round_duration``;
+* :func:`write_arrival` and :func:`accept_arrival` -- TR2's scalar
+  ``d_m`` for one Write / Accept, behind ``PbftTimeouts.round_plan``;
 * :func:`expected_messages_per_round` -- the per-round ``ExpectedMessage``
   list a PBFT replica used to build on every PrePrepare;
 * :class:`PerRoundSuspicionSensor` -- the dict/set round bookkeeping the
@@ -31,7 +33,8 @@ Each is the straightforward pre-optimisation form of something under
   the from-scratch derivation over its raw item deque;
 * :func:`maximum_independent_set_reference` and
   :func:`greedy_independent_set_reference` -- the set-based MIS solvers
-  behind the bitmask ones;
+  behind the bitmask ones, and :func:`is_independent_set`, the check
+  both answers must pass;
 * :func:`pair_rtt_ms`, :func:`verify_against_dense` and
   :func:`verify_self_consistent` -- the scalar haversine formula for one
   pair, the latency model's region table against that formula evaluated
@@ -68,6 +71,7 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -123,12 +127,26 @@ def quorum_formation_time(
     return math.inf
 
 
+def write_arrival(timeouts: PbftTimeouts, sender: int, receiver: int) -> float:
+    """TR2: Write(sender→receiver) = propose-to-sender + link.
+
+    The leader's Propose doubles as its own Write (BFT-SMaRt
+    convention), so for ``sender == leader`` this is just the link.
+    """
+    return timeouts.propose_arrival(sender) + float(timeouts.latency[sender, receiver])
+
+
+def accept_arrival(timeouts: PbftTimeouts, sender: int, receiver: int) -> float:
+    """TR2: Accept(sender→receiver) = sender's Write quorum + link."""
+    return timeouts.accept_send_time(sender) + float(timeouts.latency[sender, receiver])
+
+
 def round_duration_scalar(timeouts: PbftTimeouts) -> float:
     """``d_rnd`` by per-replica dict scans (no numpy)."""
     accept_send = {}
     for replica in range(timeouts.n):
         write_arrivals = {
-            writer: timeouts.write_arrival(writer, replica)
+            writer: write_arrival(timeouts, writer, replica)
             for writer in range(timeouts.n)
         }
         accept_send[replica] = quorum_formation_time(
@@ -177,7 +195,7 @@ def expected_messages_per_round(
                     sender=sender,
                     msg_type="write",
                     phase=PHASE_WRITE,
-                    d_m=timeouts.write_arrival(sender, receiver),
+                    d_m=write_arrival(timeouts, sender, receiver),
                 )
             )
         expected.append(
@@ -185,7 +203,7 @@ def expected_messages_per_round(
                 sender=sender,
                 msg_type="accept",
                 phase=PHASE_ACCEPT,
-                d_m=timeouts.accept_arrival(sender, receiver),
+                d_m=accept_arrival(timeouts, sender, receiver),
             )
         )
     return expected
@@ -429,7 +447,9 @@ def mutate_tree(
         if not candidate_positions:
             return tree
         high = rng.choice(candidate_positions)
-    return tree.swap(low, high)
+    layout = list(tree.layout)
+    layout[low], layout[high] = layout[high], layout[low]
+    return TreeConfiguration(layout=tuple(layout), branch_factor=tree.branch_factor)
 
 
 def optitree_search_full(
@@ -686,6 +706,16 @@ def _bron_kerbosch_max_clique(adj: Dict[int, Set[int]]) -> Tuple[int, ...]:
 
     expand((), set(adj), set())
     return best[0]
+
+
+def is_independent_set(graph: Graph, vertices: Iterable[int]) -> bool:
+    """True iff no two of ``vertices`` are adjacent in ``graph``."""
+    chosen = list(vertices)
+    for i, a in enumerate(chosen):
+        for b in chosen[i + 1 :]:
+            if graph.has_edge(a, b):
+                return False
+    return True
 
 
 def maximum_independent_set_reference(graph: Graph) -> FrozenSet[int]:

@@ -113,8 +113,9 @@ def test_optitree_stack_search_and_validate(world57_links):
     record = stack.pipeline.config_sensor.search_and_propose()
     assert record is not None
     stack.pipeline.log.append(record)
-    assert stack.current_tree is not None
-    timeouts = stack.timeouts_for(stack.current_tree)
+    tree = stack.pipeline.config_monitor.current
+    assert isinstance(tree, TreeConfiguration)
+    timeouts = stack.timeouts_for(tree)
     assert timeouts.round_duration() > 0
 
 

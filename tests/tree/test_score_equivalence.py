@@ -16,10 +16,9 @@ from repro.net.deployments import random_world_deployment
 from repro.tree.optitree import random_tree
 from repro.tree.score import (
     TreeTimeouts,
+    _collect_time,
     _collect_time_array,
     _subtree_costs,
-    tree_round_duration,
-    tree_round_duration_scalar,
     tree_score,
     tree_score_scalar,
 )
@@ -36,12 +35,6 @@ def vectorized_score(latency, tree, k):
     return _collect_time_array(lagg + uplink, votes, k - 1)
 
 
-def vectorized_round_duration(latency, tree, k):
-    intermediates, lagg, uplink, votes = _subtree_costs(latency, tree)
-    costs = latency[tree.root, intermediates] + 2.0 * lagg + uplink
-    return _collect_time_array(costs, votes, k - 1)
-
-
 @pytest.mark.parametrize("n", [4, 13, 56, 57, 211])
 def test_vectorized_tree_score_bit_equals_scalar(n):
     latency = latency_for(n)
@@ -55,6 +48,25 @@ def test_vectorized_tree_score_bit_equals_scalar(n):
             assert tree_score(latency, tree, k) == scalar
 
 
+def scalar_round_duration(latency, tree, k):
+    """TR3's d_rnd by per-node Python recursion, in the chain's op order:
+    ((L[R][I] + L[I][c]) + L[c][I]) + L[I][R] over the slowest child."""
+    root = tree.root
+    costs = []
+    for intermediate in tree.intermediates:
+        propose = float(latency[root, intermediate])
+        slowest = propose
+        children = tree.children[intermediate]
+        if children:
+            slowest = max(
+                propose + float(latency[intermediate, leaf]) + float(latency[leaf, intermediate])
+                for leaf in children
+            )
+        aggregate = slowest + float(latency[intermediate, root])
+        costs.append((aggregate, tree.subtree_size(intermediate)))
+    return _collect_time(costs, k - 1)
+
+
 @pytest.mark.parametrize("n", [13, 57, 211])
 def test_vectorized_round_duration_bit_equals_scalar(n):
     latency = latency_for(n)
@@ -62,9 +74,8 @@ def test_vectorized_round_duration_bit_equals_scalar(n):
     f = (n - 1) // 3
     for _ in range(10):
         tree = random_tree(n, frozenset(range(n)), rng)
-        scalar = tree_round_duration_scalar(latency, tree, 2 * f + 1)
-        assert vectorized_round_duration(latency, tree, 2 * f + 1) == scalar
-        assert tree_round_duration(latency, tree, 2 * f + 1) == scalar
+        scalar = scalar_round_duration(latency, tree, 2 * f + 1)
+        assert TreeTimeouts(latency, tree, 2 * f + 1).round_duration() == scalar
 
 
 def test_vectorized_score_infeasible_k():
@@ -91,46 +102,44 @@ def test_vectorized_score_with_duplicate_costs():
 
 @pytest.mark.parametrize("n", [13, 57, 211])
 def test_tree_timeout_chains_bit_equal_scalar_definitions(n):
-    """The memoized TR1/TR2 chains equal the recursive definitions."""
+    """The memoized TR1/TR2 chains, as every role's expected messages
+    carry them, equal the recursive definitions."""
     latency = latency_for(n)
     tree = random_tree(n, frozenset(range(n)), random.Random(2))
     f = (n - 1) // 3
     timeouts = TreeTimeouts(latency, tree, k=2 * f + 1)
     root = tree.root
+    aggregates = {m.sender: m.d_m for m in timeouts.expected_messages(root)}
     for intermediate in tree.intermediates:
         propose = float(latency[root, intermediate])
         assert timeouts.propose_arrival(intermediate) == propose
+        expected = timeouts.expected_messages(intermediate)
+        votes = {m.sender: m.d_m for m in expected if m.msg_type == "vote"}
         children = tree.children[intermediate]
-        votes = []
         for leaf in children:
             forward = propose + float(latency[intermediate, leaf])
             vote = forward + float(latency[leaf, intermediate])
             assert timeouts.forward_arrival(leaf) == forward
-            assert timeouts.vote_arrival(leaf) == vote
-            votes.append(vote)
-        slowest = max(votes) if votes else propose
-        assert timeouts.aggregate_arrival(intermediate) == (
+            (message,) = timeouts.expected_messages(leaf)
+            assert message.d_m == forward
+            assert votes[leaf] == vote
+        slowest = max(votes.values()) if children else propose
+        assert aggregates[intermediate] == (
             slowest + float(latency[intermediate, root])
         )
-    # The chain form ((L+l)+l) and the closed form (L+2l) of d_rnd agree
-    # only approximately (different float op order, as before the
-    # refactor); the chain itself is pinned bit-exactly above.
-    assert timeouts.round_duration() == pytest.approx(
-        tree_round_duration_scalar(latency, tree, 2 * f + 1)
-    )
 
 
 def test_timeout_expected_messages_use_memoized_chains():
+    """d_rnd is the quorum-collect time of the very aggregate d_m the
+    root's SuspicionSensor expects: one chain feeds both."""
     n = 57
     latency = latency_for(n)
     tree = random_tree(n, frozenset(range(n)), random.Random(3))
     timeouts = TreeTimeouts(latency, tree, k=39)
-    for message in timeouts.expected_messages(tree.root):
-        assert message.d_m == timeouts.aggregate_arrival(message.sender)
-    intermediate = tree.intermediates[0]
-    for message in timeouts.expected_messages(intermediate):
-        if message.msg_type == "vote":
-            assert message.d_m == timeouts.vote_arrival(message.sender)
+    expected = timeouts.expected_messages(tree.root)
+    assert [m.sender for m in expected] == list(tree.intermediates)
+    costs = [(m.d_m, tree.subtree_size(m.sender)) for m in expected]
+    assert timeouts.round_duration() == _collect_time(costs, 39 - 1)
     leaf = tree.leaves[0]
     (forward,) = timeouts.expected_messages(leaf)
     assert forward.d_m == timeouts.forward_arrival(leaf)

@@ -5,8 +5,6 @@ import pytest
 from repro.tree.topology import (
     TreeConfiguration,
     branch_factor_for,
-    is_perfect_tree_size,
-    perfect_tree_sizes,
 )
 
 
@@ -18,11 +16,7 @@ from repro.tree.topology import (
 def test_paper_sizes_have_exact_branch_factors(n, b):
     """§7.3: b = (√(4n−3) − 1)/2 for every evaluation size."""
     assert branch_factor_for(n) == b
-    assert is_perfect_tree_size(n)
-
-
-def test_perfect_tree_sizes_enumeration():
-    assert perfect_tree_sizes(220) == [13, 21, 31, 43, 57, 73, 91, 111, 133, 157, 183, 211]
+    assert 1 + b + b * b == n  # a perfect height-3 tree
 
 
 def test_non_perfect_size_supported():
@@ -59,15 +53,6 @@ def test_special_replicas_are_internal_nodes():
     tree = TreeConfiguration.from_layout(layout)
     assert tree.special_replicas() == {12, 11, 10, 9}
     assert tree.participants() == frozenset(range(13))
-
-
-def test_swap_positions():
-    tree = TreeConfiguration.from_layout(range(13))
-    swapped = tree.swap(0, 12)
-    assert swapped.root == 12
-    assert swapped.layout[12] == 0
-    # Original is unchanged (immutability).
-    assert tree.root == 0
 
 
 def test_too_small_for_tree():

@@ -9,7 +9,6 @@ from repro.tree.score import (
     TreeTimeouts,
     aggregation_latency,
     default_k,
-    tree_round_duration,
     tree_score,
 )
 from repro.tree.topology import TreeConfiguration
@@ -64,7 +63,7 @@ def test_round_duration_counts_dissemination():
     tree = TreeConfiguration.from_layout(range(n))
     latency = uniform_latency(n)
     score = tree_score(latency, tree, k=9)
-    duration = tree_round_duration(latency, tree, k=9)
+    duration = TreeTimeouts(latency, tree, k=9).round_duration()
     # down + 2*Lagg + up = 0.04 vs score's Lagg + up = 0.02.
     assert duration == pytest.approx(2 * score)
 
@@ -95,19 +94,11 @@ def test_timeouts_chain_monotonically():
     leaf, intermediate = 4, 1
     assert timeouts.propose_arrival(intermediate) == pytest.approx(0.01)
     assert timeouts.forward_arrival(leaf) == pytest.approx(0.02)
-    assert timeouts.vote_arrival(leaf) == pytest.approx(0.03)
-    assert timeouts.aggregate_arrival(intermediate) == pytest.approx(0.04)
+    votes = {m.sender: m.d_m for m in timeouts.expected_messages(intermediate)}
+    assert votes[leaf] == pytest.approx(0.03)
+    aggregates = {m.sender: m.d_m for m in timeouts.expected_messages(tree.root)}
+    assert aggregates[intermediate] == pytest.approx(0.04)
     assert timeouts.round_duration() == pytest.approx(0.04)
-
-
-def test_round_duration_equals_tree_round_duration():
-    n = 21
-    tree = TreeConfiguration.from_layout(range(n))
-    latency = uniform_latency(n, 0.02)
-    timeouts = TreeTimeouts(latency, tree, k=15)
-    assert timeouts.round_duration() == pytest.approx(
-        tree_round_duration(latency, tree, k=15)
-    )
 
 
 def test_expected_messages_by_role():

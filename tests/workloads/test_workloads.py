@@ -343,6 +343,20 @@ def _europe_router():
     return ClientSiteRouter(deployment.one_way, deployment.n, default_site=3)
 
 
+@pytest.mark.parametrize("site", [0, 20])
+def test_client_site_router_accepts_either_end_of_the_cities(site):
+    from repro.net.deployments import deployment_for
+    from repro.workloads.base import ClientSiteRouter
+
+    deployment = deployment_for("Europe21")
+    router = ClientSiteRouter(deployment.one_way, deployment.n, default_site=site)
+    # An unplaced client sits exactly at ``site``: co-located with that
+    # replica, and as far from the others as that replica is.
+    assert router.delay(2000, site) == router.local_delay
+    other = 20 - site
+    assert router.delay(2000, other) == deployment.one_way(site, other)
+
+
 def test_client_site_router_row_matches_delay_for_clients():
     router = _europe_router()
     n = router.n
