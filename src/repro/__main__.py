@@ -355,7 +355,7 @@ def cmd_list(_args: argparse.Namespace) -> int:
     for name in sorted(runner_mod.NAMED_DEPLOYMENTS.values()):
         print(f"  {name}")
     for pattern, description in runner_mod.DEPLOYMENT_PATTERNS:
-        print(f"  {pattern:27s}({description})")
+        print(f"  {pattern:18s} ({description})")
     print("fault kinds:")
     print("  " + " ".join(FAULT_KINDS))
     print("scenarios:")

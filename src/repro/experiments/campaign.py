@@ -29,6 +29,7 @@ byte-identical for any ``jobs``, including serial.
 from __future__ import annotations
 
 import json
+import math
 import os
 import resource
 from dataclasses import dataclass, replace
@@ -66,9 +67,9 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         if self.requests < 1:
             raise ValueError(f"request target must be positive, got {self.requests}")
-        if self.checkpoint_every <= 0:
+        if not (math.isfinite(self.checkpoint_every) and self.checkpoint_every > 0):
             raise ValueError(
-                f"checkpoint_every must be positive, got {self.checkpoint_every}"
+                f"checkpoint_every must be finite and > 0, got {self.checkpoint_every!r}"
             )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")

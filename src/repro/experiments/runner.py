@@ -76,26 +76,17 @@ NAMED_DEPLOYMENTS = {
     "stellar56": "Stellar56",
 }
 
-#: ``world-N[-jK]``, also spelled ``wonderproxy-N[-jK]``: a seeded draw
-#: of N replicas from the world city pool.  ``-jK`` jitters repeat
-#: placements up to K route-km from their city.
-_WORLD = re.compile(r"^(world|wonderproxy)-(\d+)(?:-j(\d+))?$")
-
-#: ``topo-N[-jK][@path]``: replicas over an internet topology
-#: graph (GML or edge list at ``path``; the bundled example otherwise).
-_TOPO = re.compile(r"^topo-(\d+)(?:-j(\d+))?(?:@(.+))?$")
+#: ``world-N``, also spelled ``wonderproxy-N``: a seeded draw of N
+#: replicas from the world city pool.
+_WORLD = re.compile(r"^(world|wonderproxy)-(\d+)$")
 
 #: The deployments built on demand from a name pattern, as (pattern,
 #: description).  ``resolve_deployment``'s error text, the CLI's
 #: ``--deployment`` help and ``repro list`` all read this one table
 #: (the first two through ``deployment_names``).
 DEPLOYMENT_PATTERNS = (
-    ("world-N[-jK]", "seeded random world placement, N >= 4"),
-    ("wonderproxy-N[-jK]", "older spelling of world-N[-jK]"),
-    (
-        "topo-N[-jK][@path]",
-        "replicas over an internet topology graph, GML or edge list",
-    ),
+    ("world-N", "seeded random world placement, N >= 4"),
+    ("wonderproxy-N", "older spelling of world-N"),
 )
 
 
@@ -141,6 +132,19 @@ class MeasurementPolicy:
             raise ValueError(
                 f"bins_per_decade must be >= 1, got {self.bins_per_decade!r}"
             )
+        # The cadence loop in ``schedule_measurements`` must terminate and
+        # schedule nothing in the past.
+        for name in ("probe_at", "publish_at", "first_search_at"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if not (math.isfinite(self.search_period) and self.search_period > 0):
+            raise ValueError(
+                f"search_period must be finite and > 0, got {self.search_period!r}"
+            )
+        horizon = self.horizon
+        if horizon is not None and not (math.isfinite(horizon) and horizon >= 0):
+            raise ValueError(f"horizon must be finite and >= 0, got {horizon!r}")
 
 
 @dataclass
@@ -307,33 +311,14 @@ def deployment_names() -> List[str]:
 
 
 def resolve_deployment(name: str, seed: int = 0) -> Deployment:
-    """Named city set, ``world-N[-jK]`` (or ``wonderproxy-N[-jK]``) for a
-    seeded random one, or ``topo-N[-jK][@path]`` over a topology graph."""
+    """Named city set, or ``world-N`` (or ``wonderproxy-N``) for a
+    seeded random one."""
     match = _WORLD.match(name.lower())
     if match:
         kind, n = match.group(1), int(match.group(2))
         if n < 4:
             raise ValueError(f"{kind} deployments need >= 4 replicas")
-        return random_world_deployment(
-            n,
-            random.Random(seed),
-            name=name.lower(),
-            jitter_km=float(match.group(3) or 0),
-        )
-    match = _TOPO.match(name)
-    if match:
-        from repro.net.topology_graph import topology_deployment
-
-        n = int(match.group(1))
-        if n < 4:
-            raise ValueError("topo deployments need >= 4 replicas")
-        return topology_deployment(
-            n,
-            random.Random(seed),
-            name=name,
-            path=match.group(3),
-            jitter_km=float(match.group(2) or 0),
-        )
+        return random_world_deployment(n, random.Random(seed), name=name.lower())
     canonical = NAMED_DEPLOYMENTS.get(name.lower())
     if canonical is None:
         known = ", ".join(deployment_names())

@@ -5,10 +5,11 @@ WonderProxy measurement dataset covering 220 world locations, with
 intercontinental round trips between 150 and 250 ms plus a 1 ms local
 delay.  We reproduce that envelope from first principles: each location is
 a real city with coordinates, and round-trip times follow great-circle
-distance through fibre with a routing-inflation factor.  One model,
-:class:`~repro.net.latency_model.LatencyModel`, stores any deployment as
-a region table plus per-replica offsets, and one provider serves its
-one-way delays to the network (see :mod:`repro.net.latency_model`).
+distance through fibre with a routing-inflation factor.  Every
+deployment is a list of cities; one model,
+:class:`~repro.net.latency_model.LatencyModel`, stores it as a region
+table, and one provider serves its one-way delays to the network (see
+:mod:`repro.net.latency_model`).
 """
 
 from repro.net.cities import ALL_CITIES, City, city_by_name

@@ -8,7 +8,6 @@ placements for the scoring studies (Figs. 10, 12, 14).
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -134,16 +133,6 @@ class Deployment:
         return len(self.cities)
 
 
-def check_placement(n: int, jitter_km: float) -> None:
-    """Reject a placement size below 1 and a jitter that is not a
-    finite, non-negative distance (NaN fails every comparison, so a NaN
-    jitter would otherwise silently mean none)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
-    if not (math.isfinite(jitter_km) and jitter_km >= 0.0):
-        raise ValueError(f"jitter_km must be finite and >= 0, got {jitter_km!r}")
-
-
 def _build(name: str, city_names: Sequence[str]) -> Deployment:
     cities = [city_by_name(city_name) for city_name in city_names]
     return Deployment(name=name, cities=cities, latency=LatencyModel(cities))
@@ -172,18 +161,14 @@ def random_world_deployment(
     n: int,
     rng: Optional[random.Random] = None,
     name: Optional[str] = None,
-    jitter_km: float = 0.0,
 ) -> Deployment:
     """Place ``n`` replicas in cities sampled worldwide (with replacement
     once the pool is exhausted), as in the paper's scoring studies.
 
     Repeated cities share a region and see only ``LOCAL_RTT_MS``.
-    ``jitter_km > 0`` spreads repeat placements up to that many route-km
-    from their city, drawing offsets from a generator *derived* from
-    ``rng`` (the ``derive_rng`` idiom) so enabling jitter never perturbs
-    the placement draws.
     """
-    check_placement(n, jitter_km)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n!r}")
     rng = rng or random.Random(0)
     pool = list(ALL_CITIES)
     rng.shuffle(pool)
@@ -191,17 +176,6 @@ def random_world_deployment(
         cities = pool[:n]
     else:
         cities = pool + [rng.choice(ALL_CITIES) for _ in range(n - len(pool))]
-    offsets = None
-    if jitter_km > 0.0:
-        jitter_rng = random.Random(f"{rng.random()}:world-jitter")
-        offsets = []
-        seen = set()
-        for city in cities:
-            key = (city.lat, city.lon)
-            if key in seen:
-                offsets.append(jitter_rng.uniform(0.0, jitter_km))
-            else:
-                offsets.append(0.0)
-                seen.add(key)
-    latency = LatencyModel(cities, offsets_km=offsets)
-    return Deployment(name=name or f"World{n}", cities=cities, latency=latency)
+    return Deployment(
+        name=name or f"World{n}", cities=cities, latency=LatencyModel(cities)
+    )

@@ -11,27 +11,21 @@ of RTT on a great-circle path, and real routes are ~25% longer than the
 great circle.  Antipodal pairs (~20,000 km) then see ~250 ms and nearby
 European pairs 5-40 ms, matching the paper's envelope.
 
-Every deployment is stored as an r x r table of base RTTs between
-*regions* plus a per-replica offset in route-km:
+A deployment is a list of cities, stored as one *region* per distinct
+location and an r x r table of base RTTs between regions:
 
-``rtt_ms(a, b) = base_ms[region(a), region(b)]
-                 + (offset_km[a] + offset_km[b]) * MS_PER_KM``
+``rtt_ms(a, b) = base_ms[region(a), region(b)]``
 
 with ``base_ms`` replaced by ``LOCAL_RTT_MS`` when the regions match.
-Built from cities, the model makes one region per distinct location and
-the table is the formula above over those locations; topology graphs
-pass their own regions and shortest-path table
-(:mod:`repro.net.topology_graph`).  Memory is O(n + r^2); the O(n^2)
-views (``matrix_ms``, eager rows) are one vectorized gather, on request.
+Memory is O(n + r^2); the O(n^2) views (``matrix_ms``, eager rows) are
+one vectorized gather, on request.
 
-With zero offsets every pair gets exactly the double the formula gives
-for its two cities: :func:`_pairwise_rtt_ms` is elementwise in its input
-pair and bitwise symmetric (``sin(-x) = -sin(x)`` and IEEE
-multiplication commutes), co-located pairs reduce to ``LOCAL_RTT_MS +
-0.0 * MS_PER_KM``, and ``x + 0.0 == x`` for the offset term.  The scalar
-path, the row path and the matrix apply the same IEEE operations in the
-same order, so ``one_way(a, b)`` equals ``row(a)[b]`` bitwise, with or
-without offsets.
+Every pair gets exactly the double the formula gives for its two cities:
+:func:`_pairwise_rtt_ms` is elementwise in its input pair and bitwise
+symmetric (``sin(-x) = -sin(x)`` and IEEE multiplication commutes), and
+co-located pairs reduce to ``LOCAL_RTT_MS + 0.0 * MS_PER_KM``.  The
+scalar path, the row path and the matrix apply the same IEEE operations
+in the same order, so ``one_way(a, b)`` equals ``row(a)[b]`` bitwise.
 
 The model is symmetric and deterministic; per-message jitter is applied by
 the network layer, not here.
@@ -46,8 +40,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.net.cities import City
-from repro.net.geo import EARTH_RADIUS_KM
 
+EARTH_RADIUS_KM = 6371.0
 LOCAL_RTT_MS = 1.0
 MS_PER_KM = 0.0125
 
@@ -169,74 +163,30 @@ class LatencyModel:
     """Round-trip and one-way latencies for a fixed list of replicas.
 
     The model is indexed by replica id (position in ``cities``), matching
-    how the consensus engines address replicas.
-
-    Parameters
-    ----------
-    cities:
-        One entry per replica; the same location appearing repeatedly is
-        what creates shared regions (co-located replicas see only the
-        1 ms local RTT plus their offsets).
-    offsets_km:
-        Optional per-replica route distance from its region's location;
-        ``None`` means every replica sits exactly there.
-    regions / base_ms:
-        Direct region assignment and inter-region RTT table (ms, zero
-        diagonal), for backends that do not derive the table from city
-        coordinates (the topology-graph backend).  When omitted, regions
-        are keyed by distinct ``(lat, lon)`` in first-appearance order
-        and the table is the haversine formula over those locations.
+    how the consensus engines address replicas.  The same location
+    appearing repeatedly is what creates shared regions: co-located
+    replicas see only the 1 ms local RTT.  Regions are keyed by distinct
+    ``(lat, lon)`` in first-appearance order and the table is the
+    haversine formula over those locations.
     """
 
-    def __init__(
-        self,
-        cities: Sequence[City],
-        offsets_km: Optional[Sequence[float]] = None,
-        regions: Optional[Sequence[int]] = None,
-        base_ms: Optional[np.ndarray] = None,
-    ):
+    def __init__(self, cities: Sequence[City]):
         self.cities = list(cities)
-        n = len(self.cities)
-        if (regions is None) != (base_ms is None):
-            raise ValueError("regions and base_ms must be given together")
-        if regions is None:
-            region_of: Dict[tuple, int] = {}
-            regions = [
-                region_of.setdefault((city.lat, city.lon), len(region_of))
-                for city in self.cities
-            ]
-            lats = np.array([lat for lat, _ in region_of], dtype=float)
-            lons = np.array([lon for _, lon in region_of], dtype=float)
-            base_ms = _pairwise_rtt_ms(lats, lons)
-        else:
-            base_ms = np.asarray(base_ms, dtype=float)
-            if base_ms.ndim != 2 or base_ms.shape[0] != base_ms.shape[1]:
-                raise ValueError(f"base_ms must be square, got {base_ms.shape}")
-            if any(r < 0 or r >= base_ms.shape[0] for r in regions):
-                raise ValueError("region index out of range for base_ms")
-        if len(regions) != n:
-            raise ValueError(f"{len(regions)} regions for {n} replicas")
-        if offsets_km is None:
-            offsets = [0.0] * n
-        else:
-            offsets = [float(v) for v in offsets_km]
-            if len(offsets) != n:
-                raise ValueError(f"{len(offsets)} offsets for {n} replicas")
-            # NaN fails every comparison, so the rule states what must hold.
-            if not all(math.isfinite(v) and v >= 0.0 for v in offsets):
-                raise ValueError("offsets_km must be finite and non-negative")
-        self._base_ms = base_ms
-        self._region = list(regions)
+        region_of: Dict[tuple, int] = {}
+        self._region = [
+            region_of.setdefault((city.lat, city.lon), len(region_of))
+            for city in self.cities
+        ]
+        lats = np.array([lat for lat, _ in region_of], dtype=float)
+        lons = np.array([lon for _, lon in region_of], dtype=float)
+        self._base_ms = _pairwise_rtt_ms(lats, lons)
         self._region_arr = np.array(self._region, dtype=np.intp)
-        self._off = offsets
-        self._off_arr = np.array(offsets, dtype=float)
 
     def __getstate__(self):
-        return (self.cities, self._off, self._region, self._base_ms)
+        return (self.cities,)
 
     def __setstate__(self, state):
-        cities, offsets, regions, base_ms = state
-        self.__init__(cities, offsets, regions, base_ms)
+        self.__init__(*state)
 
     @property
     def region_count(self) -> int:
@@ -256,11 +206,7 @@ class LatencyModel:
         rb = self._region[b]
         # .item() unboxes the exact double; the scalar path only runs
         # per message past EAGER_ROWS_MAX_N, so no list twin is kept.
-        base = LOCAL_RTT_MS if ra == rb else self._base_ms.item(ra, rb)
-        off = self._off
-        # Same IEEE op order as the vectorized paths: offsets summed
-        # first, scaled, then added to the base term.
-        return base + (off[a] + off[b]) * MS_PER_KM
+        return LOCAL_RTT_MS if ra == rb else self._base_ms.item(ra, rb)
 
     def rtt(self, a: int, b: int) -> float:
         """Round-trip time between replicas ``a`` and ``b`` in seconds."""
@@ -283,7 +229,6 @@ class LatencyModel:
         region = self._region_arr
         ra = self._region[src]
         row_ms = np.where(region == ra, LOCAL_RTT_MS, self._base_ms[ra][region])
-        row_ms += (self._off[src] + self._off_arr) * MS_PER_KM
         row_ms[src] = 0.0
         return ((row_ms / 1000.0) / 2.0).tolist()
 
@@ -295,7 +240,6 @@ class LatencyModel:
         region = self._region_arr
         out = self._base_ms[np.ix_(region, region)]
         out[region[:, None] == region[None, :]] = LOCAL_RTT_MS
-        out += (self._off_arr[:, None] + self._off_arr[None, :]) * MS_PER_KM
         np.fill_diagonal(out, 0.0)
         return out
 
@@ -320,12 +264,11 @@ class LatencyModel:
         return DelayProvider(self)
 
     def one_way_floor(self) -> float:
-        """Smallest one-way delay (seconds) between distinct replicas
-        when offsets are zero, and a lower bound on it otherwise.
+        """Smallest one-way delay (seconds) between distinct replicas.
 
         Read off the region table: the smallest base entry between two
         populated regions, and ``LOCAL_RTT_MS`` only if some region holds
-        two replicas.  Offsets only add to either term.
+        two replicas.
         """
         if len(self.cities) < 2:
             return 0.0

@@ -103,15 +103,16 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay:.6f}s in the past")
+        # Written so NaN fails it: a NaN time would poison the heap order.
+        if not delay >= 0:
+            raise SimulationError(f"schedule delay must be >= 0, got {delay!r}")
         return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute virtual ``time``."""
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(
-                f"cannot schedule at t={time:.6f} before now={self.now:.6f}"
+                f"schedule time must be >= now={self.now!r}, got {time!r}"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -131,8 +132,8 @@ class Simulator:
         ``delay`` must be non-negative; callers on the hot path guarantee
         that by construction (link delays and jitter are >= 0).
         """
-        if delay < 0:
-            raise SimulationError(f"cannot post {delay:.6f}s in the past")
+        if not delay >= 0:
+            raise SimulationError(f"post delay must be >= 0, got {delay!r}")
         seq = self._seq
         self._seq = seq + 1
         queue = self._queue

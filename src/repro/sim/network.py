@@ -887,8 +887,8 @@ class Network:
                     self._stats.messages_dropped += 1
                     return
                 message, delay = result
-            if delay < 0:
-                raise SimulationError(f"cannot post {delay:.6f}s in the past")
+            if not delay >= 0:  # NaN fails it too
+                raise SimulationError(f"interceptor delay must be >= 0, got {delay!r}")
         per_class = self._stats_per_class
         cls = message.__class__
         entry = per_class.get(cls)
@@ -1015,8 +1015,8 @@ class Network:
                 if kept is None:
                     stats.messages_dropped += 1
                     continue
-                if delay < 0:
-                    raise SimulationError(f"cannot post {delay:.6f}s in the past")
+                if not delay >= 0:  # NaN fails it too
+                    raise SimulationError(f"interceptor delay must be >= 0, got {delay!r}")
                 # Per message: a rewrite may change the class.
                 entry = per_class.get(copy.__class__)
                 if entry is None:

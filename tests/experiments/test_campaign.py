@@ -80,6 +80,13 @@ def test_spec_validates_inputs():
         _spec(shards=0)
 
 
+@pytest.mark.parametrize("never_ends", [float("nan"), float("inf")])
+def test_spec_refuses_a_slice_that_never_ends(never_ends):
+    # `<= 0` is false for both, and a slice this long never checkpoints.
+    with pytest.raises(ValueError, match="checkpoint_every must be finite"):
+        _spec(checkpoint_every=never_ends)
+
+
 def test_negative_compact_keep_is_refused_before_anything_runs():
     # A negative keep stalled PBFT (the compaction floor passed the
     # executed seq) and the campaign spun toward max_slices.

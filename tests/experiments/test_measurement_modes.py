@@ -45,6 +45,29 @@ def test_modes_registry_and_validation():
         MeasurementPolicy(bins_per_decade=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("probe_at", -1.0),
+        ("probe_at", float("nan")),
+        ("publish_at", float("inf")),
+        ("first_search_at", float("nan")),
+        ("search_period", 0.0),
+        ("search_period", -5.0),
+        ("search_period", float("nan")),
+        ("search_period", float("inf")),
+        ("horizon", float("inf")),
+        ("horizon", float("nan")),
+        ("horizon", -1.0),
+    ],
+)
+def test_cadence_that_cannot_finish_is_refused(field, value):
+    # Each would keep prepare_scenario's search loop from ending, or
+    # fail later in the engine with no field named.
+    with pytest.raises(ValueError, match=field):
+        MeasurementPolicy(**{field: value})
+
+
 def _protocol_hash(result):
     """``state_trace_hash`` of a finished run with its measurement sinks
     detached -- what the run computed, not how it was measured (the hash

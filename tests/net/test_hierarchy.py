@@ -1,5 +1,5 @@
-"""Tests for the latency model's region table: base RTTs between regions,
-per-replica offsets, and their agreement with the per-pair formula."""
+"""Tests for the latency model's region table: base RTTs between regions
+and their agreement with the per-pair formula."""
 
 import random
 
@@ -11,12 +11,10 @@ from oracles import (
     LatencyDivergence,
     pair_rtt_ms,
     verify_against_dense,
-    verify_self_consistent,
 )
 from repro.net.cities import ALL_CITIES
 from repro.net.latency_model import (
     LOCAL_RTT_MS,
-    MS_PER_KM,
     ROW_CACHE_SIZE,
     LatencyModel,
 )
@@ -65,8 +63,7 @@ def test_bit_identical_matrices_full_pool():
 
 def test_row_matches_scalar_bitwise():
     cities = _cities(150)
-    offsets = [float(i % 7) * 3.5 for i in range(150)]
-    model = LatencyModel(cities, offsets_km=offsets)
+    model = LatencyModel(cities)
     matrix = model.matrix_ms()
     for src in (0, 42, 149):
         row = model.one_way_row(src)
@@ -89,18 +86,6 @@ def test_colocated_replicas_local_rtt():
         else:
             seen[key] = i
     assert pairs >= 10
-
-
-def test_offsets_add_to_local_and_base():
-    cities = _cities(5)
-    offsets = [10.0, 20.0, 0.0, 0.0, 0.0]
-    model = LatencyModel(cities + [cities[0]], offsets_km=offsets + [40.0])
-    # Replica 5 shares replica 0's region with a 40 km offset.
-    assert model.rtt_ms(0, 5) == LOCAL_RTT_MS + (10.0 + 40.0) * MS_PER_KM
-    assert model.rtt_ms(0, 1) == LatencyModel(cities).rtt_ms(0, 1) + (
-        10.0 + 20.0
-    ) * MS_PER_KM
-    assert model.rtt_ms(2, 3) == pair_rtt_ms(cities[2], cities[3])
 
 
 def test_memory_shape_is_regions_squared():
@@ -137,13 +122,6 @@ def test_verify_against_dense_caps_n():
         verify_against_dense(model)
 
 
-def test_verify_against_dense_rejects_offsets():
-    cities = _cities(10)
-    model = LatencyModel(cities, offsets_km=[1.0] * 10)
-    with pytest.raises(ValueError, match="zero offsets"):
-        verify_against_dense(model)
-
-
 def test_verify_detects_divergence():
     cities = _cities(40)
     model = LatencyModel(cities)
@@ -153,32 +131,9 @@ def test_verify_detects_divergence():
         verify_against_dense(model, random.Random(0))
 
 
-def test_verify_self_consistent():
-    cities = _cities(230)
-    offsets = [float(i % 11) for i in range(230)]
-    model = LatencyModel(cities, offsets_km=offsets)
-    assert verify_self_consistent(model, random.Random(2), samples=512) == 512
-
-
-def test_explicit_regions_and_base():
-    base = np.array([[0.0, 50.0], [50.0, 0.0]])
-    cities = _cities(4)
-    model = LatencyModel(cities, regions=[0, 0, 1, 1], base_ms=base)
-    assert model.rtt_ms(0, 2) == 50.0
-    assert model.rtt_ms(0, 1) == LOCAL_RTT_MS
-    assert model.one_way(0, 0) == 0.0
-
-
-def test_validation_errors():
-    cities = _cities(4)
-    with pytest.raises(ValueError, match="together"):
-        LatencyModel(cities, regions=[0, 0, 0, 0])
-    with pytest.raises(ValueError, match="non-negative"):
-        LatencyModel(cities, offsets_km=[-1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="offsets"):
-        LatencyModel(cities, offsets_km=[0.0])
-    with pytest.raises(ValueError, match="out of range"):
-        LatencyModel(cities, regions=[0, 1, 2, 9], base_ms=np.zeros((3, 3)))
+def test_cities_are_the_whole_constructor():
+    with pytest.raises(TypeError):
+        LatencyModel(_cities(4), offsets_km=[0.0, 0.0, 0.0, 0.0])
 
 
 def test_provider_row_and_scalar():
@@ -192,8 +147,7 @@ def test_provider_row_and_scalar():
 
 def test_one_way_floor_bounds_every_pair():
     cities = _cities(150)
-    offsets = [float(i % 7) * 3.5 for i in range(150)]
-    model = LatencyModel(cities, offsets_km=offsets)
+    model = LatencyModel(cities)
     floor = model.one_way_floor()
     assert floor > 0.0
     provider = model.one_way_provider()

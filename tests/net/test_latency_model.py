@@ -173,6 +173,17 @@ def test_model_pickles_its_table_and_rederives_rows(global73):
     assert np.array_equal(clone.latency.matrix_ms(), global73.latency.matrix_ms())
 
 
+def test_model_pickle_rebuilds_shared_regions():
+    # The model pickles only its cities; repeated locations must fold
+    # back into the same regions on load.
+    model = random_world_deployment(256, random.Random(5)).latency
+    assert model.region_count < len(model)
+    clone = pickle.loads(pickle.dumps(model))
+    assert clone._region == model._region
+    assert clone.region_count == model.region_count
+    assert np.array_equal(clone.matrix_ms(), model.matrix_ms())
+
+
 def _brute_floor(model):
     n = len(model)
     return min(model.one_way(a, b) for a in range(n) for b in range(n) if a != b)
@@ -200,12 +211,6 @@ def test_delay_floor_equals_brute_force_minimum():
         assert model.one_way_floor() == _brute_floor(model)
 
 
-def test_delay_floor_bounds_every_pair_with_offsets():
-    model = random_world_deployment(256, random.Random(4), jitter_km=30.0).latency
-    assert any(model._off)
-    assert 0.0 < model.one_way_floor() <= _brute_floor(model)
-
-
 def test_delay_floor_degenerate_single_replica():
     city = city_by_name("Frankfurt")
     model = LatencyModel([city])
@@ -220,9 +225,3 @@ def test_delay_floor_colocated_pair_is_local_one_way():
     floor = model.one_way_provider().delay_floor()
     assert floor == pytest.approx(0.0005)
     assert floor <= model.one_way(0, 1)
-
-
-def test_offsets_must_be_finite():
-    cities = [city_by_name("Paris"), city_by_name("Tokyo")]
-    with pytest.raises(ValueError, match="offsets_km must be finite"):
-        LatencyModel(cities, offsets_km=[float("nan"), 0.0])

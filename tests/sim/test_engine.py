@@ -73,6 +73,16 @@ def test_cannot_schedule_in_the_past():
         sim.schedule_at(0.5, lambda: None)
 
 
+@pytest.mark.parametrize("method", ["schedule", "schedule_at"])
+def test_nan_time_is_refused(method):
+    # NaN fails every comparison; in the heap it breaks the order and a
+    # run never reaches its horizon.
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        getattr(sim, method)(float("nan"), lambda: None)
+    assert sim.pending == 0
+
+
 def test_events_scheduled_during_run_execute():
     sim = Simulator()
     order = []
@@ -117,10 +127,11 @@ def test_post_orders_like_schedule():
     assert order == ["post-early", "handle-1", "post-1", "handle-2"]
 
 
-def test_post_rejects_negative_delay():
+@pytest.mark.parametrize("delay", [-0.1, float("nan")])
+def test_post_rejects_negative_delay(delay):
     sim = Simulator()
     with pytest.raises(SimulationError):
-        sim.post(-0.1, lambda: None)
+        sim.post(delay, lambda: None)
 
 
 def test_pending_counts_posted_events():

@@ -289,10 +289,11 @@ def test_down_node_with_interceptor_still_drops():
     assert stretch.calls == N - 1  # a dropped send never reaches interceptors
 
 
-def test_interceptor_cannot_post_into_the_past():
+@pytest.mark.parametrize("bad", [-1.0, float("nan")])
+def test_interceptor_cannot_post_into_the_past(bad):
     sim = Simulator(seed=1)
     network = Network(sim, delay_of)
-    network.add_interceptor(lambda src, dst, message, delay: (message, -1.0))
+    network.add_interceptor(lambda src, dst, message, delay: (message, bad))
     with pytest.raises(SimulationError):
         network.send(0, 1, Ping(0))
     with pytest.raises(SimulationError):
