@@ -183,7 +183,6 @@ def _scenario_from_args(args: argparse.Namespace, seed: int) -> Scenario:
         faults=[_parse_fault(fault) for fault in args.fault or []],
         search_iterations=args.search_iterations,
         pipeline_depth=args.pipeline_depth,
-        plane=args.plane,
     )
 
 
@@ -396,16 +395,6 @@ def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--search-iterations", type=int, default=20_000,
                         help="OptiTree annealing iterations")
     parser.add_argument("--pipeline-depth", type=int, default=None)
-    parser.add_argument("--plane", default="object",
-                        choices=runner_mod.MESSAGE_PLANES,
-                        help="message plane: object (exact; narrow sends "
-                             "wait in the event heap, wide pristine "
-                             "multicasts in the row store -- columnar is a "
-                             "synonym) or columnar-fast (coalesced barrier-"
-                             "window deliveries, equivalent final metrics "
-                             "for campaign runs, asserted by the test "
-                             "suite; faulted scenarios fall back to "
-                             "object)")
     parser.add_argument("--output", metavar="FILE",
                         help="write JSON here instead of stdout")
 

@@ -372,7 +372,6 @@ class ClusterBase:
         one_way: Callable[[int, int], float],
         seed: int,
         jitter: float,
-        plane: str,
     ) -> None:
         """Set ``deployment``, ``n``, ``f = (n - 1) // 3``, then build
         ``sim``, ``network`` over ``one_way`` (its jitter stream derives
@@ -381,7 +380,7 @@ class ClusterBase:
         self.n = n = deployment.n
         self.f = (n - 1) // 3
         self.sim = Simulator(seed=seed)
-        self.network = Network(self.sim, one_way, jitter=jitter, plane=plane)
+        self.network = Network(self.sim, one_way, jitter=jitter)
         self.registry = KeyRegistry(n, seed=seed)
 
     @property

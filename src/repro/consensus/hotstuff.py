@@ -216,9 +216,8 @@ class HotStuffCluster(ClusterBase):
         fixed_leader: int = 0,
         seed: int = 0,
         jitter: float = 0.02,
-        plane: str = "object",
     ):
-        self._build_network(deployment, deployment.one_way, seed, jitter, plane)
+        self._build_network(deployment, deployment.one_way, seed, jitter)
         self.replicas: List[HotStuffReplica] = [
             HotStuffReplica(
                 replica_id,

@@ -394,10 +394,9 @@ class KauriCluster(ClusterBase):
         seed: int = 0,
         jitter: float = 0.02,
         delta: float = 1.0,
-        plane: str = "object",
     ):
         self.tree = tree
-        self._build_network(deployment, deployment.one_way, seed, jitter, plane)
+        self._build_network(deployment, deployment.one_way, seed, jitter)
         self.replicas: List[KauriReplica] = [
             KauriReplica(
                 replica_id,

@@ -506,7 +506,6 @@ class PbftCluster(ClusterBase):
         jitter: float = 0.02,
         client_city_index: Optional[int] = None,
         workload: Optional[Workload] = None,
-        plane: str = "object",
     ):
         self.mode = mode
         # The default client lives in one of the cities (Fig. 7:
@@ -519,7 +518,7 @@ class PbftCluster(ClusterBase):
         self.router = ClientSiteRouter(
             deployment.one_way, deployment.n, default_site=self.client_city
         )
-        self._build_network(deployment, self.router, seed, jitter, plane)
+        self._build_network(deployment, self.router, seed, jitter)
         n = self.n
         default_config = None
         if mode == "static":

@@ -7,7 +7,7 @@ and resumed bit-identically: the resumed run executes exactly the events
 the uninterrupted run would have, in the same order, with the same
 random draws.
 
-File format (version 8, little-endian)::
+File format (version 9, little-endian)::
 
     8 bytes   magic  b"RPROCKPT"
     <H        format version
@@ -24,9 +24,9 @@ that loads without error is the state it claims to be.
 
 A checkpoint resumes on the build that wrote it.  The version moves
 whenever a pickled class moves or changes layout, or the delivery token
-changes encoding: version 8 pickles the latency model as its list of
-cities (version 7 also pickled per-replica offsets and the region
-table), so a version-7 file is refused by its header, not by pickle.
+changes encoding: version 9's network has one message plane (version 8
+also pickled the flag of the removed relaxed plane), so a version-8
+file is refused by its header, not by pickle.
 
 Why pickle works here
 ---------------------
@@ -60,7 +60,7 @@ import struct
 from typing import Any, Dict, Optional
 
 MAGIC = b"RPROCKPT"
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 _HEADER_STRUCT = struct.Struct("<I")
 _PAYLOAD_STRUCT = struct.Struct("<Q")

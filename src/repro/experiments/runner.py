@@ -51,7 +51,6 @@ from repro.faults.schedule import (
 )
 from repro.net.deployments import Deployment, deployment_for, random_world_deployment
 from repro.optimize.annealing import AnnealingSchedule
-from repro.sim.network import MESSAGE_PLANES
 from repro.tree.kauri_reconfig import KauriReconfigurer
 from repro.tree.optitree import optitree_search
 from repro.workloads import PIPELINE_DEPTH, Workload, make_workload
@@ -169,24 +168,19 @@ class Scenario:
     measurements: Optional[MeasurementPolicy] = None
     search_iterations: int = 20_000  # OptiTree's annealing budget
     pipeline_depth: Optional[int] = None
-    #: Message plane: ``"object"`` (exact; ``"columnar"`` is a synonym
-    #: kept for older callers and result files) or ``"columnar-fast"``
-    #: (relaxed, equivalent final metrics; scheduled faults downgrade it
-    #: to exact -- see :func:`_effective_plane`).
+    #: There is one message plane; ``"object"`` and ``"columnar"`` both
+    #: name it and select nothing.  The field stays only while the perf
+    #: ledger's ``pbft-scale`` row passes ``plane="columnar"``: delete it
+    #: once ROADMAP item 5(a) moves that row to the default.
     plane: str = "object"
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.plane.startswith("check"):
+        if self.plane not in ("object", "columnar"):
             raise ValueError(
-                f"plane={self.plane!r} is gone: the equivalence it asserted "
-                "now lives in the test suite (tests/oracles.py: heap_only "
-                "for 'check', assert_relaxed_equivalent for 'check-fast')"
-            )
-        if self.plane not in MESSAGE_PLANES:
-            raise ValueError(
-                f"unknown message plane {self.plane!r} "
-                f"(known: {', '.join(MESSAGE_PLANES)})"
+                f"unknown message plane {self.plane!r} (known: object, "
+                "columnar -- two names of the one exact plane; the relaxed "
+                "plane was removed)"
             )
         # NaN fails every comparison, so each rule states what must hold:
         # a NaN duration never ends a run, a NaN delta switches every
@@ -208,11 +202,12 @@ class Scenario:
         validate_fault_composition(self.faults)
 
     def describe(self) -> Dict[str, Any]:
-        """JSON-able identity of the scenario (what was run)."""
+        """JSON-able identity of the scenario (what was run).  ``plane``
+        is not part of it: both accepted names run the one plane."""
         workload = (
             self.workload if isinstance(self.workload, str) else self.workload.name
         )
-        out = {
+        return {
             "name": self.name or f"{self.protocol}/{self.deployment}/{workload}",
             "protocol": self.protocol,
             "deployment": self.deployment,
@@ -230,12 +225,6 @@ class Scenario:
             ),
             "faults": [asdict(fault) for fault in self.faults],
         }
-        # The exact plane, under either name, is omitted: golden files,
-        # checkpoint scenario identity and every pre-existing describe()
-        # consumer see byte-identical output.
-        if self.plane not in ("object", "columnar"):
-            out["plane"] = self.plane
-        return out
 
 
 @dataclass
@@ -276,14 +265,10 @@ class ScenarioResult:
         activity = [fault.summary() for fault in self.armed_faults if fault.fired]
         if activity:
             out["fault_activity"] = activity
-        # The plane describing what it did, not what was asked for.
-        # Both keys are absent while the store never engaged (every
-        # n < ``Network.block_fanout`` exact run), so golden files and
-        # every pre-existing consumer see byte-identical output.
+        # Absent while the store never engaged (every run below
+        # ``Network.block_fanout``), so golden files and every
+        # pre-existing consumer see byte-identical output.
         network = self.cluster.network
-        if self.scenario.plane == "columnar-fast" and network.plane != "columnar-fast":
-            # _effective_plane downgraded a faulted scenario.
-            out["effective_plane"] = network.plane
         if any(network.stats.plane.values()):
             # What the drains did (see NetworkStats.plane): same seed,
             # same counts -- but how a run is sliced into run() calls
@@ -366,15 +351,40 @@ def _resolve_workload(scenario: Scenario) -> Optional[Workload]:
 # ----------------------------------------------------------------------
 # Cluster construction
 # ----------------------------------------------------------------------
-def _effective_plane(scenario: Scenario) -> str:
-    """The message plane the cluster will actually use.  A relaxed
-    scenario with scheduled faults runs exact: the relaxed drain and its
-    equivalence bound only cover pristine traffic.  (The exact plane
-    needs no such rule: its store falls back per row the moment a fault
-    lands.)"""
-    if scenario.plane == "columnar-fast" and scenario.faults:
-        return "object"
-    return scenario.plane
+#: Most configuration searches one scenario may schedule.  The cadence
+#: loop queues one event per replica per search before the run starts;
+#: the default cadence over a day of simulated time is ~3,500.
+_MAX_SEARCHES = 100_000
+
+
+def _check_search_cadence(policy: MeasurementPolicy, horizon: float) -> None:
+    """Refuse a search cadence whose loop in
+    ``PbftCluster.schedule_measurements`` (``search_time +=
+    search_period`` while ``search_time <= horizon``) cannot finish or
+    would queue more than :data:`_MAX_SEARCHES` searches.
+
+    A step of at least one ulp of the horizon advances every
+    ``search_time`` at or below it: ulps grow with magnitude and
+    rounding is monotone.  ``horizon + search_period == horizon`` alone
+    is not enough -- half an ulp advances an odd-mantissa horizon but
+    rounds back to an even value below it.
+    """
+    first = policy.first_search_at
+    if first > horizon:
+        return  # no search is scheduled
+    period = policy.search_period
+    if period < math.ulp(horizon):
+        raise ValueError(
+            f"search_period={period!r} cannot advance the search time "
+            f"at horizon {horizon!r}"
+        )
+    searches = (horizon - first) / period
+    if searches > _MAX_SEARCHES:
+        raise ValueError(
+            f"search_period={period!r} schedules {searches:.0f} searches "
+            f"between first_search_at={first!r} and horizon {horizon!r} "
+            f"(at most {_MAX_SEARCHES})"
+        )
 
 
 def _build_cluster(
@@ -383,12 +393,15 @@ def _build_cluster(
     family, variant = PROTOCOLS[scenario.protocol]
     n = deployment.n
     f = (n - 1) // 3
-    plane = _effective_plane(scenario)
     if family == "pbft":
         if workload is None:
             raise ValueError(
                 "PBFT is client-driven; pick a client workload, not 'saturated'"
             )
+        policy = scenario.measurements or MeasurementPolicy()
+        horizon = policy.horizon if policy.horizon is not None else scenario.duration
+        if variant != "static":
+            _check_search_cadence(policy, horizon)
         cluster = PbftCluster(
             deployment,
             mode=variant,
@@ -397,18 +410,14 @@ def _build_cluster(
             jitter=scenario.jitter,
             client_city_index=scenario.client_city,
             workload=workload,
-            plane=plane,
         )
-        policy = scenario.measurements or MeasurementPolicy()
         if variant != "static":
             cluster.schedule_measurements(
                 probe_at=policy.probe_at,
                 publish_at=policy.publish_at,
                 first_search_at=policy.first_search_at,
                 search_period=policy.search_period,
-                horizon=policy.horizon
-                if policy.horizon is not None
-                else scenario.duration,
+                horizon=horizon,
             )
         return cluster
     if family == "hotstuff":
@@ -421,12 +430,11 @@ def _build_cluster(
                 fixed_leader=leader,
                 seed=scenario.seed,
                 jitter=scenario.jitter,
-                plane=plane,
             )
         else:
             cluster = HotStuffCluster(
                 deployment, leader_mode="rr", seed=scenario.seed,
-                jitter=scenario.jitter, plane=plane,
+                jitter=scenario.jitter,
             )
         if workload is not None:
             cluster.attach_workload(workload, client_city=scenario.client_city or 0)
@@ -452,7 +460,6 @@ def _build_cluster(
         seed=scenario.seed,
         jitter=scenario.jitter,
         delta=scenario.delta,
-        plane=plane,
     )
     if workload is not None:
         cluster.attach_workload(workload, client_city=scenario.client_city or 0)

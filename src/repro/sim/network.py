@@ -64,21 +64,6 @@ heap, and the drain merges the window against the heap's head:
 5. Any other head -- a timer, a stale cursor, an entry past the horizon
    -- is the *barrier*: window rows behind it are *put back* on the
    store's append tail, and the drain yields to the engine there.
-
-``plane="columnar-fast"`` (constructor arg; ``"columnar"`` is accepted
-as a synonym of the default ``"object"``) is the relaxed campaign path:
-*every* pending row lives in the store, and each pass of its drain cuts
-the same kind of window but delivers it destination-major -- every row
-for one destination, in ``(time, seq)`` order, before the next
-destination's -- through the same per-row handlers as the exact plane.
-Semantics are *documented-equivalent*, not bit-identical: per-row
-``(time, seq)`` keys, jitter draws and seq allocation are exactly the
-exact plane's, and no row is ever reordered across a timer barrier, but
-within a window ``sim.now`` can step backwards between destination
-groups and per-replica arrival interleavings differ.  Final metrics
-(commit counts, request totals, latency quantiles) agree with the exact
-plane within the measurement-sketch error bound
-(``tests/oracles.py::assert_relaxed_equivalent`` asserts exactly that).
 """
 
 from __future__ import annotations
@@ -90,11 +75,6 @@ from typing import Any, Callable, Dict, Iterable, Optional
 import numpy as np
 
 from repro.sim.engine import SimulationError, Simulator
-
-#: Valid values for the ``plane`` knob: "object" is the exact plane and
-#: "columnar" an accepted synonym with no behaviour of its own (older
-#: result files and callers name it); "columnar-fast" is the relaxed one.
-MESSAGE_PLANES = ("object", "columnar", "columnar-fast")
 
 # An interceptor receives (src, dst, message, delay) and returns either
 # None (drop the message) or a (message, delay) pair to use instead.
@@ -108,22 +88,14 @@ _UNRESOLVED = object()
 #: rows at exactly the horizon time always pass the tie-break.
 _INF = float("inf")
 
-#: Byte cap on the relaxed multicast path's per-src row-array cache
-#: (``Network._delay_row_arrays``).  Keeps every row resident for the
-#: n<=2048 scales while bounding the n=4096/8192 memory diet: the cache
-#: is cleared wholesale when the next insert would cross the cap.
-_ROW_CACHE_BYTES = 64 << 20
-
 
 def _provider_delay_floor(provider: Any) -> float:
     """Smallest positive cross-node delay ``provider`` can ever answer.
 
     Resolved by duck-typing a ``delay_floor()`` method (the latency
     providers in :mod:`repro.net` and the client-site router implement
-    it); bare callables answer 0.0.  The exact plane then keeps wide
-    multicasts in the heap, and the relaxed drain loses its window cap
-    -- see :meth:`Network._drain_fast` for what that costs in
-    equivalence guarantees.
+    it); bare callables answer 0.0, and the network then keeps wide
+    multicasts in the heap: the drain's window cap rests on the floor.
     """
     fn = getattr(provider, "delay_floor", None)
     if fn is None:
@@ -170,9 +142,8 @@ _FAST_SEQ_LIMIT = 0xFFF00000
 
 
 class _FastSpine:
-    """The wide-row store: pending pristine deliveries as ~20-byte array
-    rows (every row of the relaxed plane, the wide multicasts of the
-    exact one).
+    """The wide-row store: the pending rows of pristine wide multicasts
+    as ~20-byte array rows.
 
     In memory the rows are four parallel arrays (``times`` f8, ``seqs``
     / ``dsts`` / ``msgs`` u4) -- parallel rather than one structured
@@ -579,14 +550,9 @@ class Network:
         0.05 means each delay is multiplied by ``uniform(1.0, 1.05)``.
         Jitter draws come from a dedicated generator so enabling or
         disabling it does not perturb other random streams.
-    plane:
-        ``"object"`` (default; ``"columnar"`` is a synonym) or
-        ``"columnar-fast"`` -- see the module docstring.  The latter
-        trades exact cross-destination interleaving for destination-major
-        window delivery (documented-equivalent final metrics).
     """
 
-    #: Pristine exact-plane multicasts with at least this fanout park
+    #: Pristine multicasts with at least this fanout park
     #: their rows in the wide-row store (:class:`_FastSpine`) instead of
     #: pushing one heap entry each -- provided the delay provider
     #: advertises a positive ``delay_floor``, which the windowed drain
@@ -607,22 +573,8 @@ class Network:
         sim: Simulator,
         one_way_delay: Callable[[int, int], float],
         jitter: float = 0.0,
-        plane: str = "object",
     ):
-        if plane not in MESSAGE_PLANES:
-            raise ValueError(
-                f"unknown message plane {plane!r} (known: "
-                f"{', '.join(MESSAGE_PLANES)})"
-            )
         self.sim = sim
-        self._relaxed = plane == "columnar-fast"
-        self._delay_rows: Optional[list] = None
-        self._delay_row_fn: Optional[Callable[[int], Optional[list]]] = None
-        #: src -> float64 row array for the relaxed plane's store
-        #: multicasts; a byte-capped snapshot cache over the provider's
-        #: per-src rows (cleared by the ``one_way_delay`` setter, never
-        #: pickled).
-        self._delay_row_arrays: Dict[int, Any] = {}
         self.one_way_delay = one_way_delay
         self.jitter = jitter
         self._stats = NetworkStats()
@@ -692,7 +644,6 @@ class Network:
             "_delay_rows",
             "_delay_row_fn",
             "_jitter_random",
-            "_delay_row_arrays",
             "_delay_floor",
         ):
             state.pop(key, None)
@@ -701,7 +652,6 @@ class Network:
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
         self._jitter_random = self._jitter_rng.random
-        self._delay_row_arrays = {}
         self.one_way_delay = self._one_way_delay  # rows, row fn and floor
         self._deliver_bound = self._make_deliver()
         self._stats_per_class = self._stats._per_class
@@ -710,11 +660,6 @@ class Network:
     # ------------------------------------------------------------------
     # Stats, delay provider and jitter
     # ------------------------------------------------------------------
-    @property
-    def plane(self) -> str:
-        """The plane this network runs, by its canonical name."""
-        return "columnar-fast" if self._relaxed else "object"
-
     @property
     def stats(self) -> NetworkStats:
         """The network's counters.  Read-only by design: the hot paths
@@ -730,7 +675,6 @@ class Network:
     @one_way_delay.setter
     def one_way_delay(self, value: Callable[[int, int], float]) -> None:
         self._one_way_delay = value
-        self._delay_row_arrays.clear()
         # Providers that expose their full matrix (Deployment.one_way up
         # to EAGER_ROWS_MAX_N) let the send paths index a plain list
         # instead of calling out.
@@ -740,8 +684,8 @@ class Network:
         # builds rows on demand past its threshold, and the client-site
         # router serves replica and client sources alike.
         self._delay_row_fn = getattr(value, "row", None)
-        # The drains' window cap needs a lower bound on every cross-node
-        # delay; without one the exact plane keeps to the heap.
+        # The drain's window cap needs a lower bound on every cross-node
+        # delay; without one wide multicasts keep to the heap.
         self._delay_floor = _provider_delay_floor(value)
 
     @property
@@ -865,9 +809,9 @@ class Network:
         ):
             self._stats.messages_dropped += 1
             return
-        # One path for every plane and fault state, inlined (a call frame
-        # per message is measurable).  Draw order is fixed -- delay,
-        # jitter, interceptors, stats, seq -- so a message gets the same
+        # One path for every fault state, inlined (a call frame per
+        # message is measurable).  Draw order is fixed -- delay, jitter,
+        # interceptors, stats, seq -- so a message gets the same
         # ``(time, seq)`` key wherever it waits and whether or not idle
         # interceptors are installed.
         if src == dst:
@@ -901,31 +845,6 @@ class Network:
         seq = sim._seq
         sim._seq = seq + 1
         time = sim.now + delay
-        if pristine and self._relaxed:
-            if src == dst:
-                # Zero-delay self rows are delivered inline at send time
-                # (see ``_multicast_store``).  The seq above is still
-                # allocated, keeping seq alignment with the exact plane.
-                self._deliver_bound(src, dst, message)
-                return
-            # Relaxed plane, pristine unicast: O(1) append to the store.
-            fast = self._fast
-            if seq - fast.seq_base >= _FAST_SEQ_LIMIT:
-                fast.rebase(seq)
-            count = fast.count
-            if count == len(fast.times):
-                count = fast.grow(1)
-            fast.times[count] = time
-            fast.seqs[count] = seq - fast.seq_base
-            fast.dsts[count] = dst
-            fast.msgs[count] = fast.add_slot(message, src)
-            fast.count = count + 1
-            armed = fast.armed
-            if armed is None or time < armed[0] or (
-                time == armed[0] and seq < armed[1]
-            ):
-                self._arm((time, seq))  # else its cursor precedes this row
-            return
         queue = sim._queue
         _heappush(
             queue, (time, seq, None, self._deliver_bound, (src, dst, message))
@@ -936,10 +855,10 @@ class Network:
     def multicast(self, src: int, dsts: Iterable[int], message: Any, size: int = 0) -> None:
         """Send the same message to every destination, as one batch that
         matches a loop of :meth:`send` calls destination by destination.
-        A wide pristine multicast on the exact plane parks in the store;
-        every other one is :meth:`fan_out`."""
+        A wide pristine multicast parks in the store; every other one is
+        :meth:`fan_out`."""
         self._stats.messages_multicast += 1
-        if self._pristine and not self._relaxed and self._delay_floor > 0.0:
+        if self._pristine and self._delay_floor > 0.0:
             # Wide and pristine: the fanout waits in the store.  The
             # choice changes where rows wait, never their keys.
             try:
@@ -957,13 +876,9 @@ class Network:
         stats and seq per destination, with the per-call work hoisted.
 
         Counts no multicast (client request broadcasts call it directly)
-        and pushes to the heap however wide ``dsts`` is -- except on a
-        pristine relaxed plane, where every row lives in the store.
+        and pushes to the heap however wide ``dsts`` is.
         """
         pristine = self._pristine
-        if pristine and self._relaxed:
-            self._multicast_store(src, dsts, message, size)
-            return
         clear = self._links_clear
         if not pristine:
             interceptors = self._interceptors
@@ -1033,13 +948,12 @@ class Network:
             stats.record_multicast(message, size, seq - first)
 
     # ------------------------------------------------------------------
-    # Wide-row store: the exact drain, the shared multicast, the relaxed
-    # plane's drain
+    # Wide-row store: the drain and the shared multicast
     # ------------------------------------------------------------------
     def _drain_store(self, time: float, seq: int) -> None:
-        """Cursor callback for the exact plane: deliver the store's rows
-        in windows, merged against the pending deliveries at the head of
-        the event heap (the five rules of the module docstring).
+        """Cursor callback: deliver the store's rows in windows, merged
+        against the pending deliveries at the head of the event heap
+        (the five rules of the module docstring).
 
         A row or heap delivery is handed over only when no event with a
         smaller ``(time, seq)`` key exists anywhere -- heap, horizon,
@@ -1206,10 +1120,9 @@ class Network:
         store = self._fast
         store.armed = key
         store.live.add(key)
-        drain = self._drain_fast if self._relaxed else self._drain_store
         sim = self.sim
         queue = sim._queue
-        _heappush(queue, (key[0], key[1], None, drain, key))
+        _heappush(queue, (key[0], key[1], None, self._drain_store, key))
         if len(queue) > sim.max_queue_depth:
             sim.max_queue_depth = len(queue)
 
@@ -1226,15 +1139,13 @@ class Network:
         Zero-delay self copies (``broadcast(include_self=True)``) never
         enter the store -- they are the one row class that can arrive
         *inside* the window being drained, which the window invariant
-        (:meth:`_FastSpine.cut`) rules out.  The exact plane pushes them
-        on the heap, where its drain merges them; the relaxed plane
-        delivers them inline at send time.
+        (:meth:`_FastSpine.cut`) rules out.  They go on the heap, where
+        the drain merges them.
         """
         one_way = self._one_way_delay
         jittered = self._jitter > 0.0
         span = self._jitter_span
         rand = self._jitter_random
-        relaxed = self._relaxed
         drows = self._delay_rows
         row = drows[src] if drows is not None else None
         if row is None:
@@ -1253,24 +1164,13 @@ class Network:
         self_mask = dst_arr == np.uint32(src)
         nself = int(np.count_nonzero(self_mask))
         if row is not None:
-            # Vectorized delay build: gather from a float64 snapshot of
-            # the provider's row, zero the self positions, then apply
-            # the jitter multipliers.  The draws happen in the same
+            # Vectorized delay build: gather from a float64 copy of the
+            # provider's row, zero the self positions, then apply the
+            # jitter multipliers.  The draws happen in the same
             # destination order and each element sees the same scalar
-            # op sequence (span*r, 1.0+, delay*) as fan_out's loop,
-            # so the times are bit-identical.  Only the relaxed plane
-            # keeps the snapshots (byte-capped; rows are static for the
-            # run): the exact plane's memory budget has no room for n
-            # of them.
-            cache = self._delay_row_arrays
-            arr = cache.get(src)
-            if arr is None:
-                arr = np.asarray(row, dtype=np.float64)
-                if relaxed:
-                    if (len(cache) + 1) * arr.nbytes > _ROW_CACHE_BYTES:
-                        cache.clear()
-                    cache[src] = arr
-            delays = arr[dst_arr]
+            # op sequence (span*r, 1.0+, delay*) as fan_out's loop, so
+            # the times are bit-identical.
+            delays = np.asarray(row, dtype=np.float64)[dst_arr]
             if nself:
                 delays[self_mask] = 0.0
             if jittered:
@@ -1301,15 +1201,14 @@ class Network:
         seqs = np.arange(rel, rel + fanout, dtype=np.uint32)
         if nself:
             keep = ~self_mask
-            if not relaxed:
-                queue = sim._queue
-                for k in np.flatnonzero(self_mask).tolist():
-                    _heappush(queue, (
-                        times.item(k), first + k, None, self._deliver_bound,
-                        (src, src, message),
-                    ))
-                if len(queue) > sim.max_queue_depth:
-                    sim.max_queue_depth = len(queue)
+            queue = sim._queue
+            for k in np.flatnonzero(self_mask).tolist():
+                _heappush(queue, (
+                    times.item(k), first + k, None, self._deliver_bound,
+                    (src, src, message),
+                ))
+            if len(queue) > sim.max_queue_depth:
+                sim.max_queue_depth = len(queue)
             times = times[keep]
             dst_arr = dst_arr[keep]
             seqs = seqs[keep]
@@ -1331,105 +1230,6 @@ class Network:
             key = (times.item(kidx), seqs.item(kidx) + fast.seq_base)
             if fast.armed is None or key < fast.armed:
                 self._arm(key)
-        if relaxed:
-            for _ in range(nself):
-                self._deliver_bound(src, src, message)
-
-    def _drain_fast(self, time: float, seq: int) -> None:
-        """Cursor callback for the relaxed plane: deliver EVERY pending
-        row that precedes the next timer barrier, destination-major.
-
-        Each pass snapshots the barrier (next non-cancelled heap event,
-        capped by the horizon), cuts the window below it and delivers
-        the cut in ``(dst, time, seq)`` order, each row through the same
-        route -> inbox lookup as :meth:`_drain_store`.  No row is ever
-        held past a barrier: passes repeat until nothing pending
-        precedes it.  ``sim.now`` is set to each row's arrival time
-        before its handler runs, so it can step backwards across
-        destination groups -- documented-equivalent, not bit-identical.
-
-        With a positive ``delay_floor`` the window invariant holds, so
-        each destination observes its rows in exact ``(time, seq)``
-        order and quorum crossings fire at the same instants as on the
-        exact plane; only cross-destination wall interleaving within a
-        window (and same-instant tie order) stays relaxed.  Without one
-        (bare-callable providers) a pass runs to the barrier and only
-        barrier-level equivalence holds.
-        """
-        fast = self._fast
-        key = (time, seq)
-        live = fast.live
-        live.discard(key)
-        if fast.armed != key:
-            return  # Stale cursor: an earlier drain already passed this key.
-        sim = self.sim
-        horizon = sim.horizon
-        deliver = self._deliver_bound
-        routes_get = self._routes.get
-        handlers_get = self._handlers.get
-        unresolved = _UNRESOLVED
-        stats = self._stats
-        counters = stats.plane
-        floor = self._delay_floor if self._delay_floor > 0.0 else _INF
-        while fast.count > fast.lo:
-            # Barrier snapshot: the live head's key, capped by the
-            # horizon (rows at exactly the horizon pass the tie-break
-            # via the _INF barrier seq).
-            head = sim._next_pending()
-            if head is not None and head[0] <= horizon:
-                bt = head[0]
-                bs = head[1]
-            else:
-                bt = horizon
-                bs = _INF
-            _, _, _, btimes, bseqs, bdsts, bmsgs = fast.cut(
-                bt, bs, floor, counters
-            )
-            if btimes is None:
-                break
-            # lexsort puts this pass's window into the total (dst, time,
-            # seq) delivery order; the columns become Python lists once
-            # per pass so the row loop pays no numpy scalar costs.
-            order = np.lexsort((bseqs, btimes, bdsts))
-            counters["windows"] += 1
-            counters["window_rows"] += len(order)
-            pool = fast.pool
-            slots = bmsgs[order]
-            delivered = dropped = fallbacks = 0
-            for t, dst, src, slot in zip(
-                btimes[order].tolist(),
-                bdsts[order].tolist(),
-                fast.slot_srcs[slots].tolist(),
-                slots.tolist(),
-            ):
-                sim.now = t
-                message = pool[slot]
-                if not self._pristine:
-                    # A fault landed while rows were in flight: per-row
-                    # delivery-time checks, as on the exact plane.
-                    deliver(src, dst, message)
-                    fallbacks += 1
-                    continue
-                route = routes_get(dst)
-                handler = (
-                    route.get(message.__class__, unresolved)
-                    if route is not None
-                    else unresolved
-                )
-                if handler is unresolved:
-                    handler = handlers_get(dst)
-                    if handler is None:
-                        dropped += 1
-                        continue
-                delivered += 1
-                if handler is not None:
-                    handler(src, message)
-            stats.messages_delivered += delivered
-            stats.messages_dropped += dropped
-            counters["fault_fallbacks"] += fallbacks
-        nkey = fast.armed = fast.settle(sim._seq)
-        if nkey is not None and nkey not in live:
-            self._arm(nkey)
 
     # ------------------------------------------------------------------
     # Delivery

@@ -1,6 +1,6 @@
 """Per-row vote handlers at the quorum edges.
 
-Every message plane delivers votes one row at a time through the
+The message plane delivers votes one row at a time through the
 engines' ``handle_Vote`` / ``handle_Prepare`` / ``handle_Commit``.  These
 tests feed a replica a full round's vote column row by row and check the
 rules the handlers state: distinct senders are counted once, a quorum
@@ -36,9 +36,7 @@ def deliver(handler, rows):
 # HotStuff votes
 # ----------------------------------------------------------------------
 def make_hotstuff(deployment):
-    cluster = hotstuff.HotStuffCluster(
-        deployment, leader_mode="rr", plane="columnar"
-    )
+    cluster = hotstuff.HotStuffCluster(deployment, leader_mode="rr")
     replica = cluster.replicas[1]  # leader for height 1 = counts votes for 0
     replica.running = True
     return replica
@@ -111,7 +109,7 @@ def test_hotstuff_mixed_heights_count_only_our_height(deployment):
 # PBFT acks
 # ----------------------------------------------------------------------
 def make_pbft(deployment, mode="static"):
-    cluster = pbft.PbftCluster(deployment, mode=mode, plane="columnar")
+    cluster = pbft.PbftCluster(deployment, mode=mode)
     replica = cluster.replicas[1]
     replica.running = True
     return replica
@@ -257,7 +255,7 @@ def make_kauri(deployment):
     layout = list(range(N))
     random.Random(3).shuffle(layout)
     tree = TreeConfiguration.from_layout(layout)
-    cluster = kauri.KauriCluster(deployment, tree, plane="columnar")
+    cluster = kauri.KauriCluster(deployment, tree)
     node = tree.intermediates[0]
     replica = cluster.replicas[node]
     replica.running = True

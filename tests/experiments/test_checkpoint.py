@@ -265,9 +265,10 @@ def test_unknown_format_version_fails_loudly(saved_checkpoint):
     # v1 files pickled their armed faults, v2 files the delivery token
     # and the sketch, v3 files the removed latency providers and v4 files
     # the removed closed-loop client class, v5 files the open-loop shapes
-    # from their removed modules, in layouts this build no longer reads:
-    # the header refuses them before pickle is asked to.
-    for version in (99, 1, 2, 3, 4, 5):
+    # from their removed modules, v8 files the relaxed plane's flag, in
+    # layouts this build no longer reads: the header refuses them before
+    # pickle is asked to.
+    for version in (99, 1, 2, 3, 4, 5, 8):
         with open(path, "wb") as handle:
             handle.write(blob[:8] + version.to_bytes(2, "little") + blob[10:])
         with pytest.raises(CheckpointError, match=f"v{version} unsupported"):

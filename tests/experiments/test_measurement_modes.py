@@ -6,12 +6,15 @@ exact run.  The mode only observes a run, so the check is two runs of
 one seed compared here, not a dual-writing mode of the package.
 """
 
+import math
+
 import pytest
 
 from repro.experiments.runner import (
     METRICS_MODES,
     MeasurementPolicy,
     Scenario,
+    prepare_scenario,
     run_scenario,
 )
 from state_trace import state_trace_hash
@@ -66,6 +69,40 @@ def test_cadence_that_cannot_finish_is_refused(field, value):
     # fail later in the engine with no field named.
     with pytest.raises(ValueError, match=field):
         MeasurementPolicy(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "cadence",
+    [
+        # 40 + 1e-20 == 40: the step is absorbed before the horizon...
+        dict(first_search_at=40.0, search_period=1e-20),
+        # ...and at it.
+        dict(first_search_at=40.0, horizon=40.0, search_period=1e-20),
+        # Half an ulp moves the odd-mantissa horizon but ties back to
+        # the even 40 below it, so ``horizon + step > horizon`` is not
+        # enough.
+        dict(
+            first_search_at=40.0,
+            horizon=math.nextafter(40.0, 41.0),
+            search_period=math.ulp(40.0) / 2,
+        ),
+        # Finishes, but only after ~133k searches per replica.
+        dict(first_search_at=40.0, search_period=1.5e-4),
+    ],
+    ids=["absorbed", "absorbed-at-horizon", "half-ulp", "too-many"],
+)
+def test_search_cadence_too_fine_for_its_horizon_is_refused(cadence):
+    # Each passes MeasurementPolicy's field checks; only the resolved
+    # horizon (the scenario duration when unset) shows the search loop
+    # cannot finish in reasonable time, so prepare_scenario refuses it.
+    scenario = Scenario(
+        protocol="pbft-aware",
+        deployment="wonderproxy-4",
+        duration=60.0,
+        measurements=MeasurementPolicy(**cadence),
+    )
+    with pytest.raises(ValueError, match="search_period"):
+        prepare_scenario(scenario)
 
 
 def _protocol_hash(result):

@@ -6,10 +6,10 @@ run (``oracles.heap_only``) -- same metrics JSON (minus the store's
 counters), same :func:`state_trace.state_trace_hash` --
 at thresholds that push everything (2, 4) or nothing (256) of these
 n <= 16 deployments through it, sparse and dense.  The plane *names*:
-``object`` and ``columnar`` are one plane, ``check`` is refused, a
-faulted relaxed scenario falls back to exact and says so; checkpoint
-resume composes with rows parked (and with interceptors in flight
-across the cut).
+``object`` and ``columnar`` are one plane, anything else is refused; a
+faulted scenario drains parked rows through the heap path's checks;
+checkpoint resume composes with rows parked (and with interceptors in
+flight across the cut).
 """
 
 import json
@@ -112,15 +112,12 @@ def test_steady_state_drain_collapses_heap_events(protocol, monkeypatch):
 
 
 def test_unknown_plane_is_rejected():
-    with pytest.raises(ValueError, match="unknown message plane"):
-        _scenario("pbft", plane="rowwise")
-
-
-def test_prepare_rejects_check_plane():
-    # Refused at construction, and the refusal says where the
-    # equivalence it used to assert went.
-    with pytest.raises(ValueError, match="lives in the test suite"):
-        prepare_scenario(_scenario("pbft", plane="check"))
+    # The relaxed plane and the self-check planes are gone: each is
+    # refused at construction, and the refusal says the relaxed plane
+    # was removed.
+    for plane in ("rowwise", "columnar-fast", "check", "check-fast"):
+        with pytest.raises(ValueError, match="unknown message plane.*removed"):
+            _scenario("pbft", plane=plane)
 
 
 def test_default_plane_keeps_describe_and_json_stable():
@@ -137,22 +134,13 @@ def test_faulted_scenario_falls_back_to_object_plane(small_fanout):
     # run, window open or not, which leaves nothing pristine to park.)
     faults = [FaultSpec(kind="crash", start=1.0, end=3.0, attacker=2)]
     baseline = _heap_only_run(_scenario("pbft", faults=list(faults)))
-    # The exact plane has nothing to fall back from: rows park until the
-    # fault lands, then drain through the heap path's checks.
+    # Rows park until the fault lands, then drain through the heap
+    # path's checks.
     faulted = run_scenario(
         _scenario("pbft", faults=list(faults), plane="columnar")
     )
     assert _comparable(faulted) == _comparable(baseline)
     assert faulted.metrics()["plane"]["fault_fallbacks"] > 0
-    assert "effective_plane" not in faulted.metrics()
-    # The relaxed plane does, and the downgrade is visible in the result.
-    fallback = run_scenario(
-        _scenario("pbft", faults=list(faults), plane="columnar-fast")
-    )
-    assert fallback.cluster.network.plane == "object"
-    assert fallback.metrics()["effective_plane"] == "object"
-    assert fallback.scenario.describe()["plane"] == "columnar-fast"
-    assert "effective_plane" not in baseline.metrics()
 
 
 def test_runtime_faults_fall_back_per_send(small_fanout):

@@ -190,7 +190,7 @@ def _brute_floor(model):
 
 
 def test_delay_floor_is_min_cross_node_one_way(europe21, monkeypatch):
-    # The relaxed message plane caps its drain windows at this floor; it
+    # The message plane caps its drain windows at this floor; it
     # must lower-bound every delay the provider can ever answer, and be
     # positive for any model with distinct replicas.
     model = europe21.latency

@@ -53,10 +53,7 @@ And oracles that are not reference implementations:
   the history of a run, which the chained engines no longer keep
   (a height's block is retired when it commits);
 * :func:`per_height_entries` -- how many per-height / per-sequence
-  bookkeeping entries a cluster's replicas hold right now;
-* :func:`assert_relaxed_equivalent` -- a scenario run on the exact and
-  the relaxed (``columnar-fast``) plane, held to the relaxed plane's
-  documented equivalence on final metrics.
+  bookkeeping entries a cluster's replicas hold right now.
 """
 
 from __future__ import annotations
@@ -64,7 +61,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import replace
 from typing import (
     Any,
     Callable,
@@ -91,8 +87,6 @@ from repro.core.timeouts import (
     PHASE_WRITE,
     PbftTimeouts,
 )
-from repro.experiments.runner import Scenario, ScenarioResult, run_scenario
-from repro.metrics import MetricsSketch
 from repro.net.cities import City
 from repro.net.latency_model import (
     EARTH_RADIUS_KM,
@@ -972,78 +966,3 @@ def per_height_entries(cluster, exclude: Sequence[str] = ()) -> int:
             if state is not None:
                 total += len(state)
     return total
-
-
-def commit_heights(cluster) -> List[int]:
-    """Per-replica commit heights: every engine's ``progress``."""
-    return [replica.progress for replica in cluster.replicas]
-
-
-def assert_relaxed_equivalent(
-    scenario: Scenario,
-) -> Tuple[ScenarioResult, ScenarioResult]:
-    """Run ``scenario`` on the exact and the relaxed plane, assert the
-    relaxed plane's documented equivalence, return both runs (exact
-    first).
-
-    Not a state-trace comparison: the relaxed plane coalesces deliveries
-    inside barrier windows, so per-row interleavings (and with them RNG
-    stream positions and exact latency digits) legitimately differ.
-    What must hold:
-
-    * committed request totals, committed block counts and per-replica
-      commit heights are EQUAL;
-    * client request totals (sent and completed) are EQUAL;
-    * every latency quantile (commit and client side) agrees within the
-      :class:`~repro.metrics.MetricsSketch` error bound.
-
-    The scenario needs jitter 0 (jitter is drawn at send time in send
-    order, which differs between the planes, so jittered twins would see
-    different delays) and a named workload (an instance would be
-    consumed by the first run).
-    """
-    assert scenario.jitter == 0.0, "jittered twins are not comparable"
-    assert isinstance(scenario.workload, str), "needs a named workload"
-    name = scenario.describe()["name"]
-    exact_result = run_scenario(replace(scenario, plane="object"))
-    fast_result = run_scenario(replace(scenario, plane="columnar-fast"))
-    exact_metrics = exact_result.metrics()
-    fast_metrics = fast_result.metrics()
-    for field_name in ("committed_requests", "committed_blocks"):
-        assert exact_metrics.get(field_name) == fast_metrics.get(field_name), (
-            f"{field_name} diverged for {name}: "
-            f"exact={exact_metrics.get(field_name)} "
-            f"relaxed={fast_metrics.get(field_name)}"
-        )
-    exact_heights = commit_heights(exact_result.cluster)
-    fast_heights = commit_heights(fast_result.cluster)
-    assert exact_heights == fast_heights, (
-        f"per-replica commit heights diverged for {name}: "
-        f"exact={exact_heights} relaxed={fast_heights}"
-    )
-    exact_client = exact_metrics.get("client") or {}
-    fast_client = fast_metrics.get("client") or {}
-    for field_name in ("requests_sent", "requests_completed"):
-        assert exact_client.get(field_name) == fast_client.get(field_name), (
-            f"client {field_name} diverged for {name}: "
-            f"exact={exact_client.get(field_name)} "
-            f"relaxed={fast_client.get(field_name)}"
-        )
-    bound = MetricsSketch().error_bound()
-    exact_client_latency = {k: v for k, v in exact_client.items() if "latency" in k}
-    for label, exact, fast in (
-        (
-            "commit_latency",
-            exact_metrics.get("commit_latency") or {},
-            fast_metrics.get("commit_latency") or {},
-        ),
-        ("client", exact_client_latency, fast_client),
-    ):
-        for key, a in exact.items():
-            b = fast.get(key)
-            if isinstance(a, float) and isinstance(b, float):
-                assert abs(a - b) <= bound * max(abs(a), abs(b)), (
-                    f"{label}.{key} diverged for {name} beyond the sketch "
-                    f"error bound ({bound:.4%}): exact={a!r} relaxed={b!r}"
-                )
-    return exact_result, fast_result

@@ -1,7 +1,6 @@
 """The exact plane on mixed traffic -- wide multicasts in the store,
 unicasts, self copies and reactive sends in the heap -- against the
-heap-only oracle; the relaxed plane's per-row drain; fault fallback,
-stats parity and pickling.
+heap-only oracle; fault fallback, stats parity and pickling.
 
 The contract under test (see the "Message plane" section of
 :mod:`repro.sim.network`): wherever a row waits, the network delivers
@@ -11,7 +10,8 @@ and statistics -- while the store's rows cost one heap cursor instead of
 one heap entry each.  Any fault (down node, partition, interceptor)
 makes new sends take the heap and parked rows fall back to per-message
 delivery-time checks.  Every pair below is (heap-only, store engaged at
-fanout 2) over a provider with a delay floor.
+fanout 2), over a provider with a delay floor unless the test is about
+a provider without one.
 """
 
 import pickle
@@ -20,7 +20,7 @@ from types import SimpleNamespace
 from oracles import heap_only
 from repro.experiments import checkpoint
 from repro.sim.engine import Simulator
-from repro.sim.network import MESSAGE_PLANES, Network
+from repro.sim.network import Network
 
 import pytest
 
@@ -114,14 +114,10 @@ def snapshot(sim, network):
 # ----------------------------------------------------------------------
 # Construction
 # ----------------------------------------------------------------------
-def test_plane_vocabulary_and_validation():
-    assert MESSAGE_PLANES == ("object", "columnar", "columnar-fast")
-    sim = Simulator(seed=0)
-    # One exact plane under two accepted names, no behaviour between them.
-    assert Network(sim, lambda a, b: 0.01, plane="columnar").plane == "object"
-    for plane in ("check", "check-fast", "rowwise"):
-        with pytest.raises(ValueError, match="unknown message plane"):
-            Network(sim, lambda a, b: 0.01, plane=plane)
+def test_network_takes_no_plane_argument():
+    # One message plane: nothing to choose between, so no knob.
+    with pytest.raises(TypeError, match="plane"):
+        Network(Simulator(seed=0), lambda a, b: 0.01, plane="object")
 
 
 # ----------------------------------------------------------------------
@@ -167,38 +163,67 @@ def test_delivery_tie_order_matches_object_plane():
 
 
 # ----------------------------------------------------------------------
-# The relaxed drain: destination-major, per row, through the inboxes
+# Reactive sends from a drained window
 # ----------------------------------------------------------------------
-def test_relaxed_drain_answers_each_row_in_order():
-    # Three pings reach node 1 in one window; each is answered by the
-    # ordinary inbox before the next is delivered, so the pongs leave in
-    # arrival order on both planes.
-    def run(plane):
-        sim = Simulator(seed=1)
-        network = Network(sim, lambda a, b: 0.01, plane=plane)
+def test_store_drain_answers_each_row_in_order():
+    # Three pings parked in the store reach node 1 in one window; each
+    # is answered by the ordinary inbox as it is delivered, so the pongs
+    # leave in arrival order, exactly as on the heap-only run.
+    def run(store):
+        sim, network = make_network(store)
         trace = []
 
         def on_ping(src, message):
             network.send(1, src, Pong(message.value), Pong.wire_size)
 
         network.register(1, on_ping)
-        for node in (0, 2, 3):
+        for node in (0, 2, 3, 4):
             network.register(
                 node,
                 lambda src, msg, node=node: trace.append(
-                    (round(sim.now, 12), src, node, msg.value)
+                    (round(sim.now, 12), src, node, repr(msg))
                 ),
             )
-            network.send(node, 1, Ping(node), Ping.wire_size)
+        for node in (0, 2, 3):
+            network.multicast(node, (1, 4), Ping(node), Ping.wire_size)
         sim.run()
-        return trace, snapshot(sim, network)
+        return trace, snapshot(sim, network), network.stats.plane
 
-    trace_object, stats_object = run("object")
-    trace_fast, stats_fast = run("columnar-fast")
-    assert [value for _, _, _, value in trace_object] == [0, 2, 3]
-    assert trace_fast == trace_object
+    trace_object, stats_object, _ = run(False)
+    trace_columnar, stats_columnar, counters = run(True)
+    assert counters["window_rows"] > 0
+    pongs = [(dst, rep) for _, src, dst, rep in trace_object if src == 1]
+    assert pongs == [(0, "Ping(0)"), (2, "Ping(2)"), (3, "Ping(3)")]
+    assert trace_columnar == trace_object
     # Same final clock, seq counter, RNG state and wire statistics.
-    assert stats_fast == stats_object
+    assert stats_columnar == stats_object
+
+
+# ----------------------------------------------------------------------
+# No delay floor: nothing parks
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("jitter", [0.0, 0.05])
+def test_network_without_floor_keeps_every_row_in_the_heap(jitter):
+    # A bare-callable provider advertises no floor, so no window can be
+    # proved safe: even at fanout 2 every row takes the heap, and the
+    # run is the heap-only run.
+    def run(store):
+        sim = Simulator(seed=5)
+        network = Network(
+            sim, lambda a, b: 0.01 if a != b else 0.0, jitter=jitter
+        )
+        if store:
+            network.block_fanout = 2
+        else:
+            heap_only(network)
+        trace = run_traffic(sim, network)
+        return trace, snapshot(sim, network), network.stats.plane
+
+    trace_object, stats_object, _ = run(False)
+    trace_columnar, stats_columnar, counters = run(True)
+    assert not any(counters.values())
+    assert trace_columnar == trace_object
+    assert stats_columnar == stats_object
 
 
 # ----------------------------------------------------------------------
@@ -378,90 +403,17 @@ def test_columnar_network_pickles_with_rows_in_flight():
 
 
 # ----------------------------------------------------------------------
-# Relaxed plane (columnar-fast)
+# Delay floor
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("plane", ["columnar", "columnar-fast"])
-def test_columnar_planes_read_the_provider_delay_floor(plane):
-    # Both drains window on the floor: the relaxed one caps its passes
-    # with it, the exact one needs it to park wide multicasts at all --
-    # under either of its names, and by default.
-    sim = Simulator(seed=0)
-    network = Network(sim, FloorDelay(0.02), plane=plane)
+def test_network_reads_the_provider_delay_floor():
+    # The drain windows on the floor: a wide multicast parks in the
+    # store only when the provider advertises one.
+    network = Network(Simulator(seed=0), FloorDelay(0.02))
     assert network._delay_floor == 0.02
-    assert Network(Simulator(seed=0), FloorDelay(0.02))._delay_floor == 0.02
-    # Derived, never pickled: a checkpoint written by a build whose
-    # default plane stored 0.0 must not keep windows off after a resume.
+    # Derived, never pickled: a checkpoint written by a build that stored
+    # 0.0 must not keep windows off after a resume.
     assert "_delay_floor" not in network.__getstate__()
     assert pickle.loads(pickle.dumps(network))._delay_floor == 0.02
     # Bare callables advertise no floor.
     network.one_way_delay = lambda a, b: 0.02
     assert network._delay_floor == 0.0
-
-
-def test_fast_plane_delivers_object_multiset_in_dst_time_order():
-    # The relaxed contract: same deliveries at the same timestamps as
-    # the object plane (as a multiset -- global interleaving is free),
-    # and with a positive floor each destination observes its rows in
-    # non-decreasing time order.
-    def run(plane):
-        sim = Simulator(seed=3)
-        network = Network(sim, FloorDelay(), plane=plane)
-        trace = run_traffic(sim, network)
-        stats = snapshot(sim, network)
-        return trace, stats
-
-    trace_object, stats_object = run("object")
-    trace_fast, stats_fast = run("columnar-fast")
-    assert sorted(trace_fast) == sorted(trace_object)
-    for key in ("seq", "sent", "delivered", "dropped", "bytes",
-                "per_type_bytes"):
-        assert stats_fast[key] == stats_object[key], key
-    per_dst = {}
-    for t, src, dst, rep in trace_fast:
-        per_dst.setdefault(dst, []).append(t)
-    for dst, times in per_dst.items():
-        assert times == sorted(times), dst
-
-
-def test_fast_plane_without_floor_keeps_barrier_equivalence():
-    # A bare-callable provider (floor 0.0) disables window capping;
-    # barrier-level coalescing must still deliver the object plane's
-    # exact multiset of (time, src, dst, message) rows.
-    def run(plane):
-        sim = Simulator(seed=5)
-        network = Network(sim, lambda a, b: 0.01 if a != b else 0.0,
-                          plane=plane)
-        return run_traffic(sim, network)
-
-    assert sorted(run("columnar-fast")) == sorted(run("object"))
-
-
-def test_fast_network_pickles_with_rows_in_flight():
-    def build():
-        sim = Simulator(seed=4)
-        network = Network(
-            sim, FloorDelay(0.5), jitter=0.1, plane="columnar-fast"
-        )
-        endpoints = [PicklableEndpoint(sim) for _ in range(3)]
-        for node, endpoint in enumerate(endpoints):
-            network.register(node, endpoint)
-        network.multicast(0, range(3), Ping("m"), Ping.wire_size)
-        network.send(1, 2, Ping("u"), Ping.wire_size)
-        return sim, network, endpoints
-
-    sim, network, endpoints = build()
-    sim.run()
-    want = [endpoint.received for endpoint in endpoints]
-    want_stats = snapshot(sim, network)
-
-    # Cut while the structured column holds rows and the drain cursor
-    # is armed: __getstate__ snapshots buf[:count] + pool + cursor keys.
-    sim, network, endpoints = build()
-    sim.run(until=0.1)
-    assert network._fast.count > 0
-    sim2, network2, endpoints2 = pickle.loads(
-        pickle.dumps((sim, network, endpoints))
-    )
-    sim2.run()
-    assert [endpoint.received for endpoint in endpoints2] == want
-    assert snapshot(sim2, network2) == want_stats

@@ -390,14 +390,13 @@ def test_seq_rebase_with_rows_pending(monkeypatch):
 # ----------------------------------------------------------------------
 # Memory
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("plane", ["columnar", "columnar-fast"])
-def test_store_capacity_tracks_the_live_backlog(monkeypatch, plane):
+def test_store_capacity_tracks_the_live_backlog(monkeypatch):
     # A 512-way all-to-all, twice over: the second round's appends meet
     # a half-drained store, whose dead front must be reclaimed before the
     # columns are allowed to grow.
     monkeypatch.setattr(Network, "block_fanout", 256)
     sim = Simulator(seed=1)
-    network = Network(sim, Spread(0.01), plane=plane)
+    network = Network(sim, Spread(0.01))
     store = network._fast
     peak = 0
 
