@@ -550,17 +550,36 @@ class PbftCluster(ClusterBase):
         horizon: float = 180.0,
     ) -> None:
         """Arrange the Fig. 7 cadence: probe, publish vectors, then run
-        periodic configuration searches on every replica."""
+        periodic configuration searches on every replica, at
+        ``first_search_at``, then every ``search_period`` up to
+        ``horizon``.  Each search queues the replica's next one, so the
+        heap holds one pending search per replica, not the cadence."""
         if self.mode == "static":
             return
         for replica in self.replicas:
             self.sim.schedule_at(probe_at, replica.probe_peers)
             self.sim.schedule_at(publish_at, replica.publish_latency_vector)
-        search_time = first_search_at
-        while search_time <= horizon:
+        if first_search_at <= horizon:
             for replica in self.replicas:
-                self.sim.schedule_at(search_time, replica.run_config_search)
-            search_time += search_period
+                self.sim.schedule_at(
+                    first_search_at, self._search, replica, first_search_at,
+                    search_period, horizon,
+                )
+
+    def _search(
+        self, replica: PbftReplica, search_time: float, search_period: float,
+        horizon: float,
+    ) -> None:
+        """``replica``'s search at ``search_time``; queues its next one
+        first, at ``search_time + search_period`` while that is within
+        ``horizon``."""
+        search_time += search_period
+        if search_time <= horizon:
+            self.sim.schedule_at(
+                search_time, self._search, replica, search_time,
+                search_period, horizon,
+            )
+        replica.run_config_search()
 
     @property
     def observer(self) -> PbftReplica:

@@ -131,7 +131,7 @@ class MeasurementPolicy:
             raise ValueError(
                 f"bins_per_decade must be >= 1, got {self.bins_per_decade!r}"
             )
-        # The cadence loop in ``schedule_measurements`` must terminate and
+        # The search chain in ``schedule_measurements`` must terminate and
         # schedule nothing in the past.
         for name in ("probe_at", "publish_at", "first_search_at"):
             value = getattr(self, name)
@@ -352,16 +352,16 @@ def _resolve_workload(scenario: Scenario) -> Optional[Workload]:
 # Cluster construction
 # ----------------------------------------------------------------------
 #: Most configuration searches one scenario may schedule.  The cadence
-#: loop queues one event per replica per search before the run starts;
-#: the default cadence over a day of simulated time is ~3,500.
+#: runs one event per replica per search (each queues the next); the
+#: default cadence over a day of simulated time is ~3,500.
 _MAX_SEARCHES = 100_000
 
 
 def _check_search_cadence(policy: MeasurementPolicy, horizon: float) -> None:
-    """Refuse a search cadence whose loop in
+    """Refuse a search cadence whose chain in
     ``PbftCluster.schedule_measurements`` (``search_time +=
     search_period`` while ``search_time <= horizon``) cannot finish or
-    would queue more than :data:`_MAX_SEARCHES` searches.
+    would run more than :data:`_MAX_SEARCHES` searches.
 
     A step of at least one ulp of the horizon advances every
     ``search_time`` at or below it: ulps grow with magnitude and

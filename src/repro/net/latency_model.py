@@ -61,12 +61,15 @@ ROW_CACHE_SIZE = 128
 class DelayProvider:
     """The network-facing one-way delay provider of a :class:`LatencyModel`.
 
-    Scalar calls answer ``(src, dst)`` lookups and ``row(src)`` feeds the
-    batch send paths.  Models with n <= :data:`EAGER_ROWS_MAX_N` also get
-    ``rows``, the full one-way matrix as nested lists, which the network
-    indexes directly; larger models answer ``rows = None`` and build each
-    row on demand into a bounded LRU.  Every path serves the double
-    :meth:`LatencyModel.one_way` computes.
+    Scalar calls answer ``(src, dst)`` lookups, ``row(src)`` feeds the
+    Python-loop send paths (``Network.fan_out``) and ``row_array(src)``
+    the store's vectorized one.  Models with n <= :data:`EAGER_ROWS_MAX_N`
+    also get ``rows``, the full one-way matrix as nested lists, which the
+    network indexes directly; larger models answer ``rows = None`` and
+    build each list row on demand into a bounded LRU.  Float64 rows come
+    straight from the model, uncached: the LRU serves only the list
+    paths.  Every path serves the double :meth:`LatencyModel.one_way`
+    computes.
 
     A ``__slots__`` class rather than a closure: it ends up inside every
     checkpointed object graph (network, fault adversaries).  It pickles
@@ -102,6 +105,10 @@ class DelayProvider:
         if len(cache) > ROW_CACHE_SIZE:
             cache.popitem(last=False)
         return row
+
+    def row_array(self, src: int) -> np.ndarray:
+        """``row(src)`` as a fresh float64 array, built by the model."""
+        return self.model.one_way_row_array(src)
 
     def delay_floor(self) -> float:
         """Smallest cross-node delay (seconds); the network store's
@@ -223,14 +230,20 @@ class LatencyModel:
     # ------------------------------------------------------------------
     # Vectorized views
     # ------------------------------------------------------------------
-    def one_way_row(self, src: int) -> List[float]:
-        """One-way delays (seconds) from ``src`` to every replica;
-        ``one_way_row(src)[dst]`` equals :meth:`one_way` bitwise."""
+    def one_way_row_array(self, src: int) -> np.ndarray:
+        """One-way delays (seconds) from ``src`` to every replica, as a
+        fresh float64 array; entry ``dst`` equals :meth:`one_way`
+        bitwise."""
         region = self._region_arr
         ra = self._region[src]
         row_ms = np.where(region == ra, LOCAL_RTT_MS, self._base_ms[ra][region])
         row_ms[src] = 0.0
-        return ((row_ms / 1000.0) / 2.0).tolist()
+        return (row_ms / 1000.0) / 2.0
+
+    def one_way_row(self, src: int) -> List[float]:
+        """:meth:`one_way_row_array` as a list (``tolist()`` converts
+        without changing any double)."""
+        return self.one_way_row_array(src).tolist()
 
     def matrix_ms(self) -> np.ndarray:
         """Full symmetric RTT matrix in milliseconds (zero diagonal).

@@ -32,7 +32,8 @@ multicasts, client broadcasts) and zero-delay self copies push one
 *The wide-row store* (:class:`_FastSpine`: ~20-byte array rows, a sorted
 prefix plus an O(1) append tail).  A pristine multicast with
 ``len(dsts) >= Network.block_fanout`` over a provider that advertises a
-positive ``delay_floor()`` parks its cross-node rows there; one armed
+positive ``delay_floor()`` parks its cross-node rows there, their delays
+gathered from the provider's float64 row (``row_array``); one armed
 heap *cursor* stands for the earliest of them.  Every row keeps exactly
 the ``(time, seq)`` key its heap entry would have had -- the same jitter
 draws in the same order, the same consecutive seq numbers -- so
@@ -41,13 +42,16 @@ order, and seeded runs are bit-identical whatever the threshold.
 
 The store is drained in *windows* (:meth:`Network._drain_store`).  A cut
 takes every stored row below ``min(barrier, earliest pending time +
-delay_floor)``, sorts that window once and unboxes it to flat lists
-once.  The window invariant makes re-merging unnecessary: whatever is
-sent while a window is delivered is sent at or after the window's start
-and travels at least the floor (jitter only stretches a delay; float
-addition is monotone), so it lands at or past the window end, with a
-fresh larger seq.  What can still land inside a window sits in the
-heap, and the drain merges the window against the heap's head:
+delay_floor)``, sorts that window once, unboxes it to flat lists once
+and gathers its rows' handlers from the handler table once
+(:meth:`Network._window_handlers`), so each row costs a time store, a
+call and a head check.  The window invariant makes re-merging
+unnecessary: whatever is sent while a window is delivered is sent at or
+after the window's start and travels at least the floor (jitter only
+stretches a delay; float addition is monotone), so it lands at or past
+the window end, with a fresh larger seq.  What can still land inside a
+window sits in the heap, and the drain merges the window against the
+heap's head:
 
 1. A head that is a pending delivery within the horizon is *merged*:
    popped and delivered inline when it is next in ``(time, seq)`` order
@@ -64,12 +68,19 @@ heap, and the drain merges the window against the heap's head:
 5. Any other head -- a timer, a stale cursor, an entry past the horizon
    -- is the *barrier*: window rows behind it are *put back* on the
    store's append tail, and the drain yields to the engine there.
+
+A handler that registers a node or changes the fault state drops the
+handler table, which ends the run of rows after its own: the rest of
+the window is re-gathered under the new routes, or -- while a fault is
+live -- delivered through ``_deliver``'s per-row checks.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right as _bisect_right
 from heapq import heappop as _heappop, heappush as _heappush
+from itertools import count as _count, repeat as _repeat, starmap as _starmap
+from operator import itemgetter as _itemgetter
 from typing import Any, Callable, Dict, Iterable, Optional
 
 import numpy as np
@@ -152,7 +163,9 @@ class _FastSpine:
     checkpoints still serialize the packed :data:`_FAST_DTYPE` rows.
     What a whole fanout shares is stored once per *pool slot*: ``pool``
     holds the message objects the ``msgs`` column indexes, ``slot_srcs``
-    their senders.
+    their senders and ``slot_cls`` their classes' indices in ``classes``
+    (message class -> index, in first-parked order), the row coordinate
+    of :attr:`Network._table`.
 
     Each column is split in three: ``[:lo]`` is the dead front (already
     delivered; reclaimed by :meth:`grow` and :meth:`settle`),
@@ -176,7 +189,8 @@ class _FastSpine:
 
     __slots__ = (
         "times", "seqs", "dsts", "msgs", "count", "pool", "slot_srcs",
-        "armed", "live", "seq_base", "lo", "sorted_end",
+        "slot_cls", "classes", "armed", "live", "seq_base", "lo",
+        "sorted_end",
     )
 
     def __init__(self):
@@ -187,6 +201,8 @@ class _FastSpine:
         self.count = 0
         self.pool: list = []
         self.slot_srcs = np.empty(64, dtype=np.uint32)
+        self.slot_cls = np.empty(64, dtype=np.uint32)
+        self.classes: Dict[type, int] = {}
         self.armed: Optional[tuple] = None
         self.live: set = set()
         self.seq_base = 0
@@ -230,7 +246,14 @@ class _FastSpine:
         if slot == len(self.slot_srcs):
             pad = np.empty(slot, dtype=np.uint32)
             self.slot_srcs = np.concatenate((self.slot_srcs, pad))
+            self.slot_cls = np.concatenate((self.slot_cls, pad))
+        classes = self.classes
+        cls = message.__class__
+        index = classes.get(cls)
+        if index is None:
+            index = classes[cls] = len(classes)
         self.slot_srcs[slot] = src
+        self.slot_cls[slot] = index
         pool.append(message)
         return slot
 
@@ -346,8 +369,9 @@ class _FastSpine:
     def put_back(self, window: tuple, lo: int, hi: int, t: float, s: float,
                  counters: dict) -> int:
         """Re-append to the unsorted tail the rows of ``window[lo:hi]``
-        -- ``(times, absolute seqs, dsts, msgs)`` lists in key order --
-        whose key exceeds ``(t, s)``; returns the index of the first."""
+        -- ``(times, absolute seqs, dsts, msgs)`` in key order, the times
+        a list -- whose key exceeds ``(t, s)``; returns the index of the
+        first."""
         times, seqs, dsts, msgs = window
         k = _bisect_right(times, t, lo, hi)
         while k > lo and times[k - 1] == t and seqs[k - 1] > s:
@@ -356,7 +380,7 @@ class _FastSpine:
             return k
         counters["put_backs"] += 1
         counters["window_rows"] -= hi - k
-        low = min(seqs[k:hi])
+        low = int(seqs[k:hi].min())
         if low < self.seq_base:
             # A rebase while the rows were out moved the base past them.
             self.seqs[self.lo : self.count] += np.uint32(self.seq_base - low)
@@ -391,6 +415,7 @@ class _FastSpine:
             uniq, inverse = np.unique(msgs, return_inverse=True)
             self.pool = [pool[m] for m in uniq.tolist()]
             self.slot_srcs = self.slot_srcs[uniq]
+            self.slot_cls = self.slot_cls[uniq]
             msgs[:] = inverse.astype(np.uint32)
         if lo > live_n and lo > 4096:
             # Shift-to-front once the dead front dominates.
@@ -433,10 +458,16 @@ class _FastSpine:
         )
 
     def __setstate__(self, state):
-        rows, self.pool, self.armed, self.live, self.seq_base, srcs = state
-        slots = max(64, len(self.pool))
-        self.slot_srcs = np.zeros(slots, dtype=np.uint32)
-        self.slot_srcs[: len(srcs)] = srcs
+        rows, pool, self.armed, self.live, self.seq_base, srcs = state
+        # Re-interning the pool rebuilds the class indices, which the
+        # pickled layout leaves out.
+        slots = max(64, len(pool))
+        self.slot_srcs = np.empty(slots, dtype=np.uint32)
+        self.slot_cls = np.empty(slots, dtype=np.uint32)
+        self.pool = []
+        self.classes = {}
+        for message, src in zip(pool, srcs.tolist()):
+            self.add_slot(message, src)
         n = len(rows)
         self.count = n
         self.lo = self.sorted_end = 0
@@ -584,6 +615,9 @@ class Network:
         #: :meth:`register_dispatch`); lets delivery call the terminal
         #: handler directly, skipping the generic inbox dispatch frame.
         self._routes: Dict[int, Dict[type, Optional[Callable]]] = {}
+        #: The store's handler table (see :meth:`_window_handlers`):
+        #: derived, dropped whenever a route or the fault state changes.
+        self._table: Optional[np.ndarray] = None
         self._interceptors: list[Interceptor] = []
         self._down: set[int] = set()
         #: node id -> partition group; nodes in different groups cannot
@@ -627,10 +661,12 @@ class Network:
         * ``_stats_per_class`` is re-pointed at the restored ``_stats``
           accumulator in ``__setstate__`` -- it must never be pickled, or
           the copy would split the send accounting from ``stats``.
-        * ``_delay_rows`` / ``_delay_row_fn`` / ``_delay_floor`` are
-          re-derived from the restored provider so a provider without a
-          ``rows`` matrix (or ``row()`` view) never resurrects a stale
-          one.
+        * ``_delay_rows`` / ``_delay_row_fn`` / ``_delay_row_array_fn``
+          / ``_delay_floor`` are re-derived from the restored provider so
+          a provider without a ``rows`` matrix (or ``row()`` view) never
+          resurrects a stale one.
+        * ``_table`` is a cache of the routes' answers; it is rebuilt at
+          the first window after a resume.
         * The store (``_fast``) pickles verbatim: rows hold only plain
           values and messages.  A drain's window never outlives the
           drain call (what it cannot deliver it puts back), so the store
@@ -643,8 +679,10 @@ class Network:
             "_stats_per_class",
             "_delay_rows",
             "_delay_row_fn",
+            "_delay_row_array_fn",
             "_jitter_random",
             "_delay_floor",
+            "_table",
         ):
             state.pop(key, None)
         return state
@@ -684,6 +722,9 @@ class Network:
         # builds rows on demand past its threshold, and the client-site
         # router serves replica and client sources alike.
         self._delay_row_fn = getattr(value, "row", None)
+        # The store's send path gathers from float64 rows
+        # (``row_array(src) -> ndarray | None``) with no list round trip.
+        self._delay_row_array_fn = getattr(value, "row_array", None)
         # The drain's window cap needs a lower bound on every cross-node
         # delay; without one wide multicasts keep to the heap.
         self._delay_floor = _provider_delay_floor(value)
@@ -706,10 +747,14 @@ class Network:
     def _refresh_fast_path(self) -> None:
         self._links_clear = not (self._down or self._partition_group)
         self._pristine = self._links_clear and not self._interceptors
+        # A drain checks one field per row: a fault landing mid-window
+        # drops the table like a route change does.
+        self._table = None
 
     def register(self, node_id: int, handler: Callable[[int, Any], None]) -> None:
         """Register ``handler(src, message)`` as the inbox of ``node_id``."""
         self._handlers[node_id] = handler
+        self._table = None
 
     def register_dispatch(
         self, node_id: int, dispatch: Dict[type, Optional[Callable]]
@@ -726,6 +771,7 @@ class Network:
         to no handler, exactly as the generic inbox behaves.
         """
         self._routes[node_id] = dispatch
+        self._table = None
 
     def set_down(self, node_id: int, down: bool = True) -> None:
         """Crash (or revive) a node: messages to and from it are dropped."""
@@ -961,6 +1007,15 @@ class Network:
         popped exactly it.  ``sim.now`` is advanced to each arrival time
         before its handler runs.
 
+        Every lookup happens once per window: the cut unboxes the rows
+        to flat lists and gathers their handlers from the handler table
+        (:meth:`_window_handlers`), so a row costs a time store, a call
+        and a head check.  A row whose cell is unresolved takes the
+        per-row lookup (:meth:`_resolve_row`); a route change or a fault
+        landing mid-window drops the table, which ends the run there:
+        the rest of the window is re-gathered, or -- while a fault is
+        live -- goes through ``_deliver``'s per-row checks.
+
         The heap head is snapshotted once and re-read only when a
         delivery changed it -- handlers push but never pop, so the head
         object's identity is a sufficient staleness check.  Everything
@@ -985,14 +1040,14 @@ class Network:
         horizon = sim.horizon
         floor = self._delay_floor
         deliver = self._deliver_bound
-        routes_get = self._routes.get
-        handlers_get = self._handlers.get
         stats = self._stats
         counters = stats.plane
         unresolved = _UNRESOLVED
         merged = fallbacks = 0
-        # The live window (parallel lists, cursor ``wi``, end ``wn``).
-        wt = ws = wd = wsrc = wslot = wm = ()
+        # The live window (parallel lists, cursor ``wi``, end ``wn``),
+        # its rows' class indices and their handlers from ``table``.
+        wt = ws = wd = wsrc = wslot = wm = wh = ()
+        wcls = table = None
         wi = wn = 0
         ct = cs = -_INF
         sparse = False
@@ -1054,14 +1109,21 @@ class Network:
                             c_seqs = c_seqs[order]
                             c_dsts = c_dsts[order]
                             c_msgs = c_msgs[order]
+                        # Only times and the row loop's columns are
+                        # unboxed; seqs and dsts stay arrays (a copy: the
+                        # cut may hand out views of the store's columns).
                         wt = c_times.tolist()
-                        ws = (c_seqs.astype(np.int64) + store.seq_base).tolist()
-                        wd = c_dsts.tolist()
+                        ws = c_seqs.astype(np.int64) + store.seq_base
+                        wd = c_dsts.copy()
                         wsrc = store.slot_srcs[c_msgs].tolist()
                         wslot = c_msgs.tolist()
-                        wm = [pool[slot] for slot in wslot]
-                        wi = 0
                         wn = len(wt)
+                        # One C call; for a single key itemgetter
+                        # answers the bare item, not a tuple.
+                        wm = _itemgetter(*wslot)(pool) if wn > 1 else [pool[wslot[0]]]
+                        wcls = store.slot_cls[c_msgs]
+                        table, wh = self._window_handlers(wcls, c_dsts)
+                        wi = 0
                         counters["windows"] += 1
                         counters["window_rows"] += wn
                     continue
@@ -1072,37 +1134,41 @@ class Network:
                 while k > wi and wt[k - 1] == ht and ws[k - 1] > hs:
                     k -= 1
             if k > wi:
-                delivered = 0
-                for t, dst, src, message in zip(
-                    wt[wi:k], wd[wi:k], wsrc[wi:k], wm[wi:k]
-                ):
-                    sim.now = t
-                    wi += 1
-                    if not self._pristine:
-                        # A fault landed while rows were parked: per-row
-                        # delivery-time checks, exactly the heap path's.
+                if not self._pristine:
+                    # A fault landed while rows were parked: per-row
+                    # delivery-time checks, exactly the heap path's.
+                    for wi, t, dst, src, message in zip(
+                        _count(wi + 1), wt[wi:k], wd[wi:k].tolist(), wsrc[wi:k],
+                        wm[wi:k],
+                    ):
+                        sim.now = t
                         deliver(src, dst, message)
                         fallbacks += 1
-                    else:
-                        route = routes_get(dst)
-                        handler = (
-                            route.get(message.__class__, unresolved)
-                            if route is not None
-                            else unresolved
-                        )
-                        if handler is unresolved:
-                            handler = handlers_get(dst)
-                            if handler is None:
-                                stats.messages_dropped += 1
-                                continue  # nothing ran: nothing moved
-                        delivered += 1
-                        if handler is not None:
-                            handler(src, message)
-                    if (queue and queue[0] is not head) or (
+                        if (queue and queue[0] is not head) or self._pristine or (
+                            sparse and len(pool) != parked
+                        ):
+                            break
+                    continue
+                if self._table is not table:
+                    # Dropped since the window was gathered.
+                    table, wh = self._window_handlers(wcls, wd)
+                first = wi
+                dropped = 0
+                for wi, t, handler, src, message in zip(
+                    _count(wi + 1), wt[wi:k], wh[wi:k], wsrc[wi:k], wm[wi:k]
+                ):
+                    sim.now = t
+                    if handler is unresolved:
+                        if not self._resolve_row(int(wd[wi - 1]), src, message):
+                            dropped += 1
+                            continue  # nothing ran: nothing moved
+                    elif handler is not None:
+                        handler(src, message)
+                    if (queue and queue[0] is not head) or self._table is not table or (
                         sparse and len(pool) != parked
                     ):
                         break
-                stats.messages_delivered += delivered
+                stats.messages_delivered += wi - first - dropped
                 continue
             # ---- the pending delivery is next: merge it inline ----
             _heappop(queue)
@@ -1114,6 +1180,63 @@ class Network:
         nkey = store.armed = store.settle(sim._seq)
         if nkey is not None and nkey not in live:
             self._arm(nkey)
+
+    def _window_handlers(self, classes: Any, dsts: Any) -> tuple:
+        """``(table, handlers)``: the handler table, and the handlers of
+        a window's rows gathered from it in one fancy index -- cell
+        ``[class index, dst]`` per row (``classes`` from the store's
+        ``slot_cls``).
+
+        Cell ``[c, dst]`` holds what ``self._routes[dst].get(cls,
+        _UNRESOLVED)`` answered for the store's class ``c`` when the
+        table was built (``_UNRESOLVED`` where ``dst`` has no route).  A
+        route only ever gains classes, so a resolved cell stays right
+        until a ``register*`` call or a fault drops the table.  It is
+        rebuilt here when dropped, or when a window holds a class or a
+        destination it does not cover yet.
+        """
+        table = self._table
+        if table is not None:
+            try:
+                return table, table[classes, dsts].tolist()
+            except IndexError:
+                pass  # a class or destination the table does not cover
+        width = int(np.max(dsts)) + 1
+        if table is not None:
+            width = max(width, table.shape[1])
+        store_classes = self._fast.classes
+        table = np.empty((len(store_classes), width), dtype=object)
+        routes_get = self._routes.get
+        for cls, index in store_classes.items():
+            row = table[index]
+            for dst in range(width):
+                route = routes_get(dst)
+                row[dst] = (
+                    _UNRESOLVED if route is None else route.get(cls, _UNRESOLVED)
+                )
+        self._table = table
+        return table, table[classes, dsts].tolist()
+
+    def _resolve_row(self, dst: int, src: int, message: Any) -> bool:
+        """Deliver a row whose table cell is unresolved: the per-row
+        lookup, which lets the inbox resolve and cache the class, and
+        the route's answer written back into the table once it has one.
+        Returns False when ``dst`` has no inbox and the row is dropped.
+        """
+        route = self._routes.get(dst)
+        handler = (
+            _UNRESOLVED if route is None else route.get(message.__class__, _UNRESOLVED)
+        )
+        if handler is _UNRESOLVED:
+            handler = self._handlers.get(dst)
+            if handler is None:
+                self._stats.messages_dropped += 1
+                return False
+        else:
+            self._table[self._fast.classes[message.__class__], dst] = handler
+        if handler is not None:
+            handler(src, message)
+        return True
 
     def _arm(self, key: tuple) -> None:
         """Push a heap cursor at ``key``, the store's earliest row."""
@@ -1136,22 +1259,20 @@ class Network:
         same ops as :meth:`fan_out`'s loop, and seqs are the same
         consecutive allocations, so every row carries its heap entry's
         exact ``(time, seq)`` key; the fanout shares one pool slot.
+        Delays are gathered from the provider's float64 row
+        (``row_array(src)``, built by the latency model) with no list
+        round trip; a provider without one answers per pair.
         Zero-delay self copies (``broadcast(include_self=True)``) never
         enter the store -- they are the one row class that can arrive
         *inside* the window being drained, which the window invariant
         (:meth:`_FastSpine.cut`) rules out.  They go on the heap, where
         the drain merges them.
         """
-        one_way = self._one_way_delay
         jittered = self._jitter > 0.0
         span = self._jitter_span
         rand = self._jitter_random
-        drows = self._delay_rows
-        row = drows[src] if drows is not None else None
-        if row is None:
-            row_fn = self._delay_row_fn
-            if row_fn is not None:
-                row = row_fn(src)
+        row_array = self._delay_row_array_fn
+        row = row_array(src) if row_array is not None else None
         if isinstance(dsts, range):
             dst_arr = np.arange(dsts.start, dsts.stop, dsts.step, dtype=np.uint32)
         else:
@@ -1164,21 +1285,21 @@ class Network:
         self_mask = dst_arr == np.uint32(src)
         nself = int(np.count_nonzero(self_mask))
         if row is not None:
-            # Vectorized delay build: gather from a float64 copy of the
-            # provider's row, zero the self positions, then apply the
-            # jitter multipliers.  The draws happen in the same
-            # destination order and each element sees the same scalar
-            # op sequence (span*r, 1.0+, delay*) as fan_out's loop, so
-            # the times are bit-identical.
-            delays = np.asarray(row, dtype=np.float64)[dst_arr]
+            # Vectorized delay build: gather from the row, zero the self
+            # positions, then apply the jitter multipliers.  The draws
+            # happen in the same destination order and each element sees
+            # the same scalar op sequence (span*r, 1.0+, delay*) as
+            # fan_out's loop, so the times are bit-identical.
+            delays = row[dst_arr]
             if nself:
                 delays[self_mask] = 0.0
             if jittered:
                 draws = np.fromiter(
-                    (rand() for _ in range(fanout)), np.float64, fanout
+                    _starmap(rand, _repeat((), fanout)), np.float64, fanout
                 )
                 delays *= 1.0 + span * draws
         else:
+            one_way = self._one_way_delay
             dl = []
             append = dl.append
             if jittered:

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 
@@ -94,11 +96,12 @@ class ClientSiteRouter:
     def _derive(self) -> None:
         """The row caches (see :meth:`row`): derived, never pickled."""
         self._replica_row = getattr(self.one_way, "row", None)
+        self._replica_row_array = getattr(self.one_way, "row_array", None)
         self._client_rows: Dict[int, List[float]] = {}
 
     def __getstate__(self) -> Dict:
         state = self.__dict__.copy()
-        del state["_replica_row"], state["_client_rows"]
+        del state["_replica_row"], state["_replica_row_array"], state["_client_rows"]
         return state
 
     def __setstate__(self, state: Dict) -> None:
@@ -150,6 +153,19 @@ class ClientSiteRouter:
             row = [one_way(site, r) or local for r in range(n)]
             self._client_rows[src] = row
         return row
+
+    def row_array(self, src: int) -> Optional[np.ndarray]:
+        """:meth:`row` as a float64 array, for the network's store.
+
+        Replica sources forward the underlying provider's
+        ``row_array`` (``None`` when it serves none), on :meth:`row`'s
+        reasoning; client sources answer ``None``: only replicas
+        multicast, so no client row reaches the store.
+        """
+        row_fn = self._replica_row_array
+        if src < self.n and row_fn is not None:
+            return row_fn(src)
+        return None
 
     def delay_floor(self) -> float:
         """Lower bound on every delay the router can answer: the

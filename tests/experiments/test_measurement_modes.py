@@ -105,6 +105,22 @@ def test_search_cadence_too_fine_for_its_horizon_is_refused(cadence):
         prepare_scenario(scenario)
 
 
+def test_a_day_of_searches_queues_one_search_per_replica():
+    # Each search queues the replica's next one, so a day-long run
+    # starts with a probe, a vector publication and one search per
+    # replica in the heap -- not every search of the day (~3,500 per
+    # replica at the default cadence).
+    scenario = Scenario(
+        protocol="pbft-aware",
+        deployment="Europe21",
+        workload="closed-loop",
+        duration=86400.0,
+        measurements=MeasurementPolicy(metrics="sketch"),
+    )
+    cluster = prepare_scenario(scenario).cluster
+    assert len(cluster.sim._queue) <= 3 * len(cluster.replicas)
+
+
 def _protocol_hash(result):
     """``state_trace_hash`` of a finished run with its measurement sinks
     detached -- what the run computed, not how it was measured (the hash

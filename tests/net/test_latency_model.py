@@ -143,6 +143,17 @@ def test_lazy_provider_bit_equal_to_one_way(europe21, monkeypatch):
             assert lazy(a, b) == model.one_way(a, b) == eager(a, b)
 
 
+@pytest.mark.parametrize("n", [300, 512])
+def test_float64_rows_equal_the_list_rows(n):
+    # The store's send path gathers from row_array, the Python loops
+    # index row: every source must see the same doubles in both.
+    provider = resolve_deployment(f"world-{n}", seed=1).one_way
+    for src in range(n):
+        array = provider.row_array(src)
+        assert array.dtype == np.float64
+        assert array.tolist() == provider.row(src)
+
+
 def test_lazy_row_cache_bounded_and_consistent(europe21, monkeypatch):
     monkeypatch.setattr(latency_model, "ROW_CACHE_SIZE", 4)
     lazy = _lazy_provider(europe21.latency, monkeypatch)

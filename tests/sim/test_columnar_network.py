@@ -17,10 +17,10 @@ a provider without one.
 import pickle
 from types import SimpleNamespace
 
-from oracles import heap_only
+from oracles import DeliveryOrderRecorder, heap_only
 from repro.experiments import checkpoint
 from repro.sim.engine import Simulator
-from repro.sim.network import Network
+from repro.sim.network import _UNRESOLVED, Network
 
 import pytest
 
@@ -417,3 +417,244 @@ def test_network_reads_the_provider_delay_floor():
     # Bare callables advertise no floor.
     network.one_way_delay = lambda a, b: 0.02
     assert network._delay_floor == 0.0
+
+
+# ----------------------------------------------------------------------
+# The handler table (Network._window_handlers)
+# ----------------------------------------------------------------------
+class Spread:
+    """Distinct per-pair delays, so windows interleave rows of many
+    multicasts, and the floor the windowed drain needs."""
+
+    def __call__(self, a, b):
+        return 0.0 if a == b else 0.01 + ((a * 7 + b * 3) % 11) * 0.002
+
+    def delay_floor(self):
+        return 0.01
+
+
+class Echo(Ping):
+    """Reactive multicast: the sender's successor answers each of the
+    first two waves with another Echo and a Pong (see ``Node``)."""
+
+
+class Node:
+    """A replica-shaped endpoint: its inbox resolves ``handle_<Class>``
+    on first sight and caches the answer (``None`` for a class it has no
+    handler for) in the live map it hands ``register_dispatch`` --
+    unless ``routed`` is False, when it has an inbox and no route."""
+
+    def __init__(self, sim, network, node_id, n, trace, routed=True):
+        self.sim = sim
+        self.network = network
+        self.id = node_id
+        self.n = n
+        self.trace = trace
+        self.cache = {}
+        network.register(node_id, self.on_message)
+        if routed:
+            network.register_dispatch(node_id, self.cache)
+
+    def on_message(self, src, message):
+        cls = message.__class__
+        try:
+            handler = self.cache[cls]
+        except KeyError:
+            handler = getattr(self, f"handle_{cls.__name__}", None)
+            self.cache[cls] = handler
+        if handler is not None:
+            handler(src, message)
+
+    def _log(self, src, message):
+        self.trace.append(
+            (self.sim.now, src, self.id, type(message).__name__, message.value)
+        )
+
+    def handle_Ping(self, src, message):
+        self._log(src, message)
+
+    def handle_Echo(self, src, message):
+        self._log(src, message)
+        if message.value < 2 and (src + 1) % self.n == self.id:
+            self.network.multicast(
+                self.id, range(self.n), Echo(message.value + 1), Echo.wire_size
+            )
+            # Pong has no handler anywhere: its rows resolve to None.
+            self.network.multicast(
+                self.id, range(self.n), Pong(message.value), Pong.wire_size
+            )
+
+
+def node_network(store, n=6, routed=lambda node: True, seed=7):
+    """(sim, network, nodes, trace) over :class:`Spread` with jitter:
+    the store engaged at fanout 2, or the heap-only oracle."""
+    sim = Simulator(seed=seed)
+    network = Network(sim, Spread(), jitter=0.05)
+    if store:
+        network.block_fanout = 2
+    else:
+        heap_only(network)
+    trace = []
+    nodes = [
+        Node(sim, network, node, n, trace, routed=routed(node))
+        for node in range(n)
+    ]
+    return sim, network, nodes, trace
+
+
+def echo_waves(sim, network, n=6, waves=3):
+    """Echo multicasts from every node, one wave per 5 ms."""
+    for wave in range(waves):
+        for src in range(n):
+            sim.schedule(
+                wave * 0.005, network.multicast, src, range(n), Echo(0),
+                Echo.wire_size,
+            )
+
+
+def run_pair(drive, **kwargs):
+    """``drive(sim, network, nodes)`` on the heap-only oracle and on the
+    store; returns (trace, stats, recorder digest and count, plane
+    counters) per run, the recorder installed before any traffic."""
+    runs = []
+    for store in (False, True):
+        sim, network, nodes, trace = node_network(store, **kwargs)
+        recorder = DeliveryOrderRecorder(network)
+        drive(sim, network, nodes)
+        runs.append((
+            trace, snapshot(sim, network), recorder.digest, recorder.count,
+            dict(network.stats.plane),
+        ))
+    return runs
+
+
+def assert_matches_heap_only(heap, store):
+    assert store[:4] == heap[:4]
+    assert store[4]["window_rows"] > 0 and not any(heap[4].values())
+
+
+def test_table_cold_start_matches_heap_only():
+    # The first windows carry Echo rows whose class no dispatch cache
+    # has seen yet: every cell starts unresolved, the inbox resolves the
+    # class, and the answer is written back for the next rows.
+    def drive(sim, network, nodes):
+        echo_waves(sim, network)
+        sim.run()
+        table = network._table
+        if table is not None:  # the store run: no cell is left unresolved
+            assert not any(cell is _UNRESOLVED for cell in table.flat)
+
+    heap, store = run_pair(drive)
+    assert_matches_heap_only(heap, store)
+
+
+def test_class_resolving_to_none_is_counted_and_runs_nothing():
+    def drive(sim, network, nodes):
+        echo_waves(sim, network)
+        sim.run()
+        assert all(node.cache.get(Pong, "unseen") is None for node in nodes)
+
+    heap, store = run_pair(drive)
+    assert_matches_heap_only(heap, store)
+    # Pong rows count as delivered (the recorder saw them) yet no
+    # handler logged one.
+    assert {row[3] for row in store[0]} == {"Echo"}
+    assert store[3] > len(store[0])
+
+
+def test_destination_with_an_inbox_but_no_route():
+    # Nodes 1 and 4 never call register_dispatch: their cells stay
+    # unresolved and every row to them takes the inbox.
+    def drive(sim, network, nodes):
+        echo_waves(sim, network)
+        sim.run()
+
+    heap, store = run_pair(drive, routed=lambda node: node not in (1, 4))
+    assert_matches_heap_only(heap, store)
+    assert {row[2] for row in store[0]} >= {1, 4}
+
+
+def test_recorder_installed_after_the_table_filled():
+    # Traffic first fills the table with the nodes' own handlers; the
+    # recorder's register* calls must drop it so that every later row
+    # goes through the recorder's wrappers.
+    runs = []
+    for store in (False, True):
+        sim, network, nodes, trace = node_network(store)
+        echo_waves(sim, network, waves=6)
+        sim.run(until=0.012)
+        if store:
+            assert network._table is not None
+            assert network._fast.count > network._fast.lo
+        delivered = network.stats.messages_delivered
+        recorder = DeliveryOrderRecorder(network)
+        assert network._table is None
+        sim.run()
+        assert recorder.count == network.stats.messages_delivered - delivered
+        runs.append((trace, snapshot(sim, network), recorder.digest, recorder.count))
+    heap, store = runs
+    assert store == heap
+
+
+def test_crash_while_rows_are_parked():
+    def drive(sim, network, nodes):
+        echo_waves(sim, network)
+        sim.schedule(0.011, network.set_down, 3, True)
+        sim.schedule(0.02, network.set_down, 3, False)
+        sim.run()
+
+    heap, store = run_pair(drive)
+    assert_matches_heap_only(heap, store)
+    assert store[1]["dropped"] > 0
+    assert store[4]["fault_fallbacks"] > 0
+
+
+def test_crash_from_a_handler_inside_a_window():
+    # One fanout from node 0, all five cross-node rows in one window:
+    # node 4's row arrives first and its handler crashes node 5, whose
+    # row later in the same window must be dropped, not handed over.
+    def drive(sim, network, nodes):
+        node = nodes[4]
+        handle = node.handle_Ping
+
+        def crash(src, message):
+            handle(src, message)
+            network.set_down(5, True)
+
+        node.handle_Ping = crash
+        network.multicast(0, range(6), Ping("wave"), Ping.wire_size)
+        sim.run()
+
+    heap, store = run_pair(drive)
+    assert_matches_heap_only(heap, store)
+    assert store[1]["dropped"] == 1
+    assert store[4]["windows"] == 1 and store[4]["fault_fallbacks"] > 0
+
+
+def test_checkpoint_cut_mid_backlog_resumes_identically():
+    def build(store):
+        sim, network, nodes, trace = node_network(store)
+        echo_waves(sim, network, waves=6)
+        return sim, network, trace
+
+    def finish(sim, network, trace):
+        recorder = DeliveryOrderRecorder(network)
+        sim.run()
+        return trace, snapshot(sim, network), recorder.digest, recorder.count
+
+    sim, network, trace = build(False)
+    sim.run(until=0.012)
+    want = finish(sim, network, trace)
+
+    sim, network, trace = build(True)
+    sim.run(until=0.012)
+    assert network._fast.count > network._fast.lo and network._table is not None
+    graph = SimpleNamespace(cluster=SimpleNamespace(sim=sim, network=network))
+    graph, trace = checkpoint._deserialize_state(
+        checkpoint._serialize_state((graph, trace))
+    )
+    checkpoint._rebind_deliveries(graph)
+    network = graph.cluster.network
+    assert network._table is None
+    assert set(network._fast.classes) <= {Echo, Pong}
+    assert finish(graph.cluster.sim, network, trace) == want

@@ -409,6 +409,15 @@ def test_client_site_router_replica_rows_need_no_floor(name):
     for r in range(n):
         row = router.row(r)
         assert all(row[d] == router.delay(r, d) for d in range(n) if d != r)
+        # The store's float64 twin forwards the same doubles.
+        assert router.row_array(r).tolist() == row
+
+
+def test_client_site_router_serves_no_float64_row_to_clients():
+    # Only replicas multicast, so no client row reaches the store.
+    router = _europe_router()
+    assert router.row_array(2000) is None
+    assert "_replica_row_array" not in router.__getstate__()
 
 
 @pytest.mark.parametrize(
