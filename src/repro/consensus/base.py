@@ -8,9 +8,10 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 from repro.consensus.messages import Block, ClientRequest, Reply
 from repro.crypto.signatures import KeyRegistry
 from repro.net.deployments import Deployment
+from repro.net.latency_model import DelayProvider
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
-from repro.workloads.base import ClientSiteRouter, ClusterBinding, Workload, percentile
+from repro.workloads.base import ClusterBinding, Workload, percentile
 
 
 class CommitEvent(NamedTuple):
@@ -367,20 +368,20 @@ class ClusterBase:
     workload: Optional[Workload] = None
 
     def _build_network(
-        self,
-        deployment: Deployment,
-        one_way: Callable[[int, int], float],
-        seed: int,
-        jitter: float,
+        self, deployment: Deployment, seed: int, jitter: float, client_city: int = 0
     ) -> None:
         """Set ``deployment``, ``n``, ``f = (n - 1) // 3``, then build
-        ``sim``, ``network`` over ``one_way`` (its jitter stream derives
-        from the simulator) and ``registry``, in that order."""
+        ``sim``, ``network`` (its jitter stream derives from the
+        simulator) and ``registry``, in that order.  The network's delay
+        provider answers replicas and clients alike, a client sitting at
+        ``client_city`` unless its workload places it elsewhere."""
         self.deployment = deployment
         self.n = n = deployment.n
         self.f = (n - 1) // 3
         self.sim = Simulator(seed=seed)
-        self.network = Network(self.sim, one_way, jitter=jitter)
+        self.network = Network(
+            self.sim, DelayProvider(deployment.latency, client_city), jitter=jitter
+        )
         self.registry = KeyRegistry(n, seed=seed)
 
     @property
@@ -395,12 +396,11 @@ class ClusterBase:
 
         Blocks then batch real client requests (payload capped at
         ``payload_per_block``) instead of the fixed synthetic payload,
-        and clients collect :attr:`replies_needed` replies per request.
+        and clients collect :attr:`replies_needed` replies per request;
+        a client the workload does not place sits at replica city
+        ``client_city``.
         """
-        self.router = ClientSiteRouter(
-            self.deployment.one_way, self.n, default_site=client_city
-        )
-        self.network.one_way_delay = self.router
+        self.network.one_way_delay.default_site = client_city
         for replica in self.replicas:
             replica.request_driven = True
         self._bind(workload)
@@ -412,7 +412,7 @@ class ClusterBase:
                 network=self.network,
                 n=self.n,
                 replies_needed=self.replies_needed,
-                place_client=self.router.place,
+                place_client=self.network.one_way_delay.place,
             )
         )
         self.workload = workload

@@ -217,7 +217,7 @@ class HotStuffCluster(ClusterBase):
         seed: int = 0,
         jitter: float = 0.02,
     ):
-        self._build_network(deployment, deployment.one_way, seed, jitter)
+        self._build_network(deployment, seed, jitter)
         self.replicas: List[HotStuffReplica] = [
             HotStuffReplica(
                 replica_id,

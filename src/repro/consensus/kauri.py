@@ -396,7 +396,7 @@ class KauriCluster(ClusterBase):
         delta: float = 1.0,
     ):
         self.tree = tree
-        self._build_network(deployment, deployment.one_way, seed, jitter)
+        self._build_network(deployment, seed, jitter)
         self.replicas: List[KauriReplica] = [
             KauriReplica(
                 replica_id,

@@ -49,7 +49,7 @@ from repro.crypto.signatures import KeyRegistry
 from repro.net.deployments import Deployment
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
-from repro.workloads.base import ClientSiteRouter, Workload
+from repro.workloads.base import Workload
 from repro.workloads.closed_loop import ClosedLoopWorkload
 
 class PbftReplica(ReplicaBase):
@@ -512,13 +512,7 @@ class PbftCluster(ClusterBase):
         # Nuremberg), co-located with that city's replica (sub-ms RTT);
         # multi-client workloads pin their clients to other cities via
         # ``place_client``.
-        self.client_city = (
-            client_city_index if client_city_index is not None else 0
-        )
-        self.router = ClientSiteRouter(
-            deployment.one_way, deployment.n, default_site=self.client_city
-        )
-        self._build_network(deployment, self.router, seed, jitter)
+        self._build_network(deployment, seed, jitter, client_city_index or 0)
         n = self.n
         default_config = None
         if mode == "static":

@@ -114,19 +114,11 @@ class Deployment:
         One city per replica; index equals replica id.
     latency:
         The latency model for this placement.
-
-    ``one_way`` is the model's delay provider
-    (:class:`~repro.net.latency_model.DelayProvider`): scalar calls and
-    ``row(src)``, plus eager ``rows`` for small n, each bit-identical to
-    ``latency.one_way``.
     """
 
     name: str
     cities: List[City]
     latency: LatencyModel
-
-    def __post_init__(self) -> None:
-        self.one_way = self.latency.one_way_provider()
 
     @property
     def n(self) -> int:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from numbers import Integral
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -58,40 +59,107 @@ EAGER_ROWS_MAX_N = 256
 ROW_CACHE_SIZE = 128
 
 
-class DelayProvider:
-    """The network-facing one-way delay provider of a :class:`LatencyModel`.
+#: One-way delay between two distinct nodes of one region: half the
+#: local RTT, the same double :meth:`LatencyModel.one_way` answers for a
+#: co-located replica pair.
+LOCAL_ONE_WAY = (LOCAL_RTT_MS / 1000.0) / 2.0
 
-    Scalar calls answer ``(src, dst)`` lookups, ``row(src)`` feeds the
-    Python-loop send paths (``Network.fan_out``) and ``row_array(src)``
-    the store's vectorized one.  Models with n <= :data:`EAGER_ROWS_MAX_N`
-    also get ``rows``, the full one-way matrix as nested lists, which the
-    network indexes directly; larger models answer ``rows = None`` and
-    build each list row on demand into a bounded LRU.  Float64 rows come
-    straight from the model, uncached: the LRU serves only the list
-    paths.  Every path serves the double :meth:`LatencyModel.one_way`
-    computes.
+
+class DelayProvider:
+    """A cluster network's one-way delays, for replicas and clients alike.
+
+    Node ids below ``n = len(model)`` are replicas; ids ``>= n`` are
+    clients, each sitting at the replica city :meth:`place` pinned it to,
+    or at ``default_site``.  A scalar call ``(a, b)`` answers 0.0 for
+    ``a == b``, :data:`LOCAL_ONE_WAY` for two distinct nodes in one
+    region (a client and its site's replica included) and the model's
+    value otherwise.
+
+    ``row(src)`` feeds the Python-loop send paths (``Network.fan_out``)
+    and ``row_array(src)`` the store's vectorized one; entry ``dst`` of
+    either equals the scalar call for every replica ``dst != src``.
+    Models with n <= :data:`EAGER_ROWS_MAX_N` also get ``rows``, the
+    replicas' one-way matrix as nested lists, which the network indexes
+    directly for replica pairs; larger models answer ``rows = None`` and
+    build each replica row on demand into a bounded LRU.  A client's row
+    is its site's row with the site's own entry at
+    :data:`LOCAL_ONE_WAY`, cached per client until :meth:`place` moves
+    it.  Float64 rows are built uncached: the caches serve only the list
+    paths.
 
     A ``__slots__`` class rather than a closure: it ends up inside every
     checkpointed object graph (network, fault adversaries).  It pickles
-    only its model and re-derives rows and cache on load.
+    its model, default site and placements, and re-derives rows and
+    caches on load.
     """
 
-    __slots__ = ("model", "rows", "_cache")
+    __slots__ = ("model", "n", "rows", "sites", "_default_site", "_cache",
+                 "_client_rows")
 
-    def __init__(self, model: "LatencyModel"):
+    def __init__(self, model: "LatencyModel", default_site: int = 0):
         self.model = model
+        self.n = n = len(model)
         self.rows: Optional[List[List[float]]] = (
-            model.one_way_rows() if len(model) <= EAGER_ROWS_MAX_N else None
+            model.one_way_rows() if n <= EAGER_ROWS_MAX_N else None
         )
+        #: client id -> the replica city it sits at (see :meth:`place`).
+        self.sites: Dict[int, int] = {}
         self._cache: "OrderedDict[int, List[float]]" = OrderedDict()
+        self._client_rows: Dict[int, List[float]] = {}
+        self.default_site = default_site
+
+    def _checked_site(self, site: int, name: str) -> int:
+        # The one range check for both ways a client gets a city: a
+        # wrapped index would silently run it from another city.
+        if not (isinstance(site, Integral) and 0 <= site < self.n):
+            raise ValueError(
+                f"{name} must be a city index in [0, {self.n}), got {site!r}"
+            )
+        return site
+
+    @property
+    def default_site(self) -> int:
+        """The replica city of every client :meth:`place` left unpinned
+        (the scenario's ``client_city``)."""
+        return self._default_site
+
+    @default_site.setter
+    def default_site(self, site: int) -> None:
+        self._default_site = self._checked_site(site, "client_city")
+        self._client_rows.clear()
+
+    def place(self, client_id: int, site: Optional[int]) -> None:
+        """Pin ``client_id`` to replica city ``site``; ``None`` leaves it
+        at the default site.  The ``place_client`` callback of
+        :class:`~repro.workloads.base.ClusterBinding`."""
+        if site is not None:
+            self.sites[client_id] = self._checked_site(site, "client site")
+            self._client_rows.pop(client_id, None)
 
     def __call__(self, a: int, b: int) -> float:
+        if a == b:
+            return 0.0
+        n = self.n
+        if a >= n:
+            a = self.sites.get(a, self._default_site)
+        if b >= n:
+            b = self.sites.get(b, self._default_site)
+        if a == b:
+            return LOCAL_ONE_WAY
         rows = self.rows
         if rows is not None:
             return rows[a][b]
         return self.model.one_way(a, b)
 
     def row(self, src: int) -> List[float]:
+        if src >= self.n:
+            row = self._client_rows.get(src)
+            if row is None:
+                site = self.sites.get(src, self._default_site)
+                row = list(self.row(site))
+                row[site] = LOCAL_ONE_WAY
+                self._client_rows[src] = row
+            return row
         rows = self.rows
         if rows is not None:
             return rows[src]
@@ -107,20 +175,25 @@ class DelayProvider:
         return row
 
     def row_array(self, src: int) -> np.ndarray:
-        """``row(src)`` as a fresh float64 array, built by the model."""
+        """``row(src)`` as a fresh float64 array."""
+        if src >= self.n:
+            return np.array(self.row(src), dtype=np.float64)
         return self.model.one_way_row_array(src)
 
     def delay_floor(self) -> float:
-        """Smallest cross-node delay (seconds); the network store's
-        window cap (``sim.network._FastSpine.cut``) needs a lower bound
-        on every delay this provider can ever answer."""
-        return self.model.one_way_floor()
+        """Smallest delay (seconds) between two distinct nodes, clients
+        included; the network store's window cap
+        (``sim.network._FastSpine.cut``) needs a lower bound on every
+        delay this provider can ever answer."""
+        return min(self.model.one_way_floor(), LOCAL_ONE_WAY)
 
     def __getstate__(self):
-        return self.model
+        return self.model, self._default_site, self.sites
 
-    def __setstate__(self, model):
-        self.__init__(model)
+    def __setstate__(self, state):
+        model, default_site, sites = state
+        self.__init__(model, default_site)
+        self.sites = sites
 
 
 def _pairwise_rtt_ms(lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
@@ -271,10 +344,6 @@ class LatencyModel:
         # Elementwise IEEE divisions match the scalar (v / 1000.0) / 2.0
         # exactly; tolist() converts without changing any double.
         return ((self.matrix_ms() / 1000.0) / 2.0).tolist()
-
-    def one_way_provider(self) -> DelayProvider:
-        """The network-facing delay provider for this model."""
-        return DelayProvider(self)
 
     def one_way_floor(self) -> float:
         """Smallest one-way delay (seconds) between distinct replicas.

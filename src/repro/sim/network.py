@@ -1,8 +1,9 @@
 """Simulated message network with per-link latencies.
 
 Messages between registered nodes are delivered as simulator events after a
-one-way delay drawn from a latency provider (usually a
-:class:`repro.net.latency_model.LatencyModel` matrix).  Faults are injected
+one-way delay read from the cluster's delay provider
+(:class:`repro.net.latency_model.DelayProvider`, which answers replicas
+and clients alike from one latency model).  Faults are injected
 through *interceptors*: callables that may drop, delay or rewrite a message
 before it is scheduled for delivery.  This is how the Byzantine behaviours
 in :mod:`repro.faults` manipulate traffic without touching protocol code.
@@ -31,9 +32,9 @@ multicasts, client broadcasts) and zero-delay self copies push one
 
 *The wide-row store* (:class:`_FastSpine`: ~20-byte array rows, a sorted
 prefix plus an O(1) append tail).  A pristine multicast with
-``len(dsts) >= Network.block_fanout`` over a provider that advertises a
-positive ``delay_floor()`` parks its cross-node rows there, their delays
-gathered from the provider's float64 row (``row_array``); one armed
+``len(dsts) >= Network.block_fanout`` over a provider whose
+``delay_floor()`` is positive parks its cross-node rows there, their
+delays gathered from the provider's float64 row (``row_array``); one armed
 heap *cursor* stands for the earliest of them.  Every row keeps exactly
 the ``(time, seq)`` key its heap entry would have had -- the same jitter
 draws in the same order, the same consecutive seq numbers -- so
@@ -81,11 +82,14 @@ from bisect import bisect_right as _bisect_right
 from heapq import heappop as _heappop, heappush as _heappush
 from itertools import count as _count, repeat as _repeat, starmap as _starmap
 from operator import itemgetter as _itemgetter
-from typing import Any, Callable, Dict, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Optional
 
 import numpy as np
 
 from repro.sim.engine import SimulationError, Simulator
+
+if TYPE_CHECKING:
+    from repro.net.latency_model import DelayProvider
 
 # An interceptor receives (src, dst, message, delay) and returns either
 # None (drop the message) or a (message, delay) pair to use instead.
@@ -98,21 +102,6 @@ _UNRESOLVED = object()
 #: Barrier seq used when the horizon (not a heap event) bounds a drain:
 #: rows at exactly the horizon time always pass the tie-break.
 _INF = float("inf")
-
-
-def _provider_delay_floor(provider: Any) -> float:
-    """Smallest positive cross-node delay ``provider`` can ever answer.
-
-    Resolved by duck-typing a ``delay_floor()`` method (the latency
-    providers in :mod:`repro.net` and the client-site router implement
-    it); bare callables answer 0.0, and the network then keeps wide
-    multicasts in the heap: the drain's window cap rests on the floor.
-    """
-    fn = getattr(provider, "delay_floor", None)
-    if fn is None:
-        return 0.0
-    floor = fn()
-    return float(floor) if floor > 0.0 else 0.0
 
 
 def _key_order(times: Any, seqs: Any) -> Any:
@@ -575,7 +564,11 @@ class Network:
     sim:
         The owning simulator.
     one_way_delay:
-        Callable ``(src, dst) -> seconds`` giving the one-way link delay.
+        The delay provider: a :class:`~repro.net.latency_model.DelayProvider`
+        (tests substitute a fake with the same interface).  The network
+        reads its scalar call ``(src, dst) -> seconds``, its eager
+        ``rows`` (or ``None``), ``row(src)``, ``row_array(src)`` and
+        ``delay_floor()``.
     jitter:
         Fractional uniform jitter applied to every delivery; a value of
         0.05 means each delay is multiplied by ``uniform(1.0, 1.05)``.
@@ -585,9 +578,9 @@ class Network:
 
     #: Pristine multicasts with at least this fanout park
     #: their rows in the wide-row store (:class:`_FastSpine`) instead of
-    #: pushing one heap entry each -- provided the delay provider
-    #: advertises a positive ``delay_floor``, which the windowed drain
-    #: rests on.  Width stands in for *density*: a window costs ~30 us
+    #: pushing one heap entry each -- provided the delay provider's
+    #: ``delay_floor()``, which the windowed drain rests on, is
+    #: positive.  Width stands in for *density*: a window costs ~30 us
     #: of numpy calls however few rows it yields.  Store / heap-only us
     #: per delivery, same run, threshold forced to 32: pbft 3.46 at
     #: n = 64, 1.28 at 96, 0.89 at 128, 0.44 at 211; hotstuff-rr 1.23 at
@@ -602,7 +595,7 @@ class Network:
     def __init__(
         self,
         sim: Simulator,
-        one_way_delay: Callable[[int, int], float],
+        one_way_delay: DelayProvider,
         jitter: float = 0.0,
     ):
         self.sim = sim
@@ -661,10 +654,8 @@ class Network:
         * ``_stats_per_class`` is re-pointed at the restored ``_stats``
           accumulator in ``__setstate__`` -- it must never be pickled, or
           the copy would split the send accounting from ``stats``.
-        * ``_delay_rows`` / ``_delay_row_fn`` / ``_delay_row_array_fn``
-          / ``_delay_floor`` are re-derived from the restored provider so
-          a provider without a ``rows`` matrix (or ``row()`` view) never
-          resurrects a stale one.
+        * ``_delay_rows`` / ``_delay_n`` / ``_delay_floor`` are re-read
+          from the restored provider, which rebuilds its rows on load.
         * ``_table`` is a cache of the routes' answers; it is rebuilt at
           the first window after a resume.
         * The store (``_fast``) pickles verbatim: rows hold only plain
@@ -678,8 +669,7 @@ class Network:
             "_deliver_bound",
             "_stats_per_class",
             "_delay_rows",
-            "_delay_row_fn",
-            "_delay_row_array_fn",
+            "_delay_n",
             "_jitter_random",
             "_delay_floor",
             "_table",
@@ -690,7 +680,7 @@ class Network:
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
         self._jitter_random = self._jitter_rng.random
-        self.one_way_delay = self._one_way_delay  # rows, row fn and floor
+        self.one_way_delay = self._one_way_delay  # rows and floor
         self._deliver_bound = self._make_deliver()
         self._stats_per_class = self._stats._per_class
         self._refresh_fast_path()
@@ -707,27 +697,23 @@ class Network:
         return self._stats
 
     @property
-    def one_way_delay(self) -> Callable[[int, int], float]:
+    def one_way_delay(self) -> DelayProvider:
+        """The delay provider.  Assigning one re-reads what the send
+        paths keep of it: the eager rows and the floor."""
         return self._one_way_delay
 
     @one_way_delay.setter
-    def one_way_delay(self, value: Callable[[int, int], float]) -> None:
+    def one_way_delay(self, value: DelayProvider) -> None:
         self._one_way_delay = value
-        # Providers that expose their full matrix (Deployment.one_way up
-        # to EAGER_ROWS_MAX_N) let the send paths index a plain list
-        # instead of calling out.
-        self._delay_rows = getattr(value, "rows", None)
-        # Providers without an eager matrix may still serve one row at a
-        # time (``row(src) -> list | None``): the latency model's provider
-        # builds rows on demand past its threshold, and the client-site
-        # router serves replica and client sources alike.
-        self._delay_row_fn = getattr(value, "row", None)
-        # The store's send path gathers from float64 rows
-        # (``row_array(src) -> ndarray | None``) with no list round trip.
-        self._delay_row_array_fn = getattr(value, "row_array", None)
-        # The drain's window cap needs a lower bound on every cross-node
-        # delay; without one wide multicasts keep to the heap.
-        self._delay_floor = _provider_delay_floor(value)
+        rows = value.rows
+        # ``send`` indexes the eager rows for replica pairs and calls the
+        # provider for every other pair but a self pair; without rows
+        # ``_delay_n`` is 0, so no pair takes the index.
+        self._delay_rows = rows
+        self._delay_n = len(rows) if rows is not None else 0
+        # The drain's window cap rests on this lower bound on every
+        # cross-node delay; at 0.0 wide multicasts keep to the heap.
+        self._delay_floor = value.delay_floor()
 
     @property
     def jitter(self) -> float:
@@ -860,14 +846,13 @@ class Network:
         # interceptors, stats, seq -- so a message gets the same
         # ``(time, seq)`` key wherever it waits and whether or not idle
         # interceptors are installed.
-        if src == dst:
+        n = self._delay_n
+        if src < n and dst < n:
+            delay = self._delay_rows[src][dst]  # 0.0 on the diagonal
+        elif src == dst:
             delay = 0.0
         else:
-            rows = self._delay_rows
-            delay = (
-                rows[src][dst] if rows is not None
-                else self._one_way_delay(src, dst)
-            )
+            delay = self._one_way_delay(src, dst)
         if self._jitter > 0.0:
             delay *= 1.0 + self._jitter_span * self._jitter_random()
         if not pristine:
@@ -940,15 +925,7 @@ class Network:
         rand = self._jitter_random
         deliver = self._deliver_bound
         stats = self._stats
-        rows = self._delay_rows
-        row = rows[src] if rows is not None else None
-        if row is None:
-            row_fn = self._delay_row_fn
-            row = row_fn(src) if row_fn is not None else None
-            if row is None:  # a bare callable: one call per pair
-                one_way = self._one_way_delay
-                dsts = dsts if isinstance(dsts, (list, tuple, range)) else list(dsts)
-                row = {dst: one_way(src, dst) for dst in dsts if dst != src}
+        row = self._one_way_delay.row(src)
         # Simulator.post(), inlined: ``now`` is constant for the batch.
         sim = self.sim
         now = sim.now
@@ -1261,7 +1238,7 @@ class Network:
         exact ``(time, seq)`` key; the fanout shares one pool slot.
         Delays are gathered from the provider's float64 row
         (``row_array(src)``, built by the latency model) with no list
-        round trip; a provider without one answers per pair.
+        round trip.
         Zero-delay self copies (``broadcast(include_self=True)``) never
         enter the store -- they are the one row class that can arrive
         *inside* the window being drained, which the window invariant
@@ -1271,8 +1248,7 @@ class Network:
         jittered = self._jitter > 0.0
         span = self._jitter_span
         rand = self._jitter_random
-        row_array = self._delay_row_array_fn
-        row = row_array(src) if row_array is not None else None
+        row = self._one_way_delay.row_array(src)
         if isinstance(dsts, range):
             dst_arr = np.arange(dsts.start, dsts.stop, dsts.step, dtype=np.uint32)
         else:
@@ -1284,32 +1260,19 @@ class Network:
             return
         self_mask = dst_arr == np.uint32(src)
         nself = int(np.count_nonzero(self_mask))
-        if row is not None:
-            # Vectorized delay build: gather from the row, zero the self
-            # positions, then apply the jitter multipliers.  The draws
-            # happen in the same destination order and each element sees
-            # the same scalar op sequence (span*r, 1.0+, delay*) as
-            # fan_out's loop, so the times are bit-identical.
-            delays = row[dst_arr]
-            if nself:
-                delays[self_mask] = 0.0
-            if jittered:
-                draws = np.fromiter(
-                    _starmap(rand, _repeat((), fanout)), np.float64, fanout
-                )
-                delays *= 1.0 + span * draws
-        else:
-            one_way = self._one_way_delay
-            dl = []
-            append = dl.append
-            if jittered:
-                for dst in dsts:
-                    delay = 0.0 if src == dst else one_way(src, dst)
-                    append(delay * (1.0 + span * rand()))
-            else:
-                for dst in dsts:
-                    append(0.0 if src == dst else one_way(src, dst))
-            delays = np.asarray(dl, dtype=np.float64)
+        # Vectorized delay build: gather from the row, zero the self
+        # positions, then apply the jitter multipliers.  The draws happen
+        # in the same destination order and each element sees the same
+        # scalar op sequence (span*r, 1.0+, delay*) as fan_out's loop, so
+        # the times are bit-identical.
+        delays = row[dst_arr]
+        if nself:
+            delays[self_mask] = 0.0
+        if jittered:
+            draws = np.fromiter(
+                _starmap(rand, _repeat((), fanout)), np.float64, fanout
+            )
+            delays *= 1.0 + span * draws
         sim = self.sim
         first = sim._seq
         sim._seq = first + fanout

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 
@@ -52,10 +50,12 @@ class ClusterBinding:
         replies outvote faulty replicas); ``1`` for Kauri, where only the
         tree root tracks commits.
     place_client:
-        Callback ``(client_id, site_index)`` registering where a client
-        lives so the cluster's link-delay function can route its traffic;
+        Callback ``(client_id, site_index)`` pinning a client to a
+        replica city: the cluster's delay provider
+        (:meth:`~repro.net.latency_model.DelayProvider.place`).
         ``site_index=None`` leaves the cluster default (the observer
-        city) in place.
+        city) in place; an index outside ``[0, n)`` raises
+        ``ValueError``.
     """
 
     sim: Simulator
@@ -68,117 +68,6 @@ class ClusterBinding:
     def first_client_id(self) -> int:
         """Node id of the first client: above every replica id."""
         return max(CLIENT_ID_BASE, self.n)
-
-
-class ClientSiteRouter:
-    """Routes client node ids onto replica cities for link-delay lookup.
-
-    Clusters share this instead of each reimplementing the id-to-site
-    mapping: replicas (ids below ``n``) map to themselves, clients map to
-    their pinned city (or ``default_site``), and co-located pairs fall
-    back to a sub-ms local delay.
-    """
-
-    def __init__(self, one_way: Callable[[int, int], float], n: int,
-                 default_site: int = 0, local_delay: float = 0.0005):
-        if not 0 <= default_site < n:
-            # A wrapped index would silently run from another city.
-            raise ValueError(
-                f"client_city must be a city index in [0, {n}), got {default_site!r}"
-            )
-        self.one_way = one_way
-        self.n = n
-        self.default_site = default_site
-        self.local_delay = local_delay
-        self.sites: Dict[int, int] = {}
-        self._derive()
-
-    def _derive(self) -> None:
-        """The row caches (see :meth:`row`): derived, never pickled."""
-        self._replica_row = getattr(self.one_way, "row", None)
-        self._replica_row_array = getattr(self.one_way, "row_array", None)
-        self._client_rows: Dict[int, List[float]] = {}
-
-    def __getstate__(self) -> Dict:
-        state = self.__dict__.copy()
-        del state["_replica_row"], state["_replica_row_array"], state["_client_rows"]
-        return state
-
-    def __setstate__(self, state: Dict) -> None:
-        self.__dict__.update(state)
-        self._derive()
-
-    def place(self, client_id: int, site: Optional[int]) -> None:
-        """`place_client` callback for :class:`ClusterBinding`."""
-        if site is not None:
-            self.sites[client_id] = site % self.n
-            self._client_rows.pop(client_id, None)
-
-    def delay(self, a: int, b: int) -> float:
-        # Clients map to their site, replicas to themselves.
-        n = self.n
-        if a >= n:
-            a = self.sites.get(a, self.default_site)
-        if b >= n:
-            b = self.sites.get(b, self.default_site)
-        return self.one_way(a, b) or self.local_delay
-
-    # The router is installed as the network's delay provider directly
-    # (``network.one_way_delay = router``) so its ``row`` view reaches
-    # the fan-out paths.
-    __call__ = delay
-
-    def row(self, src: int) -> Optional[List[float]]:
-        """``src``'s delays to every replica, for the network's fan-out
-        paths: entry ``r`` is exactly ``delay(src, r)``.
-
-        Replica sources forward the underlying provider's row (``None``
-        when it serves none): replica multicasts only ever target
-        replicas, every distinct replica pair's delay is >= 0.5 ms (the
-        ``or local_delay`` floor never fires for them), and the network
-        handles ``src == dst`` before row lookup.  Client sources --
-        placed or on the default site -- answer a row cached per client
-        and built from their site, the co-located replica's entry being
-        the ``local_delay`` floor; :meth:`place` drops a client's row.
-        """
-        n = self.n
-        if src < n:
-            row_fn = self._replica_row
-            return row_fn(src) if row_fn is not None else None
-        row = self._client_rows.get(src)
-        if row is None:
-            site = self.sites.get(src, self.default_site)
-            one_way = self.one_way
-            local = self.local_delay
-            row = [one_way(site, r) or local for r in range(n)]
-            self._client_rows[src] = row
-        return row
-
-    def row_array(self, src: int) -> Optional[np.ndarray]:
-        """:meth:`row` as a float64 array, for the network's store.
-
-        Replica sources forward the underlying provider's
-        ``row_array`` (``None`` when it serves none), on :meth:`row`'s
-        reasoning; client sources answer ``None``: only replicas
-        multicast, so no client row reaches the store.
-        """
-        row_fn = self._replica_row_array
-        if src < self.n and row_fn is not None:
-            return row_fn(src)
-        return None
-
-    def delay_floor(self) -> float:
-        """Lower bound on every delay the router can answer: the
-        underlying provider's floor, clamped by the co-located client
-        fallback (``or local_delay`` turns any 0.0 into it).  Answers
-        0.0 -- "no bound known" -- when the provider has none."""
-        fn = getattr(self.one_way, "delay_floor", None)
-        if fn is None:
-            return 0.0
-        floor = fn()
-        if floor <= 0.0:
-            return 0.0
-        return min(floor, self.local_delay)
 
 
 class WorkloadClient:

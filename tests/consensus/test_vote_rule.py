@@ -16,6 +16,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fakes import FakeDelay
 from oracles import AccumulatingPbftReplica
 from repro.consensus.messages import Block, Commit, PrePrepare, Prepare
 from repro.consensus.pbft import PbftReplica
@@ -69,7 +70,7 @@ def _vote_stream(rng, n, seqs, duplicates):
 def _drive(cls, n, mode, with_sensor, stream):
     f = (n - 1) // 3
     sim = Simulator(seed=0)
-    network = Network(sim, lambda a, b: 0.01)
+    network = Network(sim, FakeDelay(lambda a, b: 0.01))
     replica = cls(_ME, n, f, sim, network, KeyRegistry(n, seed=0), mode=mode)
     assert not replica.is_leader
     replica.running = True

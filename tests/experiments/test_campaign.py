@@ -327,4 +327,6 @@ def test_lazy_delay_provider_slice_resumes_bit_identically(tmp_path, monkeypatch
     # The patched threshold really did route through LRU rows.
     from repro.experiments.runner import resolve_deployment
 
-    assert resolve_deployment("wonderproxy-4").one_way.rows is None
+    from repro.net.latency_model import DelayProvider
+
+    assert DelayProvider(resolve_deployment("wonderproxy-4").latency).rows is None

@@ -87,6 +87,23 @@ def test_resume_is_bit_identical_with_faults_in_flight(tmp_path):
     assert restored.to_json() == baseline
 
 
+def test_resume_keeps_client_placements(tmp_path):
+    # The delay provider pickles where each client sits (and rebuilds
+    # the per-client rows): a resumed multi-site run sends from the same
+    # cities as the uninterrupted one.
+    scenario = _scenario(
+        "hotstuff-rr", client_city=1,
+        workload_params=dict(rate=120.0, clients=3, sites=(2, 3)),
+    )
+    baseline = run_scenario(scenario).to_json()
+    restored = _run_sliced_with_checkpoint(scenario, str(tmp_path / "s.ckpt"))
+    provider = restored.cluster.network.one_way_delay
+    first = restored.cluster.workload.clients[0].id
+    assert provider.default_site == 1
+    assert provider.sites == {first: 2, first + 1: 3, first + 2: 2}
+    assert restored.to_json() == baseline
+
+
 #: One fault per kind, each with the cut (t = 3) inside its window: the
 #: armed fault, and whatever it has scheduled, crosses the pickle.
 _FAULT_AT_CUT = {
@@ -265,10 +282,10 @@ def test_unknown_format_version_fails_loudly(saved_checkpoint):
     # v1 files pickled their armed faults, v2 files the delivery token
     # and the sketch, v3 files the removed latency providers and v4 files
     # the removed closed-loop client class, v5 files the open-loop shapes
-    # from their removed modules, v8 files the relaxed plane's flag, in
-    # layouts this build no longer reads: the header refuses them before
-    # pickle is asked to.
-    for version in (99, 1, 2, 3, 4, 5, 8):
+    # from their removed modules, v8 files the relaxed plane's flag, v9
+    # files the removed client-site router, in layouts this build no
+    # longer reads: the header refuses them before pickle is asked to.
+    for version in (99, 1, 2, 3, 4, 5, 8, 9):
         with open(path, "wb") as handle:
             handle.write(blob[:8] + version.to_bytes(2, "little") + blob[10:])
         with pytest.raises(CheckpointError, match=f"v{version} unsupported"):

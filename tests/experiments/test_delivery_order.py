@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fakes import FakeDelay
 from oracles import DeliveryOrderRecorder, heap_only
 from repro.experiments.checkpoint import load_checkpoint, save_checkpoint
 from repro.experiments.runner import Scenario, prepare_scenario, run_scenario
@@ -138,9 +139,9 @@ def test_recorder_sees_a_reordering():
         result = prepare_scenario(_scenario(case, seed=3, jitter=0.0))
         network = result.cluster.network
         inner = network.one_way_delay
-        network.one_way_delay = lambda a, b: inner(a, b) + (
+        network.one_way_delay = FakeDelay(lambda a, b: inner(a, b) + (
             skew if (a, b) == (1, 2) else 0.0
-        )
+        ))
         recorder = DeliveryOrderRecorder(network, keep=True)
         result.run_metrics = result.cluster.run(0.3)
         return recorder

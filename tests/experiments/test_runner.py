@@ -14,9 +14,11 @@ from repro.experiments.runner import (
     PROTOCOLS,
     Scenario,
     ScenarioResult,
+    prepare_scenario,
     resolve_deployment,
     run_scenario,
 )
+from repro.net.latency_model import LOCAL_ONE_WAY, DelayProvider
 
 GOLDEN_DIR = Path(__file__).parent / "data"
 
@@ -432,6 +434,27 @@ def test_every_protocol_is_buildable():
         assert result.run_metrics is not None
 
 
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_every_cluster_holds_one_delay_provider(protocol):
+    # Replicas and clients alike ask one DelayProvider over the
+    # deployment's model; an unplaced client sits at client_city however
+    # the cluster binds its workload (PBFT at construction, the others
+    # in attach_workload).
+    cluster = prepare_scenario(
+        small_scenario(protocol=protocol, deployment="Europe21",
+                       workload="open-loop", workload_params={"rate": 10.0},
+                       client_city=7, delta=1.25, duration=1.0,
+                       search_iterations=200)
+    ).cluster
+    provider = cluster.network.one_way_delay
+    assert type(provider) is DelayProvider
+    assert provider.model is cluster.deployment.latency
+    assert provider.default_site == 7
+    (client,) = cluster.workload.clients
+    assert provider(client.id, 7) == provider(7, client.id) == LOCAL_ONE_WAY
+    assert provider(client.id, 3) == cluster.deployment.latency.one_way(7, 3)
+
+
 def test_fault_spec_accepts_bare_message_type_string():
     spec = FaultSpec(kind="delay", message_types="PrePrepare")
     assert spec.message_types == ("PrePrepare",)
@@ -567,10 +590,23 @@ def test_optiaware_delta_inside_jitter_band_warns():
 @pytest.mark.parametrize("protocol", ["pbft", "hotstuff-rr", "kauri"])
 @pytest.mark.parametrize("city", [-1, 21, 25])
 def test_client_city_outside_the_deployment_is_rejected(protocol, city):
-    # The router used to wrap it (25 -> 4 on Europe21) and run from
+    # A wrapped index (25 -> 4 on Europe21) would run the clients from
     # another city with no error.
     scenario = Scenario(
         protocol=protocol, deployment="Europe21", duration=1.0, client_city=city
     )
     with pytest.raises(ValueError, match=rf"client_city .*\[0, 21\).*{city}"):
+        run_scenario(scenario)
+
+
+@pytest.mark.parametrize("protocol", ["pbft", "hotstuff-rr", "kauri"])
+@pytest.mark.parametrize("site", [-1, 21, 25])
+def test_workload_site_outside_the_deployment_is_rejected(protocol, site):
+    # A wrapped site (25 -> 4, -1 -> 20 on Europe21) would run a client
+    # from another city; placement and client_city share one check.
+    scenario = Scenario(
+        protocol=protocol, deployment="Europe21", workload="open-loop",
+        workload_params={"rate": 20.0, "sites": (site,)}, duration=1.0,
+    )
+    with pytest.raises(ValueError, match=rf"client site .*\[0, 21\).*{site}"):
         run_scenario(scenario)

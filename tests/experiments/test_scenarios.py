@@ -62,6 +62,15 @@ def test_cli_rejects_client_city_outside_the_deployment():
     assert "[0, 21)" in proc.stderr and "25" in proc.stderr
 
 
+def test_cli_rejects_a_workload_site_outside_the_deployment():
+    proc = _repro("run", "--protocol", "pbft", "--deployment", "Europe21",
+                  "--workload", "open-loop", "--param", "rate=20",
+                  "--param", "sites=(25,)", "--duration", "1")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: client site")
+    assert "[0, 21)" in proc.stderr and "25" in proc.stderr
+
+
 def test_cli_rejected_attack_schedule_is_an_error_not_a_traceback():
     proc = _repro("attack", "--iterations", "-1")
     assert proc.returncode == 1

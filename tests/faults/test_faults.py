@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from fakes import FakeDelay
 from repro.core.log import AppendOnlyLog
 from repro.faults.churn import ChurnSchedule
 from repro.faults.delay import DelayAttack, DeltaDelayAttack, StealthDelayAttack
@@ -117,6 +118,37 @@ def test_stealth_attack_fills_suspicion_budget():
         StealthDelayAttack({1}, 1.2, lambda a, b: 0.1, headroom=0.0)
 
 
+@pytest.mark.parametrize("protocol", ["pbft", "hotstuff-rr", "kauri"])
+def test_stealth_attack_leaves_a_self_copy_alone(protocol):
+    # The attacker's budget is delta times the delay the cluster's
+    # provider expects.  A node and itself are 0.0 apart, so a replica's
+    # copy to itself (PBFT broadcasts include the sender) has no budget
+    # to fill: it goes out as drawn and is not counted as delayed, on
+    # every cluster with clients.
+    from repro.experiments.runner import FaultSpec, Scenario, run_scenario
+
+    cluster = run_scenario(Scenario(
+        protocol=protocol, deployment="Europe21", workload="open-loop",
+        workload_params={"rate": 40.0}, duration=1.0, seed=3, delta=1.25,
+        faults=[FaultSpec(kind="delta_delay", attacker=(1, 2, 5),
+                          params={"delta": 1.25, "adaptive": True})],
+    )).cluster
+    (attack,) = [
+        interceptor for interceptor in cluster.network._interceptors
+        if isinstance(interceptor, StealthDelayAttack)
+    ]
+    delayed = attack.messages_delayed
+    assert delayed > 0
+    message = Forward()
+    for attacker in (1, 2, 5):
+        assert attack(attacker, attacker, message, 0.0) == (message, 0.0)
+    assert attack.messages_delayed == delayed
+    # A copy to another replica is still stretched to the budget.
+    _, delay = attack(1, 2, message, 0.0)
+    assert delay == 0.95 * 1.25 * cluster.deployment.latency.one_way(1, 2)
+    assert attack.messages_delayed == delayed + 1
+
+
 def test_message_loss_is_seeded_and_filtered():
     def run_stream(rng_seed):
         loss = MessageLoss(rate=0.5, rng=random.Random(rng_seed))
@@ -177,7 +209,7 @@ def test_targeted_attack_exhausts_pool():
 
 def test_churn_cycles_crash_and_revive_with_hook():
     sim = Simulator()
-    network = Network(sim, lambda a, b: 0.01)
+    network = Network(sim, FakeDelay(lambda a, b: 0.01))
     revived = []
     schedule = ChurnSchedule(sim, network, on_revive=revived.append)
     schedule.cycle(pool=[1, 2], period=10.0, downtime=4.0, end=45.0)
@@ -191,7 +223,7 @@ def test_churn_cycles_crash_and_revive_with_hook():
 
 def test_churn_respects_window_and_skips_down_victims():
     sim = Simulator()
-    network = Network(sim, lambda a, b: 0.01)
+    network = Network(sim, FakeDelay(lambda a, b: 0.01))
     schedule = ChurnSchedule(sim, network)
     # Victim stays down longer than the period: the next cycle must skip
     # it rather than double-crash.
@@ -209,7 +241,7 @@ def test_churn_respects_window_and_skips_down_victims():
 def test_churn_random_victims_are_seeded():
     def run(seed):
         sim = Simulator(seed=seed)
-        network = Network(sim, lambda a, b: 0.01)
+        network = Network(sim, FakeDelay(lambda a, b: 0.01))
         schedule = ChurnSchedule(sim, network)
         schedule.cycle(pool=[1, 2, 3, 4], period=5.0, downtime=1.0, end=50.0,
                        rng=sim.derive_rng("churn"))
@@ -219,6 +251,6 @@ def test_churn_random_victims_are_seeded():
     assert run(3) == run(3)
     assert len(run(3)) == 10
     with pytest.raises(ValueError, match="non-empty"):
-        ChurnSchedule(Simulator(), Network(Simulator(), lambda a, b: 0.0)).cycle(
+        ChurnSchedule(Simulator(), Network(Simulator(), FakeDelay(lambda a, b: 0.0))).cycle(
             pool=[], period=1.0, downtime=0.5
         )

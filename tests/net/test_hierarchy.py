@@ -14,8 +14,10 @@ from oracles import (
 )
 from repro.net.cities import ALL_CITIES
 from repro.net.latency_model import (
+    LOCAL_ONE_WAY,
     LOCAL_RTT_MS,
     ROW_CACHE_SIZE,
+    DelayProvider,
     LatencyModel,
 )
 
@@ -98,7 +100,7 @@ def test_memory_shape_is_regions_squared():
 
 def test_row_cache_bounded():
     cities = _cities(300)  # past EAGER_ROWS_MAX_N: rows are built lazily
-    provider = LatencyModel(cities).one_way_provider()
+    provider = DelayProvider(LatencyModel(cities))
     assert provider.rows is None
     for src in range(300):
         provider.row(src)
@@ -139,7 +141,7 @@ def test_cities_are_the_whole_constructor():
 def test_provider_row_and_scalar():
     cities = _cities(50)
     model = LatencyModel(cities)
-    provider = model.one_way_provider()
+    provider = DelayProvider(model)
     assert provider(3, 17) == model.one_way(3, 17)
     assert provider.row(3) == model.one_way_row(3)
     assert provider.rows[3] is provider.row(3)  # n <= EAGER_ROWS_MAX_N
@@ -150,8 +152,9 @@ def test_one_way_floor_bounds_every_pair():
     model = LatencyModel(cities)
     floor = model.one_way_floor()
     assert floor > 0.0
-    provider = model.one_way_provider()
-    assert provider.delay_floor() == floor
+    # Clients sit one local hop from their site's replica: the
+    # provider's floor is clamped to that hop.
+    assert DelayProvider(model).delay_floor() == min(floor, LOCAL_ONE_WAY)
     rng = random.Random(11)
     for _ in range(200):
         a, b = rng.randrange(150), rng.randrange(150)

@@ -9,9 +9,10 @@ import pytest
 from oracles import pair_rtt_ms
 from repro.experiments.runner import resolve_deployment
 from repro.net import latency_model
-from repro.net.cities import city_by_name
+from repro.net.cities import ALL_CITIES, city_by_name
 from repro.net.deployments import deployment_for, random_world_deployment
-from repro.net.latency_model import LatencyModel
+from repro.net.latency_model import LOCAL_ONE_WAY, DelayProvider, LatencyModel
+from repro.sim.network import Network
 
 NAMED = ("Europe21", "NA-EU43", "Global73", "Stellar56")
 
@@ -101,17 +102,17 @@ def test_one_way_rows_match_one_way_exactly(europe21):
 # ----------------------------------------------------------------------
 def _lazy_provider(model, monkeypatch):
     monkeypatch.setattr(latency_model, "EAGER_ROWS_MAX_N", 0)
-    return model.one_way_provider()
+    return DelayProvider(model)
 
 
 def test_eager_provider_below_threshold(europe21):
-    provider = europe21.latency.one_way_provider()
+    provider = DelayProvider(europe21.latency)
     assert provider.rows == europe21.latency.one_way_rows()
 
 
 def test_provider_switches_lazy_past_threshold(europe21, monkeypatch):
     monkeypatch.setattr(latency_model, "EAGER_ROWS_MAX_N", 20)
-    provider = europe21.latency.one_way_provider()
+    provider = DelayProvider(europe21.latency)
     assert provider.rows is None
 
 
@@ -125,16 +126,17 @@ def test_provider_representation_follows_n():
         random_world_deployment(211, random.Random(3)),
     ]
     for deployment in eager:
-        assert deployment.one_way.rows is not None, deployment.name
+        assert DelayProvider(deployment.latency).rows is not None, deployment.name
     for name in ("world-512", "world-1024"):
-        assert resolve_deployment(name, seed=1).one_way.rows is None, name
+        lazy = DelayProvider(resolve_deployment(name, seed=1).latency)
+        assert lazy.rows is None, name
 
 
 def test_lazy_provider_bit_equal_to_one_way(europe21, monkeypatch):
     # The LRU rows and the eager rows are two gathers of one table;
     # every value must equal the scalar one_way chain bit-for-bit.
     model = europe21.latency
-    eager = model.one_way_provider()
+    eager = DelayProvider(model)
     lazy = _lazy_provider(model, monkeypatch)
     n = len(model)
     for a in range(n):
@@ -143,11 +145,11 @@ def test_lazy_provider_bit_equal_to_one_way(europe21, monkeypatch):
             assert lazy(a, b) == model.one_way(a, b) == eager(a, b)
 
 
-@pytest.mark.parametrize("n", [300, 512])
+@pytest.mark.parametrize("n", [21, 300, 512])
 def test_float64_rows_equal_the_list_rows(n):
     # The store's send path gathers from row_array, the Python loops
     # index row: every source must see the same doubles in both.
-    provider = resolve_deployment(f"world-{n}", seed=1).one_way
+    provider = DelayProvider(resolve_deployment(f"world-{n}", seed=1).latency)
     for src in range(n):
         array = provider.row_array(src)
         assert array.dtype == np.float64
@@ -176,12 +178,12 @@ def test_lazy_provider_pickles_without_cache(monkeypatch):
 def test_model_pickles_its_table_and_rederives_rows(global73):
     # Neither the model nor its provider carries an O(n^2) view into a
     # checkpoint: both pickle their inputs and rebuild on load.
-    blob = pickle.dumps(global73)
-    assert len(blob) < len(pickle.dumps(global73.one_way.rows))
+    provider = DelayProvider(global73.latency)
+    blob = pickle.dumps(provider)
+    assert len(blob) < len(pickle.dumps(provider.rows))
     clone = pickle.loads(blob)
-    assert clone.one_way.rows == global73.one_way.rows
-    assert clone.one_way.model is clone.latency
-    assert np.array_equal(clone.latency.matrix_ms(), global73.latency.matrix_ms())
+    assert clone.rows == provider.rows
+    assert np.array_equal(clone.model.matrix_ms(), global73.latency.matrix_ms())
 
 
 def test_model_pickle_rebuilds_shared_regions():
@@ -195,20 +197,154 @@ def test_model_pickle_rebuilds_shared_regions():
     assert np.array_equal(clone.matrix_ms(), model.matrix_ms())
 
 
+# ----------------------------------------------------------------------
+# Clients: ids >= n sit at a replica city
+# ----------------------------------------------------------------------
+def _europe_provider(europe21, default_site=3):
+    return DelayProvider(europe21.latency, default_site=default_site)
+
+
+def test_a_node_and_itself_are_zero_apart(europe21):
+    # Replica or client: no self pair pays the local hop.
+    provider = _europe_provider(europe21)
+    provider.place(2000, 7)
+    for node in (0, 3, 7, 20, 2000, 2001):
+        assert provider(node, node) == 0.0
+
+
+def test_local_one_way_is_the_models_colocated_delay():
+    city = city_by_name("Frankfurt")
+    assert LOCAL_ONE_WAY == LatencyModel([city, city]).one_way(0, 1)
+
+
+@pytest.mark.parametrize("site", [0, 20])
+def test_provider_accepts_either_end_of_the_cities(europe21, site):
+    provider = _europe_provider(europe21, default_site=site)
+    # An unplaced client sits exactly at ``site``: co-located with that
+    # replica, and as far from the others as that replica is.
+    assert provider(2000, site) == provider(site, 2000) == LOCAL_ONE_WAY
+    other = 20 - site
+    assert provider(2000, other) == europe21.latency.one_way(site, other)
+
+
+@pytest.mark.parametrize("site", [-1, 21, 25, 2.5])
+def test_provider_refuses_a_site_outside_the_cities(europe21, site):
+    # A wrapped index (25 -> 4, -1 -> 20) would run from another city,
+    # and a fractional one from none.
+    with pytest.raises(ValueError, match=rf"client_city .*\[0, 21\).*{site}"):
+        _europe_provider(europe21, default_site=site)
+    provider = _europe_provider(europe21)
+    with pytest.raises(ValueError, match=rf"client site .*\[0, 21\).*{site}"):
+        provider.place(2000, site)
+    assert 2000 not in provider.sites
+
+
+def test_client_rows_match_the_scalar_call(europe21):
+    provider = _europe_provider(europe21)
+    n = provider.n
+    provider.place(2000, 7)
+    provider.place(2002, 3)
+    # Placed, default-site, and placed on the default site; the site's
+    # own entry is the local hop, not the replica's 0.0 self delay.
+    for client in (2000, 2001, 2002):
+        assert provider.row(client) == [provider(client, r) for r in range(n)]
+        assert provider.row_array(client).tolist() == provider.row(client)
+    assert provider.row(2001)[3] == provider.row(2002)[3] == LOCAL_ONE_WAY
+    assert provider.row(2000)[7] == LOCAL_ONE_WAY
+
+
+def test_lazy_client_rows_match_the_eager_ones(europe21, monkeypatch):
+    eager = _europe_provider(europe21)
+    lazy = _lazy_provider(europe21.latency, monkeypatch)
+    lazy.default_site = 3
+    for provider in (eager, lazy):
+        provider.place(2000, 11)
+    for client in (2000, 2001):
+        assert lazy.row(client) == eager.row(client)
+        assert lazy(client, 5) == eager(client, 5)
+
+
+def test_place_drops_a_served_row(europe21):
+    provider = _europe_provider(europe21)
+    before = provider.row(2000)
+    assert before[3] == LOCAL_ONE_WAY
+    provider.place(2000, 11)
+    after = provider.row(2000)
+    assert after != before
+    assert after == [provider(2000, r) for r in range(provider.n)]
+    # Moving the default site drops the rows of unplaced clients too.
+    unplaced = provider.row(2001)
+    provider.default_site = 11
+    assert provider.row(2001) != unplaced
+    assert provider.row(2001) == after
+
+
+def test_placements_survive_pickling(europe21):
+    provider = _europe_provider(europe21)
+    provider.place(2000, 5)
+    served = {client: provider.row(client) for client in (2000, 2001)}
+    restored = pickle.loads(pickle.dumps(provider))
+    # The row caches are derived state: not pickled, rebuilt on demand.
+    assert not restored._client_rows
+    assert restored.default_site == 3 and restored.sites == {2000: 5}
+    assert {client: restored.row(client) for client in served} == served
+
+
+@pytest.mark.parametrize(
+    "name", ["Europe21", "NA-EU43", "Global73", "Stellar56", "world-64"]
+)
+def test_replica_rows_match_the_scalar_call(name):
+    # The network indexes replica rows for every distinct pair, so each
+    # entry must equal the scalar call, which clients also go through.
+    deployment = (
+        random_world_deployment(64) if name == "world-64" else deployment_for(name)
+    )
+    provider = DelayProvider(deployment.latency)
+    n = deployment.n
+    for r in range(n):
+        row = provider.row(r)
+        assert all(row[d] == provider(r, d) for d in range(n))
+        assert provider.row_array(r).tolist() == row
+
+
+# ----------------------------------------------------------------------
+# The delay floor the store's windows rest on
+# ----------------------------------------------------------------------
 def _brute_floor(model):
     n = len(model)
     return min(model.one_way(a, b) for a in range(n) for b in range(n) if a != b)
 
 
 def test_delay_floor_is_min_cross_node_one_way(europe21, monkeypatch):
-    # The message plane caps its drain windows at this floor; it
-    # must lower-bound every delay the provider can ever answer, and be
-    # positive for any model with distinct replicas.
+    # The message plane caps its drain windows at the provider's floor;
+    # it must lower-bound every delay the provider can ever answer,
+    # clients included, and be positive for any model with distinct
+    # replicas.  The model's floor covers replica pairs; a client is one
+    # local hop from its site's replica, so the provider clamps to that.
     model = europe21.latency
     want = _brute_floor(model)
-    assert want > 0.0
-    assert model.one_way_provider().delay_floor() == want
-    assert _lazy_provider(model, monkeypatch).delay_floor() == want
+    assert want > LOCAL_ONE_WAY
+    assert model.one_way_floor() == want
+    assert DelayProvider(model).delay_floor() == LOCAL_ONE_WAY
+    assert _lazy_provider(model, monkeypatch).delay_floor() == LOCAL_ONE_WAY
+
+
+def test_provider_floor_is_the_model_floor_clamped_to_the_local_hop():
+    models = [deployment_for(name).latency for name in NAMED] + [
+        random_world_deployment(n, random.Random(n)).latency for n in (100, 256)
+    ]
+    for model in models:
+        floor = model.one_way_floor()
+        assert DelayProvider(model).delay_floor() == min(floor, LOCAL_ONE_WAY)
+
+
+def test_no_deployment_fills_the_store_without_colocated_replicas():
+    # The clamp moves no store window: a multicast parks in the store
+    # only at fanout >= Network.block_fanout, and a list of cities that
+    # long repeats a city, so its model floor is the local hop already.
+    assert len(ALL_CITIES) < Network.block_fanout
+    model = random_world_deployment(Network.block_fanout, random.Random(1)).latency
+    assert model.one_way_floor() == LOCAL_ONE_WAY
 
 
 def test_delay_floor_equals_brute_force_minimum():
@@ -225,7 +361,7 @@ def test_delay_floor_equals_brute_force_minimum():
 def test_delay_floor_degenerate_single_replica():
     city = city_by_name("Frankfurt")
     model = LatencyModel([city])
-    assert model.one_way_provider().delay_floor() == 0.0
+    assert DelayProvider(model).delay_floor() == 0.0
 
 
 def test_delay_floor_colocated_pair_is_local_one_way():
@@ -233,6 +369,6 @@ def test_delay_floor_colocated_pair_is_local_one_way():
     # stays positive even when every replica shares one city.
     city = city_by_name("Frankfurt")
     model = LatencyModel([city, city])
-    floor = model.one_way_provider().delay_floor()
+    floor = DelayProvider(model).delay_floor()
     assert floor == pytest.approx(0.0005)
     assert floor <= model.one_way(0, 1)

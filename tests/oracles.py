@@ -92,6 +92,7 @@ from repro.net.latency_model import (
     EARTH_RADIUS_KM,
     LOCAL_RTT_MS,
     MS_PER_KM,
+    DelayProvider,
     LatencyModel,
 )
 from repro.optimize.annealing import AnnealingResult, AnnealingSchedule, State
@@ -802,7 +803,7 @@ def verify_against_dense(
         )
     rng = rng or random.Random(0)
     cities = model.cities
-    provider = model.one_way_provider()
+    provider = DelayProvider(model)
     compared = 0
     # A handful of full rows: every dst for a few srcs, via the row path.
     row_srcs = sorted({0, n - 1, *(rng.randrange(n) for _ in range(6))})

@@ -17,6 +17,7 @@ a provider without one.
 import pickle
 from types import SimpleNamespace
 
+from fakes import FakeDelay
 from oracles import DeliveryOrderRecorder, heap_only
 from repro.experiments import checkpoint
 from repro.sim.engine import Simulator
@@ -41,18 +42,18 @@ class Pong(Ping):
     wire_size = 7
 
 
-class FloorDelay:
+class FloorDelay(FakeDelay):
     """Module-level provider (pickles) exposing the floor the store's
     windows rest on: constant cross-node delay, zero self delay."""
 
-    def __init__(self, delay=0.01):
-        self.delay = delay
+    def __init__(self, value=0.01):
+        self.value = value
 
-    def __call__(self, a, b):
-        return 0.0 if a == b else self.delay
+    def delay(self, a, b):
+        return 0.0 if a == b else self.value
 
     def delay_floor(self):
-        return self.delay
+        return self.value
 
 
 def make_network(store, delay=0.01, jitter=0.0, seed=1):
@@ -117,7 +118,7 @@ def snapshot(sim, network):
 def test_network_takes_no_plane_argument():
     # One message plane: nothing to choose between, so no knob.
     with pytest.raises(TypeError, match="plane"):
-        Network(Simulator(seed=0), lambda a, b: 0.01, plane="object")
+        Network(Simulator(seed=0), FloorDelay(), plane="object")
 
 
 # ----------------------------------------------------------------------
@@ -204,13 +205,13 @@ def test_store_drain_answers_each_row_in_order():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("jitter", [0.0, 0.05])
 def test_network_without_floor_keeps_every_row_in_the_heap(jitter):
-    # A bare-callable provider advertises no floor, so no window can be
-    # proved safe: even at fanout 2 every row takes the heap, and the
-    # run is the heap-only run.
+    # A provider without a floor admits no window that can be proved
+    # safe: even at fanout 2 every row takes the heap, and the run is the
+    # heap-only run.
     def run(store):
         sim = Simulator(seed=5)
         network = Network(
-            sim, lambda a, b: 0.01 if a != b else 0.0, jitter=jitter
+            sim, FakeDelay(lambda a, b: 0.01 if a != b else 0.0), jitter=jitter
         )
         if store:
             network.block_fanout = 2
@@ -414,19 +415,19 @@ def test_network_reads_the_provider_delay_floor():
     # 0.0 must not keep windows off after a resume.
     assert "_delay_floor" not in network.__getstate__()
     assert pickle.loads(pickle.dumps(network))._delay_floor == 0.02
-    # Bare callables advertise no floor.
-    network.one_way_delay = lambda a, b: 0.02
+    # A provider swapped in is read afresh.
+    network.one_way_delay = FakeDelay(lambda a, b: 0.02)
     assert network._delay_floor == 0.0
 
 
 # ----------------------------------------------------------------------
 # The handler table (Network._window_handlers)
 # ----------------------------------------------------------------------
-class Spread:
+class Spread(FakeDelay):
     """Distinct per-pair delays, so windows interleave rows of many
     multicasts, and the floor the windowed drain needs."""
 
-    def __call__(self, a, b):
+    def delay(self, a, b):
         return 0.0 if a == b else 0.01 + ((a * 7 + b * 3) % 11) * 0.002
 
     def delay_floor(self):

@@ -8,8 +8,9 @@ call, jitter, interceptors, one stats bump, ``sim.post``, one
 destination at a time -- and both must leave the same ``(time, seq)``
 heap entries, jitter stream and ``NetworkStats``, with interceptors
 only, with a node down or a partition active (installed before the
-sends or flipped between them), over matrix, row-only and scalar
-providers, and from client ids (>= 1000) fanning out to the replicas.
+sends or flipped between them), over an eager delay provider, a lazy
+one (n past ``EAGER_ROWS_MAX_N``) and one with placed clients, and from
+client ids (>= 1000) fanning out to the replicas.
 """
 
 import random
@@ -17,9 +18,10 @@ from functools import partial
 
 import pytest
 
+from repro.net.cities import ALL_CITIES
+from repro.net.latency_model import EAGER_ROWS_MAX_N, DelayProvider, LatencyModel
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.network import Network
-from repro.workloads.base import ClientSiteRouter
 
 N = 9
 CLIENTS = (1000, 1001)
@@ -34,35 +36,31 @@ class Pong(Ping):
     pass
 
 
-def delay_of(a, b):
-    return 0.001 * (1 + (a * 7 + b * 3) % 11)
+# Replicas 0..N-1 sit in distinct cities in both models; the lazy one is
+# one city wider than the eager lists go, so its rows come from the LRU.
+EAGER_MODEL = LatencyModel(ALL_CITIES[:N])
+LAZY_MODEL = LatencyModel(
+    [ALL_CITIES[k % len(ALL_CITIES)] for k in range(EAGER_ROWS_MAX_N + 1)]
+)
 
 
-delay_of.rows = [[delay_of(a, b) for b in range(N)] for a in range(N)]
+def eager():
+    return DelayProvider(EAGER_MODEL)
 
 
-class RowOnly:
-    """Router-shaped provider: scalar calls and ``row()``, no ``rows``."""
-
-    def __call__(self, a, b):
-        return delay_of(a, b)
-
-    def row(self, src):
-        return [delay_of(src, b) for b in range(N)]
+def lazy():
+    provider = DelayProvider(LAZY_MODEL)
+    assert provider.rows is None
+    return provider
 
 
-def placed_router():
-    router = ClientSiteRouter(RowOnly(), n=N, default_site=2)
-    router.place(CLIENTS[1], 6)
-    return router
+def placed():
+    provider = DelayProvider(EAGER_MODEL, default_site=2)
+    provider.place(CLIENTS[1], 6)
+    return provider
 
 
-PROVIDERS = {
-    "rows": lambda: delay_of,
-    "scalar": lambda: (lambda a, b: delay_of(a, b)),
-    "row-only": RowOnly,
-    "router": placed_router,
-}
+PROVIDERS = {"eager": eager, "lazy": lazy, "placed": placed}
 
 
 def generic_send(network, src, dst, message, size=0):
@@ -146,12 +144,12 @@ def heal(network):
     network.heal()
 
 
-def _traffic(rng, clients):
-    """60 steps of sends and multicasts; with ``clients``, client ids
-    also fan a request out to every replica and receive replies."""
+def _traffic(rng):
+    """60 steps of sends and multicasts; client ids also fan a request
+    out to every replica and receive replies."""
     script = []
     for step in range(60):
-        if clients and rng.random() < 0.3:
+        if rng.random() < 0.3:
             client = rng.choice(CLIENTS)
             if rng.random() < 0.5:
                 script.append(("fan_out", client, range(N), Ping(step), 120))
@@ -201,8 +199,7 @@ def _run(fast, provider, jitter, install_at, flips=None):
                  "fan_out": partial(generic_fan_out, network)}
     flips = flips or {}
     interceptors = []
-    # The matrix provider only covers replica ids.
-    for step, action in enumerate(_traffic(random.Random(11), provider != "rows")):
+    for step, action in enumerate(_traffic(random.Random(11))):
         if step in flips:
             flips[step](network)
         if step in install_at:
@@ -214,7 +211,7 @@ def _run(fast, provider, jitter, install_at, flips=None):
 
 
 @pytest.mark.parametrize("jitter", [0.0, 0.02])
-@pytest.mark.parametrize("provider", ["rows", "scalar", "row-only", "router"])
+@pytest.mark.parametrize("provider", sorted(PROVIDERS))
 @pytest.mark.parametrize(
     "install_at",
     [
@@ -234,7 +231,7 @@ def test_interceptor_only_paths_match_generic_loop(provider, jitter, install_at)
 
 
 @pytest.mark.parametrize("jitter", [0.0, 0.02])
-@pytest.mark.parametrize("provider", ["rows", "scalar", "row-only", "router"])
+@pytest.mark.parametrize("provider", sorted(PROVIDERS))
 @pytest.mark.parametrize(
     "install_at",
     [
@@ -265,7 +262,7 @@ def test_faulted_paths_match_generic_loop(provider, jitter, install_at, flips):
 
 def test_interceptor_only_network_skips_reachability_checks():
     sim = Simulator(seed=1)
-    network = Network(sim, delay_of)
+    network = Network(sim, eager())
     network.add_interceptor(Stretch(0))
     assert network._links_clear and not network._pristine
     network.set_down(4)
@@ -279,7 +276,7 @@ def test_interceptor_only_network_skips_reachability_checks():
 
 def test_down_node_with_interceptor_still_drops():
     sim = Simulator(seed=1)
-    network = Network(sim, delay_of)
+    network = Network(sim, eager())
     stretch = Stretch(0)
     network.add_interceptor(stretch)
     network.set_down(4)
@@ -292,7 +289,7 @@ def test_down_node_with_interceptor_still_drops():
 @pytest.mark.parametrize("bad", [-1.0, float("nan")])
 def test_interceptor_cannot_post_into_the_past(bad):
     sim = Simulator(seed=1)
-    network = Network(sim, delay_of)
+    network = Network(sim, eager())
     network.add_interceptor(lambda src, dst, message, delay: (message, bad))
     with pytest.raises(SimulationError):
         network.send(0, 1, Ping(0))

@@ -1,12 +1,13 @@
 """Tests for the simulated network."""
 
+from fakes import FakeDelay
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 
 
 def make_network(delay=0.01, jitter=0.0):
     sim = Simulator(seed=1)
-    network = Network(sim, lambda a, b: delay, jitter=jitter)
+    network = Network(sim, FakeDelay(lambda a, b: delay), jitter=jitter)
     return sim, network
 
 
@@ -108,7 +109,7 @@ def test_multicast_batched_path_equals_send_loop():
     same order, with the same jitter draws as a loop of send() calls."""
     def run(batched):
         sim = Simulator(seed=5)
-        network = Network(sim, lambda a, b: 0.01 * (a + b + 1), jitter=0.05)
+        network = Network(sim, FakeDelay(lambda a, b: 0.01 * (a + b + 1)), jitter=0.05)
         log = []
         for i in range(5):
             network.register(i, lambda src, msg, i=i: log.append((sim.now, i, msg)))
@@ -128,7 +129,7 @@ def test_fast_path_equivalent_to_interceptor_disabled_path():
     must be identical to the pristine fast path under the same seed."""
     def run(with_noop):
         sim = Simulator(seed=9)
-        network = Network(sim, lambda a, b: 0.02, jitter=0.1)
+        network = Network(sim, FakeDelay(lambda a, b: 0.02), jitter=0.1)
         if with_noop:
             network.add_interceptor(lambda src, dst, msg, delay: (msg, delay))
         log = []

@@ -15,6 +15,7 @@ import pickle
 
 import pytest
 
+from fakes import FakeDelay
 from oracles import heap_only
 from repro.sim import network as network_mod
 from repro.sim.engine import Simulator
@@ -50,7 +51,7 @@ class Pong(Ping):
     wire_size = 7
 
 
-class Spread:
+class Spread(FakeDelay):
     """Distinct per-pair delays (so store rows interleave with
     everything) and the floor the windowed drain needs.  Module-level,
     so networks using it pickle."""
@@ -58,28 +59,28 @@ class Spread:
     def __init__(self, step=0.003):
         self.step = step
 
-    def __call__(self, a, b):
+    def delay(self, a, b):
         return 0.0 if a == b else 0.001 + ((a * 7 + b * 3) % 11) * self.step
 
     def delay_floor(self):
         return 0.001
 
 
-class Flat:
+class Flat(FakeDelay):
     """One delay for every pair: whole fanouts tie on arrival time."""
 
-    def __init__(self, delay):
-        self.delay = delay
+    def __init__(self, value):
+        self.value = value
 
-    def __call__(self, a, b):
-        return 0.0 if a == b else self.delay
+    def delay(self, a, b):
+        return 0.0 if a == b else self.value
 
     def delay_floor(self):
-        return self.delay
+        return self.value
 
 
 def _bare(a, b):
-    # No delay_floor(): the provider the store must refuse.
+    # Spread's delays without its floor: the provider the store must refuse.
     return 0.0 if a == b else 0.001 + ((a * 7 + b * 3) % 11) * 0.003
 
 
@@ -204,10 +205,13 @@ def test_store_engages_at_the_threshold():
 
 
 def test_floorless_provider_stays_on_tuples():
-    # A bare callable promises no lower bound on its delays, so a window
-    # could never be wider than one instant: wide multicasts stay heap
-    # entries (the tuples of the name) and nothing parks or merges.
-    counters, network = assert_store_matches_heap(delay=_bare, jitter=0.05)
+    # A provider with a 0.0 floor promises no lower bound on its delays,
+    # so a window could never be wider than one instant: wide multicasts
+    # stay heap entries (the tuples of the name) and nothing parks or
+    # merges.
+    counters, network = assert_store_matches_heap(
+        delay=FakeDelay(_bare), jitter=0.05
+    )
     assert network._delay_floor == 0.0
     assert not any(counters.values())
     # One engine event per delivery, plus the 24 timers that sent them.

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from fakes import FakeDelay
 from repro.consensus.messages import ClientRequest, Reply
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
@@ -26,7 +27,7 @@ LINK_DELAY = 0.01
 def echo_harness(seed=0, n=N):
     """A simulator plus ``n`` stub replicas that reply to every request."""
     sim = Simulator(seed=seed)
-    network = Network(sim, lambda a, b: LINK_DELAY)
+    network = Network(sim, FakeDelay(lambda a, b: LINK_DELAY))
 
     def make_handler(replica_id):
         def handler(src, message):
@@ -314,112 +315,6 @@ def test_zero_clients_rejected_at_construction():
         ClosedLoopWorkload(clients=-1)
 
 
-def test_client_site_router_delay_floor_clamps_to_local_delay():
-    from repro.workloads.base import ClientSiteRouter
-
-    class Provider:
-        def __call__(self, a, b):
-            return 0.0 if a == b else 0.004
-
-        def delay_floor(self):
-            return 0.004
-
-    # Co-located client routes answer `or local_delay`, so the router's
-    # floor is the smaller of the provider floor and the local fallback.
-    router = ClientSiteRouter(Provider(), n=4)
-    assert router.delay_floor() == router.local_delay
-    tight = ClientSiteRouter(Provider(), n=4, local_delay=0.01)
-    assert tight.delay_floor() == 0.004
-    # Bare callables advertise no bound.
-    bare = ClientSiteRouter(lambda a, b: 0.004, n=4)
-    assert bare.delay_floor() == 0.0
-
-
-def _europe_router():
-    from repro.net.deployments import deployment_for
-    from repro.workloads.base import ClientSiteRouter
-
-    deployment = deployment_for("Europe21")
-    return ClientSiteRouter(deployment.one_way, deployment.n, default_site=3)
-
-
-@pytest.mark.parametrize("site", [0, 20])
-def test_client_site_router_accepts_either_end_of_the_cities(site):
-    from repro.net.deployments import deployment_for
-    from repro.workloads.base import ClientSiteRouter
-
-    deployment = deployment_for("Europe21")
-    router = ClientSiteRouter(deployment.one_way, deployment.n, default_site=site)
-    # An unplaced client sits exactly at ``site``: co-located with that
-    # replica, and as far from the others as that replica is.
-    assert router.delay(2000, site) == router.local_delay
-    other = 20 - site
-    assert router.delay(2000, other) == deployment.one_way(site, other)
-
-
-def test_client_site_router_row_matches_delay_for_clients():
-    router = _europe_router()
-    n = router.n
-    router.place(2000, 7)
-    # Placed, default-site, and co-located with the default site's replica
-    # (entry 3 is the ``local_delay`` floor, not the provider's 0.0).
-    for client in (2000, 2001):
-        assert router.row(client) == [router.delay(client, r) for r in range(n)]
-    assert router.row(2001)[3] == router.local_delay
-    assert router.row(2000)[7] == router.local_delay
-
-
-def test_client_site_router_place_drops_a_served_row():
-    router = _europe_router()
-    before = router.row(2000)
-    assert before[3] == router.local_delay
-    router.place(2000, 11)
-    after = router.row(2000)
-    assert after != before
-    assert after == [router.delay(2000, r) for r in range(router.n)]
-
-
-def test_client_site_router_rows_survive_pickling():
-    import pickle
-
-    router = _europe_router()
-    router.place(2000, 5)
-    served = {client: router.row(client) for client in (2000, 2001)}
-    state = pickle.dumps(router)
-    restored = pickle.loads(state)
-    # The row cache is derived state: not pickled, rebuilt on demand.
-    assert not {"_client_rows", "_replica_row"} & set(router.__getstate__())
-    assert {client: restored.row(client) for client in served} == served
-
-
-@pytest.mark.parametrize(
-    "name", ["Europe21", "NA-EU43", "Global73", "Stellar56", "world-64"]
-)
-def test_client_site_router_replica_rows_need_no_floor(name):
-    # Replica rows forward the provider's row raw: that equals delay()
-    # only because no distinct replica pair is below the local floor.
-    from repro.net.deployments import deployment_for, random_world_deployment
-    from repro.workloads.base import ClientSiteRouter
-
-    deployment = (
-        random_world_deployment(64) if name == "world-64" else deployment_for(name)
-    )
-    router = ClientSiteRouter(deployment.one_way, deployment.n)
-    n = deployment.n
-    for r in range(n):
-        row = router.row(r)
-        assert all(row[d] == router.delay(r, d) for d in range(n) if d != r)
-        # The store's float64 twin forwards the same doubles.
-        assert router.row_array(r).tolist() == row
-
-
-def test_client_site_router_serves_no_float64_row_to_clients():
-    # Only replicas multicast, so no client row reaches the store.
-    router = _europe_router()
-    assert router.row_array(2000) is None
-    assert "_replica_row_array" not in router.__getstate__()
-
-
 @pytest.mark.parametrize(
     "protocol, workload, params",
     [
@@ -430,8 +325,8 @@ def test_client_site_router_serves_no_float64_row_to_clients():
 )
 def test_client_ids_stay_clear_of_replica_ids_above_1000(protocol, workload, params):
     # At n = 1024 the fixed base 1000 would hand the first clients live
-    # replica ids, and the router would send replica 1000's traffic from
-    # a client's city.
+    # replica ids, and the delay provider would send replica 1000's
+    # traffic from a client's city.
     from repro.experiments.runner import Scenario, prepare_scenario
 
     cluster = prepare_scenario(
@@ -449,4 +344,5 @@ def test_client_ids_stay_clear_of_replica_ids_above_1000(protocol, workload, par
     handlers = cluster.network._handlers
     for replica in cluster.replicas:
         assert handlers[replica.id].__self__ is replica
-    assert cluster.router(1000, 5) == cluster.deployment.one_way(1000, 5)
+    delay = cluster.network.one_way_delay
+    assert delay(1000, 5) == cluster.deployment.latency.one_way(1000, 5)
