@@ -44,8 +44,10 @@ ledger-smoke:
 			| $(PYTHON) -c "import json, sys; r = json.load(sys.stdin); assert r['correct'] and r['failed'] == 0, r"; \
 	done
 
+# The bench files are named bench_*.py, which pytest's default
+# test_*.py pattern never collects: name them.
 bench-figures:
-	$(PYTHON) -m pytest benchmarks -q
+	$(PYTHON) -m pytest benchmarks/bench_*.py -q
 
 campaign-smoke:
 	$(PYTHON) scripts/campaign_smoke.py

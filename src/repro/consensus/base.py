@@ -1,113 +1,17 @@
-"""Shared replica and cluster machinery, and run metrics."""
+"""Shared replica and cluster machinery."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.consensus.messages import Block, ClientRequest, Reply
 from repro.crypto.signatures import KeyRegistry
+from repro.metrics import CommitEvent, Observer, RunMetrics
 from repro.net.deployments import Deployment
 from repro.net.latency_model import DelayProvider
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
-from repro.workloads.base import ClusterBinding, Workload, percentile
-
-
-class CommitEvent(NamedTuple):
-    """One committed block, for throughput/latency accounting.
-
-    A ``NamedTuple``: every replica records every commit, so construction
-    sits on the hot path at large n.
-    """
-
-    height: int
-    commit_time: float
-    propose_time: float
-    payload_count: int
-
-    @property
-    def latency(self) -> float:
-        return self.commit_time - self.propose_time
-
-
-@dataclass
-class RunMetrics:
-    """Per-run metrics collected at one observer replica.
-
-    ``throughput_series(bucket)`` returns committed requests per second
-    in time buckets, the series the paper's timelines plot (Figs. 7, 15).
-    """
-
-    commits: List[CommitEvent] = field(default_factory=list)
-
-    def commit_sink(self) -> Callable[[CommitEvent], None]:
-        """Hot-path sink taking a ready-made :class:`CommitEvent`.
-
-        The streaming twin in :mod:`repro.metrics` implements the same
-        method, so replicas prebind one callable and never know which
-        measurement mode is active.
-        """
-        return self.commits.append
-
-    def total_requests(self) -> int:
-        return sum(event.payload_count for event in self.commits)
-
-    def committed_blocks(self) -> int:
-        return len(self.commits)
-
-    def throughput(self, duration: float) -> float:
-        """Average committed requests per second over ``duration``."""
-        if duration <= 0:
-            return 0.0
-        return self.total_requests() / duration
-
-    def mean_latency(self) -> float:
-        if not self.commits:
-            return float("inf")
-        return sum(event.latency for event in self.commits) / len(self.commits)
-
-    def throughput_series(
-        self, duration: float, bucket: float = 1.0
-    ) -> List[Tuple[float, float]]:
-        buckets = int(duration / bucket) + 1
-        series = [0.0] * buckets
-        for event in self.commits:
-            index = int(event.commit_time / bucket)
-            if 0 <= index < buckets:
-                series[index] += event.payload_count
-        return [(index * bucket, count / bucket) for index, count in enumerate(series)]
-
-    def latency_summary(self) -> Optional[Dict[str, float]]:
-        """Commit-latency mean/p50/p90/p99, or None without commits.
-
-        The mean re-sums the *sorted* latencies -- the historical
-        ``ScenarioResult.metrics`` computation, preserved bit-for-bit so
-        golden files survive the move to this method.
-        """
-        if not self.commits:
-            return None
-        values = sorted(event.latency for event in self.commits)
-        return {
-            "mean": sum(values) / len(values),
-            "p50": percentile(values, 0.50),
-            "p90": percentile(values, 0.90),
-            "p99": percentile(values, 0.99),
-        }
-
-    def latency_series(
-        self, duration: float, bucket: float = 1.0
-    ) -> List[Tuple[float, float]]:
-        """Mean commit latency per time bucket (seconds)."""
-        sums: Dict[int, float] = {}
-        counts: Dict[int, int] = {}
-        for event in self.commits:
-            index = int(event.commit_time / bucket)
-            sums[index] = sums.get(index, 0.0) + event.latency
-            counts[index] = counts.get(index, 0) + 1
-        return [
-            (index * bucket, sums[index] / counts[index]) for index in sorted(sums)
-        ]
+from repro.workloads.base import ClusterBinding, Workload
 
 
 _REPLY_SIZE = Reply.wire_size
@@ -156,14 +60,12 @@ class ReplicaBase:
         # classes it already maps skip the on_message dispatch frame.
         network.register_dispatch(replica_id, self._handler_cache)
 
-    def use_metrics(self, metrics: Any) -> None:
+    def use_metrics(self, metrics: Observer) -> None:
         """Swap the metrics observer and rebind the commit fast path.
 
-        ``metrics`` is anything with the :class:`RunMetrics` query API
-        plus ``commit_sink()`` -- in practice :class:`RunMetrics` itself
-        or the streaming twin from :mod:`repro.metrics`.  Must run before
-        the replica commits anything; commits already recorded stay with
-        the old observer.
+        ``metrics`` is either observer of :mod:`repro.metrics`.  Must run
+        before the replica commits anything; commits already recorded
+        stay with the old observer.
         """
         self.metrics = metrics
         self._commits_append = metrics.commit_sink()
@@ -429,14 +331,14 @@ class ClusterBase:
         if self.workload is not None:
             self.workload.start()
 
-    def finish(self) -> RunMetrics:
+    def finish(self) -> Observer:
         if self.workload is not None:
             self.workload.stop()
         for replica in self.replicas:
             replica.stop()
         return self.observer.metrics
 
-    def run(self, duration: float) -> RunMetrics:
+    def run(self, duration: float) -> Observer:
         """Run for ``duration`` simulated seconds; returns the observer's
         metrics."""
         self.begin()

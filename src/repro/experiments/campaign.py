@@ -13,10 +13,9 @@ seconds.  At every slice boundary the campaign
    killed campaign resumes from the last boundary **bit-identically** to
    the uninterrupted run.
 
-Campaigns default to the streaming measurement plane
-(``MeasurementPolicy(metrics="sketch")``): latency lives in mergeable
-log-scale histograms, not per-request lists, so a 2M-request campaign
-holds the same metrics memory as a 100k one.
+Campaigns measure through sketches (:func:`measure_with_sketches`):
+latency lives in mergeable log-scale histograms, not per-request lists,
+so a 2M-request campaign holds the same metrics memory as a 100k one.
 
 Sharding splits the request target across ``shards`` independent
 sub-campaigns whose seeds derive from the root seed
@@ -40,6 +39,7 @@ from repro.experiments.parallel import derive_sweep_seed, parallel_map
 from repro.experiments.runner import (
     MeasurementPolicy,
     Scenario,
+    ScenarioResult,
     prepare_scenario,
 )
 from repro.metrics import MetricsSketch
@@ -79,16 +79,10 @@ class CampaignSpec:
             raise ValueError(f"compact_keep must be >= 0, got {self.compact_keep}")
 
     def shard_scenario(self, shard: int) -> Scenario:
-        """The scenario one shard runs: derived seed, streaming metrics.
-
-        An explicit ``measurements`` policy on the campaign scenario is
-        honoured as given; without one, campaigns default to sketch
-        metrics -- exact mode would grow per-request state and defeat
-        compaction.
-        """
-        measurements = self.scenario.measurements or MeasurementPolicy(
-            metrics="sketch"
-        )
+        """The scenario one shard runs: a derived seed, and the
+        reconfiguration cadence it runs under recorded (the default one
+        when the campaign scenario names none)."""
+        measurements = self.scenario.measurements or MeasurementPolicy()
         base_name = self.scenario.name or "campaign"
         return replace(
             self.scenario,
@@ -113,6 +107,16 @@ def _peak_rss_kb() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
+def measure_with_sketches(result: ScenarioResult) -> None:
+    """Swap a fresh :class:`MetricsSketch` into every replica and the
+    workload of a prepared, unrun scenario, so its metrics memory stays
+    O(1) however many requests it commits."""
+    for replica in result.cluster.replicas:
+        replica.use_metrics(MetricsSketch())
+    if result.workload is not None:
+        result.workload.use_metrics(MetricsSketch())
+
+
 def run_campaign_shard(point: Dict[str, Any]) -> Dict[str, Any]:
     """Worker: run one shard to its request target, return its summary.
 
@@ -135,6 +139,7 @@ def run_campaign_shard(point: Dict[str, Any]) -> Dict[str, Any]:
         resumed_from = result.cluster.sim.now
     if result is None:
         result = prepare_scenario(scenario)
+        measure_with_sketches(result)
         result.cluster.begin()
 
     cluster = result.cluster
@@ -177,12 +182,10 @@ def run_campaign_shard(point: Dict[str, Any]) -> Dict[str, Any]:
     if metrics.total_requests() < target:
         summary["underrun"] = True  # loud, not silent: target not reached
     # Mergeable sketch states ride along for the campaign-level fold.
-    if getattr(run_metrics, "streaming", False):
-        summary["commit_sketch"] = run_metrics.sketch.state_dict()
+    summary["commit_sketch"] = run_metrics.state_dict()
     workload = result.workload
-    sketch = getattr(workload, "_stream_sketch", None) if workload else None
-    if sketch is not None:
-        summary["client_sketch"] = sketch.state_dict()
+    if workload is not None:
+        summary["client_sketch"] = workload.metrics.state_dict()
         summary["client"] = workload.summary()
     return summary
 
@@ -241,25 +244,22 @@ def run_campaign(
             total_requests / total_seconds if total_seconds > 0 else 0.0
         ),
     }
-    commit_states = [
-        s["commit_sketch"] for s in shard_summaries if "commit_sketch" in s
-    ]
-    commit_sketch = _merge_sketches(commit_states)
-    if commit_sketch is not None:
-        merged["commit_latency"] = commit_sketch.summary()
+    merged["commit_latency"] = _merge_sketches(
+        [s["commit_sketch"] for s in shard_summaries]
+    ).latency_summary()
     client_states = [
         s["client_sketch"] for s in shard_summaries if "client_sketch" in s
     ]
     client_sketch = _merge_sketches(client_states)
     if client_sketch is not None:
-        merged["client_latency"] = client_sketch.summary()
+        merged["client_latency"] = client_sketch.latency_summary()
 
     # Sketch states served their purpose, and peak RSS depends on which
     # process ran the shard: both leave the deterministic sections so
     # ``merged`` and ``shards`` stay byte-identical for any ``jobs``.
     shard_rss = []
     for summary in shard_summaries:
-        summary.pop("commit_sketch", None)
+        summary.pop("commit_sketch")
         summary.pop("client_sketch", None)
         shard_rss.append(summary.pop("peak_rss_kb"))
     return {

@@ -7,7 +7,7 @@ and resumed bit-identically: the resumed run executes exactly the events
 the uninterrupted run would have, in the same order, with the same
 random draws.
 
-File format (version 10, little-endian)::
+File format (version 11, little-endian)::
 
     8 bytes   magic  b"RPROCKPT"
     <H        format version
@@ -24,9 +24,11 @@ that loads without error is the state it claims to be.
 
 A checkpoint resumes on the build that wrote it.  The version moves
 whenever a pickled class moves or changes layout, or the delivery token
-changes encoding: version 10's network holds one delay provider for
-replicas and clients (version 9 also pickled the removed client-site
-router), so a version-9 file is refused by its header, not by pickle.
+changes encoding: version 11 pickles ``RunMetrics`` and ``CommitEvent``
+from :mod:`repro.metrics` and clients that record into their workload's
+one observer (version 10 pickled them from ``repro.consensus.base``,
+with per-client latency lists), so a version-10 file is refused by its
+header, not by pickle.
 
 Why pickle works here
 ---------------------
@@ -60,7 +62,7 @@ import struct
 from typing import Any, Dict, Optional
 
 MAGIC = b"RPROCKPT"
-FORMAT_VERSION = 10
+FORMAT_VERSION = 11
 
 _HEADER_STRUCT = struct.Struct("<I")
 _PAYLOAD_STRUCT = struct.Struct("<Q")

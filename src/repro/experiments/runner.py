@@ -39,7 +39,6 @@ import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.consensus.base import RunMetrics
 from repro.consensus.hotstuff import HotStuffCluster
 from repro.consensus.kauri import KauriCluster
 from repro.consensus.pbft import PbftCluster
@@ -49,6 +48,7 @@ from repro.faults.schedule import (
     arm_faults,
     validate_fault_composition,
 )
+from repro.metrics import Observer
 from repro.net.deployments import Deployment, deployment_for, random_world_deployment
 from repro.optimize.annealing import AnnealingSchedule
 from repro.tree.kauri_reconfig import KauriReconfigurer
@@ -89,23 +89,13 @@ DEPLOYMENT_PATTERNS = (
 )
 
 
-#: How a scenario measures: the exact per-commit path or the O(1)-memory
-#: streaming sketches.
-METRICS_MODES = ("exact", "sketch")
-
-
 @dataclass
 class MeasurementPolicy:
     """Aware/OptiAware reconfiguration cadence (the Fig. 7 schedule):
     probe peers, publish latency vectors, then search periodically.
 
-    Also selects the measurement plane: ``metrics="exact"`` (default)
-    materialises every commit/latency sample; ``"sketch"`` streams them
-    into the mergeable O(1)-memory sketches from :mod:`repro.metrics`
-    (quantiles within the documented error bound).  The mode only
-    observes the run: the same seed commits the same blocks either way.
-    ``window`` fixes the throughput-timeline granularity and
-    ``bins_per_decade`` the histogram resolution for the sketch mode.
+    It holds no measurement switch: a scenario measures exactly and a
+    campaign through sketches (see :mod:`repro.metrics`).
     """
 
     probe_at: float = 5.0
@@ -113,24 +103,8 @@ class MeasurementPolicy:
     first_search_at: float = 40.0
     search_period: float = 25.0
     horizon: Optional[float] = None  # defaults to the scenario duration
-    metrics: str = "exact"
-    window: float = 1.0
-    bins_per_decade: int = 100
 
     def __post_init__(self) -> None:
-        if self.metrics not in METRICS_MODES:
-            raise ValueError(
-                f"unknown metrics mode {self.metrics!r} "
-                f"(known: {', '.join(METRICS_MODES)})"
-            )
-        if not (math.isfinite(self.window) and self.window > 0):
-            raise ValueError(
-                f"metrics window must be finite and > 0, got {self.window!r}"
-            )
-        if self.bins_per_decade < 1:
-            raise ValueError(
-                f"bins_per_decade must be >= 1, got {self.bins_per_decade!r}"
-            )
         # The search chain in ``schedule_measurements`` must terminate and
         # schedule nothing in the past.
         for name in ("probe_at", "publish_at", "first_search_at"):
@@ -233,9 +207,9 @@ class ScenarioResult:
 
     scenario: Scenario
     cluster: Any
-    #: ``RunMetrics`` or a streaming twin; None until the cluster has run
+    #: The observer replica's metrics; None until the cluster has run
     #: (``prepare_scenario`` hands out armed-but-unrun results).
-    run_metrics: Optional[RunMetrics]
+    run_metrics: Optional[Observer]
     workload: Optional[Workload]
     #: The scenario's faults, armed against ``cluster`` in spec order;
     #: each reports in ``fault_activity`` once it has fired (fault-free
@@ -254,9 +228,8 @@ class ScenarioResult:
             "messages_delivered": self.cluster.network.stats.messages_delivered,
             "bytes_sent": self.cluster.network.stats.bytes_sent,
         }
-        # Polymorphic over exact RunMetrics and the streaming twin: the
-        # exact summary reproduces the historical inline computation
-        # bit-for-bit, so fault-free golden files are unchanged.
+        # Either observer: the exact summary reproduces the historical
+        # inline computation bit-for-bit, so golden files are unchanged.
         commit_latency = self.run_metrics.latency_summary()
         if commit_latency is not None:
             out["commit_latency"] = commit_latency
@@ -467,36 +440,13 @@ def _build_cluster(
 
 
 # ----------------------------------------------------------------------
-# Measurement plane selection
-# ----------------------------------------------------------------------
-def _apply_measurement_mode(scenario: Scenario, cluster) -> None:
-    """``sketch`` mode: swap replicas (and the workload) off the
-    per-commit lists and onto the streaming sketches."""
-    policy = scenario.measurements
-    if policy is None or policy.metrics == "exact":
-        return
-    from repro.metrics import MetricsSketch, StreamingRunMetrics
-
-    def make_sketch():
-        return MetricsSketch(
-            bins_per_decade=policy.bins_per_decade, window=policy.window
-        )
-
-    for replica in cluster.replicas:
-        replica.use_metrics(StreamingRunMetrics(make_sketch()))
-    workload = getattr(cluster, "workload", None)
-    if workload is not None:
-        workload.enable_streaming(make_sketch())
-
-
-# ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
 def prepare_scenario(scenario: Scenario) -> ScenarioResult:
     """Build everything a scenario needs without running it.
 
     Returns a :class:`ScenarioResult` whose cluster is armed (faults
-    scheduled, measurement mode applied, workload resolved) but whose
+    scheduled, workload resolved, exact metrics) but whose
     simulation has not advanced -- the campaign plane drives it in
     slices; :func:`run_scenario` drives it to completion in one call.
     """
@@ -520,7 +470,6 @@ def prepare_scenario(scenario: Scenario) -> ScenarioResult:
     deployment = resolve_deployment(scenario.deployment, seed=scenario.seed)
     workload = _resolve_workload(scenario)
     cluster = _build_cluster(scenario, deployment, workload)
-    _apply_measurement_mode(scenario, cluster)
     return ScenarioResult(
         scenario=scenario,
         cluster=cluster,

@@ -10,7 +10,7 @@ single sample is reproduced within a multiplicative factor of
 
 (~1.16% at the default 100 bins/decade).  Quantile queries interpolate
 between the bins holding the two bracketing order statistics exactly the
-way :func:`repro.workloads.percentile` interpolates between the order
+way :func:`repro.metrics.runmetrics.percentile` interpolates between the order
 statistics themselves, and clamp into the exactly-tracked ``[min, max]``
 envelope; the result therefore stays within ``error_bound()`` (relative)
 of the exact linear-interpolated percentile for every distribution whose

@@ -1,8 +1,8 @@
 """Windowed commit accounting: the timeline series in O(duration/window).
 
-:class:`repro.consensus.base.RunMetrics` rebuilds its throughput and
+:class:`repro.metrics.runmetrics.RunMetrics` rebuilds its throughput and
 latency timelines from the full commit list on every query.  The
-streaming twin folds each commit into its fixed time window as it
+sketch folds each commit into its fixed time window as it
 happens, so memory scales with elapsed virtual time, never with request
 volume.  Fed the same commits in the same order, the reconstructed
 series are bit-identical to ``RunMetrics.throughput_series`` /
@@ -11,33 +11,32 @@ integer sums (exact in floats far beyond any campaign size) and latency
 sums accumulate in commit order, the same order the exact path reduces
 them.
 
-The window width is fixed at construction -- a sketch cannot answer a
-finer granularity after the fact -- and querying or merging at a
-mismatched width is a loud error rather than a silently rebinned
-series.
+Every sketch records :data:`WINDOW`-second windows -- a sketch cannot
+answer another granularity after the fact -- and querying at any other
+bucket width is a loud error rather than a silently rebinned series.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+#: Width of every sketch window, in simulated seconds.
+WINDOW = 1.0
+
 
 class ThroughputWindows:
     """Per-window request / block / latency-sum accumulators."""
 
-    __slots__ = ("window", "_requests", "_blocks", "_latency_sums")
+    __slots__ = ("_requests", "_blocks", "_latency_sums")
 
-    def __init__(self, window: float = 1.0):
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window!r}")
-        self.window = float(window)
+    def __init__(self):
         self._requests: Dict[int, int] = {}
         self._blocks: Dict[int, int] = {}
         self._latency_sums: Dict[int, float] = {}
 
     def add(self, commit_time: float, latency: float, payload: int) -> None:
         """Fold one committed block into its window (the hot path)."""
-        index = int(commit_time / self.window)
+        index = int(commit_time / WINDOW)
         requests = self._requests
         requests[index] = requests.get(index, 0) + payload
         blocks = self._blocks
@@ -49,10 +48,6 @@ class ThroughputWindows:
     # Merge
     # ------------------------------------------------------------------
     def merge(self, other: "ThroughputWindows") -> "ThroughputWindows":
-        if self.window != other.window:
-            raise ValueError(
-                f"cannot merge windows of width {self.window} and {other.window}"
-            )
         for index, payload in other._requests.items():
             self._requests[index] = self._requests.get(index, 0) + payload
         for index, blocks in other._blocks.items():
@@ -65,9 +60,9 @@ class ThroughputWindows:
     # Series reconstruction (RunMetrics-compatible shapes)
     # ------------------------------------------------------------------
     def _check_bucket(self, bucket: float) -> None:
-        if bucket != self.window:
+        if bucket != WINDOW:
             raise ValueError(
-                f"series recorded at window={self.window}; cannot answer "
+                f"series recorded at window={WINDOW}; cannot answer "
                 f"bucket={bucket} after the fact"
             )
 
@@ -98,7 +93,6 @@ class ThroughputWindows:
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
         return {
-            "window": self.window,
             "windows": [
                 [
                     index,
@@ -112,7 +106,7 @@ class ThroughputWindows:
 
     @classmethod
     def from_state(cls, state: Dict[str, object]) -> "ThroughputWindows":
-        windows = cls(window=state["window"])
+        windows = cls()
         for index, requests, blocks, latency_sum in state["windows"]:
             windows._requests[index] = requests
             windows._blocks[index] = blocks
@@ -121,6 +115,5 @@ class ThroughputWindows:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ThroughputWindows(window={self.window}, "
-            f"populated={len(self._blocks)})"
+            f"ThroughputWindows(populated={len(self._blocks)})"
         )

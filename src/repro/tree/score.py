@@ -19,13 +19,11 @@ greedy rather than an exponential subset scan.
 timeouts (TR3 via Lemma 6);  Definition 1's score is the ranking metric
 and the figures report it, like the paper.
 
-The score has two implementations, and both are production paths: the
-vectorized one runs over the configuration's precomputed
-:attr:`~repro.tree.topology.TreeConfiguration.score_arrays` (numpy child
-index views) for wide trees, and the ``tree_score_scalar`` loop serves
-every tree with a branch factor below ``_VECTORIZE_MIN_BRANCH``.  They
-are bit-identical by construction (same IEEE ops in the same order),
-pinned by ``tests/tree/test_score_equivalence.py``.
+:func:`tree_score` is one Python loop over the intermediates, tens of
+microseconds per call at n = 211: the annealing searches score their
+proposals incrementally (:class:`~repro.tree.optitree.IncrementalTreeSearch`,
+bit-identical to it), so whole-tree scoring is a small share of any
+search.
 """
 
 from __future__ import annotations
@@ -42,14 +40,6 @@ PHASE_PROPOSE = 1
 PHASE_FORWARD = 2
 PHASE_VOTE = 3
 PHASE_AGGREGATE = 4
-
-#: Branch factor at which the vectorized scorer overtakes the scalar
-#: loops (fixed numpy call overhead vs O(b²) Python link walks); both
-#: produce bit-identical scores, so the dispatch is purely a speed
-#: choice.  ``branch_factor_for(110) == 9`` and ``(111) == 10``: the
-#: 73-replica deployments (b = 8) score on the scalar loops, n = 211
-#: (b = 14) on the vectorized path.
-_VECTORIZE_MIN_BRANCH = 10
 
 
 def aggregation_latency(
@@ -76,48 +66,10 @@ def _collect_time(
     return math.inf
 
 
-def _collect_time_array(
-    costs: np.ndarray, votes: np.ndarray, votes_needed: int
-) -> float:
-    """Vectorized :func:`_collect_time` over parallel cost/vote arrays."""
-    if votes_needed <= 0:
-        return 0.0
-    order = np.lexsort((votes, costs))
-    covered = np.cumsum(votes[order])
-    index = int(np.searchsorted(covered, votes_needed))
-    if index >= covered.shape[0]:
-        return math.inf
-    return float(costs[order[index]])
-
-
-def _subtree_costs(
-    latency: np.ndarray, tree: TreeConfiguration
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-intermediate ``(ids, Lagg, uplink cost, votes)`` arrays."""
-    intermediates, child, mask, votes = tree.score_arrays
-    if mask.shape[1]:
-        links = np.where(mask, latency[intermediates[:, None], child], -np.inf)
-        lagg = links.max(axis=1)
-        lagg = np.where(mask.any(axis=1), lagg, 0.0)
-    else:
-        lagg = np.zeros(intermediates.shape[0])
-    return intermediates, lagg, latency[intermediates, tree.root], votes
-
-
 def tree_score(
     latency: np.ndarray, tree: TreeConfiguration, k: int
 ) -> float:
     """Definition 1: minimum latency to collect votes from ``k`` nodes."""
-    if tree.branch_factor < _VECTORIZE_MIN_BRANCH:
-        return tree_score_scalar(latency, tree, k)
-    intermediates, lagg, uplink, votes = _subtree_costs(latency, tree)
-    return _collect_time_array(lagg + uplink, votes, k - 1)
-
-
-def tree_score_scalar(
-    latency: np.ndarray, tree: TreeConfiguration, k: int
-) -> float:
-    """Reference implementation of :func:`tree_score` (Python loops)."""
     root = tree.root
     costs = [
         (

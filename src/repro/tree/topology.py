@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
-import numpy as np
-
 from repro.core.records import RECORD_HEADER_SIZE, Configuration
 
 
@@ -49,7 +47,7 @@ def tree_position_structure(
       (``-1`` for the root).
 
     Shared by every layout of the same shape, so the incremental search
-    engine and the vectorized scorer look it up once per (n, b).
+    engine looks it up once per (n, b).
     """
     b = branch_factor
     leaf_count = n - 1 - b
@@ -156,28 +154,6 @@ class TreeConfiguration(Configuration):
     def subtree_size(self, intermediate: int) -> int:
         """|Ch(I)| + 1: votes the subtree of ``intermediate`` contributes."""
         return len(self.children[intermediate]) + 1
-
-    @cached_property
-    def score_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Precomputed views for vectorized scoring:
-        ``(intermediate ids, child-id matrix, child mask, subtree votes)``.
-
-        The child matrix is padded to the widest subtree; ``mask`` marks
-        real entries.  Cached per (immutable) configuration so repeated
-        ``tree_score``/``TreeTimeouts`` calls skip the Python loops.
-        """
-        spans, votes, _ = tree_position_structure(self.n, self.branch_factor)
-        b = self.branch_factor
-        lay = np.fromiter(self.layout, dtype=np.intp, count=self.n)
-        intermediates = lay[1 : 1 + b].copy()
-        widest = max((end - begin for begin, end in spans), default=0)
-        child = np.zeros((b, widest), dtype=np.intp)
-        mask = np.zeros((b, widest), dtype=bool)
-        for index, (begin, end) in enumerate(spans):
-            size = end - begin
-            child[index, :size] = lay[begin:end]
-            mask[index, :size] = True
-        return intermediates, child, mask, np.asarray(votes, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Configuration interface

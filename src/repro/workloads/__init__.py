@@ -24,7 +24,8 @@ shape samples its arrivals exactly at its rate boundaries.
 Every workload's endpoints are the one :class:`WorkloadClient` class;
 workloads differ only in when they call its ``submit`` -- on a timer
 (open loop and its subclasses) or from the completion hook (closed
-loop) -- so every shape is measured, streamed and checkpointed alike.
+loop) -- so every shape is measured (through its one observer, see
+:mod:`repro.metrics`) and checkpointed alike.
 
 All workloads draw randomness from
 :meth:`repro.sim.engine.Simulator.derive_rng`, so runs are bit-identical
@@ -41,7 +42,6 @@ from repro.workloads.base import (
     ClusterBinding,
     Workload,
     WorkloadClient,
-    percentile,
 )
 from repro.workloads.closed_loop import ClosedLoopWorkload
 from repro.workloads.open_loop import (
@@ -99,6 +99,5 @@ __all__ = [
     "Workload",
     "WorkloadClient",
     "make_workload",
-    "percentile",
     "zipf_weights",
 ]

@@ -15,8 +15,9 @@ bit-identically under a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.metrics import CommitEvent, Observer, RunMetrics
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 
@@ -74,13 +75,17 @@ class WorkloadClient:
     """One client endpoint; supports multiple outstanding requests.
 
     Latency is measured from request send to the ``replies_needed``-th
-    distinct replica reply, as in the paper's closed-loop clients.
+    distinct replica reply, as in the paper's closed-loop clients.  Each
+    completion is one :class:`~repro.metrics.CommitEvent` (request id,
+    completion time, send time, one request) recorded into ``metrics``,
+    its workload's observer.
     """
 
     def __init__(
         self,
         client_id: int,
         binding: ClusterBinding,
+        metrics: Observer,
         on_complete: Optional[Callable[["WorkloadClient"], None]] = None,
     ):
         _import_messages()
@@ -93,10 +98,7 @@ class WorkloadClient:
         self.next_request = 0
         self.sent = 0
         self.completed = 0
-        self.latencies: List[Tuple[float, float]] = []  # (complete_time, latency)
-        #: Streaming mode: a callable ``(complete_time, latency)`` that
-        #: replaces the list above.
-        self._latency_sink: Optional[Callable[[float, float], None]] = None
+        self.use_metrics(metrics)
         self._send_times: Dict[int, float] = {}
         self._voters: Dict[int, set] = {}
         binding.network.register(client_id, self.on_message)
@@ -108,6 +110,11 @@ class WorkloadClient:
         # arrives in the resumed process.
         _import_messages()
         self.__dict__.update(state)
+
+    def use_metrics(self, metrics: Observer) -> None:
+        """Record completions into ``metrics`` from now on."""
+        self.metrics = metrics
+        self._record = metrics.commit_sink()
 
     def submit(self) -> int:
         """Broadcast one request to every replica; returns its id."""
@@ -126,49 +133,27 @@ class WorkloadClient:
     def on_message(self, src: int, message) -> None:
         if not isinstance(message, Reply):
             return
-        voters = self._voters.get(message.request_id)
+        request_id = message.request_id
+        voters = self._voters.get(request_id)
         if voters is None:
             return
         voters.add(src)
         if len(voters) >= self.replies_needed:
-            send_time = self._send_times.pop(message.request_id)
-            del self._voters[message.request_id]
+            send_time = self._send_times.pop(request_id)
+            del self._voters[request_id]
             self.completed += 1
-            now = self.sim.now
-            sink = self._latency_sink
-            if sink is None:
-                self.latencies.append((now, now - send_time))
-            else:
-                sink(now, now - send_time)
+            self._record(
+                tuple.__new__(CommitEvent, (request_id, self.sim.now, send_time, 1))
+            )
             if self.on_complete is not None:
                 self.on_complete(self)
 
     def latency_series(self, duration: float, bucket: float = 1.0):
-        """Mean end-to-end latency per time bucket."""
-        sums: Dict[int, float] = {}
-        counts: Dict[int, int] = {}
-        for time, latency in self.latencies:
-            index = int(time / bucket)
-            sums[index] = sums.get(index, 0.0) + latency
-            counts[index] = counts.get(index, 0) + 1
-        return [
-            (index * bucket, sums[index] / counts[index]) for index in sorted(sums)
-        ]
-
-
-class _SketchSink:
-    """Streams client completions into a shared sketch (one request per
-    completion, so the sketch's block counter doubles as ``completed``).
-    A class, not a closure: sinks sit inside the checkpointed object
-    graph and must pickle."""
-
-    __slots__ = ("sketch",)
-
-    def __init__(self, sketch):
-        self.sketch = sketch
-
-    def __call__(self, complete_time: float, latency: float) -> None:
-        self.sketch.observe(complete_time, latency, 1)
+        """Mean end-to-end latency per time bucket over every completion
+        the workload's observer recorded: this client's own series when
+        it is the workload's only client (Fig. 7's observer), the merged
+        series of all of them otherwise."""
+        return self.metrics.latency_series(duration, bucket)
 
 
 class Workload:
@@ -190,8 +175,8 @@ class Workload:
         self.clients: List[WorkloadClient] = []
         self.binding: Optional[ClusterBinding] = None
         self.running = False
-        #: Shared MetricsSketch when streaming measurement is on.
-        self._stream_sketch = None
+        #: The one observer every client records its completions into.
+        self.metrics: Observer = RunMetrics()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -204,6 +189,7 @@ class Workload:
         self.running = False
         self.binding = binding
         self.rng = binding.sim.derive_rng(f"workload:{self.name}")
+        self.metrics = RunMetrics()
         self._make_clients(binding)
 
     def _make_clients(self, binding: ClusterBinding) -> None:
@@ -211,19 +197,16 @@ class Workload:
         for k in range(self.num_clients):
             site = self._site_of(k, binding)
             binding.place_client(first + k, site)
-            client = WorkloadClient(first + k, binding, self._on_complete)
-            if self._stream_sketch is not None:
-                client._latency_sink = _SketchSink(self._stream_sketch)
-            self.clients.append(client)
+            self.clients.append(
+                WorkloadClient(first + k, binding, self.metrics, self._on_complete)
+            )
 
-    def enable_streaming(self, sketch) -> None:
-        """Stream client latencies into ``sketch`` instead of the
-        per-request list (O(1) client memory).  Applies to existing
-        clients and to any created by a later rebind.
-        """
-        self._stream_sketch = sketch
+    def use_metrics(self, metrics: Observer) -> None:
+        """Swap the observer every client records into; must run before
+        any request completes (a rebind starts over with an exact one)."""
+        self.metrics = metrics
         for client in self.clients:
-            client._latency_sink = _SketchSink(sketch)
+            client.use_metrics(metrics)
 
     def _site_of(self, k: int, binding: ClusterBinding) -> Optional[int]:
         if self.sites is not None:
@@ -253,65 +236,14 @@ class Workload:
     def completed(self) -> int:
         return sum(client.completed for client in self.clients)
 
-    def latencies(self) -> List[Tuple[float, float]]:
-        """All (complete_time, latency) pairs, merged and time-sorted."""
-        merged: List[Tuple[float, float]] = []
-        for client in self.clients:
-            merged.extend(client.latencies)
-        merged.sort()
-        return merged
-
     def summary(self) -> Dict[str, float]:
         out = {"requests_sent": self.sent, "requests_completed": self.completed}
-        sketch = self._stream_sketch
-        if sketch is not None:
-            # Streaming: the exact list was never kept.
-            stats = sketch.summary()
-            if stats is not None:
-                out.update(
-                    mean_latency=stats["mean"],
-                    p50_latency=stats["p50"],
-                    p90_latency=stats["p90"],
-                    p99_latency=stats["p99"],
-                )
-            return out
-        values = sorted(latency for _, latency in self.latencies())
-        if values:
+        stats = self.metrics.latency_summary()
+        if stats is not None:
             out.update(
-                mean_latency=sum(values) / len(values),
-                p50_latency=percentile(values, 0.50),
-                p90_latency=percentile(values, 0.90),
-                p99_latency=percentile(values, 0.99),
+                mean_latency=stats["mean"],
+                p50_latency=stats["p50"],
+                p90_latency=stats["p90"],
+                p99_latency=stats["p99"],
             )
         return out
-
-
-def percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Linear-interpolated percentile of an already-sorted sequence.
-
-    Matches ``numpy.quantile(values, q, method="linear")`` (and
-    therefore ``numpy.percentile`` up to its internal ``q*100/100``
-    round-trip) bit-for-bit: the virtual index is ``q * (n - 1)`` and the
-    interpolation uses numpy's numerically-symmetric lerp (anchored at
-    the *upper* order statistic once the fraction reaches 0.5).  ``q``
-    outside ``[0, 1]`` clamps to the extremes; an empty input is NaN
-    (numpy raises instead -- the callers here treat "no samples" as a
-    missing metric, not an error).
-    """
-    if not sorted_values:
-        return float("nan")
-    if q <= 0.0:
-        return sorted_values[0]
-    if q >= 1.0:
-        return sorted_values[-1]
-    position = q * (len(sorted_values) - 1)
-    lower_rank = int(position)
-    fraction = position - lower_rank
-    lower = sorted_values[lower_rank]
-    if fraction == 0.0:
-        return lower
-    upper = sorted_values[lower_rank + 1]
-    span = upper - lower
-    if fraction < 0.5:
-        return lower + span * fraction
-    return upper - span * (1.0 - fraction)

@@ -11,7 +11,7 @@ nothing:
 * heights strictly increase per replica;
 * the ``Reply`` messages each replica sends are the request ids of the
   blocks it committed, in commit order, stamped with the commit time;
-* under ``sketch`` metrics, ``sketch.blocks`` counts the seam calls.
+* under the campaign's sketches, ``blocks`` counts the seam calls.
 """
 
 from collections import defaultdict
@@ -20,10 +20,11 @@ import pytest
 
 from repro.consensus.base import ClusterBase, ReplicaBase
 from repro.consensus.messages import Reply
+from repro.experiments.campaign import measure_with_sketches
 from repro.experiments.runner import (
     FaultSpec,
-    MeasurementPolicy,
     Scenario,
+    prepare_scenario,
     run_scenario,
 )
 from repro.sim.network import Network
@@ -93,7 +94,7 @@ class _CommitTap:
             if exact:
                 assert [tuple(e) for e in replica.metrics.commits] == self.rows(rid)
             else:
-                assert replica.metrics.sketch.blocks == len(heights), rid
+                assert replica.metrics.blocks == len(heights), rid
 
 
 def _saturating(protocol):
@@ -136,14 +137,10 @@ def test_every_commit_goes_through_the_seam(monkeypatch, protocol, load):
 @pytest.mark.parametrize("protocol", ["pbft", "hotstuff-rr", "kauri"])
 def test_sketch_blocks_count_the_seam_calls(monkeypatch, protocol):
     tap = _CommitTap(monkeypatch)
-    result = run_scenario(
-        _scenario(
-            protocol,
-            "open-loop",
-            dict(rate=80.0, clients=2),
-            measurements=MeasurementPolicy(metrics="sketch"),
-        )
-    )
+    scenario = _scenario(protocol, "open-loop", dict(rate=80.0, clients=2))
+    result = prepare_scenario(scenario)
+    measure_with_sketches(result)
+    result.cluster.run(scenario.duration)
     tap.check(result.cluster, exact=False)
 
 

@@ -5,14 +5,14 @@ NamedTuple ``__new__`` wrapper via ``tuple.__new__(cls, (...))``, which
 skips arity checking.  These tests freeze the field layouts so adding a
 field to one of the classes fails HERE, pointing at the construction
 sites that must be updated (``Vote`` in hotstuff.py and kauri.py,
-``CommitEvent`` only in base.py's ``ReplicaBase._commit``, ``Signature``
-in signatures.py), instead of surfacing as a malformed tuple at a
-distant receiver.
+``CommitEvent`` in base.py's ``ReplicaBase._commit`` and in
+``WorkloadClient.on_message``, ``Signature`` in signatures.py), instead
+of surfacing as a malformed tuple at a distant receiver.
 """
 
-from repro.consensus.base import CommitEvent
 from repro.consensus.messages import Vote
 from repro.crypto.signatures import Signature
+from repro.metrics import CommitEvent
 
 
 def test_vote_field_layout_matches_fast_construction_sites():

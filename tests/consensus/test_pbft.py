@@ -9,8 +9,9 @@ from repro.faults.delay import DelayAttack
 def test_static_cluster_serves_client(europe21):
     cluster = PbftCluster(europe21, mode="static", seed=1)
     cluster.run(10.0)
-    assert len(cluster.client.latencies) > 50
-    latencies = [latency for _t, latency in cluster.client.latencies]
+    completions = cluster.workload.metrics.commits
+    assert len(completions) > 50
+    latencies = [event.latency for event in completions]
     assert max(latencies) < 0.2  # Europe-scale round trips
 
 
@@ -74,7 +75,11 @@ def test_optiaware_detects_delay_attack(europe21):
     assert cluster.attacker not in pipeline.candidates
     assert cluster.current_leader != cluster.attacker
     # Latency recovered at the end of the run.
-    tail = [lat for t, lat in cluster.client.latencies if t > 25.0]
+    tail = [
+        event.latency
+        for event in cluster.workload.metrics.commits
+        if event.commit_time > 25.0
+    ]
     assert tail and sum(tail) / len(tail) < 0.2
 
 

@@ -11,14 +11,22 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.experiments import campaign
 from repro.experiments.campaign import (
     CampaignSpec,
     campaign_to_json,
+    measure_with_sketches,
     run_campaign,
     run_campaign_shard,
 )
 from repro.experiments.parallel import derive_sweep_seed
-from repro.experiments.runner import FaultSpec, MeasurementPolicy, Scenario
+from repro.experiments.runner import (
+    FaultSpec,
+    MeasurementPolicy,
+    Scenario,
+    prepare_scenario,
+)
+from repro.metrics import MetricsSketch
 
 #: Fields of a shard summary that legitimately depend on *how* the shard
 #: was driven (resume point, slice count, which process measured RSS) --
@@ -110,15 +118,65 @@ def test_shard_scenarios_get_derived_seeds_and_sketch_metrics():
     assert shard0.seed == derive_sweep_seed(3, "campaign-shard-0")
     assert shard1.seed == derive_sweep_seed(3, "campaign-shard-1")
     assert shard0.seed != shard1.seed
-    # Campaigns default to the O(1)-memory measurement plane.
-    assert shard0.measurements.metrics == "sketch"
     assert shard0.name.endswith("/shard0")
+    # A shard measures through fresh sketches, one per replica and one
+    # the workload's clients share, swapped in before anything runs.
+    result = prepare_scenario(shard0)
+    measure_with_sketches(result)
+    observers = [replica.metrics for replica in result.cluster.replicas]
+    observers.append(result.workload.metrics)
+    assert all(isinstance(observer, MetricsSketch) for observer in observers)
+    assert len({id(observer) for observer in observers}) == len(observers)
+    assert all(observer.blocks == 0 for observer in observers)
+    for client in result.workload.clients:
+        assert client.metrics is result.workload.metrics
 
 
 def test_explicit_measurement_policy_is_honoured():
-    policy = MeasurementPolicy(metrics="sketch", window=2.5)
+    policy = MeasurementPolicy(first_search_at=2.5)
     spec = _spec(scenario=_scenario(measurements=policy))
     assert spec.shard_scenario(0).measurements is policy
+
+
+def test_cadence_only_policy_campaign_still_sketches(monkeypatch):
+    # A policy set only for the search cadence once switched the whole
+    # campaign to exact metrics: the merged report lost both latency
+    # summaries, every shard its client block, and per-request lists
+    # grew for the whole run.
+    prepared = []
+
+    def prepare(scenario):
+        result = prepare_scenario(scenario)
+        prepared.append(result)
+        return result
+
+    monkeypatch.setattr(campaign, "prepare_scenario", prepare)
+    scenario = _scenario(
+        protocol="pbft-aware",
+        workload_params=dict(rate=150.0, clients=4),
+        measurements=MeasurementPolicy(
+            probe_at=0.5, publish_at=1.0, first_search_at=2.0, search_period=2.0,
+            horizon=30.0,
+        ),
+    )
+    report = run_campaign(_spec(scenario=scenario, requests=1200))
+    merged = report["merged"]
+    assert set(merged["commit_latency"]) == {"mean", "p50", "p90", "p99"}
+    assert set(merged["client_latency"]) == {"mean", "p50", "p90", "p99"}
+    assert len(report["shards"]) == 2
+    for summary in report["shards"]:
+        assert summary["client"]["requests_completed"] > 0
+        assert summary["client"]["requests_sent"] >= (
+            summary["client"]["requests_completed"]
+        )
+    assert len(prepared) == 2
+    for result in prepared:
+        for replica in result.cluster.replicas:
+            assert isinstance(replica.metrics, MetricsSketch)
+        assert isinstance(result.workload.metrics, MetricsSketch)
+        for client in result.workload.clients:
+            assert not hasattr(client, "latencies")
+            assert client.metrics is result.workload.metrics
 
 
 # ----------------------------------------------------------------------
@@ -259,7 +317,7 @@ def test_optiaware_shard_resumes_bit_identically(tmp_path):
         delta=1.25,
         measurements=MeasurementPolicy(
             probe_at=0.2, publish_at=0.6, first_search_at=1.5,
-            search_period=2.0, horizon=8.0, metrics="sketch",
+            search_period=2.0, horizon=8.0,
         ),
         faults=[
             FaultSpec(kind="delay", start=1.0, attacker="leader",

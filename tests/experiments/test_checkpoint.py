@@ -15,6 +15,7 @@ import os
 
 import pytest
 
+from repro.experiments.campaign import measure_with_sketches
 from repro.experiments.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -49,9 +50,11 @@ def _scenario(protocol, faults=(), **overrides):
     return Scenario(**base)
 
 
-def _run_sliced_with_checkpoint(scenario, path):
+def _run_sliced_with_checkpoint(scenario, path, sketches=False):
     """Drive to the cut, checkpoint, reload from disk, finish."""
     result = prepare_scenario(scenario)
+    if sketches:
+        measure_with_sketches(result)
     result.cluster.begin()
     result.cluster.sim.run(until=_CUT)
     save_checkpoint(path, result)
@@ -149,12 +152,17 @@ def test_resume_is_bit_identical_per_fault_kind(kind, tmp_path):
 
 
 def test_resume_is_bit_identical_with_streaming_metrics(tmp_path):
-    scenario = _scenario(
-        "pbft", measurements=MeasurementPolicy(metrics="sketch")
+    scenario = _scenario("pbft")
+    baseline = prepare_scenario(scenario)
+    measure_with_sketches(baseline)
+    baseline.run_metrics = baseline.cluster.run(scenario.duration)
+    restored = _run_sliced_with_checkpoint(
+        scenario, str(tmp_path / "s.ckpt"), sketches=True
     )
-    baseline = run_scenario(scenario).to_json()
-    restored = _run_sliced_with_checkpoint(scenario, str(tmp_path / "s.ckpt"))
-    assert restored.to_json() == baseline
+    assert restored.to_json() == baseline.to_json()
+    # The restored clients still record into their workload's one sketch.
+    for client in restored.workload.clients:
+        assert client.metrics is restored.workload.metrics
 
 
 def test_optiaware_resume_rederives_round_plans(tmp_path):
@@ -283,9 +291,11 @@ def test_unknown_format_version_fails_loudly(saved_checkpoint):
     # and the sketch, v3 files the removed latency providers and v4 files
     # the removed closed-loop client class, v5 files the open-loop shapes
     # from their removed modules, v8 files the relaxed plane's flag, v9
-    # files the removed client-site router, in layouts this build no
-    # longer reads: the header refuses them before pickle is asked to.
-    for version in (99, 1, 2, 3, 4, 5, 8, 9):
+    # files the removed client-site router, v10 files the metrics classes
+    # from repro.consensus.base and per-client latency lists, in layouts
+    # this build no longer reads: the header refuses them before pickle
+    # is asked to.
+    for version in (99, 1, 2, 3, 4, 5, 8, 9, 10):
         with open(path, "wb") as handle:
             handle.write(blob[:8] + version.to_bytes(2, "little") + blob[10:])
         with pytest.raises(CheckpointError, match=f"v{version} unsupported"):

@@ -1,17 +1,18 @@
-"""MeasurementPolicy metrics modes: exact and sketch.
+"""Exact and sketched measurement of one run.
 
-``exact`` is the seed behaviour.  ``sketch`` answers from O(1) state:
-totals exact, quantiles within the documented relative error of the
-exact run.  The mode only observes a run, so the check is two runs of
-one seed compared here, not a dual-writing mode of the package.
+A scenario measures exactly; a campaign swaps sketches in
+(``measure_with_sketches``), which answer from O(1) state: totals exact,
+quantiles within the documented relative error of the exact run.  The
+observer only watches a run, so the check is two runs of one seed
+compared here, not a dual-writing mode of the package.
 """
 
 import math
 
 import pytest
 
+from repro.experiments.campaign import measure_with_sketches
 from repro.experiments.runner import (
-    METRICS_MODES,
     MeasurementPolicy,
     Scenario,
     prepare_scenario,
@@ -19,9 +20,10 @@ from repro.experiments.runner import (
 )
 from state_trace import state_trace_hash
 from repro.metrics import MetricsSketch
+from repro.metrics.windows import WINDOW
 
 
-def _scenario(mode=None, **overrides):
+def _scenario(**overrides):
     base = dict(
         protocol="pbft",
         deployment="wonderproxy-4",
@@ -30,22 +32,16 @@ def _scenario(mode=None, **overrides):
         duration=8.0,
         seed=9,
     )
-    if mode is not None:
-        base["measurements"] = MeasurementPolicy(metrics=mode)
     base.update(overrides)
     return Scenario(**base)
 
 
-def test_modes_registry_and_validation():
-    assert METRICS_MODES == ("exact", "sketch")
-    for gone in ("check", "approximate"):
-        with pytest.raises(ValueError, match="unknown metrics mode"):
-            MeasurementPolicy(metrics=gone)
-    for window in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="window"):
-            MeasurementPolicy(window=window)
-    with pytest.raises(ValueError, match="bins_per_decade"):
-        MeasurementPolicy(bins_per_decade=0)
+def _run_sketched(scenario):
+    """``run_scenario`` with the campaign's sketches swapped in."""
+    result = prepare_scenario(scenario)
+    measure_with_sketches(result)
+    result.run_metrics = result.cluster.run(scenario.duration)
+    return result
 
 
 @pytest.mark.parametrize(
@@ -115,7 +111,7 @@ def test_a_day_of_searches_queues_one_search_per_replica():
         deployment="Europe21",
         workload="closed-loop",
         duration=86400.0,
-        measurements=MeasurementPolicy(metrics="sketch"),
+        measurements=MeasurementPolicy(),
     )
     cluster = prepare_scenario(scenario).cluster
     assert len(cluster.sim._queue) <= 3 * len(cluster.replicas)
@@ -140,24 +136,34 @@ def _within(bound, got, want):
 def test_sketch_mode_matches_exact_within_bound():
     scenario = _scenario()
     exact = run_scenario(scenario)
-    sketch = run_scenario(_scenario("sketch"))
+    sketch = _run_sketched(scenario)
 
     metrics, reference = sketch.run_metrics, exact.run_metrics
-    assert metrics.streaming is True
+    assert isinstance(metrics, MetricsSketch)
     assert metrics.total_requests() == reference.total_requests()
     assert metrics.committed_blocks() == reference.committed_blocks()
     assert metrics.throughput(scenario.duration) == reference.throughput(
         scenario.duration
     )
+    # The timeline is the same sums in the same order.
+    assert metrics.throughput_series(scenario.duration) == (
+        reference.throughput_series(scenario.duration)
+    )
+    assert metrics.latency_series(scenario.duration) == (
+        reference.latency_series(scenario.duration)
+    )
 
-    bound = metrics.sketch.error_bound()
+    bound = metrics.error_bound()
     exact_summary = reference.latency_summary()
     sketch_summary = metrics.latency_summary()
     for key in ("p50", "p90", "p99"):
         assert _within(bound, sketch_summary[key], exact_summary[key]), key
-    # The streaming mean is the same sum in the same order; only the
+    # The sketch's mean is the same sum in the same order; only the
     # exact side's re-sum over the sorted list differs, by association.
     assert sketch_summary["mean"] == pytest.approx(exact_summary["mean"], rel=1e-9)
+    assert metrics.mean_latency() == pytest.approx(
+        reference.mean_latency(), rel=1e-9
+    )
 
     # Client side: the sketch saw every completion, and its answers stay
     # inside the same bound.
@@ -166,63 +172,64 @@ def test_sketch_mode_matches_exact_within_bound():
     for key in ("requests_sent", "requests_completed"):
         assert sketch_client[key] == exact_client[key], key
     assert exact_client["requests_completed"] > 0
-    assert sketch.workload._stream_sketch.blocks == exact_client["requests_completed"]
-    client_bound = sketch.workload._stream_sketch.error_bound()
+    client_sketch = sketch.workload.metrics
+    assert client_sketch.blocks == exact_client["requests_completed"]
+    assert client_sketch.requests == exact_client["requests_completed"]
+    client_bound = client_sketch.error_bound()
     for key in ("p50_latency", "p90_latency", "p99_latency"):
         assert _within(client_bound, sketch_client[key], exact_client[key]), key
     assert sketch_client["mean_latency"] == pytest.approx(
         exact_client["mean_latency"], rel=1e-9
     )
 
-    # The mode only observes: the same seed runs the same protocol.
+    # The observer only watches: the same seed runs the same protocol.
     assert _protocol_hash(sketch) == _protocol_hash(exact)
 
 
 def test_sketch_mode_is_deterministic():
-    first = run_scenario(_scenario("sketch")).to_json()
-    second = run_scenario(_scenario("sketch")).to_json()
+    first = _run_sketched(_scenario()).to_json()
+    second = _run_sketched(_scenario()).to_json()
     assert first == second
 
 
 def test_sketch_mode_keeps_no_per_request_state():
-    result = run_scenario(_scenario("sketch"))
-    # The streaming twin holds one sketch, not a commit list.
-    assert not hasattr(result.run_metrics, "commits")
-    assert isinstance(result.run_metrics.sketch, MetricsSketch)
-    # Clients stream too: their latency lists stay empty.
+    result = _run_sketched(_scenario())
+    # Every replica holds one sketch, not a commit list.
+    for replica in result.cluster.replicas:
+        assert isinstance(replica.metrics, MetricsSketch)
+        assert not hasattr(replica.metrics, "commits")
+    assert result.run_metrics is result.cluster.observer.metrics
+    # Clients record into their workload's one sketch.
+    assert isinstance(result.workload.metrics, MetricsSketch)
     for client in result.workload.clients:
-        assert client.latencies == []
+        assert client.metrics is result.workload.metrics
 
 
 def test_closed_loop_clients_stream_in_sketch_mode():
     # The paper's workload measures like every other one: its clients
     # feed the sketch, and nothing per request outlives the request.
-    overrides = dict(workload="closed-loop", workload_params=dict(clients=2))
-    exact = run_scenario(_scenario(**overrides))
-    sketch = run_scenario(_scenario("sketch", **overrides))
+    scenario = _scenario(workload="closed-loop", workload_params=dict(clients=2))
+    exact = run_scenario(scenario)
+    sketch = _run_sketched(scenario)
     exact_client = exact.workload.summary()
     sketch_client = sketch.workload.summary()
     assert "p50_latency" in sketch_client
     assert sketch_client["requests_completed"] == exact_client["requests_completed"]
     assert exact_client["requests_completed"] > 0
-    bound = sketch.workload._stream_sketch.error_bound()
+    bound = sketch.workload.metrics.error_bound()
     assert _within(bound, sketch_client["p50_latency"], exact_client["p50_latency"])
     for client in sketch.workload.clients:
-        assert client.latencies == []
+        assert client.metrics is sketch.workload.metrics
         assert len(client._voters) <= 1
         assert len(client._send_times) <= 1
 
 
-def test_policy_window_and_bins_flow_into_the_sketch():
-    scenario = _scenario(
-        measurements=MeasurementPolicy(metrics="sketch", window=2.0,
-                                       bins_per_decade=40),
-    )
-    result = run_scenario(scenario)
-    sketch = result.run_metrics.sketch
-    assert sketch.windows.window == 2.0
-    assert sketch.hist.bins_per_decade == 40
-    # Series answer only at the recorded granularity.
-    assert result.run_metrics.throughput_series(8.0, bucket=2.0)
-    with pytest.raises(ValueError, match="window"):
-        result.run_metrics.throughput_series(8.0, bucket=1.0)
+def test_sketches_record_one_second_windows_at_100_bins_per_decade():
+    assert WINDOW == 1.0
+    result = _run_sketched(_scenario())
+    for observer in (result.run_metrics, result.workload.metrics):
+        assert observer.hist.bins_per_decade == 100
+        # Series answer only at the recorded granularity.
+        assert observer.throughput_series(8.0)
+        with pytest.raises(ValueError, match="window"):
+            observer.throughput_series(8.0, bucket=2.0)

@@ -20,8 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import LogHistogram, MetricsSketch
-from repro.workloads import percentile
+from repro.metrics import (
+    CommitEvent,
+    LogHistogram,
+    MetricsSketch,
+    RunMetrics,
+    percentile,
+)
 
 
 def _fold_values(values, bins_per_decade=100):
@@ -217,8 +222,8 @@ def test_out_of_domain_values_are_clamped_and_counted():
 # ----------------------------------------------------------------------
 def _fold_commits(commits):
     sketch = MetricsSketch()
-    for commit_time, latency, payload in commits:
-        sketch.observe(commit_time, latency, payload)
+    for height, (commit_time, latency, payload) in enumerate(commits):
+        sketch.observe(CommitEvent(height, commit_time, commit_time - latency, payload))
     return sketch
 
 
@@ -246,8 +251,8 @@ def test_sketch_shard_split_matches_whole(commits, shards):
     assert merged.requests == whole.requests
     assert merged.hist.counts == whole.hist.counts
     assert _windows_close(merged, whole)
-    summary_merged = merged.summary()
-    summary_whole = whole.summary()
+    summary_merged = merged.latency_summary()
+    summary_whole = whole.latency_summary()
     assert (summary_merged is None) == (summary_whole is None)
     if summary_whole is not None:
         for key in ("p50", "p90", "p99"):
@@ -276,7 +281,7 @@ def test_sketch_state_roundtrip_preserves_everything(commits):
     sketch = _fold_commits(commits)
     restored = MetricsSketch.from_state(sketch.state_dict())
     assert restored.state_dict() == sketch.state_dict()
-    assert restored.summary() == sketch.summary()
+    assert restored.latency_summary() == sketch.latency_summary()
 
 
 @settings(max_examples=40, deadline=None)
@@ -292,3 +297,29 @@ def test_histogram_scalars_match_naive(values):
         )
     else:
         assert math.isnan(hist.mean())
+
+
+@settings(max_examples=40, deadline=None)
+@given(commit_streams())
+def test_sketch_and_exact_observers_agree_on_one_stream(commits):
+    # The one observer interface: fed the same events through their
+    # sinks, both agree exactly on counts and series and within the
+    # bound on quantiles.
+    exact, sketch = RunMetrics(), MetricsSketch()
+    for observer in (exact, sketch):
+        sink = observer.commit_sink()
+        for height, (commit_time, latency, payload) in enumerate(commits):
+            sink(CommitEvent(height, commit_time, commit_time - latency, payload))
+    assert sketch.total_requests() == exact.total_requests()
+    assert sketch.committed_blocks() == exact.committed_blocks()
+    duration = commits[-1][0] if commits else 1.0
+    assert sketch.throughput(duration) == exact.throughput(duration)
+    assert sketch.throughput_series(duration) == exact.throughput_series(duration)
+    assert sketch.latency_series(duration) == exact.latency_series(duration)
+    want, got = exact.latency_summary(), sketch.latency_summary()
+    assert (want is None) == (got is None)
+    if want is not None:
+        bound = sketch.error_bound() * (1.0 + 1e-9)
+        for key in ("p50", "p90", "p99"):
+            assert abs(got[key] - want[key]) <= bound * want[key], key
+        assert math.isclose(got["mean"], want["mean"], rel_tol=1e-9)

@@ -1,51 +1,24 @@
-"""Vectorized-vs-scalar equivalence for tree scoring and timeouts.
+"""Vectorized-vs-scalar equivalence for the tree timeouts.
 
-The vectorized hot paths must match the scalar reference
-implementations *to the float* (bit equality, not approx): seeded
-simulations consume these values directly, so any ulp drift would break
-the repo-wide determinism contract.
+The numpy arrival chains must match the scalar definitions *to the
+float* (bit equality, not approx): seeded simulations consume these
+values directly, so any ulp drift would break the repo-wide determinism
+contract.
 """
 
 import math
 import random
 
-import numpy as np
 import pytest
 
 from repro.net.deployments import random_world_deployment
 from repro.tree.optitree import random_tree
-from repro.tree.score import (
-    TreeTimeouts,
-    _collect_time,
-    _collect_time_array,
-    _subtree_costs,
-    tree_score,
-    tree_score_scalar,
-)
+from repro.tree.score import TreeTimeouts, _collect_time, tree_score
 
 
 def latency_for(n: int, seed: int = 0):
     deployment = random_world_deployment(n, random.Random(seed + n))
     return deployment.latency.matrix_seconds() / 2.0
-
-
-def vectorized_score(latency, tree, k):
-    """Force the vectorized path regardless of the small-tree dispatch."""
-    _, lagg, uplink, votes = _subtree_costs(latency, tree)
-    return _collect_time_array(lagg + uplink, votes, k - 1)
-
-
-@pytest.mark.parametrize("n", [4, 13, 56, 57, 211])
-def test_vectorized_tree_score_bit_equals_scalar(n):
-    latency = latency_for(n)
-    rng = random.Random(n)
-    f = (n - 1) // 3
-    for _ in range(20):
-        tree = random_tree(n, frozenset(range(n)), rng)
-        for k in (2 * f + 1, n - f, n, 2):
-            scalar = tree_score_scalar(latency, tree, k)
-            assert vectorized_score(latency, tree, k) == scalar
-            assert tree_score(latency, tree, k) == scalar
 
 
 def scalar_round_duration(latency, tree, k):
@@ -78,26 +51,12 @@ def test_vectorized_round_duration_bit_equals_scalar(n):
         assert TreeTimeouts(latency, tree, 2 * f + 1).round_duration() == scalar
 
 
-def test_vectorized_score_infeasible_k():
+def test_tree_score_infeasible_k():
     n = 57
     latency = latency_for(n)
     tree = random_tree(n, frozenset(range(n)), random.Random(0))
-    assert vectorized_score(latency, tree, n + 1) == math.inf
     assert tree_score(latency, tree, n + 1) == math.inf
     assert tree_score(latency, tree, 1) == 0.0  # root's own vote suffices
-
-
-def test_vectorized_score_with_duplicate_costs():
-    """Uniform latencies produce all-equal (cost, votes) entries; the
-    lexsort tiebreak must agree with the scalar tuple sort."""
-    n = 21
-    latency = np.full((n, n), 0.01)
-    np.fill_diagonal(latency, 0.0)
-    tree = random_tree(n, frozenset(range(n)), random.Random(4))
-    for k in range(2, n + 1):
-        assert vectorized_score(latency, tree, k) == tree_score_scalar(
-            latency, tree, k
-        )
 
 
 @pytest.mark.parametrize("n", [13, 57, 211])

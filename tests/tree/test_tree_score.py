@@ -1,6 +1,7 @@
 """Tests for Definition 1's score and the tree timeouts of Lemma 6."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from repro.tree.score import (
     default_k,
     tree_score,
 )
+from repro.tree.optitree import random_tree
 from repro.tree.topology import TreeConfiguration
 
 
@@ -122,3 +124,14 @@ def test_expected_messages_by_role():
 def test_default_k():
     assert default_k(n=21, f=6, u=0) == 15
     assert default_k(n=21, f=6, u=3) == 18
+
+
+def test_score_with_every_subtree_cost_tied():
+    # Uniform links tie every subtree at Lagg + L[I][R] = 0.02, so the
+    # sort orders by votes alone; any feasible k collects at 0.02.
+    n = 21
+    latency = uniform_latency(n)
+    tree = random_tree(n, frozenset(range(n)), random.Random(4))
+    for k in range(2, n + 1):
+        assert tree_score(latency, tree, k) == 0.02
+    assert tree_score(latency, tree, n + 1) == math.inf

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads import percentile
+from repro.metrics import percentile
 
 _QS = (0.0, 0.001, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0)
 

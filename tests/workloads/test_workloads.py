@@ -7,6 +7,7 @@ import pytest
 
 from fakes import FakeDelay
 from repro.consensus.messages import ClientRequest, Reply
+from repro.metrics import MetricsSketch, RunMetrics
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.workloads import (
@@ -95,7 +96,7 @@ def test_open_loop_deterministic_under_fixed_seed():
     a = run_workload(RecordingOpenLoop(rate=80.0), duration=10.0, seed=5)
     b = run_workload(RecordingOpenLoop(rate=80.0), duration=10.0, seed=5)
     assert a.arrival_times == b.arrival_times
-    assert a.latencies() == b.latencies()
+    assert a.metrics.commits == b.metrics.commits
 
 
 def test_open_loop_seed_changes_the_trace():
@@ -216,8 +217,8 @@ def test_closed_loop_keeps_one_request_outstanding():
     assert client.sent - client.completed <= 1  # at most the in-flight one
     # Round trip through the echo harness: request + reply link delays
     # (up to float accumulation in the virtual clock).
-    for _, latency in workload.latencies():
-        assert latency >= 2 * LINK_DELAY - 1e-9
+    for event in workload.metrics.commits:
+        assert event.latency >= 2 * LINK_DELAY - 1e-9
 
 
 def test_closed_loop_think_time_summary_is_pinned():
@@ -244,6 +245,68 @@ def test_closed_loop_think_time_summary_is_pinned():
         "p99_latency": 0.20195793700319278,
     }
     assert [client.sent for client in result.workload.clients] == [24, 23]
+
+
+def test_every_completion_is_one_event_in_the_workload_observer():
+    workload = run_workload(OpenLoopWorkload(rate=50.0, clients=3), duration=5.0)
+    events = workload.metrics.commits
+    assert len(events) == workload.completed > 0
+    for client in workload.clients:
+        assert client.metrics is workload.metrics
+    # (request id, completion time, send time, one request), recorded in
+    # completion order by whichever client completed.
+    times = [event.commit_time for event in events]
+    assert times == sorted(times)
+    last_id = max(client.next_request for client in workload.clients)
+    for event in events:
+        assert 1 <= event.height <= last_id
+        assert event.payload_count == 1
+        assert event.latency >= 2 * LINK_DELAY - 1e-9
+    # The summary is the two counts plus the observer's summary, renamed.
+    stats = workload.metrics.latency_summary()
+    assert workload.summary() == {
+        "requests_sent": workload.sent,
+        "requests_completed": workload.completed,
+        "mean_latency": stats["mean"],
+        "p50_latency": stats["p50"],
+        "p90_latency": stats["p90"],
+        "p99_latency": stats["p99"],
+    }
+
+
+def test_rebinding_starts_a_fresh_exact_observer():
+    assert OpenLoopWorkload().summary() == {
+        "requests_sent": 0,
+        "requests_completed": 0,
+    }
+    workload = run_workload(OpenLoopWorkload(rate=50.0), duration=2.0)
+    first = workload.metrics
+    workload.use_metrics(MetricsSketch())
+    assert workload.clients[0].metrics is workload.metrics
+    sim, network = echo_harness(seed=1)
+    bind(workload, sim, network)
+    assert isinstance(workload.metrics, RunMetrics)
+    assert workload.metrics is not first
+    assert workload.metrics.commits == []
+    assert workload.clients[0].metrics is workload.metrics
+
+
+@pytest.mark.parametrize("clients", [1, 3])
+def test_client_latency_series_is_the_workload_series(clients):
+    # ``cluster.client.latency_series`` (Fig. 7): a one-client workload's
+    # own series, the merged series of every client otherwise.
+    workload = run_workload(
+        OpenLoopWorkload(rate=60.0, clients=clients), duration=5.0
+    )
+    sums, counts = {}, {}
+    for event in workload.metrics.commits:
+        index = int(event.commit_time / 2.0)
+        sums[index] = sums.get(index, 0.0) + (event.commit_time - event.propose_time)
+        counts[index] = counts.get(index, 0) + 1
+    expected = [(index * 2.0, sums[index] / counts[index]) for index in sorted(sums)]
+    assert expected
+    for client in workload.clients:
+        assert client.latency_series(5.0, bucket=2.0) == expected
 
 
 def test_workload_summary_reports_percentiles():
